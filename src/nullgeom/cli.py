@@ -50,12 +50,7 @@ import numpy as np
 
 from . import conformal, scenes, taylor
 from .conformal import ConformalMapSpec, DegeneracyError, EmbeddingRangeError, InverseError
-from .extrinsic import (
-    ExtrinsicPoint,
-    FrameDegeneracyError,
-    _euclidean_fiber,
-    _is_unit_warping,
-)
+from .extrinsic import TRAPPED_CLASSES, ExtrinsicPoint, FrameDegeneracyError, closed_forms
 from .immersion import Immersion, MetricSignatureError
 from .nullcone import NullconeSpec, PointRejected
 from .spacetime import AmbientModel, WarpingFunction
@@ -89,14 +84,6 @@ ROW_FIELDS = (
     "H_sq",
     "scal_formula",
     "scal_intrinsic",
-)
-
-TRAPPED_CLASSES = (
-    "past_trapped",
-    "past_marginally_trapped",
-    "past_weakly_trapped",
-    "untrapped",
-    "unclassified",
 )
 
 DEFAULT_TOLERANCES = {
@@ -421,20 +408,6 @@ def _parse_expect(doc):
     return expect
 
 
-def _closed_selectors(model: AmbientModel, cone: NullconeSpec):
-    sels = []
-    if model.kind != "desitter":
-        sels.append("time_orthogonal")
-    if cone.variant == "minkowski_cone":
-        sels.extend(["minkowski_xi", "minkowski_eta"])
-    if cone.variant in ("grw_cone", "minkowski_cone"):
-        if _euclidean_fiber(model):
-            sels.extend(["warped_xi", "warped_eta"])
-        if _is_unit_warping(model):
-            sels.extend(["product_xi", "product_eta"])
-    return tuple(sels)
-
-
 def _gauss_shift(model, cone) -> Optional[float]:
     """Constant offset in Scal = n(n-1)<H,H> + shift, where it is a theorem.
 
@@ -516,7 +489,7 @@ def parse_scene(doc, tol_overrides=None, seed=None, checks=None) -> Scene:
         family=family,
         axes=axes,
         checks=resolved,
-        selectors=_closed_selectors(model, cone),
+        selectors=closed_forms(model, cone),
         gauss_shift=_gauss_shift(model, cone),
         cspec=_conformal_spec(model, cone, family, axes),
         tolerances=tolerances,
@@ -752,7 +725,7 @@ def _suite_appendix(scene, rows, diags):
     ]
     try:
         residuals = conformal.conformal_curvature_check(scene.im, lam, samples)
-    except (DegeneracyError, ArithmeticError) as err:
+    except (DegeneracyError, EmbeddingRangeError, ArithmeticError) as err:
         raise SuiteUnevaluable(str(err)) from None
     worst = max(residuals.values())
     return {

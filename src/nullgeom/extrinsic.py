@@ -44,6 +44,8 @@ CLOSED_FORMS = (
     "warped_eta",
 )
 
+# trapped_class never yields "past_weakly_trapped"; the name stays so that
+# configurations expecting it keep validating
 TRAPPED_CLASSES = (
     "past_trapped",
     "past_marginally_trapped",
@@ -97,6 +99,21 @@ def _euclidean_fiber(model) -> bool:
     return model.kind in ("minkowski", "grw_euclidean") or (
         model.kind == "product" and model.fiber_kind == "euclidean"
     )
+
+
+def closed_forms(model, cone) -> tuple:
+    """The closed-form shape operators that apply on `cone`, in CLOSED_FORMS order."""
+    product_cone = cone.variant in ("grw_cone", "minkowski_cone")
+    applies = set()
+    if model.kind != "desitter":
+        applies.add("time_orthogonal")
+    if product_cone and _is_unit_warping(model):
+        applies.update(("product_xi", "product_eta"))
+    if cone.variant == "minkowski_cone":
+        applies.update(("minkowski_xi", "minkowski_eta"))
+    if product_cone and _euclidean_fiber(model):
+        applies.update(("warped_xi", "warped_eta"))
+    return tuple(which for which in CLOSED_FORMS if which in applies)
 
 
 class ExtrinsicPoint:
@@ -315,21 +332,20 @@ class ExtrinsicPoint:
         return self.to_frame(self.shape_chart(name))
 
     def shape_closed_chart(self, which: str) -> np.ndarray:
-        n = self.n
         model = self.model
-        eye = np.eye(n)
+        if which not in CLOSED_FORMS:
+            raise ValueError(f"unknown closed form {which!r}; expected one of {CLOSED_FORMS}")
+        applicable = closed_forms(model, self.cone)
+        if which not in applicable:
+            raise ShapeDispatchError(
+                f"{which} does not apply on a {self.cone.variant} cone of a "
+                f"{model.kind} model; applicable: {applicable}"
+            )
+        eye = np.eye(self.n)
         outer = np.outer(self.grad_u, self.du)
         if which == "time_orthogonal":
-            if model.kind == "desitter":
-                raise ShapeDispatchError(
-                    "the time-orthogonal form needs a warped-product model"
-                )
             return self.hess_u_mixed + self.warping_ratio * (eye + outer)
         if which in ("minkowski_xi", "minkowski_eta"):
-            if self.cone.variant != "minkowski_cone":
-                raise ShapeDispatchError(
-                    f"{which} applies on the Minkowski nullcone only"
-                )
             if which == "minkowski_xi":
                 return eye
             u = self.u
@@ -338,10 +354,6 @@ class ExtrinsicPoint:
                 + self.hess_u_mixed / u
             )
         if which in ("warped_xi", "warped_eta"):
-            if self.cone.variant not in ("grw_cone", "minkowski_cone") or not _euclidean_fiber(model):
-                raise ShapeDispatchError(
-                    f"{which} needs a GRW cone over a Euclidean fiber"
-                )
             if model.kind == "minkowski":
                 f0, f1, phi = 1.0, 0.0, self.u
             else:
@@ -352,18 +364,14 @@ class ExtrinsicPoint:
             gsq = self.grad_u_sq
             c0 = -((1.0 + gsq) / (2.0 * phi * phi) + f1 * (gsq - 1.0) / (2.0 * phi))
             return c0 * eye + (f1 / phi) * outer + (f0 / phi) * self.hess_u_mixed
-        if which in ("product_xi", "product_eta"):
-            if self.cone.variant not in ("grw_cone", "minkowski_cone") or not _is_unit_warping(model):
-                raise ShapeDispatchError(f"{which} needs a unit-warping product cone")
-            a_xi = self._product_xi_chart()
-            if which == "product_xi":
-                return a_xi
-            p = self.u - (model.t0 or 0.0)
-            return (
-                -((1.0 + self.grad_u_sq) / (2.0 * p * p)) * a_xi
-                + self.hess_u_mixed / p
-            )
-        raise ValueError(f"unknown closed form {which!r}; expected one of {CLOSED_FORMS}")
+        a_xi = self._product_xi_chart()
+        if which == "product_xi":
+            return a_xi
+        p = self.u - (model.t0 or 0.0)
+        return (
+            -((1.0 + self.grad_u_sq) / (2.0 * p * p)) * a_xi
+            + self.hess_u_mixed / p
+        )
 
     def _product_xi_chart(self) -> np.ndarray:
         """A_xi X = -<X, grad u> grad u + (nabla^M_{Xhat}(r Dr))^tangent."""
@@ -436,8 +444,6 @@ class ExtrinsicPoint:
             return "past_trapped"
         if abs(m) <= eps:
             return "past_marginally_trapped"
-        if m >= -eps:  # unreachable; mirrors the documented cascade
-            return "past_weakly_trapped"
         return "untrapped"
 
     def report(self, eps: float = MARGINAL_EPS) -> ExtrinsicReport:

@@ -11,15 +11,14 @@ Internally a scalar quantity is a dense coefficient vector indexed by the
 multi-indices of total degree <= order in graded lexicographic order; the
 stored numbers are Taylor coefficients (partial derivative over factorial
 of the multi-index), so multiplication is a truncated convolution.  That
-convolution is the hot kernel and runs either compiled (Cython) or in pure
-numpy, selected at import and switchable with `use_backend`.
+convolution is the hot kernel: one `np.bincount` over the context's
+(i, j, k) table, accumulating in table order.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -27,39 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _jetcore_py
-
-try:
-    from . import _jetcore as _jetcore_c
-except ImportError:
-    _jetcore_c = None
-
-if _jetcore_c is not None and os.environ.get("NULLGEOM_PURE") != "1":
-    _kernel = _jetcore_c
-else:
-    _kernel = _jetcore_py
-
 MAX_ORDER = 3
-
-
-def backend_name() -> str:
-    """Name of the active multiplication kernel: 'compiled' or 'pure'."""
-    return _kernel.BACKEND
-
-
-def use_backend(name: str) -> str:
-    """Select the multiplication kernel; returns the previously active one."""
-    global _kernel
-    previous = _kernel.BACKEND
-    if name == "compiled":
-        if _jetcore_c is None:
-            raise RuntimeError("compiled kernel is not available")
-        _kernel = _jetcore_c
-    elif name == "pure":
-        _kernel = _jetcore_py
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-    return previous
 
 
 class PrimitiveDomainError(ValueError):
@@ -212,9 +179,8 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             ctx = self.ctx
-            out = np.zeros(ctx.n_terms)
-            _kernel.mul_into(out, self.c, other.c, ctx.mul_ti, ctx.mul_tj, ctx.mul_tk)
-            return Series(ctx, out)
+            terms = self.c[ctx.mul_ti] * other.c[ctx.mul_tj]
+            return Series(ctx, np.bincount(ctx.mul_tk, terms, ctx.n_terms))
         return Series(self.ctx, self.c * float(other))
 
     __rmul__ = __mul__

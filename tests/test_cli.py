@@ -223,6 +223,21 @@ def test_all_points_rejected_is_degenerate():
     assert "unevaluable" in report["suites"]["frame"]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_appendix_sample_off_embedding_range_is_unevaluable(seed):
+    # f < 0 on part of the box: those grid points are off-cone rejections,
+    # and the appendix's random samples land there too
+    doc = builtin_scenes()["mink-bowl"]
+    doc["immersion"]["f"] = "0.6 + 0.5*x0"
+    doc["grid"] = [{"min": -2.0, "max": 2.0, "count": 20}] * 2
+    report = run(doc, seed=seed, checks=["appendix"])
+    assert len(report["rows"]) == 320
+    assert len(report["rejections"]) == 80
+    assert all(r["reason"] == "off_cone" for r in report["rejections"])
+    assert "unevaluable" in report["suites"]["appendix"]
+    assert report["exit_status"] == EXIT_DEGENERATE
+
+
 # -- scene behavior ---------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullgeom import taylor as tm
 from _composites import (
@@ -143,21 +145,20 @@ def test_jet_coefficients_are_derivative_values():
     assert jet.taylor[0, slot] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_backends_agree_bitwise():
-    if tm._jetcore_c is None:
-        pytest.skip("compiled kernel unavailable")
-    rng = np.random.default_rng(3)
-    ctx = tm.get_context(3, 3)
-    a = tm.Series(ctx, rng.standard_normal(ctx.n_terms))
-    b = tm.Series(ctx, rng.standard_normal(ctx.n_terms))
-    prev = tm.use_backend("compiled")
-    try:
-        compiled = (a * b).c
-        tm.use_backend("pure")
-        pure = (a * b).c
-    finally:
-        tm.use_backend(prev)
-    assert np.array_equal(compiled, pure)
+@settings(deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(0, tm.MAX_ORDER))
+def test_product_matches_table_loop_bitwise(data, n, order):
+    ctx = tm.get_context(n, order)
+    coeffs = st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=ctx.n_terms, max_size=ctx.n_terms
+    )
+    a, b = data.draw(coeffs), data.draw(coeffs)
+    # the reference accumulates in table order; the kernel must keep that order
+    want = [0.0] * ctx.n_terms
+    for i, j, k in zip(ctx.mul_ti, ctx.mul_tj, ctx.mul_tk):
+        want[k] += a[i] * b[j]
+    got = (tm.Series(ctx, np.array(a)) * tm.Series(ctx, np.array(b))).c
+    assert np.array_equal(got, np.array(want))
 
 
 def test_expression_parser_matches_direct():
