@@ -15,7 +15,7 @@ conformal rescalings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,7 +65,13 @@ MAP_VARIANTS = (
     "desitter_to_Sn",
 )
 
-FAMILY_VARIANTS = ("psi_f_minkowski", "psi_f_desitter_alpha", "cylinder_warped")
+# each embedding family and the (ambient kind, nullcone variant) it lands on
+_FAMILY_CONES = {
+    "psi_f_minkowski": ("minkowski", "minkowski_cone"),
+    "psi_f_desitter_alpha": ("desitter", "desitter_alpha"),
+    "cylinder_warped": ("minkowski", "cylinder"),
+}
+FAMILY_VARIANTS = tuple(_FAMILY_CONES)
 
 DENOMINATOR_FLOOR = 1e-8
 MODEL_MEMBERSHIP_TOL = 1e-10
@@ -106,8 +112,18 @@ class ConformalMapSpec:
                 raise ValueError("lightcone_to_Hn needs a coordinate_index")
             if self.coordinate_index < 1:
                 raise ValueError("the denominator must be a spacelike coordinate")
-        if self.variant.startswith("cylinder") and self.base_point is None:
+        if self.primitive and self.base_point is None:
             raise ValueError(f"{self.variant} needs a base_point for the primitive")
+
+    @property
+    def primitive(self) -> bool:
+        """Whether the image ends in the primitive g of dw/u (the cylinder maps)."""
+        return self.variant in ("cylinder_to_SxR", "cylinder_to_HxR")
+
+    @property
+    def hyperbolic(self) -> bool:
+        """Whether the model factor is a hyperboloid sheet rather than a sphere."""
+        return self.variant in ("lightcone_to_Hn", "cylinder_to_HxR")
 
 
 @dataclass(frozen=True)
@@ -118,7 +134,9 @@ class EmbeddingFamily:
     for the hyperboloid and sphere families, a callable of the axis
     coordinate for the warped cylinder, or a constant.  On the split de
     Sitter planes (0 < alpha < 1) its range is further pinned by the
-    component: below sqrt(1 - alpha^2)/alpha on `minus`, above it on `plus`.
+    component: below the split radius on `minus`, above it on `plus`.
+    `cone` is the null hypersurface the family lands on; building it
+    validates alpha and component.
     """
 
     variant: str
@@ -126,25 +144,23 @@ class EmbeddingFamily:
     alpha: Optional[float] = None
     n: int = 2
     component: Optional[str] = None
+    cone: NullconeSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.variant not in FAMILY_VARIANTS:
+        if self.variant not in _FAMILY_CONES:
             raise ValueError(f"unknown embedding family {self.variant!r}")
-        if self.variant == "psi_f_desitter_alpha":
-            if self.alpha is None or not 0.0 <= float(self.alpha) <= 1.0:
-                raise ValueError("the de Sitter family needs alpha in [0, 1]")
-            if 0.0 < self.alpha < 1.0 and self.component not in ("minus", "plus"):
-                raise ValueError("0 < alpha < 1 needs component 'minus' or 'plus'")
-            if not 0.0 < self.alpha < 1.0 and self.component is not None:
-                raise ValueError("component only applies for 0 < alpha < 1")
-        elif self.alpha is not None or self.component is not None:
-            raise ValueError(f"{self.variant} takes neither alpha nor component")
+        kind, variant = _FAMILY_CONES[self.variant]
+        cone = NullconeSpec(
+            AmbientModel(kind, self.n), variant, alpha=self.alpha, component=self.component
+        )
+        object.__setattr__(self, "cone", cone)
 
     def f_range(self):
-        if self.variant == "psi_f_desitter_alpha" and 0.0 < self.alpha < 1.0:
-            split = math.sqrt(1.0 - self.alpha**2) / self.alpha
-            return (0.0, split) if self.component == "minus" else (split, math.inf)
-        return 0.0, math.inf
+        cone = self.cone
+        if cone.component is None:
+            return 0.0, math.inf
+        split = cone.split_radius
+        return (0.0, split) if cone.component == "minus" else (split, math.inf)
 
     def check_range(self, value):
         v = value.val if isinstance(value, Series) else float(value)
@@ -161,10 +177,9 @@ class EmbeddingFamily:
 
 def build_embedding(family: EmbeddingFamily) -> Immersion:
     """The family's canonical immersion into its target null hypersurface."""
-    n = family.n
+    n, cone = family.n, family.cone
+    model = cone.model
     if family.variant == "psi_f_minkowski":
-        model = AmbientModel("minkowski", n)
-        cone = NullconeSpec(model, "minkowski_cone")
         chart = spacetime.hyperbolic_chart(n)
 
         def fn(ys):
@@ -175,27 +190,19 @@ def build_embedding(family: EmbeddingFamily) -> Immersion:
         return Immersion(SmoothMap(fn, n, n + 2, "psi_f"), model, cone)
 
     if family.variant == "psi_f_desitter_alpha":
-        model = AmbientModel("desitter", n)
-        cone = NullconeSpec(
-            model, "desitter_alpha", alpha=family.alpha, component=family.component
-        )
         chart = spacetime.sphere_chart(n)
-        alpha = float(family.alpha)
-        beta = math.sqrt(1.0 - alpha * alpha)
 
         def fn(qs):
             q = chart.fn(qs)
             fv = family.evaluate(qs)
-            r = alpha * fv - beta
-            return [fv] + [r * qi for qi in q] + [alpha + beta * fv]
+            r = cone.scale(fv)
+            return [fv] + [r * qi for qi in q] + [cone.alpha + cone.beta * fv]
 
         return Immersion(
             SmoothMap(fn, n, n + 3, "psi_f_alpha", domain=chart.domain), model, cone
         )
 
     # cylinder_warped: (f(t), f(t) q, t) over (t, sphere chart of S^{n-1})
-    model = AmbientModel("minkowski", n)
-    cone = NullconeSpec(model, "cylinder")
     chart = spacetime.sphere_chart(n - 1)
 
     def fn(cs):
@@ -211,27 +218,30 @@ def build_embedding(family: EmbeddingFamily) -> Immersion:
 # -- split maps ---------------------------------------------------------------
 
 
-def _denominator_index(spec: ConformalMapSpec, im: Immersion) -> int:
+def _split_layout(spec: ConformalMapSpec, im: Immersion):
+    """(denominator coordinate, the coordinates the image keeps).
+
+    The kept coordinates divided by the denominator land on the model
+    factor; the cylinder maps' line coordinate w = psi[-1] enters only
+    through the primitive.
+    """
     m = im.model.coord_count
     if spec.variant == "lightcone_to_Hn":
-        if spec.coordinate_index >= m:
-            raise ValueError(
-                f"coordinate_index {spec.coordinate_index} out of range for a "
-                f"{m}-coordinate model"
-            )
-        return spec.coordinate_index
-    if spec.variant == "cylinder_to_SxR":
-        return 0
+        i = spec.coordinate_index
+        if i >= m:
+            raise ValueError(f"coordinate_index {i} out of range for a {m}-coordinate model")
+        return i, [a for a in range(m) if a != i]
     if spec.variant == "cylinder_to_HxR":
-        return m - 2  # the last cone-block coordinate, before the line factor
-    return 0  # de Sitter: the scale R is a function of the first coordinate
+        # the last cone-block coordinate, before the line factor
+        return m - 2, list(range(m - 2))
+    # the first coordinate: u on the S x R cylinder, the scale R's argument on de Sitter
+    return 0, list(range(1, m - 1))
 
 
 def _denominator_series(spec: ConformalMapSpec, im: Immersion, psi):
-    i = _denominator_index(spec, im)
+    i, _ = _split_layout(spec, im)
     if spec.variant == "desitter_to_Sn":
-        alpha = im.target_cone.alpha
-        return alpha * psi[i] - math.sqrt(1.0 - alpha * alpha)
+        return im.target_cone.scale(psi[i])
     return psi[i]
 
 
@@ -270,19 +280,15 @@ def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
 
 def _primitive_integrand(spec: ConformalMapSpec, im: Immersion):
     """Chart components of dw/u as a covector field: (point, axis) -> float."""
-    m = im.model.coord_count
 
     def cov(point, axis):
         jet = taylor.jet_eval(im.map, np.asarray(point, dtype=float), 1)
-        denom = jet.value[_denominator_index(spec, im)]
-        if spec.variant == "desitter_to_Sn":
-            alpha = im.target_cone.alpha
-            denom = alpha * denom - math.sqrt(1.0 - alpha * alpha)
+        denom = _denominator_series(spec, im, jet.value)
         if abs(denom) <= DENOMINATOR_FLOOR:
             raise DegeneracyError(
                 f"split-map denominator {denom:.3e} vanishes near {tuple(point)}"
             )
-        return jet.jacobian[m - 1, axis] / denom
+        return jet.jacobian[-1, axis] / denom
 
     return cov
 
@@ -359,28 +365,19 @@ def conformal_map(spec: ConformalMapSpec, im: Immersion, x) -> np.ndarray:
 
 
 def _map_values(spec, im, geo: ChartGeometry) -> np.ndarray:
-    psi0 = geo.psi0
     denom = _denominator_series(spec, im, geo.psi).val
     if abs(denom) <= DENOMINATOR_FLOOR:
         raise DegeneracyError(f"split-map denominator {denom:.3e} at {tuple(geo.x)}")
-    m = im.model.coord_count
-    if spec.variant == "lightcone_to_Hn":
-        y = np.delete(psi0, spec.coordinate_index) / denom
+    _, keep = _split_layout(spec, im)
+    y = geo.psi0[keep] / denom
+    if spec.hyperbolic:
         _require(abs(-y[0] ** 2 + y[1:] @ y[1:] + 1.0) < MODEL_MEMBERSHIP_TOL, y)
         _require(y[0] > 0.0, y)
-        return y
-    if spec.variant == "cylinder_to_SxR":
-        q = psi0[1 : m - 1] / denom
-        _require(abs(q @ q - 1.0) < MODEL_MEMBERSHIP_TOL, q)
-        return np.concatenate([q, [primitive_g(spec, im, geo.x)]])
-    if spec.variant == "cylinder_to_HxR":
-        y = psi0[: m - 2] / denom
-        _require(abs(-y[0] ** 2 + y[1:] @ y[1:] + 1.0) < MODEL_MEMBERSHIP_TOL, y)
-        _require(y[0] > 0.0, y)
+    else:
+        _require(abs(y @ y - 1.0) < MODEL_MEMBERSHIP_TOL, y)
+    if spec.primitive:
         return np.concatenate([y, [primitive_g(spec, im, geo.x)]])
-    q = psi0[1 : m - 1] / denom
-    _require(abs(q @ q - 1.0) < MODEL_MEMBERSHIP_TOL, q)
-    return q
+    return y
 
 
 def _require(cond: bool, y):
@@ -398,33 +395,22 @@ def _map_jacobian(spec, im, geo: ChartGeometry) -> np.ndarray:
     denom = _denominator_series(spec, im, psi)
     if abs(denom.val) <= DENOMINATOR_FLOOR:
         raise DegeneracyError(f"split-map denominator {denom.val:.3e}")
-    m = im.model.coord_count
+    _, keep = _split_layout(spec, im)
     n = geo.dim
-    if spec.variant == "lightcone_to_Hn":
-        comps = [psi[a] / denom for a in range(m) if a != spec.coordinate_index]
-    elif spec.variant == "cylinder_to_HxR":
-        comps = [psi[a] / denom for a in range(m - 2)]
-    else:
-        comps = [psi[a] / denom for a in range(1, m - 1)]
+    comps = [psi[a] / denom for a in keep]
     jac = np.array([[c.derivative(i).val for i in range(n)] for c in comps])
-    if spec.variant.startswith("cylinder"):
-        w = psi[m - 1]
+    if spec.primitive:
+        w = psi[-1]
         dg = np.array([w.derivative(i).val for i in range(n)]) / denom.val
         jac = np.vstack([jac, dg])
     return jac
 
 
-_MODEL_SIGNS = {
-    "lightcone_to_Hn": lambda k: np.array([-1.0] + [1.0] * (k - 1)),
-    "cylinder_to_SxR": lambda k: np.ones(k),
-    "cylinder_to_HxR": lambda k: np.array([-1.0] + [1.0] * (k - 1)),
-    "desitter_to_Sn": lambda k: np.ones(k),
-}
-
-
 def _pullback(spec, im, geo):
     jac = _map_jacobian(spec, im, geo)
-    signs = _MODEL_SIGNS[spec.variant](jac.shape[0])
+    signs = np.ones(jac.shape[0])
+    if spec.hyperbolic:
+        signs[0] = -1.0
     return np.einsum("a,ai,aj->ij", signs, jac, jac)
 
 
@@ -468,12 +454,10 @@ def desitter_r_sign(im: Immersion, samples) -> float:
     cone = im.target_cone
     if cone is None or cone.variant != "desitter_alpha":
         raise ValueError("sign coherence applies to de Sitter plane sections")
-    alpha = cone.alpha
-    beta = math.sqrt(1.0 - alpha * alpha)
     signs = set()
     for x in samples:
         geo = chart_geometry(im, x)
-        r = alpha * geo.psi0[0] - beta
+        r = cone.scale(geo.psi0[0])
         if abs(r) <= DENOMINATOR_FLOOR:
             raise DegeneracyError(f"scale R = {r:.3e} vanishes at {tuple(x)}")
         signs.add(1.0 if r > 0.0 else -1.0)
@@ -530,37 +514,27 @@ def local_inverse(
     raise InverseError(f"iteration stalled near {tuple(x)} for target {target}")
 
 
-def _graph_coordinate_index(spec: ConformalMapSpec, im: Immersion) -> int:
-    """Ambient coordinate whose pullback through the inverse is the graph
-    function f of the factored embedding."""
-    if spec.variant == "lightcone_to_Hn":
-        return spec.coordinate_index
-    if spec.variant == "desitter_to_Sn":
-        return 0
-    raise ValueError(f"{spec.variant} has no graph-embedding factorization")
-
-
-def _psi_f_at_model_point(spec, im, y, f_val) -> np.ndarray:
-    if im.model.kind == "minkowski":
-        # the image has 1 in the denominator slot; rescaling by f restores psi
-        return f_val * np.insert(y, spec.coordinate_index, 1.0)
-    alpha = im.target_cone.alpha
-    beta = math.sqrt(1.0 - alpha * alpha)
-    r = alpha * f_val - beta
-    return np.concatenate([[f_val], r * y, [alpha + beta * f_val]])
+def _psi_f_at_model_point(spec, im, i, y, f_val) -> np.ndarray:
+    if spec.hyperbolic:
+        # the image has 1 in the denominator slot i; rescaling by f restores psi
+        return f_val * np.insert(y, i, 1.0)
+    cone = im.target_cone
+    return np.concatenate([[f_val], cone.scale(f_val) * y, [cone.alpha + cone.beta * f_val]])
 
 
 def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float:
     """Max ambient deviation of psi from (family embedding) o (split map).
 
-    f is reconstructed at each image point as the graph coordinate composed
-    with a local inverse seeded from the nearest *other* sample, so the
-    round trip genuinely exercises invertibility.
+    f is reconstructed at each image point as the denominator coordinate
+    composed with a local inverse seeded from the nearest *other* sample, so
+    the round trip genuinely exercises invertibility.
     """
+    if spec.primitive:
+        raise ValueError(f"{spec.variant} has no graph-embedding factorization")
     samples = [np.asarray(s, dtype=float) for s in samples]
     if len(samples) < 2:
         raise ValueError("factorization check needs at least two samples")
-    idx = _graph_coordinate_index(spec, im)
+    idx, _ = _split_layout(spec, im)
     worst = 0.0
     for k, x in enumerate(samples):
         geo = chart_geometry(im, x)
@@ -569,7 +543,7 @@ def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float
         seed = min(others, key=lambda s: float(np.sum((s - x) ** 2)))
         x_hat = local_inverse(spec, im, y, seed)
         f_val = float(taylor.jet_eval(im.map, x_hat, 0).value[idx])
-        ambient = _psi_f_at_model_point(spec, im, y, f_val)
+        ambient = _psi_f_at_model_point(spec, im, idx, y, f_val)
         worst = max(worst, float(np.max(np.abs(ambient - geo.psi0))))
     return worst
 

@@ -34,15 +34,16 @@ MARGINAL_EPS = 1e-7
 
 NORMAL_FIELDS = ("xi", "eta", "nu", "time_orthogonal")
 
-CLOSED_FORMS = (
-    "time_orthogonal",
-    "product_xi",
-    "product_eta",
-    "minkowski_xi",
-    "minkowski_eta",
-    "warped_xi",
-    "warped_eta",
-)
+# each closed-form Weingarten map, and the normal field it describes
+CLOSED_FORMS = {
+    "time_orthogonal": "time_orthogonal",
+    "product_xi": "xi",
+    "product_eta": "eta",
+    "minkowski_xi": "xi",
+    "minkowski_eta": "eta",
+    "warped_xi": "xi",
+    "warped_eta": "eta",
+}
 
 # trapped_class never yields "past_weakly_trapped"; the name stays so that
 # configurations expecting it keep validating
@@ -175,11 +176,9 @@ class ExtrinsicPoint:
     @cached_property
     def xi_series(self):
         comps = nullcone.grad_F_components(self.cone, self.geo.psi)
-        if self.cone.variant == "desitter_alpha":
-            alpha = self.cone.alpha
-            r0 = alpha * self.geo.psi0[0] - np.sqrt(1.0 - alpha * alpha)
-            if r0 > 0.0:  # future-normalize on the R > 0 component
-                comps = [-c for c in comps]
+        # future-normalize on the R > 0 component of a de Sitter section
+        if self.cone.variant == "desitter_alpha" and self.cone.scale(self.geo.psi0[0]) > 0.0:
+            comps = [-c for c in comps]
         return comps
 
     @cached_property
@@ -334,7 +333,9 @@ class ExtrinsicPoint:
     def shape_closed_chart(self, which: str) -> np.ndarray:
         model = self.model
         if which not in CLOSED_FORMS:
-            raise ValueError(f"unknown closed form {which!r}; expected one of {CLOSED_FORMS}")
+            raise ValueError(
+                f"unknown closed form {which!r}; expected one of {tuple(CLOSED_FORMS)}"
+            )
         applicable = closed_forms(model, self.cone)
         if which not in applicable:
             raise ShapeDispatchError(

@@ -22,7 +22,7 @@ import numpy as np
 from . import spacetime, taylor
 from .nullcone import NullconeSpec, require_on_cone
 from .spacetime import AmbientModel
-from .taylor import Series, SmoothMap
+from .taylor import ChartDomainError, Series, SmoothMap
 
 JET_ORDER = 3
 
@@ -31,7 +31,7 @@ _EIG_FLOOR = -1e-12
 
 
 class MetricSignatureError(ValueError):
-    """The induced metric failed the positive-definite eigenvalue test."""
+    """The induced metric failed the positive-definite eigenvalue test, or is singular."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,12 @@ class ChartGeometry:
                 f"(min eigenvalue {eigs[0]:.3e})"
             )
         self.g0 = g0
-        self.g_inv0 = np.linalg.inv(g0)
+        try:
+            self.g_inv0 = np.linalg.inv(g0)
+        except np.linalg.LinAlgError:
+            raise MetricSignatureError(
+                f"induced metric at {tuple(self.x)} is singular"
+            ) from None
 
     # -- ambient side (immersions only) --------------------------------
 
@@ -148,29 +153,12 @@ class ChartGeometry:
     @cached_property
     def tangents(self) -> np.ndarray:
         """Coordinate tangent vectors d_i psi, shape (dim, ambient)."""
-        n, ctx = self.dim, self.ctx
-        out = np.zeros((n, len(self.psi)))
-        for i in range(n):
-            e_i = tuple(1 if k == i else 0 for k in range(n))
-            for a, s in enumerate(self.psi):
-                out[i, a] = s.coefficient(e_i)
-        return out
+        return np.stack([self.partials(s) for s in self.psi], axis=1)
 
     @cached_property
     def psi_second_partials(self) -> np.ndarray:
         """d_i d_j psi values, shape (dim, dim, ambient)."""
-        n = self.dim
-        out = np.zeros((n, n, len(self.psi)))
-        for i in range(n):
-            for j in range(i, n):
-                alpha = tuple(
-                    (1 if k == i else 0) + (1 if k == j else 0) for k in range(n)
-                )
-                fac = 2.0 if i == j else 1.0
-                for a, s in enumerate(self.psi):
-                    out[i, j, a] = s.coefficient(alpha) * fac
-                out[j, i] = out[i, j]
-        return out
+        return np.stack([self.second_partials(s) for s in self.psi], axis=-1)
 
     # -- metric jet algebra ---------------------------------------------
 
@@ -283,23 +271,10 @@ class ChartGeometry:
         return out
 
     def partials(self, s: Series) -> np.ndarray:
-        n = self.dim
-        out = np.zeros(n)
-        for i in range(n):
-            e_i = tuple(1 if k == i else 0 for k in range(n))
-            out[i] = s.coefficient(e_i)
-        return out
+        return s.c[s.ctx.first]
 
     def second_partials(self, s: Series) -> np.ndarray:
-        n = self.dim
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                alpha = tuple(
-                    (1 if k == i else 0) + (1 if k == j else 0) for k in range(n)
-                )
-                out[i, j] = out[j, i] = s.coefficient(alpha) * (2.0 if i == j else 1.0)
-        return out
+        return s.c[s.ctx.second] * s.ctx.second_fac
 
     def gradient(self, s: Series):
         """Contravariant gradient components and its squared norm."""
@@ -328,7 +303,7 @@ class ChartGeometry:
 def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGeometry:
     x = np.asarray(x, dtype=np.float64)
     if not im.contains(x):
-        raise ValueError(f"chart point {tuple(x)} outside the immersion's domain")
+        raise ChartDomainError(f"chart point {tuple(x)} outside the immersion's domain")
     psi = taylor.eval_series(im.map, x, JET_ORDER)
     if check_membership and im.target_cone is not None:
         require_on_cone(im.target_cone, np.array([s.val for s in psi]))

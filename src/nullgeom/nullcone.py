@@ -69,8 +69,10 @@ class PointRejected(Exception):
 class NullconeSpec:
     """Selects a null hypersurface inside an ambient model.
 
-    component splits the 0 < alpha < 1 de Sitter planes at
-    x1 = sqrt(1 - alpha^2)/alpha, where the radial scale R changes sign.
+    The de Sitter plane sections x_last = alpha + beta x1, beta =
+    sqrt(1 - alpha^2), carry the radial scale R = alpha x1 - beta;
+    component splits the 0 < alpha < 1 planes at x1 = beta/alpha, where R
+    changes sign.
     """
 
     model: AmbientModel
@@ -109,9 +111,18 @@ class NullconeSpec:
             raise ValueError(f"{self.variant} takes no alpha or component")
 
     @property
+    def beta(self) -> float:
+        """Slope sqrt(1 - alpha^2) of the de Sitter plane section."""
+        return math.sqrt(1.0 - self.alpha * self.alpha)
+
+    def scale(self, x1):
+        """The de Sitter radial scale R = alpha x1 - beta (floats or Series)."""
+        return self.alpha * x1 - self.beta
+
+    @property
     def split_radius(self) -> float:
-        """The x1 value separating the two de Sitter components."""
-        return math.sqrt(1.0 - self.alpha ** 2) / self.alpha
+        """The x1 value separating the two de Sitter components, where R = 0."""
+        return self.beta / self.alpha
 
 
 def eval_F(spec: NullconeSpec, p):
@@ -125,8 +136,7 @@ def eval_F(spec: NullconeSpec, p):
         block = p[: m.n + 1]
         return -(p[0] * p[0]) + taylor.norm_sq(block[1:])
     if spec.variant == "desitter_alpha":
-        a = spec.alpha
-        return p[-1] - a - math.sqrt(1.0 - a * a) * p[0]
+        return p[-1] - spec.alpha - spec.beta * p[0]
     phi = m.warping.conformal_time(p[0], m.t0)
     return -(phi * phi) + fiber_radius_sq(m, p[1:])
 
@@ -151,10 +161,9 @@ def grad_F_components(spec: NullconeSpec, p):
         zero = 0.0 * p[0] if is_series else 0.0
         return list(p[: m.n + 1]) + [zero]
     if spec.variant == "desitter_alpha":
-        a = spec.alpha
-        scale = eval_F(spec, p) + a
+        scale = eval_F(spec, p) + spec.alpha
         comps = [-scale * x for x in p]
-        comps[0] = comps[0] + math.sqrt(1.0 - a * a)
+        comps[0] = comps[0] + spec.beta
         comps[-1] = comps[-1] + 1.0
         return [0.5 * c for c in comps]
     t = p[0]

@@ -22,6 +22,7 @@ from . import taylor
 from .taylor import Series, SmoothMap, compose_univariate, get_context
 
 __all__ = [
+    "WarpingDomainError",
     "WarpingFunction",
     "AmbientModel",
     "AmbientVector",
@@ -42,6 +43,10 @@ __all__ = [
 _WARPING_KINDS = ("constant", "exp", "cosh", "polynomial", "custom")
 _MODEL_KINDS = ("minkowski", "product", "grw_euclidean", "desitter")
 _FIBER_KINDS = ("euclidean", "hyperbolic", "sphere")
+
+
+class WarpingDomainError(taylor.DomainError):
+    """A warping profile evaluated outside its domain, or where it is not positive."""
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +89,7 @@ class WarpingFunction:
     def _check_domain(self, v: float):
         lo, hi = self.domain
         if not lo < v < hi:
-            raise ValueError(f"time {v} outside warping domain ({lo}, {hi})")
+            raise WarpingDomainError(f"time {v} outside warping domain ({lo}, {hi})")
 
     def _raw(self, t):
         if self.kind == "constant":
@@ -108,7 +113,7 @@ class WarpingFunction:
         out = self._raw(t)
         val = out.val if isinstance(out, Series) else out
         if not val > 0.0:
-            raise ValueError(f"warping function nonpositive at t={v}")
+            raise WarpingDomainError(f"warping function nonpositive at t={v}")
         return out
 
     def value(self, t: float) -> float:

@@ -29,7 +29,11 @@ import numpy as np
 MAX_ORDER = 3
 
 
-class PrimitiveDomainError(ValueError):
+class DomainError(ValueError):
+    """A function evaluated outside its domain: a primitive, a chart, a profile."""
+
+
+class PrimitiveDomainError(DomainError):
     """A primitive was evaluated outside its domain (e.g. sqrt of a negative)."""
 
     def __init__(self, primitive: str, value: float, point=None):
@@ -45,7 +49,11 @@ class PrimitiveDomainError(ValueError):
         return PrimitiveDomainError(self.primitive, self.value, point)
 
 
-class StencilDomainError(ValueError):
+class ChartDomainError(DomainError):
+    """A chart point outside the declared domain of a map or an immersion."""
+
+
+class StencilDomainError(DomainError):
     """A finite-difference stencil left the map's domain."""
 
     def __init__(self, stencil_point, reason: str = "outside declared domain"):
@@ -54,11 +62,18 @@ class StencilDomainError(ValueError):
 
 
 class JetContext:
-    """Index tables for one (n_inputs, order) pair; cached and immutable."""
+    """Index tables for one (n_inputs, order) pair; cached and immutable.
+
+    `first[i]` is the slot of d/dx_i; `second[i, j]` is the slot of
+    d^2/dx_i dx_j, whose Taylor coefficient times `second_fac[i, j]` (2 on
+    the diagonal, 1 off it) is the derivative.  Both are None below the
+    order they need.
+    """
 
     __slots__ = (
         "n", "order", "alphas", "index", "n_terms", "factorials",
         "mul_ti", "mul_tj", "mul_tk", "deriv_src", "deriv_fac",
+        "first", "second", "second_fac",
     )
 
     def __init__(self, n: int, order: int):
@@ -105,6 +120,14 @@ class JetContext:
                 fac[v, b] = beta[v] + 1
         self.deriv_src = src
         self.deriv_fac = fac
+        units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        self.first = np.array([self.index[e] for e in units]) if order >= 1 else None
+        self.second = self.second_fac = None
+        if order >= 2:
+            self.second = np.array(
+                [[self.index[tuple(map(sum, zip(a, b)))] for b in units] for a in units]
+            )
+            self.second_fac = 1.0 + np.eye(n)
 
 
 @lru_cache(maxsize=None)
@@ -132,8 +155,7 @@ class Series:
         c = np.zeros(ctx.n_terms)
         c[0] = value
         if ctx.order >= 1:
-            e_i = tuple(1 if k == i else 0 for k in range(ctx.n))
-            c[ctx.index[e_i]] = 1.0
+            c[ctx.first[i]] = 1.0
         return cls(ctx, c)
 
     @property
@@ -452,12 +474,9 @@ class Jet:
     @property
     def jacobian(self) -> np.ndarray:
         ctx = self.ctx
-        jac = np.zeros((self.n_outputs, ctx.n))
-        if ctx.order >= 1:
-            for i in range(ctx.n):
-                e_i = tuple(1 if k == i else 0 for k in range(ctx.n))
-                jac[:, i] = self.taylor[:, ctx.index[e_i]]
-        return jac
+        if ctx.order < 1:
+            return np.zeros((self.n_outputs, ctx.n))
+        return self.taylor[:, ctx.first]
 
     def partial(self, alpha) -> np.ndarray:
         """Derivative d^alpha of every output component."""
@@ -469,14 +488,7 @@ class Jet:
         ctx = self.ctx
         if ctx.order < 2:
             raise ValueError("hessian requires order >= 2")
-        hess = np.zeros((self.n_outputs, ctx.n, ctx.n))
-        for i in range(ctx.n):
-            for j in range(i, ctx.n):
-                alpha = tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(ctx.n))
-                val = self.taylor[:, ctx.index[alpha]] * (2.0 if i == j else 1.0)
-                hess[:, i, j] = val
-                hess[:, j, i] = val
-        return hess
+        return self.taylor[:, ctx.second] * ctx.second_fac
 
     def series(self, component: int) -> Series:
         return Series(self.ctx, self.taylor[component].copy())
@@ -500,7 +512,7 @@ def eval_series(map_fn, point, order: int):
     ctx = get_context(point.shape[0], order)
     fn = map_fn.fn if isinstance(map_fn, SmoothMap) else map_fn
     if isinstance(map_fn, SmoothMap) and not map_fn.contains(point):
-        raise ValueError(f"point {tuple(point)} outside the map's declared domain")
+        raise ChartDomainError(f"point {tuple(point)} outside the map's declared domain")
     xs = [Series.variable(ctx, i, point[i]) for i in range(ctx.n)]
     try:
         result = fn(xs)

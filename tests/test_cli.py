@@ -157,18 +157,51 @@ def test_threads_must_be_positive():
         run(slice_doc(), threads=0)
 
 
+HXR_DOC = {
+    "name": "hxr",
+    "spacetime": {"kind": "minkowski", "n": 2},
+    "nullcone": {"variant": "cylinder"},
+    "immersion": {"family": "hxr", "profile": "1 + 0.1*x0"},
+    "grid": [{"min": -1.0, "max": 1.0, "count": 3}, {"min": -1.0, "max": 1.0, "count": 3}],
+}
+
+
 def test_checks_all_expands_to_applicable():
-    scene = parse_scene(slice_doc())
-    assert scene.checks == (
-        "frame",
-        "shape",
-        "expansions",
-        "trapped",
-        "conformal",
-        "appendix",
-    )
-    ds = parse_scene(small(builtin_scenes()["ds-alpha0"]))
-    assert ds.checks == ("frame", "expansions", "conformal", "appendix")
+    # one case per nullcone variant, and the hxr family's own cylinder map:
+    # (config, suites of "all", Gauss shift, split map)
+    catalog = builtin_scenes()
+    cases = [
+        (catalog["grw-exp"], ("frame", "shape", "expansions"), None, None),
+        (
+            catalog["mink-slice"],
+            ("frame", "shape", "expansions", "trapped", "conformal", "appendix"),
+            0.0,
+            "lightcone_to_Hn",
+        ),
+        (
+            catalog["cyl-arctan"],
+            ("frame", "shape", "expansions", "conformal", "appendix"),
+            None,
+            "cylinder_to_SxR",
+        ),
+        (
+            HXR_DOC,
+            ("frame", "shape", "expansions", "conformal", "appendix"),
+            None,
+            "cylinder_to_HxR",
+        ),
+        (
+            catalog["ds-alpha0"],
+            ("frame", "expansions", "conformal", "appendix"),
+            2.0,
+            "desitter_to_Sn",
+        ),
+    ]
+    for doc, checks, gauss_shift, split in cases:
+        scene = parse_scene(small(doc))
+        assert scene.checks == checks, doc["name"]
+        assert scene.gauss_shift == gauss_shift, doc["name"]
+        assert (scene.cspec and scene.cspec.variant) == split, doc["name"]
 
 
 # -- exit codes through main() --------------------------------------------------
@@ -224,9 +257,9 @@ def test_all_points_rejected_is_degenerate():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_appendix_sample_off_embedding_range_is_unevaluable(seed):
+def test_appendix_samples_evaluated_rows_only(seed):
     # f < 0 on part of the box: those grid points are off-cone rejections,
-    # and the appendix's random samples land there too
+    # and the appendix samples only the evaluated rows
     doc = builtin_scenes()["mink-bowl"]
     doc["immersion"]["f"] = "0.6 + 0.5*x0"
     doc["grid"] = [{"min": -2.0, "max": 2.0, "count": 20}] * 2
@@ -234,8 +267,38 @@ def test_appendix_sample_off_embedding_range_is_unevaluable(seed):
     assert len(report["rows"]) == 320
     assert len(report["rejections"]) == 80
     assert all(r["reason"] == "off_cone" for r in report["rejections"])
-    assert "unevaluable" in report["suites"]["appendix"]
-    assert report["exit_status"] == EXIT_DEGENERATE
+    assert report["suites"]["appendix"]["passed"]
+    assert report["suites"]["appendix"]["points"] == 5
+    assert report["exit_status"] == EXIT_PASS
+
+
+def test_untyped_value_error_escapes_run(monkeypatch):
+    # only typed domain errors become rejections; anything else is a bug
+    def broken(self, eps):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr(cli.ExtrinsicPoint, "report", broken)
+    with pytest.raises(ValueError, match="not a domain error"):
+        run(slice_doc(), checks=["frame"])
+
+
+def test_singular_metric_and_warping_domain_are_chart_singularities():
+    # the polar axis x0 = 0 of the sphere chart has a singular induced metric
+    doc = slice_doc(3)
+    doc["grid"][0] = {"min": 0.0, "max": 1.0, "count": 3}
+    report = run(doc, checks=["frame"])
+    assert [r["point"][0] for r in report["rejections"]] == [0.0] * 3
+    for entry in report["rejections"]:
+        assert entry["reason"] == "chart_singularity"
+        assert "singular" in entry["detail"]
+    # the height 1.2 + 0.1 cos(x0) leaves the warping domain where cos(x0) > 0.5
+    doc = small(builtin_scenes()["grw-cosh"], 3)
+    doc["spacetime"]["warping"]["domain"] = [-2.0, 1.25]
+    report = run(doc, checks=["frame"])
+    assert report["rows"] and report["rejections"]
+    for entry in report["rejections"]:
+        assert entry["reason"] == "chart_singularity"
+        assert "warping domain" in entry["detail"]
 
 
 # -- scene behavior ---------------------------------------------------------------

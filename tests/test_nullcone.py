@@ -103,6 +103,12 @@ def test_spec_validation():
         shifted = st.AmbientModel(kind="minkowski", n=2, t0=1.0)
         nc.NullconeSpec(model=shifted, variant="minkowski_cone")
     assert DS_MINUS.split_radius == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    # the radial scale R vanishes at the split, below it on minus, above on plus
+    assert DS_MINUS.scale(DS_MINUS.split_radius) == 0.0
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        assert DS_MINUS.scale(on_cone_point(DS_MINUS, rng)[0]) < 0.0
+        assert DS_PLUS.scale(on_cone_point(DS_PLUS, rng)[0]) > 0.0
 
 
 # ---------------------------------------------------------------- F

@@ -138,6 +138,25 @@ def test_vector_jet_hessian_values():
     assert hess[1, 1, 1] == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", range(tm.MAX_ORDER + 1))
+def test_derivative_slot_tables(n, order):
+    # first[i] holds d/dx_i, second[i, j] and second_fac[i, j] give d^2/dx_i dx_j
+    ctx = tm.get_context(n, order)
+    eye = np.eye(n, dtype=int)
+    if order < 1:
+        assert ctx.first is None
+    else:
+        assert [ctx.alphas[k] for k in ctx.first] == [tuple(e) for e in eye]
+    if order < 2:
+        assert ctx.second is None and ctx.second_fac is None
+        return
+    for i in range(n):
+        for j in range(n):
+            assert ctx.alphas[ctx.second[i, j]] == tuple(eye[i] + eye[j])
+            assert ctx.second_fac[i, j] == ctx.factorials[ctx.second[i, j]]
+
+
 def test_jet_coefficients_are_derivative_values():
     jet = tm.jet_eval(lambda xs: xs[0] ** 3, [2.0], 3)
     slot = jet.ctx.index[(3,)]
