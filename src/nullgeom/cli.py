@@ -24,12 +24,12 @@ coordinate, with an optional "domain" of per-axis bounds.
 
 "checks" lists suite names (frame, shape, expansions, trapped, conformal,
 appendix); "all" expands to every suite applicable to the scene's model and
-cone (`_CONE_RULES` holds the per-cone facts), and requesting an
+cone (`nullcone.CONE_RULES` holds the per-cone facts), and requesting an
 inapplicable suite by name is a configuration error.  The appendix checks
 the conformal curvature identities at up to five evaluated grid points,
-drawn without replacement by the scene's seed.  Grid evaluation may be
-threaded; assembly is ordered by grid index and a single writer emits the
-report, so identical configurations produce byte-identical output.
+drawn without replacement by the scene's seed.  Grid points are evaluated
+one at a time, in grid order, on the calling thread, so identical
+configurations produce byte-identical output.
 
 Exit codes: 0 every requested suite passed, 1 a suite exceeded its
 tolerance, 2 configuration error, 3 runtime degeneracy left a requested
@@ -43,20 +43,19 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import conformal, extrinsic, scenes, taylor
+from . import conformal, extrinsic, scenes
 from .conformal import ConformalMapSpec, DegeneracyError, EmbeddingRangeError, InverseError
 from .extrinsic import TRAPPED_CLASSES, ExtrinsicPoint, FrameDegeneracyError, closed_forms
 from .immersion import Immersion, MetricSignatureError
 from .nullcone import NullconeSpec, PointRejected
 from .spacetime import AmbientModel, WarpingFunction
-from .taylor import MAX_ORDER, DomainError, SmoothMap, parse_expression
+from .taylor import DomainError, SmoothMap, parse_expression
 
 __all__ = [
     "ConfigError",
@@ -93,7 +92,7 @@ DEFAULT_TOLERANCES = {
     "shape": 1e-6,
     "expansions": 1e-8,
     "gauss": 1e-5,
-    "trapped_eps": 1e-7,
+    "trapped_eps": extrinsic.MARGINAL_EPS,
     "factor": 1e-8,
     "factorization": 1e-7,
     "exactness": 1e-8,
@@ -343,33 +342,8 @@ def _parse_grid(doc, dim):
     return axes
 
 
-@dataclass(frozen=True)
-class ConeRules:
-    """What holds on the cross sections of one kind of nullcone.
-
-    `curvature`: the ambient curvature c of the Gauss identity
-    Scal = n(n-1)(<H,H> + c), None where that is no theorem; `trapped`:
-    whether the trapped classification applies; `split`: the split map
-    onto the model space, if any.
-    """
-
-    curvature: Optional[float]
-    trapped: bool
-    split: Optional[str]
-
-
-# only cones from a point, flat or on the unit de Sitter quadric, have the
-# Gauss identity
-_CONE_RULES = {
-    "grw_cone": ConeRules(curvature=None, trapped=False, split=None),
-    "minkowski_cone": ConeRules(curvature=0.0, trapped=True, split="lightcone_to_Hn"),
-    "cylinder": ConeRules(curvature=None, trapped=False, split="cylinder_to_SxR"),
-    "desitter_alpha": ConeRules(curvature=1.0, trapped=False, split="desitter_to_Sn"),
-}
-
-
 def _applicable_suites(model: AmbientModel, cone: NullconeSpec):
-    rules = _CONE_RULES[cone.variant]
+    rules = cone.rules
     names = {"frame", "expansions"}
     if closed_forms(model, cone):
         names.add("shape")
@@ -438,12 +412,12 @@ def _parse_expect(doc):
 
 def _gauss_shift(model, cone) -> Optional[float]:
     """Constant offset n(n-1)c in Scal = n(n-1)<H,H> + shift, where it is a theorem."""
-    c = _CONE_RULES[cone.variant].curvature
+    c = cone.rules.curvature
     return None if c is None else model.n * (model.n - 1) * c
 
 
 def _conformal_spec(model, cone, family, axes):
-    variant = _CONE_RULES[cone.variant].split
+    variant = cone.rules.split
     if family == "hxr":
         variant = "cylinder_to_HxR"  # a cylinder section over a hyperbola
     if variant is None:
@@ -591,18 +565,10 @@ def _evaluate_point(scene: Scene, x):
     return ("rejected", {"point": point, "reason": reason, "detail": detail}, None)
 
 
-def _evaluate_grid(scene: Scene, threads: int):
-    points = list(itertools.product(*scene.axes))
-    # warm the shared jet-context cache before any parallel evaluation
-    for order in range(MAX_ORDER + 1):
-        taylor.get_context(scene.dim, order)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda p: _evaluate_point(scene, p), points))
-    else:
-        outcomes = [_evaluate_point(scene, p) for p in points]
+def _evaluate_grid(scene: Scene):
     rows, diags, rejections = [], [], []
-    for kind, payload, diag in outcomes:
+    for x in itertools.product(*scene.axes):
+        kind, payload, diag = _evaluate_point(scene, x)
         if kind == "row":
             rows.append(payload)
             diags.append(diag)
@@ -680,9 +646,9 @@ def _suite_conformal(scene, rows, diags):
     evaluable = []
     for x in candidates:
         try:
-            conformal.conformal_map(spec, im, x)
+            conformal.model_image(spec, im, x)
             evaluable.append(x)
-        except (DegeneracyError, ArithmeticError):
+        except DegeneracyError:
             continue
     if not evaluable:
         raise SuiteUnevaluable("the split map is degenerate at every sampled point")
@@ -758,7 +724,7 @@ _SUITE_RUNNERS = {
 # -- report assembly and emission ---------------------------------------------
 
 
-def run(config, tol_overrides=None, seed=None, threads=1, checks=None) -> dict:
+def run(config, tol_overrides=None, seed=None, checks=None) -> dict:
     """Run a scene configuration and return the full report dictionary.
 
     The report carries the normalized configuration echo, one row per
@@ -766,9 +732,7 @@ def run(config, tol_overrides=None, seed=None, threads=1, checks=None) -> dict:
     the per-suite verdicts, and the process exit status.
     """
     scene = parse_scene(config, tol_overrides=tol_overrides, seed=seed, checks=checks)
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise ConfigError("threads must be a positive integer")
-    rows, diags, rejections = _evaluate_grid(scene, threads)
+    rows, diags, rejections = _evaluate_grid(scene)
     suites = {}
     status = EXIT_PASS
     for name in scene.checks:
@@ -882,9 +846,6 @@ def _add_common_flags(parser):
     parser.add_argument("--out", help="output path (a directory for `suite`)")
     parser.add_argument("--format", choices=("json", "csv"), help="output format")
     parser.add_argument("--seed", type=int, help="sampling seed (unsigned 64-bit)")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="grid evaluation threads"
-    )
 
 
 def _build_parser():
@@ -944,11 +905,7 @@ def _cmd_check(args, classify: bool) -> int:
     config = _load_config(args.config)
     overrides = _parse_tol_flags(args.tol)
     report = run(
-        config,
-        tol_overrides=overrides,
-        seed=args.seed,
-        threads=args.threads,
-        checks=[] if classify else None,
+        config, tol_overrides=overrides, seed=args.seed, checks=[] if classify else None
     )
     odoc = config.get("output") or {}
     fmt = args.format or odoc.get("format") or "json"
@@ -978,12 +935,7 @@ def _cmd_suite(args) -> int:
     fmt = args.format or "json"
     worst = EXIT_PASS
     for name in names:
-        report = run(
-            catalog[name],
-            tol_overrides=overrides,
-            seed=args.seed,
-            threads=args.threads,
-        )
+        report = run(catalog[name], tol_overrides=overrides, seed=args.seed)
         status = report["exit_status"]
         worst = max(worst, status)
         if args.out:

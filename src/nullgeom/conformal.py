@@ -30,7 +30,7 @@ from .immersion import (
 )
 from .nullcone import NullconeSpec
 from .spacetime import AmbientModel
-from .taylor import Series, SmoothMap
+from .taylor import Series, SmoothMap, format_point
 
 __all__ = [
     "MAP_VARIANTS",
@@ -43,6 +43,7 @@ __all__ = [
     "ConformalMapSpec",
     "EmbeddingFamily",
     "build_embedding",
+    "model_image",
     "conformal_map",
     "conformal_factor",
     "factor_field",
@@ -76,6 +77,8 @@ FAMILY_VARIANTS = tuple(_FAMILY_CONES)
 DENOMINATOR_FLOOR = 1e-8
 MODEL_MEMBERSHIP_TOL = 1e-10
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+# a quadrature whose own error estimate exceeds this is refused
+_QUAD_ERR_MAX = 1e-9
 
 
 class DegeneracyError(ValueError):
@@ -286,11 +289,19 @@ def _primitive_integrand(spec: ConformalMapSpec, im: Immersion):
         denom = _denominator_series(spec, im, jet.value)
         if abs(denom) <= DENOMINATOR_FLOOR:
             raise DegeneracyError(
-                f"split-map denominator {denom:.3e} vanishes near {tuple(point)}"
+                f"split-map denominator {denom:.3e} vanishes near {format_point(point)}"
             )
         return jet.jacobian[-1, axis] / denom
 
     return cov
+
+
+def _checked_quad(integrand, lo, hi, what) -> float:
+    """Adaptive quadrature of a 1-form leg; raises when its error estimate is too large."""
+    val, err = quad(integrand, lo, hi, **_QUAD_OPTS)
+    if err > _QUAD_ERR_MAX:
+        raise ArithmeticError(f"{what}: quadrature error {err:.3e}")
+    return val
 
 
 def primitive_g(spec: ConformalMapSpec, im: Immersion, x) -> float:
@@ -315,12 +326,7 @@ def primitive_g(spec: ConformalMapSpec, im: Immersion, x) -> float:
                 pt[axis] = s
                 return cov(pt, axis)
 
-            val, err = quad(integrand, lo, hi, **_QUAD_OPTS)
-            if err > 1e-9:
-                raise ArithmeticError(
-                    f"primitive quadrature error {err:.3e} on axis {axis}"
-                )
-            total += val
+            total += _checked_quad(integrand, lo, hi, f"primitive on axis {axis}")
         current[axis] = x[axis]
     return total
 
@@ -330,7 +336,9 @@ def exactness_residual(spec: ConformalMapSpec, im: Immersion, axes, bounds) -> f
 
     `axes` names the two chart axes spanning the rectangle, `bounds` their
     (low, high) ranges; the remaining coordinates sit at the base point.
-    Exactness of the 1-form makes the loop vanish.
+    Exactness of the 1-form makes the loop vanish.  Like `primitive_g`,
+    raises ArithmeticError when a leg's quadrature error estimate exceeds
+    1e-9.
     """
     a0, a1 = axes
     (lo0, hi0), (lo1, hi1) = bounds
@@ -344,8 +352,7 @@ def exactness_residual(spec: ConformalMapSpec, im: Immersion, axes, bounds) -> f
             q[held_axis] = held_value
             return cov(q, move_axis)
 
-        val, _ = quad(integrand, frm, to, **_QUAD_OPTS)
-        return val
+        return _checked_quad(integrand, frm, to, f"exactness loop along axis {move_axis}")
 
     loop = leg(a0, lo0, hi0, a1, lo1)
     loop += leg(a1, lo1, hi1, a0, hi0)
@@ -354,20 +361,26 @@ def exactness_residual(spec: ConformalMapSpec, im: Immersion, axes, bounds) -> f
     return abs(loop)
 
 
+def model_image(spec: ConformalMapSpec, im: Immersion, x) -> np.ndarray:
+    """Image of a chart point on the split map's model factor (hyperboloid
+    sheet or round sphere), without the cylinder maps' primitive g;
+    membership is enforced."""
+    return _model_values(spec, im, chart_geometry(im, x))
+
+
 def conformal_map(spec: ConformalMapSpec, im: Immersion, x) -> np.ndarray:
     """Image of a chart point under the variant's split map.
 
     Lands on the model space (hyperboloid sheet, round sphere, or a model
     cross-section paired with the primitive g); membership is enforced.
     """
-    geo = chart_geometry(im, x)
-    return _map_values(spec, im, geo)
+    return _map_values(spec, im, chart_geometry(im, x))
 
 
-def _map_values(spec, im, geo: ChartGeometry) -> np.ndarray:
+def _model_values(spec, im, geo: ChartGeometry) -> np.ndarray:
     denom = _denominator_series(spec, im, geo.psi).val
     if abs(denom) <= DENOMINATOR_FLOOR:
-        raise DegeneracyError(f"split-map denominator {denom:.3e} at {tuple(geo.x)}")
+        raise DegeneracyError(f"split-map denominator {denom:.3e} at {format_point(geo.x)}")
     _, keep = _split_layout(spec, im)
     y = geo.psi0[keep] / denom
     if spec.hyperbolic:
@@ -375,6 +388,12 @@ def _map_values(spec, im, geo: ChartGeometry) -> np.ndarray:
         _require(y[0] > 0.0, y)
     else:
         _require(abs(y @ y - 1.0) < MODEL_MEMBERSHIP_TOL, y)
+    return y
+
+
+def _map_values(spec, im, geo: ChartGeometry) -> np.ndarray:
+    """The model image, followed by the primitive g on the cylinder maps."""
+    y = _model_values(spec, im, geo)
     if spec.primitive:
         return np.concatenate([y, [primitive_g(spec, im, geo.x)]])
     return y
@@ -456,10 +475,9 @@ def desitter_r_sign(im: Immersion, samples) -> float:
         raise ValueError("sign coherence applies to de Sitter plane sections")
     signs = set()
     for x in samples:
-        geo = chart_geometry(im, x)
-        r = cone.scale(geo.psi0[0])
+        r = cone.scale(taylor.jet_eval(im.map, x, 0).value[0])
         if abs(r) <= DENOMINATOR_FLOOR:
-            raise DegeneracyError(f"scale R = {r:.3e} vanishes at {tuple(x)}")
+            raise DegeneracyError(f"scale R = {r:.3e} vanishes at {format_point(x)}")
         signs.add(1.0 if r > 0.0 else -1.0)
     if len(signs) != 1:
         raise DegeneracyError("scale R changes sign across the samples")
@@ -507,11 +525,13 @@ def local_inverse(
                 break
             damping *= 0.5
         else:
-            raise InverseError(f"no descent step at {tuple(x)}")
+            raise InverseError(f"no descent step at {format_point(x)}")
     geo = chart_geometry(im, x, check_membership=False)
     if np.max(np.abs(_map_values(spec, im, geo) - target)) < tol:
         return x
-    raise InverseError(f"iteration stalled near {tuple(x)} for target {target}")
+    raise InverseError(
+        f"iteration stalled near {format_point(x)} for target {format_point(target)}"
+    )
 
 
 def _psi_f_at_model_point(spec, im, i, y, f_val) -> np.ndarray:
@@ -562,28 +582,6 @@ def scaled_metric_chart(base: MetricChart, lam: Callable, name="") -> MetricChar
     return MetricChart(metric=metric, dim=base.dim, name=name or f"scaled({base.name})")
 
 
-def _as_metric_chart(obj) -> MetricChart:
-    if isinstance(obj, MetricChart):
-        return obj
-    if isinstance(obj, Immersion):
-
-        def metric(coords):
-            ctx = coords[0].ctx
-            psi = [
-                c if isinstance(c, Series) else Series.constant(ctx, float(c))
-                for c in obj.map.fn(coords)
-            ]
-            n = obj.dim
-            d = [[c.derivative(i) for c in psi] for i in range(n)]
-            return [
-                [spacetime.ambient_inner(obj.model, psi, d[i], d[j]) for j in range(n)]
-                for i in range(n)
-            ]
-
-        return MetricChart(metric=metric, dim=obj.dim, name=obj.map.name)
-    raise TypeError(f"expected MetricChart or Immersion, got {type(obj).__name__}")
-
-
 def sectional_curvatures(geo: ChartGeometry) -> np.ndarray:
     """K(E_a, E_b) for every orthonormal-frame pair, as a symmetric matrix."""
     n = geo.dim
@@ -601,23 +599,21 @@ def sectional_curvatures(geo: ChartGeometry) -> np.ndarray:
 def conformal_curvature_check(metric_obj, lam: Callable, samples) -> dict:
     """Residuals of the curvature identities between g and lambda^2 g.
 
-    The rescaled curvatures are computed independently from the scaled
-    metric chart, then three identities are evaluated: the sectional
-    relation over all orthonormal frame pairs, the scalar relation, and (in
-    dimension two) the Gauss logarithmic form.  Returns per-identity max
-    residuals.
+    `metric_obj` is an `Immersion` or a `MetricChart`.  The rescaled
+    curvatures are computed independently, from the jet of lambda^2 g, then
+    three identities are evaluated: the sectional relation over all
+    orthonormal frame pairs, the scalar relation, and (in dimension two) the
+    Gauss logarithmic form.  Returns per-identity max residuals.
     """
-    base = _as_metric_chart(metric_obj)
-    scaled = scaled_metric_chart(base, lam)
-    n = base.dim
     res_sect = res_scal = res_gauss = 0.0
     for x in samples:
-        geo = chart_geometry(base, x)
-        geo_s = chart_geometry(scaled, x)
+        geo = chart_geometry(metric_obj, x, check_membership=False)
+        n = geo.dim
         s = geo.scalar_series(lam)
+        geo_s = geo.rescaled(s)
         lam0 = s.val
         if lam0 <= 0.0:
-            raise ValueError(f"conformal factor nonpositive at {tuple(x)}")
+            raise ValueError(f"conformal factor nonpositive at {format_point(x)}")
         _, grad_sq = geo.gradient(s)
         hess = geo.covariant_hessian(s)
         lap = float(np.einsum("ij,ij->", geo.g_inv0, hess))

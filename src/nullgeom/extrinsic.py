@@ -28,7 +28,7 @@ import numpy as np
 from . import nullcone, spacetime, taylor
 from .immersion import ChartGeometry, Immersion, chart_geometry
 from .spacetime import AmbientVector
-from .taylor import Series
+from .taylor import Series, format_point
 
 MARGINAL_EPS = 1e-7
 
@@ -226,7 +226,7 @@ class ExtrinsicPoint:
         nn = spacetime.ambient_inner(self.model, psi, w, w)
         if nn.val >= -1e-12:
             raise FrameDegeneracyError(
-                f"time axis projects to a non-timelike normal at {tuple(self.geo.x)}"
+                f"time axis projects to a non-timelike normal at {format_point(self.geo.x)}"
             )
         scale = 1.0 / taylor.sqrt(-nn)
         return [scale * comp for comp in w]
@@ -242,7 +242,7 @@ class ExtrinsicPoint:
         c = self.xi_dot_nu
         if c.val >= 0.0:
             raise FrameDegeneracyError(
-                f"<xi, nu> = {c.val:.3e} >= 0 at {tuple(self.geo.x)}"
+                f"<xi, nu> = {c.val:.3e} >= 0 at {format_point(self.geo.x)}"
             )
         a = -1.0 / (2.0 * c * c)
         b = -1.0 / c
@@ -280,23 +280,24 @@ class ExtrinsicPoint:
         orthogonality of all three fields to the tangents, and the shared
         time orientation; a wrong orientation counts as residual 1.
         """
-        psi = self.geo.psi
+        p = self.geo.psi0
 
         def inner(a, b):
-            return spacetime.ambient_inner(self.model, psi, a, b).val
+            return spacetime.ambient_inner(self.model, p, a, b)
 
-        xi, eta, nu = self.xi_series, self.eta_series, self.nu_series
+        frame = self.frame
+        xi, eta, nu = frame.xi.components, frame.eta.components, frame.nu.components
         worst = abs(inner(xi, xi))
         worst = max(worst, abs(inner(eta, eta)))
         worst = max(worst, abs(inner(xi, eta) + 1.0))
         worst = max(worst, abs(inner(nu, nu) + 1.0))
         for field in (xi, eta, nu):
-            for j in range(self.n):
-                worst = max(worst, abs(inner(field, self.dpsi[j])))
-        t = self.time_axis_series
+            for tangent in self.geo.tangents:
+                worst = max(worst, abs(inner(field, tangent)))
+        t = self._values(self.time_axis_series)
         if inner(xi, nu) >= 0.0 or inner(eta, nu) >= 0.0 or inner(nu, t) >= 0.0:
             worst = max(worst, 1.0)
-        return worst
+        return float(worst)
 
     # -- Weingarten maps --------------------------------------------------
 
@@ -438,7 +439,7 @@ class ExtrinsicPoint:
         return float(spacetime.ambient_inner(self.model, self.geo.psi0, h, h))
 
     def trapped_class(self, eps: float = MARGINAL_EPS) -> str:
-        if self.cone.variant != "minkowski_cone":
+        if not self.cone.rules.trapped:
             return "unclassified"
         m = 2.0 * self.u * self.laplacian_u - self.n * (1.0 + self.grad_u_sq)
         if m > eps:

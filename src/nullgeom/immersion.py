@@ -22,7 +22,7 @@ import numpy as np
 from . import spacetime, taylor
 from .nullcone import NullconeSpec, require_on_cone
 from .spacetime import AmbientModel
-from .taylor import ChartDomainError, Series, SmoothMap
+from .taylor import ChartDomainError, Series, SmoothMap, format_point
 
 JET_ORDER = 3
 
@@ -133,7 +133,7 @@ class ChartGeometry:
         eigs = np.linalg.eigvalsh(g0)
         if eigs[0] <= _EIG_FLOOR:
             raise MetricSignatureError(
-                f"induced metric at {tuple(self.x)} is not positive definite "
+                f"induced metric at {format_point(self.x)} is not positive definite "
                 f"(min eigenvalue {eigs[0]:.3e})"
             )
         self.g0 = g0
@@ -141,8 +141,18 @@ class ChartGeometry:
             self.g_inv0 = np.linalg.inv(g0)
         except np.linalg.LinAlgError:
             raise MetricSignatureError(
-                f"induced metric at {tuple(self.x)} is singular"
+                f"induced metric at {format_point(self.x)} is singular"
             ) from None
+
+    def rescaled(self, lam: Series) -> "ChartGeometry":
+        """Geometry of the conformal metric lam^2 g at the same point."""
+        factor = lam * lam
+        n = self.dim
+        g = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = factor * self.g_series[i][j]
+        return ChartGeometry(self.x, g, name=f"scaled({self.name})")
 
     # -- ambient side (immersions only) --------------------------------
 
@@ -303,7 +313,7 @@ class ChartGeometry:
 def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGeometry:
     x = np.asarray(x, dtype=np.float64)
     if not im.contains(x):
-        raise ChartDomainError(f"chart point {tuple(x)} outside the immersion's domain")
+        raise ChartDomainError(f"chart point {format_point(x)} outside the immersion's domain")
     psi = taylor.eval_series(im.map, x, JET_ORDER)
     if check_membership and im.target_cone is not None:
         require_on_cone(im.target_cone, np.array([s.val for s in psi]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .spacetime import (
 __all__ = [
     "VERTEX_EPS",
     "MEMBERSHIP_TOL",
+    "ConeRules",
+    "CONE_RULES",
     "RejectionReason",
     "PointRejected",
     "NullconeSpec",
@@ -44,7 +47,30 @@ __all__ = [
 VERTEX_EPS = 1e-8
 MEMBERSHIP_TOL = 1e-9
 
-_VARIANTS = ("grw_cone", "minkowski_cone", "cylinder", "desitter_alpha")
+
+@dataclass(frozen=True)
+class ConeRules:
+    """What holds on the cross sections of one kind of nullcone.
+
+    `curvature`: the ambient curvature c of the Gauss identity
+    Scal = n(n-1)(<H,H> + c), None where that is no theorem; `trapped`:
+    whether the trapped classification applies; `split`: the split map
+    onto the model space, if any (a `conformal.MAP_VARIANTS` name).
+    """
+
+    curvature: Optional[float]
+    trapped: bool
+    split: Optional[str]
+
+
+# the nullcone variants and their rules; only cones from a point, flat or on
+# the unit de Sitter quadric, have the Gauss identity
+CONE_RULES = {
+    "grw_cone": ConeRules(curvature=None, trapped=False, split=None),
+    "minkowski_cone": ConeRules(curvature=0.0, trapped=True, split="lightcone_to_Hn"),
+    "cylinder": ConeRules(curvature=None, trapped=False, split="cylinder_to_SxR"),
+    "desitter_alpha": ConeRules(curvature=1.0, trapped=False, split="desitter_to_Sn"),
+}
 
 
 class RejectionReason(Enum):
@@ -82,7 +108,7 @@ class NullconeSpec:
     component: str = None
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in CONE_RULES:
             raise ValueError(f"unknown nullcone variant {self.variant!r}")
         if self.branch != "future":
             raise ValueError("only the future branch is supported")
@@ -109,6 +135,10 @@ class NullconeSpec:
                 raise ValueError("component only applies for 0 < alpha < 1")
         elif self.alpha is not None or self.component is not None:
             raise ValueError(f"{self.variant} takes no alpha or component")
+
+    @property
+    def rules(self) -> ConeRules:
+        return CONE_RULES[self.variant]
 
     @property
     def beta(self) -> float:

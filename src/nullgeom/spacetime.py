@@ -281,10 +281,7 @@ def ambient_inner(model: AmbientModel, p, v, w):
         for a, b in zip(vc[1:], wc[1:]):
             acc = acc + a * b
         return acc
-    t = p[0]
-    if not isinstance(t, Series):
-        model.warping._check_domain(float(t))
-    f = model.warping(t)
+    f = model.warping(p[0])
     signs = model.fiber_signs
     acc = None
     for s, a, b in zip(signs, vc[1:], wc[1:]):

@@ -29,6 +29,11 @@ import numpy as np
 MAX_ORDER = 3
 
 
+def format_point(point) -> str:
+    """A point as a tuple of plain floats, e.g. "(0.0, 0.45)", for messages."""
+    return str(tuple(float(c) for c in point))
+
+
 class DomainError(ValueError):
     """A function evaluated outside its domain: a primitive, a chart, a profile."""
 
@@ -512,7 +517,9 @@ def eval_series(map_fn, point, order: int):
     ctx = get_context(point.shape[0], order)
     fn = map_fn.fn if isinstance(map_fn, SmoothMap) else map_fn
     if isinstance(map_fn, SmoothMap) and not map_fn.contains(point):
-        raise ChartDomainError(f"point {tuple(point)} outside the map's declared domain")
+        raise ChartDomainError(
+            f"point {format_point(point)} outside the map's declared domain"
+        )
     xs = [Series.variable(ctx, i, point[i]) for i in range(ctx.n)]
     try:
         result = fn(xs)

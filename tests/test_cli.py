@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nullgeom import cli
+from nullgeom import cli, conformal
 from nullgeom.cli import (
     ConfigError,
     DEFAULT_TOLERANCES,
@@ -23,7 +23,8 @@ from nullgeom.cli import (
     parse_scene,
     run,
 )
-from nullgeom.conformal import ConformalMapSpec, conformal_factor
+from nullgeom.conformal import MAP_VARIANTS, ConformalMapSpec, conformal_factor
+from nullgeom.nullcone import CONE_RULES
 from nullgeom.scenes import builtin_scenes
 
 
@@ -152,11 +153,6 @@ def test_chart_needs_all_components():
         parse_scene(doc)
 
 
-def test_threads_must_be_positive():
-    with pytest.raises(ConfigError):
-        run(slice_doc(), threads=0)
-
-
 HXR_DOC = {
     "name": "hxr",
     "spacetime": {"kind": "minkowski", "n": 2},
@@ -202,6 +198,24 @@ def test_checks_all_expands_to_applicable():
         assert scene.checks == checks, doc["name"]
         assert scene.gauss_shift == gauss_shift, doc["name"]
         assert (scene.cspec and scene.cspec.variant) == split, doc["name"]
+
+
+def test_cone_rules_table():
+    # the built-in scenes cover every nullcone variant, each split map exists,
+    # and rows are unclassified exactly where the trapped rule does not apply
+    catalog = builtin_scenes()
+    variants = set()
+    for name, doc in catalog.items():
+        scene = parse_scene(doc)
+        variants.add(scene.cone.variant)
+        report = run(small(doc), checks=[])
+        assert report["rows"], name
+        for row in report["rows"]:
+            unclassified = row["trapped_class"] == "unclassified"
+            assert unclassified == (not scene.cone.rules.trapped), name
+    assert variants == set(CONE_RULES)
+    for rules in CONE_RULES.values():
+        assert rules.split is None or rules.split in MAP_VARIANTS
 
 
 # -- exit codes through main() --------------------------------------------------
@@ -291,6 +305,9 @@ def test_singular_metric_and_warping_domain_are_chart_singularities():
     for entry in report["rejections"]:
         assert entry["reason"] == "chart_singularity"
         assert "singular" in entry["detail"]
+        # the point reads as plain floats, not as "np.float64(0.0)"
+        assert str(tuple(entry["point"])) in entry["detail"]
+        assert "np." not in entry["detail"]
     # the height 1.2 + 0.1 cos(x0) leaves the warping domain where cos(x0) > 0.5
     doc = small(builtin_scenes()["grw-cosh"], 3)
     doc["spacetime"]["warping"]["domain"] = [-2.0, 1.25]
@@ -299,6 +316,19 @@ def test_singular_metric_and_warping_domain_are_chart_singularities():
     for entry in report["rejections"]:
         assert entry["reason"] == "chart_singularity"
         assert "warping domain" in entry["detail"]
+
+
+def test_exactness_quadrature_error_is_unevaluable(monkeypatch):
+    # a loop integral whose own error estimate is too large is no evidence
+    real_quad = conformal.quad
+
+    def sloppy(func, a, b, **kwargs):
+        return real_quad(func, a, b, **kwargs)[0], 1e-6
+
+    monkeypatch.setattr(conformal, "quad", sloppy)
+    report = run(small(builtin_scenes()["cyl-arctan"]), checks=["conformal"])
+    assert "quadrature error" in report["suites"]["conformal"]["unevaluable"]
+    assert report["exit_status"] == EXIT_DEGENERATE
 
 
 # -- scene behavior ---------------------------------------------------------------
@@ -446,11 +476,6 @@ def test_golden_byte_equality(tmp_path, capsys):
         outs.append((tmp_path / name).read_bytes())
     assert outs[2] == outs[3]
     capsys.readouterr()
-
-
-def test_threaded_run_matches_serial():
-    doc = slice_doc(6)
-    assert emit_json(run(doc, threads=4)) == emit_json(run(doc, threads=1))
 
 
 def test_seed_controls_appendix_sampling():

@@ -418,6 +418,31 @@ def test_immersion_input_curvature_check():
     assert max(res.values()) < 1e-8
 
 
+def test_rescaled_geometry_matches_scaled_metric_chart():
+    # lambda^2 g from the base geometry's own metric jet, against the metric
+    # chart of lambda^2 g built from scratch
+    lam = lambda xs: tm.exp(0.3 * xs[0] - 0.2 * xs[1])
+    im = minkowski_family()
+    cases = [
+        (im, pullback_metric_chart(im.map, signs=im.model.flat_signs)),
+        (FLAT2, FLAT2),
+    ]
+    for obj, base in cases:
+        scaled = cf.scaled_metric_chart(base, lam)
+        for x in [(0.3, -0.5), (-0.7, 0.2)]:
+            geo = chart_geometry(obj, x)
+            got = geo.rescaled(geo.scalar_series(lam))
+            want = chart_geometry(scaled, x)
+            assert np.max(np.abs(got.g0 - want.g0)) < 1e-12
+            assert abs(got.scal - want.scal) < 1e-12
+
+
+def test_curvature_check_outside_immersion_domain_is_typed():
+    im = desitter_family(0.0, sphere_f)
+    with pytest.raises(tm.ChartDomainError):
+        cf.conformal_curvature_check(im, lambda qs: 1.0 + 0.0 * qs[0], [(-0.5, 0.2)])
+
+
 def test_nonpositive_factor_rejected():
     lam = lambda xs: xs[0]  # vanishes and changes sign
     with pytest.raises(ValueError):

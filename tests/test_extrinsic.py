@@ -1,10 +1,15 @@
 """Null frames, Weingarten maps, expansions and the trapped classifier."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nullgeom import cli
 from nullgeom import extrinsic as ext
 from nullgeom import immersion as imm
+from nullgeom import nullcone as nc
 from nullgeom import spacetime as st
 from nullgeom import taylor as tm
 from nullgeom.extrinsic import ExtrinsicPoint
@@ -104,6 +109,62 @@ def test_frame_identities_across_scenes():
                 assert abs(frame_inner(pt, xi, tan)) < 1e-9
                 assert abs(frame_inner(pt, eta, tan)) < 1e-9
                 assert abs(frame_inner(pt, nu, tan)) < 1e-9
+
+
+POINTWISE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "pointwise.json"
+
+
+def series_frame_residual(pt):
+    """The frame residual through order-3 series inner products, of which
+    only the values are read: the reference for the value-only residual."""
+    psi = pt.geo.psi
+
+    def inner(a, b):
+        return st.ambient_inner(pt.model, psi, a, b).val
+
+    xi, eta, nu = pt.xi_series, pt.eta_series, pt.nu_series
+    worst = abs(inner(xi, xi))
+    worst = max(worst, abs(inner(eta, eta)))
+    worst = max(worst, abs(inner(xi, eta) + 1.0))
+    worst = max(worst, abs(inner(nu, nu) + 1.0))
+    for field in (xi, eta, nu):
+        for j in range(pt.n):
+            worst = max(worst, abs(inner(field, pt.dpsi[j])))
+    t = pt.time_axis_series
+    if inner(xi, nu) >= 0.0 or inner(eta, nu) >= 0.0 or inner(nu, t) >= 0.0:
+        worst = max(worst, 1.0)
+    return worst
+
+
+@pytest.mark.parametrize("name", ["grw-exp", "mink-h2", "ds-alpha05-plus"])
+def test_frame_residual_matches_series_path_bitwise(name, monkeypatch):
+    with POINTWISE.open() as fh:
+        entry = next(e for e in json.load(fh)["scenes"] if e["config"]["name"] == name)
+    scene = cli.parse_scene(entry["config"])
+    products = []
+    real_mul = tm.Series.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    checked = 0
+    for x in entry["pool"]:
+        try:
+            pt = ExtrinsicPoint(scene.im, np.asarray(x))
+            want = series_frame_residual(pt)
+        except (nc.PointRejected, ext.FrameDegeneracyError, imm.MetricSignatureError,
+                tm.DomainError):
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(tm.Series, "__mul__", counting)
+            m.setattr(tm.Series, "__rmul__", counting)
+            got = pt.frame_residual()
+        assert type(got) is float
+        assert got.hex() == want.hex(), x
+        checked += 1
+    assert checked >= 10
+    assert products == []
 
 
 def test_minkowski_xi_is_position_and_slice_pairing():
