@@ -25,11 +25,13 @@ coordinate, with an optional "domain" of per-axis bounds.
 "checks" lists suite names (frame, shape, expansions, trapped, conformal,
 appendix); "all" expands to every suite applicable to the scene's model and
 cone (`nullcone.CONE_RULES` holds the per-cone facts), and requesting an
-inapplicable suite by name is a configuration error.  The appendix checks
-the conformal curvature identities at up to five evaluated grid points,
-drawn without replacement by the scene's seed.  Grid points are evaluated
-one at a time, in grid order, on the calling thread, so identical
-configurations produce byte-identical output.
+inapplicable suite by name is a configuration error.  The conformal suite
+reads the chart geometries the grid pass built for its first 40 evaluated
+points, and drops those whose split-map image leaves the model space.  The
+appendix checks the conformal curvature identities at up to five evaluated
+grid points, drawn without replacement by the scene's seed.  Grid points
+are evaluated one at a time, in grid order, on the calling thread, so
+identical configurations produce byte-identical output.
 
 Exit codes: 0 every requested suite passed, 1 a suite exceeded its
 tolerance, 2 configuration error, 3 runtime degeneracy left a requested
@@ -151,13 +153,7 @@ class Scene:
     tolerances: dict
     expect: dict
     seed: int
-    output_path: Optional[str]
-    output_format: str
     echo: dict
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
 
 
 # -- configuration parsing --------------------------------------------------
@@ -454,14 +450,9 @@ def parse_scene(doc, tol_overrides=None, seed=None, checks=None) -> Scene:
         seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
-    output_path = None
-    output_format = "json"
     odoc = doc.get("output")
     if odoc is not None:
-        odoc = _expect_mapping(odoc, "output")
-        output_path = odoc.get("path")
-        output_format = odoc.get("format", "json")
-        if output_format not in ("json", "csv"):
+        if _expect_mapping(odoc, "output").get("format", "json") not in ("json", "csv"):
             raise ConfigError("output.format must be json or csv")
     echo = {
         "name": name,
@@ -488,8 +479,6 @@ def parse_scene(doc, tol_overrides=None, seed=None, checks=None) -> Scene:
         tolerances=tolerances,
         expect=expect,
         seed=seed,
-        output_path=output_path,
-        output_format=output_format,
         echo=echo,
     )
 
@@ -553,6 +542,8 @@ def _evaluate_point(scene: Scene, x):
             diag["expansions"] = _expansion_residuals(pt, rep, scene.gauss_shift)
         if "trapped" in scene.checks:
             diag["trapped"] = _trapped_mismatch(pt, rep, scene.tolerances)
+        if "conformal" in scene.checks:
+            diag["geo"] = pt.geo
         return ("row", row, diag)
     except PointRejected as err:
         reason, detail = err.reason.value, err.detail
@@ -570,6 +561,8 @@ def _evaluate_grid(scene: Scene):
     for x in itertools.product(*scene.axes):
         kind, payload, diag = _evaluate_point(scene, x)
         if kind == "row":
+            if len(rows) >= _CONFORMAL_SAMPLE_CAP:
+                diag.pop("geo", None)  # only the conformal suite's samples keep theirs
             rows.append(payload)
             diags.append(diag)
         else:
@@ -642,24 +635,20 @@ def _suite_trapped(scene, rows, diags):
 def _suite_conformal(scene, rows, diags):
     _require_rows(rows, "conformal")
     spec, im = scene.cspec, scene.im
-    candidates = [np.asarray(r["point"]) for r in rows[:_CONFORMAL_SAMPLE_CAP]]
-    evaluable = []
-    for x in candidates:
+    evaluable, factor, spd_failures = [], 0.0, 0.0
+    for d in diags[:_CONFORMAL_SAMPLE_CAP]:
         try:
-            conformal.model_image(spec, im, x)
-            evaluable.append(x)
+            deviation, spd = conformal.pullback_residual(spec, d["geo"])
         except DegeneracyError:
-            continue
+            continue  # the image left the model space: not a sample
+        evaluable.append(d["geo"].x)
+        factor = max(factor, deviation)
+        spd_failures += 0.0 if spd else 1.0
     if not evaluable:
         raise SuiteUnevaluable("the split map is degenerate at every sampled point")
     tols = scene.tolerances
-    residuals = {"factor": conformal.conformal_factor_check(spec, im, evaluable)}
-    passed = residuals["factor"] < tols["factor"]
-    spd_failures = sum(
-        0.0 if conformal.pullback_is_spd(spec, im, x) else 1.0 for x in evaluable[:10]
-    )
-    residuals["pullback_spd_failures"] = spd_failures
-    passed = passed and spd_failures == 0.0
+    residuals = {"factor": factor, "pullback_spd_failures": spd_failures}
+    passed = factor < tols["factor"] and spd_failures == 0.0
     if spec.variant == "desitter_to_Sn":
         try:
             conformal.desitter_r_sign(im, evaluable)

@@ -43,14 +43,13 @@ __all__ = [
     "ConformalMapSpec",
     "EmbeddingFamily",
     "build_embedding",
-    "model_image",
     "conformal_map",
     "conformal_factor",
     "factor_field",
     "primitive_g",
     "exactness_residual",
+    "pullback_residual",
     "conformal_factor_check",
-    "pullback_is_spd",
     "desitter_r_sign",
     "local_inverse",
     "factorization_check",
@@ -250,8 +249,7 @@ def _denominator_series(spec: ConformalMapSpec, im: Immersion, psi):
 
 def conformal_factor(spec: ConformalMapSpec, im: Immersion, x) -> float:
     """The variant's conformal scale |denominator| at a chart point."""
-    geo = chart_geometry(im, x)
-    return abs(_denominator_series(spec, im, geo.psi).val)
+    return abs(_denominator_series(spec, im, im.series(x, 0)).val)
 
 
 def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
@@ -266,10 +264,7 @@ def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
         first = coords[0]
         psi = list(im.map.fn(list(coords)))
         if isinstance(first, Series):
-            psi = [
-                c if isinstance(c, Series) else Series.constant(first.ctx, float(c))
-                for c in psi
-            ]
+            psi = [taylor.as_series(c, first.ctx) for c in psi]
         den = _denominator_series(spec, im, psi)
         value = den.val if isinstance(den, Series) else float(den)
         if abs(value) <= DENOMINATOR_FLOOR:
@@ -285,13 +280,14 @@ def _primitive_integrand(spec: ConformalMapSpec, im: Immersion):
     """Chart components of dw/u as a covector field: (point, axis) -> float."""
 
     def cov(point, axis):
-        jet = taylor.jet_eval(im.map, np.asarray(point, dtype=float), 1)
-        denom = _denominator_series(spec, im, jet.value)
+        psi = im.series(point, 1, check_membership=False)
+        denom = _denominator_series(spec, im, psi).val
         if abs(denom) <= DENOMINATOR_FLOOR:
             raise DegeneracyError(
                 f"split-map denominator {denom:.3e} vanishes near {format_point(point)}"
             )
-        return jet.jacobian[-1, axis] / denom
+        w = psi[-1]
+        return w.c[w.ctx.first[axis]] / denom
 
     return cov
 
@@ -361,28 +357,24 @@ def exactness_residual(spec: ConformalMapSpec, im: Immersion, axes, bounds) -> f
     return abs(loop)
 
 
-def model_image(spec: ConformalMapSpec, im: Immersion, x) -> np.ndarray:
-    """Image of a chart point on the split map's model factor (hyperboloid
-    sheet or round sphere), without the cylinder maps' primitive g;
-    membership is enforced."""
-    return _model_values(spec, im, chart_geometry(im, x))
-
-
 def conformal_map(spec: ConformalMapSpec, im: Immersion, x) -> np.ndarray:
     """Image of a chart point under the variant's split map.
 
     Lands on the model space (hyperboloid sheet, round sphere, or a model
     cross-section paired with the primitive g); membership is enforced.
     """
-    return _map_values(spec, im, chart_geometry(im, x))
+    x = np.asarray(x, dtype=np.float64)
+    return _map_values(spec, im, x, im.series(x, 1))
 
 
-def _model_values(spec, im, geo: ChartGeometry) -> np.ndarray:
-    denom = _denominator_series(spec, im, geo.psi).val
+def _model_values(spec, im, x, psi) -> np.ndarray:
+    """Image of psi on the model factor (hyperboloid sheet or round sphere),
+    without the cylinder maps' primitive g; membership is enforced."""
+    denom = _denominator_series(spec, im, psi).val
     if abs(denom) <= DENOMINATOR_FLOOR:
-        raise DegeneracyError(f"split-map denominator {denom:.3e} at {format_point(geo.x)}")
+        raise DegeneracyError(f"split-map denominator {denom:.3e} at {format_point(x)}")
     _, keep = _split_layout(spec, im)
-    y = geo.psi0[keep] / denom
+    y = np.array([psi[a].val for a in keep]) / denom
     if spec.hyperbolic:
         _require(abs(-y[0] ** 2 + y[1:] @ y[1:] + 1.0) < MODEL_MEMBERSHIP_TOL, y)
         _require(y[0] > 0.0, y)
@@ -391,11 +383,11 @@ def _model_values(spec, im, geo: ChartGeometry) -> np.ndarray:
     return y
 
 
-def _map_values(spec, im, geo: ChartGeometry) -> np.ndarray:
+def _map_values(spec, im, x, psi) -> np.ndarray:
     """The model image, followed by the primitive g on the cylinder maps."""
-    y = _model_values(spec, im, geo)
+    y = _model_values(spec, im, x, psi)
     if spec.primitive:
-        return np.concatenate([y, [primitive_g(spec, im, geo.x)]])
+        return np.concatenate([y, [primitive_g(spec, im, x)]])
     return y
 
 
@@ -404,18 +396,17 @@ def _require(cond: bool, y):
         raise DegeneracyError(f"split-map image {np.asarray(y)} left the model space")
 
 
-def _map_jacobian(spec, im, geo: ChartGeometry) -> np.ndarray:
+def _map_jacobian(spec, im, x, psi) -> np.ndarray:
     """d(split map) rows per model component, columns per chart axis.
 
     The primitive's differential is dg = dw/u exactly, so no quadrature
     enters the jacobian.
     """
-    psi = geo.psi
     denom = _denominator_series(spec, im, psi)
     if abs(denom.val) <= DENOMINATOR_FLOOR:
         raise DegeneracyError(f"split-map denominator {denom.val:.3e}")
     _, keep = _split_layout(spec, im)
-    n = geo.dim
+    n = len(x)
     comps = [psi[a] / denom for a in keep]
     jac = np.array([[c.derivative(i).val for i in range(n)] for c in comps])
     if spec.primitive:
@@ -425,43 +416,44 @@ def _map_jacobian(spec, im, geo: ChartGeometry) -> np.ndarray:
     return jac
 
 
-def _pullback(spec, im, geo):
-    jac = _map_jacobian(spec, im, geo)
+def _pullback(spec, im, x, psi):
+    jac = _map_jacobian(spec, im, x, psi)
     signs = np.ones(jac.shape[0])
     if spec.hyperbolic:
         signs[0] = -1.0
     return np.einsum("a,ai,aj->ij", signs, jac, jac)
 
 
+def pullback_residual(spec: ConformalMapSpec, geo: ChartGeometry, expected_factor=None):
+    """(deviation, spd) of the pullback identity at an evaluated immersion point.
+
+    The deviation compares the model inner products of the split map's jet
+    columns against lambda^-2 times the induced metric, entrywise in the
+    chart basis, with lambda given by `expected_factor` (a callable of the
+    chart point) or the variant's own denominator when omitted; spd says
+    whether that pullback is symmetric positive definite.  Raises
+    DegeneracyError where the image leaves the model space.
+    """
+    im, x, psi = geo.immersion, geo.x, geo.psi
+    _model_values(spec, im, x, psi)  # raises off the model space
+    pulled = _pullback(spec, im, x, psi)
+    if expected_factor is None:
+        lam = abs(_denominator_series(spec, im, psi).val)
+    else:
+        lam = float(expected_factor(x))
+    deviation = float(np.max(np.abs(pulled - geo.g0 / lam**2)))
+    spd = np.allclose(pulled, pulled.T, atol=1e-12) and np.linalg.eigvalsh(pulled)[0] > 0.0
+    return deviation, bool(spd)
+
+
 def conformal_factor_check(
     spec: ConformalMapSpec, im: Immersion, samples, expected_factor=None
 ) -> float:
-    """Max deviation of the pullback identity over the samples.
-
-    Compares the model inner products of the split map's jet columns against
-    lambda^-2 times the induced metric, entrywise in the chart basis, with
-    lambda given by `expected_factor` (a callable of the chart point) or the
-    variant's own denominator when omitted.
-    """
+    """Max `pullback_residual` deviation over the samples."""
     worst = 0.0
     for x in samples:
-        geo = chart_geometry(im, x)
-        pulled = _pullback(spec, im, geo)
-        if expected_factor is None:
-            lam = abs(_denominator_series(spec, im, geo.psi).val)
-        else:
-            lam = float(expected_factor(x))
-        worst = max(worst, float(np.max(np.abs(pulled - geo.g0 / lam**2))))
+        worst = max(worst, pullback_residual(spec, chart_geometry(im, x), expected_factor)[0])
     return worst
-
-
-def pullback_is_spd(spec: ConformalMapSpec, im: Immersion, x) -> bool:
-    """Whether the split map's metric pullback is symmetric positive definite."""
-    pulled = _pullback(spec, im, chart_geometry(im, x))
-    return bool(
-        np.allclose(pulled, pulled.T, atol=1e-12)
-        and np.linalg.eigvalsh(pulled)[0] > 0.0
-    )
 
 
 def desitter_r_sign(im: Immersion, samples) -> float:
@@ -475,7 +467,7 @@ def desitter_r_sign(im: Immersion, samples) -> float:
         raise ValueError("sign coherence applies to de Sitter plane sections")
     signs = set()
     for x in samples:
-        r = cone.scale(taylor.jet_eval(im.map, x, 0).value[0])
+        r = cone.scale(im.series(x, 0, check_membership=False)[0].val)
         if abs(r) <= DENOMINATOR_FLOOR:
             raise DegeneracyError(f"scale R = {r:.3e} vanishes at {format_point(x)}")
         signs.add(1.0 if r > 0.0 else -1.0)
@@ -504,19 +496,19 @@ def local_inverse(
     x = np.asarray(seed, dtype=float).copy()
     target = np.asarray(target, dtype=float)
     for _ in range(max_iter):
-        geo = chart_geometry(im, x, check_membership=False)
-        r = _map_values(spec, im, geo) - target
+        psi = im.series(x, 1, check_membership=False)
+        r = _map_values(spec, im, x, psi) - target
         if np.max(np.abs(r)) < tol:
             return x
-        jac = _map_jacobian(spec, im, geo)
+        jac = _map_jacobian(spec, im, x, psi)
         step, *_ = np.linalg.lstsq(jac, r, rcond=None)
         base_norm = float(r @ r)
         damping = 1.0
         for _ in range(30):
             trial = x - damping * step
             try:
-                trial_geo = chart_geometry(im, trial, check_membership=False)
-                trial_r = _map_values(spec, im, trial_geo) - target
+                trial_psi = im.series(trial, 1, check_membership=False)
+                trial_r = _map_values(spec, im, trial, trial_psi) - target
             except (ValueError, DegeneracyError):
                 damping *= 0.5
                 continue
@@ -526,8 +518,8 @@ def local_inverse(
             damping *= 0.5
         else:
             raise InverseError(f"no descent step at {format_point(x)}")
-    geo = chart_geometry(im, x, check_membership=False)
-    if np.max(np.abs(_map_values(spec, im, geo) - target)) < tol:
+    psi = im.series(x, 1, check_membership=False)
+    if np.max(np.abs(_map_values(spec, im, x, psi) - target)) < tol:
         return x
     raise InverseError(
         f"iteration stalled near {format_point(x)} for target {format_point(target)}"
@@ -557,14 +549,15 @@ def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float
     idx, _ = _split_layout(spec, im)
     worst = 0.0
     for k, x in enumerate(samples):
-        geo = chart_geometry(im, x)
-        y = _map_values(spec, im, geo)
+        psi = im.series(x, 1)
+        y = _map_values(spec, im, x, psi)
         others = [s for j, s in enumerate(samples) if j != k]
         seed = min(others, key=lambda s: float(np.sum((s - x) ** 2)))
         x_hat = local_inverse(spec, im, y, seed)
-        f_val = float(taylor.jet_eval(im.map, x_hat, 0).value[idx])
+        f_val = im.series(x_hat, 0, check_membership=False)[idx].val
         ambient = _psi_f_at_model_point(spec, im, idx, y, f_val)
-        worst = max(worst, float(np.max(np.abs(ambient - geo.psi0))))
+        psi0 = np.array([s.val for s in psi])
+        worst = max(worst, float(np.max(np.abs(ambient - psi0))))
     return worst
 
 

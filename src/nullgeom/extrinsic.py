@@ -170,10 +170,6 @@ class ExtrinsicPoint:
     # -- frame fields as Series ------------------------------------------
 
     @cached_property
-    def dpsi(self):
-        return [[comp.derivative(i) for comp in self.geo.psi] for i in range(self.n)]
-
-    @cached_property
     def xi_series(self):
         comps = nullcone.grad_F_components(self.cone, self.geo.psi)
         # future-normalize on the R > 0 component of a de Sitter section
@@ -192,18 +188,14 @@ class ExtrinsicPoint:
     @cached_property
     def time_axis_series(self):
         raw = spacetime.time_axis(self.model, self.geo.psi)
-        ctx = self.geo.ctx
-        return [
-            c if isinstance(c, Series) else Series.constant(ctx, float(c))
-            for c in raw
-        ]
+        return [taylor.as_series(c, self.geo.ctx) for c in raw]
 
     @cached_property
     def time_orthogonal_series(self):
         """Normal part of the time axis, unnormalized."""
-        psi = self.geo.psi
+        psi, dpsi = self.geo.psi, self.geo.dpsi
         b = [
-            spacetime.ambient_inner(self.model, psi, self.time_axis_series, self.dpsi[j])
+            spacetime.ambient_inner(self.model, psi, self.time_axis_series, dpsi[j])
             for j in range(self.n)
         ]
         ginv = self.geo.g_inv_series
@@ -215,7 +207,7 @@ class ExtrinsicPoint:
         for a in range(m):
             s = self.time_axis_series[a]
             for i in range(self.n):
-                s = s - coeff[i] * self.dpsi[i][a]
+                s = s - coeff[i] * dpsi[i][a]
             out.append(s)
         return out
 
@@ -418,8 +410,7 @@ class ExtrinsicPoint:
         w = self.geo.psi_second_partials[i, j] + spacetime.warped_connection_term(
             model, p, self.geo.tangents[i], self.geo.tangents[j]
         )
-        xi0 = self._values(self.xi_series)
-        eta0 = self._values(self.eta_series)
+        xi0, eta0 = self.frame.xi.components, self.frame.eta.components
         a = -spacetime.ambient_inner(model, p, w, eta0)
         b = -spacetime.ambient_inner(model, p, w, xi0)
         # II(X, Y) = -(amb derivative)^normal
@@ -474,8 +465,7 @@ class ExtrinsicPoint:
             raise ShapeDispatchError("the propagation law needs a warped-product model")
         ratio = self.warping_ratio
         p = self.geo.psi0
-        xi0 = self._values(self.xi_series)
-        eta0 = self._values(self.eta_series)
+        xi0, eta0 = self.frame.xi.components, self.frame.eta.components
         n0 = self._values(self.time_orthogonal_series)
         worst = 0.0
         for j in range(self.n):
@@ -492,44 +482,6 @@ class ExtrinsicPoint:
 
 
 # -- public operations ------------------------------------------------------
-
-
-def null_frame(im: Immersion, x) -> NullFrame:
-    """The adapted frame {xi, eta, nu} at a chart point."""
-    return ExtrinsicPoint(im, x).frame
-
-
-def frame_residual(im: Immersion, x) -> float:
-    """Max frame-identity deviation at a chart point."""
-    return ExtrinsicPoint(im, x).frame_residual()
-
-
-def shape_operator_numeric(im: Immersion, x, normal: str) -> np.ndarray:
-    """Weingarten map of a normal field in the orthonormal tangent frame."""
-    return ExtrinsicPoint(im, x).shape_numeric(normal)
-
-
-def shape_operator_closed_form(im: Immersion, x, which: str) -> np.ndarray:
-    """One of the model-specific closed-form Weingarten maps (frame basis)."""
-    return ExtrinsicPoint(im, x).shape_closed(which)
-
-
-def null_expansions(im: Immersion, x):
-    """Numeric null expansions (theta_xi, theta_eta)."""
-    pt = ExtrinsicPoint(im, x)
-    return pt.theta_xi, pt.theta_eta
-
-
-def mean_curvature(im: Immersion, x):
-    """Mean curvature vector and its causal character <H, H>."""
-    pt = ExtrinsicPoint(im, x)
-    return AmbientVector(pt.mean_curvature_vector, pt.geo.psi0), pt.h_sq
-
-
-def trapped_classify(im: Immersion, x, eps: float = MARGINAL_EPS) -> str:
-    """Pointwise trapped class on the Minkowski nullcone; `unclassified`
-    on cones where no closed criterion is available."""
-    return ExtrinsicPoint(im, x).trapped_class(eps)
 
 
 def point_report(im: Immersion, x, eps: float = MARGINAL_EPS) -> ExtrinsicReport:

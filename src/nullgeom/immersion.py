@@ -77,6 +77,20 @@ class Immersion:
             return True
         return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.chart_domain))
 
+    def series(self, x, order: int, check_membership=True) -> list:
+        """The ambient coordinates psi at a chart point, as Series of `order`.
+
+        Raises `ChartDomainError` outside the chart domain and, unless
+        `check_membership` is off, `PointRejected` off the target cone.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if not self.contains(x):
+            raise ChartDomainError(f"chart point {format_point(x)} outside the immersion's domain")
+        psi = taylor.eval_series(self.map, x, order)
+        if check_membership and self.target_cone is not None:
+            require_on_cone(self.target_cone, np.array([s.val for s in psi]))
+        return psi
+
 
 @dataclass(frozen=True)
 class MetricChart:
@@ -91,17 +105,6 @@ class MetricChart:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class IntrinsicState:
-    """Pointwise metric data of a chart: metric, inverse, connection, jet."""
-
-    point: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    christoffel: np.ndarray  # [k, i, j] -> Gamma^k_ij
-    jet: "ChartGeometry"
-
-
 def _smat_mul(a, b):
     n = len(a)
     return [
@@ -114,18 +117,18 @@ class ChartGeometry:
     """Order-3 metric jet at one chart point and everything derived from it.
 
     Built either from an immersion (metric pulled back through the ambient
-    inner product) or from a metric chart.  Quantities are computed lazily
-    and cached; the object is the `jet` payload of `IntrinsicState` and the
-    workhorse behind the intrinsic operators.
+    inner product of the derivative series `dpsi`) or from a metric chart.
+    Quantities are computed lazily and cached.
     """
 
-    def __init__(self, x, g_series, psi=None, immersion=None, name=""):
+    def __init__(self, x, g_series, psi=None, dpsi=None, immersion=None, name=""):
         self.x = np.asarray(x, dtype=np.float64)
         self.g_series = g_series
         self.dim = len(g_series)
         self.ctx = g_series[0][0].ctx
         self.coords = [Series.variable(self.ctx, i, self.x[i]) for i in range(self.dim)]
         self.psi = psi
+        self.dpsi = dpsi
         self.immersion = immersion
         self.name = name
         g0 = np.array([[g_series[i][j].val for j in range(self.dim)] for i in range(self.dim)])
@@ -275,10 +278,7 @@ class ChartGeometry:
 
     def scalar_series(self, h) -> Series:
         fn = h.fn if isinstance(h, SmoothMap) else h
-        out = fn(self.coords)
-        if not isinstance(out, Series):
-            out = Series.constant(self.ctx, float(out))
-        return out
+        return taylor.as_series(fn(self.coords), self.ctx)
 
     def partials(self, s: Series) -> np.ndarray:
         return s.c[s.ctx.first]
@@ -300,23 +300,9 @@ class ChartGeometry:
     def laplacian(self, s: Series) -> float:
         return float(np.einsum("ij,ij->", self.g_inv0, self.covariant_hessian(s)))
 
-    def state(self) -> IntrinsicState:
-        return IntrinsicState(
-            point=self.x.copy(),
-            g=self.g0.copy(),
-            g_inv=self.g_inv0.copy(),
-            christoffel=self.christoffel.copy(),
-            jet=self,
-        )
-
 
 def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGeometry:
-    x = np.asarray(x, dtype=np.float64)
-    if not im.contains(x):
-        raise ChartDomainError(f"chart point {format_point(x)} outside the immersion's domain")
-    psi = taylor.eval_series(im.map, x, JET_ORDER)
-    if check_membership and im.target_cone is not None:
-        require_on_cone(im.target_cone, np.array([s.val for s in psi]))
+    psi = im.series(x, JET_ORDER, check_membership)
     n = im.dim
     dpsi = [[comp.derivative(i) for comp in psi] for i in range(n)]
     g = [[None] * n for _ in range(n)]
@@ -325,7 +311,7 @@ def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGe
             s = spacetime.ambient_inner(im.model, psi, dpsi[i], dpsi[j])
             g[i][j] = s
             g[j][i] = s
-    return ChartGeometry(x, g, psi=psi, immersion=im, name=im.map.name)
+    return ChartGeometry(x, g, psi=psi, dpsi=dpsi, immersion=im, name=im.map.name)
 
 
 def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
@@ -337,12 +323,7 @@ def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            a, b = raw[i][j], raw[j][i]
-            if not isinstance(a, Series):
-                a = Series.constant(ctx, float(a))
-            if not isinstance(b, Series):
-                b = Series.constant(ctx, float(b))
-            s = 0.5 * (a + b)
+            s = 0.5 * (taylor.as_series(raw[i][j], ctx) + taylor.as_series(raw[j][i], ctx))
             g[i][j] = s
             g[j][i] = s
     return ChartGeometry(x, g, name=chart.name)
@@ -355,11 +336,6 @@ def chart_geometry(obj, x, check_membership=True) -> ChartGeometry:
     if isinstance(obj, MetricChart):
         return _geometry_from_metric(obj, x)
     raise TypeError(f"expected Immersion or MetricChart, got {type(obj).__name__}")
-
-
-def induced_metric(obj, x) -> IntrinsicState:
-    """First-fundamental-form data at a chart point."""
-    return chart_geometry(obj, x).state()
 
 
 def intrinsic_gradient(obj, h, x):
@@ -375,11 +351,6 @@ def hessian_laplacian(obj, h, x):
     b = geo.onf
     hess_onf = b.T @ hess @ b
     return hess_onf, float(np.trace(hess_onf))
-
-
-def scalar_curvature_intrinsic(obj, x) -> float:
-    """Scalar curvature g^{ik} g^{jl} R_ijkl of the induced metric."""
-    return chart_geometry(obj, x).scal
 
 
 def pullback_metric_chart(chart_map: SmoothMap, signs=None, name="") -> MetricChart:

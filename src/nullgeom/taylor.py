@@ -499,16 +499,15 @@ class Jet:
         return Series(self.ctx, self.taylor[component].copy())
 
 
+def as_series(value, ctx: JetContext) -> Series:
+    """`value` itself if it is a Series, else the constant Series of its float value."""
+    return value if isinstance(value, Series) else Series.constant(ctx, float(value))
+
+
 def _as_series_list(result, ctx):
     if isinstance(result, Series):
         result = [result]
-    out = []
-    for r in result:
-        if isinstance(r, Series):
-            out.append(r)
-        else:
-            out.append(Series.constant(ctx, float(r)))
-    return out
+    return [as_series(r, ctx) for r in result]
 
 
 def eval_series(map_fn, point, order: int):

@@ -33,7 +33,7 @@ from nullgeom.conformal import (
     scaled_metric_chart,
     sectional_curvatures,
 )
-from nullgeom.extrinsic import ExtrinsicPoint, trapped_classify
+from nullgeom.extrinsic import ExtrinsicPoint
 from nullgeom.immersion import MetricChart, chart_geometry
 from nullgeom.scenes import (
     builtin_scenes,
@@ -201,7 +201,7 @@ def test_hyperboloid_slices_trapped_in_higher_dimension():
     rng = np.random.default_rng(23)
     im = psi_f_minkowski(3)
     for x in sample_box(rng, ((-1.0, 1.0),) * 3, 15):
-        assert trapped_classify(im, x) == "past_trapped"
+        assert ExtrinsicPoint(im, x).trapped_class() == "past_trapped"
 
 
 def test_classification_agrees_with_curvature_sign():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nullgeom import cli, conformal
+from nullgeom import cli, conformal, extrinsic, immersion
 from nullgeom.cli import (
     ConfigError,
     DEFAULT_TOLERANCES,
@@ -329,6 +329,44 @@ def test_exactness_quadrature_error_is_unevaluable(monkeypatch):
     report = run(small(builtin_scenes()["cyl-arctan"]), checks=["conformal"])
     assert "quadrature error" in report["suites"]["conformal"]["unevaluable"]
     assert report["exit_status"] == EXIT_DEGENERATE
+
+
+def test_conformal_suite_drops_samples_off_the_model_space():
+    # mink-slice's lightcone split divides by the last coordinate, which is
+    # negative for x1 < 0: there the image lands on the lower hyperboloid
+    # sheet, and the sample is dropped
+    doc = builtin_scenes()["mink-slice"]
+    doc["grid"][1] = {"min": -1.0, "max": 1.0, "count": 12}
+    report = run(doc)
+    assert report["suites"]["conformal"]["passed"]
+    assert report["suites"]["conformal"]["points"] == 18  # of the first 40 rows
+    assert report["exit_status"] == EXIT_PASS
+    doc["grid"][1] = {"min": -2.7, "max": -0.45, "count": 12}
+    report = run(doc)
+    assert (
+        report["suites"]["conformal"]["unevaluable"]
+        == "the split map is degenerate at every sampled point"
+    )
+    assert report["exit_status"] == EXIT_DEGENERATE
+
+
+def test_grid_geometries_are_not_rebuilt(monkeypatch):
+    # one chart geometry per grid point and one per appendix sample: the
+    # conformal suite reads the geometries of the grid pass
+    real = immersion.chart_geometry
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for module in (immersion, extrinsic, conformal):
+        monkeypatch.setattr(module, "chart_geometry", counted)
+    report = run(builtin_scenes()["mink-h2"])
+    assert len(report["rows"]) == 400
+    assert report["suites"]["appendix"]["points"] == 5
+    assert report["suites"]["conformal"]["points"] == 40
+    assert len(calls) == 405
 
 
 # -- scene behavior ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from nullgeom.conformal import (
     build_embedding,
 )
 from nullgeom.immersion import (
+    ChartGeometry,
     Immersion,
     MetricChart,
     chart_geometry,
@@ -247,7 +248,7 @@ def factor_cases():
 )
 def test_conformal_factor_identity(spec, im, lam, samples):
     assert cf.conformal_factor_check(spec, im, samples, lam) < 1e-8
-    assert all(cf.pullback_is_spd(spec, im, x) for x in samples)
+    assert all(cf.pullback_residual(spec, chart_geometry(im, x))[1] for x in samples)
 
 
 def test_constant_family_factor_value():
@@ -357,6 +358,26 @@ def test_factorization_round_trip(im, spec, box):
     rng = np.random.default_rng(37)
     samples = sample_box(rng, box, 6)
     assert cf.factorization_check(im, spec, samples) < 1e-7
+
+
+def test_factorization_builds_no_chart_geometry(monkeypatch):
+    # the forward map, the local inverse and f read psi at order 1 or 0;
+    # none of them needs the induced metric
+    built = []
+    real_init = ChartGeometry.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChartGeometry, "__init__", counting_init)
+    im = minkowski_family(n=2)
+    spec = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
+    samples = sample_box(np.random.default_rng(37), ((-0.9, 0.9), (-0.9, 0.9)), 6)
+    assert cf.factorization_check(im, spec, samples) < 1e-7
+    assert built == []
+    chart_geometry(im, samples[0])
+    assert len(built) == 1
 
 
 # -- conformal curvature -------------------------------------------------------

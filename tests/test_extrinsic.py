@@ -129,7 +129,7 @@ def series_frame_residual(pt):
     worst = max(worst, abs(inner(nu, nu) + 1.0))
     for field in (xi, eta, nu):
         for j in range(pt.n):
-            worst = max(worst, abs(inner(field, pt.dpsi[j])))
+            worst = max(worst, abs(inner(field, pt.geo.dpsi[j])))
     t = pt.time_axis_series
     if inner(xi, nu) >= 0.0 or inner(eta, nu) >= 0.0 or inner(nu, t) >= 0.0:
         worst = max(worst, 1.0)
@@ -205,10 +205,10 @@ def test_minkowski_xi_shape_is_identity():
     for f in (None, perturbed_f, marginal_height_profile):
         im = psi_f_minkowski(2, f)
         for x in scene_points(rng, im, 6):
-            a = ext.shape_operator_numeric(im, x, "xi")
+            a = ExtrinsicPoint(im, x).shape_numeric("xi")
             assert np.max(np.abs(a - np.eye(2))) < 1e-8
             assert (
-                np.max(np.abs(ext.shape_operator_closed_form(im, x, "minkowski_xi") - np.eye(2)))
+                np.max(np.abs(ExtrinsicPoint(im, x).shape_closed("minkowski_xi") - np.eye(2)))
                 < 1e-12
             )
 
@@ -249,8 +249,8 @@ def test_time_orthogonal_trace_formula():
 def test_product_euclidean_xi_is_identity():
     im = grw_graph(product_model("euclidean"), wavy_height)
     x = np.array([1.3, 0.4])
-    assert np.max(np.abs(ext.shape_operator_closed_form(im, x, "product_xi") - np.eye(2))) < 1e-9
-    assert np.max(np.abs(ext.shape_operator_numeric(im, x, "xi") - np.eye(2))) < 1e-8
+    assert np.max(np.abs(ExtrinsicPoint(im, x).shape_closed("product_xi") - np.eye(2))) < 1e-9
+    assert np.max(np.abs(ExtrinsicPoint(im, x).shape_numeric("xi") - np.eye(2))) < 1e-8
 
 
 def test_slice_eta_shape():
@@ -258,25 +258,25 @@ def test_slice_eta_shape():
     im = slice_immersion(2, c)
     x = np.array([1.1, -0.4])
     expected = -np.eye(2) / (2.0 * c * c)
-    assert np.max(np.abs(ext.shape_operator_numeric(im, x, "eta") - expected)) < 1e-9
-    assert np.max(np.abs(ext.shape_operator_closed_form(im, x, "minkowski_eta") - expected)) < 1e-12
+    assert np.max(np.abs(ExtrinsicPoint(im, x).shape_numeric("eta") - expected)) < 1e-9
+    assert np.max(np.abs(ExtrinsicPoint(im, x).shape_closed("minkowski_eta") - expected)) < 1e-12
 
 
 def test_shape_dispatch_errors():
     grw = grw_graph(exp_model(), wavy_height)
     x = np.array([1.3, 0.5])
     with pytest.raises(ext.ShapeDispatchError):
-        ext.shape_operator_closed_form(grw, x, "product_xi")  # warping not unit
+        ExtrinsicPoint(grw, x).shape_closed("product_xi")  # warping not unit
     with pytest.raises(ext.ShapeDispatchError):
-        ext.shape_operator_closed_form(grw, x, "minkowski_eta")
+        ExtrinsicPoint(grw, x).shape_closed("minkowski_eta")
     sphere = grw_graph(product_model("sphere"), wavy_height)
     with pytest.raises(ext.ShapeDispatchError):
-        ext.shape_operator_closed_form(sphere, x, "warped_xi")  # fiber not Euclidean
+        ExtrinsicPoint(sphere, x).shape_closed("warped_xi")  # fiber not Euclidean
     ds = psi_f_desitter(2, 0.5, 0.5 * SQ3, component="minus")
     with pytest.raises(ext.ShapeDispatchError):
-        ext.shape_operator_closed_form(ds, x, "time_orthogonal")
+        ExtrinsicPoint(ds, x).shape_closed("time_orthogonal")
     with pytest.raises(ValueError):
-        ext.shape_operator_closed_form(grw, x, "bogus")
+        ExtrinsicPoint(grw, x).shape_closed("bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +285,18 @@ def test_shape_dispatch_errors():
 
 def test_expansions_on_reference_scenes():
     im = psi_f_minkowski(2)
-    theta_xi, theta_eta = ext.null_expansions(im, [0.5, -0.3])
+    pt = ExtrinsicPoint(im, [0.5, -0.3])
+    theta_xi, theta_eta = pt.theta_xi, pt.theta_eta
     assert abs(theta_xi - 1.0) < 1e-12
     assert abs(theta_eta - 0.5) < 1e-9
     im3 = psi_f_minkowski(3)
-    theta_xi, theta_eta = ext.null_expansions(im3, [0.4, 0.2, -0.5])
+    pt = ExtrinsicPoint(im3, [0.4, 0.2, -0.5])
+    theta_xi, theta_eta = pt.theta_xi, pt.theta_eta
     assert abs(theta_xi - 1.0) < 1e-12
     assert abs(theta_eta - 0.5) < 1e-9
     c = 1.4
-    theta_xi, theta_eta = ext.null_expansions(slice_immersion(2, c), [1.0, 0.8])
+    pt = ExtrinsicPoint(slice_immersion(2, c), [1.0, 0.8])
+    theta_xi, theta_eta = pt.theta_xi, pt.theta_eta
     assert abs(theta_xi - 1.0) < 1e-12
     assert abs(theta_eta + 1.0 / (2.0 * c * c)) < 1e-10
 
@@ -322,24 +325,24 @@ def test_mean_curvature_identities():
     for im in all_scenes():
         for x in scene_points(rng, im, 4):
             pt = ExtrinsicPoint(im, x)
-            h, h_sq = ext.mean_curvature(im, x)
+            h, h_sq = pt.mean_curvature_vector, pt.h_sq
             assert abs(h_sq + 2.0 * pt.theta_xi * pt.theta_eta) < 1e-9
             recon = (
                 -pt.theta_xi * pt.frame.eta.components
                 - pt.theta_eta * pt.frame.xi.components
             )
-            assert np.max(np.abs(h.components - recon)) < 1e-8
+            assert np.max(np.abs(h - recon)) < 1e-8
 
 
 def test_mean_curvature_reference_values():
-    assert abs(ext.mean_curvature(psi_f_minkowski(2), [0.4, 0.1])[1] + 1.0) < 1e-10
+    assert abs(ExtrinsicPoint(psi_f_minkowski(2), [0.4, 0.1]).h_sq + 1.0) < 1e-10
     c = 1.3
     assert (
-        abs(ext.mean_curvature(slice_immersion(2, c), [1.2, 0.4])[1] - 1.0 / c**2)
+        abs(ExtrinsicPoint(slice_immersion(2, c), [1.2, 0.4]).h_sq - 1.0 / c**2)
         < 1e-10
     )
     marg = psi_f_minkowski(2, marginal_height_profile)
-    assert abs(ext.mean_curvature(marg, [0.5, -0.2])[1]) < 1e-9
+    assert abs(ExtrinsicPoint(marg, [0.5, -0.2]).h_sq) < 1e-9
 
 
 def test_scalar_curvature_consistency_on_minkowski_cone():
@@ -376,11 +379,11 @@ def test_trapped_classes_on_reference_scenes():
     marg = psi_f_minkowski(2, marginal_height_profile)
     slice_im = slice_immersion(2, 1.0)
     for x in scene_points(rng, hyper, 10):
-        assert ext.trapped_classify(hyper, x) == "past_trapped"
+        assert ExtrinsicPoint(hyper, x).trapped_class() == "past_trapped"
     for x in scene_points(rng, marg, 10):
-        assert ext.trapped_classify(marg, x) == "past_marginally_trapped"
+        assert ExtrinsicPoint(marg, x).trapped_class() == "past_marginally_trapped"
     for x in scene_points(rng, slice_im, 10):
-        assert ext.trapped_classify(slice_im, x) == "untrapped"
+        assert ExtrinsicPoint(slice_im, x).trapped_class() == "untrapped"
 
 
 def test_classification_matches_scalar_curvature_sign():
@@ -399,11 +402,11 @@ def test_classification_matches_scalar_curvature_sign():
 
 def test_unclassified_outside_minkowski_cone():
     ds = psi_f_desitter(2, 0.5, 0.5 * SQ3, component="minus")
-    assert ext.trapped_classify(ds, [1.2, 0.7]) == "unclassified"
+    assert ExtrinsicPoint(ds, [1.2, 0.7]).trapped_class() == "unclassified"
     cyl = cylinder_immersion(2, lambda t: t * t + 1.0)
-    assert ext.trapped_classify(cyl, [0.3, 1.1]) == "unclassified"
+    assert ExtrinsicPoint(cyl, [0.3, 1.1]).trapped_class() == "unclassified"
     grw = grw_graph(exp_model(), wavy_height)
-    assert ext.trapped_classify(grw, [1.3, 0.4]) == "unclassified"
+    assert ExtrinsicPoint(grw, [1.3, 0.4]).trapped_class() == "unclassified"
 
 
 def test_classification_invariant_under_chart_diffeomorphism():
@@ -433,7 +436,8 @@ def test_classification_invariant_under_chart_diffeomorphism():
                 lo <= yi <= hi for yi, (lo, hi) in zip(y, base.chart_domain)
             ):
                 continue
-            assert ext.trapped_classify(base, y) == ext.trapped_classify(reparam, x)
+            want = ExtrinsicPoint(base, y).trapped_class()
+            assert ExtrinsicPoint(reparam, x).trapped_class() == want
 
 
 def test_report_fields():

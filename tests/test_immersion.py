@@ -50,10 +50,10 @@ def test_hyperboloid_section_metric_is_hyperbolic():
     rng = np.random.default_rng(7)
     for _ in range(20):
         y = rng.uniform(-0.9, 0.9, size=2)
-        state = imm.induced_metric(im, y)
-        assert np.allclose(state.g, hyperbolic_chart_metric(y), atol=1e-12)
-        assert np.allclose(state.g @ state.g_inv, np.eye(2), atol=1e-12)
-        assert np.allclose(state.christoffel, state.christoffel.transpose(0, 2, 1))
+        geo = imm.chart_geometry(im, y)
+        assert np.allclose(geo.g0, hyperbolic_chart_metric(y), atol=1e-12)
+        assert np.allclose(geo.g0 @ geo.g_inv0, np.eye(2), atol=1e-12)
+        assert np.allclose(geo.christoffel, geo.christoffel.transpose(0, 2, 1))
 
 
 def test_desitter_alpha0_metric_is_round_for_any_f():
@@ -64,7 +64,7 @@ def test_desitter_alpha0_metric_is_round_for_any_f():
     round_chart = imm.pullback_metric_chart(st.sphere_chart(2), name="round")
     rng = np.random.default_rng(11)
     for x in sample_box(rng, sphere_box(2), 20):
-        g = imm.induced_metric(im, x).g
+        g = imm.chart_geometry(im, x).g0
         g_round = imm.chart_geometry(round_chart, x).g0
         assert np.allclose(g, g_round, atol=1e-12)
 
@@ -74,7 +74,7 @@ def test_cylinder_metric_is_warped_product():
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = np.array([rng.uniform(-1.2, 1.2), rng.uniform(-2.5, 2.5)])
-        g = imm.induced_metric(im, x).g
+        g = imm.chart_geometry(im, x).g0
         f = x[0] ** 2 + 1.0
         assert np.allclose(g, np.diag([1.0, f * f]), atol=1e-12)
 
@@ -94,7 +94,7 @@ def test_metric_membership_enforced():
         cone,
     )
     with pytest.raises(nc.PointRejected) as err:
-        imm.induced_metric(bad, np.array([1.0, 0.5]))
+        imm.chart_geometry(bad, np.array([1.0, 0.5]))
     assert err.value.reason is nc.RejectionReason.OFF_CONE
 
 
@@ -104,12 +104,12 @@ def test_signature_error_for_non_spacelike_chart():
         SmoothMap(lambda cs: [2.0 * cs[0], cs[0], cs[1], 0.0], 2, 4), model
     )
     with pytest.raises(imm.MetricSignatureError):
-        imm.induced_metric(bad, np.array([0.3, 0.4]))
+        imm.chart_geometry(bad, np.array([0.3, 0.4]))
     lorentz = imm.MetricChart(
         metric=lambda cs: [[-1.0, 0.0], [0.0, 1.0]], dim=2
     )
     with pytest.raises(imm.MetricSignatureError):
-        imm.induced_metric(lorentz, np.zeros(2))
+        imm.chart_geometry(lorentz, np.zeros(2))
 
 
 def test_immersion_validation():
@@ -124,7 +124,7 @@ def test_immersion_validation():
         imm.Immersion(SmoothMap(lambda cs: [cs[0]] * 4, 2, 4), model, cone)
     im = slice_immersion(2, 1.0)
     with pytest.raises(ValueError):
-        imm.induced_metric(im, np.array([-0.2, 0.0]))  # outside the angle box
+        imm.chart_geometry(im, np.array([-0.2, 0.0]))  # outside the angle box
     with pytest.raises(TypeError):
         imm.chart_geometry(object(), np.zeros(2))
 
@@ -212,13 +212,13 @@ def test_laplacian_product_rule():
 
 def test_scalar_curvature_anchors():
     round_chart = imm.pullback_metric_chart(st.sphere_chart(2), name="round")
-    assert abs(imm.scalar_curvature_intrinsic(round_chart, [1.1, 0.4]) - 2.0) < 1e-9
+    assert abs(imm.chart_geometry(round_chart, [1.1, 0.4]).scal - 2.0) < 1e-9
     im = psi_f_minkowski(2)
-    assert abs(imm.scalar_curvature_intrinsic(im, [0.4, -0.3]) + 2.0) < 1e-9
-    assert abs(imm.scalar_curvature_intrinsic(flat_chart(2), [0.1, 0.2])) < 1e-12
+    assert abs(imm.chart_geometry(im, [0.4, -0.3]).scal + 2.0) < 1e-9
+    assert abs(imm.chart_geometry(flat_chart(2), [0.1, 0.2]).scal) < 1e-12
     # t = c slice of the cone carries the radius-c round metric
     assert (
-        abs(imm.scalar_curvature_intrinsic(slice_immersion(2, 2.0), [1.2, 0.3]) - 0.5)
+        abs(imm.chart_geometry(slice_immersion(2, 2.0), [1.2, 0.3]).scal - 0.5)
         < 1e-9
     )
 
@@ -236,10 +236,10 @@ def test_scalar_curvature_scaling():
             ],
             dim=2,
         )
-        s0 = imm.scalar_curvature_intrinsic(base, y)
-        s1 = imm.scalar_curvature_intrinsic(scaled, y)
+        s0 = imm.chart_geometry(base, y).scal
+        s1 = imm.chart_geometry(scaled, y).scal
         assert abs(s1 - s0 / c2) < 1e-7
-        assert abs(imm.scalar_curvature_intrinsic(im, y) - s0) < 1e-9
+        assert abs(imm.chart_geometry(im, y).scal - s0) < 1e-9
 
 
 def test_metric_compatibility():
@@ -315,6 +315,6 @@ def test_hxr_surface_metric():
     rng = np.random.default_rng(23)
     for _ in range(10):
         x = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)])
-        g = imm.induced_metric(im, x).g
+        g = imm.chart_geometry(im, x).g0
         v = x[0] ** 2 + 1.0
         assert np.allclose(g, np.diag([1.0, v * v]), atol=1e-12)

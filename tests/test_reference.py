@@ -1,9 +1,11 @@
-"""Drift check: the built-in scenes against the stored benchmark reports.
+"""Drift check: scene reports against the stored benchmark reports.
 
 `perfbench/reference/suite-all.json` holds, for every built-in scene, the
-rows, rejections and suite verdicts of an earlier build.  Comparing a fresh
-seed-0 run with it catches numeric drift across changes, which comparing two
-runs of one build cannot.
+rows, rejections and suite verdicts of an earlier build;
+`perfbench/reference/dense-grid.json` holds the same for three scenes
+regridded 20x20 with the polar axis from 0, where the chart is singular.
+Comparing a fresh seed-0 run with them catches numeric drift across
+changes, which comparing two runs of one build cannot.
 """
 
 import json
@@ -13,7 +15,7 @@ import pytest
 
 from nullgeom.cli import ROW_FIELDS, emit_json, run
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "suite-all.json"
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 ATOL = 1e-8
 
 
@@ -21,12 +23,16 @@ def close(got, want):
     return got == want or abs(got - want) <= ATOL * max(1.0, abs(want))
 
 
-with REFERENCE.open() as fh:
-    SCENES = json.load(fh)["scenes"]
+def stored(workload):
+    with (REFERENCE_DIR / f"{workload}.json").open() as fh:
+        return json.load(fh)["scenes"]
 
 
-@pytest.mark.parametrize("ref", SCENES, ids=[s["config"]["name"] for s in SCENES])
-def test_scene_matches_stored_reference(ref):
+SCENES = stored("suite-all")
+DENSE_SCENES = stored("dense-grid")
+
+
+def check_against(ref):
     rep = json.loads(emit_json(run(ref["config"], seed=0)))
     want = ref["runs"][0]
     assert rep["exit_status"] == want["exit_status"]
@@ -47,3 +53,13 @@ def test_scene_matches_stored_reference(ref):
         assert list(gr) == list(wr), name
         for key in wr:
             assert close(gr[key], wr[key]), (name, key, gr[key], wr[key])
+
+
+@pytest.mark.parametrize("ref", SCENES, ids=[s["config"]["name"] for s in SCENES])
+def test_scene_matches_stored_reference(ref):
+    check_against(ref)
+
+
+@pytest.mark.parametrize("ref", DENSE_SCENES, ids=[s["config"]["name"] for s in DENSE_SCENES])
+def test_dense_grid_matches_stored_reference(ref):
+    check_against(ref)
