@@ -171,6 +171,12 @@ def _expect_number(value, where):
     return float(value)
 
 
+def _expect_interval(value, where):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{where} must be a [lo, hi] pair")
+    return (_expect_number(value[0], f"{where}[0]"), _expect_number(value[1], f"{where}[1]"))
+
+
 def _parse_spacetime(doc) -> AmbientModel:
     doc = _expect_mapping(doc, "spacetime")
     kind = doc.get("kind")
@@ -185,10 +191,11 @@ def _parse_spacetime(doc) -> AmbientModel:
         wdoc = _expect_mapping(wdoc, "spacetime.warping")
         kwargs = {}
         if "params" in wdoc:
+            if not isinstance(wdoc["params"], (list, tuple)):
+                raise ConfigError("spacetime.warping.params must be a list of numbers")
             kwargs["params"] = tuple(wdoc["params"])
         if "domain" in wdoc:
-            lo, hi = wdoc["domain"]
-            kwargs["domain"] = (float(lo), float(hi))
+            kwargs["domain"] = _expect_interval(wdoc["domain"], "spacetime.warping.domain")
         if "expr" in wdoc:
             kwargs["expr"] = wdoc["expr"]
         try:
@@ -308,7 +315,9 @@ def _build_immersion(model: AmbientModel, cone: NullconeSpec, doc):
         bounds = doc["domain"]
         if not isinstance(bounds, list) or len(bounds) != model.n:
             raise ConfigError(f"immersion.domain needs {model.n} [lo, hi] pairs")
-        domain = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        domain = tuple(
+            _expect_interval(pair, f"immersion.domain[{i}]") for i, pair in enumerate(bounds)
+        )
 
     def fn(xs, _fns=fns):
         return [f(xs) for f in _fns]
@@ -499,9 +508,7 @@ def _shape_residual(pt: ExtrinsicPoint, selectors) -> float:
 
 
 def _expansion_residuals(pt: ExtrinsicPoint, rep, gauss_shift) -> dict:
-    xi0 = pt.frame.xi.components
-    eta0 = pt.frame.eta.components
-    expected = -(rep.theta_xi * eta0 + rep.theta_eta * xi0)
+    expected = -(rep.theta_xi * pt.eta + rep.theta_eta * pt.xi)
     vec = float(np.max(np.abs(pt.mean_curvature_vector - expected)))
     sq = abs(rep.H_sq + 2.0 * rep.theta_xi * rep.theta_eta)
     out = {"identity": max(vec, sq)}

@@ -1,5 +1,20 @@
 """Null frames, shape operators, expansions and trapped-ness classification.
 
+One chart point runs through plain stage functions, in this order, each
+taking the point's `ChartGeometry` and the arrays or Series lists of the
+stages before it:
+
+1. `height`: the cone height u = psi^0, its gradient and its Hessian;
+2. `null_frame`: xi, the time axis and its normal part, nu and eta, as
+   ambient-component Series, so that one more coordinate derivative stays
+   exact (`null_partner` is its last step, eta from xi, nu and <xi, nu>);
+3. `weingarten_map` of the xi and eta fields;
+4. `second_fundamental_form` and `expansions`: theta_xi, theta_eta, the
+   mean curvature vector H and <H, H>.
+
+`ExtrinsicPoint` runs them once and keeps the results; `point_report` is
+the one-point facade.
+
 Conventions are the general-relativity ones throughout: the Gauss formula
 reads nabla^amb_X Y = nabla_X Y - II(X, Y) and the Weingarten map is
 A_N X = (nabla^amb_X N)^tangent with no extra minus sign.  The null normal
@@ -21,18 +36,14 @@ Two implementation notes that keep the ambient bookkeeping small:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import nullcone, spacetime, taylor
 from .immersion import ChartGeometry, Immersion, chart_geometry
-from .spacetime import AmbientVector
-from .taylor import Series, format_point
+from .taylor import format_point
 
 MARGINAL_EPS = 1e-7
-
-NORMAL_FIELDS = ("xi", "eta", "nu", "time_orthogonal")
 
 # each closed-form Weingarten map, and the normal field it describes
 CLOSED_FORMS = {
@@ -62,15 +73,6 @@ class FrameDegeneracyError(ValueError):
 
 class ShapeDispatchError(ValueError):
     """A closed-form shape operator was requested outside its model class."""
-
-
-@dataclass(frozen=True)
-class NullFrame:
-    """Future null normals xi, eta and the unit timelike normal nu."""
-
-    xi: AmbientVector
-    eta: AmbientVector
-    nu: AmbientVector
 
 
 @dataclass(frozen=True)
@@ -117,153 +119,175 @@ def closed_forms(model, cone) -> tuple:
     return tuple(which for which in CLOSED_FORMS if which in applies)
 
 
+# -- pipeline stages ---------------------------------------------------------
+
+
+def _values(series) -> np.ndarray:
+    return np.array([s.val for s in series])
+
+
+def height(geo: ChartGeometry):
+    """The cone height u with du, grad u, |grad u|^2 and Hess u (chart components).
+
+    u is the first ambient coordinate in every model: t for cones and
+    cylinders, x_1 on the de Sitter cone.
+    """
+    u = geo.psi[0]
+    grad_u, grad_u_sq = geo.gradient(u)
+    return u.val, geo.partials(u), grad_u, grad_u_sq, geo.covariant_hessian(u)
+
+
+def null_frame(geo: ChartGeometry):
+    """Series components of xi, the time axis, its normal part, nu and eta.
+
+    xi is the cone's null gradient, future-normalized; the normal part of
+    the time axis is left unnormalized, and nu is its unit multiple.
+    Raises `FrameDegeneracyError` where that part is not timelike.
+    """
+    model, cone = geo.immersion.model, geo.immersion.target_cone
+    psi, dpsi, n = geo.psi, geo.dpsi, geo.dim
+    xi = nullcone.grad_F_components(cone, psi)
+    # future-normalize on the R > 0 component of a de Sitter section
+    if cone.variant == "desitter_alpha" and cone.scale(geo.psi0[0]) > 0.0:
+        xi = [-c for c in xi]
+    axis = [taylor.as_series(c, geo.ctx) for c in spacetime.time_axis(model, psi)]
+    b = [spacetime.ambient_inner(model, geo.f2, axis, dpsi[j]) for j in range(n)]
+    ginv = geo.g_inv_series
+    coeff = [sum(ginv[i][j] * b[j] for j in range(n)) for i in range(n)]
+    normal = []
+    for a in range(len(psi)):
+        s = axis[a]
+        for i in range(n):
+            s = s - coeff[i] * dpsi[i][a]
+        normal.append(s)
+    nn = spacetime.ambient_inner(model, geo.f2, normal, normal)
+    if nn.val >= -1e-12:
+        raise FrameDegeneracyError(
+            f"time axis projects to a non-timelike normal at {format_point(geo.x)}"
+        )
+    scale = 1.0 / taylor.sqrt(-nn)
+    nu = [scale * comp for comp in normal]
+    eta = null_partner(geo, xi, nu, spacetime.ambient_inner(model, geo.f2, xi, nu))
+    return xi, axis, normal, nu, eta
+
+
+def null_partner(geo: ChartGeometry, xi, nu, xi_dot_nu):
+    """eta = -xi / (2c^2) - nu / c with c = <xi, nu>, so <xi, eta> = -1.
+
+    Raises `FrameDegeneracyError` unless c < 0, i.e. unless xi and nu
+    share a time orientation.
+    """
+    c = xi_dot_nu
+    if c.val >= 0.0:
+        raise FrameDegeneracyError(f"<xi, nu> = {c.val:.3e} >= 0 at {format_point(geo.x)}")
+    a = -1.0 / (2.0 * c * c)
+    b = -1.0 / c
+    return [a * x + b * v for x, v in zip(xi, nu)]
+
+
+def _directional(geo: ChartGeometry, field, df) -> list:
+    """Components of nabla^amb_{d_j psi} N for each j, modulo quadric normals."""
+    model = geo.immersion.model
+    n0 = _values(field)
+    d = np.array([geo.partials(s) for s in field])
+    return [
+        d[:, j] + spacetime.warped_connection_term(model, df, geo.tangents[j], n0)
+        for j in range(geo.dim)
+    ]
+
+
+def weingarten_map(geo: ChartGeometry, field, f2, df) -> np.ndarray:
+    """Numeric Weingarten map (A^i_j, chart basis) of a normal field's Series.
+
+    f2 and df are the fiber scale and (f, f') at the float point (see
+    `spacetime.ambient_inner` and `spacetime.warped_connection_term`).
+    """
+    model, n = geo.immersion.model, geo.dim
+    m = np.zeros((n, n))
+    for j, dn in enumerate(_directional(geo, field, df)):
+        for i in range(n):
+            m[i, j] = spacetime.ambient_inner(model, f2, dn, geo.tangents[i])
+    return geo.g_inv0 @ m
+
+
+def second_fundamental_form(geo: ChartGeometry, xi, eta, f2, df) -> np.ndarray:
+    """II(d_i psi, d_j psi) as ambient vectors in the {xi, eta} span, [i, j, :].
+
+    II(X, Y) = -(ambient derivative)^normal.  Both the second partials of
+    psi and the warped connection term are symmetric in (i, j), so each
+    unordered pair is computed once.
+    """
+    model, n = geo.immersion.model, geo.dim
+    ii = np.zeros((n, n, len(xi)))
+    for i in range(n):
+        for j in range(i, n):
+            w = geo.psi_second_partials[i, j] + spacetime.warped_connection_term(
+                model, df, geo.tangents[i], geo.tangents[j]
+            )
+            a = -spacetime.ambient_inner(model, f2, w, eta)
+            b = -spacetime.ambient_inner(model, f2, w, xi)
+            ii[i, j] = ii[j, i] = -(a * xi + b * eta)
+    return ii
+
+
+def expansions(geo: ChartGeometry, a_xi, a_eta, ii, f2):
+    """theta_xi and theta_eta (the traces of the xi and eta Weingarten maps
+    over n), the mean curvature vector H = tr II / n and <H, H>."""
+    n = geo.dim
+    h = np.zeros(ii.shape[-1])
+    for i in range(n):
+        for j in range(n):
+            h += geo.g_inv0[i, j] * ii[i, j]
+    h = h / n
+    h_sq = float(spacetime.ambient_inner(geo.immersion.model, f2, h, h))
+    return float(np.trace(a_xi)) / n, float(np.trace(a_eta)) / n, h, h_sq
+
+
 class ExtrinsicPoint:
     """All extrinsic data of an immersion at one chart point.
 
-    Frames are carried as ambient-component Series so that one more
-    coordinate derivative (the Weingarten map) stays exact; everything is
-    cached, so building a full report costs one jet evaluation.
+    The constructor runs the stages once, in pipeline order: chart
+    geometry, `height`, `null_frame`, the xi and eta `weingarten_map`s,
+    `second_fundamental_form` and `expansions`, and keeps every result as
+    a plain attribute.  The time-orthogonal Weingarten map, which only the
+    shape checks read, is built on first request and kept.
     """
 
     def __init__(self, im: Immersion, x):
         if im.target_cone is None:
             raise ValueError("extrinsic geometry needs an immersion with a target cone")
         self.im = im
-        self.model = im.model
+        self.model = model = im.model
         self.cone = im.target_cone
-        self.geo: ChartGeometry = chart_geometry(im, x)
+        self.geo = geo = chart_geometry(im, x)
         self.n = im.dim
-
-    # -- scalar height --------------------------------------------------
-
-    @cached_property
-    def u_series(self) -> Series:
-        # the cone height function is the first ambient coordinate in
-        # every model: t for cones and cylinders, x_1 on the de Sitter cone
-        return self.geo.psi[0]
-
-    @cached_property
-    def u(self) -> float:
-        return self.u_series.val
-
-    @cached_property
-    def du(self) -> np.ndarray:
-        return self.geo.partials(self.u_series)
-
-    @cached_property
-    def grad_u(self) -> np.ndarray:
-        return self.geo.g_inv0 @ self.du
-
-    @cached_property
-    def grad_u_sq(self) -> float:
-        return float(self.du @ self.grad_u)
-
-    @cached_property
-    def laplacian_u(self) -> float:
-        return self.geo.laplacian(self.u_series)
-
-    @cached_property
-    def hess_u_mixed(self) -> np.ndarray:
-        """Hess u with one index raised: g^{ik} Hess_kj."""
-        return self.geo.g_inv0 @ self.geo.covariant_hessian(self.u_series)
-
-    # -- frame fields as Series ------------------------------------------
-
-    @cached_property
-    def xi_series(self):
-        comps = nullcone.grad_F_components(self.cone, self.geo.psi)
-        # future-normalize on the R > 0 component of a de Sitter section
-        if self.cone.variant == "desitter_alpha" and self.cone.scale(self.geo.psi0[0]) > 0.0:
-            comps = [-c for c in comps]
-        return comps
-
-    @cached_property
-    def warping_ratio(self) -> float:
-        """f'(u) / f(u), zero in the Minkowski model."""
-        if self.model.kind == "minkowski":
-            return 0.0
-        f0, f1 = self.model.warping.derivatives(self.u, order=1)
-        return f1 / f0
-
-    @cached_property
-    def time_axis_series(self):
-        raw = spacetime.time_axis(self.model, self.geo.psi)
-        return [taylor.as_series(c, self.geo.ctx) for c in raw]
-
-    @cached_property
-    def time_orthogonal_series(self):
-        """Normal part of the time axis, unnormalized."""
-        psi, dpsi = self.geo.psi, self.geo.dpsi
-        b = [
-            spacetime.ambient_inner(self.model, psi, self.time_axis_series, dpsi[j])
-            for j in range(self.n)
-        ]
-        ginv = self.geo.g_inv_series
-        coeff = [
-            sum(ginv[i][j] * b[j] for j in range(self.n)) for i in range(self.n)
-        ]
-        m = len(psi)
-        out = []
-        for a in range(m):
-            s = self.time_axis_series[a]
-            for i in range(self.n):
-                s = s - coeff[i] * dpsi[i][a]
-            out.append(s)
-        return out
-
-    @cached_property
-    def nu_series(self):
-        psi = self.geo.psi
-        w = self.time_orthogonal_series
-        nn = spacetime.ambient_inner(self.model, psi, w, w)
-        if nn.val >= -1e-12:
-            raise FrameDegeneracyError(
-                f"time axis projects to a non-timelike normal at {format_point(self.geo.x)}"
-            )
-        scale = 1.0 / taylor.sqrt(-nn)
-        return [scale * comp for comp in w]
-
-    @cached_property
-    def xi_dot_nu(self) -> Series:
-        return spacetime.ambient_inner(
-            self.model, self.geo.psi, self.xi_series, self.nu_series
+        self.u, self.du, self.grad_u, self.grad_u_sq, hess = height(geo)
+        self.laplacian_u = float(np.einsum("ij,ij->", geo.g_inv0, hess))
+        self.hess_u_mixed = geo.g_inv0 @ hess  # g^{ik} Hess_kj
+        (
+            self.xi_series,
+            self.time_axis_series,
+            self.time_orthogonal_series,
+            self.nu_series,
+            self.eta_series,
+        ) = null_frame(geo)
+        self.xi = _values(self.xi_series)
+        self.eta = _values(self.eta_series)
+        self.nu = _values(self.nu_series)
+        # the float point's warping factors, apart from the Series ones of
+        # geo.f2: f^2 scales the metric, (f, f') enter the connection
+        t = geo.psi0[0]
+        self.f2 = spacetime.fiber_scale(model, t)
+        self.df = model.warping.derivatives(t, 1) if model.warped else None
+        self.warping_ratio = 0.0 if self.df is None else self.df[1] / self.df[0]
+        self.shape_maps = {
+            "xi": weingarten_map(geo, self.xi_series, self.f2, self.df),
+            "eta": weingarten_map(geo, self.eta_series, self.f2, self.df),
+        }
+        self.ii = second_fundamental_form(geo, self.xi, self.eta, self.f2, self.df)
+        self.theta_xi, self.theta_eta, self.mean_curvature_vector, self.h_sq = expansions(
+            geo, self.shape_maps["xi"], self.shape_maps["eta"], self.ii, self.f2
         )
-
-    @cached_property
-    def eta_series(self):
-        c = self.xi_dot_nu
-        if c.val >= 0.0:
-            raise FrameDegeneracyError(
-                f"<xi, nu> = {c.val:.3e} >= 0 at {format_point(self.geo.x)}"
-            )
-        a = -1.0 / (2.0 * c * c)
-        b = -1.0 / c
-        return [
-            a * x + b * v for x, v in zip(self.xi_series, self.nu_series)
-        ]
-
-    def _values(self, series_list) -> np.ndarray:
-        return np.array([s.val for s in series_list])
-
-    @cached_property
-    def frame(self) -> NullFrame:
-        p = self.geo.psi0
-        return NullFrame(
-            xi=AmbientVector(self._values(self.xi_series), p),
-            eta=AmbientVector(self._values(self.eta_series), p),
-            nu=AmbientVector(self._values(self.nu_series), p),
-        )
-
-    def normal_series(self, name: str):
-        if name == "xi":
-            return self.xi_series
-        if name == "eta":
-            return self.eta_series
-        if name == "nu":
-            return self.nu_series
-        if name == "time_orthogonal":
-            return self.time_orthogonal_series
-        raise ValueError(f"unknown normal field {name!r}; expected one of {NORMAL_FIELDS}")
 
     def frame_residual(self) -> float:
         """Max deviation of the frame identities at this point.
@@ -272,13 +296,11 @@ class ExtrinsicPoint:
         orthogonality of all three fields to the tangents, and the shared
         time orientation; a wrong orientation counts as residual 1.
         """
-        p = self.geo.psi0
 
         def inner(a, b):
-            return spacetime.ambient_inner(self.model, p, a, b)
+            return spacetime.ambient_inner(self.model, self.f2, a, b)
 
-        frame = self.frame
-        xi, eta, nu = frame.xi.components, frame.eta.components, frame.nu.components
+        xi, eta, nu = self.xi, self.eta, self.nu
         worst = abs(inner(xi, xi))
         worst = max(worst, abs(inner(eta, eta)))
         worst = max(worst, abs(inner(xi, eta) + 1.0))
@@ -286,34 +308,21 @@ class ExtrinsicPoint:
         for field in (xi, eta, nu):
             for tangent in self.geo.tangents:
                 worst = max(worst, abs(inner(field, tangent)))
-        t = self._values(self.time_axis_series)
+        t = _values(self.time_axis_series)
         if inner(xi, nu) >= 0.0 or inner(eta, nu) >= 0.0 or inner(nu, t) >= 0.0:
             worst = max(worst, 1.0)
         return float(worst)
 
     # -- Weingarten maps --------------------------------------------------
 
-    def _ambient_directional(self, j: int, field_series) -> np.ndarray:
-        """Components of nabla^amb_{d_j psi} N, modulo quadric normals."""
-        vals = np.array([s.derivative(j).val for s in field_series])
-        n0 = self._values(field_series)
-        vals += spacetime.warped_connection_term(
-            self.model, self.geo.psi0, self.geo.tangents[j], n0
-        )
-        return vals
-
     def shape_chart(self, name: str) -> np.ndarray:
-        """Numeric Weingarten map of a normal field, chart basis (A^i_j)."""
-        series = self.normal_series(name)
-        p = self.geo.psi0
-        m = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            dn = self._ambient_directional(j, series)
-            for i in range(self.n):
-                m[i, j] = spacetime.ambient_inner(
-                    self.model, p, dn, self.geo.tangents[i]
-                )
-        return self.geo.g_inv0 @ m
+        """Numeric Weingarten map of the normal field xi, eta or
+        time_orthogonal (a CLOSED_FORMS value), chart basis (A^i_j)."""
+        if name == "time_orthogonal" and name not in self.shape_maps:
+            self.shape_maps[name] = weingarten_map(
+                self.geo, self.time_orthogonal_series, self.f2, self.df
+            )
+        return self.shape_maps[name]
 
     def to_frame(self, a_chart: np.ndarray) -> np.ndarray:
         """Rewrite a (1,1) chart-basis operator in the orthonormal frame."""
@@ -351,7 +360,7 @@ class ExtrinsicPoint:
             if model.kind == "minkowski":
                 f0, f1, phi = 1.0, 0.0, self.u
             else:
-                f0, f1 = model.warping.derivatives(self.u, order=1)
+                f0, f1 = self.df
                 phi = model.warping.conformal_time(self.u, model.t0)
             if which == "warped_xi":
                 return ((f1 * phi + 1.0) / (f0 * f0)) * eye
@@ -370,11 +379,10 @@ class ExtrinsicPoint:
     def _product_xi_chart(self) -> np.ndarray:
         """A_xi X = -<X, grad u> grad u + (nabla^M_{Xhat}(r Dr))^tangent."""
         model = self.model
-        p = self.geo.psi0
-        x_fib = p[1:]
+        x_fib = self.geo.psi0[1:]
         r, dr = spacetime.fiber_radial(model, x_fib)
         rc = spacetime.radial_tangential_factor(model, r)
-        signs = model.fiber_signs if model.kind == "product" else np.ones(len(x_fib))
+        signs = model.signature[1:]
         cols = []
         for j in range(self.n):
             xhat = self.geo.tangents[j][1:]  # fiber part of Xhat = X - <X, grad u> dt
@@ -383,7 +391,7 @@ class ExtrinsicPoint:
             v_amb = np.concatenate(([0.0], v))
             m = np.array(
                 [
-                    spacetime.ambient_inner(model, p, v_amb, self.geo.tangents[i])
+                    spacetime.ambient_inner(model, self.f2, v_amb, self.geo.tangents[i])
                     for i in range(self.n)
                 ]
             )
@@ -393,41 +401,7 @@ class ExtrinsicPoint:
     def shape_closed(self, which: str) -> np.ndarray:
         return self.to_frame(self.shape_closed_chart(which))
 
-    # -- traces and curvature ---------------------------------------------
-
-    @cached_property
-    def theta_xi(self) -> float:
-        return float(np.trace(self.shape_chart("xi"))) / self.n
-
-    @cached_property
-    def theta_eta(self) -> float:
-        return float(np.trace(self.shape_chart("eta"))) / self.n
-
-    def second_fundamental_tangent_pair(self, i: int, j: int) -> np.ndarray:
-        """II(d_i psi, d_j psi) as an ambient vector in the {xi, eta} span."""
-        model = self.model
-        p = self.geo.psi0
-        w = self.geo.psi_second_partials[i, j] + spacetime.warped_connection_term(
-            model, p, self.geo.tangents[i], self.geo.tangents[j]
-        )
-        xi0, eta0 = self.frame.xi.components, self.frame.eta.components
-        a = -spacetime.ambient_inner(model, p, w, eta0)
-        b = -spacetime.ambient_inner(model, p, w, xi0)
-        # II(X, Y) = -(amb derivative)^normal
-        return -(a * xi0 + b * eta0)
-
-    @cached_property
-    def mean_curvature_vector(self) -> np.ndarray:
-        h = np.zeros(len(self.geo.psi0))
-        for i in range(self.n):
-            for j in range(self.n):
-                h += self.geo.g_inv0[i, j] * self.second_fundamental_tangent_pair(i, j)
-        return h / self.n
-
-    @cached_property
-    def h_sq(self) -> float:
-        h = self.mean_curvature_vector
-        return float(spacetime.ambient_inner(self.model, self.geo.psi0, h, h))
+    # -- classification -----------------------------------------------------
 
     def trapped_class(self, eps: float = MARGINAL_EPS) -> str:
         if not self.cone.rules.trapped:
@@ -464,18 +438,16 @@ class ExtrinsicPoint:
         if model.kind == "desitter":
             raise ShapeDispatchError("the propagation law needs a warped-product model")
         ratio = self.warping_ratio
-        p = self.geo.psi0
-        xi0, eta0 = self.frame.xi.components, self.frame.eta.components
-        n0 = self._values(self.time_orthogonal_series)
+        xi0, eta0 = self.xi, self.eta
+        n0 = _values(self.time_orthogonal_series)
         worst = 0.0
-        for j in range(self.n):
-            dn = self._ambient_directional(j, self.time_orthogonal_series)
-            a = -spacetime.ambient_inner(model, p, dn, eta0)
-            b = -spacetime.ambient_inner(model, p, dn, xi0)
+        for j, dn in enumerate(_directional(self.geo, self.time_orthogonal_series, self.df)):
+            a = -spacetime.ambient_inner(model, self.f2, dn, eta0)
+            b = -spacetime.ambient_inner(model, self.f2, dn, xi0)
             lhs = a * xi0 + b * eta0
-            ii = np.zeros(len(p))
+            ii = np.zeros(len(n0))
             for i in range(self.n):
-                ii += self.grad_u[i] * self.second_fundamental_tangent_pair(j, i)
+                ii += self.grad_u[i] * self.ii[j, i]
             rhs = -ratio * self.du[j] * n0 - ii
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         return worst

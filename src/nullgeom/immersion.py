@@ -117,11 +117,12 @@ class ChartGeometry:
     """Order-3 metric jet at one chart point and everything derived from it.
 
     Built either from an immersion (metric pulled back through the ambient
-    inner product of the derivative series `dpsi`) or from a metric chart.
-    Quantities are computed lazily and cached.
+    inner product of the derivative series `dpsi`, at the fiber scale `f2`
+    of the Series time psi^0) or from a metric chart.  Quantities are
+    computed lazily and cached.
     """
 
-    def __init__(self, x, g_series, psi=None, dpsi=None, immersion=None, name=""):
+    def __init__(self, x, g_series, psi=None, dpsi=None, f2=None, immersion=None, name=""):
         self.x = np.asarray(x, dtype=np.float64)
         self.g_series = g_series
         self.dim = len(g_series)
@@ -129,6 +130,7 @@ class ChartGeometry:
         self.coords = [Series.variable(self.ctx, i, self.x[i]) for i in range(self.dim)]
         self.psi = psi
         self.dpsi = dpsi
+        self.f2 = f2
         self.immersion = immersion
         self.name = name
         g0 = np.array([[g_series[i][j].val for j in range(self.dim)] for i in range(self.dim)])
@@ -305,13 +307,14 @@ def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGe
     psi = im.series(x, JET_ORDER, check_membership)
     n = im.dim
     dpsi = [[comp.derivative(i) for comp in psi] for i in range(n)]
+    f2 = spacetime.fiber_scale(im.model, psi[0])
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            s = spacetime.ambient_inner(im.model, psi, dpsi[i], dpsi[j])
+            s = spacetime.ambient_inner(im.model, f2, dpsi[i], dpsi[j])
             g[i][j] = s
             g[j][i] = s
-    return ChartGeometry(x, g, psi=psi, dpsi=dpsi, immersion=im, name=im.map.name)
+    return ChartGeometry(x, g, psi=psi, dpsi=dpsi, f2=f2, immersion=im, name=im.map.name)
 
 
 def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:

@@ -20,7 +20,6 @@ from . import taylor
 from .taylor import PrimitiveDomainError, Series
 from .spacetime import (
     AmbientModel,
-    AmbientVector,
     fiber_constraint,
     fiber_radial,
     fiber_radius_sq,
@@ -35,7 +34,6 @@ __all__ = [
     "PointRejected",
     "NullconeSpec",
     "eval_F",
-    "grad_F",
     "grad_F_components",
     "membership",
     "require_on_cone",
@@ -209,14 +207,6 @@ def grad_F_components(spec: NullconeSpec, p):
         raise _reject_radial(exc, None if is_series else p) from exc
     scale = r / (f * f)
     return [phi / f] + [scale * d for d in dr]
-
-
-def grad_F(spec: NullconeSpec, p) -> AmbientVector:
-    comps = grad_F_components(spec, p)
-    if any(isinstance(c, Series) for c in comps):
-        raise TypeError("grad_F returns attached vectors for float points only; "
-                        "use grad_F_components for Series")
-    return AmbientVector(np.asarray(comps, dtype=float), np.asarray(p, dtype=float))
 
 
 def membership(spec: NullconeSpec, p, tol: float = MEMBERSHIP_TOL) -> bool:

@@ -12,7 +12,7 @@ so vectors tangent to the quadric see exactly the induced fiber metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +25,7 @@ __all__ = [
     "WarpingDomainError",
     "WarpingFunction",
     "AmbientModel",
-    "AmbientVector",
+    "fiber_scale",
     "ambient_inner",
     "warped_connection_term",
     "time_axis",
@@ -33,7 +33,6 @@ __all__ = [
     "fiber_radial",
     "fiber_radius_sq",
     "radial_tangential_factor",
-    "fiber_base_point",
     "fiber_constraint",
     "fiber_chart",
     "hyperbolic_chart",
@@ -165,6 +164,10 @@ class AmbientModel:
     warping         profile f for the cosmological kinds
     t0              vertex time of the associated cones (not for desitter)
     fiber           euclidean | hyperbolic | sphere, product kind only
+
+    Derived once from these, and not compared: `coord_count`, the number of
+    ambient coordinates; `signature`, the signs of the metric's diagonal
+    before the fiber block is scaled by f^2; `warped`, whether it is.
     """
 
     kind: str
@@ -172,6 +175,9 @@ class AmbientModel:
     warping: WarpingFunction = None
     t0: float = None
     fiber: str = None
+    coord_count: int = field(init=False, repr=False, compare=False)
+    signature: np.ndarray = field(init=False, repr=False, compare=False)
+    warped: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _MODEL_KINDS:
@@ -199,6 +205,18 @@ class AmbientModel:
                 lo, hi = self.warping.domain
                 if not lo < t0 < hi:
                     raise ValueError("vertex time outside the warping domain")
+        # time axis + n + 1 fiber embedding coordinates, one more for a
+        # curved fiber's quadric; the de Sitter quadric sits in R^{1, n+2}
+        quadric = self.kind == "desitter" or self.fiber in ("sphere", "hyperbolic")
+        coord_count = self.n + (3 if quadric else 2)
+        signature = np.ones(coord_count)
+        signature[0] = -1.0
+        if self.fiber == "hyperbolic":
+            signature[1] = -1.0
+        signature.flags.writeable = False
+        object.__setattr__(self, "coord_count", coord_count)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "warped", self.warping is not None)
 
     @property
     def fiber_kind(self) -> str:
@@ -208,112 +226,66 @@ class AmbientModel:
             return self.fiber
         raise ValueError("desitter model has no fiber")
 
-    @property
-    def coord_count(self) -> int:
-        if self.kind == "desitter":
-            return self.n + 3
-        # time axis + fiber embedding coordinates
-        return 1 + self.fiber_coord_count
 
-    @property
-    def fiber_coord_count(self) -> int:
-        if self.kind == "desitter":
-            raise ValueError("desitter model has no fiber")
-        if self.fiber_kind == "euclidean":
-            return self.n + 1
-        return self.n + 2
+def fiber_scale(model: AmbientModel, t):
+    """f(t)^2, the factor of the metric's fiber block at time t; None for
+    the flat kinds.
 
-    @property
-    def fiber_signs(self) -> np.ndarray:
-        signs = np.ones(self.fiber_coord_count)
-        if self.fiber_kind == "hyperbolic":
-            signs[0] = -1.0
-        return signs
-
-    @property
-    def flat_signs(self) -> np.ndarray:
-        """Signature of the flat form (minkowski and desitter kinds only)."""
-        signs = np.ones(self.coord_count)
-        signs[0] = -1.0
-        return signs
-
-
-@dataclass(frozen=True)
-class AmbientVector:
-    """A tangent vector in ambient coordinates, attached at a point."""
-
-    components: np.ndarray
-    base_point: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
-        object.__setattr__(self, "base_point", np.asarray(self.base_point, dtype=float))
-        if self.components.shape != self.base_point.shape:
-            raise ValueError("vector and base point dimensions differ")
-
-
-def _components(v, p):
-    if isinstance(v, AmbientVector):
-        base = np.asarray(p, dtype=float)
-        if v.base_point.shape != base.shape or not np.allclose(v.base_point, base, atol=1e-9):
-            raise ValueError("vector is not attached at the evaluation point")
-        return v.components
-    return v
-
-
-def _is_series_point(p) -> bool:
-    return any(isinstance(x, Series) for x in p)
-
-
-def ambient_inner(model: AmbientModel, p, v, w):
-    """Lorentzian inner product of v and w attached at p.
-
-    Components may be floats or Series.  For the product kinds the fiber
-    block is scaled by f(t)^2; vectors are expected tangent to the spacetime
-    (quadric-normal parts of curved fibers acquire no metric meaning here).
+    t may be a float or a Series.  Evaluate each once per point and never
+    convert one into the other: for profiles with division or powers their
+    values differ in the last bits.
     """
-    vc = _components(v, p)
-    wc = _components(w, p)
-    if len(vc) != model.coord_count or len(wc) != model.coord_count:
+    if not model.warped:
+        return None
+    f = model.warping(t)
+    return f * f
+
+
+def ambient_inner(model: AmbientModel, f2, v, w):
+    """Lorentzian inner product of the component lists v and w at a point
+    whose fiber scale is f2 (`fiber_scale` of its time; the flat kinds
+    ignore it).
+
+    Components may be floats or Series, summed left to right.  Vectors are
+    expected tangent to the spacetime (quadric-normal parts of curved fibers
+    acquire no metric meaning here).
+    """
+    if len(v) != model.coord_count or len(w) != model.coord_count:
         raise ValueError("vector dimension does not match the model")
-    if model.kind in ("minkowski", "desitter"):
-        acc = -(vc[0] * wc[0])
-        for a, b in zip(vc[1:], wc[1:]):
+    if not model.warped:
+        acc = -(v[0] * w[0])
+        for a, b in zip(v[1:], w[1:]):
             acc = acc + a * b
         return acc
-    f = model.warping(p[0])
-    signs = model.fiber_signs
     acc = None
-    for s, a, b in zip(signs, vc[1:], wc[1:]):
+    for s, a, b in zip(model.signature[1:], v[1:], w[1:]):
         term = a * b if s > 0 else -(a * b)
         acc = term if acc is None else acc + term
-    return -(vc[0] * wc[0]) + f * f * acc
+    return -(v[0] * w[0]) + f2 * acc
 
 
-def warped_connection_term(model: AmbientModel, p, a, b) -> np.ndarray:
-    """Ambient Christoffel correction Gamma(a, b) at p, float components.
+def warped_connection_term(model: AmbientModel, df, a, b) -> np.ndarray:
+    """Ambient Christoffel correction Gamma(a, b) of float component arrays,
+    where df = (f, f') at the point's time (`WarpingFunction.derivatives(t, 1)`).
 
-    Zero for the flat kinds.  For the cosmological kinds this is the warped
-    part of the connection; the curved-fiber quadric contributes only terms
-    along the quadric normal, which are metrically orthogonal to every
-    spacetime-tangent field and therefore omitted (tangential projections
-    never see them).
+    Zero for the flat kinds, which pass df = None.  For the cosmological
+    kinds this is the warped part of the connection; the curved-fiber
+    quadric contributes only terms along the quadric normal, which are
+    metrically orthogonal to every spacetime-tangent field and therefore
+    omitted (tangential projections never see them).
     """
-    a = np.asarray(_components(a, p), dtype=float)
-    b = np.asarray(_components(b, p), dtype=float)
-    if model.kind in ("minkowski", "desitter"):
-        return np.zeros(model.coord_count)
-    t = float(p[0])
-    f, fp = model.warping.derivatives(t, 1)
     out = np.zeros(model.coord_count)
-    flat = float(np.sum(model.fiber_signs * a[1:] * b[1:]))
+    if not model.warped:
+        return out
+    f, fp = df
+    flat = float(np.sum(model.signature[1:] * a[1:] * b[1:]))
     out[0] = f * fp * flat
     out[1:] = (fp / f) * (a[0] * b[1:] + b[0] * a[1:])
     return out
 
 
 def time_axis(model: AmbientModel, p):
-    """The future unit timelike reference field at p.
+    """Components of the future unit timelike reference field at p.
 
     Coordinate time axis for the flat and cosmological kinds; for the de
     Sitter quadric, the pushforward of the warped-product time axis.
@@ -321,35 +293,22 @@ def time_axis(model: AmbientModel, p):
     if model.kind != "desitter":
         comps = [0.0] * model.coord_count
         comps[0] = 1.0
-        if _is_series_point(p):
-            return comps
-        return AmbientVector(np.array(comps), np.asarray(p, dtype=float))
+        return comps
     x1 = p[0]
     ch = taylor.sqrt(1.0 + x1 * x1)
     scale = x1 / ch
-    comps = [ch] + [scale * x for x in p[1:]]
-    if _is_series_point(p):
-        return comps
-    return AmbientVector(np.array([float(c) for c in comps]), np.asarray(p, dtype=float))
+    return [ch] + [scale * x for x in p[1:]]
 
 
 def desitter_embed(t, q):
     """(t, q) on -R x_cosh S^{n+1} -> point of the unit hyperquadric."""
-    if not _is_series_point(list(q) + [t]):
+    if not any(isinstance(x, Series) for x in [t, *q]):
         qa = np.asarray(q, dtype=float)
         if abs(math.sqrt(float(np.dot(qa, qa))) - 1.0) > 1e-12:
             raise ValueError("q must be a unit vector")
         return np.concatenate(([math.sinh(float(t))], math.cosh(float(t)) * qa))
     ch = taylor.cosh(t)
     return [taylor.sinh(t)] + [ch * x for x in q]
-
-
-def fiber_base_point(model: AmbientModel) -> np.ndarray:
-    """Embedding coordinates of the fiber origin / pole."""
-    x0 = np.zeros(model.fiber_coord_count)
-    if model.fiber_kind != "euclidean":
-        x0[0] = 1.0
-    return x0
 
 
 def fiber_constraint(model: AmbientModel, x):

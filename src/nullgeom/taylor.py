@@ -179,9 +179,6 @@ class Series:
         ctx = self.ctx
         return Series(ctx, self.c[ctx.deriv_src[v]] * ctx.deriv_fac[v])
 
-    def coefficient(self, alpha) -> float:
-        return float(self.c[self.ctx.index[tuple(alpha)]])
-
     def __add__(self, other):
         if isinstance(other, Series):
             return Series(self.ctx, self.c + other.c)
@@ -444,9 +441,9 @@ class Jet:
     """Truncated Taylor expansion of a map at a point.
 
     Stores one coefficient slot per unordered multi-index, so symmetry of
-    mixed partials holds by construction.  `coefficients` and `partial`
-    report true derivative values (Taylor coefficients scaled by the
-    multi-index factorial).
+    mixed partials holds by construction.  `partial` reports true
+    derivative values (Taylor coefficients scaled by the multi-index
+    factorial).
     """
 
     __slots__ = ("ctx", "taylor")
@@ -466,11 +463,6 @@ class Jet:
     @property
     def order(self) -> int:
         return self.ctx.order
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Partial derivatives, shape (n_outputs, n_terms), multi-index order."""
-        return self.taylor * self.ctx.factorials
 
     @property
     def value(self) -> np.ndarray:
@@ -532,44 +524,6 @@ def jet_eval(map_fn, point, order: int) -> Jet:
     outs = eval_series(map_fn, point, order)
     ctx = outs[0].ctx
     taylor = np.stack([s.c for s in outs])
-    return Jet(ctx, taylor)
-
-
-def jet_compose(outer: Jet, inner: Jet) -> Jet:
-    """Jet of the composition g(f) from the jets of g at f(x) and f at x.
-
-    `outer` must be expanded at `inner.value`; the result is expressed in
-    inner's input variables, truncated at the common order.
-    """
-    if outer.n_inputs != inner.n_outputs:
-        raise ValueError("outer inputs must match inner outputs")
-    if outer.order != inner.order:
-        raise ValueError("jets must share the same order")
-    ctx = inner.ctx
-    order = ctx.order
-    # Centered inner components and their truncated powers.
-    powers = []
-    for i in range(inner.n_outputs):
-        f = inner.series(i)
-        f.c[0] = 0.0
-        pw = [Series.constant(ctx, 1.0), f]
-        for _ in range(2, order + 1):
-            pw.append(pw[-1] * f)
-        powers.append(pw)
-    octx = outer.ctx
-    taylor = np.zeros((outer.n_outputs, ctx.n_terms))
-    for m in range(outer.n_outputs):
-        acc = Series.constant(ctx, 0.0)
-        for slot, beta in enumerate(octx.alphas):
-            coeff = outer.taylor[m, slot]
-            if coeff == 0.0:
-                continue
-            term = Series.constant(ctx, coeff)
-            for i, b in enumerate(beta):
-                if b:
-                    term = term * powers[i][b]
-            acc = acc + term
-        taylor[m] = acc.c
     return Jet(ctx, taylor)
 
 

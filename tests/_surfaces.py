@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from nullgeom import spacetime as st
 from nullgeom import taylor as tm
 from nullgeom.immersion import MetricChart
 from nullgeom.scenes import (
@@ -26,6 +27,7 @@ __all__ = [
     "sample_box",
     "random_metric_chart",
     "random_positive_field",
+    "inner_at",
 ]
 
 
@@ -77,3 +79,8 @@ def random_positive_field(rng, n):
         return floor + amp * tm.sin(tm.dot(freq, coords) + phase)
 
     return lam
+
+
+def inner_at(model, p, v, w):
+    """<v, w> at the point p, through the fiber scale of its time."""
+    return st.ambient_inner(model, st.fiber_scale(model, p[0]), v, w)

@@ -129,6 +129,38 @@ def test_config_errors(mutate):
         parse_scene(doc)
 
 
+def malformed_doc(where, value):
+    if where == "immersion.domain":
+        doc = copy.deepcopy(OFF_CONE_DOC)
+        doc["immersion"]["domain"] = value
+    else:
+        doc = small(builtin_scenes()["grw-exp"])
+        doc["spacetime"]["warping"][where.rsplit(".", 1)[1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        ("spacetime.warping.domain", 5),
+        ("spacetime.warping.domain", [0, 1, 2]),
+        ("spacetime.warping.domain", ["a", "b"]),
+        ("spacetime.warping.params", 5),
+        ("immersion.domain", [[0, 1], [2]]),
+        ("immersion.domain", [["a", "b"], [0, 1]]),
+        ("immersion.domain", [5, [0, 1]]),
+    ],
+)
+def test_malformed_pairs_and_params_are_config_errors(where, value, tmp_path, capsys):
+    doc = malformed_doc(where, value)
+    with pytest.raises(ConfigError, match=where):
+        parse_scene(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert "config error" in capsys.readouterr().err
+
+
 def test_inapplicable_suite_rejected():
     doc = small(builtin_scenes()["ds-alpha0"])
     doc["checks"] = ["trapped"]

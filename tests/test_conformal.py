@@ -445,7 +445,7 @@ def test_rescaled_geometry_matches_scaled_metric_chart():
     lam = lambda xs: tm.exp(0.3 * xs[0] - 0.2 * xs[1])
     im = minkowski_family()
     cases = [
-        (im, pullback_metric_chart(im.map, signs=im.model.flat_signs)),
+        (im, pullback_metric_chart(im.map, signs=im.model.signature)),
         (FLAT2, FLAT2),
     ]
     for obj, base in cases:

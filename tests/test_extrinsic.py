@@ -82,7 +82,7 @@ def all_scenes():
 
 
 def frame_inner(pt, v, w):
-    return st.ambient_inner(pt.model, pt.geo.psi0, v, w)
+    return st.ambient_inner(pt.model, pt.f2, v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +94,7 @@ def test_frame_identities_across_scenes():
     for im in all_scenes():
         for x in scene_points(rng, im, 8):
             pt = ExtrinsicPoint(im, x)
-            fr = pt.frame
-            xi, eta, nu = fr.xi.components, fr.eta.components, fr.nu.components
+            xi, eta, nu = pt.xi, pt.eta, pt.nu
             assert abs(frame_inner(pt, xi, xi)) < 1e-10
             assert abs(frame_inner(pt, eta, eta)) < 1e-10
             assert abs(frame_inner(pt, xi, eta) + 1.0) < 1e-10
@@ -117,10 +116,8 @@ POINTWISE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "p
 def series_frame_residual(pt):
     """The frame residual through order-3 series inner products, of which
     only the values are read: the reference for the value-only residual."""
-    psi = pt.geo.psi
-
     def inner(a, b):
-        return st.ambient_inner(pt.model, psi, a, b).val
+        return st.ambient_inner(pt.model, pt.geo.f2, a, b).val
 
     xi, eta, nu = pt.xi_series, pt.eta_series, pt.nu_series
     worst = abs(inner(xi, xi))
@@ -170,11 +167,11 @@ def test_frame_residual_matches_series_path_bitwise(name, monkeypatch):
 def test_minkowski_xi_is_position_and_slice_pairing():
     im = psi_f_minkowski(2, perturbed_f)
     pt = ExtrinsicPoint(im, [0.4, -0.7])
-    assert np.allclose(pt.frame.xi.components, pt.geo.psi0, atol=1e-14)
+    assert np.allclose(pt.xi, pt.geo.psi0, atol=1e-14)
     c = 1.7
     pt = ExtrinsicPoint(slice_immersion(2, c), [1.2, 0.6])
-    assert abs(pt.xi_dot_nu.val + c) < 1e-12
-    assert np.allclose(pt.frame.nu.components, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    assert abs(frame_inner(pt, pt.xi, pt.nu) + c) < 1e-12
+    assert np.allclose(pt.nu, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_frame_requires_cone_and_guards_degeneracy():
@@ -189,11 +186,54 @@ def test_frame_requires_cone_and_guards_degeneracy():
     with pytest.raises(ValueError):
         ExtrinsicPoint(free, [1.0, 0.5])
     pt = ExtrinsicPoint(psi_f_minkowski(2), [0.2, 0.1])
-    pt.__dict__["xi_dot_nu"] = tm.Series.constant(pt.geo.ctx, 0.25)
+    xi_dot_nu = tm.Series.constant(pt.geo.ctx, 0.25)
     with pytest.raises(ext.FrameDegeneracyError):
-        pt.eta_series
-    with pytest.raises(ValueError):
-        pt.normal_series("zeta")
+        ext.null_partner(pt.geo, pt.xi_series, pt.nu_series, xi_dot_nu)
+
+
+@pytest.mark.parametrize("name", ["mink-bowl", "grw-exp"])
+def test_each_quantity_computed_once_per_point(name, monkeypatch):
+    with POINTWISE.open() as fh:
+        entry = next(e for e in json.load(fh)["scenes"] if e["config"]["name"] == name)
+    scene = cli.parse_scene(entry["config"])
+    maps, hessians, profiles_in_inner, inside = [], [], [], []
+    real_map = ext.weingarten_map
+    real_hessian = imm.ChartGeometry.covariant_hessian
+    real_inner = st.ambient_inner
+    real_profile = st.WarpingFunction.__call__
+
+    def counting_map(geo, field, f2, df):
+        maps.append(field)
+        return real_map(geo, field, f2, df)
+
+    def counting_hessian(geo, s):
+        hessians.append(s)
+        return real_hessian(geo, s)
+
+    def marking_inner(*args):
+        inside.append(True)
+        try:
+            return real_inner(*args)
+        finally:
+            inside.pop()
+
+    def counting_profile(warping, t):
+        if inside:
+            profiles_in_inner.append(t)
+        return real_profile(warping, t)
+
+    monkeypatch.setattr(ext, "weingarten_map", counting_map)
+    monkeypatch.setattr(imm.ChartGeometry, "covariant_hessian", counting_hessian)
+    monkeypatch.setattr(st, "ambient_inner", marking_inner)
+    monkeypatch.setattr(st.WarpingFunction, "__call__", counting_profile)
+    kind, _, diag = cli._evaluate_point(scene, entry["pool"][0])
+    assert kind == "row" and "shape" in diag
+    # one map for each of xi, eta and the normal part of the time axis
+    normals = {ext.CLOSED_FORMS[which] for which in scene.selectors}
+    assert len(normals) == 3
+    assert len(maps) == 3 and len({id(field) for field in maps}) == 3
+    assert len(hessians) == 1  # Hess u, for both the Laplacian and the closed forms
+    assert profiles_in_inner == []
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +367,7 @@ def test_mean_curvature_identities():
             pt = ExtrinsicPoint(im, x)
             h, h_sq = pt.mean_curvature_vector, pt.h_sq
             assert abs(h_sq + 2.0 * pt.theta_xi * pt.theta_eta) < 1e-9
-            recon = (
-                -pt.theta_xi * pt.frame.eta.components
-                - pt.theta_eta * pt.frame.xi.components
-            )
+            recon = -pt.theta_xi * pt.eta - pt.theta_eta * pt.xi
             assert np.max(np.abs(h - recon)) < 1e-8
 
 

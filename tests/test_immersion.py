@@ -13,6 +13,7 @@ from _surfaces import (
     cylinder_immersion,
     grw_graph,
     hxr_immersion,
+    inner_at,
     psi_f_desitter,
     psi_f_minkowski,
     sample_box,
@@ -292,7 +293,7 @@ def test_tangency_on_target_cones():
         geo = imm.chart_geometry(im, x)
         grad = nc.grad_F_components(im.target_cone, geo.psi0)
         for i in range(geo.dim):
-            inner = st.ambient_inner(im.model, geo.psi0, grad, geo.tangents[i])
+            inner = inner_at(im.model, geo.psi0, grad, geo.tangents[i])
             assert abs(inner) < 1e-8
 
 
