@@ -29,9 +29,13 @@ inapplicable suite by name is a configuration error.  The conformal suite
 reads the chart geometries the grid pass built for its first 40 evaluated
 points, and drops those whose split-map image leaves the model space.  The
 appendix checks the conformal curvature identities at up to five evaluated
-grid points, drawn without replacement by the scene's seed.  Grid points
-are evaluated one at a time, in grid order, on the calling thread, so
-identical configurations produce byte-identical output.
+grid points, drawn without replacement by the scene's seed.  The grid is
+evaluated on the calling thread in chunks of `GRID_CHUNK` points, each
+chunk as one batch through the same pipeline that evaluates a single point;
+a point the batch rejects is evaluated alone, for its typed rejection.
+Every point comes out exactly as it would alone, and rows and rejections
+are reported in grid order, so identical configurations produce
+byte-identical output.
 
 Exit codes: 0 every requested suite passed, 1 a suite exceeded its
 tolerance, 2 configuration error, 3 runtime degeneracy left a requested
@@ -57,7 +61,14 @@ from .extrinsic import TRAPPED_CLASSES, ExtrinsicPoint, FrameDegeneracyError, cl
 from .immersion import Immersion, MetricSignatureError
 from .nullcone import NullconeSpec, PointRejected
 from .spacetime import AmbientModel, WarpingFunction
-from .taylor import DomainError, SmoothMap, parse_expression
+from .taylor import (
+    BatchRejected,
+    DomainError,
+    SmoothMap,
+    as_value,
+    column_max,
+    parse_expression,
+)
 
 __all__ = [
     "ConfigError",
@@ -126,6 +137,18 @@ _IMMERSION_KEYS = frozenset(
 _CONFORMAL_SAMPLE_CAP = 40
 _FACTORIZATION_SAMPLES = 6
 _APPENDIX_SAMPLES = 5
+
+# grid points evaluated together as one batch
+GRID_CHUNK = 64
+
+# the typed errors that make a grid point a rejection, not a failed run
+_REJECTIONS = (
+    PointRejected,
+    FrameDegeneracyError,
+    MetricSignatureError,
+    DomainError,
+    EmbeddingRangeError,
+)
 
 
 class ConfigError(ValueError):
@@ -495,7 +518,13 @@ def parse_scene(doc, tol_overrides=None, seed=None, checks=None) -> Scene:
 # -- grid evaluation ---------------------------------------------------------
 
 
-def _shape_residual(pt: ExtrinsicPoint, selectors) -> float:
+def _frobenius(a):
+    """np.linalg.norm of each (n, n) matrix, the batch axis first."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _shape_residual(pt: ExtrinsicPoint, selectors):
     worst = 0.0
     numeric = {}
     for which in selectors:
@@ -503,55 +532,75 @@ def _shape_residual(pt: ExtrinsicPoint, selectors) -> float:
         if normal not in numeric:
             numeric[normal] = pt.shape_numeric(normal)
         diff = pt.shape_closed(which) - numeric[normal]
-        worst = max(worst, float(np.linalg.norm(diff)))
-    return worst
+        worst = column_max(worst, _frobenius(diff))
+    return as_value(worst)
 
 
 def _expansion_residuals(pt: ExtrinsicPoint, rep, gauss_shift) -> dict:
-    expected = -(rep.theta_xi * pt.eta + rep.theta_eta * pt.xi)
-    vec = float(np.max(np.abs(pt.mean_curvature_vector - expected)))
+    theta_xi, theta_eta = np.expand_dims(rep.theta_xi, -1), np.expand_dims(rep.theta_eta, -1)
+    expected = -(theta_xi * pt.eta + theta_eta * pt.xi)
+    vec = np.max(np.abs(pt.mean_curvature_vector - expected), axis=-1)
     sq = abs(rep.H_sq + 2.0 * rep.theta_xi * rep.theta_eta)
-    out = {"identity": max(vec, sq)}
+    out = {"identity": as_value(column_max(vec, sq))}
     if gauss_shift is not None:
         out["gauss"] = abs(rep.scal_intrinsic - rep.scal_formula - gauss_shift)
     return out
 
 
-def _trapped_mismatch(pt: ExtrinsicPoint, rep, tolerances) -> float:
+def _trapped_mismatch(pt: ExtrinsicPoint, rep, tolerances):
     """1.0 when the class contradicts the sign of the intrinsic curvature."""
     band = (pt.n - 1) * tolerances["trapped_eps"] / (rep.u * rep.u)
     band += tolerances["gauss"]
     s = rep.scal_intrinsic
-    if rep.trapped_class == "past_trapped":
-        ok = s < band
-    elif rep.trapped_class == "untrapped":
-        ok = s > -band
-    else:
-        ok = abs(s) <= band
-    return 0.0 if ok else 1.0
+    klass = rep.trapped_class
+    ok = np.where(
+        klass == "past_trapped",
+        s < band,
+        np.where(klass == "untrapped", s > -band, abs(s) <= band),
+    )
+    return as_value(np.where(ok, 0.0, 1.0))
+
+
+def _evaluate(scene: Scene, x) -> list:
+    """("row", row, diag) for the point x (n,), or for each point of a
+    batch x (B, n); raises the typed error, or `BatchRejected`, of a point
+    the pipeline refuses."""
+    pt = ExtrinsicPoint(scene.im, x)
+    rep = pt.report(scene.tolerances["trapped_eps"])
+    fields = {key: np.atleast_1d(getattr(rep, key)) for key in ROW_FIELDS}
+    classes = np.atleast_1d(rep.trapped_class)
+    residuals, expansion = {}, {}
+    if "frame" in scene.checks:
+        residuals["frame"] = pt.frame_residual()
+    if "shape" in scene.checks:
+        residuals["shape"] = _shape_residual(pt, scene.selectors)
+    if "trapped" in scene.checks:
+        residuals["trapped"] = _trapped_mismatch(pt, rep, scene.tolerances)
+    if "expansions" in scene.checks:
+        expansion = _expansion_residuals(pt, rep, scene.gauss_shift)
+    residuals = {name: np.atleast_1d(v) for name, v in residuals.items()}
+    expansion = {name: np.atleast_1d(v) for name, v in expansion.items()}
+    one_point = x.ndim == 1
+    out = []
+    for b, point in enumerate(np.atleast_2d(x)):
+        row = {"point": [float(v) for v in point]}
+        row.update((key, float(v[b])) for key, v in fields.items())
+        row["trapped_class"] = str(classes[b])
+        diag = {name: float(v[b]) for name, v in residuals.items()}
+        if expansion:
+            diag["expansions"] = {key: float(v[b]) for key, v in expansion.items()}
+        if "conformal" in scene.checks:
+            # the geometry and its batch column; `_evaluate_grid` slices the
+            # columns its conformal samples need
+            diag["geo"] = (pt.geo, None if one_point else b)
+        out.append(("row", row, diag))
+    return out
 
 
 def _evaluate_point(scene: Scene, x):
-    point = [float(v) for v in x]
     try:
-        pt = ExtrinsicPoint(scene.im, np.asarray(x, dtype=float))
-        rep = pt.report(scene.tolerances["trapped_eps"])
-        row = {"point": point}
-        for key in ROW_FIELDS:
-            row[key] = float(getattr(rep, key))
-        row["trapped_class"] = rep.trapped_class
-        diag = {}
-        if "frame" in scene.checks:
-            diag["frame"] = pt.frame_residual()
-        if "shape" in scene.checks:
-            diag["shape"] = _shape_residual(pt, scene.selectors)
-        if "expansions" in scene.checks:
-            diag["expansions"] = _expansion_residuals(pt, rep, scene.gauss_shift)
-        if "trapped" in scene.checks:
-            diag["trapped"] = _trapped_mismatch(pt, rep, scene.tolerances)
-        if "conformal" in scene.checks:
-            diag["geo"] = pt.geo
-        return ("row", row, diag)
+        (result,) = _evaluate(scene, np.asarray(x, dtype=float))
+        return result
     except PointRejected as err:
         reason, detail = err.reason.value, err.detail
     except FrameDegeneracyError as err:
@@ -560,20 +609,48 @@ def _evaluate_point(scene: Scene, x):
         reason, detail = "chart_singularity", str(err)
     except EmbeddingRangeError as err:
         reason, detail = "off_cone", str(err)
+    point = [float(v) for v in x]
     return ("rejected", {"point": point, "reason": reason, "detail": detail}, None)
 
 
-def _evaluate_grid(scene: Scene):
-    rows, diags, rejections = [], [], []
-    for x in itertools.product(*scene.axes):
-        kind, payload, diag = _evaluate_point(scene, x)
-        if kind == "row":
-            if len(rows) >= _CONFORMAL_SAMPLE_CAP:
-                diag.pop("geo", None)  # only the conformal suite's samples keep theirs
-            rows.append(payload)
-            diags.append(diag)
+def _evaluate_chunk(scene: Scene, points) -> list:
+    """`_evaluate_point` of each of the points (B, n), evaluated as one
+    batch; the columns the batch rejects are evaluated one at a time and
+    the rest evaluated again as a batch."""
+    results = [None] * len(points)
+    pending = np.arange(len(points))
+    while pending.size:
+        try:
+            done = _evaluate(scene, points[pending])
+        except BatchRejected as err:
+            rejected = err.mask
+        except _REJECTIONS:
+            # a failure that no single column owns: every point alone
+            rejected = np.ones(pending.size, dtype=bool)
         else:
-            rejections.append(payload)
+            for i, result in zip(pending, done):
+                results[i] = result
+            break
+        for i in pending[rejected]:
+            results[i] = _evaluate_point(scene, points[i])
+        pending = pending[~rejected]
+    return results
+
+
+def _evaluate_grid(scene: Scene):
+    points = np.array(list(itertools.product(*scene.axes)), dtype=float)
+    rows, diags, rejections = [], [], []
+    for start in range(0, len(points), GRID_CHUNK):
+        for kind, payload, diag in _evaluate_chunk(scene, points[start:start + GRID_CHUNK]):
+            if kind == "row":
+                if "geo" in diag:
+                    geo, b = diag.pop("geo")
+                    if len(rows) < _CONFORMAL_SAMPLE_CAP:  # the conformal suite's samples
+                        diag["geo"] = geo if b is None else geo.column(b)
+                rows.append(payload)
+                diags.append(diag)
+            else:
+                rejections.append(payload)
     return rows, diags, rejections
 
 

@@ -167,10 +167,12 @@ class EmbeddingFamily:
     def check_range(self, value):
         v = value.val if isinstance(value, Series) else float(value)
         lo, hi = self.f_range()
-        if not lo < v < hi:
-            raise EmbeddingRangeError(
+        taylor.require(
+            (lo < v) & (v < hi),
+            lambda: EmbeddingRangeError(
                 f"f = {v:.6g} outside the admissible range ({lo:.6g}, {hi:.6g})"
-            )
+            ),
+        )
         return value
 
     def evaluate(self, arg):

@@ -1,8 +1,8 @@
 """Null frames, shape operators, expansions and trapped-ness classification.
 
-One chart point runs through plain stage functions, in this order, each
-taking the point's `ChartGeometry` and the arrays or Series lists of the
-stages before it:
+One chart point, or a batch of them, runs through plain stage functions,
+in this order, each taking the `ChartGeometry` and the arrays or Series
+lists of the stages before it:
 
 1. `height`: the cone height u = psi^0, its gradient and its Hessian;
 2. `null_frame`: xi, the time axis and its normal part, nu and eta, as
@@ -13,7 +13,9 @@ stages before it:
    mean curvature vector H and <H, H>.
 
 `ExtrinsicPoint` runs them once and keeps the results; `point_report` is
-the one-point facade.
+the one-point facade.  On a batch every Series carries one column per
+point and every array a leading batch axis; component arrays handed to
+`spacetime.ambient_inner` put the component axis first.
 
 Conventions are the general-relativity ones throughout: the Gauss formula
 reads nabla^amb_X Y = nabla_X Y - II(X, Y) and the Weingarten map is
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import nullcone, spacetime, taylor
 from .immersion import ChartGeometry, Immersion, chart_geometry
-from .taylor import format_point
+from .taylor import Series, format_point
 
 MARGINAL_EPS = 1e-7
 
@@ -77,7 +79,8 @@ class ShapeDispatchError(ValueError):
 
 @dataclass(frozen=True)
 class ExtrinsicReport:
-    """Per-point extrinsic summary, the row format of the suite reports."""
+    """Per-point extrinsic summary, the row format of the suite reports;
+    each field holds one value per point on a batch."""
 
     point: np.ndarray
     u: float
@@ -123,7 +126,24 @@ def closed_forms(model, cone) -> tuple:
 
 
 def _values(series) -> np.ndarray:
-    return np.array([s.val for s in series])
+    """Values of a component list of Series, components last."""
+    return taylor.batch_first([s.val for s in series])
+
+
+def _comps(v: np.ndarray) -> np.ndarray:
+    """A component array (components last, after any batch axis) with its
+    component axis first, as `spacetime.ambient_inner` iterates it."""
+    return v.T
+
+
+def _col(a):
+    """Per-point scalars shaped to scale component arrays."""
+    return a[..., None] if isinstance(a, np.ndarray) else a
+
+
+def _mat(a):
+    """Per-point scalars shaped to scale (n, n) matrices."""
+    return a[..., None, None] if isinstance(a, np.ndarray) else a
 
 
 def height(geo: ChartGeometry):
@@ -146,12 +166,19 @@ def null_frame(geo: ChartGeometry):
     """
     model, cone = geo.immersion.model, geo.immersion.target_cone
     psi, dpsi, n = geo.psi, geo.dpsi, geo.dim
-    xi = nullcone.grad_F_components(cone, psi)
-    # future-normalize on the R > 0 component of a de Sitter section
-    if cone.variant == "desitter_alpha" and cone.scale(geo.psi0[0]) > 0.0:
-        xi = [-c for c in xi]
-    axis = [taylor.as_series(c, geo.ctx) for c in spacetime.time_axis(model, psi)]
-    b = [spacetime.ambient_inner(model, geo.f2, axis, dpsi[j]) for j in range(n)]
+    xi = nullcone.grad_F_components(cone, psi, geo.f)
+    if cone.variant == "desitter_alpha":
+        # future-normalize on the R > 0 component of a de Sitter section;
+        # scaling by -1 or 1 is negation or a copy, bit for bit
+        sign = np.where(cone.scale(geo.psi0[..., 0]) > 0.0, -1.0, 1.0)
+        xi = [c * taylor.as_value(sign) for c in xi]
+    axis = [taylor.as_series(c, geo.ctx, geo.batch) for c in spacetime.time_axis(model, psi)]
+    if model.kind == "desitter":
+        b = [spacetime.ambient_inner(model, geo.f2, axis, dpsi[j]) for j in range(n)]
+    else:
+        # the axis is (1, 0, ..., 0), so <axis, d_j psi> = -d_j psi^0; 0 - c
+        # gives what the ambient product gives, signs of zeros included
+        b = [Series(geo.ctx, 0.0 - dpsi[j][0].c) for j in range(n)]
     ginv = geo.g_inv_series
     coeff = [sum(ginv[i][j] * b[j] for j in range(n)) for i in range(n)]
     normal = []
@@ -161,10 +188,12 @@ def null_frame(geo: ChartGeometry):
             s = s - coeff[i] * dpsi[i][a]
         normal.append(s)
     nn = spacetime.ambient_inner(model, geo.f2, normal, normal)
-    if nn.val >= -1e-12:
-        raise FrameDegeneracyError(
+    taylor.reject(
+        nn.val >= -1e-12,
+        lambda: FrameDegeneracyError(
             f"time axis projects to a non-timelike normal at {format_point(geo.x)}"
-        )
+        ),
+    )
     scale = 1.0 / taylor.sqrt(-nn)
     nu = [scale * comp for comp in normal]
     eta = null_partner(geo, xi, nu, spacetime.ambient_inner(model, geo.f2, xi, nu))
@@ -178,8 +207,10 @@ def null_partner(geo: ChartGeometry, xi, nu, xi_dot_nu):
     share a time orientation.
     """
     c = xi_dot_nu
-    if c.val >= 0.0:
-        raise FrameDegeneracyError(f"<xi, nu> = {c.val:.3e} >= 0 at {format_point(geo.x)}")
+    taylor.reject(
+        c.val >= 0.0,
+        lambda: FrameDegeneracyError(f"<xi, nu> = {c.val:.3e} >= 0 at {format_point(geo.x)}"),
+    )
     a = -1.0 / (2.0 * c * c)
     b = -1.0 / c
     return [a * x + b * v for x, v in zip(xi, nu)]
@@ -189,9 +220,9 @@ def _directional(geo: ChartGeometry, field, df) -> list:
     """Components of nabla^amb_{d_j psi} N for each j, modulo quadric normals."""
     model = geo.immersion.model
     n0 = _values(field)
-    d = np.array([geo.partials(s) for s in field])
+    d = taylor.batch_first([s.c[s.ctx.first] for s in field], 2)
     return [
-        d[:, j] + spacetime.warped_connection_term(model, df, geo.tangents[j], n0)
+        d[..., j] + spacetime.warped_connection_term(model, df, geo.tangents[..., j, :], n0)
         for j in range(geo.dim)
     ]
 
@@ -203,10 +234,12 @@ def weingarten_map(geo: ChartGeometry, field, f2, df) -> np.ndarray:
     `spacetime.ambient_inner` and `spacetime.warped_connection_term`).
     """
     model, n = geo.immersion.model, geo.dim
-    m = np.zeros((n, n))
+    m = np.zeros(geo.x.shape[:-1] + (n, n))
     for j, dn in enumerate(_directional(geo, field, df)):
         for i in range(n):
-            m[i, j] = spacetime.ambient_inner(model, f2, dn, geo.tangents[i])
+            m[..., i, j] = spacetime.ambient_inner(
+                model, f2, _comps(dn), _comps(geo.tangents[..., i, :])
+            )
     return geo.g_inv0 @ m
 
 
@@ -218,15 +251,16 @@ def second_fundamental_form(geo: ChartGeometry, xi, eta, f2, df) -> np.ndarray:
     unordered pair is computed once.
     """
     model, n = geo.immersion.model, geo.dim
-    ii = np.zeros((n, n, len(xi)))
+    ii = np.zeros(xi.shape[:-1] + (n, n, xi.shape[-1]))
+    tangents = geo.tangents
     for i in range(n):
         for j in range(i, n):
-            w = geo.psi_second_partials[i, j] + spacetime.warped_connection_term(
-                model, df, geo.tangents[i], geo.tangents[j]
+            w = geo.psi_second_partials[..., i, j, :] + spacetime.warped_connection_term(
+                model, df, tangents[..., i, :], tangents[..., j, :]
             )
-            a = -spacetime.ambient_inner(model, f2, w, eta)
-            b = -spacetime.ambient_inner(model, f2, w, xi)
-            ii[i, j] = ii[j, i] = -(a * xi + b * eta)
+            a = -spacetime.ambient_inner(model, f2, _comps(w), _comps(eta))
+            b = -spacetime.ambient_inner(model, f2, _comps(w), _comps(xi))
+            ii[..., i, j, :] = ii[..., j, i, :] = -(_col(a) * xi + _col(b) * eta)
     return ii
 
 
@@ -234,22 +268,35 @@ def expansions(geo: ChartGeometry, a_xi, a_eta, ii, f2):
     """theta_xi and theta_eta (the traces of the xi and eta Weingarten maps
     over n), the mean curvature vector H = tr II / n and <H, H>."""
     n = geo.dim
-    h = np.zeros(ii.shape[-1])
+    h = np.zeros(ii.shape[:-3] + ii.shape[-1:])
     for i in range(n):
         for j in range(n):
-            h += geo.g_inv0[i, j] * ii[i, j]
+            h += _col(geo.g_inv0[..., i, j]) * ii[..., i, j, :]
     h = h / n
-    h_sq = float(spacetime.ambient_inner(geo.immersion.model, f2, h, h))
-    return float(np.trace(a_xi)) / n, float(np.trace(a_eta)) / n, h, h_sq
+    h_sq = taylor.as_value(spacetime.ambient_inner(geo.immersion.model, f2, _comps(h), _comps(h)))
+    theta_xi = taylor.as_value(np.trace(a_xi, axis1=-2, axis2=-1)) / n
+    theta_eta = taylor.as_value(np.trace(a_eta, axis1=-2, axis2=-1)) / n
+    return theta_xi, theta_eta, h, h_sq
+
+
+def _classify(m: float, eps: float) -> str:
+    """The trapped class of the mean-curvature sign quantity m."""
+    if m > eps:
+        return "past_trapped"
+    if abs(m) <= eps:
+        return "past_marginally_trapped"
+    return "untrapped"
 
 
 class ExtrinsicPoint:
-    """All extrinsic data of an immersion at one chart point.
+    """All extrinsic data of an immersion at one chart point (n,), or at
+    each point of a batch (B, n).
 
     The constructor runs the stages once, in pipeline order: chart
     geometry, `height`, `null_frame`, the xi and eta `weingarten_map`s,
     `second_fundamental_form` and `expansions`, and keeps every result as
-    a plain attribute.  The time-orthogonal Weingarten map, which only the
+    a plain attribute: floats and arrays at one point, with a leading batch
+    axis on a batch.  The time-orthogonal Weingarten map, which only the
     shape checks read, is built on first request and kept.
     """
 
@@ -262,7 +309,7 @@ class ExtrinsicPoint:
         self.geo = geo = chart_geometry(im, x)
         self.n = im.dim
         self.u, self.du, self.grad_u, self.grad_u_sq, hess = height(geo)
-        self.laplacian_u = float(np.einsum("ij,ij->", geo.g_inv0, hess))
+        self.laplacian_u = taylor.as_value(np.einsum("...ij,...ij->...", geo.g_inv0, hess))
         self.hess_u_mixed = geo.g_inv0 @ hess  # g^{ik} Hess_kj
         (
             self.xi_series,
@@ -276,7 +323,7 @@ class ExtrinsicPoint:
         self.nu = _values(self.nu_series)
         # the float point's warping factors, apart from the Series ones of
         # geo.f2: f^2 scales the metric, (f, f') enter the connection
-        t = geo.psi0[0]
+        t = geo.psi0[..., 0]
         self.f2 = spacetime.fiber_scale(model, t)
         self.df = model.warping.derivatives(t, 1) if model.warped else None
         self.warping_ratio = 0.0 if self.df is None else self.df[1] / self.df[0]
@@ -298,20 +345,20 @@ class ExtrinsicPoint:
         """
 
         def inner(a, b):
-            return spacetime.ambient_inner(self.model, self.f2, a, b)
+            return spacetime.ambient_inner(self.model, self.f2, _comps(a), _comps(b))
 
         xi, eta, nu = self.xi, self.eta, self.nu
         worst = abs(inner(xi, xi))
-        worst = max(worst, abs(inner(eta, eta)))
-        worst = max(worst, abs(inner(xi, eta) + 1.0))
-        worst = max(worst, abs(inner(nu, nu) + 1.0))
+        worst = taylor.column_max(worst, abs(inner(eta, eta)))
+        worst = taylor.column_max(worst, abs(inner(xi, eta) + 1.0))
+        worst = taylor.column_max(worst, abs(inner(nu, nu) + 1.0))
         for field in (xi, eta, nu):
-            for tangent in self.geo.tangents:
-                worst = max(worst, abs(inner(field, tangent)))
+            for i in range(self.n):
+                tangent = self.geo.tangents[..., i, :]
+                worst = taylor.column_max(worst, abs(inner(field, tangent)))
         t = _values(self.time_axis_series)
-        if inner(xi, nu) >= 0.0 or inner(eta, nu) >= 0.0 or inner(nu, t) >= 0.0:
-            worst = max(worst, 1.0)
-        return float(worst)
+        flipped = (inner(xi, nu) >= 0.0) | (inner(eta, nu) >= 0.0) | (inner(nu, t) >= 0.0)
+        return taylor.as_value(np.where(flipped, taylor.column_max(worst, 1.0), worst))
 
     # -- Weingarten maps --------------------------------------------------
 
@@ -345,16 +392,16 @@ class ExtrinsicPoint:
                 f"{model.kind} model; applicable: {applicable}"
             )
         eye = np.eye(self.n)
-        outer = np.outer(self.grad_u, self.du)
+        outer = self.grad_u[..., :, None] * self.du[..., None, :]
         if which == "time_orthogonal":
-            return self.hess_u_mixed + self.warping_ratio * (eye + outer)
+            return self.hess_u_mixed + _mat(self.warping_ratio) * (eye + outer)
         if which in ("minkowski_xi", "minkowski_eta"):
             if which == "minkowski_xi":
-                return eye
+                return np.broadcast_to(eye, self.hess_u_mixed.shape)
             u = self.u
             return (
-                -((1.0 + self.grad_u_sq) / (2.0 * u * u)) * eye
-                + self.hess_u_mixed / u
+                _mat(-((1.0 + self.grad_u_sq) / (2.0 * u * u))) * eye
+                + self.hess_u_mixed / _mat(u)
             )
         if which in ("warped_xi", "warped_eta"):
             if model.kind == "minkowski":
@@ -363,55 +410,55 @@ class ExtrinsicPoint:
                 f0, f1 = self.df
                 phi = model.warping.conformal_time(self.u, model.t0)
             if which == "warped_xi":
-                return ((f1 * phi + 1.0) / (f0 * f0)) * eye
+                return _mat((f1 * phi + 1.0) / (f0 * f0)) * eye
             gsq = self.grad_u_sq
             c0 = -((1.0 + gsq) / (2.0 * phi * phi) + f1 * (gsq - 1.0) / (2.0 * phi))
-            return c0 * eye + (f1 / phi) * outer + (f0 / phi) * self.hess_u_mixed
+            return _mat(c0) * eye + _mat(f1 / phi) * outer + _mat(f0 / phi) * self.hess_u_mixed
         a_xi = self._product_xi_chart()
         if which == "product_xi":
             return a_xi
         p = self.u - (model.t0 or 0.0)
         return (
-            -((1.0 + self.grad_u_sq) / (2.0 * p * p)) * a_xi
-            + self.hess_u_mixed / p
+            _mat(-((1.0 + self.grad_u_sq) / (2.0 * p * p))) * a_xi
+            + self.hess_u_mixed / _mat(p)
         )
 
     def _product_xi_chart(self) -> np.ndarray:
         """A_xi X = -<X, grad u> grad u + (nabla^M_{Xhat}(r Dr))^tangent."""
-        model = self.model
-        x_fib = self.geo.psi0[1:]
-        r, dr = spacetime.fiber_radial(model, x_fib)
-        rc = spacetime.radial_tangential_factor(model, r)
+        model, tangents = self.model, self.geo.tangents
+        r, dr = spacetime.fiber_radial(model, _comps(self.geo.psi0)[1:])
+        dr = np.stack(dr, axis=-1)
+        rc = _col(spacetime.radial_tangential_factor(model, r))
         signs = model.signature[1:]
         cols = []
         for j in range(self.n):
-            xhat = self.geo.tangents[j][1:]  # fiber part of Xhat = X - <X, grad u> dt
-            radial = float(np.sum(signs * xhat * dr))
-            v = radial * np.asarray(dr) + rc * (xhat - radial * np.asarray(dr))
-            v_amb = np.concatenate(([0.0], v))
-            m = np.array(
+            xhat = tangents[..., j, 1:]  # fiber part of Xhat = X - <X, grad u> dt
+            radial = _col(np.sum(signs * xhat * dr, axis=-1))
+            v = radial * dr + rc * (xhat - radial * dr)
+            v_amb = np.concatenate((np.zeros(v.shape[:-1] + (1,)), v), axis=-1)
+            m = np.stack(
                 [
-                    spacetime.ambient_inner(model, self.f2, v_amb, self.geo.tangents[i])
+                    spacetime.ambient_inner(
+                        model, self.f2, _comps(v_amb), _comps(tangents[..., i, :])
+                    )
                     for i in range(self.n)
-                ]
+                ],
+                axis=-1,
             )
-            cols.append(-self.du[j] * self.grad_u + self.geo.g_inv0 @ m)
-        return np.column_stack(cols)
+            cols.append(-_col(self.du[..., j]) * self.grad_u + np.matvec(self.geo.g_inv0, m))
+        return np.stack(cols, axis=-1)
 
     def shape_closed(self, which: str) -> np.ndarray:
         return self.to_frame(self.shape_closed_chart(which))
 
     # -- classification -----------------------------------------------------
 
-    def trapped_class(self, eps: float = MARGINAL_EPS) -> str:
-        if not self.cone.rules.trapped:
-            return "unclassified"
-        m = 2.0 * self.u * self.laplacian_u - self.n * (1.0 + self.grad_u_sq)
-        if m > eps:
-            return "past_trapped"
-        if abs(m) <= eps:
-            return "past_marginally_trapped"
-        return "untrapped"
+    def trapped_class(self, eps: float = MARGINAL_EPS):
+        """The class at the point, or an array of classes over a batch."""
+        if self.cone.rules.trapped:
+            m = 2.0 * self.u * self.laplacian_u - self.n * (1.0 + self.grad_u_sq)
+            return taylor.column_map(lambda v: _classify(v, eps), m)
+        return taylor.column_map(lambda v: "unclassified", self.u)
 
     def report(self, eps: float = MARGINAL_EPS) -> ExtrinsicReport:
         h_sq = self.h_sq
@@ -427,30 +474,6 @@ class ExtrinsicPoint:
             scal_intrinsic=self.geo.scal,
             trapped_class=self.trapped_class(eps),
         )
-
-    # -- normal connection -------------------------------------------------
-
-    def normal_connection_residual(self) -> float:
-        """Residual of the propagation law for the normal part of the time
-        axis: nabla^perp_X dt^perp = -(f'/f) <X, grad u> dt^perp - II(X, grad u).
-        """
-        model = self.model
-        if model.kind == "desitter":
-            raise ShapeDispatchError("the propagation law needs a warped-product model")
-        ratio = self.warping_ratio
-        xi0, eta0 = self.xi, self.eta
-        n0 = _values(self.time_orthogonal_series)
-        worst = 0.0
-        for j, dn in enumerate(_directional(self.geo, self.time_orthogonal_series, self.df)):
-            a = -spacetime.ambient_inner(model, self.f2, dn, eta0)
-            b = -spacetime.ambient_inner(model, self.f2, dn, xi0)
-            lhs = a * xi0 + b * eta0
-            ii = np.zeros(len(n0))
-            for i in range(self.n):
-                ii += self.grad_u[i] * self.ii[j, i]
-            rhs = -ratio * self.du[j] * n0 - ii
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
 
 
 # -- public operations ------------------------------------------------------

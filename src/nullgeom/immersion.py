@@ -2,9 +2,11 @@
 
 A submanifold enters the engine as a chart map into an ambient model's
 coordinates.  All differentiation happens through order-3 Taylor jets at a
-single base point, from which the induced metric is exact to order 2, the
+base point, from which the induced metric is exact to order 2, the
 Christoffel symbols to order 1, and the curvature tensor at order 0 --
-enough for every intrinsic quantity reported downstream.
+enough for every intrinsic quantity reported downstream.  The same code
+evaluates one point or a batch of points, the batch riding along as the
+trailing axis of every Series and the leading axis of every array.
 
 A metric can also be handed over directly in chart coordinates
 (`MetricChart`) when there is no ambient picture, e.g. model-space metrics
@@ -20,9 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import spacetime, taylor
-from .nullcone import NullconeSpec, require_on_cone
+from .nullcone import NullconeSpec, PointRejected, require_on_cone
 from .spacetime import AmbientModel
-from .taylor import ChartDomainError, Series, SmoothMap, format_point
+from .taylor import BatchRejected, ChartDomainError, DomainError, Series, SmoothMap, format_point
 
 JET_ORDER = 3
 
@@ -72,24 +74,65 @@ class Immersion:
     def dim(self) -> int:
         return self.map.n_inputs
 
-    def contains(self, x) -> bool:
-        if self.chart_domain is None:
-            return True
-        return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.chart_domain))
+    def contains(self, x):
+        """Whether x lies in the chart domain; a (B,) mask for a (B, n) batch."""
+        return taylor.in_box(x, self.chart_domain)
 
     def series(self, x, order: int, check_membership=True) -> list:
-        """The ambient coordinates psi at a chart point, as Series of `order`.
+        """The ambient coordinates psi at a chart point (n,), or at each point
+        of a batch (B, n), as Series of `order`.
 
         Raises `ChartDomainError` outside the chart domain and, unless
-        `check_membership` is off, `PointRejected` off the target cone.
+        `check_membership` is off, `PointRejected` off the target cone; on a
+        batch, `BatchRejected` with the failing columns.
         """
         x = np.asarray(x, dtype=np.float64)
-        if not self.contains(x):
-            raise ChartDomainError(f"chart point {format_point(x)} outside the immersion's domain")
+        taylor.require(
+            self.contains(x),
+            lambda: ChartDomainError(
+                f"chart point {format_point(x)} outside the immersion's domain"
+            ),
+        )
         psi = taylor.eval_series(self.map, x, order)
         if check_membership and self.target_cone is not None:
-            require_on_cone(self.target_cone, np.array([s.val for s in psi]))
+            psi0 = taylor.batch_first([s.val for s in psi])
+            if psi0.ndim == 1:
+                require_on_cone(self.target_cone, psi0)
+            else:
+                taylor.reject(_off_cone(self.target_cone, psi0), None)
         return psi
+
+
+def _off_cone(cone: NullconeSpec, psi0) -> np.ndarray:
+    """The columns of a batch of psi values (B, ambient) that
+    `require_on_cone` refuses, tested one float point at a time."""
+    bad = np.zeros(len(psi0), dtype=bool)
+    for b, p in enumerate(psi0):
+        try:
+            require_on_cone(cone, p)
+        except (PointRejected, DomainError):
+            bad[b] = True
+    return bad
+
+
+def _stacked(op, a, *args):
+    """A numpy.linalg `op` over a matrix or a stack of them; on a stack,
+    `LinAlgError` (which fails the whole stack) becomes `BatchRejected` for
+    the matrices that fail alone."""
+    try:
+        return op(a, *args)
+    except np.linalg.LinAlgError:
+        if a.ndim == 2:
+            raise
+        bad = np.zeros(len(a), dtype=bool)
+        for b in range(len(a)):
+            try:
+                op(a[b], *(arg[b] for arg in args))
+            except np.linalg.LinAlgError:
+                bad[b] = True
+        if not bad.any():
+            raise
+        raise BatchRejected(bad) from None
 
 
 @dataclass(frozen=True)
@@ -114,40 +157,67 @@ def _smat_mul(a, b):
 
 
 class ChartGeometry:
-    """Order-3 metric jet at one chart point and everything derived from it.
+    """Order-3 metric jet at a chart point, or at each point of a batch, and
+    everything derived from it.
 
     Built either from an immersion (metric pulled back through the ambient
-    inner product of the derivative series `dpsi`, at the fiber scale `f2`
-    of the Series time psi^0) or from a metric chart.  Quantities are
-    computed lazily and cached.
+    inner product of the derivative series `dpsi`, at the fiber scale
+    `f2 = f * f` of the warping profile f of the Series time psi^0) or from
+    a metric chart.  At one point `x` has shape (n,) and arrays the shapes
+    noted below; on a batch `x` is (B, n), every Series carries B columns
+    and every array a leading batch axis.  Quantities are computed lazily
+    and cached.
     """
 
-    def __init__(self, x, g_series, psi=None, dpsi=None, f2=None, immersion=None, name=""):
+    def __init__(self, x, g_series, psi=None, dpsi=None, f=None, f2=None, immersion=None,
+                 name=""):
         self.x = np.asarray(x, dtype=np.float64)
         self.g_series = g_series
-        self.dim = len(g_series)
+        self.dim = n = len(g_series)
         self.ctx = g_series[0][0].ctx
-        self.coords = [Series.variable(self.ctx, i, self.x[i]) for i in range(self.dim)]
+        self.batch = g_series[0][0].batch
+        self.coords = [Series.variable(self.ctx, i, self.x[..., i]) for i in range(n)]
         self.psi = psi
         self.dpsi = dpsi
+        self.f = f
         self.f2 = f2
         self.immersion = immersion
         self.name = name
-        g0 = np.array([[g_series[i][j].val for j in range(self.dim)] for i in range(self.dim)])
-        g0 = 0.5 * (g0 + g0.T)
-        eigs = np.linalg.eigvalsh(g0)
-        if eigs[0] <= _EIG_FLOOR:
-            raise MetricSignatureError(
+        g0 = taylor.batch_first([[s.val for s in row] for row in g_series], 2)
+        g0 = 0.5 * (g0 + np.swapaxes(g0, -1, -2))
+        lowest = _stacked(np.linalg.eigvalsh, g0)[..., 0]
+        taylor.reject(
+            lowest <= _EIG_FLOOR,
+            lambda: MetricSignatureError(
                 f"induced metric at {format_point(self.x)} is not positive definite "
-                f"(min eigenvalue {eigs[0]:.3e})"
-            )
+                f"(min eigenvalue {lowest:.3e})"
+            ),
+        )
         self.g0 = g0
         try:
-            self.g_inv0 = np.linalg.inv(g0)
+            self.g_inv0 = _stacked(np.linalg.inv, g0)
         except np.linalg.LinAlgError:
             raise MetricSignatureError(
                 f"induced metric at {format_point(self.x)} is singular"
             ) from None
+
+    def column(self, b: int) -> "ChartGeometry":
+        """The one-point geometry of batch column b, sliced from this one."""
+
+        def col(s):
+            return None if s is None else Series(s.ctx, s.c[:, b].copy())
+
+        geo = object.__new__(ChartGeometry)
+        geo.x = self.x[b]
+        geo.g_series = [[col(s) for s in row] for row in self.g_series]
+        geo.dim, geo.ctx, geo.batch = self.dim, self.ctx, None
+        geo.coords = [col(s) for s in self.coords]
+        geo.psi = None if self.psi is None else [col(s) for s in self.psi]
+        geo.dpsi = None if self.dpsi is None else [[col(s) for s in row] for row in self.dpsi]
+        geo.f, geo.f2 = col(self.f), col(self.f2)
+        geo.immersion, geo.name = self.immersion, self.name
+        geo.g0, geo.g_inv0 = self.g0[b], self.g_inv0[b]
+        return geo
 
     def rescaled(self, lam: Series) -> "ChartGeometry":
         """Geometry of the conformal metric lam^2 g at the same point."""
@@ -163,12 +233,12 @@ class ChartGeometry:
 
     @cached_property
     def psi0(self) -> np.ndarray:
-        return np.array([s.val for s in self.psi])
+        return taylor.batch_first([s.val for s in self.psi])
 
     @cached_property
     def tangents(self) -> np.ndarray:
         """Coordinate tangent vectors d_i psi, shape (dim, ambient)."""
-        return np.stack([self.partials(s) for s in self.psi], axis=1)
+        return np.stack([self.partials(s) for s in self.psi], axis=-1)
 
     @cached_property
     def psi_second_partials(self) -> np.ndarray:
@@ -177,12 +247,17 @@ class ChartGeometry:
 
     # -- metric jet algebra ---------------------------------------------
 
+    def _entries(self, a: np.ndarray) -> np.ndarray:
+        """a with any batch axis moved last, so a[i, j] is an entry's value
+        at the point or its (B,) values over the batch."""
+        return a if self.batch is None else np.moveaxis(a, 0, -1)
+
     @cached_property
     def g_inv_series(self):
         # Neumann series around the point value: (I + A0inv E)^-1 A0inv
         n = self.dim
-        a0inv = self.g_inv0
-        e = [[self.g_series[i][j] - self.g0[i, j] for j in range(n)] for i in range(n)]
+        a0inv, g0 = self._entries(self.g_inv0), self._entries(self.g0)
+        e = [[self.g_series[i][j] - g0[i, j] for j in range(n)] for i in range(n)]
         m = [
             [sum(a0inv[i, l] * e[l][j] for l in range(n)) for j in range(n)]
             for i in range(n)
@@ -225,14 +300,9 @@ class ChartGeometry:
 
     @cached_property
     def christoffel(self) -> np.ndarray:
-        n = self.dim
-        out = np.zeros((n, n, n))
+        """Gamma^k_ij values, shape (dim, dim, dim)."""
         gs = self.christoffel_series
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[k, i, j] = gs[k][i][j].val
-        return out
+        return taylor.batch_first([[[s.val for s in row] for row in plane] for plane in gs], 3)
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -240,32 +310,25 @@ class ChartGeometry:
         n = self.dim
         gs = self.christoffel_series
         gamma = self.christoffel
-        dgamma = np.zeros((n, n, n, n))  # [i, l, j, k] = d_i Gamma^l_jk
-        for i in range(n):
-            for l in range(n):
-                for j in range(n):
-                    for k in range(j, n):
-                        v = gs[l][j][k].derivative(i).val
-                        dgamma[i, l, j, k] = v
-                        dgamma[i, l, k, j] = v
-        r = np.zeros((n, n, n, n))
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        v = dgamma[i, l, j, k] - dgamma[j, l, i, k]
-                        v += np.dot(gamma[l, i, :], gamma[:, j, k])
-                        v -= np.dot(gamma[l, j, :], gamma[:, i, k])
-                        r[l, i, j, k] = v
-        return r
+        first = self.ctx.first
+        # d_i Gamma^l_jk, indexed [l, j, k, i]: the first partials of the series
+        dgamma = taylor.batch_first(
+            [[[gs[l][j][k].c[first] for k in range(n)] for j in range(n)] for l in range(n)], 4
+        )
+        # [l, i, j, k] = d_i Gamma^l_jk and d_j Gamma^l_ik
+        d_i = dgamma.swapaxes(-1, -2).swapaxes(-2, -3)
+        d_j = dgamma.swapaxes(-1, -2)
+        # [l, i, j, k] = Gamma^l_im Gamma^m_jk, summed over m as np.dot sums
+        g_lim = gamma[..., :, :, None, None, :]
+        g_mjk = gamma.swapaxes(-3, -2).swapaxes(-2, -1)[..., None, None, :, :, :]
+        quad = np.vecdot(g_lim, g_mjk)
+        return d_i - d_j + quad - quad.swapaxes(-3, -2)
 
     @cached_property
-    def scal(self) -> float:
+    def scal(self):
         # Ricci as the trace over the first slot; sign fixed by Scal(S^n) = +n(n-1)
-        n = self.dim
-        r = self.riemann
-        ric = np.einsum("iijk->jk", r.reshape(n, n, n, n))
-        return float(np.einsum("jk,jk->", self.g_inv0, ric))
+        ric = np.einsum("...iijk->...jk", self.riemann)
+        return taylor.as_value(np.einsum("...jk,...jk->...", self.g_inv0, ric))
 
     @cached_property
     def onf(self) -> np.ndarray:
@@ -273,48 +336,56 @@ class ChartGeometry:
 
         Cholesky of the metric, i.e. Gram-Schmidt on the coordinate basis.
         """
-        l = np.linalg.cholesky(self.g0)
-        return np.linalg.solve(l, np.eye(self.dim)).T
+        l = _stacked(np.linalg.cholesky, self.g0)
+        eye = np.broadcast_to(np.eye(self.dim), l.shape)
+        return np.swapaxes(_stacked(np.linalg.solve, l, eye), -1, -2)
 
     # -- scalar fields on the chart --------------------------------------
 
     def scalar_series(self, h) -> Series:
         fn = h.fn if isinstance(h, SmoothMap) else h
-        return taylor.as_series(fn(self.coords), self.ctx)
+        return taylor.as_series(fn(self.coords), self.ctx, self.batch)
 
     def partials(self, s: Series) -> np.ndarray:
-        return s.c[s.ctx.first]
+        return s.slots(s.ctx.first)
 
     def second_partials(self, s: Series) -> np.ndarray:
-        return s.c[s.ctx.second] * s.ctx.second_fac
+        return s.slots(s.ctx.second) * s.ctx.second_fac
 
     def gradient(self, s: Series):
         """Contravariant gradient components and its squared norm."""
         dh = self.partials(s)
-        comps = self.g_inv0 @ dh
-        return comps, float(dh @ comps)
+        comps = np.matvec(self.g_inv0, dh)
+        return comps, taylor.as_value(np.vecdot(dh, comps))
 
     def covariant_hessian(self, s: Series) -> np.ndarray:
         """Hess_ij = d_i d_j h - Gamma^k_ij d_k h, chart components."""
         dh = self.partials(s)
-        return self.second_partials(s) - np.einsum("kij,k->ij", self.christoffel, dh)
+        return self.second_partials(s) - np.einsum("...kij,...k->...ij", self.christoffel, dh)
 
-    def laplacian(self, s: Series) -> float:
-        return float(np.einsum("ij,ij->", self.g_inv0, self.covariant_hessian(s)))
+    def laplacian(self, s: Series):
+        return taylor.as_value(
+            np.einsum("...ij,...ij->...", self.g_inv0, self.covariant_hessian(s))
+        )
 
 
 def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGeometry:
     psi = im.series(x, JET_ORDER, check_membership)
     n = im.dim
     dpsi = [[comp.derivative(i) for comp in psi] for i in range(n)]
-    f2 = spacetime.fiber_scale(im.model, psi[0])
+    # the profile f at the Series time, kept for the cone gradient; f^2 is
+    # `spacetime.fiber_scale` of the same time
+    f = im.model.warping(psi[0]) if im.model.warped else None
+    f2 = None if f is None else f * f
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             s = spacetime.ambient_inner(im.model, f2, dpsi[i], dpsi[j])
             g[i][j] = s
             g[j][i] = s
-    return ChartGeometry(x, g, psi=psi, dpsi=dpsi, f2=f2, immersion=im, name=im.map.name)
+    return ChartGeometry(
+        x, g, psi=psi, dpsi=dpsi, f=f, f2=f2, immersion=im, name=im.map.name
+    )
 
 
 def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
@@ -333,27 +404,13 @@ def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
 
 
 def chart_geometry(obj, x, check_membership=True) -> ChartGeometry:
-    """Metric jet of an `Immersion` or a `MetricChart` at a chart point."""
+    """Metric jet of an `Immersion` at a chart point (n,) or a batch (B, n)
+    of them, or of a `MetricChart` at a chart point."""
     if isinstance(obj, Immersion):
         return _geometry_from_immersion(obj, x, check_membership=check_membership)
     if isinstance(obj, MetricChart):
         return _geometry_from_metric(obj, x)
     raise TypeError(f"expected Immersion or MetricChart, got {type(obj).__name__}")
-
-
-def intrinsic_gradient(obj, h, x):
-    """Gradient of a chart scalar field: (contravariant components, |grad h|^2)."""
-    geo = chart_geometry(obj, x)
-    return geo.gradient(geo.scalar_series(h))
-
-
-def hessian_laplacian(obj, h, x):
-    """Covariant Hessian in the orthonormal tangent frame and the Laplacian."""
-    geo = chart_geometry(obj, x)
-    hess = geo.covariant_hessian(geo.scalar_series(h))
-    b = geo.onf
-    hess_onf = b.T @ hess @ b
-    return hess_onf, float(np.trace(hess_onf))
 
 
 def pullback_metric_chart(chart_map: SmoothMap, signs=None, name="") -> MetricChart:

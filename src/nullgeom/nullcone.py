@@ -177,8 +177,12 @@ def _reject_radial(exc: PrimitiveDomainError, p) -> PointRejected:
                          "fiber base point: radial direction undefined")
 
 
-def grad_F_components(spec: NullconeSpec, p):
-    """Half the ambient gradient of F, as a component list (Series-capable)."""
+def grad_F_components(spec: NullconeSpec, p, f=None):
+    """Half the ambient gradient of F, as a component list (Series-capable).
+
+    On a GRW cone, `f` is the warping profile at p's time when the caller
+    already holds it (the chart geometry does), so it is not evaluated twice.
+    """
     m = spec.model
     if len(p) != m.coord_count:
         raise ValueError("point dimension does not match the model")
@@ -197,10 +201,13 @@ def grad_F_components(spec: NullconeSpec, p):
     t = p[0]
     phi = m.warping.conformal_time(t, m.t0)
     phi_val = phi.val if isinstance(phi, Series) else phi
-    if phi_val < VERTEX_EPS:
-        raise PointRejected(RejectionReason.VERTEX_EXCLUSION, None if is_series else p,
-                            f"conformal time {phi_val:.3e} below {VERTEX_EPS:.0e}")
-    f = m.warping(t)
+    taylor.reject(
+        phi_val < VERTEX_EPS,
+        lambda: PointRejected(RejectionReason.VERTEX_EXCLUSION, None if is_series else p,
+                              f"conformal time {phi_val:.3e} below {VERTEX_EPS:.0e}"),
+    )
+    if f is None:
+        f = m.warping(t)
     try:
         r, dr = fiber_radial(m, p[1:])
     except PrimitiveDomainError as exc:

@@ -29,7 +29,6 @@ __all__ = [
     "ambient_inner",
     "warped_connection_term",
     "time_axis",
-    "desitter_embed",
     "fiber_radial",
     "fiber_radius_sq",
     "radial_tangential_factor",
@@ -85,15 +84,18 @@ class WarpingFunction:
         if self.kind == "custom" and not self.expr:
             raise ValueError("custom warping needs an expression in t")
 
-    def _check_domain(self, v: float):
+    def _check_domain(self, v):
+        """v: a float time, or the (B,) array of a batch's times."""
         lo, hi = self.domain
-        if not lo < v < hi:
-            raise WarpingDomainError(f"time {v} outside warping domain ({lo}, {hi})")
+        taylor.require(
+            (lo < v) & (v < hi),
+            lambda: WarpingDomainError(f"time {v} outside warping domain ({lo}, {hi})"),
+        )
 
     def _raw(self, t):
         if self.kind == "constant":
             if isinstance(t, Series):
-                return Series.constant(t.ctx, self.params[0])
+                return Series.constant(t.ctx, self.params[0], t.batch)
             return self.params[0]
         if self.kind == "exp":
             return taylor.exp(t)
@@ -107,39 +109,41 @@ class WarpingFunction:
         return _compiled_profile(self.expr)([t])
 
     def __call__(self, t):
+        """f at a float or Series time t; a (B,) array of times is evaluated
+        one float at a time."""
+        if isinstance(t, np.ndarray) and t.ndim:
+            return taylor.column_map(self, t)
         v = t.val if isinstance(t, Series) else float(t)
         self._check_domain(v)
         out = self._raw(t)
         val = out.val if isinstance(out, Series) else out
-        if not val > 0.0:
-            raise WarpingDomainError(f"warping function nonpositive at t={v}")
+        taylor.require(
+            val > 0.0,
+            lambda: WarpingDomainError(f"warping function nonpositive at t={v}"),
+        )
         return out
 
     def value(self, t: float) -> float:
         return float(self(float(t)))
 
-    def derivatives(self, t: float, order: int = 2):
-        """(f, f', ..., f^(order)) at t."""
+    def derivatives(self, t, order: int = 2):
+        """(f, f', ..., f^(order)) at t, a float or the (B,) array of a batch."""
         ctx = get_context(1, order)
-        s = self(Series.variable(ctx, 0, float(t)))
+        s = self(Series.variable(ctx, 0, taylor.as_value(t)))
         return tuple(s.c[k] * math.factorial(k) for k in range(order + 1))
 
     def slope(self, t: float) -> float:
         return self.derivatives(t, 1)[1]
 
     def conformal_time(self, t, t0: float):
-        """Integral of ds/f(s) from t0 to t; accepts a Series argument."""
+        """Integral of ds/f(s) from t0 to t; accepts a Series argument, and
+        a (B,) array of times, evaluated one float at a time."""
         self._check_domain(float(t0))
         if isinstance(t, Series):
-            v = t.val
-            f0, f1, f2 = self.derivatives(v, 2)
-            table = (
-                self.conformal_time(v, t0),
-                1.0 / f0,
-                -f1 / f0 ** 2,
-                (2.0 * f1 ** 2 - f0 * f2) / f0 ** 3,
-            )
+            table = taylor.column_table(lambda v: self._conformal_table(v, t0), t.val)
             return compose_univariate(t, table[: t.ctx.order + 1])
+        if isinstance(t, np.ndarray) and t.ndim:
+            return taylor.column_map(lambda v: self.conformal_time(v, t0), t)
         v = float(t)
         self._check_domain(v)
         if self.kind == "constant":
@@ -153,6 +157,16 @@ class WarpingFunction:
         if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
             raise ArithmeticError(f"quadrature of 1/f failed on [{t0}, {v}]")
         return val
+
+    def _conformal_table(self, v: float, t0: float):
+        """The derivative table of the conformal time at the float time v."""
+        f0, f1, f2 = self.derivatives(v, 2)
+        return (
+            self.conformal_time(v, t0),
+            1.0 / f0,
+            -f1 / f0 ** 2,
+            (2.0 * f1 ** 2 - f0 * f2) / f0 ** 3,
+        )
 
 
 @dataclass(frozen=True)
@@ -265,8 +279,9 @@ def ambient_inner(model: AmbientModel, f2, v, w):
 
 
 def warped_connection_term(model: AmbientModel, df, a, b) -> np.ndarray:
-    """Ambient Christoffel correction Gamma(a, b) of float component arrays,
-    where df = (f, f') at the point's time (`WarpingFunction.derivatives(t, 1)`).
+    """Ambient Christoffel correction Gamma(a, b) of float component arrays
+    (components last, after any batch axis), where df = (f, f') at the
+    point's time (`WarpingFunction.derivatives(t, 1)`).
 
     Zero for the flat kinds, which pass df = None.  For the cosmological
     kinds this is the warped part of the connection; the curved-fiber
@@ -274,13 +289,16 @@ def warped_connection_term(model: AmbientModel, df, a, b) -> np.ndarray:
     metrically orthogonal to every spacetime-tangent field and therefore
     omitted (tangential projections never see them).
     """
-    out = np.zeros(model.coord_count)
+    out = np.zeros(np.shape(a))
     if not model.warped:
         return out
     f, fp = df
-    flat = float(np.sum(model.signature[1:] * a[1:] * b[1:]))
-    out[0] = f * fp * flat
-    out[1:] = (fp / f) * (a[0] * b[1:] + b[0] * a[1:])
+    flat = np.sum(model.signature[1:] * a[..., 1:] * b[..., 1:], axis=-1)
+    out[..., 0] = f * fp * flat
+    ratio = fp / f
+    if isinstance(ratio, np.ndarray):
+        ratio = ratio[..., None]  # one per batch column
+    out[..., 1:] = ratio * (a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:])
     return out
 
 
@@ -298,17 +316,6 @@ def time_axis(model: AmbientModel, p):
     ch = taylor.sqrt(1.0 + x1 * x1)
     scale = x1 / ch
     return [ch] + [scale * x for x in p[1:]]
-
-
-def desitter_embed(t, q):
-    """(t, q) on -R x_cosh S^{n+1} -> point of the unit hyperquadric."""
-    if not any(isinstance(x, Series) for x in [t, *q]):
-        qa = np.asarray(q, dtype=float)
-        if abs(math.sqrt(float(np.dot(qa, qa))) - 1.0) > 1e-12:
-            raise ValueError("q must be a unit vector")
-        return np.concatenate(([math.sinh(float(t))], math.cosh(float(t)) * qa))
-    ch = taylor.cosh(t)
-    return [taylor.sinh(t)] + [ch * x for x in q]
 
 
 def fiber_constraint(model: AmbientModel, x):
@@ -364,7 +371,7 @@ def radial_tangential_factor(model: AmbientModel, r):
     """r * c(r) with Hess r = c(r)(g - dr (x) dr) on the fiber space form."""
     kind = model.fiber_kind
     if kind == "euclidean":
-        return Series.constant(r.ctx, 1.0) if isinstance(r, Series) else 1.0
+        return Series.constant(r.ctx, 1.0, r.batch) if isinstance(r, Series) else 1.0
     if kind == "sphere":
         return r * taylor.cos(r) / taylor.sin(r)
     return r / taylor.tanh(r)

@@ -10,9 +10,18 @@ central finite-difference oracle over the same callables.
 Internally a scalar quantity is a dense coefficient vector indexed by the
 multi-indices of total degree <= order in graded lexicographic order; the
 stored numbers are Taylor coefficients (partial derivative over factorial
-of the multi-index), so multiplication is a truncated convolution.  That
-convolution is the hot kernel: one `np.bincount` over the context's
-(i, j, k) table, accumulating in table order.
+of the multi-index), so multiplication is a truncated convolution.  A batch
+of B chart points carries one coefficient column per point, shape
+(n_terms, B); one point has no batch axis.  The convolution is the hot
+kernel: one `np.bincount` over the context's (i, j, k) table, with slot
+k*B + b for column b, so each column accumulates in table order exactly as
+a single point does.  Derivative tables of the primitives are computed one
+column at a time with `math`, whose last bits numpy's ufuncs do not always
+reproduce.
+
+A check that fails at one point raises its typed error; on a batch it
+raises `BatchRejected` with the mask of failing columns, and evaluating
+those columns one at a time raises the typed error with its detail.
 """
 
 from __future__ import annotations
@@ -66,8 +75,95 @@ class StencilDomainError(DomainError):
         super().__init__(f"stencil point {self.stencil_point} {reason}")
 
 
+class BatchRejected(Exception):
+    """Columns of a batch that failed a check; `mask` flags them.
+
+    Deliberately neither a `DomainError` nor a `ValueError`, so that no
+    handler of typed rejections catches it: the caller re-evaluates the
+    flagged columns one at a time to get their typed errors.
+    """
+
+    def __init__(self, mask):
+        self.mask = np.asarray(mask, dtype=bool)
+        super().__init__(f"{int(self.mask.sum())} of {self.mask.size} columns rejected")
+
+
+def reject(bad, error):
+    """Raise for failing columns: `error()` when `bad` is one point's flag,
+    `BatchRejected(bad)` when it is a batch's (B,) mask with any set."""
+    if not isinstance(bad, np.ndarray) or not bad.ndim:
+        if bad:
+            raise error()
+    elif bad.any():
+        raise BatchRejected(bad)
+
+
+def require(ok, error):
+    """Raise where `ok` fails: `error()` when `ok` is one point's flag,
+    `BatchRejected` of the failing columns when it is a batch's (B,) mask.
+
+    The complement of `reject`, for checks stated as a condition that must
+    hold, so that a NaN fails them as it does `if not ok: raise`."""
+    if isinstance(ok, np.ndarray) and ok.ndim:
+        if not ok.all():
+            raise BatchRejected(~ok)
+    elif not ok:
+        raise error()
+
+
+def as_value(x):
+    """A per-point value as a float, or as the (B,) array of a batch."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x
+    return float(x)
+
+
+def column_max(a, b):
+    """Python's max(a, b) of two values, or per column of a batch: a unless
+    b is greater."""
+    return np.where(b > a, b, a)
+
+
+def batch_first(values, depth: int = 1) -> np.ndarray:
+    """The array of `depth`-deep nested lists of per-point values (floats,
+    or (B,) arrays), with the batch axis first and C-contiguous."""
+    out = np.array(values)
+    return out if out.ndim == depth else np.ascontiguousarray(np.moveaxis(out, -1, 0))
+
+
+def _per_column(fn, values) -> list:
+    out = []
+    bad = np.zeros(len(values), dtype=bool)
+    for b, v in enumerate(values.tolist()):
+        try:
+            out.append(fn(v))
+        except DomainError:
+            bad[b] = True
+    if bad.any():
+        raise BatchRejected(bad)
+    return out
+
+
+def column_map(fn, values):
+    """fn of a float value, or of each column of a (B,) array, as an array.
+
+    A column whose call raises a `DomainError` is rejected."""
+    if not isinstance(values, np.ndarray) or not values.ndim:
+        return fn(values)
+    return np.array(_per_column(fn, values))
+
+
+def column_table(fn, values):
+    """A derivative table [g(v), g'(v), ...] of a float v, or, for a (B,)
+    array, the list of per-entry arrays over its columns."""
+    if not isinstance(values, np.ndarray) or not values.ndim:
+        return fn(values)
+    return [np.array(entry) for entry in zip(*_per_column(fn, values))]
+
+
 class JetContext:
-    """Index tables for one (n_inputs, order) pair; cached and immutable.
+    """Index tables for one (n_inputs, order) pair; cached, and immutable
+    apart from the memo of `product_slots` per batch size.
 
     `first[i]` is the slot of d/dx_i; `second[i, j]` is the slot of
     d^2/dx_i dx_j, whose Taylor coefficient times `second_fac[i, j]` (2 on
@@ -78,7 +174,7 @@ class JetContext:
     __slots__ = (
         "n", "order", "alphas", "index", "n_terms", "factorials",
         "mul_ti", "mul_tj", "mul_tk", "deriv_src", "deriv_fac",
-        "first", "second", "second_fac",
+        "first", "second", "second_fac", "deriv_fac_column", "_slots",
     )
 
     def __init__(self, n: int, order: int):
@@ -125,6 +221,8 @@ class JetContext:
                 fac[v, b] = beta[v] + 1
         self.deriv_src = src
         self.deriv_fac = fac
+        self.deriv_fac_column = fac[:, :, None]
+        self._slots = {}
         units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
         self.first = np.array([self.index[e] for e in units]) if order >= 1 else None
         self.second = self.second_fac = None
@@ -134,6 +232,14 @@ class JetContext:
             )
             self.second_fac = 1.0 + np.eye(n)
 
+    def product_slots(self, batch: int) -> np.ndarray:
+        """Output slot k*batch + b of each table term and column, flattened."""
+        slots = self._slots.get(batch)
+        if slots is None:
+            slots = (self.mul_tk[:, None] * batch + np.arange(batch)).ravel()
+            self._slots[batch] = slots
+        return slots
+
 
 @lru_cache(maxsize=None)
 def get_context(n: int, order: int) -> JetContext:
@@ -141,31 +247,52 @@ def get_context(n: int, order: int) -> JetContext:
 
 
 class Series:
-    """One scalar quantity as a truncated Taylor expansion in the chart variables."""
+    """One scalar quantity as a truncated Taylor expansion in the chart variables.
+
+    `c` has shape (n_terms,) at one chart point and (n_terms, B) for a batch
+    of B points.  Scalars combined with a batch may be floats or (B,) arrays
+    of per-column values.
+    """
 
     __slots__ = ("ctx", "c")
+    # ndarray (op) Series must reach the reflected Series methods below,
+    # not build an object array
+    __array_ufunc__ = None
 
     def __init__(self, ctx: JetContext, coeffs: np.ndarray):
         self.ctx = ctx
         self.c = coeffs
 
     @classmethod
-    def constant(cls, ctx: JetContext, value: float) -> "Series":
-        c = np.zeros(ctx.n_terms)
+    def constant(cls, ctx: JetContext, value, batch=None) -> "Series":
+        c = np.zeros(ctx.n_terms if batch is None else (ctx.n_terms, batch))
         c[0] = value
         return cls(ctx, c)
 
     @classmethod
-    def variable(cls, ctx: JetContext, i: int, value: float) -> "Series":
-        c = np.zeros(ctx.n_terms)
+    def variable(cls, ctx: JetContext, i: int, value) -> "Series":
+        """x_i at a float value, or at the (B,) array of a batch."""
+        value = as_value(value)
+        c = np.zeros((ctx.n_terms,) + (value.shape if isinstance(value, np.ndarray) else ()))
         c[0] = value
         if ctx.order >= 1:
             c[ctx.first[i]] = 1.0
         return cls(ctx, c)
 
     @property
-    def val(self) -> float:
-        return float(self.c[0])
+    def batch(self) -> Optional[int]:
+        """The number of columns, None at one point."""
+        return self.c.shape[1] if self.c.ndim == 2 else None
+
+    @property
+    def val(self):
+        """The value: a float at one point, a (B,) array on a batch."""
+        return float(self.c[0]) if self.c.ndim == 1 else self.c[0]
+
+    def slots(self, index) -> np.ndarray:
+        """Coefficients at the slot array `index`, the batch axis first."""
+        out = self.c[index]
+        return out if self.c.ndim == 1 else np.moveaxis(out, -1, 0)
 
     def copy(self) -> "Series":
         return Series(self.ctx, self.c.copy())
@@ -177,7 +304,8 @@ class Series:
         truncated expansion and are set to zero.
         """
         ctx = self.ctx
-        return Series(ctx, self.c[ctx.deriv_src[v]] * ctx.deriv_fac[v])
+        fac = ctx.deriv_fac[v] if self.c.ndim == 1 else ctx.deriv_fac_column[v]
+        return Series(ctx, self.c[ctx.deriv_src[v]] * fac)
 
     def __add__(self, other):
         if isinstance(other, Series):
@@ -204,15 +332,23 @@ class Series:
         if isinstance(other, Series):
             ctx = self.ctx
             terms = self.c[ctx.mul_ti] * other.c[ctx.mul_tj]
-            return Series(ctx, np.bincount(ctx.mul_tk, terms, ctx.n_terms))
-        return Series(self.ctx, self.c * float(other))
+            if terms.ndim == 1:
+                return Series(ctx, np.bincount(ctx.mul_tk, terms, ctx.n_terms))
+            batch = terms.shape[1]
+            out = np.bincount(ctx.product_slots(batch), terms.ravel(), ctx.n_terms * batch)
+            return Series(ctx, out.reshape(ctx.n_terms, batch))
+        if not isinstance(other, np.ndarray):
+            other = float(other)
+        return Series(self.ctx, self.c * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Series):
             return self * _reciprocal(other)
-        return Series(self.ctx, self.c / float(other))
+        if not isinstance(other, np.ndarray):
+            other = float(other)
+        return Series(self.ctx, self.c / other)
 
     def __rtruediv__(self, other):
         return _reciprocal(self) * other
@@ -230,7 +366,7 @@ class Series:
             k = int(p)
             if k < 0:
                 return _reciprocal(self.__pow__(-k))
-            result = Series.constant(self.ctx, 1.0)
+            result = Series.constant(self.ctx, 1.0, self.batch)
             base = self
             while k:
                 if k & 1:
@@ -239,12 +375,14 @@ class Series:
                 k >>= 1
             return result
         v = self.val
-        if v <= 0.0:
-            raise PrimitiveDomainError("pow", v)
+        reject(v <= 0.0, lambda: PrimitiveDomainError("pow", v))
         p = float(p)
-        table = [v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2),
-                 p * (p - 1) * (p - 2) * v ** (p - 3)]
-        return _compose(self, table)
+
+        def table(v):
+            return [v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2),
+                    p * (p - 1) * (p - 2) * v ** (p - 3)]
+
+        return _compose(self, column_table(table, v))
 
     def __rpow__(self, base):
         b = float(base)
@@ -253,16 +391,17 @@ class Series:
         return exp(self * math.log(b))
 
     def __repr__(self):
-        return f"Series(n={self.ctx.n}, order={self.ctx.order}, val={self.val})"
+        return f"Series(n={self.ctx.n}, order={self.ctx.order}, batch={self.batch})"
 
 
 def _compose(x: Series, deriv_values) -> Series:
-    """Series of g(x) given derivative values [g(x0), g'(x0), ...] at x0 = x.val."""
+    """Series of g(x) given derivative values [g(x0), g'(x0), ...] at x0 = x.val
+    (floats, or (B,) arrays on a batch)."""
     ctx = x.ctx
     order = ctx.order
     ftilde = x.copy()
     ftilde.c[0] = 0.0
-    result = Series.constant(ctx, deriv_values[order] / math.factorial(order))
+    result = Series.constant(ctx, deriv_values[order] / math.factorial(order), x.batch)
     for k in range(order - 1, -1, -1):
         result = result * ftilde
         result.c[0] += deriv_values[k] / math.factorial(k)
@@ -281,24 +420,29 @@ def compose_univariate(x: Series, deriv_values) -> Series:
     return _compose(x, deriv_values)
 
 
+def _reciprocal_table(v):
+    return [1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4]
+
+
 def _reciprocal(x: Series) -> Series:
     v = x.val
-    if v == 0.0:
-        raise PrimitiveDomainError("reciprocal", v)
-    return _compose(x, [1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4])
+    reject(v == 0.0, lambda: PrimitiveDomainError("reciprocal", v))
+    return _compose(x, column_table(_reciprocal_table, v))
 
 
 def _unary(name: str, float_fn, table_fn, domain_ok=None):
+    def check(v):
+        if domain_ok is not None:
+            require(domain_ok(v), lambda: PrimitiveDomainError(name, v))
+
     def fn(x):
         if isinstance(x, Series):
             v = x.val
-            if domain_ok is not None and not domain_ok(v):
-                raise PrimitiveDomainError(name, v)
-            return _compose(x, table_fn(v))
-        v = float(x)
-        if domain_ok is not None and not domain_ok(v):
-            raise PrimitiveDomainError(name, v)
-        return float_fn(v)
+            check(v)
+            return _compose(x, column_table(table_fn, v))
+        v = as_value(x)
+        check(v)
+        return column_map(float_fn, v)
 
     fn.__name__ = name
     fn.__qualname__ = name
@@ -412,6 +556,18 @@ def norm_sq(v: Sequence):
     return dot(v, v)
 
 
+def in_box(point, box):
+    """Whether a point (n,) lies in the per-axis (low, high) box, or the
+    (B,) mask of a batch (B, n) of points; no box holds everything."""
+    point = np.asarray(point, dtype=np.float64)
+    if point.ndim == 1:
+        return all(lo <= x <= hi for x, (lo, hi) in zip(point, box or ()))
+    inside = np.ones(len(point), dtype=bool)
+    for i, (lo, hi) in enumerate(box or ()):
+        inside &= (lo <= point[:, i]) & (point[:, i] <= hi)
+    return inside
+
+
 @dataclass(frozen=True)
 class SmoothMap:
     """A callable over the primitive vocabulary with declared arity.
@@ -431,10 +587,9 @@ class SmoothMap:
     def __call__(self, args):
         return self.fn(args)
 
-    def contains(self, point) -> bool:
-        if self.domain is None:
-            return True
-        return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.domain))
+    def contains(self, point):
+        """Whether the point lies in the domain box; a (B,) mask for a (B, n) batch."""
+        return in_box(point, self.domain)
 
 
 class Jet:
@@ -491,32 +646,40 @@ class Jet:
         return Series(self.ctx, self.taylor[component].copy())
 
 
-def as_series(value, ctx: JetContext) -> Series:
-    """`value` itself if it is a Series, else the constant Series of its float value."""
-    return value if isinstance(value, Series) else Series.constant(ctx, float(value))
+def as_series(value, ctx: JetContext, batch=None) -> Series:
+    """`value` itself if it is a Series, else the constant Series of its
+    value (a float, or a (B,) array for a batch of `batch` columns)."""
+    return value if isinstance(value, Series) else Series.constant(ctx, as_value(value), batch)
 
 
-def _as_series_list(result, ctx):
+def _as_series_list(result, ctx, batch):
     if isinstance(result, Series):
         result = [result]
-    return [as_series(r, ctx) for r in result]
+    return [as_series(r, ctx, batch) for r in result]
 
 
 def eval_series(map_fn, point, order: int):
-    """Evaluate a smooth map on Series arguments; returns a list of Series."""
+    """Evaluate a smooth map on Series arguments at a point (n,) or a batch
+    (B, n) of points; returns a list of Series."""
     point = np.asarray(point, dtype=np.float64)
-    ctx = get_context(point.shape[0], order)
+    ctx = get_context(point.shape[-1], order)
+    batch = point.shape[0] if point.ndim == 2 else None
     fn = map_fn.fn if isinstance(map_fn, SmoothMap) else map_fn
-    if isinstance(map_fn, SmoothMap) and not map_fn.contains(point):
-        raise ChartDomainError(
-            f"point {format_point(point)} outside the map's declared domain"
+    if isinstance(map_fn, SmoothMap):
+        require(
+            map_fn.contains(point),
+            lambda: ChartDomainError(
+                f"point {format_point(point)} outside the map's declared domain"
+            ),
         )
-    xs = [Series.variable(ctx, i, point[i]) for i in range(ctx.n)]
+    xs = [Series.variable(ctx, i, point[..., i]) for i in range(ctx.n)]
     try:
         result = fn(xs)
     except PrimitiveDomainError as err:
+        if batch is not None:
+            raise  # a float-valued step failed for every column alike
         raise err.with_point(point) from None
-    return _as_series_list(result, ctx)
+    return _as_series_list(result, ctx, batch)
 
 
 def jet_eval(map_fn, point, order: int) -> Jet:

@@ -1,10 +1,14 @@
-"""Shared immersion and metric builders for the geometry test-suite."""
+"""Shared immersions, metric charts and sample boxes for the geometry
+test-suite, and the oracles that only the tests use."""
+
+import math
 
 import numpy as np
 
+from nullgeom import extrinsic as ext
 from nullgeom import spacetime as st
 from nullgeom import taylor as tm
-from nullgeom.immersion import MetricChart
+from nullgeom.immersion import MetricChart, chart_geometry
 from nullgeom.scenes import (
     cylinder_immersion,
     grw_graph,
@@ -28,6 +32,10 @@ __all__ = [
     "random_metric_chart",
     "random_positive_field",
     "inner_at",
+    "intrinsic_gradient",
+    "hessian_laplacian",
+    "desitter_embed",
+    "normal_connection_residual",
 ]
 
 
@@ -84,3 +92,53 @@ def random_positive_field(rng, n):
 def inner_at(model, p, v, w):
     """<v, w> at the point p, through the fiber scale of its time."""
     return st.ambient_inner(model, st.fiber_scale(model, p[0]), v, w)
+
+
+def intrinsic_gradient(obj, h, x):
+    """Gradient of a chart scalar field: (contravariant components, |grad h|^2)."""
+    geo = chart_geometry(obj, x)
+    return geo.gradient(geo.scalar_series(h))
+
+
+def hessian_laplacian(obj, h, x):
+    """Covariant Hessian in the orthonormal tangent frame and the Laplacian."""
+    geo = chart_geometry(obj, x)
+    hess = geo.covariant_hessian(geo.scalar_series(h))
+    b = geo.onf
+    hess_onf = b.T @ hess @ b
+    return hess_onf, float(np.trace(hess_onf))
+
+
+def desitter_embed(t, q):
+    """(t, q) on -R x_cosh S^{n+1} -> point of the unit hyperquadric."""
+    if not any(isinstance(x, tm.Series) for x in [t, *q]):
+        qa = np.asarray(q, dtype=float)
+        if abs(math.sqrt(float(np.dot(qa, qa))) - 1.0) > 1e-12:
+            raise ValueError("q must be a unit vector")
+        return np.concatenate(([math.sinh(float(t))], math.cosh(float(t)) * qa))
+    ch = tm.cosh(t)
+    return [tm.sinh(t)] + [ch * x for x in q]
+
+
+def normal_connection_residual(pt):
+    """Residual of the propagation law for the normal part of the time axis
+    at an `ExtrinsicPoint`:
+    nabla^perp_X dt^perp = -(f'/f) <X, grad u> dt^perp - II(X, grad u).
+    """
+    model = pt.model
+    if model.kind == "desitter":
+        raise ext.ShapeDispatchError("the propagation law needs a warped-product model")
+    ratio = pt.warping_ratio
+    xi0, eta0 = pt.xi, pt.eta
+    n0 = np.array([s.val for s in pt.time_orthogonal_series])
+    worst = 0.0
+    for j, dn in enumerate(ext._directional(pt.geo, pt.time_orthogonal_series, pt.df)):
+        a = -st.ambient_inner(model, pt.f2, dn, eta0)
+        b = -st.ambient_inner(model, pt.f2, dn, xi0)
+        lhs = a * xi0 + b * eta0
+        ii = np.zeros(len(n0))
+        for i in range(pt.n):
+            ii += pt.grad_u[i] * pt.ii[j, i]
+        rhs = -ratio * pt.du[j] * n0 - ii
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst

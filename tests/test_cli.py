@@ -2,12 +2,15 @@
 report emission, determinism, exit codes."""
 
 import copy
+import itertools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from nullgeom import cli, conformal, extrinsic, immersion
 from nullgeom.cli import (
@@ -384,12 +387,13 @@ def test_conformal_suite_drops_samples_off_the_model_space():
 
 def test_grid_geometries_are_not_rebuilt(monkeypatch):
     # one chart geometry per grid point and one per appendix sample: the
-    # conformal suite reads the geometries of the grid pass
+    # conformal suite reads the geometries of the grid pass.  A call builds
+    # the geometries of one point or of a batch of points; each point counts
     real = immersion.chart_geometry
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.extend(np.atleast_2d(args[1]))
         return real(*args, **kwargs)
 
     for module in (immersion, extrinsic, conformal):
@@ -399,6 +403,63 @@ def test_grid_geometries_are_not_rebuilt(monkeypatch):
     assert report["suites"]["appendix"]["points"] == 5
     assert report["suites"]["conformal"]["points"] == 40
     assert len(calls) == 405
+
+
+@settings(deadline=None, max_examples=30)
+@given(hs.data())
+def test_batched_grid_matches_points_alone(data):
+    # a grid of 1-70 points drawn from a built-in scene's box, its polar row
+    # x0 = 0 sometimes included: the chunked batch pass must give every
+    # point exactly what evaluating it alone gives, rejections included
+    name = data.draw(hs.sampled_from(sorted(builtin_scenes())))
+    scene = parse_scene(builtin_scenes()[name])
+    (lo0, hi0), (lo1, hi1) = [(float(ax[0]), float(ax[-1])) for ax in scene.axes]
+    n0, n1 = data.draw(hs.integers(1, 7)), data.draw(hs.integers(1, 10))
+    first = data.draw(hs.lists(hs.floats(lo0, hi0), min_size=n0, max_size=n0))
+    if data.draw(hs.booleans()):
+        first[data.draw(hs.integers(0, n0 - 1))] = 0.0
+    second = data.draw(hs.lists(hs.floats(lo1, hi1), min_size=n1, max_size=n1))
+    scene.axes = [np.array(first), np.array(second)]
+    rows, diags, rejections = cli._evaluate_grid(scene)
+    got_rows, got_rejections = iter(zip(rows, diags)), iter(rejections)
+    for x in itertools.product(*scene.axes):
+        kind, payload, diag = cli._evaluate_point(scene, x)
+        if kind == "row":
+            row, got = next(got_rows)
+            assert repr(row) == repr(payload)
+            want_geo = diag.pop("geo", (None, None))[0]
+            got_geo = got.pop("geo", None)
+            assert got == diag
+            if got_geo is not None:
+                assert got_geo.g0.tobytes() == want_geo.g0.tobytes()
+                got_psi = [s.c.tobytes() for s in got_geo.psi]
+                assert got_psi == [s.c.tobytes() for s in want_geo.psi]
+        else:
+            got = next(got_rejections)
+            assert got["point"] == payload["point"]
+            assert got["reason"] == payload["reason"]
+            assert str(got["detail"]) == str(payload["detail"])
+    assert next(got_rows, None) is None and next(got_rejections, None) is None
+
+
+def test_scene_wide_failures_are_rejected_point_by_point():
+    # a failure that no single point owns (a constant chart component off a
+    # primitive's domain, a constant profile off its range) fails the whole
+    # batch; each point is then evaluated alone and rejected for itself
+    doc = dict(OFF_CONE_DOC, immersion={"chart": ["sqrt(-1)", "x0", "x1", "3"]})
+    report = run(doc)
+    assert report["rows"] == [] and len(report["rejections"]) == 9
+    for entry in report["rejections"]:
+        assert entry["reason"] == "chart_singularity"
+        assert entry["detail"].startswith("primitive 'sqrt' undefined at value -1.0")
+        assert str(tuple(entry["point"])) in entry["detail"]
+    doc = builtin_scenes()["ds-alpha05-minus"]
+    doc["immersion"]["f"] = "3"
+    report = run(small(doc, 3), checks=["frame"])
+    assert report["rows"] == [] and len(report["rejections"]) == 9
+    for entry in report["rejections"]:
+        assert entry["reason"] == "off_cone"
+        assert entry["detail"] == "f = 3 outside the admissible range (0, 1.73205)"
 
 
 # -- scene behavior ---------------------------------------------------------------

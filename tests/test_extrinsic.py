@@ -18,6 +18,7 @@ from _surfaces import (
     cylinder_immersion,
     grw_graph,
     marginal_height_profile,
+    normal_connection_residual,
     psi_f_desitter,
     psi_f_minkowski,
     sample_box,
@@ -403,7 +404,7 @@ def test_normal_connection_law():
         grw_graph(product_model("sphere"), wavy_height),
     ):
         for x in scene_points(rng, im, 5):
-            assert ExtrinsicPoint(im, x).normal_connection_residual() < 1e-6
+            assert normal_connection_residual(ExtrinsicPoint(im, x)) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,8 @@ def test_jet_coefficients_are_derivative_values():
 
 
 @settings(deadline=None)
-@given(st.data(), st.integers(1, 3), st.integers(0, tm.MAX_ORDER))
-def test_product_matches_table_loop_bitwise(data, n, order):
+@given(st.data(), st.integers(1, 3), st.integers(0, tm.MAX_ORDER), st.integers(2, 5))
+def test_product_matches_table_loop_bitwise(data, n, order, batch):
     ctx = tm.get_context(n, order)
     coeffs = st.lists(
         st.floats(-1e6, 1e6, allow_nan=False), min_size=ctx.n_terms, max_size=ctx.n_terms
@@ -162,6 +162,26 @@ def test_product_matches_table_loop_bitwise(data, n, order):
         want[k] += a[i] * b[j]
     got = (tm.Series(ctx, np.array(a)) * tm.Series(ctx, np.array(b))).c
     assert np.array_equal(got, np.array(want))
+    # on a batch (one column per point) each column is its scalar product, bit for bit
+    cols_a = [a] + [data.draw(coeffs) for _ in range(batch - 1)]
+    cols_b = [b] + [data.draw(coeffs) for _ in range(batch - 1)]
+    batched = (tm.Series(ctx, np.array(cols_a).T) * tm.Series(ctx, np.array(cols_b).T)).c
+    assert batched.shape == (ctx.n_terms, batch)
+    for k in range(batch):
+        alone = tm.Series(ctx, np.array(cols_a[k])) * tm.Series(ctx, np.array(cols_b[k]))
+        assert batched[:, k].tobytes() == alone.c.tobytes()
+
+
+def test_batch_rejection_is_no_typed_error():
+    # handlers of typed rejections must never swallow a batch rejection
+    assert not issubclass(tm.BatchRejected, (ValueError, tm.DomainError))
+    ctx = tm.get_context(1, 2)
+    batch = tm.Series.variable(ctx, 0, np.array([4.0, -1.0, 9.0]))
+    with pytest.raises(tm.BatchRejected) as err:
+        tm.sqrt(batch)
+    assert err.value.mask.tolist() == [False, True, False]
+    with pytest.raises(tm.PrimitiveDomainError):
+        tm.sqrt(tm.Series.variable(ctx, 0, -1.0))
 
 
 def test_expression_parser_matches_direct():
