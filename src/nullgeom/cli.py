@@ -25,11 +25,14 @@ coordinate, with an optional "domain" of per-axis bounds.
 "checks" lists suite names (frame, shape, expansions, trapped, conformal,
 appendix); "all" expands to every suite applicable to the scene's model and
 cone (`nullcone.CONE_RULES` holds the per-cone facts), and requesting an
-inapplicable suite by name is a configuration error.  The conformal suite
-reads the chart geometries the grid pass built for its first 40 evaluated
-points, and drops those whose split-map image leaves the model space.  The
-appendix checks the conformal curvature identities at up to five evaluated
-grid points, drawn without replacement by the scene's seed.  The grid is
+inapplicable suite by name is a configuration error.  When the conformal
+suite is requested, the grid pass evaluates the pullback identity of the
+split map for every row, from the chart geometry the row was built on, and
+flags the rows whose split-map image leaves the model space; the suite
+reads that per-row diagnostic for its first 40 evaluated points and drops
+the flagged ones.  The appendix checks the conformal curvature identities
+at up to five evaluated grid points, drawn without replacement by the
+scene's seed and evaluated as one batch.  The grid is
 evaluated on the calling thread in chunks of `GRID_CHUNK` points, each
 chunk as one batch through the same pipeline that evaluates a single point;
 a point the batch rejects is evaluated alone, for its typed rejection.
@@ -578,9 +581,12 @@ def _evaluate(scene: Scene, x) -> list:
         residuals["trapped"] = _trapped_mismatch(pt, rep, scene.tolerances)
     if "expansions" in scene.checks:
         expansion = _expansion_residuals(pt, rep, scene.gauss_shift)
+    if "conformal" in scene.checks:
+        deviation, spd, on_model = (
+            np.atleast_1d(v) for v in conformal.pullback_columns(scene.cspec, pt.geo)
+        )
     residuals = {name: np.atleast_1d(v) for name, v in residuals.items()}
     expansion = {name: np.atleast_1d(v) for name, v in expansion.items()}
-    one_point = x.ndim == 1
     out = []
     for b, point in enumerate(np.atleast_2d(x)):
         row = {"point": [float(v) for v in point]}
@@ -590,9 +596,8 @@ def _evaluate(scene: Scene, x) -> list:
         if expansion:
             diag["expansions"] = {key: float(v[b]) for key, v in expansion.items()}
         if "conformal" in scene.checks:
-            # the geometry and its batch column; `_evaluate_grid` slices the
-            # columns its conformal samples need
-            diag["geo"] = (pt.geo, None if one_point else b)
+            # (deviation, spd) of the pullback identity, None off the model space
+            diag["conformal"] = (float(deviation[b]), bool(spd[b])) if on_model[b] else None
         out.append(("row", row, diag))
     return out
 
@@ -643,10 +648,6 @@ def _evaluate_grid(scene: Scene):
     for start in range(0, len(points), GRID_CHUNK):
         for kind, payload, diag in _evaluate_chunk(scene, points[start:start + GRID_CHUNK]):
             if kind == "row":
-                if "geo" in diag:
-                    geo, b = diag.pop("geo")
-                    if len(rows) < _CONFORMAL_SAMPLE_CAP:  # the conformal suite's samples
-                        diag["geo"] = geo if b is None else geo.column(b)
                 rows.append(payload)
                 diags.append(diag)
             else:
@@ -720,12 +721,11 @@ def _suite_conformal(scene, rows, diags):
     _require_rows(rows, "conformal")
     spec, im = scene.cspec, scene.im
     evaluable, factor, spd_failures = [], 0.0, 0.0
-    for d in diags[:_CONFORMAL_SAMPLE_CAP]:
-        try:
-            deviation, spd = conformal.pullback_residual(spec, d["geo"])
-        except DegeneracyError:
+    for row, d in zip(rows[:_CONFORMAL_SAMPLE_CAP], diags):
+        if d["conformal"] is None:
             continue  # the image left the model space: not a sample
-        evaluable.append(d["geo"].x)
+        deviation, spd = d["conformal"]
+        evaluable.append(np.asarray(row["point"]))
         factor = max(factor, deviation)
         spd_failures += 0.0 if spd else 1.0
     if not evaluable:

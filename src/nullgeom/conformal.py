@@ -10,6 +10,14 @@ evaluates the split maps, verifies the conformal factors against jet
 pullbacks, closes the factorization round trip through a numeric local
 inverse, and checks the curvature identities relating a metric to its
 conformal rescalings.
+
+The pullback identity reads an evaluated chart geometry, of one point or of
+a batch, and flags the columns whose image leaves the model space instead
+of raising for them.  The sample checks (conformal factor, de Sitter scale
+sign, curvature identities) evaluate their samples as one batch; where the
+batch is refused they evaluate the samples one at a time, in order, so the
+first failing sample raises its own typed error.  Each identity's final
+arithmetic runs on one sample's Python floats, exactly as at one point.
 """
 
 from __future__ import annotations
@@ -26,11 +34,12 @@ from .immersion import (
     ChartGeometry,
     Immersion,
     MetricChart,
+    MetricSignatureError,
     chart_geometry,
 )
-from .nullcone import NullconeSpec
+from .nullcone import NullconeSpec, PointRejected
 from .spacetime import AmbientModel
-from .taylor import Series, SmoothMap, format_point
+from .taylor import BatchRejected, DomainError, Series, SmoothMap, format_point
 
 __all__ = [
     "MAP_VARIANTS",
@@ -48,6 +57,7 @@ __all__ = [
     "factor_field",
     "primitive_g",
     "exactness_residual",
+    "pullback_columns",
     "pullback_residual",
     "conformal_factor_check",
     "desitter_r_sign",
@@ -257,23 +267,27 @@ def conformal_factor(spec: ConformalMapSpec, im: Immersion, x) -> float:
 def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
     """The conformal scale as a smooth chart field, sign-normalized positive.
 
-    Returns a callable over jet coordinates, suitable for scalar_series and
-    conformal_curvature_check.  Components where the raw denominator is
-    negative get a sign flip so the field stays positive throughout.
+    Returns a callable over jet coordinates, at one point or on a batch,
+    suitable for scalar_series and conformal_curvature_check.  Columns where
+    the raw denominator is negative get a sign flip so the field stays
+    positive throughout; a column inside the floor is rejected.
     """
 
     def lam(coords):
         first = coords[0]
         psi = list(im.map.fn(list(coords)))
         if isinstance(first, Series):
-            psi = [taylor.as_series(c, first.ctx) for c in psi]
+            psi = [taylor.as_series(c, first.ctx, first.batch) for c in psi]
         den = _denominator_series(spec, im, psi)
         value = den.val if isinstance(den, Series) else float(den)
-        if abs(value) <= DENOMINATOR_FLOOR:
-            raise DegeneracyError(
+        taylor.reject(
+            np.abs(value) <= DENOMINATOR_FLOOR,
+            lambda: DegeneracyError(
                 f"conformal scale {value:.3e} is inside the floor {DENOMINATOR_FLOOR:.1e}"
-            )
-        return -den if value < 0.0 else den
+            ),
+        )
+        # multiplying by -1.0 is negation, bit for bit
+        return den * taylor.as_value(np.where(value < 0.0, -1.0, 1.0))
 
     return lam
 
@@ -369,19 +383,44 @@ def conformal_map(spec: ConformalMapSpec, im: Immersion, x) -> np.ndarray:
     return _map_values(spec, im, x, im.series(x, 1))
 
 
+def _square(v):
+    # Python's float power, as at one point; numpy's array square differs
+    # from it in the last bit
+    return v**2
+
+
+def _model_image(spec, im, psi):
+    """The split map's model image of psi at one point, or per column of a
+    batch: (denominator value, image y (..., k), whether the column is on
+    the model space).
+
+    A column whose denominator lies inside the floor is off the model and
+    is not divided by; membership is tested on values, so no column raises.
+    """
+    denom = _denominator_series(spec, im, psi).val
+    above = np.abs(denom) > DENOMINATOR_FLOOR
+    _, keep = _split_layout(spec, im)
+    vals = taylor.batch_first([psi[a].val for a in keep])
+    y = vals / np.where(above, denom, 1.0)[..., None]
+    if spec.hyperbolic:
+        y0 = y[..., 0]
+        lorentz = -taylor.column_map(_square, taylor.as_value(y0)) + np.vecdot(
+            y[..., 1:], y[..., 1:]
+        )
+        on_model = (np.abs(lorentz + 1.0) < MODEL_MEMBERSHIP_TOL) & (y0 > 0.0)
+    else:
+        on_model = np.abs(np.vecdot(y, y) - 1.0) < MODEL_MEMBERSHIP_TOL
+    return denom, y, above & on_model
+
+
 def _model_values(spec, im, x, psi) -> np.ndarray:
     """Image of psi on the model factor (hyperboloid sheet or round sphere),
     without the cylinder maps' primitive g; membership is enforced."""
-    denom = _denominator_series(spec, im, psi).val
+    denom, y, on_model = _model_image(spec, im, psi)
     if abs(denom) <= DENOMINATOR_FLOOR:
         raise DegeneracyError(f"split-map denominator {denom:.3e} at {format_point(x)}")
-    _, keep = _split_layout(spec, im)
-    y = np.array([psi[a].val for a in keep]) / denom
-    if spec.hyperbolic:
-        _require(abs(-y[0] ** 2 + y[1:] @ y[1:] + 1.0) < MODEL_MEMBERSHIP_TOL, y)
-        _require(y[0] > 0.0, y)
-    else:
-        _require(abs(y @ y - 1.0) < MODEL_MEMBERSHIP_TOL, y)
+    if not on_model:
+        raise DegeneracyError(f"split-map image {y} left the model space")
     return y
 
 
@@ -393,68 +432,123 @@ def _map_values(spec, im, x, psi) -> np.ndarray:
     return y
 
 
-def _require(cond: bool, y):
-    if not cond:
-        raise DegeneracyError(f"split-map image {np.asarray(y)} left the model space")
-
-
-def _map_jacobian(spec, im, x, psi) -> np.ndarray:
-    """d(split map) rows per model component, columns per chart axis.
+def _map_jacobian(spec, im, psi) -> np.ndarray:
+    """d(split map) rows per model component, columns per chart axis; the
+    batch axis first on a batch.
 
     The primitive's differential is dg = dw/u exactly, so no quadrature
     enters the jacobian.
     """
     denom = _denominator_series(spec, im, psi)
-    if abs(denom.val) <= DENOMINATOR_FLOOR:
-        raise DegeneracyError(f"split-map denominator {denom.val:.3e}")
+    taylor.reject(
+        np.abs(denom.val) <= DENOMINATOR_FLOOR,
+        lambda: DegeneracyError(f"split-map denominator {denom.val:.3e}"),
+    )
     _, keep = _split_layout(spec, im)
-    n = len(x)
+    n = denom.ctx.n
     comps = [psi[a] / denom for a in keep]
-    jac = np.array([[c.derivative(i).val for i in range(n)] for c in comps])
+    jac = taylor.batch_first([[c.derivative(i).val for i in range(n)] for c in comps], 2)
     if spec.primitive:
         w = psi[-1]
-        dg = np.array([w.derivative(i).val for i in range(n)]) / denom.val
-        jac = np.vstack([jac, dg])
+        dg = taylor.batch_first([w.derivative(i).val for i in range(n)])
+        dg = dg / np.asarray(denom.val)[..., None]
+        jac = np.concatenate([jac, dg[..., None, :]], axis=-2)
     return jac
 
 
-def _pullback(spec, im, x, psi):
-    jac = _map_jacobian(spec, im, x, psi)
-    signs = np.ones(jac.shape[0])
+def _pullback(spec, im, psi):
+    jac = _map_jacobian(spec, im, psi)
+    signs = np.ones(jac.shape[-2])
     if spec.hyperbolic:
         signs[0] = -1.0
-    return np.einsum("a,ai,aj->ij", signs, jac, jac)
+    return np.einsum("a,...ai,...aj->...ij", signs, jac, jac)
 
 
-def pullback_residual(spec: ConformalMapSpec, geo: ChartGeometry, expected_factor=None):
-    """(deviation, spd) of the pullback identity at an evaluated immersion point.
+def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry, expected_factor=None):
+    """(deviation, spd, on_model) of the pullback identity at an evaluated
+    immersion geometry: values at one point, (B,) arrays over a batch.
 
     The deviation compares the model inner products of the split map's jet
     columns against lambda^-2 times the induced metric, entrywise in the
     chart basis, with lambda given by `expected_factor` (a callable of the
     chart point) or the variant's own denominator when omitted; spd says
-    whether that pullback is symmetric positive definite.  Raises
-    DegeneracyError where the image leaves the model space.
+    whether that pullback is symmetric positive definite.  A column whose
+    image leaves the model space is flagged off the model, with deviation
+    NaN and spd False; nothing is raised for it.
     """
-    im, x, psi = geo.immersion, geo.x, geo.psi
-    _model_values(spec, im, x, psi)  # raises off the model space
-    pulled = _pullback(spec, im, x, psi)
-    if expected_factor is None:
-        lam = abs(_denominator_series(spec, im, psi).val)
-    else:
-        lam = float(expected_factor(x))
-    deviation = float(np.max(np.abs(pulled - geo.g0 / lam**2)))
-    spd = np.allclose(pulled, pulled.T, atol=1e-12) and np.linalg.eigvalsh(pulled)[0] > 0.0
-    return deviation, bool(spd)
+    im, psi, g0, x = geo.immersion, geo.psi, geo.g0, geo.x
+    one_point = geo.batch is None
+    if one_point:  # a batch of one column
+        psi = [Series(s.ctx, s.c[:, None]) for s in psi]
+        g0, x = g0[None], x[None]
+    denom, _, on_model = _model_image(spec, im, psi)
+    deviation = np.full(len(x), np.nan)
+    spd = np.zeros(len(x), dtype=bool)
+    if on_model.any():
+        if not on_model.all():  # the jacobian divides: keep the columns on the model
+            psi = [Series(s.ctx, s.c[:, on_model]) for s in psi]
+        pulled = _pullback(spec, im, psi)
+        if expected_factor is None:
+            lam = np.abs(denom[on_model]).tolist()
+        else:
+            lam = [float(expected_factor(p)) for p in x[on_model]]
+        lam_sq = np.array([_square(v) for v in lam])
+        scaled = g0[on_model] / lam_sq[:, None, None]
+        deviation[on_model] = np.max(np.abs(pulled - scaled), axis=(-2, -1))
+        symmetric = np.isclose(pulled, np.swapaxes(pulled, -1, -2), atol=1e-12).all(axis=(-2, -1))
+        spd[on_model] = symmetric & (np.linalg.eigvalsh(pulled)[:, 0] > 0.0)
+    if one_point:
+        return float(deviation[0]), bool(spd[0]), bool(on_model[0])
+    return deviation, spd, on_model
+
+
+def pullback_residual(spec: ConformalMapSpec, geo: ChartGeometry, expected_factor=None):
+    """(deviation, spd) of `pullback_columns` at one evaluated point; raises
+    DegeneracyError where the image leaves the model space."""
+    deviation, spd, on_model = pullback_columns(spec, geo, expected_factor)
+    if not on_model:
+        # the same test on the same values, raising its typed error
+        _model_values(spec, geo.immersion, geo.x, geo.psi)
+    return deviation, spd
+
+
+# what a batch of samples raises where evaluating its samples one at a
+# time gives each failing sample its typed error: the failing columns, or
+# a failure that no column owns (a constant component off its domain)
+_BATCH_REFUSALS = (BatchRejected, PointRejected, DomainError, EmbeddingRangeError,
+                   MetricSignatureError)
+
+
+def _per_sample(fn, samples) -> list:
+    """fn's per-sample results, fn evaluating the samples stacked as one
+    batch (S, n); where the batch is refused, fn of each sample in order,
+    so that the first failing sample raises its own typed error."""
+    xs = np.array([np.asarray(x, dtype=np.float64) for x in samples])
+    if len(xs):
+        try:
+            return fn(xs)
+        except _BATCH_REFUSALS:
+            pass
+    return [fn(x) for x in xs]
 
 
 def conformal_factor_check(
     spec: ConformalMapSpec, im: Immersion, samples, expected_factor=None
 ) -> float:
-    """Max `pullback_residual` deviation over the samples."""
+    """Max `pullback_residual` deviation over the samples, evaluated as one
+    batch."""
+
+    def deviation(x):
+        geo = chart_geometry(im, x)
+        if x.ndim == 1:
+            return pullback_residual(spec, geo, expected_factor)[0]
+        deviations, _, on_model = pullback_columns(spec, geo, expected_factor)
+        taylor.require(on_model, None)
+        return deviations.tolist()
+
     worst = 0.0
-    for x in samples:
-        worst = max(worst, pullback_residual(spec, chart_geometry(im, x), expected_factor)[0])
+    for value in _per_sample(deviation, samples):
+        worst = max(worst, value)
     return worst
 
 
@@ -467,12 +561,16 @@ def desitter_r_sign(im: Immersion, samples) -> float:
     cone = im.target_cone
     if cone is None or cone.variant != "desitter_alpha":
         raise ValueError("sign coherence applies to de Sitter plane sections")
-    signs = set()
-    for x in samples:
+
+    def scale(x):
         r = cone.scale(im.series(x, 0, check_membership=False)[0].val)
-        if abs(r) <= DENOMINATOR_FLOOR:
-            raise DegeneracyError(f"scale R = {r:.3e} vanishes at {format_point(x)}")
-        signs.add(1.0 if r > 0.0 else -1.0)
+        taylor.reject(
+            np.abs(r) <= DENOMINATOR_FLOOR,
+            lambda: DegeneracyError(f"scale R = {r:.3e} vanishes at {format_point(x)}"),
+        )
+        return r.tolist() if x.ndim == 2 else r
+
+    signs = {1.0 if r > 0.0 else -1.0 for r in _per_sample(scale, samples)}
     if len(signs) != 1:
         raise DegeneracyError("scale R changes sign across the samples")
     return signs.pop()
@@ -497,12 +595,12 @@ def local_inverse(
     """
     x = np.asarray(seed, dtype=float).copy()
     target = np.asarray(target, dtype=float)
+    psi = im.series(x, 1, check_membership=False)
+    r = _map_values(spec, im, x, psi) - target
     for _ in range(max_iter):
-        psi = im.series(x, 1, check_membership=False)
-        r = _map_values(spec, im, x, psi) - target
         if np.max(np.abs(r)) < tol:
             return x
-        jac = _map_jacobian(spec, im, x, psi)
+        jac = _map_jacobian(spec, im, psi)
         step, *_ = np.linalg.lstsq(jac, r, rcond=None)
         base_norm = float(r @ r)
         damping = 1.0
@@ -511,17 +609,17 @@ def local_inverse(
             try:
                 trial_psi = im.series(trial, 1, check_membership=False)
                 trial_r = _map_values(spec, im, trial, trial_psi) - target
-            except (ValueError, DegeneracyError):
+            except (DomainError, EmbeddingRangeError, DegeneracyError):
+                # the trial left the chart, the family's range or the model space
                 damping *= 0.5
                 continue
             if float(trial_r @ trial_r) < base_norm:
-                x = trial
+                x, psi, r = trial, trial_psi, trial_r
                 break
             damping *= 0.5
         else:
             raise InverseError(f"no descent step at {format_point(x)}")
-    psi = im.series(x, 1, check_membership=False)
-    if np.max(np.abs(_map_values(spec, im, x, psi) - target)) < tol:
+    if np.max(np.abs(r)) < tol:
         return x
     raise InverseError(
         f"iteration stalled near {format_point(x)} for target {format_point(target)}"
@@ -578,45 +676,50 @@ def scaled_metric_chart(base: MetricChart, lam: Callable, name="") -> MetricChar
 
 
 def sectional_curvatures(geo: ChartGeometry) -> np.ndarray:
-    """K(E_a, E_b) for every orthonormal-frame pair, as a symmetric matrix."""
+    """K(E_a, E_b) for every orthonormal-frame pair, as a symmetric matrix;
+    (B, n, n) on a batch."""
     n = geo.dim
     b = geo.onf
-    low = np.einsum("lm,lijk->mijk", geo.g0, geo.riemann)
-    out = np.zeros((n, n))
+    low = np.einsum("...lm,...lijk->...mijk", geo.g0, geo.riemann)
+    out = np.zeros(b.shape[:-2] + (n, n))
     for a in range(n):
         for c in range(a + 1, n):
-            ea, ec = b[:, a], b[:, c]
-            k = float(np.einsum("mijk,m,i,j,k->", low, ea, ea, ec, ec))
-            out[a, c] = out[c, a] = k
+            ea, ec = b[..., :, a], b[..., :, c]
+            k = np.einsum("...mijk,...m,...i,...j,...k->...", low, ea, ea, ec, ec)
+            out[..., a, c] = out[..., c, a] = k
     return out
 
 
-def conformal_curvature_check(metric_obj, lam: Callable, samples) -> dict:
-    """Residuals of the curvature identities between g and lambda^2 g.
+def _curvature_residuals(metric_obj, lam: Callable, x):
+    """(sectional residuals per frame pair, scalar residual, Gauss residual
+    or None) at a chart point, or the list of them over a batch of points,
+    whose geometries are built once for all of them."""
+    geo = chart_geometry(metric_obj, x, check_membership=False)
+    n = geo.dim
+    s = geo.scalar_series(lam)
+    geo_s = geo.rescaled(s)
+    lam0s = s.val
+    taylor.reject(
+        lam0s <= 0.0, lambda: ValueError(f"conformal factor nonpositive at {format_point(x)}")
+    )
+    _, grad_sqs = geo.gradient(s)
+    hess = geo.covariant_hessian(s)
+    partials = geo.partials(s)
+    k_bases = sectional_curvatures(geo)
+    k_scaleds = sectional_curvatures(geo_s)
+    log_laps = geo.laplacian(taylor.log(s)) if n == 2 else None
 
-    `metric_obj` is an `Immersion` or a `MetricChart`.  The rescaled
-    curvatures are computed independently, from the jet of lambda^2 g, then
-    three identities are evaluated: the sectional relation over all
-    orthonormal frame pairs, the scalar relation, and (in dimension two) the
-    Gauss logarithmic form.  Returns per-identity max residuals.
-    """
-    res_sect = res_scal = res_gauss = 0.0
-    for x in samples:
-        geo = chart_geometry(metric_obj, x, check_membership=False)
-        n = geo.dim
-        s = geo.scalar_series(lam)
-        geo_s = geo.rescaled(s)
-        lam0 = s.val
-        if lam0 <= 0.0:
-            raise ValueError(f"conformal factor nonpositive at {format_point(x)}")
-        _, grad_sq = geo.gradient(s)
-        hess = geo.covariant_hessian(s)
-        lap = float(np.einsum("ij,ij->", geo.g_inv0, hess))
-        b = geo.onf
-        hess_onf = b.T @ hess @ b
-        dlam_onf = b.T @ geo.partials(s)
-        k_base = sectional_curvatures(geo)
-        k_scaled = sectional_curvatures(geo_s)
+    def residuals(at):
+        # one sample's identities: `at` picks its value or array, laid out
+        # as at one point, and the arithmetic runs on Python floats, as
+        # numpy's array powers differ from Python's in the last bit
+        lam0, grad_sq = float(at(lam0s)), float(at(grad_sqs))
+        b, hess_k = at(geo.onf), at(hess)
+        lap = float(np.einsum("ij,ij->", at(geo.g_inv0), hess_k))
+        hess_onf = b.T @ hess_k @ b
+        dlam_onf = b.T @ np.ascontiguousarray(at(partials))
+        k_base, k_scaled = at(k_bases), at(k_scaleds)
+        sect = []
         for a in range(n):
             for c in range(a + 1, n):
                 lhs = lam0**4 * k_scaled[a, c]
@@ -626,16 +729,43 @@ def conformal_curvature_check(metric_obj, lam: Callable, samples) -> dict:
                     - lam0 * (hess_onf[a, a] + hess_onf[c, c])
                     - grad_sq
                 )
-                res_sect = max(res_sect, abs(lhs - rhs))
-        lhs = lam0**2 * geo_s.scal
+                sect.append(abs(lhs - rhs))
+        lhs = lam0**2 * float(at(geo_s.scal))
         rhs = (
-            geo.scal
+            float(at(geo.scal))
             - 2.0 * (n - 1) * lap / lam0
             - (n - 1) * (n - 4) * grad_sq / lam0**2
         )
-        res_scal = max(res_scal, abs(lhs - rhs))
-        if n == 2:
-            log_lap = geo.laplacian(taylor.log(s))
-            lhs = lam0**2 * k_scaled[0, 1]
-            res_gauss = max(res_gauss, abs(lhs - (k_base[0, 1] - log_lap)))
+        gauss = None
+        if log_laps is not None:
+            lhs_gauss = lam0**2 * k_scaled[0, 1]
+            gauss = abs(lhs_gauss - (k_base[0, 1] - float(at(log_laps))))
+        return sect, abs(lhs - rhs), gauss
+
+    if geo.batch is None:
+        return residuals(lambda a: a)
+    return [residuals(lambda a, k=k: a[k]) for k in range(geo.batch)]
+
+
+def conformal_curvature_check(metric_obj, lam: Callable, samples) -> dict:
+    """Residuals of the curvature identities between g and lambda^2 g.
+
+    `metric_obj` is an `Immersion` or a `MetricChart`.  The rescaled
+    curvatures are computed independently, from the jet of lambda^2 g, then
+    three identities are evaluated: the sectional relation over all
+    orthonormal frame pairs, the scalar relation, and (in dimension two) the
+    Gauss logarithmic form.  Returns per-identity max residuals.  The
+    samples are evaluated as one batch, each identity on its own sample's
+    values; where the batch is refused, one sample at a time, so the first
+    failing sample raises its typed error.
+    """
+    res_sect = res_scal = res_gauss = 0.0
+    for sect, scal, gauss in _per_sample(
+        lambda x: _curvature_residuals(metric_obj, lam, x), samples
+    ):
+        for value in sect:
+            res_sect = max(res_sect, value)
+        res_scal = max(res_scal, scal)
+        if gauss is not None:
+            res_gauss = max(res_gauss, gauss)
     return {"sectional": res_sect, "scalar": res_scal, "gauss": res_gauss}

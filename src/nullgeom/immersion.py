@@ -201,24 +201,6 @@ class ChartGeometry:
                 f"induced metric at {format_point(self.x)} is singular"
             ) from None
 
-    def column(self, b: int) -> "ChartGeometry":
-        """The one-point geometry of batch column b, sliced from this one."""
-
-        def col(s):
-            return None if s is None else Series(s.ctx, s.c[:, b].copy())
-
-        geo = object.__new__(ChartGeometry)
-        geo.x = self.x[b]
-        geo.g_series = [[col(s) for s in row] for row in self.g_series]
-        geo.dim, geo.ctx, geo.batch = self.dim, self.ctx, None
-        geo.coords = [col(s) for s in self.coords]
-        geo.psi = None if self.psi is None else [col(s) for s in self.psi]
-        geo.dpsi = None if self.dpsi is None else [[col(s) for s in row] for row in self.dpsi]
-        geo.f, geo.f2 = col(self.f), col(self.f2)
-        geo.immersion, geo.name = self.immersion, self.name
-        geo.g0, geo.g_inv0 = self.g0[b], self.g_inv0[b]
-        return geo
-
     def rescaled(self, lam: Series) -> "ChartGeometry":
         """Geometry of the conformal metric lam^2 g at the same point."""
         factor = lam * lam
@@ -391,21 +373,23 @@ def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGe
 def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
     x = np.asarray(x, dtype=np.float64)
     ctx = taylor.get_context(chart.dim, JET_ORDER)
-    coords = [Series.variable(ctx, i, x[i]) for i in range(chart.dim)]
+    batch = len(x) if x.ndim == 2 else None
+    coords = [Series.variable(ctx, i, x[..., i]) for i in range(chart.dim)]
     raw = chart.metric(coords)
     n = chart.dim
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            s = 0.5 * (taylor.as_series(raw[i][j], ctx) + taylor.as_series(raw[j][i], ctx))
+            upper = taylor.as_series(raw[i][j], ctx, batch)
+            s = 0.5 * (upper + taylor.as_series(raw[j][i], ctx, batch))
             g[i][j] = s
             g[j][i] = s
     return ChartGeometry(x, g, name=chart.name)
 
 
 def chart_geometry(obj, x, check_membership=True) -> ChartGeometry:
-    """Metric jet of an `Immersion` at a chart point (n,) or a batch (B, n)
-    of them, or of a `MetricChart` at a chart point."""
+    """Metric jet of an `Immersion` or a `MetricChart` at a chart point (n,)
+    or at each point of a batch (B, n)."""
     if isinstance(obj, Immersion):
         return _geometry_from_immersion(obj, x, check_membership=check_membership)
     if isinstance(obj, MetricChart):

@@ -387,8 +387,9 @@ def test_conformal_suite_drops_samples_off_the_model_space():
 
 def test_grid_geometries_are_not_rebuilt(monkeypatch):
     # one chart geometry per grid point and one per appendix sample: the
-    # conformal suite reads the geometries of the grid pass.  A call builds
-    # the geometries of one point or of a batch of points; each point counts
+    # conformal suite reads the pullback identity the grid pass evaluated.
+    # A call builds the geometries of one point or of a batch of points;
+    # each point counts
     real = immersion.chart_geometry
     calls = []
 
@@ -427,13 +428,9 @@ def test_batched_grid_matches_points_alone(data):
         if kind == "row":
             row, got = next(got_rows)
             assert repr(row) == repr(payload)
-            want_geo = diag.pop("geo", (None, None))[0]
-            got_geo = got.pop("geo", None)
-            assert got == diag
-            if got_geo is not None:
-                assert got_geo.g0.tobytes() == want_geo.g0.tobytes()
-                got_psi = [s.c.tobytes() for s in got_geo.psi]
-                assert got_psi == [s.c.tobytes() for s in want_geo.psi]
+            # the per-row diag, the conformal pullback (deviation, spd) included
+            assert ("conformal" in got) == ("conformal" in scene.checks)
+            assert repr(got) == repr(diag)
         else:
             got = next(got_rejections)
             assert got["point"] == payload["point"]

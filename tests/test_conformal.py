@@ -1,13 +1,16 @@
 """Split maps, embedding factorizations and two-metric curvature identities."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from nullgeom import conformal as cf
+from nullgeom import immersion
 from nullgeom import spacetime as st
 from nullgeom import taylor as tm
+from nullgeom.cli import parse_scene
 from nullgeom.conformal import (
     ConformalMapSpec,
     DegeneracyError,
@@ -23,6 +26,7 @@ from nullgeom.immersion import (
     pullback_metric_chart,
 )
 from nullgeom.nullcone import NullconeSpec
+from nullgeom.scenes import builtin_scenes
 from nullgeom.taylor import SmoothMap
 
 from _surfaces import (
@@ -321,6 +325,44 @@ def test_local_inverse_recovers_chart_point():
     assert np.max(np.abs(x_hat - x0)) < 1e-9
 
 
+def test_local_inverse_does_not_swallow_programming_errors(monkeypatch):
+    # the line search halves the step on a trial's typed failure only; a
+    # plain ValueError is a programming error and escapes
+    im = minkowski_family(n=2)
+    spec = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
+    target = cf.conformal_map(spec, im, (0.4, -0.7))
+    real = cf._map_values
+    calls = []
+
+    def broken_trials(*args):
+        calls.append(args[2])
+        if len(calls) > 1:  # every trial after the seed's own evaluation
+            raise ValueError("programming error in a trial")
+        return real(*args)
+
+    monkeypatch.setattr(cf, "_map_values", broken_trials)
+    with pytest.raises(ValueError, match="programming error in a trial"):
+        cf.local_inverse(spec, im, target, seed=(0.1, -0.2))
+    assert len(calls) == 2
+
+
+def test_local_inverse_evaluates_each_accepted_point_once(monkeypatch):
+    # the accepted trial's psi and residual carry over to the next step
+    im = minkowski_family(n=2)
+    spec = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
+    target = cf.conformal_map(spec, im, (0.4, -0.7))
+    real = cf._map_values
+    points = []
+
+    def recorded(*args):
+        points.append(tuple(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(cf, "_map_values", recorded)
+    cf.local_inverse(spec, im, target, seed=(0.1, -0.2))
+    assert len(points) == len(set(points))
+
+
 @pytest.mark.parametrize(
     "im,spec,box",
     [
@@ -484,3 +526,256 @@ def test_random_conformal_identities():
     assert worst["sectional"] < 1e-5
     assert worst["scalar"] < 1e-5
     assert worst["gauss"] < 1e-5
+
+
+# -- batched samples against the per-sample loops -------------------------------
+#
+# The oracles below evaluate one sample at a time with one-point arithmetic:
+# every batched result must equal theirs bit for bit, and a failing sample
+# must raise the same type with the same message.
+
+
+def pullback_alone(spec, geo, expected_factor=None):
+    im, x, psi = geo.immersion, geo.x, geo.psi
+    _, keep = cf._split_layout(spec, im)
+    denom = cf._denominator_series(spec, im, psi)
+    if abs(denom.val) <= cf.DENOMINATOR_FLOOR:
+        raise DegeneracyError(f"split-map denominator {denom.val:.3e} at {tm.format_point(x)}")
+    y = np.array([psi[a].val for a in keep]) / denom.val
+    if spec.hyperbolic:
+        on_model = abs(-y[0] ** 2 + y[1:] @ y[1:] + 1.0) < cf.MODEL_MEMBERSHIP_TOL and y[0] > 0.0
+    else:
+        on_model = abs(y @ y - 1.0) < cf.MODEL_MEMBERSHIP_TOL
+    if not on_model:
+        raise DegeneracyError(f"split-map image {np.asarray(y)} left the model space")
+    n = len(x)
+    jac = np.array([[(psi[a] / denom).derivative(i).val for i in range(n)] for a in keep])
+    if spec.primitive:
+        w = psi[-1]
+        jac = np.vstack([jac, np.array([w.derivative(i).val for i in range(n)]) / denom.val])
+    signs = np.ones(jac.shape[0])
+    if spec.hyperbolic:
+        signs[0] = -1.0
+    pulled = np.einsum("a,ai,aj->ij", signs, jac, jac)
+    lam = abs(denom.val) if expected_factor is None else float(expected_factor(x))
+    deviation = float(np.max(np.abs(pulled - geo.g0 / lam**2)))
+    spd = np.allclose(pulled, pulled.T, atol=1e-12) and np.linalg.eigvalsh(pulled)[0] > 0.0
+    return deviation, bool(spd)
+
+
+def factor_check_loop(spec, im, samples, expected_factor=None):
+    worst = 0.0
+    for x in samples:
+        worst = max(worst, pullback_alone(spec, chart_geometry(im, x), expected_factor)[0])
+    return worst
+
+
+def r_sign_loop(im, samples):
+    cone = im.target_cone
+    signs = set()
+    for x in samples:
+        r = cone.scale(im.series(x, 0, check_membership=False)[0].val)
+        if abs(r) <= cf.DENOMINATOR_FLOOR:
+            raise DegeneracyError(f"scale R = {r:.3e} vanishes at {tm.format_point(x)}")
+        signs.add(1.0 if r > 0.0 else -1.0)
+    if len(signs) != 1:
+        raise DegeneracyError("scale R changes sign across the samples")
+    return signs.pop()
+
+
+def curvature_check_loop(metric_obj, lam, samples):
+    res_sect = res_scal = res_gauss = 0.0
+    for x in samples:
+        geo = chart_geometry(metric_obj, x, check_membership=False)
+        n = geo.dim
+        s = geo.scalar_series(lam)
+        geo_s = geo.rescaled(s)
+        lam0 = s.val
+        if lam0 <= 0.0:
+            raise ValueError(f"conformal factor nonpositive at {tm.format_point(x)}")
+        _, grad_sq = geo.gradient(s)
+        hess = geo.covariant_hessian(s)
+        lap = float(np.einsum("ij,ij->", geo.g_inv0, hess))
+        b = geo.onf
+        hess_onf = b.T @ hess @ b
+        dlam_onf = b.T @ geo.partials(s)
+        k_base = cf.sectional_curvatures(geo)
+        k_scaled = cf.sectional_curvatures(geo_s)
+        for a in range(n):
+            for c in range(a + 1, n):
+                lhs = lam0**4 * k_scaled[a, c]
+                rhs = (
+                    lam0**2 * k_base[a, c]
+                    + 2.0 * (dlam_onf[a] ** 2 + dlam_onf[c] ** 2)
+                    - lam0 * (hess_onf[a, a] + hess_onf[c, c])
+                    - grad_sq
+                )
+                res_sect = max(res_sect, abs(lhs - rhs))
+        lhs = lam0**2 * geo_s.scal
+        rhs = geo.scal - 2.0 * (n - 1) * lap / lam0 - (n - 1) * (n - 4) * grad_sq / lam0**2
+        res_scal = max(res_scal, abs(lhs - rhs))
+        if n == 2:
+            log_lap = geo.laplacian(tm.log(s))
+            lhs = lam0**2 * k_scaled[0, 1]
+            res_gauss = max(res_gauss, abs(lhs - (k_base[0, 1] - log_lap)))
+    return {"sectional": res_sect, "scalar": res_scal, "gauss": res_gauss}
+
+
+def outcome(fn, *args):
+    """fn's result with every float as its exact bits, or its error's type
+    and message."""
+    try:
+        out = fn(*args)
+    except Exception as err:  # noqa: BLE001 - the error is the outcome compared
+        return type(err), str(err)
+    if isinstance(out, dict):
+        return {key: float(v).hex() for key, v in out.items()}
+    if isinstance(out, tuple):  # pullback (deviation, spd)
+        return float(out[0]).hex(), bool(out[1])
+    return float(out).hex()
+
+
+def appendix_scenes():
+    docs = builtin_scenes()
+    out = [parse_scene(docs[name]) for name in sorted(docs)]
+    return [sc for sc in out if "appendix" in sc.checks]
+
+
+def grid_samples(scene, seed, count=5):
+    """count grid points of the scene drawn by the seed, rejected ones included."""
+    points = np.array(list(itertools.product(*scene.axes)))
+    picks = np.random.default_rng(seed).choice(len(points), size=count, replace=False)
+    return [points[i] for i in picks]
+
+
+def chart_geometry_calls(monkeypatch):
+    calls = []
+    real = immersion.chart_geometry
+
+    def counted(obj, x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return real(obj, x, *args, **kwargs)
+
+    monkeypatch.setattr(cf, "chart_geometry", counted)
+    return calls
+
+
+def test_curvature_check_batch_matches_samples_alone(monkeypatch):
+    scenes = appendix_scenes()
+    assert len(scenes) == 9
+    calls = chart_geometry_calls(monkeypatch)
+    batched = 0
+    for scene in scenes:
+        lam = cf.factor_field(scene.cspec, scene.im)
+        for seed in range(4):
+            samples = grid_samples(scene, seed)
+            calls.clear()
+            want = outcome(curvature_check_loop, scene.im, lam, samples)
+            calls.clear()
+            assert outcome(cf.conformal_curvature_check, scene.im, lam, samples) == want
+            batched += calls == [(5, 2)]
+    assert batched >= 30  # most sample sets are one batch, not the fallback loop
+    # a failing sample in the middle of the list: the loop's error, the loop's order
+    flat = MetricChart(lambda coords: [[1.0, 0.0], [0.0, 1.0]], 2, "flat2")
+    lam = lambda xs: xs[0]  # noqa: E731 - vanishes at x0 = 0, negative below
+    for samples in (
+        [(0.5, 0.2), (-0.5, 0.2), (0.3, 0.1)],
+        [(0.5, 0.2), (0.0, 0.2), (-0.3, 0.1)],
+    ):
+        want = outcome(curvature_check_loop, flat, lam, samples)
+        assert want[0] in (ValueError, immersion.MetricSignatureError)
+        assert outcome(cf.conformal_curvature_check, flat, lam, samples) == want
+    im = desitter_family(0.0, sphere_f)
+    samples = [(0.5, 0.2), (-0.5, 0.2)]  # the second is off the sphere chart
+    want = outcome(curvature_check_loop, im, lambda qs: 1.0 + 0.0 * qs[0], samples)
+    assert want[0] is tm.ChartDomainError
+    assert outcome(cf.conformal_curvature_check, im, lambda qs: 1.0 + 0.0 * qs[0], samples) == want
+    rng = np.random.default_rng(47)
+    for trial in range(20):
+        n = 2 + trial % 2
+        chart, lam = random_metric_chart(rng, n), random_positive_field(rng, n)
+        samples = sample_box(rng, ((-0.8, 0.8),) * n, 4)
+        want = outcome(curvature_check_loop, chart, lam, samples)
+        assert outcome(cf.conformal_curvature_check, chart, lam, samples) == want
+
+
+def test_pullback_columns_match_points_alone():
+    cases = [(sc.cspec, sc.im, sc.axes) for sc in appendix_scenes()]
+    # mink-slice with half of its grid below x1 = 0, where the image lands on
+    # the lower hyperboloid sheet: columns off the model space in a batch
+    doc = builtin_scenes()["mink-slice"]
+    doc["grid"][1] = {"min": -1.0, "max": 1.0, "count": 12}
+    off = parse_scene(doc)
+    cases.append((off.cspec, off.im, off.axes))
+    off_model = 0
+    for spec, im, axes in cases:
+        points = [np.array(p) for p in itertools.product(*axes)]
+        good = []
+        for x in points:
+            try:
+                chart_geometry(im, x)
+            except (tm.DomainError, immersion.MetricSignatureError, cf.PointRejected):
+                continue
+            good.append(x)
+        geo = chart_geometry(im, np.array(good))
+        deviation, spd, on_model = cf.pullback_columns(spec, geo)
+        for b, x in enumerate(good):
+            one = chart_geometry(im, x)
+            want = outcome(pullback_alone, spec, one)
+            assert outcome(cf.pullback_residual, spec, one) == want
+            if on_model[b]:
+                assert want == (float(deviation[b]).hex(), bool(spd[b]))
+            else:
+                off_model += 1
+                assert want[0] is DegeneracyError
+                assert np.isnan(deviation[b]) and not spd[b]
+    assert off_model > 0
+
+
+@pytest.mark.parametrize(
+    "spec,im,lam,samples", [c[1:] for c in factor_cases()], ids=[c[0] for c in factor_cases()]
+)
+def test_factor_check_batch_matches_samples_alone(spec, im, lam, samples):
+    for expected in (None, lam):
+        want = outcome(factor_check_loop, spec, im, samples, expected)
+        assert isinstance(want, str)
+        assert outcome(cf.conformal_factor_check, spec, im, samples, expected) == want
+        for x in samples:
+            want = outcome(factor_check_loop, spec, im, [x], expected)
+            assert outcome(cf.conformal_factor_check, spec, im, [x], expected) == want
+
+
+def test_factor_check_failing_sample_matches_loop():
+    # a sample off the model space, off the chart, or on a vanishing
+    # denominator, after a good one: the loop's error, the loop's order
+    lightcone = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
+    desitter = ConformalMapSpec("desitter_to_Sn")
+    near = psi_f_desitter(2, 0.5, math.sqrt(3.0) - 1e-10, component="minus")
+    cases = [
+        (lightcone, slice_immersion(2, 2.0), [(1.2, 2.0), (1.2, -2.0), (0.8, 1.5)]),
+        (desitter, desitter_family(0.0, sphere_f), [(1.2, 0.4), (-0.5, 0.2), (1.8, -0.9)]),
+        (desitter, near, [(1.2, 0.4), (1.8, -0.9)]),
+    ]
+    for spec, im, samples in cases:
+        want = outcome(factor_check_loop, spec, im, samples)
+        assert want[0] in (DegeneracyError, tm.ChartDomainError)
+        assert outcome(cf.conformal_factor_check, spec, im, samples) == want
+
+
+def test_desitter_r_sign_batch_matches_samples_alone():
+    desitter = [sc for sc in appendix_scenes() if sc.cspec.variant == "desitter_to_Sn"]
+    assert len(desitter) == 4
+    for scene in desitter:
+        for seed in range(4):
+            samples = grid_samples(scene, seed, 8)
+            assert outcome(cf.desitter_r_sign, scene.im, samples) == outcome(
+                r_sign_loop, scene.im, samples
+            )
+    rng = np.random.default_rng(29)
+    samples = sample_box(rng, sphere_box(2), 5)
+    near = psi_f_desitter(2, 0.5, math.sqrt(3.0) - 1e-10, component="minus")
+    outside = samples[:2] + [(-0.5, 0.2)] + samples[2:]  # off the sphere chart
+    for im, pts in ((near, samples), (desitter_family(0.0, sphere_f), outside), (near, [])):
+        want = outcome(r_sign_loop, im, pts)
+        assert want[0] in (DegeneracyError, tm.ChartDomainError)
+        assert outcome(cf.desitter_r_sign, im, pts) == want
