@@ -523,7 +523,7 @@ def _per_sample(fn, samples) -> list:
     """fn's per-sample results, fn evaluating the samples stacked as one
     batch (S, n); where the batch is refused, fn of each sample in order,
     so that the first failing sample raises its own typed error."""
-    xs = np.array([np.asarray(x, dtype=np.float64) for x in samples])
+    xs = np.array(list(samples), dtype=np.float64)
     if len(xs):
         try:
             return fn(xs)
