@@ -838,29 +838,37 @@ def _format_float(value: float) -> str:
 
 
 def _emit_json_value(obj, indent, out):
-    pad = "  " * indent
-    if isinstance(obj, dict):
+    # exact floats and strings, most of a report, skip the isinstance chain;
+    # bool, numpy scalars and subclasses go through it in its order
+    kind = type(obj)
+    if kind is float:
+        out.append(_format_float(obj))
+    elif kind is str:
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        inner, last = "  " * (indent + 1), len(obj) - 1
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            out.append("  " * (indent + 1))
+            out.append(inner)
             out.append(json.dumps(str(key)))
             out.append(": ")
             _emit_json_value(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+            out.append(",\n" if i < last else "\n")
+        out.append("  " * indent + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
+        inner, last = "  " * (indent + 1), len(obj) - 1
         out.append("[\n")
         for i, value in enumerate(obj):
-            out.append("  " * (indent + 1))
+            out.append(inner)
             _emit_json_value(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+            out.append(",\n" if i < last else "\n")
+        out.append("  " * indent + "]")
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):

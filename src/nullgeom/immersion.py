@@ -395,27 +395,3 @@ def chart_geometry(obj, x, check_membership=True) -> ChartGeometry:
     if isinstance(obj, MetricChart):
         return _geometry_from_metric(obj, x)
     raise TypeError(f"expected Immersion or MetricChart, got {type(obj).__name__}")
-
-
-def pullback_metric_chart(chart_map: SmoothMap, signs=None, name="") -> MetricChart:
-    """Metric chart obtained by pulling a (pseudo)flat ambient metric back
-    through `chart_map`; `signs` lists the ambient signature, default all +1."""
-    if signs is not None and len(signs) != chart_map.n_outputs:
-        raise ValueError("signature length must match the map's output arity")
-
-    def metric(coords):
-        ys = chart_map.fn(coords)
-        if isinstance(ys, Series):
-            ys = [ys]
-        sg = signs if signs is not None else (1.0,) * len(ys)
-        k = len(coords)
-        d = [[comp.derivative(i) for comp in ys] for i in range(k)]
-        return [
-            [
-                sum(s * a * b for s, a, b in zip(sg, d[i], d[j]))
-                for j in range(k)
-            ]
-            for i in range(k)
-        ]
-
-    return MetricChart(metric=metric, dim=chart_map.n_inputs, name=name)

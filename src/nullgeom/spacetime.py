@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import taylor
 from .taylor import Series, SmoothMap, compose_univariate, get_context
 
 __all__ = [
+    "quadrature",
     "WarpingDomainError",
     "WarpingFunction",
     "AmbientModel",
@@ -41,6 +41,18 @@ __all__ = [
 _WARPING_KINDS = ("constant", "exp", "cosh", "polynomial", "custom")
 _MODEL_KINDS = ("minkowski", "product", "grw_euclidean", "desitter")
 _FIBER_KINDS = ("euclidean", "hyperbolic", "sphere")
+
+
+def quadrature(fn, lo: float, hi: float):
+    """Adaptive quadrature of fn over [lo, hi]: (value, error estimate).
+
+    The one entry point of every numeric integral in the package; each
+    caller applies its own error test.  SciPy is imported at the first
+    call, so a process that never integrates does not load it.
+    """
+    from scipy.integrate import quad
+
+    return quad(fn, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
 
 
 class WarpingDomainError(taylor.DomainError):
@@ -152,8 +164,7 @@ class WarpingFunction:
             return math.exp(-t0) - math.exp(-v)
         if self.kind == "cosh":
             return math.atan(math.sinh(v)) - math.atan(math.sinh(t0))
-        val, err = quad(lambda s: 1.0 / self.value(s), t0, v,
-                        epsabs=1e-12, epsrel=1e-12, limit=200)
+        val, err = quadrature(lambda s: 1.0 / self.value(s), t0, v)
         if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
             raise ArithmeticError(f"quadrature of 1/f failed on [{t0}, {v}]")
         return val

@@ -630,12 +630,6 @@ class Jet:
             return np.zeros((self.n_outputs, ctx.n))
         return self.taylor[:, ctx.first]
 
-    def partial(self, alpha) -> np.ndarray:
-        """Derivative d^alpha of every output component."""
-        alpha = tuple(alpha)
-        i = self.ctx.index[alpha]
-        return self.taylor[:, i] * self.ctx.factorials[i]
-
     def hessian(self) -> np.ndarray:
         ctx = self.ctx
         if ctx.order < 2:

@@ -30,6 +30,7 @@ __all__ = [
     "sphere_box",
     "sample_box",
     "random_metric_chart",
+    "pullback_metric_chart",
     "random_positive_field",
     "inner_at",
     "intrinsic_gradient",
@@ -74,6 +75,30 @@ def random_metric_chart(rng, n):
         ]
 
     return MetricChart(metric=metric, dim=n, name="random")
+
+
+def pullback_metric_chart(chart_map: tm.SmoothMap, signs=None, name="") -> MetricChart:
+    """Metric chart obtained by pulling a (pseudo)flat ambient metric back
+    through `chart_map`; `signs` lists the ambient signature, default all +1."""
+    if signs is not None and len(signs) != chart_map.n_outputs:
+        raise ValueError("signature length must match the map's output arity")
+
+    def metric(coords):
+        ys = chart_map.fn(coords)
+        if isinstance(ys, tm.Series):
+            ys = [ys]
+        sg = signs if signs is not None else (1.0,) * len(ys)
+        k = len(coords)
+        d = [[comp.derivative(i) for comp in ys] for i in range(k)]
+        return [
+            [
+                sum(s * a * b for s, a, b in zip(sg, d[i], d[j]))
+                for j in range(k)
+            ]
+            for i in range(k)
+        ]
+
+    return MetricChart(metric=metric, dim=chart_map.n_inputs, name=name)
 
 
 def random_positive_field(rng, n):

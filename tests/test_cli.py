@@ -5,6 +5,9 @@ import copy
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from nullgeom import cli, conformal, extrinsic, immersion
+from nullgeom import cli, conformal, extrinsic, immersion, spacetime
 from nullgeom.cli import (
     ConfigError,
     DEFAULT_TOLERANCES,
@@ -355,7 +358,9 @@ def test_singular_metric_and_warping_domain_are_chart_singularities():
 
 def test_exactness_quadrature_error_is_unevaluable(monkeypatch):
     # a loop integral whose own error estimate is too large is no evidence
-    real_quad = conformal.quad
+    # conformal integrates through its binding of the entry point
+    assert conformal.quad is spacetime.quadrature
+    real_quad = spacetime.quadrature
 
     def sloppy(func, a, b, **kwargs):
         return real_quad(func, a, b, **kwargs)[0], 1e-6
@@ -364,6 +369,43 @@ def test_exactness_quadrature_error_is_unevaluable(monkeypatch):
     report = run(small(builtin_scenes()["cyl-arctan"]), checks=["conformal"])
     assert "quadrature error" in report["suites"]["conformal"]["unevaluable"]
     assert report["exit_status"] == EXIT_DEGENERATE
+
+
+_COLD_START = """
+import json, sys
+from nullgeom import cli, extrinsic, scenes
+
+docs = scenes.builtin_scenes()
+for doc in docs.values():
+    cli.parse_scene(doc)
+cli.emit_json(cli.run(docs["mink-h2"]))
+before = "scipy" in sys.modules
+report = cli.run(docs["cyl-arctan"])
+cli.emit_json(report)
+print(json.dumps({
+    "before": before,
+    "after": "scipy" in sys.modules,
+    "status": report["exit_status"],
+    "passed": [suite["passed"] for suite in report["suites"].values()],
+}))
+"""
+
+
+def test_scipy_is_imported_only_by_a_quadrature():
+    # a fresh interpreter: the test session itself has scipy loaded already
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert not seen["before"], "scipy loaded without any quadrature"
+    # cyl-arctan's primitive and exactness loop integrate
+    assert seen["after"]
+    assert seen["status"] == EXIT_PASS
+    assert seen["passed"] and all(seen["passed"])
 
 
 def test_conformal_suite_drops_samples_off_the_model_space():
@@ -572,6 +614,84 @@ def test_json_round_trip_three_rows():
 
 def test_json_handles_infinity():
     assert parse_report(emit_json({"residual": math.inf})) == {"residual": math.inf}
+
+
+def _oracle_float(value):
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return format(float(value), ".17g")
+
+
+def _oracle_value(obj, indent, out):
+    """The emitter as a plain isinstance chain, kept as the byte oracle."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append("  " * (indent + 1))
+            out.append(json.dumps(str(key)))
+            out.append(": ")
+            _oracle_value(value, indent + 1, out)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(obj):
+            out.append("  " * (indent + 1))
+            _oracle_value(value, indent + 1, out)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "]")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_oracle_float(float(obj)))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot emit {type(obj).__name__} into a report")
+
+
+def _oracle_json(report):
+    out = []
+    _oracle_value(report, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+class _Label(str):
+    pass
+
+
+def test_emit_json_matches_isinstance_chain():
+    for name, doc in builtin_scenes().items():
+        report = run(doc)
+        assert emit_json(report) == _oracle_json(report), name
+    mixed = {
+        "f64": np.float64(0.1),
+        "f32": np.float32(1.5),
+        "bools": [True, False, np.bool_(True), np.bool_(False)],
+        "ints": (0, -3, np.int64(7), np.int32(-2)),
+        "specials": [math.nan, math.inf, -math.inf, np.float64(math.nan), -0.0],
+        "empty": [{}, [], ()],
+        "label": _Label("café \"quoted\"\n"),
+        7: None,
+        "nested": {"a": {"b": {"c": (1.0, [2.5e-300, {"d": ()}])}}},
+    }
+    assert emit_json(mixed) == _oracle_json(mixed)
+    with pytest.raises(TypeError, match="cannot emit set"):
+        emit_json({"bad": {1.0}})
 
 
 def test_report_echo_carries_resolved_config():

@@ -23,7 +23,6 @@ from nullgeom.immersion import (
     Immersion,
     MetricChart,
     chart_geometry,
-    pullback_metric_chart,
 )
 from nullgeom.nullcone import NullconeSpec
 from nullgeom.scenes import builtin_scenes
@@ -32,6 +31,7 @@ from nullgeom.taylor import SmoothMap
 from _surfaces import (
     hxr_immersion,
     psi_f_desitter,
+    pullback_metric_chart,
     random_metric_chart,
     random_positive_field,
     sample_box,
