@@ -33,8 +33,9 @@ reads that per-row diagnostic for its first 40 evaluated points and drops
 the flagged ones.  The appendix checks the conformal curvature identities
 at up to five evaluated grid points, drawn without replacement by the
 scene's seed and evaluated as one batch.  The grid is
-evaluated on the calling thread in chunks of `GRID_CHUNK` points, each
-chunk as one batch through the same pipeline that evaluates a single point;
+evaluated on the calling thread as one batch through the same pipeline that
+evaluates a single point, in chunks of `GRID_CHUNK` points only where it is
+larger (the bound on a batch's memory; every built-in grid fits in one);
 a point the batch rejects is evaluated alone, for its typed rejection.
 Every point comes out exactly as it would alone, and rows and rejections
 are reported in grid order, so identical configurations produce
@@ -141,8 +142,9 @@ _CONFORMAL_SAMPLE_CAP = 40
 _FACTORIZATION_SAMPLES = 6
 _APPENDIX_SAMPLES = 5
 
-# grid points evaluated together as one batch
-GRID_CHUNK = 64
+# at most this many grid points are evaluated together as one batch; it
+# bounds the memory of a large grid, and every built-in grid fits in one
+GRID_CHUNK = 512
 
 # the typed errors that make a grid point a rejection, not a failed run
 _REJECTIONS = (

@@ -18,6 +18,9 @@ sign, curvature identities) evaluate their samples as one batch; where the
 batch is refused they evaluate the samples one at a time, in order, so the
 first failing sample raises its own typed error.  Each identity's final
 arithmetic runs on one sample's Python floats, exactly as at one point.
+The factorization round trip runs its samples' local inverses in lockstep,
+each round's jacobians and each damping halving's trial points as one
+batch, and each sample's solve and line search on its own values.
 """
 
 from __future__ import annotations
@@ -417,12 +420,14 @@ def _model_image(spec, im, psi):
 
 def _model_values(spec, im, x, psi) -> np.ndarray:
     """Image of psi on the model factor (hyperboloid sheet or round sphere),
-    without the cylinder maps' primitive g; membership is enforced."""
+    without the cylinder maps' primitive g, at one point or per row of a
+    batch; membership is enforced."""
     denom, y, on_model = _model_image(spec, im, psi)
-    if abs(denom) <= DENOMINATOR_FLOOR:
-        raise DegeneracyError(f"split-map denominator {denom:.3e} at {format_point(x)}")
-    if not on_model:
-        raise DegeneracyError(f"split-map image {y} left the model space")
+    taylor.reject(
+        np.abs(denom) <= DENOMINATOR_FLOOR,
+        lambda: DegeneracyError(f"split-map denominator {denom:.3e} at {format_point(x)}"),
+    )
+    taylor.require(on_model, lambda: DegeneracyError(f"split-map image {y} left the model space"))
     return y
 
 
@@ -430,7 +435,8 @@ def _map_values(spec, im, x, psi) -> np.ndarray:
     """The model image, followed by the primitive g on the cylinder maps."""
     y = _model_values(spec, im, x, psi)
     if spec.primitive:
-        return np.concatenate([y, [primitive_g(spec, im, x)]])
+        g = [primitive_g(spec, im, p) for p in np.atleast_2d(x)]
+        return np.concatenate([y, np.reshape(g, y.shape[:-1] + (1,))], axis=-1)
     return y
 
 
@@ -514,24 +520,42 @@ def pullback_residual(spec: ConformalMapSpec, geo: ChartGeometry, expected_facto
     return deviation, spd
 
 
+# the typed errors with which a sample fails a check
+_SAMPLE_ERRORS = (PointRejected, DomainError, EmbeddingRangeError, MetricSignatureError,
+                  DegeneracyError)
 # what a batch of samples raises where evaluating its samples one at a
 # time gives each failing sample its typed error: the failing columns, or
 # a failure that no column owns (a constant component off its domain)
-_BATCH_REFUSALS = (BatchRejected, PointRejected, DomainError, EmbeddingRangeError,
-                   MetricSignatureError)
+_BATCH_REFUSALS = (BatchRejected,) + _SAMPLE_ERRORS
+
+
+def _until_refused(fn, xs):
+    """fn's per-sample results over the stacked samples xs (S, n), fn
+    evaluating them as one batch; where the batch is refused, fn of each
+    sample in order, up to the first that raises a typed error.  Returns
+    the results of the samples before that one, and its error or None."""
+    if len(xs):
+        try:
+            return fn(xs), None
+        except _BATCH_REFUSALS:
+            pass
+    out = []
+    for x in xs:
+        try:
+            out.append(fn(x))
+        except _SAMPLE_ERRORS as err:
+            return out, err
+    return out, None
 
 
 def _per_sample(fn, samples) -> list:
     """fn's per-sample results, fn evaluating the samples stacked as one
     batch (S, n); where the batch is refused, fn of each sample in order,
     so that the first failing sample raises its own typed error."""
-    xs = np.array(list(samples), dtype=np.float64)
-    if len(xs):
-        try:
-            return fn(xs)
-        except _BATCH_REFUSALS:
-            pass
-    return [fn(x) for x in xs]
+    results, error = _until_refused(fn, np.array(list(samples), dtype=np.float64))
+    if error is not None:
+        raise error
+    return results
 
 
 def conformal_factor_check(
@@ -581,6 +605,30 @@ def desitter_r_sign(im: Immersion, samples) -> float:
 # -- factorization ------------------------------------------------------------
 
 
+# what a trial point of the local inverse fails with: it left the chart, the
+# family's range or the model space; a batch of trials, `BatchRejected`
+_TRIAL_REFUSALS = (BatchRejected, DomainError, EmbeddingRangeError, DegeneracyError)
+
+
+def _inverse_residuals(spec, im, points, targets) -> list:
+    """(order-1 psi coefficients, residual against the target) at a chart
+    point, or per point of a stack (S, n) against targets (S, m) evaluated
+    as one batch; a point that leaves the chart, the family's range or the
+    model space gives its typed error instead.  A refused batch is
+    evaluated one point at a time, to learn which points fail."""
+    try:
+        psi = im.series(points, 1, check_membership=False)
+        r = _map_values(spec, im, points, psi) - targets
+    except _TRIAL_REFUSALS as err:
+        if points.ndim == 1:
+            return [err]
+        return [_inverse_residuals(spec, im, p, t)[0] for p, t in zip(points, targets)]
+    coeffs = np.stack([s.c for s in psi])
+    if points.ndim == 1:
+        return [(coeffs, r)]
+    return [(coeffs[..., b], r[b]) for b in range(len(points))]
+
+
 def local_inverse(
     spec: ConformalMapSpec,
     im: Immersion,
@@ -589,43 +637,80 @@ def local_inverse(
     tol: float = 1e-12,
     max_iter: int = 60,
 ) -> np.ndarray:
-    """Chart point mapping to `target` under the split map.
+    """Chart point mapping to `target` under the split map; for stacked
+    targets (S, m) and seeds (S, n), the chart point (S, n) of each target.
 
     Damped Gauss-Newton on the forward map seeded from `seed`; the system is
     overdetermined by the model constraint, so each step solves the least
-    squares normal equations.
+    squares normal equations.  A stack iterates in lockstep: each round
+    evaluates the jacobians of the samples still iterating as one batch,
+    and each damping halving the trial points of the samples still
+    searching as one batch.  The solve, the norms, the damping and the
+    iteration limits stay per sample, so every sample takes the steps it
+    takes alone; a stack raises the error of its first failing sample.
     """
-    x = np.asarray(seed, dtype=float).copy()
     target = np.asarray(target, dtype=float)
-    psi = im.series(x, 1, check_membership=False)
-    r = _map_values(spec, im, x, psi) - target
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
-            return x
-        jac = _map_jacobian(spec, im, psi)
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        base_norm = float(r @ r)
-        damping = 1.0
-        for _ in range(30):
-            trial = x - damping * step
-            try:
-                trial_psi = im.series(trial, 1, check_membership=False)
-                trial_r = _map_values(spec, im, trial, trial_psi) - target
-            except (DomainError, EmbeddingRangeError, DegeneracyError):
-                # the trial left the chart, the family's range or the model space
-                damping *= 0.5
-                continue
-            if float(trial_r @ trial_r) < base_norm:
-                x, psi, r = trial, trial_psi, trial_r
-                break
-            damping *= 0.5
+    one = target.ndim == 1
+    targets = np.atleast_2d(target)
+    xs = np.array(seed, dtype=float, ndmin=2)
+    ctx = taylor.get_context(xs.shape[1], 1)
+    psis, rs = [None] * len(xs), [None] * len(xs)
+    errors = {}  # sample -> its error; the first failing sample's is raised
+
+    def at(stack):
+        # one point has no batch axis
+        return stack[0] if one else stack
+
+    def live(ks):
+        # a sample after a failed one cannot change what is raised
+        first = min(errors, default=len(xs))
+        return [k for k in ks if k < first]
+
+    active = []
+    for k, res in enumerate(_inverse_residuals(spec, im, at(xs), at(targets))):
+        if isinstance(res, Exception):
+            errors[k] = res
         else:
-            raise InverseError(f"no descent step at {format_point(x)}")
-    if np.max(np.abs(r)) < tol:
-        return x
-    raise InverseError(
-        f"iteration stalled near {format_point(x)} for target {format_point(target)}"
-    )
+            psis[k], rs[k] = res
+            active.append(k)
+    for _ in range(max_iter):
+        active = [k for k in live(active) if not np.max(np.abs(rs[k])) < tol]
+        if not active:
+            break
+        coeffs = np.stack([psis[k] for k in active], axis=-1)
+        if one:
+            coeffs = coeffs[..., 0]
+        jacs = _map_jacobian(spec, im, [Series(ctx, c) for c in coeffs])
+        steps, base_norms = {}, {}
+        for k, jac in zip(active, [jacs] if one else jacs):
+            steps[k], *_ = np.linalg.lstsq(jac, rs[k], rcond=None)
+            base_norms[k] = float(rs[k] @ rs[k])
+        damping = dict.fromkeys(active, 1.0)
+        searching = active
+        for _ in range(30):
+            if not searching:
+                break
+            trials = np.array([xs[k] - damping[k] * steps[k] for k in searching])
+            results = _inverse_residuals(spec, im, at(trials), at(targets[searching]))
+            failed = []
+            for k, trial, res in zip(searching, trials, results):
+                if not isinstance(res, Exception) and float(res[1] @ res[1]) < base_norms[k]:
+                    xs[k], (psis[k], rs[k]) = trial, res
+                else:
+                    damping[k] *= 0.5
+                    failed.append(k)
+            searching = failed
+        for k in searching:
+            errors[k] = InverseError(f"no descent step at {format_point(xs[k])}")
+    for k in live(active):
+        if not np.max(np.abs(rs[k])) < tol:
+            errors[k] = InverseError(
+                f"iteration stalled near {format_point(xs[k])} "
+                f"for target {format_point(targets[k])}"
+            )
+    if errors:
+        raise errors[min(errors)]
+    return at(xs)
 
 
 def _psi_f_at_model_point(spec, im, i, y, f_val) -> np.ndarray:
@@ -641,7 +726,10 @@ def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float
 
     f is reconstructed at each image point as the denominator coordinate
     composed with a local inverse seeded from the nearest *other* sample, so
-    the round trip genuinely exercises invertibility.
+    the round trip genuinely exercises invertibility.  The samples' images,
+    their local inverses and f at the recovered points are each evaluated
+    as one batch; a failure raises the error of the first failing sample,
+    as taking the samples one at a time would.
     """
     if spec.primitive:
         raise ValueError(f"{spec.variant} has no graph-embedding factorization")
@@ -649,17 +737,31 @@ def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float
     if len(samples) < 2:
         raise ValueError("factorization check needs at least two samples")
     idx, _ = _split_layout(spec, im)
-    worst = 0.0
+    seeds = []
     for k, x in enumerate(samples):
-        psi = im.series(x, 1)
-        y = _map_values(spec, im, x, psi)
         others = [s for j, s in enumerate(samples) if j != k]
-        seed = min(others, key=lambda s: float(np.sum((s - x) ** 2)))
-        x_hat = local_inverse(spec, im, y, seed)
-        f_val = im.series(x_hat, 0, check_membership=False)[idx].val
-        ambient = _psi_f_at_model_point(spec, im, idx, y, f_val)
-        psi0 = np.array([s.val for s in psi])
-        worst = max(worst, float(np.max(np.abs(ambient - psi0))))
+        seeds.append(min(others, key=lambda s: float(np.sum((s - x) ** 2))))
+
+    def image(x):
+        psi = im.series(x, 1)
+        y, psi0 = _map_values(spec, im, x, psi), taylor.batch_first([s.val for s in psi])
+        return list(zip(y, psi0)) if x.ndim == 2 else (y, psi0)
+
+    def f_at(x):
+        f_val = im.series(x, 0, check_membership=False)[idx].val
+        return f_val.tolist() if x.ndim == 2 else f_val
+
+    # the samples after the first one whose image fails cannot change the outcome
+    images, error = _until_refused(image, np.array(samples))
+    worst = 0.0
+    if images:
+        ys = np.array([y for y, _ in images])
+        x_hats = local_inverse(spec, im, ys, np.array(seeds[: len(images)]))
+        for (y, psi0), f_val in zip(images, _per_sample(f_at, x_hats)):
+            ambient = _psi_f_at_model_point(spec, im, idx, y, f_val)
+            worst = max(worst, float(np.max(np.abs(ambient - psi0))))
+    if error is not None:
+        raise error
     return worst
 
 

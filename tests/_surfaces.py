@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from nullgeom import conformal as cf
 from nullgeom import extrinsic as ext
 from nullgeom import spacetime as st
 from nullgeom import taylor as tm
@@ -37,6 +38,8 @@ __all__ = [
     "hessian_laplacian",
     "desitter_embed",
     "normal_connection_residual",
+    "local_inverse_alone",
+    "factorization_alone",
 ]
 
 
@@ -166,4 +169,70 @@ def normal_connection_residual(pt):
             ii += pt.grad_u[i] * pt.ii[j, i]
         rhs = -ratio * pt.du[j] * n0 - ii
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def _map_values_alone(spec, im, x, psi):
+    """The split map's image of psi at one chart point, membership enforced."""
+    denom, y, on_model = cf._model_image(spec, im, psi)
+    if abs(denom) <= cf.DENOMINATOR_FLOOR:
+        raise cf.DegeneracyError(f"split-map denominator {denom:.3e} at {tm.format_point(x)}")
+    if not on_model:
+        raise cf.DegeneracyError(f"split-map image {y} left the model space")
+    if spec.primitive:
+        return np.concatenate([y, [cf.primitive_g(spec, im, x)]])
+    return y
+
+
+def local_inverse_alone(spec, im, target, seed, tol=1e-12, max_iter=60):
+    """Damped Gauss-Newton local inverse of the split map at one target, one
+    point and one trial at a time: the oracle of `conformal.local_inverse`."""
+    x = np.asarray(seed, dtype=float).copy()
+    target = np.asarray(target, dtype=float)
+    psi = im.series(x, 1, check_membership=False)
+    r = _map_values_alone(spec, im, x, psi) - target
+    for _ in range(max_iter):
+        if np.max(np.abs(r)) < tol:
+            return x
+        jac = cf._map_jacobian(spec, im, psi)
+        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
+        base_norm = float(r @ r)
+        damping = 1.0
+        for _ in range(30):
+            trial = x - damping * step
+            try:
+                trial_psi = im.series(trial, 1, check_membership=False)
+                trial_r = _map_values_alone(spec, im, trial, trial_psi) - target
+            except (tm.DomainError, cf.EmbeddingRangeError, cf.DegeneracyError):
+                damping *= 0.5
+                continue
+            if float(trial_r @ trial_r) < base_norm:
+                x, psi, r = trial, trial_psi, trial_r
+                break
+            damping *= 0.5
+        else:
+            raise cf.InverseError(f"no descent step at {tm.format_point(x)}")
+    if np.max(np.abs(r)) < tol:
+        return x
+    raise cf.InverseError(
+        f"iteration stalled near {tm.format_point(x)} for target {tm.format_point(target)}"
+    )
+
+
+def factorization_alone(im, spec, samples):
+    """The factorization round trip one sample at a time, each through
+    `local_inverse_alone`: the oracle of `conformal.factorization_check`."""
+    samples = [np.asarray(s, dtype=float) for s in samples]
+    idx, _ = cf._split_layout(spec, im)
+    worst = 0.0
+    for k, x in enumerate(samples):
+        psi = im.series(x, 1)
+        y = _map_values_alone(spec, im, x, psi)
+        others = [s for j, s in enumerate(samples) if j != k]
+        seed = min(others, key=lambda s: float(np.sum((s - x) ** 2)))
+        x_hat = local_inverse_alone(spec, im, y, seed)
+        f_val = im.series(x_hat, 0, check_membership=False)[idx].val
+        ambient = cf._psi_f_at_model_point(spec, im, idx, y, f_val)
+        psi0 = np.array([s.val for s in psi])
+        worst = max(worst, float(np.max(np.abs(ambient - psi0))))
     return worst

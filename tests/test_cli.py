@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -452,8 +453,11 @@ def test_grid_geometries_are_not_rebuilt(monkeypatch):
 @given(hs.data())
 def test_batched_grid_matches_points_alone(data):
     # a grid of 1-70 points drawn from a built-in scene's box, its polar row
-    # x0 = 0 sometimes included: the chunked batch pass must give every
-    # point exactly what evaluating it alone gives, rejections included
+    # x0 = 0 sometimes included, in chunks of 1-16 points so that a grid
+    # spans several chunks and a rejected row can straddle a chunk
+    # boundary: the chunked batch pass must give every point exactly what
+    # evaluating it alone gives, rejections included
+    chunk = data.draw(hs.integers(1, 16))
     name = data.draw(hs.sampled_from(sorted(builtin_scenes())))
     scene = parse_scene(builtin_scenes()[name])
     (lo0, hi0), (lo1, hi1) = [(float(ax[0]), float(ax[-1])) for ax in scene.axes]
@@ -463,7 +467,8 @@ def test_batched_grid_matches_points_alone(data):
         first[data.draw(hs.integers(0, n0 - 1))] = 0.0
     second = data.draw(hs.lists(hs.floats(lo1, hi1), min_size=n1, max_size=n1))
     scene.axes = [np.array(first), np.array(second)]
-    rows, diags, rejections = cli._evaluate_grid(scene)
+    with mock.patch.object(cli, "GRID_CHUNK", chunk):
+        rows, diags, rejections = cli._evaluate_grid(scene)
     got_rows, got_rejections = iter(zip(rows, diags)), iter(rejections)
     for x in itertools.product(*scene.axes):
         kind, payload, diag = cli._evaluate_point(scene, x)
@@ -479,6 +484,24 @@ def test_batched_grid_matches_points_alone(data):
             assert got["reason"] == payload["reason"]
             assert str(got["detail"]) == str(payload["detail"])
     assert next(got_rows, None) is None and next(got_rejections, None) is None
+
+
+def test_builtin_scenes_evaluate_their_grid_as_one_batch(monkeypatch):
+    # no built-in grid has a rejected point or outgrows GRID_CHUNK, so each
+    # scene's grid pass is one batch of all its points
+    batches = []
+    real = cli._evaluate
+
+    def counted(scene, x):
+        batches.append(len(x))
+        return real(scene, x)
+
+    monkeypatch.setattr(cli, "_evaluate", counted)
+    for name, doc in sorted(builtin_scenes().items()):
+        batches.clear()
+        report = run(doc)
+        assert report["rejections"] == [], name
+        assert batches == [len(report["rows"])], name
 
 
 def test_scene_wide_failures_are_rejected_point_by_point():

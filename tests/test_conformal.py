@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nullgeom import cli
 from nullgeom import conformal as cf
 from nullgeom import immersion
 from nullgeom import spacetime as st
@@ -29,7 +30,9 @@ from nullgeom.scenes import builtin_scenes
 from nullgeom.taylor import SmoothMap
 
 from _surfaces import (
+    factorization_alone,
     hxr_immersion,
+    local_inverse_alone,
     psi_f_desitter,
     pullback_metric_chart,
     random_metric_chart,
@@ -420,6 +423,124 @@ def test_factorization_builds_no_chart_geometry(monkeypatch):
     assert built == []
     chart_geometry(im, samples[0])
     assert len(built) == 1
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result as bytes, or the type and message of what it raised."""
+    try:
+        return "returned", np.asarray(fn(*args, **kwargs)).tobytes()
+    except Exception as err:
+        return "raised", type(err), str(err)
+
+
+def _loop(inverse):
+    """Local inverses of stacked targets and seeds taken one at a time."""
+
+    def each(spec, im, targets, seeds, **kwargs):
+        return [inverse(spec, im, t, s, **kwargs) for t, s in zip(targets, seeds)]
+
+    return each
+
+
+@pytest.mark.parametrize(
+    "family,spec,box,seed_box,rng_seed",
+    [
+        (minkowski_family(), ConformalMapSpec("lightcone_to_Hn", coordinate_index=3),
+         ((-0.9, 0.9), (-0.9, 0.9)), None, 5),
+        (desitter_family(0.0, sphere_f), ConformalMapSpec("desitter_to_Sn"),
+         ((1.0, 2.0), (-0.8, 0.8)), None, 5),
+        # the image ends in the primitive g, integrated at each point
+        (sloped_cylinder(), ConformalMapSpec("cylinder_to_SxR", base_point=(0.0, 0.25)),
+         ((-0.8, 0.9), (0.2, 1.5)), None, 5),
+        # seeds far from targets near the pole: some full steps leave the
+        # chart, so trial batches are refused and evaluated point by point
+        (desitter_family(0.0, sphere_f), ConformalMapSpec("desitter_to_Sn"),
+         ((0.05, 0.4), (-3.0, 3.0)), ((0.3, 2.8), (-3.0, 3.0)), 24),
+        (desitter_family(0.0, sphere_f), ConformalMapSpec("desitter_to_Sn"),
+         ((0.05, 0.4), (-3.0, 3.0)), ((0.3, 2.8), (-3.0, 3.0)), 38),
+        # ... and some samples find no descent step
+        (desitter_family(0.0, sphere_f), ConformalMapSpec("desitter_to_Sn"),
+         ((0.05, 0.4), (-3.0, 3.0)), ((0.3, 2.8), (-3.0, 3.0)), 0),
+    ],
+    ids=["mink", "ds0", "cyl-primitive", "ds0-far-24", "ds0-far-38", "ds0-far-fails"],
+)
+def test_stacked_local_inverse_matches_calls_alone(
+    monkeypatch, family, spec, box, seed_box, rng_seed
+):
+    # every sample of a stack takes the steps it takes alone, to the bit;
+    # a stack raises what the first failing sample raises alone
+    rng = np.random.default_rng(rng_seed)
+    xs = np.array(sample_box(rng, box, 6 if seed_box else 8))
+    seeds = xs[::-1] if seed_box is None else np.array(sample_box(rng, seed_box, len(xs)))
+    targets = np.array([cf.conformal_map(spec, family, x) for x in xs])
+    refused = []
+    real = cf._inverse_residuals
+
+    def spy(spec, im, points, targets):
+        out = real(spec, im, points, targets)
+        if points.ndim == 2 and any(isinstance(r, Exception) for r in out):
+            refused.append(len(points))
+        return out
+
+    monkeypatch.setattr(cf, "_inverse_residuals", spy)
+    stacked = _outcome(cf.local_inverse, spec, family, targets, seeds)
+    monkeypatch.undo()
+    assert bool(refused) == (seed_box is not None)
+    assert stacked == _outcome(_loop(local_inverse_alone), spec, family, targets, seeds)
+    assert stacked == _outcome(_loop(cf.local_inverse), spec, family, targets, seeds)
+    assert stacked[0] == ("raised" if rng_seed == 0 else "returned")
+
+
+@pytest.mark.parametrize("max_iter", [2, 60])
+def test_stacked_local_inverse_raises_for_the_first_failing_sample(max_iter):
+    # sample 2's seed lies off the chart; with 2 iterations sample 0 stalls
+    # first, with 60 samples 0 and 1 converge and sample 2 raises
+    im = desitter_family(0.0, sphere_f)
+    spec = ConformalMapSpec("desitter_to_Sn")
+    xs = np.array(sample_box(np.random.default_rng(3), ((1.0, 2.0), (-0.8, 0.8)), 4))
+    targets = np.array([cf.conformal_map(spec, im, x) for x in xs])
+    seeds = xs[::-1].copy()
+    seeds[2] = (3.5, 0.0)
+    stacked = _outcome(cf.local_inverse, spec, im, targets, seeds, max_iter=max_iter)
+    alone = _outcome(_loop(local_inverse_alone), spec, im, targets, seeds, max_iter=max_iter)
+    assert stacked == alone
+    expected = cf.InverseError if max_iter == 2 else tm.ChartDomainError
+    assert stacked[1] is expected
+
+
+@pytest.mark.parametrize("bad", [0, 2, 5])
+def test_factorization_failing_sample_raises_as_the_loop(bad):
+    # a sample off the chart: its own image fails, and a sample seeded from
+    # it fails in its local inverse; the first in sample order raises
+    im = desitter_family(0.0, sphere_f)
+    spec = ConformalMapSpec("desitter_to_Sn")
+    samples = sample_box(np.random.default_rng(37), ((1.0, 2.0), (-0.8, 0.8)), 6)
+    samples[bad] = np.array([3.3, samples[bad][1]])
+    got = _outcome(cf.factorization_check, im, spec, samples)
+    assert got[0] == "raised"
+    assert got == _outcome(factorization_alone, im, spec, samples)
+
+
+def test_factorization_matches_the_loop_on_builtin_scenes(monkeypatch):
+    # the suite's factorization round trip on every built-in scene that has
+    # one gives, to the bit, what the samples give one at a time
+    calls = []
+    real = cf.factorization_check
+
+    def recorded(im, spec, samples):
+        calls.append((im, spec, samples, real(im, spec, samples)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(cf, "factorization_check", recorded)
+    with_factorization = set()
+    for name, doc in sorted(builtin_scenes().items()):
+        report = cli.run(doc)
+        conformal_suite = report["suites"].get("conformal")
+        if conformal_suite and "factorization" in conformal_suite["residuals"]:
+            with_factorization.add(name)
+    assert len(calls) == len(with_factorization) > 0
+    for im, spec, samples, got in calls:
+        assert got.hex() == factorization_alone(im, spec, samples).hex()
 
 
 # -- conformal curvature -------------------------------------------------------
