@@ -508,14 +508,17 @@ def test_stacked_local_inverse_raises_for_the_first_failing_sample(max_iter):
     assert stacked[1] is expected
 
 
-@pytest.mark.parametrize("bad", [0, 2, 5])
-def test_factorization_failing_sample_raises_as_the_loop(bad):
-    # a sample off the chart: its own image fails, and a sample seeded from
-    # it fails in its local inverse; the first in sample order raises
+@pytest.mark.parametrize("bad,neighbor", [(0, None), (2, None), (5, None), (5, 1)])
+def test_factorization_failing_sample_raises_as_the_loop(bad, neighbor):
+    # a sample off the chart fails its own image; a neighbor whose nearest
+    # other sample it is fails earlier in sample order, in its local
+    # inverse, which starts off the chart
     im = desitter_family(0.0, sphere_f)
     spec = ConformalMapSpec("desitter_to_Sn")
     samples = sample_box(np.random.default_rng(37), ((1.0, 2.0), (-0.8, 0.8)), 6)
     samples[bad] = np.array([3.3, samples[bad][1]])
+    if neighbor is not None:
+        samples[neighbor] = samples[bad] - (0.3, 0.0)
     got = _outcome(cf.factorization_check, im, spec, samples)
     assert got[0] == "raised"
     assert got == _outcome(factorization_alone, im, spec, samples)
