@@ -420,8 +420,8 @@ def _resolve_tolerances(doc, overrides):
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {key!r}")
             value = _expect_number(value, f"{where}.{key}")
-            if value <= 0.0:
-                raise ConfigError(f"{where}.{key} must be positive")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{where}.{key} must be positive and finite")
             tols[key] = value
     return tols
 
@@ -438,6 +438,8 @@ def _parse_expect(doc):
             expect[key] = value
         elif key in ROW_FIELDS:
             expect[key] = _expect_number(value, f"expect.{key}")
+            if not math.isfinite(expect[key]):
+                raise ConfigError(f"expect.{key} must be finite")
         else:
             raise ConfigError(f"unknown expect field {key!r}")
     return expect

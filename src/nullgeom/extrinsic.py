@@ -6,16 +6,17 @@ lists of the stages before it:
 
 1. `height`: the cone height u = psi^0, its gradient and its Hessian;
 2. `null_frame`: xi, the time axis and its normal part, nu and eta, as
-   ambient-component Series, so that one more coordinate derivative stays
-   exact (`null_partner` is its last step, eta from xi, nu and <xi, nu>);
+   vector Series of the ambient components, so that one more coordinate
+   derivative stays exact (`null_partner` is its last step, eta from xi,
+   nu and <xi, nu>);
 3. `weingarten_map` of the xi and eta fields;
 4. `second_fundamental_form` and `expansions`: theta_xi, theta_eta, the
    mean curvature vector H and <H, H>.
 
 `ExtrinsicPoint` runs them once and keeps the results; `point_report` is
 the one-point facade.  On a batch every Series carries one column per
-point and every array a leading batch axis; component arrays handed to
-`spacetime.ambient_inner` put the component axis first.
+point and every array a leading batch axis; vectors keep their ambient
+components last, as `spacetime.ambient_inner` reads them.
 
 Conventions are the general-relativity ones throughout: the Gauss formula
 reads nabla^amb_X Y = nabla_X Y - II(X, Y) and the Weingarten map is
@@ -125,15 +126,9 @@ def closed_forms(model, cone) -> tuple:
 # -- pipeline stages ---------------------------------------------------------
 
 
-def _values(series) -> np.ndarray:
-    """Values of a component list of Series, components last."""
-    return taylor.batch_first([s.val for s in series])
-
-
-def _comps(v: np.ndarray) -> np.ndarray:
-    """A component array (components last, after any batch axis) with its
-    component axis first, as `spacetime.ambient_inner` iterates it."""
-    return v.T
+def _values(series: Series) -> np.ndarray:
+    """Values of a vector Series, components last."""
+    return taylor.batch_first(series.val)
 
 
 def _col(a):
@@ -158,35 +153,31 @@ def height(geo: ChartGeometry):
 
 
 def null_frame(geo: ChartGeometry):
-    """Series components of xi, the time axis, its normal part, nu and eta.
+    """Vector Series of xi, the time axis, its normal part, nu and eta.
 
     xi is the cone's null gradient, future-normalized; the normal part of
     the time axis is left unnormalized, and nu is its unit multiple.
     Raises `FrameDegeneracyError` where that part is not timelike.
     """
     model, cone = geo.immersion.model, geo.immersion.target_cone
-    psi, dpsi, n = geo.psi, geo.dpsi, geo.dim
-    xi = nullcone.grad_F_components(cone, psi, geo.f)
+    psi, dpsi, ctx, batch = geo.psi, geo.dpsi, geo.ctx, geo.batch
+    xi = Series.stack(nullcone.grad_F_components(cone, psi, geo.f), ctx, batch)
     if cone.variant == "desitter_alpha":
         # future-normalize on the R > 0 component of a de Sitter section;
         # scaling by -1 or 1 is negation or a copy, bit for bit
-        sign = np.where(cone.scale(geo.psi0[..., 0]) > 0.0, -1.0, 1.0)
-        xi = [c * taylor.as_value(sign) for c in xi]
-    axis = [taylor.as_series(c, geo.ctx, geo.batch) for c in spacetime.time_axis(model, psi)]
+        xi = xi * taylor.as_value(np.where(cone.scale(geo.psi0[..., 0]) > 0.0, -1.0, 1.0))
+    axis = Series.stack(spacetime.time_axis(model, psi), ctx, batch)
     if model.kind == "desitter":
-        b = [spacetime.ambient_inner(model, geo.f2, axis, dpsi[j]) for j in range(n)]
+        b = spacetime.ambient_inner(model, geo.f2, axis, dpsi)
     else:
         # the axis is (1, 0, ..., 0), so <axis, d_j psi> = -d_j psi^0; 0 - c
         # gives what the ambient product gives, signs of zeros included
-        b = [Series(geo.ctx, 0.0 - dpsi[j][0].c) for j in range(n)]
-    ginv = geo.g_inv_series
-    coeff = [sum(ginv[i][j] * b[j] for j in range(n)) for i in range(n)]
-    normal = []
-    for a in range(len(psi)):
-        s = axis[a]
-        for i in range(n):
-            s = s - coeff[i] * dpsi[i][a]
-        normal.append(s)
+        b = Series(ctx, 0.0 - dpsi[:, 0].c, (geo.dim,))
+    coeff = (geo.g_inv_series * b).sum(axis=-1, start=0.0)
+    steps = coeff[:, None] * dpsi
+    normal = axis
+    for i in range(geo.dim):
+        normal = normal - steps[i]
     nn = spacetime.ambient_inner(model, geo.f2, normal, normal)
     taylor.reject(
         nn.val >= -1e-12,
@@ -194,13 +185,12 @@ def null_frame(geo: ChartGeometry):
             f"time axis projects to a non-timelike normal at {format_point(geo.x)}"
         ),
     )
-    scale = 1.0 / taylor.sqrt(-nn)
-    nu = [scale * comp for comp in normal]
+    nu = (1.0 / taylor.sqrt(-nn)) * normal
     eta = null_partner(geo, xi, nu, spacetime.ambient_inner(model, geo.f2, xi, nu))
     return xi, axis, normal, nu, eta
 
 
-def null_partner(geo: ChartGeometry, xi, nu, xi_dot_nu):
+def null_partner(geo: ChartGeometry, xi: Series, nu: Series, xi_dot_nu: Series) -> Series:
     """eta = -xi / (2c^2) - nu / c with c = <xi, nu>, so <xi, eta> = -1.
 
     Raises `FrameDegeneracyError` unless c < 0, i.e. unless xi and nu
@@ -211,35 +201,32 @@ def null_partner(geo: ChartGeometry, xi, nu, xi_dot_nu):
         c.val >= 0.0,
         lambda: FrameDegeneracyError(f"<xi, nu> = {c.val:.3e} >= 0 at {format_point(geo.x)}"),
     )
-    a = -1.0 / (2.0 * c * c)
-    b = -1.0 / c
-    return [a * x + b * v for x, v in zip(xi, nu)]
+    return (-1.0 / (2.0 * c * c)) * xi + (-1.0 / c) * nu
 
 
-def _directional(geo: ChartGeometry, field, df) -> list:
+def _directional(geo: ChartGeometry, field: Series, df) -> list:
     """Components of nabla^amb_{d_j psi} N for each j, modulo quadric normals."""
     model = geo.immersion.model
     n0 = _values(field)
-    d = taylor.batch_first([s.c[s.ctx.first] for s in field], 2)
+    # [a, j] = d_j N^a
+    d = taylor.batch_first(np.moveaxis(field.c[geo.ctx.first], 0, 1), 2)
     return [
         d[..., j] + spacetime.warped_connection_term(model, df, geo.tangents[..., j, :], n0)
         for j in range(geo.dim)
     ]
 
 
-def weingarten_map(geo: ChartGeometry, field, f2, df) -> np.ndarray:
+def weingarten_map(geo: ChartGeometry, field: Series, f2, df) -> np.ndarray:
     """Numeric Weingarten map (A^i_j, chart basis) of a normal field's Series.
 
     f2 and df are the fiber scale and (f, f') at the float point (see
     `spacetime.ambient_inner` and `spacetime.warped_connection_term`).
     """
-    model, n = geo.immersion.model, geo.dim
-    m = np.zeros(geo.x.shape[:-1] + (n, n))
-    for j, dn in enumerate(_directional(geo, field, df)):
-        for i in range(n):
-            m[..., i, j] = spacetime.ambient_inner(
-                model, f2, _comps(dn), _comps(geo.tangents[..., i, :])
-            )
+    # [..., j, :] = nabla^amb_{d_j psi} N, paired with [..., i, :] = d_i psi
+    dn = np.stack(_directional(geo, field, df), axis=-2)
+    m = spacetime.ambient_inner(
+        geo.immersion.model, _mat(f2), dn[..., None, :, :], geo.tangents[..., :, None, :]
+    )
     return geo.g_inv0 @ m
 
 
@@ -251,16 +238,23 @@ def second_fundamental_form(geo: ChartGeometry, xi, eta, f2, df) -> np.ndarray:
     unordered pair is computed once.
     """
     model, n = geo.immersion.model, geo.dim
-    ii = np.zeros(xi.shape[:-1] + (n, n, xi.shape[-1]))
     tangents = geo.tangents
-    for i in range(n):
-        for j in range(i, n):
-            w = geo.psi_second_partials[..., i, j, :] + spacetime.warped_connection_term(
-                model, df, tangents[..., i, :], tangents[..., j, :]
-            )
-            a = -spacetime.ambient_inner(model, f2, _comps(w), _comps(eta))
-            b = -spacetime.ambient_inner(model, f2, _comps(w), _comps(xi))
-            ii[..., i, j, :] = ii[..., j, i, :] = -(_col(a) * xi + _col(b) * eta)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    w = np.stack(
+        [
+            geo.psi_second_partials[..., i, j, :]
+            + spacetime.warped_connection_term(model, df, tangents[..., i, :], tangents[..., j, :])
+            for i, j in pairs
+        ],
+        axis=-2,
+    )
+    a = -spacetime.ambient_inner(model, _col(f2), w, eta[..., None, :])
+    b = -spacetime.ambient_inner(model, _col(f2), w, xi[..., None, :])
+    # [..., pair, :] = -(a xi + b eta)
+    ab = -(a[..., None] * xi[..., None, :] + b[..., None] * eta[..., None, :])
+    ii = np.zeros(xi.shape[:-1] + (n, n, xi.shape[-1]))
+    for p, (i, j) in enumerate(pairs):
+        ii[..., i, j, :] = ii[..., j, i, :] = ab[..., p, :]
     return ii
 
 
@@ -273,7 +267,7 @@ def expansions(geo: ChartGeometry, a_xi, a_eta, ii, f2):
         for j in range(n):
             h += _col(geo.g_inv0[..., i, j]) * ii[..., i, j, :]
     h = h / n
-    h_sq = taylor.as_value(spacetime.ambient_inner(geo.immersion.model, f2, _comps(h), _comps(h)))
+    h_sq = taylor.as_value(spacetime.ambient_inner(geo.immersion.model, f2, h, h))
     theta_xi = taylor.as_value(np.trace(a_xi, axis1=-2, axis2=-1)) / n
     theta_eta = taylor.as_value(np.trace(a_eta, axis1=-2, axis2=-1)) / n
     return theta_xi, theta_eta, h, h_sq
@@ -345,7 +339,7 @@ class ExtrinsicPoint:
         """
 
         def inner(a, b):
-            return spacetime.ambient_inner(self.model, self.f2, _comps(a), _comps(b))
+            return spacetime.ambient_inner(self.model, self.f2, a, b)
 
         xi, eta, nu = self.xi, self.eta, self.nu
         worst = abs(inner(xi, xi))
@@ -426,7 +420,7 @@ class ExtrinsicPoint:
     def _product_xi_chart(self) -> np.ndarray:
         """A_xi X = -<X, grad u> grad u + (nabla^M_{Xhat}(r Dr))^tangent."""
         model, tangents = self.model, self.geo.tangents
-        r, dr = spacetime.fiber_radial(model, _comps(self.geo.psi0)[1:])
+        r, dr = spacetime.fiber_radial(model, self.geo.psi0.T[1:])
         dr = np.stack(dr, axis=-1)
         rc = _col(spacetime.radial_tangential_factor(model, r))
         signs = model.signature[1:]
@@ -438,9 +432,7 @@ class ExtrinsicPoint:
             v_amb = np.concatenate((np.zeros(v.shape[:-1] + (1,)), v), axis=-1)
             m = np.stack(
                 [
-                    spacetime.ambient_inner(
-                        model, self.f2, _comps(v_amb), _comps(tangents[..., i, :])
-                    )
+                    spacetime.ambient_inner(model, self.f2, v_amb, tangents[..., i, :])
                     for i in range(self.n)
                 ],
                 axis=-1,

@@ -4,9 +4,11 @@ A submanifold enters the engine as a chart map into an ambient model's
 coordinates.  All differentiation happens through order-3 Taylor jets at a
 base point, from which the induced metric is exact to order 2, the
 Christoffel symbols to order 1, and the curvature tensor at order 0 --
-enough for every intrinsic quantity reported downstream.  The same code
-evaluates one point or a batch of points, the batch riding along as the
-trailing axis of every Series and the leading axis of every array.
+enough for every intrinsic quantity reported downstream.  The metric
+algebra runs on matrix and vector Series (`taylor`'s component axes), one
+product per matrix rather than one per entry.  The same code evaluates one
+point or a batch of points, the batch riding along as the trailing axis of
+every Series and the leading axis of every array.
 
 A metric can also be handed over directly in chart coordinates
 (`MetricChart`) when there is no ambient picture, e.g. model-space metrics
@@ -148,12 +150,20 @@ class MetricChart:
     name: str = ""
 
 
-def _smat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+def _mirrored(g: Series) -> Series:
+    """The (n, n) Series g with each entry below the diagonal replaced by
+    its mirror above it, which is the entry computed with (i, j) in order."""
+    c = g.c.copy()
+    for i in range(g.shape[0]):
+        for j in range(i):
+            c[:, i, j] = c[:, j, i]
+    return Series(g.ctx, c, g.shape)
+
+
+def _matmul(a: Series, b: Series) -> Series:
+    """The matrix product of (n, n) Series, each entry summed left to right
+    from Python's start 0, as `sum` over l of a[i][l] * b[l][j] gives it."""
+    return (a[:, :, None] * b[None, :, :]).sum(axis=1, start=0.0)
 
 
 class ChartGeometry:
@@ -163,27 +173,27 @@ class ChartGeometry:
     Built either from an immersion (metric pulled back through the ambient
     inner product of the derivative series `dpsi`, at the fiber scale
     `f2 = f * f` of the warping profile f of the Series time psi^0) or from
-    a metric chart.  At one point `x` has shape (n,) and arrays the shapes
-    noted below; on a batch `x` is (B, n), every Series carries B columns
-    and every array a leading batch axis.  Quantities are computed lazily
-    and cached.
+    a metric chart.  `g_series` is the (n, n) Series of the metric and
+    `dpsi` the (n, ambient) Series of the d_i psi^a.  At one point `x` has
+    shape (n,) and arrays the shapes noted below; on a batch `x` is (B, n),
+    every Series carries B columns and every array a leading batch axis.
+    Quantities are computed lazily and cached.
     """
 
-    def __init__(self, x, g_series, psi=None, dpsi=None, f=None, f2=None, immersion=None,
-                 name=""):
+    def __init__(self, x, g_series: Series, psi=None, dpsi=None, f=None, f2=None,
+                 immersion=None, name=""):
         self.x = np.asarray(x, dtype=np.float64)
         self.g_series = g_series
-        self.dim = n = len(g_series)
-        self.ctx = g_series[0][0].ctx
-        self.batch = g_series[0][0].batch
-        self.coords = [Series.variable(self.ctx, i, self.x[..., i]) for i in range(n)]
+        self.dim = g_series.shape[0]
+        self.ctx = g_series.ctx
+        self.batch = None if self.x.ndim == 1 else len(self.x)
         self.psi = psi
         self.dpsi = dpsi
         self.f = f
         self.f2 = f2
         self.immersion = immersion
         self.name = name
-        g0 = taylor.batch_first([[s.val for s in row] for row in g_series], 2)
+        g0 = taylor.batch_first(g_series.val, 2)
         g0 = 0.5 * (g0 + np.swapaxes(g0, -1, -2))
         lowest = _stacked(np.linalg.eigvalsh, g0)[..., 0]
         taylor.reject(
@@ -201,15 +211,14 @@ class ChartGeometry:
                 f"induced metric at {format_point(self.x)} is singular"
             ) from None
 
+    @cached_property
+    def coords(self) -> list:
+        """The chart coordinates as Series, for fields on the chart."""
+        return [Series.variable(self.ctx, i, self.x[..., i]) for i in range(self.dim)]
+
     def rescaled(self, lam: Series) -> "ChartGeometry":
         """Geometry of the conformal metric lam^2 g at the same point."""
-        factor = lam * lam
-        n = self.dim
-        g = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                g[i][j] = g[j][i] = factor * self.g_series[i][j]
-        return ChartGeometry(self.x, g, name=f"scaled({self.name})")
+        return ChartGeometry(self.x, (lam * lam) * self.g_series, name=f"scaled({self.name})")
 
     # -- ambient side (immersions only) --------------------------------
 
@@ -220,7 +229,7 @@ class ChartGeometry:
     @cached_property
     def tangents(self) -> np.ndarray:
         """Coordinate tangent vectors d_i psi, shape (dim, ambient)."""
-        return np.stack([self.partials(s) for s in self.psi], axis=-1)
+        return taylor.batch_first(self.dpsi.val, 2)
 
     @cached_property
     def psi_second_partials(self) -> np.ndarray:
@@ -230,72 +239,46 @@ class ChartGeometry:
     # -- metric jet algebra ---------------------------------------------
 
     def _entries(self, a: np.ndarray) -> np.ndarray:
-        """a with any batch axis moved last, so a[i, j] is an entry's value
-        at the point or its (B,) values over the batch."""
+        """a with any batch axis moved last, as values over the component
+        and batch axes of a Series."""
         return a if self.batch is None else np.moveaxis(a, 0, -1)
 
     @cached_property
-    def g_inv_series(self):
-        # Neumann series around the point value: (I + A0inv E)^-1 A0inv
+    def g_inv_series(self) -> Series:
+        """The inverse metric (n, n): the Neumann series around the point
+        value, (I + A0inv E)^-1 A0inv with E = g - g(x), to order 3."""
         n = self.dim
-        a0inv, g0 = self._entries(self.g_inv0), self._entries(self.g0)
-        e = [[self.g_series[i][j] - g0[i, j] for j in range(n)] for i in range(n)]
-        m = [
-            [sum(a0inv[i, l] * e[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        m2 = _smat_mul(m, m)
-        m3 = _smat_mul(m2, m)
-        x = [
-            [
-                (1.0 if i == j else 0.0) - m[i][j] + m2[i][j] - m3[i][j]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return [
-            [sum(x[i][l] * a0inv[l, j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        a0inv = self._entries(self.g_inv0)
+        e = self.g_series - self._entries(self.g0)
+        # m[i, j] = sum over l of a0inv[i, l] * e[l, j]
+        m = (e[None, :, :] * a0inv[:, :, None]).sum(axis=1, start=0.0)
+        m2 = _matmul(m, m)
+        m3 = _matmul(m2, m)
+        eye = np.eye(n) if self.batch is None else np.eye(n)[:, :, None]
+        x = eye - m + m2 - m3
+        return (x[:, :, None] * a0inv[None, :, :]).sum(axis=1, start=0.0)
 
     @cached_property
-    def christoffel_series(self):
-        """Gamma^k_ij as Series, indexed [k][i][j]; exact to order 1."""
-        n = self.dim
-        dg = [
-            [[self.g_series[i][j].derivative(k) for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
-        ginv = self.g_inv_series
-        gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    acc = None
-                    for l in range(n):
-                        term = ginv[k][l] * (dg[i][l][j] + dg[j][l][i] - dg[l][i][j])
-                        acc = term if acc is None else acc + term
-                    s = 0.5 * acc
-                    gamma[k][i][j] = s
-                    gamma[k][j][i] = s
-        return gamma
+    def christoffel_series(self) -> Series:
+        """Gamma^k_ij as a (k, i, j) Series; exact to order 1."""
+        dg = self.g_series.gradient()  # [k, i, j] = d_k g_ij
+        # [i, j, l] = d_i g_lj + d_j g_li - d_l g_ij
+        s = dg.transpose(0, 2, 1) + dg.transpose(2, 0, 1) - dg.transpose(1, 2, 0)
+        terms = self.g_inv_series[:, None, None, :] * s[None]
+        return 0.5 * terms.sum(axis=-1)
 
     @cached_property
     def christoffel(self) -> np.ndarray:
         """Gamma^k_ij values, shape (dim, dim, dim)."""
-        gs = self.christoffel_series
-        return taylor.batch_first([[[s.val for s in row] for row in plane] for plane in gs], 3)
+        return taylor.batch_first(self.christoffel_series.val, 3)
 
     @cached_property
     def riemann(self) -> np.ndarray:
         """R^l_ijk = <chart components of R(d_i, d_j) d_k>, value only."""
-        n = self.dim
-        gs = self.christoffel_series
         gamma = self.christoffel
-        first = self.ctx.first
         # d_i Gamma^l_jk, indexed [l, j, k, i]: the first partials of the series
         dgamma = taylor.batch_first(
-            [[[gs[l][j][k].c[first] for k in range(n)] for j in range(n)] for l in range(n)], 4
+            np.moveaxis(self.christoffel_series.c[self.ctx.first], 0, 3), 4
         )
         # [l, i, j, k] = d_i Gamma^l_jk and d_j Gamma^l_ik
         d_i = dgamma.swapaxes(-1, -2).swapaxes(-2, -3)
@@ -353,18 +336,13 @@ class ChartGeometry:
 
 def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGeometry:
     psi = im.series(x, JET_ORDER, check_membership)
-    n = im.dim
-    dpsi = [[comp.derivative(i) for comp in psi] for i in range(n)]
+    # [i, a] = d_i psi^a
+    dpsi = Series.stack(psi, psi[0].ctx).gradient()
     # the profile f at the Series time, kept for the cone gradient; f^2 is
     # `spacetime.fiber_scale` of the same time
     f = im.model.warping(psi[0]) if im.model.warped else None
     f2 = None if f is None else f * f
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            s = spacetime.ambient_inner(im.model, f2, dpsi[i], dpsi[j])
-            g[i][j] = s
-            g[j][i] = s
+    g = _mirrored(spacetime.ambient_inner(im.model, f2, dpsi[:, None, :], dpsi[None, :, :]))
     return ChartGeometry(
         x, g, psi=psi, dpsi=dpsi, f=f, f2=f2, immersion=im, name=im.map.name
     )
@@ -384,7 +362,8 @@ def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
             s = 0.5 * (upper + taylor.as_series(raw[j][i], ctx, batch))
             g[i][j] = s
             g[j][i] = s
-    return ChartGeometry(x, g, name=chart.name)
+    return ChartGeometry(x, Series.stack([Series.stack(row, ctx) for row in g], ctx),
+                         name=chart.name)
 
 
 def chart_geometry(obj, x, check_membership=True) -> ChartGeometry:

@@ -267,26 +267,30 @@ def fiber_scale(model: AmbientModel, t):
 
 
 def ambient_inner(model: AmbientModel, f2, v, w):
-    """Lorentzian inner product of the component lists v and w at a point
-    whose fiber scale is f2 (`fiber_scale` of its time; the flat kinds
-    ignore it).
+    """Lorentzian inner product of v and w, whose last axis holds the
+    ambient components, at a point whose fiber scale is f2 (`fiber_scale`
+    of its time; the flat kinds ignore it).
 
-    Components may be floats or Series, summed left to right.  Vectors are
-    expected tangent to the spacetime (quadric-normal parts of curved fibers
-    acquire no metric meaning here).
+    v and w are float arrays (components last, after any batch axis) or
+    Series whose last component axis is the ambient one; their other axes
+    broadcast, so one product covers every pair of vectors, and the sum
+    over the components runs left to right.  Vectors are expected tangent
+    to the spacetime (quadric-normal parts of curved fibers acquire no
+    metric meaning here).
     """
-    if len(v) != model.coord_count or len(w) != model.coord_count:
+    if v.shape[-1] != model.coord_count or w.shape[-1] != model.coord_count:
         raise ValueError("vector dimension does not match the model")
+    p = v * w
     if not model.warped:
-        acc = -(v[0] * w[0])
-        for a, b in zip(v[1:], w[1:]):
-            acc = acc + a * b
+        acc = -p[..., 0]
+        for a in range(1, model.coord_count):
+            acc = acc + p[..., a]
         return acc
     acc = None
-    for s, a, b in zip(model.signature[1:], v[1:], w[1:]):
-        term = a * b if s > 0 else -(a * b)
+    for a, s in enumerate(model.signature[1:], start=1):
+        term = p[..., a] if s > 0 else -p[..., a]
         acc = term if acc is None else acc + term
-    return -(v[0] * w[0]) + f2 * acc
+    return -p[..., 0] + f2 * acc
 
 
 def warped_connection_term(model: AmbientModel, df, a, b) -> np.ndarray:

@@ -10,14 +10,18 @@ central finite-difference oracle over the same callables.
 Internally a scalar quantity is a dense coefficient vector indexed by the
 multi-indices of total degree <= order in graded lexicographic order; the
 stored numbers are Taylor coefficients (partial derivative over factorial
-of the multi-index), so multiplication is a truncated convolution.  A batch
-of B chart points carries one coefficient column per point, shape
-(n_terms, B); one point has no batch axis.  The convolution is the hot
-kernel: one `np.bincount` over the context's (i, j, k) table, with slot
-k*B + b for column b, so each column accumulates in table order exactly as
-a single point does.  Derivative tables of the primitives are computed one
-column at a time with `math`, whose last bits numpy's ufuncs do not always
-reproduce.
+of the multi-index), so multiplication is a truncated convolution.  A
+`Series` may also hold a vector or a matrix of such quantities along
+component axes, and a batch of B chart points carries one coefficient
+column per point on a trailing axis: coefficients are shaped
+(n_terms, *components[, B]).  The convolution is the hot kernel, the same
+for a scalar, a vector, a matrix and a batch: one `np.bincount` over the
+context's (i, j, k) table, with slot k*W + w for entry w of the flattened
+trailing axes, so every entry accumulates in table order exactly as a lone
+scalar at one point does.  Sums over a component axis run left to right.
+Derivative tables of the primitives are computed one column at a time with
+`math`, whose last bits numpy's ufuncs do not always reproduce; a float
+overflow there is a domain error of the primitive.
 
 A check that fails at one point raises its typed error; on a batch it
 raises `BatchRejected` with the mask of failing columns, and evaluating
@@ -36,6 +40,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 MAX_ORDER = 3
+
+# product widths whose output slots stay memoized (see JetContext.product_slots)
+_SLOT_WIDTHS = 32
+# table terms of one bincount call on a batch: a larger batch product runs
+# in blocks (see `_product`), because larger temporaries come from fresh
+# pages of the allocator and cost more than the extra calls
+_BLOCK_TERMS = 1 << 14
 
 
 def format_point(point) -> str:
@@ -137,7 +148,7 @@ def _per_column(fn, values) -> list:
     for b, v in enumerate(values.tolist()):
         try:
             out.append(fn(v))
-        except DomainError:
+        except (DomainError, OverflowError):
             bad[b] = True
     if bad.any():
         raise BatchRejected(bad)
@@ -147,7 +158,7 @@ def _per_column(fn, values) -> list:
 def column_map(fn, values):
     """fn of a float value, or of each column of a (B,) array, as an array.
 
-    A column whose call raises a `DomainError` is rejected."""
+    A column whose call raises a `DomainError` or overflows is rejected."""
     if not isinstance(values, np.ndarray) or not values.ndim:
         return fn(values)
     return np.array(_per_column(fn, values))
@@ -163,7 +174,7 @@ def column_table(fn, values):
 
 class JetContext:
     """Index tables for one (n_inputs, order) pair; cached, and immutable
-    apart from the memo of `product_slots` per batch size.
+    apart from the memo of `product_slots` per product width.
 
     `first[i]` is the slot of d/dx_i; `second[i, j]` is the slot of
     d^2/dx_i dx_j, whose Taylor coefficient times `second_fac[i, j]` (2 on
@@ -174,7 +185,7 @@ class JetContext:
     __slots__ = (
         "n", "order", "alphas", "index", "n_terms", "factorials",
         "mul_ti", "mul_tj", "mul_tk", "deriv_src", "deriv_fac",
-        "first", "second", "second_fac", "deriv_fac_column", "_slots",
+        "first", "second", "second_fac", "_slots",
     )
 
     def __init__(self, n: int, order: int):
@@ -206,9 +217,9 @@ class JetContext:
                 ti.append(i)
                 tj.append(j)
                 tk.append(self.index[tuple(x + y for x, y in zip(ai, aj))])
-        self.mul_ti = np.array(ti, dtype=np.int32)
-        self.mul_tj = np.array(tj, dtype=np.int32)
-        self.mul_tk = np.array(tk, dtype=np.int32)
+        self.mul_ti = np.array(ti, dtype=np.intp)
+        self.mul_tj = np.array(tj, dtype=np.intp)
+        self.mul_tk = np.array(tk, dtype=np.intp)
         # Gather tables for d/dx_v: coeff'[beta] = (beta_v + 1) * coeff[beta + e_v].
         src = np.zeros((n, self.n_terms), dtype=np.intp)
         fac = np.zeros((n, self.n_terms), dtype=np.float64)
@@ -221,7 +232,6 @@ class JetContext:
                 fac[v, b] = beta[v] + 1
         self.deriv_src = src
         self.deriv_fac = fac
-        self.deriv_fac_column = fac[:, :, None]
         self._slots = {}
         units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
         self.first = np.array([self.index[e] for e in units]) if order >= 1 else None
@@ -232,12 +242,17 @@ class JetContext:
             )
             self.second_fac = 1.0 + np.eye(n)
 
-    def product_slots(self, batch: int) -> np.ndarray:
-        """Output slot k*batch + b of each table term and column, flattened."""
-        slots = self._slots.get(batch)
+    def product_slots(self, width: int) -> np.ndarray:
+        """Output slot k*width + w of each table term and entry, flattened.
+
+        The memo keeps the most recent widths only, so that the many
+        widths of batches of components do not hold memory for good."""
+        slots = self._slots.pop(width, None)
         if slots is None:
-            slots = (self.mul_tk[:, None] * batch + np.arange(batch)).ravel()
-            self._slots[batch] = slots
+            slots = (self.mul_tk[:, None] * width + np.arange(width)).ravel()
+            if len(self._slots) >= _SLOT_WIDTHS:
+                del self._slots[next(iter(self._slots))]
+        self._slots[width] = slots
         return slots
 
 
@@ -246,22 +261,62 @@ def get_context(n: int, order: int) -> JetContext:
     return JetContext(n, order)
 
 
-class Series:
-    """One scalar quantity as a truncated Taylor expansion in the chart variables.
+def _product(ctx: JetContext, a: np.ndarray, b: np.ndarray, batch: bool) -> np.ndarray:
+    """The truncated product of two coefficient arrays whose trailing axes
+    broadcast against each other: one `np.bincount` over the flattened
+    trailing axes, each entry accumulated in table order.
 
-    `c` has shape (n_terms,) at one chart point and (n_terms, B) for a batch
-    of B points.  Scalars combined with a batch may be floats or (B,) arrays
-    of per-column values.
+    On a batch (the last axis holds the columns) a product of more than
+    `_BLOCK_TERMS` terms runs in blocks: one component entry at a time
+    over the leading component axes, and in blocks of columns where one
+    entry's columns are still too many."""
+    if batch:
+        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+        per_entry = len(ctx.mul_ti)
+        if per_entry * math.prod(shape) > _BLOCK_TERMS:
+            lead = 0
+            while lead < len(shape) - 1 and per_entry * math.prod(shape[lead:]) > _BLOCK_TERMS:
+                lead += 1
+            step = max(1, _BLOCK_TERMS // (per_entry * math.prod(shape[lead:-1])))
+            out = np.empty((ctx.n_terms,) + shape)
+            for idx in np.ndindex(*shape[:lead]):
+                ia = tuple(i if n > 1 else 0 for i, n in zip(idx, a.shape[1:]))
+                ib = tuple(i if n > 1 else 0 for i, n in zip(idx, b.shape[1:]))
+                for lo in range(0, shape[-1], step):
+                    cols = (Ellipsis, slice(lo, lo + step))
+                    out[(slice(None),) + idx + cols] = _product(
+                        ctx, a[(slice(None),) + ia + cols], b[(slice(None),) + ib + cols], False
+                    )
+            return out
+    terms = a.take(ctx.mul_ti, axis=0) * b.take(ctx.mul_tj, axis=0)
+    if terms.ndim == 1:
+        return np.bincount(ctx.mul_tk, terms, ctx.n_terms)
+    width = terms.size // len(terms)
+    out = np.bincount(ctx.product_slots(width), terms.ravel(), ctx.n_terms * width)
+    return out.reshape((ctx.n_terms,) + terms.shape[1:])
+
+
+class Series:
+    """A truncated Taylor expansion in the chart variables: one scalar
+    quantity, or a vector or matrix of them along the component axes
+    `shape`.
+
+    `c` has shape (n_terms, *shape) at one chart point and
+    (n_terms, *shape, B) for a batch of B points.  Components index and
+    broadcast like numpy arrays, the batch axis riding along last.  Scalars
+    combined with a Series may be floats, (B,) arrays of per-column values,
+    or arrays of values over its trailing component and batch axes.
     """
 
-    __slots__ = ("ctx", "c")
+    __slots__ = ("ctx", "c", "shape")
     # ndarray (op) Series must reach the reflected Series methods below,
     # not build an object array
     __array_ufunc__ = None
 
-    def __init__(self, ctx: JetContext, coeffs: np.ndarray):
+    def __init__(self, ctx: JetContext, coeffs: np.ndarray, shape: tuple = ()):
         self.ctx = ctx
         self.c = coeffs
+        self.shape = shape
 
     @classmethod
     def constant(cls, ctx: JetContext, value, batch=None) -> "Series":
@@ -279,23 +334,78 @@ class Series:
             c[ctx.first[i]] = 1.0
         return cls(ctx, c)
 
+    @classmethod
+    def stack(cls, items, ctx: JetContext, batch=None) -> "Series":
+        """Series of equal shape, or values made constant, stacked along a
+        new first component axis."""
+        items = [as_series(x, ctx, batch) for x in items]
+        c = np.array([s.c for s in items]).swapaxes(0, 1)
+        return cls(ctx, c, (len(items),) + items[0].shape)
+
+    def _batch_axes(self) -> int:
+        return self.c.ndim - 1 - len(self.shape)
+
+    def _with(self, coeffs: np.ndarray) -> "Series":
+        """A Series of `coeffs`, which keep this one's batch axis."""
+        end = coeffs.ndim - (self.c.ndim - 1 - len(self.shape))
+        return Series(self.ctx, coeffs, coeffs.shape[1:end])
+
+    def _aligned(self, other: "Series"):
+        """Both coefficient arrays, the shorter component shape padded with
+        leading unit axes so that the components broadcast as numpy's do."""
+        k = max(len(self.shape), len(other.shape))
+        return tuple(
+            s.c.reshape(s.c.shape[:1] + (1,) * (k - len(s.shape)) + s.c.shape[1:])
+            for s in (self, other)
+        )
+
     @property
     def batch(self) -> Optional[int]:
         """The number of columns, None at one point."""
-        return self.c.shape[1] if self.c.ndim == 2 else None
+        return self.c.shape[-1] if self._batch_axes() else None
 
     @property
     def val(self):
-        """The value: a float at one point, a (B,) array on a batch."""
+        """The value: a float for a scalar at one point, else the array of
+        component values with any batch axis last."""
         return float(self.c[0]) if self.c.ndim == 1 else self.c[0]
 
     def slots(self, index) -> np.ndarray:
         """Coefficients at the slot array `index`, the batch axis first."""
         out = self.c[index]
-        return out if self.c.ndim == 1 else np.moveaxis(out, -1, 0)
+        return np.moveaxis(out, -1, 0) if self._batch_axes() else out
 
     def copy(self) -> "Series":
-        return Series(self.ctx, self.c.copy())
+        return Series(self.ctx, self.c.copy(), self.shape)
+
+    def __getitem__(self, key) -> "Series":
+        """Components by numpy indexing of the component axes."""
+        if not self.shape:
+            raise TypeError("a scalar series has no components")
+        if not isinstance(key, tuple):
+            key = (key,)
+        if any(k is Ellipsis for k in key):  # it stands for component axes only
+            key = key + (slice(None),) * self._batch_axes()
+        return self._with(self.c[(slice(None),) + key])
+
+    def transpose(self, *axes) -> "Series":
+        """The component axes permuted as numpy's `transpose` does."""
+        k = len(self.shape)
+        order = (0,) + tuple(1 + a for a in axes) + tuple(range(1 + k, self.c.ndim))
+        return self._with(self.c.transpose(order))
+
+    def sum(self, axis: int = -1, start=None) -> "Series":
+        """The sum over one component axis, left to right.  A float `start`
+        is added to the first entry first, as Python's `sum` adds its start
+        0 (which makes a -0.0 value +0.0)."""
+        axis %= len(self.shape)
+        lead = (slice(None),) * (1 + axis)
+        acc = self.c[lead + (0,)].copy()
+        if start is not None:
+            acc[0] += start
+        for k in range(1, self.shape[axis]):
+            acc += self.c[lead + (k,)]
+        return self._with(acc)
 
     def derivative(self, v: int) -> "Series":
         """Series of the partial derivative along variable v.
@@ -304,42 +414,56 @@ class Series:
         truncated expansion and are set to zero.
         """
         ctx = self.ctx
-        fac = ctx.deriv_fac[v] if self.c.ndim == 1 else ctx.deriv_fac_column[v]
-        return Series(ctx, self.c[ctx.deriv_src[v]] * fac)
+        fac = ctx.deriv_fac[v]
+        if self.c.ndim > 1:
+            fac = fac.reshape(fac.shape + (1,) * (self.c.ndim - 1))
+        return Series(ctx, self.c.take(ctx.deriv_src[v], axis=0) * fac, self.shape)
+
+    def gradient(self) -> "Series":
+        """The partial derivatives along every variable, as `derivative`
+        gives them, on a new first component axis."""
+        ctx = self.ctx
+        fac = ctx.deriv_fac.reshape(ctx.deriv_fac.shape + (1,) * (self.c.ndim - 1))
+        c = (self.c.take(ctx.deriv_src, axis=0) * fac).swapaxes(0, 1)
+        return Series(ctx, c, (ctx.n,) + self.shape)
 
     def __add__(self, other):
         if isinstance(other, Series):
-            return Series(self.ctx, self.c + other.c)
+            if other.shape == self.shape:
+                return Series(self.ctx, self.c + other.c, self.shape)
+            a, b = self._aligned(other)
+            return self._with(a + b)
         out = self.c.copy()
         out[0] += other
-        return Series(self.ctx, out)
+        return Series(self.ctx, out, self.shape)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Series):
-            return Series(self.ctx, self.c - other.c)
+            if other.shape == self.shape:
+                return Series(self.ctx, self.c - other.c, self.shape)
+            a, b = self._aligned(other)
+            return self._with(a - b)
         out = self.c.copy()
         out[0] -= other
-        return Series(self.ctx, out)
+        return Series(self.ctx, out, self.shape)
 
     def __rsub__(self, other):
         out = -self.c
         out[0] += other
-        return Series(self.ctx, out)
+        return Series(self.ctx, out, self.shape)
 
     def __mul__(self, other):
         if isinstance(other, Series):
-            ctx = self.ctx
-            terms = self.c[ctx.mul_ti] * other.c[ctx.mul_tj]
-            if terms.ndim == 1:
-                return Series(ctx, np.bincount(ctx.mul_tk, terms, ctx.n_terms))
-            batch = terms.shape[1]
-            out = np.bincount(ctx.product_slots(batch), terms.ravel(), ctx.n_terms * batch)
-            return Series(ctx, out.reshape(ctx.n_terms, batch))
+            ctx, shape = self.ctx, self.shape
+            if other.shape == shape:
+                batch = self.c.ndim > 1 + len(shape)
+                return Series(ctx, _product(ctx, self.c, other.c, batch), shape)
+            return self._with(_product(ctx, *self._aligned(other), self._batch_axes() > 0))
         if not isinstance(other, np.ndarray):
-            other = float(other)
-        return Series(self.ctx, self.c * other)
+            return Series(self.ctx, self.c * float(other), self.shape)
+        return self._with(self.c * other)
 
     __rmul__ = __mul__
 
@@ -347,14 +471,14 @@ class Series:
         if isinstance(other, Series):
             return self * _reciprocal(other)
         if not isinstance(other, np.ndarray):
-            other = float(other)
-        return Series(self.ctx, self.c / other)
+            return Series(self.ctx, self.c / float(other), self.shape)
+        return self._with(self.c / other)
 
     def __rtruediv__(self, other):
         return _reciprocal(self) * other
 
     def __neg__(self):
-        return Series(self.ctx, -self.c)
+        return Series(self.ctx, -self.c, self.shape)
 
     def __pos__(self):
         return self
@@ -382,7 +506,7 @@ class Series:
             return [v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2),
                     p * (p - 1) * (p - 2) * v ** (p - 3)]
 
-        return _compose(self, column_table(table, v))
+        return _compose(self, _derivative_table("pow", table, v))
 
     def __rpow__(self, base):
         b = float(base)
@@ -391,7 +515,10 @@ class Series:
         return exp(self * math.log(b))
 
     def __repr__(self):
-        return f"Series(n={self.ctx.n}, order={self.ctx.order}, batch={self.batch})"
+        return (
+            f"Series(n={self.ctx.n}, order={self.ctx.order}, shape={self.shape}, "
+            f"batch={self.batch})"
+        )
 
 
 def _compose(x: Series, deriv_values) -> Series:
@@ -399,13 +526,15 @@ def _compose(x: Series, deriv_values) -> Series:
     (floats, or (B,) arrays on a batch)."""
     ctx = x.ctx
     order = ctx.order
-    ftilde = x.copy()
-    ftilde.c[0] = 0.0
-    result = Series.constant(ctx, deriv_values[order] / math.factorial(order), x.batch)
+    batch = x.batch is not None
+    ftilde = x.c.copy()
+    ftilde[0] = 0.0
+    result = np.zeros_like(ftilde)
+    result[0] = deriv_values[order] / math.factorial(order)
     for k in range(order - 1, -1, -1):
-        result = result * ftilde
-        result.c[0] += deriv_values[k] / math.factorial(k)
-    return result
+        result = _product(ctx, result, ftilde, batch)
+        result[0] += deriv_values[k] / math.factorial(k)
+    return Series(ctx, result)
 
 
 def compose_univariate(x: Series, deriv_values) -> Series:
@@ -427,7 +556,17 @@ def _reciprocal_table(v):
 def _reciprocal(x: Series) -> Series:
     v = x.val
     reject(v == 0.0, lambda: PrimitiveDomainError("reciprocal", v))
-    return _compose(x, column_table(_reciprocal_table, v))
+    return _compose(x, _derivative_table("reciprocal", _reciprocal_table, v))
+
+
+def _derivative_table(name: str, table_fn, v):
+    """`column_table` of a primitive's derivative table; at one point a
+    float overflow is the primitive's domain error, and on a batch it
+    rejects its column."""
+    try:
+        return column_table(table_fn, v)
+    except OverflowError:
+        raise PrimitiveDomainError(name, v) from None
 
 
 def _unary(name: str, float_fn, table_fn, domain_ok=None):
@@ -439,10 +578,13 @@ def _unary(name: str, float_fn, table_fn, domain_ok=None):
         if isinstance(x, Series):
             v = x.val
             check(v)
-            return _compose(x, column_table(table_fn, v))
+            return _compose(x, _derivative_table(name, table_fn, v))
         v = as_value(x)
         check(v)
-        return column_map(float_fn, v)
+        try:
+            return column_map(float_fn, v)
+        except OverflowError:
+            raise PrimitiveDomainError(name, v) from None
 
     fn.__name__ = name
     fn.__qualname__ = name

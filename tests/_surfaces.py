@@ -7,6 +7,7 @@ import numpy as np
 
 from nullgeom import conformal as cf
 from nullgeom import extrinsic as ext
+from nullgeom import nullcone as nc
 from nullgeom import spacetime as st
 from nullgeom import taylor as tm
 from nullgeom.immersion import MetricChart, chart_geometry
@@ -40,6 +41,11 @@ __all__ = [
     "normal_connection_residual",
     "local_inverse_alone",
     "factorization_alone",
+    "entry_inner",
+    "entry_pullback",
+    "entry_g_inv",
+    "entry_christoffel",
+    "entry_null_frame",
 ]
 
 
@@ -119,6 +125,7 @@ def random_positive_field(rng, n):
 
 def inner_at(model, p, v, w):
     """<v, w> at the point p, through the fiber scale of its time."""
+    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
     return st.ambient_inner(model, st.fiber_scale(model, p[0]), v, w)
 
 
@@ -236,3 +243,106 @@ def factorization_alone(im, spec, samples):
         psi0 = np.array([s.val for s in psi])
         worst = max(worst, float(np.max(np.abs(ambient - psi0))))
     return worst
+
+
+# -- the list-of-Series metric algebra, one Series per entry: the bit-for-bit
+# oracle of the component-axis algebra in `immersion` and `extrinsic`
+
+
+def entry_inner(model, f2, v, w):
+    """`spacetime.ambient_inner` of component lists of scalar Series."""
+    if not model.warped:
+        acc = -(v[0] * w[0])
+        for a, b in zip(v[1:], w[1:]):
+            acc = acc + a * b
+        return acc
+    acc = None
+    for s, a, b in zip(model.signature[1:], v[1:], w[1:]):
+        term = a * b if s > 0 else -(a * b)
+        acc = term if acc is None else acc + term
+    return -(v[0] * w[0]) + f2 * acc
+
+
+def entry_pullback(im, psi, f2):
+    """The induced metric [i][j] and d_i psi^a as nested lists of Series."""
+    n = im.dim
+    dpsi = [[comp.derivative(i) for comp in psi] for i in range(n)]
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = entry_inner(im.model, f2, dpsi[i], dpsi[j])
+    return g, dpsi
+
+
+def _smat_mul(a, b):
+    n = len(a)
+    return [
+        [sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def entry_g_inv(g, g0, g_inv0):
+    """The Neumann series of the inverse metric, entry by entry; g0 and
+    g_inv0 are values with any batch axis last."""
+    n = len(g)
+    e = [[g[i][j] - g0[i, j] for j in range(n)] for i in range(n)]
+    m = [
+        [sum(g_inv0[i, l] * e[l][j] for l in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    m2 = _smat_mul(m, m)
+    m3 = _smat_mul(m2, m)
+    x = [
+        [(1.0 if i == j else 0.0) - m[i][j] + m2[i][j] - m3[i][j] for j in range(n)]
+        for i in range(n)
+    ]
+    return [
+        [sum(x[i][l] * g_inv0[l, j] for l in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def entry_christoffel(g, ginv):
+    """Gamma^k_ij as Series indexed [k][i][j]."""
+    n = len(g)
+    dg = [[[g[i][j].derivative(k) for j in range(n)] for i in range(n)] for k in range(n)]
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                acc = None
+                for l in range(n):
+                    term = ginv[k][l] * (dg[i][l][j] + dg[j][l][i] - dg[l][i][j])
+                    acc = term if acc is None else acc + term
+                gamma[k][i][j] = gamma[k][j][i] = 0.5 * acc
+    return gamma
+
+
+def entry_null_frame(geo, ginv, dpsi):
+    """xi, nu and eta as component lists of Series, from the entry lists
+    of the inverse metric and of d_i psi."""
+    model, cone = geo.immersion.model, geo.immersion.target_cone
+    psi, n, f2 = geo.psi, geo.dim, geo.f2
+    xi = nc.grad_F_components(cone, psi, geo.f)
+    if cone.variant == "desitter_alpha":
+        sign = np.where(cone.scale(geo.psi0[..., 0]) > 0.0, -1.0, 1.0)
+        xi = [c * tm.as_value(sign) for c in xi]
+    axis = [tm.as_series(c, geo.ctx, geo.batch) for c in st.time_axis(model, psi)]
+    if model.kind == "desitter":
+        b = [entry_inner(model, f2, axis, dpsi[j]) for j in range(n)]
+    else:
+        b = [tm.Series(geo.ctx, 0.0 - dpsi[j][0].c) for j in range(n)]
+    coeff = [sum(ginv[i][j] * b[j] for j in range(n)) for i in range(n)]
+    normal = []
+    for a in range(len(psi)):
+        s = axis[a]
+        for i in range(n):
+            s = s - coeff[i] * dpsi[i][a]
+        normal.append(s)
+    scale = 1.0 / tm.sqrt(-entry_inner(model, f2, normal, normal))
+    nu = [scale * comp for comp in normal]
+    c = entry_inner(model, f2, xi, nu)
+    a, b = -1.0 / (2.0 * c * c), -1.0 / c
+    eta = [a * x + b * v for x, v in zip(xi, nu)]
+    return xi, nu, eta

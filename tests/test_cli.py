@@ -112,6 +112,23 @@ def break_seed(doc):
     doc["seed"] = -1
 
 
+def break_nan_expect(doc):
+    # json.loads reads NaN; a NaN pin would compare as a zero residual
+    doc["expect"] = {"theta_xi": float("nan")}
+
+
+def break_infinite_expect(doc):
+    doc["expect"] = {"H_sq": float("-inf")}
+
+
+def break_nan_tolerance(doc):
+    doc["tolerances"] = {"frame": float("nan")}
+
+
+def break_infinite_tolerance(doc):
+    doc["tolerances"] = {"shape": float("inf")}
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -127,6 +144,10 @@ def break_seed(doc):
         break_expect_field,
         break_expect_class,
         break_seed,
+        break_nan_expect,
+        break_infinite_expect,
+        break_nan_tolerance,
+        break_infinite_tolerance,
     ],
 )
 def test_config_errors(mutate):
@@ -283,6 +304,58 @@ def test_main_grid_count_one(tmp_path, capsys):
 
 def test_main_unknown_scene(capsys):
     assert cli.main(["suite", "nope"]) == EXIT_CONFIG_ERROR
+    capsys.readouterr()
+
+
+def test_non_finite_tolerance_and_expect_exit_as_config_errors(tmp_path, capsys):
+    assert cli.main(["suite", "mink-h2", "--tol", "frame=nan"]) == EXIT_CONFIG_ERROR
+    assert "--tol.frame must be positive and finite" in capsys.readouterr().err
+    doc = small(builtin_scenes()["mink-h2"])
+    doc["expect"]["theta_xi"] = float("nan")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    assert cli.main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert "expect.theta_xi must be finite" in capsys.readouterr().err
+
+
+def test_float_overflow_is_a_chart_singularity(tmp_path, capsys):
+    # exp(800 x0) overflows a float for x0 > 0.9: at one point the primitive
+    # raises its domain error, and the grid batch flags those columns only
+    doc = {
+        "name": "overflow",
+        "spacetime": {"kind": "minkowski", "n": 2},
+        "nullcone": {"variant": "minkowski_cone"},
+        "immersion": {"family": "psi_f_minkowski", "f": "exp(800*x0)"},
+        "grid": [{"min": -1.5, "max": 1.5, "count": 3}] * 2,
+        "checks": ["frame"],
+    }
+    scene = parse_scene(doc)
+    with pytest.raises(extrinsic.taylor.PrimitiveDomainError, match="'exp'"):
+        extrinsic.point_report(scene.im, [1.0, 0.0])
+    kind, payload, _ = cli._evaluate_point(scene, (1.5, 0.0))
+    assert kind == "rejected" and payload["reason"] == "chart_singularity"
+    report = run(doc)
+    reasons = {tuple(r["point"]): r["reason"] for r in report["rejections"]}
+    assert [tuple(r["point"]) for r in report["rows"]] == [(0.0, -1.5), (0.0, 0.0), (0.0, 1.5)]
+    assert all(reasons[(1.5, y)] == "chart_singularity" for y in (-1.5, 0.0, 1.5))
+    # the batch gives every point what evaluating it alone gives
+    rows, diags, rejections = cli._evaluate_grid(scene)
+    got_rows, got_rejections = iter(zip(rows, diags)), iter(rejections)
+    for x in itertools.product(*scene.axes):
+        kind, payload, diag = cli._evaluate_point(scene, x)
+        if kind == "row":
+            assert repr(next(got_rows)) == repr((payload, diag))
+        else:
+            got = next(got_rejections)
+            assert (got["point"], got["reason"]) == (payload["point"], payload["reason"])
+            assert str(got["detail"]) == str(payload["detail"])
+    assert next(got_rows, None) is None and next(got_rejections, None) is None
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--config", str(path), "--out", str(tmp_path / "r.json")]) in (
+        EXIT_PASS, EXIT_SUITE_FAILURE
+    )
     capsys.readouterr()
 
 

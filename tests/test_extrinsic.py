@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from nullgeom import cli
 from nullgeom import extrinsic as ext
@@ -14,8 +16,14 @@ from nullgeom import spacetime as st
 from nullgeom import taylor as tm
 from nullgeom.extrinsic import ExtrinsicPoint
 
+from nullgeom.scenes import builtin_scenes
+
 from _surfaces import (
     cylinder_immersion,
+    entry_christoffel,
+    entry_g_inv,
+    entry_null_frame,
+    entry_pullback,
     grw_graph,
     marginal_height_profile,
     normal_connection_residual,
@@ -163,6 +171,47 @@ def test_frame_residual_matches_series_path_bitwise(name, monkeypatch):
         checked += 1
     assert checked >= 10
     assert products == []
+
+
+def assert_entries_equal(series, nested, index=()):
+    """Each entry of a component Series has the bytes of the Series at the
+    same place in nested lists."""
+    if isinstance(nested, tm.Series):
+        assert series[index].c.tobytes() == nested.c.tobytes(), index
+        return
+    for k, item in enumerate(nested):
+        assert_entries_equal(series, item, index + (k,))
+
+
+@settings(deadline=None, max_examples=40)
+@given(hs.data())
+def test_component_algebra_matches_entry_algebra_bitwise(data):
+    # points of a built-in scene's box, one at a time or as one batch: the
+    # component-axis metric algebra and null frame reproduce the entry by
+    # entry Series algebra bit for bit, signs of zeros included
+    name = data.draw(hs.sampled_from(sorted(builtin_scenes())))
+    scene = cli.parse_scene(builtin_scenes()[name])
+    count = data.draw(hs.integers(1, 4))
+    coordinate = [hs.floats(float(ax[0]), float(ax[-1])) for ax in scene.axes]
+    x = np.array([[data.draw(c) for c in coordinate] for _ in range(count)])
+    as_batch = data.draw(hs.booleans())
+    for point in [x] if as_batch else list(x):
+        try:
+            pt = ExtrinsicPoint(scene.im, point)
+        except (tm.BatchRejected, tm.DomainError, nc.PointRejected, ext.FrameDegeneracyError,
+                imm.MetricSignatureError):
+            continue
+        geo = pt.geo
+        g, dpsi = entry_pullback(scene.im, geo.psi, geo.f2)
+        g_inv = entry_g_inv(g, geo._entries(geo.g0), geo._entries(geo.g_inv0))
+        xi, nu, eta = entry_null_frame(geo, g_inv, dpsi)
+        assert_entries_equal(geo.dpsi, dpsi)
+        assert_entries_equal(geo.g_series, g)
+        assert_entries_equal(geo.g_inv_series, g_inv)
+        assert_entries_equal(geo.christoffel_series, entry_christoffel(g, g_inv))
+        assert_entries_equal(pt.xi_series, xi)
+        assert_entries_equal(pt.nu_series, nu)
+        assert_entries_equal(pt.eta_series, eta)
 
 
 def test_minkowski_xi_is_position_and_slice_pairing():

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -171,6 +174,82 @@ def test_product_matches_table_loop_bitwise(data, n, order, batch):
     for k in range(batch):
         alone = tm.Series(ctx, np.array(cols_a[k])) * tm.Series(ctx, np.array(cols_b[k]))
         assert batched[:, k].tobytes() == alone.c.tobytes()
+
+
+# signed zeros next to ordinary values: a product or a sum that changed its
+# accumulation order could lose the sign of a zero, or a last bit
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e6, 1e6, allow_nan=False)
+)
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(0, tm.MAX_ORDER), st.sampled_from([None, 1, 3]))
+def test_component_product_matches_entry_products_bitwise(data, n, order, batch):
+    ctx = tm.get_context(n, order)
+    tail = () if batch is None else (batch,)
+
+    def draw(shape):
+        size = ctx.n_terms * math.prod(shape + tail)
+        values = data.draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+        return tm.Series(ctx, np.array(values).reshape((ctx.n_terms,) + shape + tail), shape)
+
+    # (2, 1, 3) times (4, 3) broadcasts to 2 x 4 x 3 products in one call
+    a, b = draw((2, 1, 3)), draw((4, 3))
+    prod = a * b
+    assert prod.shape == (2, 4, 3) and prod.batch == batch
+    for i, j, k in itertools.product(range(2), range(4), range(3)):
+        alone = tm.Series(ctx, a.c[:, i, 0, k].copy()) * tm.Series(ctx, b.c[:, j, k].copy())
+        assert prod[i, j, k].c.tobytes() == alone.c.tobytes()
+    # a sum over a component axis is the entries' sum left to right, and
+    # with start 0.0 it is Python's sum, a -0.0 value turned +0.0 included
+    for start in (None, 0.0):
+        total = prod.sum(axis=1, start=start)
+        assert total.shape == (2, 3)
+        for i, k in itertools.product(range(2), range(3)):
+            entries = [prod[i, j, k] for j in range(4)]
+            want = sum(entries) if start is not None else functools.reduce(operator.add, entries)
+            assert total[i, k].c.tobytes() == want.c.tobytes()
+
+
+@pytest.mark.parametrize("shapes, columns", [(((4, 1), (1, 5)), 90), (((2,), (2,)), 300)])
+def test_blocked_batch_product_matches_columns(shapes, columns):
+    # a batch product larger than one block runs one component entry at a
+    # time, and in blocks of columns where one entry's columns are too many
+    ctx = tm.get_context(3, 3)
+    rng = np.random.default_rng(3)
+    a, b = (
+        tm.Series(ctx, rng.standard_normal((ctx.n_terms,) + shape + (columns,)), shape)
+        for shape in shapes
+    )
+    prod = a * b
+    assert len(ctx.mul_ti) * math.prod(prod.shape) * columns > tm._BLOCK_TERMS
+    def column(s, col):
+        return tm.Series(ctx, s.c[..., col].copy(), s.shape)
+
+    alone = [(column(a, col) * column(b, col)).c for col in range(columns)]
+    assert prod.c.tobytes() == np.stack(alone, axis=-1).tobytes()
+
+
+def test_float_overflow_is_a_primitive_domain_error():
+    ctx = tm.get_context(1, 3)
+    with pytest.raises(tm.PrimitiveDomainError, match="'exp'"):
+        tm.exp(800.0)
+    with pytest.raises(tm.PrimitiveDomainError, match="'exp'"):
+        tm.exp(tm.Series.variable(ctx, 0, 800.0))
+    with pytest.raises(tm.PrimitiveDomainError, match="'pow'"):
+        tm.Series.variable(ctx, 0, 1e200) ** 2.5
+    with pytest.raises(tm.PrimitiveDomainError, match="'reciprocal'"):
+        1.0 / tm.Series.variable(ctx, 0, 1e200)
+    # on a batch, only the columns that overflow are rejected
+    values = np.array([1.0, 1e200, -2.0])
+    for fn in (tm.exp, lambda x: x ** 2.5, lambda x: 1.0 / x):
+        with pytest.raises(tm.BatchRejected) as err:
+            fn(tm.Series.variable(ctx, 0, np.abs(values) if fn is not tm.exp else values))
+        assert err.value.mask.tolist() == [False, True, False]
+    with pytest.raises(tm.BatchRejected) as err:
+        tm.exp(values)
+    assert err.value.mask.tolist() == [False, True, False]
 
 
 def test_batch_rejection_is_no_typed_error():
