@@ -18,7 +18,9 @@ column per point on a trailing axis: coefficients are shaped
 for a scalar, a vector, a matrix and a batch: one `np.bincount` over the
 context's (i, j, k) table, with slot k*W + w for entry w of the flattened
 trailing axes, so every entry accumulates in table order exactly as a lone
-scalar at one point does.  Sums over a component axis run left to right.
+scalar at one point does; a large batch product runs in blocks of columns,
+which keeps its temporaries small.  Sums over a component axis run left to
+right.
 Derivative tables of the primitives are computed one column at a time with
 `math`, whose last bits numpy's ufuncs do not always reproduce; a float
 overflow there is a domain error of the primitive.
@@ -41,11 +43,9 @@ import numpy as np
 
 MAX_ORDER = 3
 
-# product widths whose output slots stay memoized (see JetContext.product_slots)
-_SLOT_WIDTHS = 32
-# table terms of one bincount call on a batch: a larger batch product runs
-# in blocks (see `_product`), because larger temporaries come from fresh
-# pages of the allocator and cost more than the extra calls
+# table terms of one bincount call on a batch: 16,384 float64 terms are
+# 128 KiB, glibc's default mmap threshold, above which the temporaries of
+# a product are mapped afresh and page-faulted in on every call
 _BLOCK_TERMS = 1 << 14
 
 
@@ -243,16 +243,11 @@ class JetContext:
             self.second_fac = 1.0 + np.eye(n)
 
     def product_slots(self, width: int) -> np.ndarray:
-        """Output slot k*width + w of each table term and entry, flattened.
-
-        The memo keeps the most recent widths only, so that the many
-        widths of batches of components do not hold memory for good."""
-        slots = self._slots.pop(width, None)
+        """Output slot k*width + w of each table term and entry, flattened."""
+        slots = self._slots.get(width)
         if slots is None:
             slots = (self.mul_tk[:, None] * width + np.arange(width)).ravel()
-            if len(self._slots) >= _SLOT_WIDTHS:
-                del self._slots[next(iter(self._slots))]
-        self._slots[width] = slots
+            self._slots[width] = slots
         return slots
 
 
@@ -266,28 +261,16 @@ def _product(ctx: JetContext, a: np.ndarray, b: np.ndarray, batch: bool) -> np.n
     broadcast against each other: one `np.bincount` over the flattened
     trailing axes, each entry accumulated in table order.
 
-    On a batch (the last axis holds the columns) a product of more than
-    `_BLOCK_TERMS` terms runs in blocks: one component entry at a time
-    over the leading component axes, and in blocks of columns where one
-    entry's columns are still too many."""
+    On a batch (the last axis holds the columns) the product runs in
+    blocks of columns of at most `_BLOCK_TERMS` table terms."""
     if batch:
         shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        per_entry = len(ctx.mul_ti)
-        if per_entry * math.prod(shape) > _BLOCK_TERMS:
-            lead = 0
-            while lead < len(shape) - 1 and per_entry * math.prod(shape[lead:]) > _BLOCK_TERMS:
-                lead += 1
-            step = max(1, _BLOCK_TERMS // (per_entry * math.prod(shape[lead:-1])))
-            out = np.empty((ctx.n_terms,) + shape)
-            for idx in np.ndindex(*shape[:lead]):
-                ia = tuple(i if n > 1 else 0 for i, n in zip(idx, a.shape[1:]))
-                ib = tuple(i if n > 1 else 0 for i, n in zip(idx, b.shape[1:]))
-                for lo in range(0, shape[-1], step):
-                    cols = (Ellipsis, slice(lo, lo + step))
-                    out[(slice(None),) + idx + cols] = _product(
-                        ctx, a[(slice(None),) + ia + cols], b[(slice(None),) + ib + cols], False
-                    )
-            return out
+        step = max(1, _BLOCK_TERMS // (len(ctx.mul_ti) * math.prod(shape[:-1])))
+        if step < shape[-1]:
+            return np.concatenate([
+                _product(ctx, a[..., lo:lo + step], b[..., lo:lo + step], False)
+                for lo in range(0, shape[-1], step)
+            ], axis=-1)
     terms = a.take(ctx.mul_ti, axis=0) * b.take(ctx.mul_tj, axis=0)
     if terms.ndim == 1:
         return np.bincount(ctx.mul_tk, terms, ctx.n_terms)
@@ -339,7 +322,7 @@ class Series:
         """Series of equal shape, or values made constant, stacked along a
         new first component axis."""
         items = [as_series(x, ctx, batch) for x in items]
-        c = np.array([s.c for s in items]).swapaxes(0, 1)
+        c = np.stack([s.c for s in items], axis=1)
         return cls(ctx, c, (len(items),) + items[0].shape)
 
     def _batch_axes(self) -> int:
@@ -423,8 +406,8 @@ class Series:
         """The partial derivatives along every variable, as `derivative`
         gives them, on a new first component axis."""
         ctx = self.ctx
-        fac = ctx.deriv_fac.reshape(ctx.deriv_fac.shape + (1,) * (self.c.ndim - 1))
-        c = (self.c.take(ctx.deriv_src, axis=0) * fac).swapaxes(0, 1)
+        fac = ctx.deriv_fac.T.reshape(ctx.deriv_fac.T.shape + (1,) * (self.c.ndim - 1))
+        c = self.c.take(ctx.deriv_src.T, axis=0) * fac
         return Series(ctx, c, (ctx.n,) + self.shape)
 
     def __add__(self, other):
@@ -498,7 +481,7 @@ class Series:
                 base = base * base
                 k >>= 1
             return result
-        v = self.val
+        v = _scalar_val(self)
         reject(v <= 0.0, lambda: PrimitiveDomainError("pow", v))
         p = float(p)
 
@@ -519,6 +502,14 @@ class Series:
             f"Series(n={self.ctx.n}, order={self.ctx.order}, shape={self.shape}, "
             f"batch={self.batch})"
         )
+
+
+def _scalar_val(x: Series):
+    """The value of a scalar Series, the argument of a univariate primitive;
+    a vector or a matrix is refused, its components not being a batch."""
+    if x.shape:
+        raise TypeError(f"univariate primitive of a series of shape {x.shape}")
+    return x.val
 
 
 def _compose(x: Series, deriv_values) -> Series:
@@ -546,6 +537,7 @@ def compose_univariate(x: Series, deriv_values) -> Series:
     """
     if len(deriv_values) < x.ctx.order + 1:
         raise ValueError("derivative table shorter than context order")
+    _scalar_val(x)
     return _compose(x, deriv_values)
 
 
@@ -554,7 +546,7 @@ def _reciprocal_table(v):
 
 
 def _reciprocal(x: Series) -> Series:
-    v = x.val
+    v = _scalar_val(x)
     reject(v == 0.0, lambda: PrimitiveDomainError("reciprocal", v))
     return _compose(x, _derivative_table("reciprocal", _reciprocal_table, v))
 
@@ -576,7 +568,7 @@ def _unary(name: str, float_fn, table_fn, domain_ok=None):
 
     def fn(x):
         if isinstance(x, Series):
-            v = x.val
+            v = _scalar_val(x)
             check(v)
             return _compose(x, _derivative_table(name, table_fn, v))
         v = as_value(x)

@@ -214,8 +214,7 @@ def test_component_product_matches_entry_products_bitwise(data, n, order, batch)
 
 @pytest.mark.parametrize("shapes, columns", [(((4, 1), (1, 5)), 90), (((2,), (2,)), 300)])
 def test_blocked_batch_product_matches_columns(shapes, columns):
-    # a batch product larger than one block runs one component entry at a
-    # time, and in blocks of columns where one entry's columns are too many
+    # a batch product larger than one block runs in blocks of columns
     ctx = tm.get_context(3, 3)
     rng = np.random.default_rng(3)
     a, b = (
@@ -224,6 +223,7 @@ def test_blocked_batch_product_matches_columns(shapes, columns):
     )
     prod = a * b
     assert len(ctx.mul_ti) * math.prod(prod.shape) * columns > tm._BLOCK_TERMS
+
     def column(s, col):
         return tm.Series(ctx, s.c[..., col].copy(), s.shape)
 
@@ -250,6 +250,18 @@ def test_float_overflow_is_a_primitive_domain_error():
     with pytest.raises(tm.BatchRejected) as err:
         tm.exp(values)
     assert err.value.mask.tolist() == [False, True, False]
+
+
+def test_univariate_primitive_refuses_components():
+    # a vector's components are no batch: a primitive of one is a TypeError
+    ctx = tm.get_context(2, 3)
+    vec = tm.Series.stack([tm.Series.variable(ctx, i, 2.0 + i) for i in range(2)], ctx)
+    assert vec.c.flags.c_contiguous and vec.gradient().c.flags.c_contiguous
+    for fn in (tm.exp, tm.sqrt, lambda x: x ** 2.5, lambda x: 1.0 / x, lambda x: x ** -1,
+               lambda x: tm.compose_univariate(x, [1.0, 1.0, 1.0, 1.0])):
+        with pytest.raises(TypeError, match="shape"):
+            fn(vec)
+    assert (vec ** 2)[1].c.tobytes() == (vec[1] * vec[1]).c.tobytes()
 
 
 def test_batch_rejection_is_no_typed_error():
