@@ -41,9 +41,14 @@ Every point comes out exactly as it would alone, and rows and rejections
 are reported in grid order, so identical configurations produce
 byte-identical output.
 
+Reports are plain JSON (or CSV rows); `json.loads` reads a JSON report
+back, infinities included.
+
 Exit codes: 0 every requested suite passed, 1 a suite exceeded its
-tolerance, 2 configuration error, 3 runtime degeneracy left a requested
-suite with nothing to evaluate.
+tolerance, 2 configuration error (an expression that does not compile and
+a number too large for a float among them, caught before any grid point
+is evaluated), 3 runtime degeneracy left a requested suite with nothing
+to evaluate.
 """
 
 from __future__ import annotations
@@ -196,7 +201,10 @@ def _expect_mapping(doc, where):
 def _expect_number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{where} is too large for a float") from None
 
 
 def _expect_interval(value, where):
@@ -228,13 +236,13 @@ def _parse_spacetime(doc) -> AmbientModel:
             kwargs["expr"] = wdoc["expr"]
         try:
             warping = WarpingFunction(wdoc.get("kind"), **kwargs)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"spacetime.warping: {err}") from None
     try:
         return AmbientModel(
             kind, n, warping=warping, t0=doc.get("t0"), fiber=doc.get("fiber")
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"spacetime: {err}") from None
 
 
@@ -264,7 +272,7 @@ def _scalar_param(doc, key, n_vars):
     if isinstance(value, bool):
         raise ConfigError(f"immersion.{key} must be a number or expression string")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _expect_number(value, f"immersion.{key}")
     if isinstance(value, str):
         names = [f"x{i}" for i in range(n_vars)]
         try:
@@ -906,11 +914,6 @@ def emit_csv(report: dict) -> str:
         cells.append(row["trapped_class"])
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str) -> dict:
-    """Inverse of emit_json."""
-    return json.loads(text)
 
 
 def _emit(report: dict, fmt: str) -> str:

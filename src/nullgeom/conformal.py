@@ -13,8 +13,9 @@ conformal rescalings.
 
 The pullback identity reads an evaluated chart geometry, of one point or of
 a batch, and flags the columns whose image leaves the model space instead
-of raising for them.  The sample checks (conformal factor, de Sitter scale
-sign, curvature identities) evaluate their samples as one batch; where the
+of raising for them; it is the one check of the conformal factor.  The
+sample checks (de Sitter scale sign, curvature identities) evaluate their
+samples as one batch; where the
 batch is refused they evaluate the samples one at a time, in order, so the
 first failing sample raises its own typed error.  Each identity's final
 arithmetic runs on one sample's Python floats, exactly as at one point.
@@ -32,13 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import spacetime, taylor
-from .immersion import (
-    ChartGeometry,
-    Immersion,
-    MetricChart,
-    MetricSignatureError,
-    chart_geometry,
-)
+from .immersion import ChartGeometry, Immersion, MetricSignatureError, chart_geometry
 from .nullcone import NullconeSpec, PointRejected
 from .spacetime import AmbientModel
 # the module's one binding of the quadrature entry point: every integral
@@ -49,7 +44,6 @@ from .taylor import BatchRejected, DomainError, Series, SmoothMap, format_point
 
 __all__ = [
     "MAP_VARIANTS",
-    "FAMILY_VARIANTS",
     "DENOMINATOR_FLOOR",
     "MODEL_MEMBERSHIP_TOL",
     "DegeneracyError",
@@ -59,17 +53,13 @@ __all__ = [
     "EmbeddingFamily",
     "build_embedding",
     "conformal_map",
-    "conformal_factor",
     "factor_field",
     "primitive_g",
     "exactness_residual",
     "pullback_columns",
-    "pullback_residual",
-    "conformal_factor_check",
     "desitter_r_sign",
     "local_inverse",
     "factorization_check",
-    "scaled_metric_chart",
     "sectional_curvatures",
     "conformal_curvature_check",
 ]
@@ -87,7 +77,6 @@ _FAMILY_CONES = {
     "psi_f_desitter_alpha": ("desitter", "desitter_alpha"),
     "cylinder_warped": ("minkowski", "cylinder"),
 }
-FAMILY_VARIANTS = tuple(_FAMILY_CONES)
 
 DENOMINATOR_FLOOR = 1e-8
 MODEL_MEMBERSHIP_TOL = 1e-10
@@ -262,11 +251,6 @@ def _denominator_series(spec: ConformalMapSpec, im: Immersion, psi):
     if spec.variant == "desitter_to_Sn":
         return im.target_cone.scale(psi[i])
     return psi[i]
-
-
-def conformal_factor(spec: ConformalMapSpec, im: Immersion, x) -> float:
-    """The variant's conformal scale |denominator| at a chart point."""
-    return abs(_denominator_series(spec, im, im.series(x, 0)).val)
 
 
 def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
@@ -472,35 +456,30 @@ def _pullback(spec, im, psi):
     return np.einsum("a,...ai,...aj->...ij", signs, jac, jac)
 
 
-def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry, expected_factor=None):
+def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry):
     """(deviation, spd, on_model) of the pullback identity at an evaluated
     immersion geometry: values at one point, (B,) arrays over a batch.
 
     The deviation compares the model inner products of the split map's jet
     columns against lambda^-2 times the induced metric, entrywise in the
-    chart basis, with lambda given by `expected_factor` (a callable of the
-    chart point) or the variant's own denominator when omitted; spd says
+    chart basis, with lambda the variant's own denominator |den|; spd says
     whether that pullback is symmetric positive definite.  A column whose
     image leaves the model space is flagged off the model, with deviation
     NaN and spd False; nothing is raised for it.
     """
-    im, psi, g0, x = geo.immersion, geo.psi, geo.g0, geo.x
+    im, psi, g0 = geo.immersion, geo.psi, geo.g0
     one_point = geo.batch is None
     if one_point:  # a batch of one column
         psi = [Series(s.ctx, s.c[:, None]) for s in psi]
-        g0, x = g0[None], x[None]
+        g0 = g0[None]
     denom, _, on_model = _model_image(spec, im, psi)
-    deviation = np.full(len(x), np.nan)
-    spd = np.zeros(len(x), dtype=bool)
+    deviation = np.full(len(g0), np.nan)
+    spd = np.zeros(len(g0), dtype=bool)
     if on_model.any():
         if not on_model.all():  # the jacobian divides: keep the columns on the model
             psi = [Series(s.ctx, s.c[:, on_model]) for s in psi]
         pulled = _pullback(spec, im, psi)
-        if expected_factor is None:
-            lam = np.abs(denom[on_model]).tolist()
-        else:
-            lam = [float(expected_factor(p)) for p in x[on_model]]
-        lam_sq = np.array([_square(v) for v in lam])
+        lam_sq = np.array([_square(v) for v in np.abs(denom[on_model]).tolist()])
         scaled = g0[on_model] / lam_sq[:, None, None]
         deviation[on_model] = np.max(np.abs(pulled - scaled), axis=(-2, -1))
         symmetric = np.isclose(pulled, np.swapaxes(pulled, -1, -2), atol=1e-12).all(axis=(-2, -1))
@@ -508,16 +487,6 @@ def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry, expected_factor
     if one_point:
         return float(deviation[0]), bool(spd[0]), bool(on_model[0])
     return deviation, spd, on_model
-
-
-def pullback_residual(spec: ConformalMapSpec, geo: ChartGeometry, expected_factor=None):
-    """(deviation, spd) of `pullback_columns` at one evaluated point; raises
-    DegeneracyError where the image leaves the model space."""
-    deviation, spd, on_model = pullback_columns(spec, geo, expected_factor)
-    if not on_model:
-        # the same test on the same values, raising its typed error
-        _model_values(spec, geo.immersion, geo.x, geo.psi)
-    return deviation, spd
 
 
 # the typed errors with which a sample fails a check
@@ -556,26 +525,6 @@ def _per_sample(fn, samples) -> list:
     if error is not None:
         raise error
     return results
-
-
-def conformal_factor_check(
-    spec: ConformalMapSpec, im: Immersion, samples, expected_factor=None
-) -> float:
-    """Max `pullback_residual` deviation over the samples, evaluated as one
-    batch."""
-
-    def deviation(x):
-        geo = chart_geometry(im, x)
-        if x.ndim == 1:
-            return pullback_residual(spec, geo, expected_factor)[0]
-        deviations, _, on_model = pullback_columns(spec, geo, expected_factor)
-        taylor.require(on_model, None)
-        return deviations.tolist()
-
-    worst = 0.0
-    for value in _per_sample(deviation, samples):
-        worst = max(worst, value)
-    return worst
 
 
 def desitter_r_sign(im: Immersion, samples) -> float:
@@ -632,34 +581,28 @@ def _inverse_residuals(spec, im, points, targets) -> list:
 def local_inverse(
     spec: ConformalMapSpec,
     im: Immersion,
-    target: np.ndarray,
-    seed,
+    targets: np.ndarray,
+    seeds,
     tol: float = 1e-12,
     max_iter: int = 60,
 ) -> np.ndarray:
-    """Chart point mapping to `target` under the split map; for stacked
-    targets (S, m) and seeds (S, n), the chart point (S, n) of each target.
+    """The chart points (S, n) mapping to the stacked targets (S, m) under
+    the split map, seeded from the stacked seeds (S, n).
 
-    Damped Gauss-Newton on the forward map seeded from `seed`; the system is
-    overdetermined by the model constraint, so each step solves the least
-    squares normal equations.  A stack iterates in lockstep: each round
-    evaluates the jacobians of the samples still iterating as one batch,
-    and each damping halving the trial points of the samples still
-    searching as one batch.  The solve, the norms, the damping and the
-    iteration limits stay per sample, so every sample takes the steps it
-    takes alone; a stack raises the error of its first failing sample.
+    Damped Gauss-Newton on the forward map; the system is overdetermined by
+    the model constraint, so each step solves the least squares normal
+    equations.  The stack iterates in lockstep: each round evaluates the
+    jacobians of the samples still iterating as one batch, and each damping
+    halving the trial points of the samples still searching as one batch.
+    The solve, the norms, the damping and the iteration limits stay per
+    sample, so every sample takes the steps it takes alone; the stack
+    raises the error of its first failing sample.
     """
-    target = np.asarray(target, dtype=float)
-    one = target.ndim == 1
-    targets = np.atleast_2d(target)
-    xs = np.array(seed, dtype=float, ndmin=2)
+    targets = np.asarray(targets, dtype=float)
+    xs = np.array(seeds, dtype=float)
     ctx = taylor.get_context(xs.shape[1], 1)
     psis, rs = [None] * len(xs), [None] * len(xs)
     errors = {}  # sample -> its error; the first failing sample's is raised
-
-    def at(stack):
-        # one point has no batch axis
-        return stack[0] if one else stack
 
     def live(ks):
         # a sample after a failed one cannot change what is raised
@@ -667,7 +610,7 @@ def local_inverse(
         return [k for k in ks if k < first]
 
     active = []
-    for k, res in enumerate(_inverse_residuals(spec, im, at(xs), at(targets))):
+    for k, res in enumerate(_inverse_residuals(spec, im, xs, targets)):
         if isinstance(res, Exception):
             errors[k] = res
         else:
@@ -678,11 +621,9 @@ def local_inverse(
         if not active:
             break
         coeffs = np.stack([psis[k] for k in active], axis=-1)
-        if one:
-            coeffs = coeffs[..., 0]
         jacs = _map_jacobian(spec, im, [Series(ctx, c) for c in coeffs])
         steps, base_norms = {}, {}
-        for k, jac in zip(active, [jacs] if one else jacs):
+        for k, jac in zip(active, jacs):
             steps[k], *_ = np.linalg.lstsq(jac, rs[k], rcond=None)
             base_norms[k] = float(rs[k] @ rs[k])
         damping = dict.fromkeys(active, 1.0)
@@ -691,7 +632,7 @@ def local_inverse(
             if not searching:
                 break
             trials = np.array([xs[k] - damping[k] * steps[k] for k in searching])
-            results = _inverse_residuals(spec, im, at(trials), at(targets[searching]))
+            results = _inverse_residuals(spec, im, trials, targets[searching])
             failed = []
             for k, trial, res in zip(searching, trials, results):
                 if not isinstance(res, Exception) and float(res[1] @ res[1]) < base_norms[k]:
@@ -710,7 +651,7 @@ def local_inverse(
             )
     if errors:
         raise errors[min(errors)]
-    return at(xs)
+    return xs
 
 
 def _psi_f_at_model_point(spec, im, i, y, f_val) -> np.ndarray:
@@ -766,17 +707,6 @@ def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float
 
 
 # -- conformal curvature ------------------------------------------------------
-
-
-def scaled_metric_chart(base: MetricChart, lam: Callable, name="") -> MetricChart:
-    """The chart metric lambda^2 g for a positive scalar field lambda."""
-
-    def metric(coords):
-        factor = lam(coords)
-        factor = factor * factor
-        return [[factor * entry for entry in row] for row in base.metric(coords)]
-
-    return MetricChart(metric=metric, dim=base.dim, name=name or f"scaled({base.name})")
 
 
 def sectional_curvatures(geo: ChartGeometry) -> np.ndarray:

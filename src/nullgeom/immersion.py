@@ -45,14 +45,12 @@ class Immersion:
     `map` sends chart coordinates to ambient coordinates; its output arity
     must match the model.  `target_cone`, when set, declares that the image
     must lie on that null hypersurface, which is enforced whenever a chart
-    point is evaluated.  `chart_domain` is a per-axis (low, high) box;
-    defaults to the map's own declared domain.
+    point is evaluated.  The chart domain is the map's declared domain.
     """
 
     map: SmoothMap
     model: AmbientModel
     target_cone: Optional[NullconeSpec] = None
-    chart_domain: Optional[tuple] = None
 
     def __post_init__(self):
         if self.map.n_outputs != self.model.coord_count:
@@ -67,18 +65,10 @@ class Immersion:
             )
         if self.target_cone is not None and self.target_cone.model != self.model:
             raise ValueError("target cone lives in a different ambient model")
-        if self.chart_domain is None:
-            object.__setattr__(self, "chart_domain", self.map.domain)
-        elif len(self.chart_domain) != self.map.n_inputs:
-            raise ValueError("chart_domain arity mismatch")
 
     @property
     def dim(self) -> int:
         return self.map.n_inputs
-
-    def contains(self, x):
-        """Whether x lies in the chart domain; a (B,) mask for a (B, n) batch."""
-        return taylor.in_box(x, self.chart_domain)
 
     def series(self, x, order: int, check_membership=True) -> list:
         """The ambient coordinates psi at a chart point (n,), or at each point
@@ -90,7 +80,7 @@ class Immersion:
         """
         x = np.asarray(x, dtype=np.float64)
         taylor.require(
-            self.contains(x),
+            self.map.contains(x),
             lambda: ChartDomainError(
                 f"chart point {format_point(x)} outside the immersion's domain"
             ),
@@ -147,7 +137,6 @@ class MetricChart:
 
     metric: Callable
     dim: int
-    name: str = ""
 
 
 def _mirrored(g: Series) -> Series:
@@ -181,7 +170,7 @@ class ChartGeometry:
     """
 
     def __init__(self, x, g_series: Series, psi=None, dpsi=None, f=None, f2=None,
-                 immersion=None, name=""):
+                 immersion=None):
         self.x = np.asarray(x, dtype=np.float64)
         self.g_series = g_series
         self.dim = g_series.shape[0]
@@ -192,7 +181,6 @@ class ChartGeometry:
         self.f = f
         self.f2 = f2
         self.immersion = immersion
-        self.name = name
         g0 = taylor.batch_first(g_series.val, 2)
         g0 = 0.5 * (g0 + np.swapaxes(g0, -1, -2))
         lowest = _stacked(np.linalg.eigvalsh, g0)[..., 0]
@@ -218,7 +206,7 @@ class ChartGeometry:
 
     def rescaled(self, lam: Series) -> "ChartGeometry":
         """Geometry of the conformal metric lam^2 g at the same point."""
-        return ChartGeometry(self.x, (lam * lam) * self.g_series, name=f"scaled({self.name})")
+        return ChartGeometry(self.x, (lam * lam) * self.g_series)
 
     # -- ambient side (immersions only) --------------------------------
 
@@ -308,8 +296,8 @@ class ChartGeometry:
     # -- scalar fields on the chart --------------------------------------
 
     def scalar_series(self, h) -> Series:
-        fn = h.fn if isinstance(h, SmoothMap) else h
-        return taylor.as_series(fn(self.coords), self.ctx, self.batch)
+        """The chart field h, a callable of the coordinate list, as a Series."""
+        return taylor.as_series(h(self.coords), self.ctx, self.batch)
 
     def partials(self, s: Series) -> np.ndarray:
         return s.slots(s.ctx.first)
@@ -343,9 +331,7 @@ def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGe
     f = im.model.warping(psi[0]) if im.model.warped else None
     f2 = None if f is None else f * f
     g = _mirrored(spacetime.ambient_inner(im.model, f2, dpsi[:, None, :], dpsi[None, :, :]))
-    return ChartGeometry(
-        x, g, psi=psi, dpsi=dpsi, f=f, f2=f2, immersion=im, name=im.map.name
-    )
+    return ChartGeometry(x, g, psi=psi, dpsi=dpsi, f=f, f2=f2, immersion=im)
 
 
 def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
@@ -362,8 +348,7 @@ def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
             s = 0.5 * (upper + taylor.as_series(raw[j][i], ctx, batch))
             g[i][j] = s
             g[j][i] = s
-    return ChartGeometry(x, Series.stack([Series.stack(row, ctx) for row in g], ctx),
-                         name=chart.name)
+    return ChartGeometry(x, Series.stack([Series.stack(row, ctx) for row in g], ctx))
 
 
 def chart_geometry(obj, x, check_membership=True) -> ChartGeometry:

@@ -35,9 +35,7 @@ __all__ = [
     "NullconeSpec",
     "eval_F",
     "grad_F_components",
-    "membership",
     "require_on_cone",
-    "desitter_graph_height",
 ]
 
 # conformal time below this is treated as the cone vertex; the normalized
@@ -216,25 +214,17 @@ def grad_F_components(spec: NullconeSpec, p, f=None):
     return [phi / f] + [scale * d for d in dr]
 
 
-def membership(spec: NullconeSpec, p, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether p lies on the future branch of the hypersurface, |F| <= tol."""
-    try:
-        require_on_cone(spec, p, tol)
-    except PointRejected:
-        return False
-    return True
-
-
-def require_on_cone(spec: NullconeSpec, p, tol: float = MEMBERSHIP_TOL):
-    """Raise PointRejected unless p is an admissible point of the cone."""
+def require_on_cone(spec: NullconeSpec, p):
+    """Raise PointRejected unless p is an admissible point of the cone, with
+    |F| and any quadric residual within `MEMBERSHIP_TOL`."""
     m = spec.model
     p = np.asarray(p, dtype=float)
     F = float(eval_F(spec, p))
-    if abs(F) > tol:
+    if abs(F) > MEMBERSHIP_TOL:
         raise PointRejected(RejectionReason.OFF_CONE, p, f"|F| = {abs(F):.3e}")
     if spec.variant == "desitter_alpha":
         quad = -p[0] * p[0] + float(np.dot(p[1:], p[1:])) - 1.0
-        if abs(quad) > tol:
+        if abs(quad) > MEMBERSHIP_TOL:
             raise PointRejected(RejectionReason.OFF_CONE, p,
                                 f"off the unit hyperquadric by {abs(quad):.3e}")
         if p[0] <= 0.0:
@@ -264,24 +254,9 @@ def require_on_cone(spec: NullconeSpec, p, tol: float = MEMBERSHIP_TOL):
         raise PointRejected(RejectionReason.OFF_CONE, p, "past branch (t <= t0)")
     if m.kind == "product":
         resid = abs(float(fiber_constraint(m, p[1:])))
-        if resid > tol:
+        if resid > MEMBERSHIP_TOL:
             raise PointRejected(RejectionReason.OFF_CONE, p,
                                 f"off the fiber quadric by {resid:.3e}")
     if m.warping.conformal_time(t, m.t0) < VERTEX_EPS:
         raise PointRejected(RejectionReason.VERTEX_EXCLUSION, p,
                             f"conformal time below {VERTEX_EPS:.0e}")
-
-
-def desitter_graph_height(theta0: float, q) -> float:
-    """Height t making the warped-product graph point land on the plane cut.
-
-    The plane is the alpha = cos(theta0) member of the de Sitter family; q
-    is a unit vector of the spatial sphere, measured against its last axis.
-    """
-    q = np.asarray(q, dtype=float)
-    if abs(math.sqrt(float(np.dot(q, q))) - 1.0) > 1e-12:
-        raise ValueError("q must be a unit vector")
-    arg = theta0 - math.acos(float(np.clip(q[-1], -1.0, 1.0)))
-    if not abs(arg) < math.pi / 2.0 - 1e-12:
-        raise ValueError("graph is singular: signed distance reaches a quarter turn")
-    return math.asinh(math.tan(arg))

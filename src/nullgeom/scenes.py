@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import copy
 
-import numpy as np
-
 from . import spacetime as st
 from . import taylor as tm
 from .conformal import EmbeddingFamily, build_embedding
@@ -28,7 +26,6 @@ __all__ = [
     "cylinder_immersion",
     "hxr_immersion",
     "grw_graph",
-    "marginal_height_profile",
     "builtin_scenes",
 ]
 
@@ -110,12 +107,6 @@ def grw_graph(model, height):
         model,
         cone,
     )
-
-
-def marginal_height_profile(ys):
-    """f with (f p, f) inside the null hyperplane t + x_last = 2."""
-    p0 = tm.sqrt(1.0 + tm.norm_sq(ys))
-    return 2.0 / (1.0 + p0)
 
 
 def _axis(lo, hi, count):

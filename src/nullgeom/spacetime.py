@@ -33,7 +33,6 @@ __all__ = [
     "fiber_radius_sq",
     "radial_tangential_factor",
     "fiber_constraint",
-    "fiber_chart",
     "hyperbolic_chart",
     "sphere_chart",
 ]
@@ -93,8 +92,10 @@ class WarpingFunction:
             raise ValueError("constant warping needs one positive parameter")
         if self.kind == "polynomial" and not self.params:
             raise ValueError("polynomial warping needs coefficients")
-        if self.kind == "custom" and not self.expr:
-            raise ValueError("custom warping needs an expression in t")
+        if self.kind == "custom":
+            if not self.expr:
+                raise ValueError("custom warping needs an expression in t")
+            _compiled_profile(self.expr)  # a malformed expression fails here
 
     def _check_domain(self, v):
         """v: a float time, or the (B,) array of a batch's times."""
@@ -143,9 +144,6 @@ class WarpingFunction:
         ctx = get_context(1, order)
         s = self(Series.variable(ctx, 0, taylor.as_value(t)))
         return tuple(s.c[k] * math.factorial(k) for k in range(order + 1))
-
-    def slope(self, t: float) -> float:
-        return self.derivatives(t, 1)[1]
 
     def conformal_time(self, t, t0: float):
         """Integral of ds/f(s) from t0 to t; accepts a Series argument, and
@@ -401,11 +399,10 @@ def hyperbolic_chart(k: int) -> SmoothMap:
     return SmoothMap(chart, k, k + 1, name=f"hyperboloid graph chart ({k})")
 
 
-def sphere_chart(k: int, antipodal: bool = False) -> SmoothMap:
+def sphere_chart(k: int) -> SmoothMap:
     """Spherical-angle chart of the unit k-sphere, poles excluded.
 
-    Angles th_1..th_{k-1} in (0, pi), th_k in (-pi, pi).  The antipodal
-    variant negates the leading coordinate, covering the opposite pole.
+    Angles th_1..th_{k-1} in (0, pi), th_k in (-pi, pi).
     """
 
     def chart(th):
@@ -416,28 +413,7 @@ def sphere_chart(k: int, antipodal: bool = False) -> SmoothMap:
             scale = scale * taylor.sin(th[i])
         coords.append(scale * taylor.cos(th[k - 1]))
         coords.append(scale * taylor.sin(th[k - 1]))
-        if antipodal:
-            coords[0] = -coords[0]
         return coords
 
     domain = ((0.0, math.pi),) * (k - 1) + ((-math.pi, math.pi),)
-    tag = " (antipodal)" if antipodal else ""
-    return SmoothMap(chart, k, k + 1, name=f"sphere angle chart ({k}){tag}", domain=domain)
-
-
-def euclidean_chart(k: int) -> SmoothMap:
-    def chart(y):
-        return list(y)
-
-    return SmoothMap(chart, k, k, name=f"euclidean identity chart ({k})")
-
-
-def fiber_chart(model: AmbientModel, antipodal: bool = False) -> SmoothMap:
-    """Chart of the model's fiber in its embedding coordinates."""
-    k = model.n + 1
-    kind = model.fiber_kind
-    if kind == "euclidean":
-        return euclidean_chart(k)
-    if kind == "sphere":
-        return sphere_chart(k, antipodal=antipodal)
-    return hyperbolic_chart(k)
+    return SmoothMap(chart, k, k + 1, name=f"sphere angle chart ({k})", domain=domain)

@@ -1,11 +1,11 @@
 """Truncated multivariate Taylor-jet differentiation, orders 0 through 3.
 
 A smooth map is any callable written against this module's primitive
-vocabulary (arithmetic plus the functions exported below).  Called with
-plain floats it evaluates normally; called with `Series` arguments it
-propagates truncated Taylor expansions, from which `jet_eval` extracts
-exact partial derivatives.  `fd_derivative` provides an independent
-central finite-difference oracle over the same callables.
+vocabulary (arithmetic plus the functions exported below), wrapped in a
+`SmoothMap` with its arity and domain.  Called with plain floats it
+evaluates normally; `eval_series` calls it with `Series` arguments, which
+propagate truncated Taylor expansions whose coefficients give exact
+partial derivatives.
 
 Internally a scalar quantity is a dense coefficient vector indexed by the
 multi-indices of total degree <= order in graded lexicographic order; the
@@ -23,7 +23,8 @@ which keeps its temporaries small.  Sums over a component axis run left to
 right.
 Derivative tables of the primitives are computed one column at a time with
 `math`, whose last bits numpy's ufuncs do not always reproduce; a float
-overflow there is a domain error of the primitive.
+overflow there, or a division by a power that underflowed to zero, is a
+domain error of the primitive.
 
 A check that fails at one point raises its typed error; on a batch it
 raises `BatchRejected` with the mask of failing columns, and evaluating
@@ -76,14 +77,6 @@ class PrimitiveDomainError(DomainError):
 
 class ChartDomainError(DomainError):
     """A chart point outside the declared domain of a map or an immersion."""
-
-
-class StencilDomainError(DomainError):
-    """A finite-difference stencil left the map's domain."""
-
-    def __init__(self, stencil_point, reason: str = "outside declared domain"):
-        self.stencil_point = tuple(float(c) for c in stencil_point)
-        super().__init__(f"stencil point {self.stencil_point} {reason}")
 
 
 class BatchRejected(Exception):
@@ -148,7 +141,7 @@ def _per_column(fn, values) -> list:
     for b, v in enumerate(values.tolist()):
         try:
             out.append(fn(v))
-        except (DomainError, OverflowError):
+        except (DomainError, OverflowError, ZeroDivisionError):
             bad[b] = True
     if bad.any():
         raise BatchRejected(bad)
@@ -158,7 +151,8 @@ def _per_column(fn, values) -> list:
 def column_map(fn, values):
     """fn of a float value, or of each column of a (B,) array, as an array.
 
-    A column whose call raises a `DomainError` or overflows is rejected."""
+    A column whose call raises a `DomainError`, overflows or divides by
+    zero is rejected."""
     if not isinstance(values, np.ndarray) or not values.ndim:
         return fn(values)
     return np.array(_per_column(fn, values))
@@ -358,9 +352,6 @@ class Series:
         out = self.c[index]
         return np.moveaxis(out, -1, 0) if self._batch_axes() else out
 
-    def copy(self) -> "Series":
-        return Series(self.ctx, self.c.copy(), self.shape)
-
     def __getitem__(self, key) -> "Series":
         """Components by numpy indexing of the component axes."""
         if not self.shape:
@@ -553,11 +544,11 @@ def _reciprocal(x: Series) -> Series:
 
 def _derivative_table(name: str, table_fn, v):
     """`column_table` of a primitive's derivative table; at one point a
-    float overflow is the primitive's domain error, and on a batch it
-    rejects its column."""
+    float overflow, or a division by a power of v that underflowed to zero,
+    is the primitive's domain error, and on a batch it rejects its column."""
     try:
         return column_table(table_fn, v)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise PrimitiveDomainError(name, v) from None
 
 
@@ -707,9 +698,8 @@ class SmoothMap:
     """A callable over the primitive vocabulary with declared arity.
 
     `fn` receives a list of scalars (floats or Series, never mixed) and
-    returns a scalar or a sequence of scalars.  `domain`, when present, is a
-    per-axis (low, high) box used by the finite-difference oracle to keep
-    stencils inside valid territory.
+    returns a sequence of `n_outputs` scalars.  `domain`, when present, is a
+    per-axis (low, high) box outside which the map is not evaluated.
     """
 
     fn: Callable
@@ -718,60 +708,9 @@ class SmoothMap:
     name: str = ""
     domain: Optional[tuple] = None
 
-    def __call__(self, args):
-        return self.fn(args)
-
     def contains(self, point):
         """Whether the point lies in the domain box; a (B,) mask for a (B, n) batch."""
         return in_box(point, self.domain)
-
-
-class Jet:
-    """Truncated Taylor expansion of a map at a point.
-
-    Stores one coefficient slot per unordered multi-index, so symmetry of
-    mixed partials holds by construction.  `partial` reports true
-    derivative values (Taylor coefficients scaled by the multi-index
-    factorial).
-    """
-
-    __slots__ = ("ctx", "taylor")
-
-    def __init__(self, ctx: JetContext, taylor: np.ndarray):
-        self.ctx = ctx
-        self.taylor = taylor  # shape (n_outputs, n_terms)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.ctx.n
-
-    @property
-    def n_outputs(self) -> int:
-        return self.taylor.shape[0]
-
-    @property
-    def order(self) -> int:
-        return self.ctx.order
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.taylor[:, 0].copy()
-
-    @property
-    def jacobian(self) -> np.ndarray:
-        ctx = self.ctx
-        if ctx.order < 1:
-            return np.zeros((self.n_outputs, ctx.n))
-        return self.taylor[:, ctx.first]
-
-    def hessian(self) -> np.ndarray:
-        ctx = self.ctx
-        if ctx.order < 2:
-            raise ValueError("hessian requires order >= 2")
-        return self.taylor[:, ctx.second] * ctx.second_fac
-
-    def series(self, component: int) -> Series:
-        return Series(self.ctx, self.taylor[component].copy())
 
 
 def as_series(value, ctx: JetContext, batch=None) -> Series:
@@ -780,135 +719,24 @@ def as_series(value, ctx: JetContext, batch=None) -> Series:
     return value if isinstance(value, Series) else Series.constant(ctx, as_value(value), batch)
 
 
-def _as_series_list(result, ctx, batch):
-    if isinstance(result, Series):
-        result = [result]
-    return [as_series(r, ctx, batch) for r in result]
-
-
-def eval_series(map_fn, point, order: int):
+def eval_series(map_fn: SmoothMap, point, order: int):
     """Evaluate a smooth map on Series arguments at a point (n,) or a batch
-    (B, n) of points; returns a list of Series."""
+    (B, n) of points inside its domain; returns a list of Series."""
     point = np.asarray(point, dtype=np.float64)
     ctx = get_context(point.shape[-1], order)
     batch = point.shape[0] if point.ndim == 2 else None
-    fn = map_fn.fn if isinstance(map_fn, SmoothMap) else map_fn
-    if isinstance(map_fn, SmoothMap):
-        require(
-            map_fn.contains(point),
-            lambda: ChartDomainError(
-                f"point {format_point(point)} outside the map's declared domain"
-            ),
-        )
+    require(
+        map_fn.contains(point),
+        lambda: ChartDomainError(f"point {format_point(point)} outside the map's declared domain"),
+    )
     xs = [Series.variable(ctx, i, point[..., i]) for i in range(ctx.n)]
     try:
-        result = fn(xs)
+        result = map_fn.fn(xs)
     except PrimitiveDomainError as err:
         if batch is not None:
             raise  # a float-valued step failed for every column alike
         raise err.with_point(point) from None
-    return _as_series_list(result, ctx, batch)
-
-
-def jet_eval(map_fn, point, order: int) -> Jet:
-    """Jet of a smooth map at a point; degree-k slots hold exact k-th partials."""
-    outs = eval_series(map_fn, point, order)
-    ctx = outs[0].ctx
-    taylor = np.stack([s.c for s in outs])
-    return Jet(ctx, taylor)
-
-
-@dataclass(frozen=True)
-class FdScheme:
-    """Central finite-difference settings.
-
-    `step` of None means the default 1e-4 * max(1, |point|); `order` is the
-    stencil accuracy; `richardson` combines estimates at h and h/2 to cancel
-    the leading error term.
-    """
-
-    step: Optional[float] = None
-    order: int = 2
-    richardson: bool = True
-
-    def __post_init__(self):
-        if self.step is not None and not self.step > 0.0:
-            raise ValueError("step must be positive")
-        if self.order not in (2, 4):
-            raise ValueError("stencil accuracy must be 2 or 4")
-
-    def resolve_step(self, point) -> float:
-        if self.step is not None:
-            return self.step
-        return 1e-4 * max(1.0, float(np.linalg.norm(point)))
-
-
-_STENCILS = {
-    (1, 2): ((-1, 1), (-0.5, 0.5)),
-    (1, 4): ((-2, -1, 1, 2), (1 / 12, -8 / 12, 8 / 12, -1 / 12)),
-    (2, 2): ((-1, 0, 1), (1.0, -2.0, 1.0)),
-    (2, 4): ((-2, -1, 0, 1, 2), (-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12)),
-    (3, 2): ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
-    (3, 4): ((-3, -2, -1, 1, 2, 3), (1 / 8, -1.0, 13 / 8, -13 / 8, 1.0, -1 / 8)),
-}
-
-
-def _fd_estimate(map_fn, point, multi_index, h: float, acc: int):
-    fn = map_fn.fn if isinstance(map_fn, SmoothMap) else map_fn
-    axes = [i for i, d in enumerate(multi_index) if d > 0]
-    grids = [_STENCILS[(multi_index[i], acc)] for i in axes]
-    total_deg = sum(multi_index)
-    acc_val = 0.0
-    idx = [0] * len(axes)
-    while True:
-        offset = np.zeros(len(point))
-        weight = 1.0
-        for k, i in enumerate(axes):
-            offs, wts = grids[k]
-            offset[i] = offs[idx[k]]
-            weight *= wts[idx[k]]
-        if weight != 0.0:
-            pt = point + h * offset
-            if isinstance(map_fn, SmoothMap) and not map_fn.contains(pt):
-                raise StencilDomainError(pt)
-            try:
-                val = fn([float(c) for c in pt])
-            except PrimitiveDomainError as err:
-                raise StencilDomainError(pt, f"hit a primitive domain edge: {err}") from None
-            if not np.isscalar(val) and not isinstance(val, float):
-                val = np.asarray(val, dtype=float)
-                if val.size != 1:
-                    raise ValueError("fd_derivative expects a scalar-valued map")
-                val = float(val.reshape(()))
-            acc_val += weight * float(val)
-        for k in range(len(axes) - 1, -1, -1):
-            idx[k] += 1
-            if idx[k] < len(grids[k][0]):
-                break
-            idx[k] = 0
-        else:
-            break
-    return acc_val / h ** total_deg
-
-
-def fd_derivative(map_fn, point, multi_index, scheme: FdScheme = FdScheme()) -> float:
-    """Central-difference estimate of one partial derivative of a scalar map."""
-    point = np.asarray(point, dtype=np.float64)
-    multi_index = tuple(int(d) for d in multi_index)
-    if len(multi_index) != point.shape[0]:
-        raise ValueError("multi-index length must match the point dimension")
-    deg = sum(multi_index)
-    if not 1 <= deg <= MAX_ORDER:
-        raise ValueError(f"multi-index degree must lie in 1..{MAX_ORDER}")
-    if any(d < 0 for d in multi_index):
-        raise ValueError("multi-index entries must be nonnegative")
-    h = scheme.resolve_step(point)
-    coarse = _fd_estimate(map_fn, point, multi_index, h, scheme.order)
-    if not scheme.richardson:
-        return coarse
-    fine = _fd_estimate(map_fn, point, multi_index, h / 2.0, scheme.order)
-    gain = 2.0 ** scheme.order
-    return (gain * fine - coarse) / (gain - 1.0)
+    return [as_series(r, ctx, batch) for r in result]
 
 
 _EXPR_FUNCS = {

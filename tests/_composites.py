@@ -5,8 +5,7 @@ with arguments wrapped so all primitives stay strictly inside their
 domains for inputs in [-1, 1]^n.
 """
 
-import numpy as np
-
+from _jets import FdScheme, fd_derivative, jet_eval
 from nullgeom import taylor as tm
 
 
@@ -94,9 +93,9 @@ def multi_indices_of_degree(n, deg):
 
 
 FD_SCHEMES = {
-    1: tm.FdScheme(step=1e-4, order=2, richardson=True),
-    2: tm.FdScheme(step=1e-3, order=2, richardson=True),
-    3: tm.FdScheme(step=8e-3, order=2, richardson=True),
+    1: FdScheme(step=1e-4, order=2, richardson=True),
+    2: FdScheme(step=1e-3, order=2, richardson=True),
+    3: FdScheme(step=8e-3, order=2, richardson=True),
 }
 
 REL_TOL = {1: 1e-6, 2: 1e-6, 3: 1e-4}
@@ -110,13 +109,13 @@ def jet_partial(jet, alpha):
 
 def jet_fd_max_rel_error(fn, point, deg):
     """Max relative disagreement between jet and FD partials of one degree."""
-    jet = tm.jet_eval(fn, point, deg)
+    jet = jet_eval(fn, point, deg)
     worst = 0.0
     for alpha in multi_indices_of_degree(len(point), deg):
         if sum(alpha) != deg:
             continue
         jv = float(jet_partial(jet, alpha)[0])
-        fv = tm.fd_derivative(fn, point, alpha, FD_SCHEMES[deg])
+        fv = fd_derivative(fn, point, alpha, FD_SCHEMES[deg])
         rel = abs(jv - fv) / max(1.0, abs(jv))
         worst = max(worst, rel)
     return worst

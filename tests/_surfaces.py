@@ -15,7 +15,6 @@ from nullgeom.scenes import (
     cylinder_immersion,
     grw_graph,
     hxr_immersion,
-    marginal_height_profile,
     psi_f_desitter,
     psi_f_minkowski,
     slice_immersion,
@@ -33,12 +32,15 @@ __all__ = [
     "sample_box",
     "random_metric_chart",
     "pullback_metric_chart",
+    "scaled_metric_chart",
     "random_positive_field",
     "inner_at",
     "intrinsic_gradient",
     "hessian_laplacian",
     "desitter_embed",
+    "desitter_graph_height",
     "normal_connection_residual",
+    "pullback_alone",
     "local_inverse_alone",
     "factorization_alone",
     "entry_inner",
@@ -47,6 +49,12 @@ __all__ = [
     "entry_christoffel",
     "entry_null_frame",
 ]
+
+
+def marginal_height_profile(ys):
+    """f with (f p, f) inside the null hyperplane t + x_last = 2."""
+    p0 = tm.sqrt(1.0 + tm.norm_sq(ys))
+    return 2.0 / (1.0 + p0)
 
 
 def sphere_box(n, pad=0.5):
@@ -83,10 +91,10 @@ def random_metric_chart(rng, n):
             for i in range(n)
         ]
 
-    return MetricChart(metric=metric, dim=n, name="random")
+    return MetricChart(metric=metric, dim=n)
 
 
-def pullback_metric_chart(chart_map: tm.SmoothMap, signs=None, name="") -> MetricChart:
+def pullback_metric_chart(chart_map: tm.SmoothMap, signs=None) -> MetricChart:
     """Metric chart obtained by pulling a (pseudo)flat ambient metric back
     through `chart_map`; `signs` lists the ambient signature, default all +1."""
     if signs is not None and len(signs) != chart_map.n_outputs:
@@ -107,7 +115,18 @@ def pullback_metric_chart(chart_map: tm.SmoothMap, signs=None, name="") -> Metri
             for i in range(k)
         ]
 
-    return MetricChart(metric=metric, dim=chart_map.n_inputs, name=name)
+    return MetricChart(metric=metric, dim=chart_map.n_inputs)
+
+
+def scaled_metric_chart(base: MetricChart, lam) -> MetricChart:
+    """The chart metric lambda^2 g for a positive scalar field lambda."""
+
+    def metric(coords):
+        factor = lam(coords)
+        factor = factor * factor
+        return [[factor * entry for entry in row] for row in base.metric(coords)]
+
+    return MetricChart(metric=metric, dim=base.dim)
 
 
 def random_positive_field(rng, n):
@@ -155,6 +174,21 @@ def desitter_embed(t, q):
     return [tm.sinh(t)] + [ch * x for x in q]
 
 
+def desitter_graph_height(theta0: float, q) -> float:
+    """Height t making the warped-product graph point land on the plane cut.
+
+    The plane is the alpha = cos(theta0) member of the de Sitter family; q
+    is a unit vector of the spatial sphere, measured against its last axis.
+    """
+    q = np.asarray(q, dtype=float)
+    if abs(math.sqrt(float(np.dot(q, q))) - 1.0) > 1e-12:
+        raise ValueError("q must be a unit vector")
+    arg = theta0 - math.acos(float(np.clip(q[-1], -1.0, 1.0)))
+    if not abs(arg) < math.pi / 2.0 - 1e-12:
+        raise ValueError("graph is singular: signed distance reaches a quarter turn")
+    return math.asinh(math.tan(arg))
+
+
 def normal_connection_residual(pt):
     """Residual of the propagation law for the normal part of the time axis
     at an `ExtrinsicPoint`:
@@ -177,6 +211,40 @@ def normal_connection_residual(pt):
         rhs = -ratio * pt.du[j] * n0 - ii
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def pullback_alone(spec, geo, expected_factor=None):
+    """(deviation, spd) of the split map's pullback identity at one evaluated
+    point, with lambda the variant's denominator or `expected_factor` (a
+    callable of the chart point): the oracle of `conformal.pullback_columns`,
+    and the check of the conformal factor against an independent lambda."""
+    im, x, psi = geo.immersion, geo.x, geo.psi
+    _, keep = cf._split_layout(spec, im)
+    denom = cf._denominator_series(spec, im, psi)
+    if abs(denom.val) <= cf.DENOMINATOR_FLOOR:
+        raise cf.DegeneracyError(
+            f"split-map denominator {denom.val:.3e} at {tm.format_point(x)}"
+        )
+    y = np.array([psi[a].val for a in keep]) / denom.val
+    if spec.hyperbolic:
+        on_model = abs(-y[0] ** 2 + y[1:] @ y[1:] + 1.0) < cf.MODEL_MEMBERSHIP_TOL and y[0] > 0.0
+    else:
+        on_model = abs(y @ y - 1.0) < cf.MODEL_MEMBERSHIP_TOL
+    if not on_model:
+        raise cf.DegeneracyError(f"split-map image {np.asarray(y)} left the model space")
+    n = len(x)
+    jac = np.array([[(psi[a] / denom).derivative(i).val for i in range(n)] for a in keep])
+    if spec.primitive:
+        w = psi[-1]
+        jac = np.vstack([jac, np.array([w.derivative(i).val for i in range(n)]) / denom.val])
+    signs = np.ones(jac.shape[0])
+    if spec.hyperbolic:
+        signs[0] = -1.0
+    pulled = np.einsum("a,ai,aj->ij", signs, jac, jac)
+    lam = abs(denom.val) if expected_factor is None else float(expected_factor(x))
+    deviation = float(np.max(np.abs(pulled - geo.g0 / lam**2)))
+    spd = np.allclose(pulled, pulled.T, atol=1e-12) and np.linalg.eigvalsh(pulled)[0] > 0.0
+    return deviation, bool(spd)
 
 
 def _map_values_alone(spec, im, x, psi):

@@ -16,9 +16,12 @@ from _composites import (
     random_point,
 )
 from _surfaces import (
+    marginal_height_profile,
+    pullback_alone,
     random_metric_chart,
     random_positive_field,
     sample_box,
+    scaled_metric_chart,
     sphere_box,
 )
 from nullgeom import spacetime as st
@@ -27,10 +30,8 @@ from nullgeom.cli import EXIT_PASS, emit_json, run
 from nullgeom.conformal import (
     ConformalMapSpec,
     conformal_curvature_check,
-    conformal_factor_check,
     factorization_check,
     primitive_g,
-    scaled_metric_chart,
     sectional_curvatures,
 )
 from nullgeom.extrinsic import ExtrinsicPoint
@@ -40,7 +41,6 @@ from nullgeom.scenes import (
     cylinder_immersion,
     grw_graph,
     hxr_immersion,
-    marginal_height_profile,
     psi_f_desitter,
     psi_f_minkowski,
     slice_immersion,
@@ -234,7 +234,8 @@ def test_conformal_factor_deviations_all_variants():
     im = hxr_immersion(lambda s: 1.0 + 0.3 * s * s)
     spec = ConformalMapSpec("cylinder_to_HxR", base_point=(0.2, -0.4))
     samples = sample_box(rng, ((-0.8, 0.8), (-0.9, 0.9)), 12)
-    assert conformal_factor_check(spec, im, samples) < 1e-8
+    for x in samples:
+        assert pullback_alone(spec, chart_geometry(im, x))[0] < 1e-8
 
 
 def test_cylinder_primitive_matches_arctan():
@@ -256,7 +257,8 @@ def test_desitter_zero_metric_is_round():
         geo = chart_geometry(im, x)
         round_metric = np.diag([1.0, math.sin(x[0]) ** 2])
         assert np.max(np.abs(geo.g0 - round_metric)) < 1e-10
-    assert conformal_factor_check(spec, im, samples, expected_factor=lambda x: 1.0) < 1e-10
+    for x in samples:
+        assert pullback_alone(spec, chart_geometry(im, x), lambda x: 1.0)[0] < 1e-10
 
 
 # 7. The graph factorization inverts in ambient coordinates.
@@ -291,9 +293,7 @@ def test_factorization_round_trips():
 
 
 def test_stereographic_sphere_curvature():
-    flat = MetricChart(
-        metric=lambda xs: [[1.0, 0.0], [0.0, 1.0]], dim=2, name="flat"
-    )
+    flat = MetricChart(metric=lambda xs: [[1.0, 0.0], [0.0, 1.0]], dim=2)
 
     def lam(xs):
         return 2.0 / (1.0 + tm.norm_sq(xs))

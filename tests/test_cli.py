@@ -26,11 +26,10 @@ from nullgeom.cli import (
     EXIT_SUITE_FAILURE,
     emit_csv,
     emit_json,
-    parse_report,
     parse_scene,
     run,
 )
-from nullgeom.conformal import MAP_VARIANTS, ConformalMapSpec, conformal_factor
+from nullgeom.conformal import MAP_VARIANTS
 from nullgeom.nullcone import CONE_RULES
 from nullgeom.scenes import builtin_scenes
 
@@ -129,6 +128,27 @@ def break_infinite_tolerance(doc):
     doc["tolerances"] = {"shape": float("inf")}
 
 
+def with_warping(doc, warping):
+    """Turn doc into the small grw-exp scene with the given warping."""
+    doc.clear()
+    doc.update(small(builtin_scenes()["grw-exp"]))
+    doc["spacetime"]["warping"] = warping
+
+
+def break_warping_expression(doc):
+    # refused when the scene is parsed, not at the first grid point
+    with_warping(doc, {"kind": "custom", "expr": "t+"})
+
+
+def break_warping_param_overflow(doc):
+    # a JSON integer beyond the float range
+    with_warping(doc, {"kind": "polynomial", "params": [1.0, 10**400]})
+
+
+def break_grid_overflow(doc):
+    doc["grid"][0]["max"] = 10**400
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -148,6 +168,9 @@ def break_infinite_tolerance(doc):
         break_infinite_expect,
         break_nan_tolerance,
         break_infinite_tolerance,
+        break_warping_expression,
+        break_warping_param_overflow,
+        break_grid_overflow,
     ],
 )
 def test_config_errors(mutate):
@@ -319,6 +342,21 @@ def test_non_finite_tolerance_and_expect_exit_as_config_errors(tmp_path, capsys)
     assert "expect.theta_xi must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutate", [break_warping_expression, break_warping_param_overflow, break_grid_overflow]
+)
+def test_bad_expression_and_huge_number_exit_as_config_errors(mutate, tmp_path, capsys):
+    control = {}
+    with_warping(control, {"kind": "custom", "expr": "exp(t)"})
+    parse_scene(control)  # the same scene with a profile that compiles
+    doc = slice_doc()
+    mutate(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_float_overflow_is_a_chart_singularity(tmp_path, capsys):
     # exp(800 x0) overflows a float for x0 > 0.9: at one point the primitive
     # raises its domain error, and the grid batch flags those columns only
@@ -367,7 +405,7 @@ def test_tolerance_override_forces_failure(tmp_path, capsys):
          str(tmp_path / "r.json")]
     )
     assert rc == EXIT_SUITE_FAILURE
-    report = parse_report((tmp_path / "r.json").read_text())
+    report = json.loads((tmp_path / "r.json").read_text())
     assert report["suites"]["frame"]["passed"] is False
     assert report["exit_status"] == EXIT_SUITE_FAILURE
     capsys.readouterr()
@@ -619,7 +657,7 @@ def test_desitter_half_minus_conformal_factor():
     assert report["suites"]["conformal"]["residuals"]["factor"] < 1e-8
     scene = parse_scene(doc)
     x = np.asarray(report["rows"][0]["point"])
-    lam = conformal_factor(scene.cspec, scene.im, x)
+    lam = conformal.factor_field(scene.cspec, scene.im)(list(x))
     expected = math.sqrt(3.0) / 2.0 - 0.5 * math.sqrt(3.0) / 2.0
     assert abs(lam - expected) < 1e-12
 
@@ -642,7 +680,7 @@ def test_classify_rows_only(tmp_path, capsys):
     out = tmp_path / "rows.json"
     rc = cli.main(["classify", "--config", str(path), "--out", str(out)])
     assert rc == EXIT_PASS
-    report = parse_report(out.read_text())
+    report = json.loads(out.read_text())
     assert report["suites"] == {}
     assert report["config"]["checks"] == []
     assert len(report["rows"]) == 16
@@ -704,12 +742,12 @@ def test_csv_fixed_columns_and_precision():
 def test_json_round_trip_three_rows():
     report = run(slice_doc(), checks=["frame"])
     report["rows"] = report["rows"][:3]
-    again = parse_report(emit_json(report))
+    again = json.loads(emit_json(report))
     assert again == report
 
 
 def test_json_handles_infinity():
-    assert parse_report(emit_json({"residual": math.inf})) == {"residual": math.inf}
+    assert json.loads(emit_json({"residual": math.inf})) == {"residual": math.inf}
 
 
 def _oracle_float(value):

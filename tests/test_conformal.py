@@ -29,15 +29,18 @@ from nullgeom.nullcone import NullconeSpec
 from nullgeom.scenes import builtin_scenes
 from nullgeom.taylor import SmoothMap
 
+from _jets import jet_eval
 from _surfaces import (
     factorization_alone,
     hxr_immersion,
     local_inverse_alone,
     psi_f_desitter,
+    pullback_alone,
     pullback_metric_chart,
     random_metric_chart,
     random_positive_field,
     sample_box,
+    scaled_metric_chart,
     slice_immersion,
     sphere_box,
 )
@@ -87,7 +90,7 @@ def sloped_cylinder():
 
 
 def chart_values(chart, x):
-    return tm.jet_eval(chart, np.asarray(x, dtype=float), 0).value
+    return jet_eval(chart, np.asarray(x, dtype=float), 0).value
 
 
 # -- construction validation --------------------------------------------------
@@ -254,8 +257,11 @@ def factor_cases():
     "spec,im,lam,samples", [c[1:] for c in factor_cases()], ids=[c[0] for c in factor_cases()]
 )
 def test_conformal_factor_identity(spec, im, lam, samples):
-    assert cf.conformal_factor_check(spec, im, samples, lam) < 1e-8
-    assert all(cf.pullback_residual(spec, chart_geometry(im, x))[1] for x in samples)
+    # lambda is the variant's denominator, or the case's independent one
+    for x in samples:
+        geo = chart_geometry(im, x)
+        assert pullback_alone(spec, geo, lam)[0] < 1e-8
+        assert pullback_alone(spec, geo)[1]
 
 
 def test_constant_family_factor_value():
@@ -263,8 +269,9 @@ def test_constant_family_factor_value():
     im = desitter_family(0.5, BETA_HALF, component="minus")
     spec = ConformalMapSpec("desitter_to_Sn")
     expected = BETA_HALF - 0.5 * BETA_HALF
+    lam = cf.factor_field(spec, im)
     for x in [(1.2, 0.4), (1.8, -0.9)]:
-        assert abs(cf.conformal_factor(spec, im, x) - expected) < 1e-12
+        assert abs(lam(list(x)) - expected) < 1e-12
 
 
 def test_desitter_sign_coherence():
@@ -323,8 +330,8 @@ def test_local_inverse_recovers_chart_point():
     im = minkowski_family(n=2)
     spec = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
     x0 = np.array([0.4, -0.7])
-    target = cf.conformal_map(spec, im, x0)
-    x_hat = cf.local_inverse(spec, im, target, seed=(0.1, -0.2))
+    targets = cf.conformal_map(spec, im, x0[None])
+    (x_hat,) = cf.local_inverse(spec, im, targets, seeds=[(0.1, -0.2)])
     assert np.max(np.abs(x_hat - x0)) < 1e-9
 
 
@@ -333,7 +340,7 @@ def test_local_inverse_does_not_swallow_programming_errors(monkeypatch):
     # plain ValueError is a programming error and escapes
     im = minkowski_family(n=2)
     spec = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
-    target = cf.conformal_map(spec, im, (0.4, -0.7))
+    targets = cf.conformal_map(spec, im, np.array([(0.4, -0.7)]))
     real = cf._map_values
     calls = []
 
@@ -345,7 +352,7 @@ def test_local_inverse_does_not_swallow_programming_errors(monkeypatch):
 
     monkeypatch.setattr(cf, "_map_values", broken_trials)
     with pytest.raises(ValueError, match="programming error in a trial"):
-        cf.local_inverse(spec, im, target, seed=(0.1, -0.2))
+        cf.local_inverse(spec, im, targets, seeds=[(0.1, -0.2)])
     assert len(calls) == 2
 
 
@@ -353,16 +360,16 @@ def test_local_inverse_evaluates_each_accepted_point_once(monkeypatch):
     # the accepted trial's psi and residual carry over to the next step
     im = minkowski_family(n=2)
     spec = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
-    target = cf.conformal_map(spec, im, (0.4, -0.7))
+    targets = cf.conformal_map(spec, im, np.array([(0.4, -0.7)]))
     real = cf._map_values
     points = []
 
     def recorded(*args):
-        points.append(tuple(args[2]))
+        points.append(args[2].tobytes())
         return real(*args)
 
     monkeypatch.setattr(cf, "_map_values", recorded)
-    cf.local_inverse(spec, im, target, seed=(0.1, -0.2))
+    cf.local_inverse(spec, im, targets, seeds=[(0.1, -0.2)])
     assert len(points) == len(set(points))
 
 
@@ -487,7 +494,6 @@ def test_stacked_local_inverse_matches_calls_alone(
     monkeypatch.undo()
     assert bool(refused) == (seed_box is not None)
     assert stacked == _outcome(_loop(local_inverse_alone), spec, family, targets, seeds)
-    assert stacked == _outcome(_loop(cf.local_inverse), spec, family, targets, seeds)
     assert stacked[0] == ("raised" if rng_seed == 0 else "returned")
 
 
@@ -548,27 +554,25 @@ def test_factorization_matches_the_loop_on_builtin_scenes(monkeypatch):
 
 # -- conformal curvature -------------------------------------------------------
 
-FLAT2 = MetricChart(lambda coords: [[1.0, 0.0], [0.0, 1.0]], 2, "flat2")
+FLAT2 = MetricChart(lambda coords: [[1.0, 0.0], [0.0, 1.0]], 2)
 
 
 def test_scaled_metric_chart_values():
     lam = lambda coords: 1.0 + coords[0] * coords[0]
-    scaled = cf.scaled_metric_chart(FLAT2, lam)
+    scaled = scaled_metric_chart(FLAT2, lam)
     x = (0.7, -0.4)
     geo = chart_geometry(scaled, x)
     assert np.max(np.abs(geo.g0 - (1.0 + 0.49) ** 2 * np.eye(2))) < 1e-12
 
 
 def test_sectional_anchors():
-    sphere = pullback_metric_chart(st.sphere_chart(2), name="round")
+    sphere = pullback_metric_chart(st.sphere_chart(2))
     k = cf.sectional_curvatures(chart_geometry(sphere, (1.1, 0.6)))
     assert abs(k[0, 1] - 1.0) < 1e-10
-    hyper = pullback_metric_chart(
-        st.hyperbolic_chart(2), signs=(-1.0, 1.0, 1.0), name="hyperbolic"
-    )
+    hyper = pullback_metric_chart(st.hyperbolic_chart(2), signs=(-1.0, 1.0, 1.0))
     k = cf.sectional_curvatures(chart_geometry(hyper, (0.4, -0.8)))
     assert abs(k[0, 1] + 1.0) < 1e-10
-    sphere3 = pullback_metric_chart(st.sphere_chart(3), name="round3")
+    sphere3 = pullback_metric_chart(st.sphere_chart(3))
     k = cf.sectional_curvatures(chart_geometry(sphere3, (1.2, 0.9, 0.5)))
     for a in range(3):
         for c in range(a + 1, 3):
@@ -577,7 +581,7 @@ def test_sectional_anchors():
 
 def test_stereographic_factor_gives_round_sphere():
     lam = lambda xs: 2.0 / (1.0 + xs[0] * xs[0] + xs[1] * xs[1])
-    scaled = cf.scaled_metric_chart(FLAT2, lam)
+    scaled = scaled_metric_chart(FLAT2, lam)
     rng = np.random.default_rng(41)
     samples = sample_box(rng, ((-1.5, 1.5),) * 2, 6)
     for x in samples:
@@ -590,7 +594,7 @@ def test_stereographic_factor_gives_round_sphere():
 def test_exponential_factor_stays_flat():
     # e^{2x}(dx^2 + dy^2) is flat: substitute u = e^x
     lam = lambda xs: tm.exp(xs[0])
-    scaled = cf.scaled_metric_chart(FLAT2, lam)
+    scaled = scaled_metric_chart(FLAT2, lam)
     for x in [(0.0, 0.0), (0.4, -0.6), (-0.8, 0.3)]:
         k = cf.sectional_curvatures(chart_geometry(scaled, x))[0, 1]
         assert abs(k) < 1e-9
@@ -615,7 +619,7 @@ def test_rescaled_geometry_matches_scaled_metric_chart():
         (FLAT2, FLAT2),
     ]
     for obj, base in cases:
-        scaled = cf.scaled_metric_chart(base, lam)
+        scaled = scaled_metric_chart(base, lam)
         for x in [(0.3, -0.5), (-0.7, 0.2)]:
             geo = chart_geometry(obj, x)
             got = geo.rescaled(geo.scalar_series(lam))
@@ -657,41 +661,6 @@ def test_random_conformal_identities():
 # The oracles below evaluate one sample at a time with one-point arithmetic:
 # every batched result must equal theirs bit for bit, and a failing sample
 # must raise the same type with the same message.
-
-
-def pullback_alone(spec, geo, expected_factor=None):
-    im, x, psi = geo.immersion, geo.x, geo.psi
-    _, keep = cf._split_layout(spec, im)
-    denom = cf._denominator_series(spec, im, psi)
-    if abs(denom.val) <= cf.DENOMINATOR_FLOOR:
-        raise DegeneracyError(f"split-map denominator {denom.val:.3e} at {tm.format_point(x)}")
-    y = np.array([psi[a].val for a in keep]) / denom.val
-    if spec.hyperbolic:
-        on_model = abs(-y[0] ** 2 + y[1:] @ y[1:] + 1.0) < cf.MODEL_MEMBERSHIP_TOL and y[0] > 0.0
-    else:
-        on_model = abs(y @ y - 1.0) < cf.MODEL_MEMBERSHIP_TOL
-    if not on_model:
-        raise DegeneracyError(f"split-map image {np.asarray(y)} left the model space")
-    n = len(x)
-    jac = np.array([[(psi[a] / denom).derivative(i).val for i in range(n)] for a in keep])
-    if spec.primitive:
-        w = psi[-1]
-        jac = np.vstack([jac, np.array([w.derivative(i).val for i in range(n)]) / denom.val])
-    signs = np.ones(jac.shape[0])
-    if spec.hyperbolic:
-        signs[0] = -1.0
-    pulled = np.einsum("a,ai,aj->ij", signs, jac, jac)
-    lam = abs(denom.val) if expected_factor is None else float(expected_factor(x))
-    deviation = float(np.max(np.abs(pulled - geo.g0 / lam**2)))
-    spd = np.allclose(pulled, pulled.T, atol=1e-12) and np.linalg.eigvalsh(pulled)[0] > 0.0
-    return deviation, bool(spd)
-
-
-def factor_check_loop(spec, im, samples, expected_factor=None):
-    worst = 0.0
-    for x in samples:
-        worst = max(worst, pullback_alone(spec, chart_geometry(im, x), expected_factor)[0])
-    return worst
 
 
 def r_sign_loop(im, samples):
@@ -800,7 +769,7 @@ def test_curvature_check_batch_matches_samples_alone(monkeypatch):
             batched += calls == [(5, 2)]
     assert batched == 4 * len(scenes)  # each set is one batch, not the fallback loop
     # a failing sample in the middle of the list: the loop's error, the loop's order
-    flat = MetricChart(lambda coords: [[1.0, 0.0], [0.0, 1.0]], 2, "flat2")
+    flat = MetricChart(lambda coords: [[1.0, 0.0], [0.0, 1.0]], 2)
     lam = lambda xs: xs[0]  # noqa: E731 - vanishes at x0 = 0, negative below
     for samples in (
         [(0.5, 0.2), (-0.5, 0.2), (0.3, 0.1)],
@@ -824,18 +793,24 @@ def test_curvature_check_batch_matches_samples_alone(monkeypatch):
 
 
 def test_pullback_columns_match_points_alone():
-    cases = [(sc.cspec, sc.im, sc.axes) for sc in appendix_scenes()]
+    cases = [(sc.cspec, sc.im, itertools.product(*sc.axes)) for sc in appendix_scenes()]
     # mink-slice with half of its grid below x1 = 0, where the image lands on
     # the lower hyperboloid sheet: columns off the model space in a batch
     doc = builtin_scenes()["mink-slice"]
     doc["grid"][1] = {"min": -1.0, "max": 1.0, "count": 12}
     off = parse_scene(doc)
-    cases.append((off.cspec, off.im, off.axes))
-    off_model = 0
-    for spec, im, axes in cases:
-        points = [np.array(p) for p in itertools.product(*axes)]
+    cases.append((off.cspec, off.im, itertools.product(*off.axes)))
+    # one sample on the lower sheet between good ones, and a section whose
+    # denominator lies inside the floor at every sample
+    lightcone = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
+    slice_samples = [(1.2, 2.0), (1.2, -2.0), (0.8, 1.5)]
+    cases.append((lightcone, slice_immersion(2, 2.0), slice_samples))
+    near = psi_f_desitter(2, 0.5, math.sqrt(3.0) - 1e-10, component="minus")
+    cases.append((ConformalMapSpec("desitter_to_Sn"), near, [(1.2, 0.4), (1.8, -0.9)]))
+    refusals = set()
+    for spec, im, points in cases:
         good = []
-        for x in points:
+        for x in map(np.array, points):
             try:
                 chart_geometry(im, x)
             except (tm.DomainError, immersion.MetricSignatureError, cf.PointRejected):
@@ -846,44 +821,32 @@ def test_pullback_columns_match_points_alone():
         for b, x in enumerate(good):
             one = chart_geometry(im, x)
             want = outcome(pullback_alone, spec, one)
-            assert outcome(cf.pullback_residual, spec, one) == want
+            assert cf.pullback_columns(spec, one)[2] == on_model[b]
             if on_model[b]:
                 assert want == (float(deviation[b]).hex(), bool(spd[b]))
+                assert outcome(cf.pullback_columns, spec, one) == want
             else:
-                off_model += 1
+                refusals.add(want[1].split()[1])
                 assert want[0] is DegeneracyError
                 assert np.isnan(deviation[b]) and not spd[b]
-    assert off_model > 0
+                assert math.isnan(cf.pullback_columns(spec, one)[0])
+    assert refusals == {"denominator", "image"}
 
 
 @pytest.mark.parametrize(
-    "spec,im,lam,samples", [c[1:] for c in factor_cases()], ids=[c[0] for c in factor_cases()]
+    "spec,im,samples", [c[1:3] + c[4:] for c in factor_cases()], ids=[c[0] for c in factor_cases()]
 )
-def test_factor_check_batch_matches_samples_alone(spec, im, lam, samples):
-    for expected in (None, lam):
-        want = outcome(factor_check_loop, spec, im, samples, expected)
-        assert isinstance(want, str)
-        assert outcome(cf.conformal_factor_check, spec, im, samples, expected) == want
-        for x in samples:
-            want = outcome(factor_check_loop, spec, im, [x], expected)
-            assert outcome(cf.conformal_factor_check, spec, im, [x], expected) == want
-
-
-def test_factor_check_failing_sample_matches_loop():
-    # a sample off the model space, off the chart, or on a vanishing
-    # denominator, after a good one: the loop's error, the loop's order
-    lightcone = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
-    desitter = ConformalMapSpec("desitter_to_Sn")
-    near = psi_f_desitter(2, 0.5, math.sqrt(3.0) - 1e-10, component="minus")
-    cases = [
-        (lightcone, slice_immersion(2, 2.0), [(1.2, 2.0), (1.2, -2.0), (0.8, 1.5)]),
-        (desitter, desitter_family(0.0, sphere_f), [(1.2, 0.4), (-0.5, 0.2), (1.8, -0.9)]),
-        (desitter, near, [(1.2, 0.4), (1.8, -0.9)]),
-    ]
-    for spec, im, samples in cases:
-        want = outcome(factor_check_loop, spec, im, samples)
-        assert want[0] in (DegeneracyError, tm.ChartDomainError)
-        assert outcome(cf.conformal_factor_check, spec, im, samples) == want
+def test_factor_check_batch_matches_samples_alone(spec, im, samples):
+    # the conformal suite's factor check, the pullback identity over the
+    # samples as one batch and at each sample alone, is the one-point
+    # oracle's to the bit
+    deviation, spd, on_model = cf.pullback_columns(spec, chart_geometry(im, np.array(samples)))
+    assert on_model.all()
+    for b, x in enumerate(samples):
+        want = outcome(pullback_alone, spec, chart_geometry(im, x))
+        assert isinstance(want[0], str)
+        assert (float(deviation[b]).hex(), bool(spd[b])) == want
+        assert outcome(cf.pullback_columns, spec, chart_geometry(im, x)) == want
 
 
 def test_desitter_r_sign_batch_matches_samples_alone():

@@ -520,7 +520,7 @@ def test_classification_invariant_under_chart_diffeomorphism():
             x = rng.uniform(-0.4, 0.4, size=2)
             y = np.array([s.val for s in tm.eval_series(tm.SmoothMap(phi, 2, 2), x, 1)])
             if base.map.name == "slice" and not all(
-                lo <= yi <= hi for yi, (lo, hi) in zip(y, base.chart_domain)
+                lo <= yi <= hi for yi, (lo, hi) in zip(y, base.map.domain)
             ):
                 continue
             want = ExtrinsicPoint(base, y).trapped_class()

@@ -10,23 +10,23 @@ from hypothesis import strategies as st
 
 from nullgeom import taylor as tm
 from _composites import (
-    FD_SCHEMES,
     REL_TOL,
     jet_fd_max_rel_error,
     jet_partial,
     random_composite,
     random_point,
 )
+from _jets import FdScheme, StencilDomainError, fd_derivative, jet_eval
 
 
 def test_identity_jacobian():
-    jet = tm.jet_eval(lambda xs: list(xs), [0.3, -1.2, 2.0], 1)
+    jet = jet_eval(lambda xs: list(xs), [0.3, -1.2, 2.0], 1)
     assert np.allclose(jet.jacobian, np.eye(3), atol=0.0)
     assert np.allclose(jet.value, [0.3, -1.2, 2.0], atol=0.0)
 
 
 def test_cubic_partials():
-    jet = tm.jet_eval(lambda xs: xs[0] ** 3, [2.0], 3)
+    jet = jet_eval(lambda xs: xs[0] ** 3, [2.0], 3)
     assert jet.value[0] == pytest.approx(8.0, abs=1e-14)
     assert jet_partial(jet, (1,))[0] == pytest.approx(12.0, abs=1e-12)
     assert jet_partial(jet, (2,))[0] == pytest.approx(12.0, abs=1e-12)
@@ -40,25 +40,25 @@ def test_arcsinh_tan_against_fd():
 
 
 def test_fd_quadratic_exact():
-    val = tm.fd_derivative(lambda xs: xs[0] ** 2, [1.0], (2,), tm.FdScheme(step=1e-3))
+    val = fd_derivative(lambda xs: xs[0] ** 2, [1.0], (2,), FdScheme(step=1e-3))
     assert val == pytest.approx(2.0, abs=1e-8)
 
 
 def test_fd_exp_first_derivative():
-    fd = tm.fd_derivative(lambda xs: tm.exp(xs[0]), [0.0], (1,), tm.FdScheme(step=1e-4))
-    jet = jet_partial(tm.jet_eval(lambda xs: tm.exp(xs[0]), [0.0], 1), (1,))[0]
+    fd = fd_derivative(lambda xs: tm.exp(xs[0]), [0.0], (1,), FdScheme(step=1e-4))
+    jet = jet_partial(jet_eval(lambda xs: tm.exp(xs[0]), [0.0], 1), (1,))[0]
     assert fd == pytest.approx(1.0, abs=1e-9)
     assert jet == pytest.approx(fd, abs=1e-9)
 
 
 def test_fd_bilinear_mixed_partial():
-    val = tm.fd_derivative(lambda xs: xs[0] * xs[1], [3.0, 5.0], (1, 1))
+    val = fd_derivative(lambda xs: xs[0] * xs[1], [3.0, 5.0], (1, 1))
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
 def test_mixed_partial_symmetry_by_storage():
     fn = lambda xs: tm.sin(xs[0]) * tm.exp(xs[1]) + xs[0] * xs[1] ** 2
-    jet = tm.jet_eval(fn, [0.4, -0.2], 3)
+    jet = jet_eval(fn, [0.4, -0.2], 3)
     hess = jet.hessian()[0]
     assert hess[0, 1] == hess[1, 0]
     # One storage slot per unordered multi-index.
@@ -77,7 +77,7 @@ def test_random_composites_match_fd(deg):
 
 def test_primitive_domain_error_names_primitive_and_point():
     with pytest.raises(tm.PrimitiveDomainError) as err:
-        tm.jet_eval(lambda xs: tm.sqrt(xs[0]), [-2.0], 1)
+        jet_eval(lambda xs: tm.sqrt(xs[0]), [-2.0], 1)
     assert err.value.primitive == "sqrt"
     assert err.value.point == (-2.0,)
     assert "sqrt" in str(err.value)
@@ -90,36 +90,36 @@ def test_log_domain_error_on_floats():
 
 def test_fd_stencil_domain_error():
     m = tm.SmoothMap(lambda xs: xs[0] ** 2, n_inputs=1, domain=((0.0, 1.0),))
-    with pytest.raises(tm.StencilDomainError) as err:
-        tm.fd_derivative(m, [0.0001], (1,), tm.FdScheme(step=0.01, richardson=False))
+    with pytest.raises(StencilDomainError) as err:
+        fd_derivative(m, [0.0001], (1,), FdScheme(step=0.01, richardson=False))
     assert err.value.stencil_point[0] < 0.0
 
 
 def test_fd_stencil_error_on_primitive_edge():
     fn = lambda xs: tm.sqrt(xs[0])
-    with pytest.raises(tm.StencilDomainError):
-        tm.fd_derivative(fn, [1e-6], (1,), tm.FdScheme(step=1e-3))
+    with pytest.raises(StencilDomainError):
+        fd_derivative(fn, [1e-6], (1,), FdScheme(step=1e-3))
 
 
 def test_richardson_combination_beats_raw_estimate():
     fn = lambda xs: tm.exp(tm.sin(xs[0]))
-    truth = jet_partial(tm.jet_eval(fn, [0.7], 3), (3,))[0]
-    raw = tm.fd_derivative(fn, [0.7], (3,), tm.FdScheme(step=0.02, richardson=False))
-    rich = tm.fd_derivative(fn, [0.7], (3,), tm.FdScheme(step=0.02, richardson=True))
+    truth = jet_partial(jet_eval(fn, [0.7], 3), (3,))[0]
+    raw = fd_derivative(fn, [0.7], (3,), FdScheme(step=0.02, richardson=False))
+    rich = fd_derivative(fn, [0.7], (3,), FdScheme(step=0.02, richardson=True))
     assert abs(rich - truth) < abs(raw - truth)
 
 
 def test_fourth_order_stencils():
     fn = lambda xs: tm.sin(xs[0]) * tm.cosh(xs[1])
-    jet = tm.jet_eval(fn, [0.5, -0.3], 3)
+    jet = jet_eval(fn, [0.5, -0.3], 3)
     for alpha in [(1, 0), (0, 2), (2, 1), (1, 2)]:
-        fd = tm.fd_derivative(fn, [0.5, -0.3], alpha, tm.FdScheme(step=5e-3, order=4))
+        fd = fd_derivative(fn, [0.5, -0.3], alpha, FdScheme(step=5e-3, order=4))
         assert fd == pytest.approx(float(jet_partial(jet, alpha)[0]), abs=1e-7)
 
 
 def test_vector_jet_hessian_values():
     fn = lambda xs: [xs[0] * xs[1], tm.cos(xs[0])]
-    jet = tm.jet_eval(fn, [0.2, 0.9], 2)
+    jet = jet_eval(fn, [0.2, 0.9], 2)
     hess = jet.hessian()
     assert hess[0, 0, 1] == pytest.approx(1.0, abs=1e-14)
     assert hess[1, 0, 0] == pytest.approx(-math.cos(0.2), abs=1e-14)
@@ -146,7 +146,7 @@ def test_derivative_slot_tables(n, order):
 
 
 def test_jet_coefficients_are_derivative_values():
-    jet = tm.jet_eval(lambda xs: xs[0] ** 3, [2.0], 3)
+    jet = jet_eval(lambda xs: xs[0] ** 3, [2.0], 3)
     slot = jet.ctx.index[(3,)]
     assert jet.taylor[0, slot] * jet.ctx.factorials[slot] == pytest.approx(6.0, abs=1e-12)
     assert jet.taylor[0, slot] == pytest.approx(1.0, abs=1e-12)
@@ -250,6 +250,19 @@ def test_float_overflow_is_a_primitive_domain_error():
     with pytest.raises(tm.BatchRejected) as err:
         tm.exp(values)
     assert err.value.mask.tolist() == [False, True, False]
+    # a tiny value whose derivative table divides by a power that underflows
+    # to zero is refused the same way, at one point and per column
+    for name, fn, tiny in (
+        ("reciprocal", lambda x: 1.0 / x, 1e-100),
+        ("reciprocal", lambda x: x ** -1, 1e-100),
+        ("sqrt", tm.sqrt, 1e-200),
+        ("log", tm.log, 1e-110),
+    ):
+        with pytest.raises(tm.PrimitiveDomainError, match=f"'{name}'"):
+            fn(tm.Series.variable(ctx, 0, tiny))
+        with pytest.raises(tm.BatchRejected) as err:
+            fn(tm.Series.variable(ctx, 0, np.array([1.0, tiny])))
+        assert err.value.mask.tolist() == [False, True]
 
 
 def test_univariate_primitive_refuses_components():
@@ -281,8 +294,8 @@ def test_expression_parser_matches_direct():
     direct = lambda xs: tm.arcsinh(tm.tan(xs[0])) + xs[1] ** 2 / (1 + tm.cosh(xs[0] * xs[1]))
     x = [0.3, -0.7]
     assert f(x) == pytest.approx(direct(x), abs=1e-15)
-    ja = tm.jet_eval(f, x, 3)
-    jb = tm.jet_eval(direct, x, 3)
+    ja = jet_eval(f, x, 3)
+    jb = jet_eval(direct, x, 3)
     assert np.allclose(ja.taylor, jb.taylor, atol=1e-15)
 
 
@@ -313,12 +326,12 @@ def test_series_division_and_rpow():
     ctx = tm.get_context(1, 3)
     x = tm.Series.variable(ctx, 0, 0.5)
     y = (2.0 ** x) * (1.0 / (1.0 + x))
-    ref = tm.jet_eval(lambda xs: 2.0 ** xs[0] / (1.0 + xs[0]), [0.5], 3)
+    ref = jet_eval(lambda xs: 2.0 ** xs[0] / (1.0 + xs[0]), [0.5], 3)
     assert np.allclose(y.c, ref.taylor[0], atol=1e-15)
 
 
 def test_jet_order_zero():
-    jet = tm.jet_eval(lambda xs: tm.exp(xs[0]), [1.0], 0)
+    jet = jet_eval(lambda xs: tm.exp(xs[0]), [1.0], 0)
     assert jet.value[0] == pytest.approx(math.e, abs=1e-15)
     with pytest.raises(ValueError):
-        tm.jet_eval(lambda xs: xs[0], [1.0], 5)
+        jet_eval(lambda xs: xs[0], [1.0], 5)
