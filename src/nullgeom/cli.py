@@ -35,9 +35,10 @@ at up to five evaluated grid points, drawn without replacement by the
 scene's seed and evaluated as one batch.  The grid is
 evaluated on the calling thread as one batch through the same pipeline that
 evaluates a single point, in chunks of `GRID_CHUNK` points only where it is
-larger (the bound on a batch's memory; every built-in grid fits in one);
-a point the batch rejects is evaluated alone, for its typed rejection.
-Every point comes out exactly as it would alone, and rows and rejections
+larger (the bound on a batch's memory; every built-in grid fits in one).
+A point the batch rejects keeps its column's typed error, and the others
+are evaluated again as one batch; no point is evaluated alone, and
+every point comes out exactly as it would alone.  Rows and rejections
 are reported in grid order, so identical configurations produce
 byte-identical output.
 
@@ -66,18 +67,12 @@ import numpy as np
 
 from . import conformal, extrinsic, scenes
 from .conformal import ConformalMapSpec, DegeneracyError, EmbeddingRangeError, InverseError
-from .extrinsic import TRAPPED_CLASSES, ExtrinsicPoint, FrameDegeneracyError, closed_forms
+from .extrinsic import (ROW_FIELDS, TRAPPED_CLASSES, ExtrinsicPoint, FrameDegeneracyError,
+                        closed_forms)
 from .immersion import Immersion, MetricSignatureError
 from .nullcone import NullconeSpec, PointRejected
 from .spacetime import AmbientModel, WarpingFunction
-from .taylor import (
-    BatchRejected,
-    DomainError,
-    SmoothMap,
-    as_value,
-    column_max,
-    parse_expression,
-)
+from .taylor import DomainError, SmoothMap, as_value, column_max, column_results, parse_expression
 
 __all__ = [
     "ConfigError",
@@ -97,17 +92,6 @@ EXIT_CONFIG_ERROR = 2
 EXIT_DEGENERATE = 3
 
 SUITE_NAMES = ("frame", "shape", "expansions", "trapped", "conformal", "appendix")
-
-ROW_FIELDS = (
-    "u",
-    "grad_u_sq",
-    "laplacian_u",
-    "theta_xi",
-    "theta_eta",
-    "H_sq",
-    "scal_formula",
-    "scal_intrinsic",
-)
 
 DEFAULT_TOLERANCES = {
     "frame": 1e-9,
@@ -150,16 +134,6 @@ _APPENDIX_SAMPLES = 5
 # at most this many grid points are evaluated together as one batch; it
 # bounds the memory of a large grid, and every built-in grid fits in one
 GRID_CHUNK = 512
-
-# the typed errors that make a grid point a rejection, not a failed run
-_REJECTIONS = (
-    PointRejected,
-    FrameDegeneracyError,
-    MetricSignatureError,
-    DomainError,
-    EmbeddingRangeError,
-)
-
 
 class ConfigError(ValueError):
     """A scene configuration that cannot be run as requested."""
@@ -577,9 +551,9 @@ def _trapped_mismatch(pt: ExtrinsicPoint, rep, tolerances):
 
 
 def _evaluate(scene: Scene, x) -> list:
-    """("row", row, diag) for the point x (n,), or for each point of a
-    batch x (B, n); raises the typed error, or `BatchRejected`, of a point
-    the pipeline refuses."""
+    """(row, diag) for the point x (n,), or for each point of a batch
+    x (B, n); raises the typed error, or `BatchRejected`, of a point the
+    pipeline refuses."""
     pt = ExtrinsicPoint(scene.im, x)
     rep = pt.report(scene.tolerances["trapped_eps"])
     fields = {key: np.atleast_1d(getattr(rep, key)) for key in ROW_FIELDS}
@@ -610,60 +584,41 @@ def _evaluate(scene: Scene, x) -> list:
         if "conformal" in scene.checks:
             # (deviation, spd) of the pullback identity, None off the model space
             diag["conformal"] = (float(deviation[b]), bool(spd[b])) if on_model[b] else None
-        out.append(("row", row, diag))
+        out.append((row, diag))
     return out
 
 
-def _evaluate_point(scene: Scene, x):
-    try:
-        (result,) = _evaluate(scene, np.asarray(x, dtype=float))
-        return result
-    except PointRejected as err:
+def _rejection(point, err) -> dict:
+    """The rejection entry of a point whose evaluation raised the typed
+    error err; any other error is raised again, since a programming error
+    is no rejected point."""
+    if isinstance(err, PointRejected):
         reason, detail = err.reason.value, err.detail
-    except FrameDegeneracyError as err:
+    elif isinstance(err, FrameDegeneracyError):
         reason, detail = "denominator_zero", str(err)
-    except (MetricSignatureError, DomainError) as err:
+    elif isinstance(err, (MetricSignatureError, DomainError)):
         reason, detail = "chart_singularity", str(err)
-    except EmbeddingRangeError as err:
+    elif isinstance(err, EmbeddingRangeError):
         reason, detail = "off_cone", str(err)
-    point = [float(v) for v in x]
-    return ("rejected", {"point": point, "reason": reason, "detail": detail}, None)
-
-
-def _evaluate_chunk(scene: Scene, points) -> list:
-    """`_evaluate_point` of each of the points (B, n), evaluated as one
-    batch; the columns the batch rejects are evaluated one at a time and
-    the rest evaluated again as a batch."""
-    results = [None] * len(points)
-    pending = np.arange(len(points))
-    while pending.size:
-        try:
-            done = _evaluate(scene, points[pending])
-        except BatchRejected as err:
-            rejected = err.mask
-        except _REJECTIONS:
-            # a failure that no single column owns: every point alone
-            rejected = np.ones(pending.size, dtype=bool)
-        else:
-            for i, result in zip(pending, done):
-                results[i] = result
-            break
-        for i in pending[rejected]:
-            results[i] = _evaluate_point(scene, points[i])
-        pending = pending[~rejected]
-    return results
+    else:
+        raise err
+    return {"point": [float(v) for v in point], "reason": reason, "detail": detail}
 
 
 def _evaluate_grid(scene: Scene):
+    """Rows, their diags and rejections of the grid points, each chunk
+    evaluated as one batch: a point the batch rejects keeps its column's
+    typed error, and the rest are evaluated again as a batch."""
     points = np.array(list(itertools.product(*scene.axes)), dtype=float)
     rows, diags, rejections = [], [], []
     for start in range(0, len(points), GRID_CHUNK):
-        for kind, payload, diag in _evaluate_chunk(scene, points[start:start + GRID_CHUNK]):
-            if kind == "row":
-                rows.append(payload)
-                diags.append(diag)
+        chunk = points[start:start + GRID_CHUNK]
+        for x, result in zip(chunk, column_results(lambda xs: _evaluate(scene, xs), chunk)):
+            if isinstance(result, Exception):
+                rejections.append(_rejection(x, result))
             else:
-                rejections.append(payload)
+                rows.append(result[0])
+                diags.append(result[1])
     return rows, diags, rejections
 
 

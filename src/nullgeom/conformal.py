@@ -15,9 +15,9 @@ The pullback identity reads an evaluated chart geometry, of one point or of
 a batch, and flags the columns whose image leaves the model space instead
 of raising for them; it is the one check of the conformal factor.  The
 sample checks (de Sitter scale sign, curvature identities) evaluate their
-samples as one batch; where the
-batch is refused they evaluate the samples one at a time, in order, so the
-first failing sample raises its own typed error.  Each identity's final
+samples as one batch; where the batch is refused, the samples before the
+first failing one are evaluated again as a batch, and that sample raises
+the typed error its column carries.  Each identity's final
 arithmetic runs on one sample's Python floats, exactly as at one point.
 The factorization round trip runs its samples' local inverses in lockstep,
 each round's jacobians and each damping halving's trial points as one
@@ -33,14 +33,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import spacetime, taylor
-from .immersion import ChartGeometry, Immersion, MetricSignatureError, chart_geometry
-from .nullcone import NullconeSpec, PointRejected
+from .immersion import ChartGeometry, Immersion, chart_geometry
+from .nullcone import NullconeSpec
 from .spacetime import AmbientModel
 # the module's one binding of the quadrature entry point: every integral
 # here goes through this name, which perfbench's tracer wraps to count
 # integrand evaluations
 from .spacetime import quadrature as quad
-from .taylor import BatchRejected, DomainError, Series, SmoothMap, format_point
+from .taylor import DomainError, Series, SmoothMap, format_point
 
 __all__ = [
     "MAP_VARIANTS",
@@ -173,8 +173,8 @@ class EmbeddingFamily:
         lo, hi = self.f_range()
         taylor.require(
             (lo < v) & (v < hi),
-            lambda: EmbeddingRangeError(
-                f"f = {v:.6g} outside the admissible range ({lo:.6g}, {hi:.6g})"
+            lambda at: EmbeddingRangeError(
+                f"f = {at(v):.6g} outside the admissible range ({lo:.6g}, {hi:.6g})"
             ),
         )
         return value
@@ -271,8 +271,8 @@ def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
         value = den.val if isinstance(den, Series) else float(den)
         taylor.reject(
             np.abs(value) <= DENOMINATOR_FLOOR,
-            lambda: DegeneracyError(
-                f"conformal scale {value:.3e} is inside the floor {DENOMINATOR_FLOOR:.1e}"
+            lambda at: DegeneracyError(
+                f"conformal scale {at(value):.3e} is inside the floor {DENOMINATOR_FLOOR:.1e}"
             ),
         )
         # multiplying by -1.0 is negation, bit for bit
@@ -409,9 +409,13 @@ def _model_values(spec, im, x, psi) -> np.ndarray:
     denom, y, on_model = _model_image(spec, im, psi)
     taylor.reject(
         np.abs(denom) <= DENOMINATOR_FLOOR,
-        lambda: DegeneracyError(f"split-map denominator {denom:.3e} at {format_point(x)}"),
+        lambda at: DegeneracyError(
+            f"split-map denominator {at(denom):.3e} at {format_point(at(x))}"
+        ),
     )
-    taylor.require(on_model, lambda: DegeneracyError(f"split-map image {y} left the model space"))
+    taylor.require(
+        on_model, lambda at: DegeneracyError(f"split-map image {at(y)} left the model space")
+    )
     return y
 
 
@@ -419,7 +423,10 @@ def _map_values(spec, im, x, psi) -> np.ndarray:
     """The model image, followed by the primitive g on the cylinder maps."""
     y = _model_values(spec, im, x, psi)
     if spec.primitive:
-        g = [primitive_g(spec, im, p) for p in np.atleast_2d(x)]
+        if x.ndim == 1:
+            g = [primitive_g(spec, im, x)]
+        else:  # a point whose quadrature fails rejects its own column
+            g = taylor.column_map(lambda p: primitive_g(spec, im, p), x)
         return np.concatenate([y, np.reshape(g, y.shape[:-1] + (1,))], axis=-1)
     return y
 
@@ -434,7 +441,7 @@ def _map_jacobian(spec, im, psi) -> np.ndarray:
     denom = _denominator_series(spec, im, psi)
     taylor.reject(
         np.abs(denom.val) <= DENOMINATOR_FLOOR,
-        lambda: DegeneracyError(f"split-map denominator {denom.val:.3e}"),
+        lambda at: DegeneracyError(f"split-map denominator {at(denom.val):.3e}"),
     )
     _, keep = _split_layout(spec, im)
     n = denom.ctx.n
@@ -489,41 +496,12 @@ def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry):
     return deviation, spd, on_model
 
 
-# the typed errors with which a sample fails a check
-_SAMPLE_ERRORS = (PointRejected, DomainError, EmbeddingRangeError, MetricSignatureError,
-                  DegeneracyError)
-# what a batch of samples raises where evaluating its samples one at a
-# time gives each failing sample its typed error: the failing columns, or
-# a failure that no column owns (a constant component off its domain)
-_BATCH_REFUSALS = (BatchRejected,) + _SAMPLE_ERRORS
-
-
-def _until_refused(fn, xs):
-    """fn's per-sample results over the stacked samples xs (S, n), fn
-    evaluating them as one batch; where the batch is refused, fn of each
-    sample in order, up to the first that raises a typed error.  Returns
-    the results of the samples before that one, and its error or None."""
-    if len(xs):
-        try:
-            return fn(xs), None
-        except _BATCH_REFUSALS:
-            pass
-    out = []
-    for x in xs:
-        try:
-            out.append(fn(x))
-        except _SAMPLE_ERRORS as err:
-            return out, err
-    return out, None
-
-
 def _per_sample(fn, samples) -> list:
     """fn's per-sample results, fn evaluating the samples stacked as one
-    batch (S, n); where the batch is refused, fn of each sample in order,
-    so that the first failing sample raises its own typed error."""
-    results, error = _until_refused(fn, np.array(list(samples), dtype=np.float64))
-    if error is not None:
-        raise error
+    batch (S, n); the first failing sample raises its own typed error."""
+    results = taylor.column_results(fn, np.array(list(samples), dtype=np.float64), first=True)
+    if results and isinstance(results[-1], Exception):
+        raise results[-1]
     return results
 
 
@@ -541,9 +519,9 @@ def desitter_r_sign(im: Immersion, samples) -> float:
         r = cone.scale(im.series(x, 0, check_membership=False)[0].val)
         taylor.reject(
             np.abs(r) <= DENOMINATOR_FLOOR,
-            lambda: DegeneracyError(f"scale R = {r:.3e} vanishes at {format_point(x)}"),
+            lambda at: DegeneracyError(f"scale R = {at(r):.3e} vanishes at {format_point(at(x))}"),
         )
-        return r.tolist() if x.ndim == 2 else r
+        return r.tolist()
 
     signs = {1.0 if r > 0.0 else -1.0 for r in _per_sample(scale, samples)}
     if len(signs) != 1:
@@ -555,27 +533,27 @@ def desitter_r_sign(im: Immersion, samples) -> float:
 
 
 # what a trial point of the local inverse fails with: it left the chart, the
-# family's range or the model space; a batch of trials, `BatchRejected`
-_TRIAL_REFUSALS = (BatchRejected, DomainError, EmbeddingRangeError, DegeneracyError)
+# family's range or the model space
+_TRIAL_REFUSALS = (DomainError, EmbeddingRangeError, DegeneracyError)
 
 
 def _inverse_residuals(spec, im, points, targets) -> list:
-    """(order-1 psi coefficients, residual against the target) at a chart
-    point, or per point of a stack (S, n) against targets (S, m) evaluated
-    as one batch; a point that leaves the chart, the family's range or the
-    model space gives its typed error instead.  A refused batch is
-    evaluated one point at a time, to learn which points fail."""
-    try:
-        psi = im.series(points, 1, check_membership=False)
-        r = _map_values(spec, im, points, psi) - targets
-    except _TRIAL_REFUSALS as err:
-        if points.ndim == 1:
-            return [err]
-        return [_inverse_residuals(spec, im, p, t)[0] for p, t in zip(points, targets)]
-    coeffs = np.stack([s.c for s in psi])
-    if points.ndim == 1:
-        return [(coeffs, r)]
-    return [(coeffs[..., b], r[b]) for b in range(len(points))]
+    """(order-1 psi coefficients, residual against the target) per point of
+    a stack (S, n) against targets (S, m), evaluated as one batch; a point
+    that leaves the chart, the family's range or the model space gives its
+    typed error instead."""
+
+    def residuals(ks):
+        psi = im.series(points[ks], 1, check_membership=False)
+        r = _map_values(spec, im, points[ks], psi) - targets[ks]
+        coeffs = np.stack([s.c for s in psi])
+        return [(coeffs[..., b], r[b]) for b in range(len(ks))]
+
+    out = taylor.column_results(residuals, np.arange(len(points)))
+    for res in out:
+        if isinstance(res, Exception) and not isinstance(res, _TRIAL_REFUSALS):
+            raise res
+    return out
 
 
 def local_inverse(
@@ -686,14 +664,15 @@ def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float
     def image(x):
         psi = im.series(x, 1)
         y, psi0 = _map_values(spec, im, x, psi), taylor.batch_first([s.val for s in psi])
-        return list(zip(y, psi0)) if x.ndim == 2 else (y, psi0)
+        return list(zip(y, psi0))
 
     def f_at(x):
         f_val = im.series(x, 0, check_membership=False)[idx].val
-        return f_val.tolist() if x.ndim == 2 else f_val
+        return f_val.tolist()
 
     # the samples after the first one whose image fails cannot change the outcome
-    images, error = _until_refused(image, np.array(samples))
+    images = taylor.column_results(image, np.array(samples), first=True)
+    error = images.pop() if images and isinstance(images[-1], Exception) else None
     worst = 0.0
     if images:
         ys = np.array([y for y, _ in images])
@@ -725,16 +704,17 @@ def sectional_curvatures(geo: ChartGeometry) -> np.ndarray:
 
 
 def _curvature_residuals(metric_obj, lam: Callable, x):
-    """(sectional residuals per frame pair, scalar residual, Gauss residual
-    or None) at a chart point, or the list of them over a batch of points,
-    whose geometries are built once for all of them."""
+    """The list of (sectional residuals per frame pair, scalar residual,
+    Gauss residual or None) over a batch of points (S, n), whose geometries
+    are built once for all of them."""
     geo = chart_geometry(metric_obj, x, check_membership=False)
     n = geo.dim
     s = geo.scalar_series(lam)
     geo_s = geo.rescaled(s)
     lam0s = s.val
     taylor.reject(
-        lam0s <= 0.0, lambda: ValueError(f"conformal factor nonpositive at {format_point(x)}")
+        lam0s <= 0.0,
+        lambda at: ValueError(f"conformal factor nonpositive at {format_point(at(x))}"),
     )
     _, grad_sqs = geo.gradient(s)
     hess = geo.covariant_hessian(s)
@@ -776,9 +756,7 @@ def _curvature_residuals(metric_obj, lam: Callable, x):
             gauss = abs(lhs_gauss - (k_base[0, 1] - float(at(log_laps))))
         return sect, abs(lhs - rhs), gauss
 
-    if geo.batch is None:
-        return residuals(lambda a: a)
-    return [residuals(lambda a, k=k: a[k]) for k in range(geo.batch)]
+    return [residuals(taylor.column(k)) for k in range(geo.batch)]
 
 
 def conformal_curvature_check(metric_obj, lam: Callable, samples) -> dict:
@@ -790,8 +768,7 @@ def conformal_curvature_check(metric_obj, lam: Callable, samples) -> dict:
     orthonormal frame pairs, the scalar relation, and (in dimension two) the
     Gauss logarithmic form.  Returns per-identity max residuals.  The
     samples are evaluated as one batch, each identity on its own sample's
-    values; where the batch is refused, one sample at a time, so the first
-    failing sample raises its typed error.
+    values; the first failing sample raises its typed error.
     """
     res_sect = res_scal = res_gauss = 0.0
     for sect, scal, gauss in _per_sample(

@@ -59,6 +59,10 @@ CLOSED_FORMS = {
     "warped_eta": "eta",
 }
 
+# the numeric fields of a report row, each finite at an evaluated point
+ROW_FIELDS = ("u", "grad_u_sq", "laplacian_u", "theta_xi", "theta_eta", "H_sq",
+              "scal_formula", "scal_intrinsic")
+
 # trapped_class never yields "past_weakly_trapped"; the name stays so that
 # configurations expecting it keep validating
 TRAPPED_CLASSES = (
@@ -181,8 +185,8 @@ def null_frame(geo: ChartGeometry):
     nn = spacetime.ambient_inner(model, geo.f2, normal, normal)
     taylor.reject(
         nn.val >= -1e-12,
-        lambda: FrameDegeneracyError(
-            f"time axis projects to a non-timelike normal at {format_point(geo.x)}"
+        lambda at: FrameDegeneracyError(
+            f"time axis projects to a non-timelike normal at {format_point(at(geo.x))}"
         ),
     )
     nu = (1.0 / taylor.sqrt(-nn)) * normal
@@ -199,7 +203,9 @@ def null_partner(geo: ChartGeometry, xi: Series, nu: Series, xi_dot_nu: Series) 
     c = xi_dot_nu
     taylor.reject(
         c.val >= 0.0,
-        lambda: FrameDegeneracyError(f"<xi, nu> = {c.val:.3e} >= 0 at {format_point(geo.x)}"),
+        lambda at: FrameDegeneracyError(
+            f"<xi, nu> = {at(c.val):.3e} >= 0 at {format_point(at(geo.x))}"
+        ),
     )
     return (-1.0 / (2.0 * c * c)) * xi + (-1.0 / c) * nu
 
@@ -453,18 +459,24 @@ class ExtrinsicPoint:
         return taylor.column_map(lambda v: "unclassified", self.u)
 
     def report(self, eps: float = MARGINAL_EPS) -> ExtrinsicReport:
+        """The row of the point, or of each point of a batch; a point with a
+        `ROW_FIELDS` value that is not finite is a `ChartDomainError`."""
         h_sq = self.h_sq
+        values = (self.u, self.grad_u_sq, self.laplacian_u, self.theta_xi, self.theta_eta,
+                  h_sq, self.n * (self.n - 1) * h_sq, self.geo.scal)  # ROW_FIELDS
+        row = taylor.batch_first(values)
+        finite = np.isfinite(row)
+
+        def not_finite(at):
+            k = int(np.argmin(at(finite)))  # the first non-finite field
+            return taylor.ChartDomainError(
+                f"{ROW_FIELDS[k]} = {float(at(row)[k])} is not finite "
+                f"at {format_point(at(self.geo.x))}"
+            )
+
+        taylor.require(finite.all(axis=-1), not_finite)
         return ExtrinsicReport(
-            point=self.geo.x.copy(),
-            u=self.u,
-            grad_u_sq=self.grad_u_sq,
-            laplacian_u=self.laplacian_u,
-            theta_xi=self.theta_xi,
-            theta_eta=self.theta_eta,
-            H_sq=h_sq,
-            scal_formula=self.n * (self.n - 1) * h_sq,
-            scal_intrinsic=self.geo.scal,
-            trapped_class=self.trapped_class(eps),
+            self.geo.x.copy(), *values, trapped_class=self.trapped_class(eps)
         )
 
 

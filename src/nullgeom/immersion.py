@@ -26,7 +26,7 @@ import numpy as np
 from . import spacetime, taylor
 from .nullcone import NullconeSpec, PointRejected, require_on_cone
 from .spacetime import AmbientModel
-from .taylor import BatchRejected, ChartDomainError, DomainError, Series, SmoothMap, format_point
+from .taylor import BatchRejected, DomainError, Series, SmoothMap, format_point
 
 JET_ORDER = 3
 
@@ -76,55 +76,46 @@ class Immersion:
 
         Raises `ChartDomainError` outside the chart domain and, unless
         `check_membership` is off, `PointRejected` off the target cone; on a
-        batch, `BatchRejected` with the failing columns.
+        batch, `BatchRejected` with each failing column's error.
         """
-        x = np.asarray(x, dtype=np.float64)
-        taylor.require(
-            self.map.contains(x),
-            lambda: ChartDomainError(
-                f"chart point {format_point(x)} outside the immersion's domain"
-            ),
-        )
         psi = taylor.eval_series(self.map, x, order)
         if check_membership and self.target_cone is not None:
-            psi0 = taylor.batch_first([s.val for s in psi])
-            if psi0.ndim == 1:
-                require_on_cone(self.target_cone, psi0)
-            else:
-                taylor.reject(_off_cone(self.target_cone, psi0), None)
+            _require_on_cone(self.target_cone, taylor.batch_first([s.val for s in psi]))
         return psi
 
 
-def _off_cone(cone: NullconeSpec, psi0) -> np.ndarray:
-    """The columns of a batch of psi values (B, ambient) that
-    `require_on_cone` refuses, tested one float point at a time."""
-    bad = np.zeros(len(psi0), dtype=bool)
+def _require_on_cone(cone: NullconeSpec, psi0):
+    """`require_on_cone` of the psi values (ambient,) of one point, or of
+    each column of a batch (B, ambient), tested one float point at a time."""
+    if psi0.ndim == 1:
+        return require_on_cone(cone, psi0)
+    errors = {}
     for b, p in enumerate(psi0):
         try:
             require_on_cone(cone, p)
-        except (PointRejected, DomainError):
-            bad[b] = True
-    return bad
+        except (PointRejected, DomainError) as err:
+            errors[b] = err
+    if errors:
+        raise BatchRejected(errors)
 
 
-def _stacked(op, a, *args):
-    """A numpy.linalg `op` over a matrix or a stack of them; on a stack,
-    `LinAlgError` (which fails the whole stack) becomes `BatchRejected` for
-    the matrices that fail alone."""
+def _stacked(op, error, a, *args):
+    """A numpy.linalg `op` over a matrix or a stack of them; a `LinAlgError`,
+    which fails a stack as a whole, is `taylor.reject`'s `error` for each
+    matrix that fails alone."""
     try:
         return op(a, *args)
     except np.linalg.LinAlgError:
-        if a.ndim == 2:
-            raise
-        bad = np.zeros(len(a), dtype=bool)
-        for b in range(len(a)):
-            try:
-                op(a[b], *(arg[b] for arg in args))
-            except np.linalg.LinAlgError:
-                bad[b] = True
-        if not bad.any():
-            raise
-        raise BatchRejected(bad) from None
+        bad = True
+        if a.ndim > 2:
+            bad = np.zeros(len(a), dtype=bool)
+            for b in range(len(a)):
+                try:
+                    op(a[b], *(arg[b] for arg in args))
+                except np.linalg.LinAlgError:
+                    bad[b] = True
+        taylor.reject(bad, error)
+        raise  # no matrix of the stack fails alone
 
 
 @dataclass(frozen=True)
@@ -183,21 +174,22 @@ class ChartGeometry:
         self.immersion = immersion
         g0 = taylor.batch_first(g_series.val, 2)
         g0 = 0.5 * (g0 + np.swapaxes(g0, -1, -2))
-        lowest = _stacked(np.linalg.eigvalsh, g0)[..., 0]
+        lowest = _stacked(np.linalg.eigvalsh, self._defect("has no eigenvalues"), g0)[..., 0]
         taylor.reject(
             lowest <= _EIG_FLOOR,
-            lambda: MetricSignatureError(
-                f"induced metric at {format_point(self.x)} is not positive definite "
-                f"(min eigenvalue {lowest:.3e})"
+            lambda at: MetricSignatureError(
+                f"induced metric at {format_point(at(self.x))} is not positive definite "
+                f"(min eigenvalue {at(lowest):.3e})"
             ),
         )
         self.g0 = g0
-        try:
-            self.g_inv0 = _stacked(np.linalg.inv, g0)
-        except np.linalg.LinAlgError:
-            raise MetricSignatureError(
-                f"induced metric at {format_point(self.x)} is singular"
-            ) from None
+        self.g_inv0 = _stacked(np.linalg.inv, self._defect("is singular"), g0)
+
+    def _defect(self, what: str):
+        """The error factory of a defect of the induced metric: it `what`."""
+        return lambda at: MetricSignatureError(
+            f"induced metric at {format_point(at(self.x))} {what}"
+        )
 
     @cached_property
     def coords(self) -> list:
@@ -289,9 +281,10 @@ class ChartGeometry:
 
         Cholesky of the metric, i.e. Gram-Schmidt on the coordinate basis.
         """
-        l = _stacked(np.linalg.cholesky, self.g0)
+        l = _stacked(np.linalg.cholesky, self._defect("has no Cholesky factor"), self.g0)
         eye = np.broadcast_to(np.eye(self.dim), l.shape)
-        return np.swapaxes(_stacked(np.linalg.solve, l, eye), -1, -2)
+        solved = _stacked(np.linalg.solve, self._defect("has a singular Cholesky factor"), l, eye)
+        return np.swapaxes(solved, -1, -2)
 
     # -- scalar fields on the chart --------------------------------------
 

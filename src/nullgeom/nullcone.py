@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import taylor
-from .taylor import PrimitiveDomainError, Series
+from .taylor import BatchRejected, PrimitiveDomainError, Series
 from .spacetime import (
     AmbientModel,
     fiber_constraint,
@@ -79,9 +79,8 @@ class RejectionReason(Enum):
 class PointRejected(Exception):
     """A sample point the engine refuses to evaluate, with the reason why."""
 
-    def __init__(self, reason: RejectionReason, point=None, detail: str = ""):
+    def __init__(self, reason: RejectionReason, detail: str = ""):
         self.reason = reason
-        self.point = None if point is None else np.asarray(point, dtype=float)
         self.detail = detail
         text = reason.value if not detail else f"{reason.value}: {detail}"
         super().__init__(text)
@@ -167,11 +166,13 @@ def eval_F(spec: NullconeSpec, p):
     return -(phi * phi) + fiber_radius_sq(m, p[1:])
 
 
-def _reject_radial(exc: PrimitiveDomainError, p) -> PointRejected:
+def _reject_radial(exc):
+    if not isinstance(exc, PrimitiveDomainError):
+        return exc
     if exc.primitive == "arccos" and exc.value <= -1.0:
-        return PointRejected(RejectionReason.CHART_SINGULARITY, p,
+        return PointRejected(RejectionReason.CHART_SINGULARITY,
                              "fiber antipode: radial direction undefined")
-    return PointRejected(RejectionReason.DENOMINATOR_ZERO, p,
+    return PointRejected(RejectionReason.DENOMINATOR_ZERO,
                          "fiber base point: radial direction undefined")
 
 
@@ -201,15 +202,17 @@ def grad_F_components(spec: NullconeSpec, p, f=None):
     phi_val = phi.val if isinstance(phi, Series) else phi
     taylor.reject(
         phi_val < VERTEX_EPS,
-        lambda: PointRejected(RejectionReason.VERTEX_EXCLUSION, None if is_series else p,
-                              f"conformal time {phi_val:.3e} below {VERTEX_EPS:.0e}"),
+        lambda at: PointRejected(RejectionReason.VERTEX_EXCLUSION,
+                                 f"conformal time {at(phi_val):.3e} below {VERTEX_EPS:.0e}"),
     )
     if f is None:
         f = m.warping(t)
     try:
         r, dr = fiber_radial(m, p[1:])
     except PrimitiveDomainError as exc:
-        raise _reject_radial(exc, None if is_series else p) from exc
+        raise _reject_radial(exc) from exc
+    except BatchRejected as err:
+        raise BatchRejected({b: _reject_radial(e) for b, e in err.errors.items()}) from None
     scale = r / (f * f)
     return [phi / f] + [scale * d for d in dr]
 
@@ -221,42 +224,39 @@ def require_on_cone(spec: NullconeSpec, p):
     p = np.asarray(p, dtype=float)
     F = float(eval_F(spec, p))
     if abs(F) > MEMBERSHIP_TOL:
-        raise PointRejected(RejectionReason.OFF_CONE, p, f"|F| = {abs(F):.3e}")
+        raise PointRejected(RejectionReason.OFF_CONE, f"|F| = {abs(F):.3e}")
     if spec.variant == "desitter_alpha":
         quad = -p[0] * p[0] + float(np.dot(p[1:], p[1:])) - 1.0
         if abs(quad) > MEMBERSHIP_TOL:
-            raise PointRejected(RejectionReason.OFF_CONE, p,
+            raise PointRejected(RejectionReason.OFF_CONE,
                                 f"off the unit hyperquadric by {abs(quad):.3e}")
         if p[0] <= 0.0:
-            raise PointRejected(RejectionReason.OFF_CONE, p, "past branch (x1 <= 0)")
+            raise PointRejected(RejectionReason.OFF_CONE, "past branch (x1 <= 0)")
         if 0.0 < spec.alpha < 1.0:
             split = spec.split_radius
             if spec.component == "minus" and not p[0] < split:
-                raise PointRejected(RejectionReason.OFF_CONE, p,
-                                    "beyond the component split radius")
+                raise PointRejected(RejectionReason.OFF_CONE, "beyond the component split radius")
             if spec.component == "plus" and not p[0] > split:
-                raise PointRejected(RejectionReason.OFF_CONE, p,
-                                    "below the component split radius")
+                raise PointRejected(RejectionReason.OFF_CONE, "below the component split radius")
         return
     if spec.variant == "cylinder":
         if p[0] <= 0.0:
-            raise PointRejected(RejectionReason.OFF_CONE, p, "past branch (x1 <= 0)")
+            raise PointRejected(RejectionReason.OFF_CONE, "past branch (x1 <= 0)")
         return
     if spec.variant == "minkowski_cone":
         if p[0] <= 0.0:
-            raise PointRejected(RejectionReason.OFF_CONE, p, "past branch (t <= 0)")
+            raise PointRejected(RejectionReason.OFF_CONE, "past branch (t <= 0)")
         if p[0] < VERTEX_EPS:
-            raise PointRejected(RejectionReason.VERTEX_EXCLUSION, p,
+            raise PointRejected(RejectionReason.VERTEX_EXCLUSION,
                                 f"time {p[0]:.3e} below {VERTEX_EPS:.0e}")
         return
     t = float(p[0])
     if t <= m.t0:
-        raise PointRejected(RejectionReason.OFF_CONE, p, "past branch (t <= t0)")
+        raise PointRejected(RejectionReason.OFF_CONE, "past branch (t <= t0)")
     if m.kind == "product":
         resid = abs(float(fiber_constraint(m, p[1:])))
         if resid > MEMBERSHIP_TOL:
-            raise PointRejected(RejectionReason.OFF_CONE, p,
-                                f"off the fiber quadric by {resid:.3e}")
+            raise PointRejected(RejectionReason.OFF_CONE, f"off the fiber quadric by {resid:.3e}")
     if m.warping.conformal_time(t, m.t0) < VERTEX_EPS:
-        raise PointRejected(RejectionReason.VERTEX_EXCLUSION, p,
+        raise PointRejected(RejectionReason.VERTEX_EXCLUSION,
                             f"conformal time below {VERTEX_EPS:.0e}")

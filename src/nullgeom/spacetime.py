@@ -102,7 +102,7 @@ class WarpingFunction:
         lo, hi = self.domain
         taylor.require(
             (lo < v) & (v < hi),
-            lambda: WarpingDomainError(f"time {v} outside warping domain ({lo}, {hi})"),
+            lambda at: WarpingDomainError(f"time {at(v)} outside warping domain ({lo}, {hi})"),
         )
 
     def _raw(self, t):
@@ -132,7 +132,7 @@ class WarpingFunction:
         val = out.val if isinstance(out, Series) else out
         taylor.require(
             val > 0.0,
-            lambda: WarpingDomainError(f"warping function nonpositive at t={v}"),
+            lambda at: WarpingDomainError(f"warping function nonpositive at t={at(v)}"),
         )
         return out
 

@@ -23,12 +23,15 @@ which keeps its temporaries small.  Sums over a component axis run left to
 right.
 Derivative tables of the primitives are computed one column at a time with
 `math`, whose last bits numpy's ufuncs do not always reproduce; a float
-overflow there, or a division by a power that underflowed to zero, is a
-domain error of the primitive.
+overflow there, a math domain error (the sine of an infinity), or a
+division by a power that underflowed to zero is a domain error of the
+primitive.
 
 A check that fails at one point raises its typed error; on a batch it
-raises `BatchRejected` with the mask of failing columns, and evaluating
-those columns one at a time raises the typed error with its detail.
+raises `BatchRejected`, which carries each failing column's typed error,
+the one that column raises alone.  `column_results` is the one way a batch
+learns why its columns fail: it keeps the errors of the flagged columns
+and evaluates the rest again as a batch, so no column is evaluated alone.
 """
 
 from __future__ import annotations
@@ -80,39 +83,79 @@ class ChartDomainError(DomainError):
 
 
 class BatchRejected(Exception):
-    """Columns of a batch that failed a check; `mask` flags them.
+    """Columns of a batch that failed a check: `errors` maps each to the
+    typed error it raises alone.
 
     Deliberately neither a `DomainError` nor a `ValueError`, so that no
-    handler of typed rejections catches it: the caller re-evaluates the
-    flagged columns one at a time to get their typed errors.
+    handler of typed rejections catches it: `column_results` does.
     """
 
-    def __init__(self, mask):
-        self.mask = np.asarray(mask, dtype=bool)
-        super().__init__(f"{int(self.mask.sum())} of {self.mask.size} columns rejected")
+    def __init__(self, errors: dict):
+        self.errors = errors
+        super().__init__(f"{len(errors)} columns rejected")
+
+
+def column(b):
+    """The column picker `at` of an error factory: at(a) is column b of a
+    per-point value laid out batch first (a Python scalar for a number), or
+    a itself at one point, where b is None."""
+    if b is None:
+        return lambda a: a
+
+    def at(a):
+        out = a[b]
+        return out.item() if isinstance(out, np.generic) else out
+
+    return at
 
 
 def reject(bad, error):
-    """Raise for failing columns: `error()` when `bad` is one point's flag,
-    `BatchRejected(bad)` when it is a batch's (B,) mask with any set."""
+    """Raise for failing columns: `error(at)`, the typed error built from
+    the values that the column picker `at` picks, when `bad` is one point's
+    flag, and `BatchRejected` of `error(column(b))` for each flagged column
+    b when it is a batch's (B,) mask."""
     if not isinstance(bad, np.ndarray) or not bad.ndim:
         if bad:
-            raise error()
+            raise error(column(None))
     elif bad.any():
-        raise BatchRejected(bad)
+        raise BatchRejected({b: error(column(b)) for b in np.flatnonzero(bad).tolist()})
 
 
 def require(ok, error):
-    """Raise where `ok` fails: `error()` when `ok` is one point's flag,
-    `BatchRejected` of the failing columns when it is a batch's (B,) mask.
-
-    The complement of `reject`, for checks stated as a condition that must
+    """`reject` where `ok` fails, for checks stated as a condition that must
     hold, so that a NaN fails them as it does `if not ok: raise`."""
     if isinstance(ok, np.ndarray) and ok.ndim:
-        if not ok.all():
-            raise BatchRejected(~ok)
+        reject(~ok, error)
     elif not ok:
-        raise error()
+        raise error(column(None))
+
+
+def column_results(fn, xs, first: bool = False) -> list:
+    """The list of each column's result or typed error, fn evaluating the
+    columns xs (B, ...) as one batch and returning its per-column results.
+
+    Where fn raises `BatchRejected`, the flagged columns keep their errors
+    and the rest are evaluated again as one batch; with `first`, only those
+    before the first failing column, whose error then ends the list."""
+    out = [None] * len(xs)
+    pending = np.arange(len(xs))
+    while pending.size:
+        try:
+            done = fn(xs[pending])
+        except BatchRejected as err:
+            for b, e in err.errors.items():
+                out[pending[b]] = e
+            if first:
+                stop = min(err.errors)
+                del out[pending[stop] + 1:]
+                pending = pending[:stop]
+            else:
+                pending = np.delete(pending, list(err.errors))
+            continue
+        for i, result in zip(pending.tolist(), done):
+            out[i] = result
+        break
+    return out
 
 
 def as_value(x):
@@ -136,23 +179,21 @@ def batch_first(values, depth: int = 1) -> np.ndarray:
 
 
 def _per_column(fn, values) -> list:
-    out = []
-    bad = np.zeros(len(values), dtype=bool)
+    out, errors = [], {}
     for b, v in enumerate(values.tolist()):
         try:
             out.append(fn(v))
-        except (DomainError, OverflowError, ZeroDivisionError):
-            bad[b] = True
-    if bad.any():
-        raise BatchRejected(bad)
+        except (ValueError, ArithmeticError) as err:
+            errors[b] = err
+    if errors:
+        raise BatchRejected(errors)
     return out
 
 
 def column_map(fn, values):
-    """fn of a float value, or of each column of a (B,) array, as an array.
-
-    A column whose call raises a `DomainError`, overflows or divides by
-    zero is rejected."""
+    """fn of a float value, or of each column of a (B,) array, as an array;
+    a column whose call raises a `ValueError` (a `DomainError` among them)
+    or an `ArithmeticError` is rejected with that error."""
     if not isinstance(values, np.ndarray) or not values.ndim:
         return fn(values)
     return np.array(_per_column(fn, values))
@@ -160,7 +201,8 @@ def column_map(fn, values):
 
 def column_table(fn, values):
     """A derivative table [g(v), g'(v), ...] of a float v, or, for a (B,)
-    array, the list of per-entry arrays over its columns."""
+    array, the list of per-entry arrays over its columns; columns rejected
+    as by `column_map`."""
     if not isinstance(values, np.ndarray) or not values.ndim:
         return fn(values)
     return [np.array(entry) for entry in zip(*_per_column(fn, values))]
@@ -473,14 +515,14 @@ class Series:
                 k >>= 1
             return result
         v = _scalar_val(self)
-        reject(v <= 0.0, lambda: PrimitiveDomainError("pow", v))
+        reject(v <= 0.0, lambda at: PrimitiveDomainError("pow", at(v)))
         p = float(p)
 
         def table(v):
             return [v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2),
                     p * (p - 1) * (p - 2) * v ** (p - 3)]
 
-        return _compose(self, _derivative_table("pow", table, v))
+        return _compose(self, _primitive_values("pow", column_table, table, v))
 
     def __rpow__(self, base):
         b = float(base)
@@ -538,36 +580,38 @@ def _reciprocal_table(v):
 
 def _reciprocal(x: Series) -> Series:
     v = _scalar_val(x)
-    reject(v == 0.0, lambda: PrimitiveDomainError("reciprocal", v))
-    return _compose(x, _derivative_table("reciprocal", _reciprocal_table, v))
+    reject(v == 0.0, lambda at: PrimitiveDomainError("reciprocal", at(v)))
+    return _compose(x, _primitive_values("reciprocal", column_table, _reciprocal_table, v))
 
 
-def _derivative_table(name: str, table_fn, v):
-    """`column_table` of a primitive's derivative table; at one point a
-    float overflow, or a division by a power of v that underflowed to zero,
-    is the primitive's domain error, and on a batch it rejects its column."""
+def _primitive_values(name: str, over, fn, v):
+    """`over(fn, v)`, the `column_map` or `column_table` of a `math` function
+    of a primitive's argument v: a float overflow, a math domain error, or a
+    division by a power of v that underflowed to zero is the primitive's
+    domain error at one point, and its column's on a batch."""
     try:
-        return column_table(table_fn, v)
-    except (OverflowError, ZeroDivisionError):
+        return over(fn, v)
+    except (ValueError, ArithmeticError):
         raise PrimitiveDomainError(name, v) from None
+    except BatchRejected as err:
+        # every error here is math's, raised by its column's value
+        errors = {b: PrimitiveDomainError(name, column(b)(v)) for b in err.errors}
+        raise BatchRejected(errors) from None
 
 
 def _unary(name: str, float_fn, table_fn, domain_ok=None):
     def check(v):
         if domain_ok is not None:
-            require(domain_ok(v), lambda: PrimitiveDomainError(name, v))
+            require(domain_ok(v), lambda at: PrimitiveDomainError(name, at(v)))
 
     def fn(x):
         if isinstance(x, Series):
             v = _scalar_val(x)
             check(v)
-            return _compose(x, _derivative_table(name, table_fn, v))
+            return _compose(x, _primitive_values(name, column_table, table_fn, v))
         v = as_value(x)
         check(v)
-        try:
-            return column_map(float_fn, v)
-        except OverflowError:
-            raise PrimitiveDomainError(name, v) from None
+        return _primitive_values(name, column_map, float_fn, v)
 
     fn.__name__ = name
     fn.__qualname__ = name
@@ -719,23 +763,35 @@ def as_series(value, ctx: JetContext, batch=None) -> Series:
     return value if isinstance(value, Series) else Series.constant(ctx, as_value(value), batch)
 
 
+def _at_point(err, point):
+    """A primitive's domain error with its evaluation point, or err itself."""
+    return err.with_point(point) if isinstance(err, PrimitiveDomainError) else err
+
+
 def eval_series(map_fn: SmoothMap, point, order: int):
     """Evaluate a smooth map on Series arguments at a point (n,) or a batch
-    (B, n) of points inside its domain; returns a list of Series."""
+    (B, n) of points inside its domain; returns a list of Series.
+
+    A primitive's domain error carries its column's point; a typed error (a
+    `ValueError`) of a float-valued step fails every column alike."""
     point = np.asarray(point, dtype=np.float64)
     ctx = get_context(point.shape[-1], order)
     batch = point.shape[0] if point.ndim == 2 else None
     require(
         map_fn.contains(point),
-        lambda: ChartDomainError(f"point {format_point(point)} outside the map's declared domain"),
+        lambda at: ChartDomainError(
+            f"point {format_point(at(point))} outside the map's declared domain"
+        ),
     )
     xs = [Series.variable(ctx, i, point[..., i]) for i in range(ctx.n)]
     try:
         result = map_fn.fn(xs)
-    except PrimitiveDomainError as err:
-        if batch is not None:
-            raise  # a float-valued step failed for every column alike
-        raise err.with_point(point) from None
+    except BatchRejected as err:
+        raise BatchRejected({b: _at_point(e, point[b]) for b, e in err.errors.items()}) from None
+    except ValueError as err:
+        if batch is None:
+            raise _at_point(err, point) from None
+        raise BatchRejected({b: _at_point(err, p) for b, p in enumerate(point)}) from None
     return [as_series(r, ctx, batch) for r in result]
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from nullgeom import cli
 from nullgeom import conformal as cf
 from nullgeom import extrinsic as ext
 from nullgeom import nullcone as nc
@@ -40,6 +41,7 @@ __all__ = [
     "desitter_embed",
     "desitter_graph_height",
     "normal_connection_residual",
+    "evaluate_alone",
     "pullback_alone",
     "local_inverse_alone",
     "factorization_alone",
@@ -211,6 +213,17 @@ def normal_connection_residual(pt):
         rhs = -ratio * pt.du[j] * n0 - ii
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def evaluate_alone(scene, x):
+    """The grid pass's row or rejection of the point x evaluated alone, on
+    the one-point path: the oracle of the batched grid pass."""
+    x = np.asarray(x, dtype=float)
+    try:
+        ((row, diag),) = cli._evaluate(scene, x)
+    except Exception as err:  # a typed rejection, or raised again
+        return "rejected", cli._rejection(x, err), None
+    return "row", row, diag
 
 
 def pullback_alone(spec, geo, expected_factor=None):

@@ -33,6 +33,8 @@ from nullgeom.conformal import MAP_VARIANTS
 from nullgeom.nullcone import CONE_RULES
 from nullgeom.scenes import builtin_scenes
 
+from _surfaces import evaluate_alone
+
 
 def small(doc, count=4):
     """Shrink a scene's grid so validation tests stay fast."""
@@ -371,7 +373,7 @@ def test_float_overflow_is_a_chart_singularity(tmp_path, capsys):
     scene = parse_scene(doc)
     with pytest.raises(extrinsic.taylor.PrimitiveDomainError, match="'exp'"):
         extrinsic.point_report(scene.im, [1.0, 0.0])
-    kind, payload, _ = cli._evaluate_point(scene, (1.5, 0.0))
+    kind, payload, _ = evaluate_alone(scene, (1.5, 0.0))
     assert kind == "rejected" and payload["reason"] == "chart_singularity"
     report = run(doc)
     reasons = {tuple(r["point"]): r["reason"] for r in report["rejections"]}
@@ -381,7 +383,7 @@ def test_float_overflow_is_a_chart_singularity(tmp_path, capsys):
     rows, diags, rejections = cli._evaluate_grid(scene)
     got_rows, got_rejections = iter(zip(rows, diags)), iter(rejections)
     for x in itertools.product(*scene.axes):
-        kind, payload, diag = cli._evaluate_point(scene, x)
+        kind, payload, diag = evaluate_alone(scene, x)
         if kind == "row":
             assert repr(next(got_rows)) == repr((payload, diag))
         else:
@@ -395,6 +397,49 @@ def test_float_overflow_is_a_chart_singularity(tmp_path, capsys):
         EXIT_PASS, EXIT_SUITE_FAILURE
     )
     capsys.readouterr()
+    # a constant that overflows to inf is math's domain error in sin, at
+    # every point alike: every point is a chart singularity and the check
+    # exits 3, with no traceback
+    doc["immersion"]["f"] = "1 + 0.1*sin(1e308*10)"
+    report = run(doc)
+    assert report["rows"] == [] and report["exit_status"] == EXIT_DEGENERATE
+    assert len(report["rejections"]) == 9
+    for entry in report["rejections"]:
+        assert entry["reason"] == "chart_singularity"
+        assert entry["detail"] == (
+            f"primitive 'sin' undefined at value inf (evaluation point {tuple(entry['point'])})"
+        )
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--config", str(path), "--out", str(tmp_path / "r.json")]) == (
+        EXIT_DEGENERATE
+    )
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# the grid pass of these configurations overflows inside numpy, in the
+# columns it then rejects, which the package's RuntimeWarning filter would
+# turn into errors
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_rows_are_chart_singularities():
+    # f = 1 + 1e-200 sin(1e200 x0) has jets beyond the float range: the
+    # row fields come out NaN, and with 1e-150 the jets are finite but the
+    # intrinsic curvature is not; each point is rejected, naming the field
+    for scale, field in (("200", "laplacian_u"), ("150", "scal_intrinsic")):
+        doc = dict(OFF_CONE_DOC, checks=["frame"], immersion={
+            "family": "psi_f_minkowski", "f": f"1 + 1e-{scale}*sin(1e{scale}*x0)",
+        })
+        report = run(doc)
+        assert report["rows"] == [] and report["exit_status"] == EXIT_DEGENERATE
+        assert len(report["rejections"]) == 9
+        for entry in report["rejections"]:
+            assert entry["reason"] == "chart_singularity"
+            assert entry["detail"] == (
+                f"{field} = nan is not finite at {tuple(entry['point'])}"
+            )
+        scene = parse_scene(doc)
+        with pytest.raises(extrinsic.taylor.ChartDomainError, match=f"^{field} = nan"):
+            extrinsic.point_report(scene.im, [0.5, 0.5])
 
 
 def test_tolerance_override_forces_failure(tmp_path, capsys):
@@ -560,17 +605,43 @@ def test_grid_geometries_are_not_rebuilt(monkeypatch):
     assert len(calls) == 405
 
 
-@settings(deadline=None, max_examples=30)
+def edge_scenes():
+    """Built-in scenes changed so that their boxes reach rejection sites
+    that no built-in grid reaches: a primitive's domain (sqrt and log of a
+    coordinate), a warping domain, a de Sitter component range, and a
+    constant that overflows to inf, which fails every point alike."""
+    catalog = builtin_scenes()
+
+    def changed(name, section, **entries):
+        doc = copy.deepcopy(catalog[name])
+        doc[section].update(entries)
+        return doc
+
+    return {
+        "primitive-domain": changed(
+            "mink-bowl", "immersion", f="1 + 0.3*sqrt(x0) + 0.1*log(x1 + 1)"
+        ),
+        "warping-domain": changed(
+            "grw-exp", "spacetime", warping={"kind": "exp", "domain": [-1.0, 1.15]}
+        ),
+        "component-range": changed("ds-alpha05-minus", "immersion", f="1.5 + 0.3*cos(x1)"),
+        "overflow-to-inf": changed("mink-h2", "immersion", f="1 + 0.1*sin(1e308*10)"),
+    }
+
+
+@settings(deadline=None, max_examples=40)
 @given(hs.data())
 def test_batched_grid_matches_points_alone(data):
-    # a grid of 1-70 points drawn from a built-in scene's box, its polar row
-    # x0 = 0 sometimes included, in chunks of 1-16 points so that a grid
-    # spans several chunks and a rejected row can straddle a chunk
-    # boundary: the chunked batch pass must give every point exactly what
-    # evaluating it alone gives, rejections included
+    # a grid of 1-70 points drawn from the box of a built-in scene or of an
+    # edge scene, its polar row x0 = 0 sometimes included, in chunks of
+    # 1-16 points so that a grid spans several chunks and a rejected row
+    # can straddle a chunk boundary: the chunked batch pass must give every
+    # point exactly what evaluating it alone gives, rejections and their
+    # typed errors' details included
     chunk = data.draw(hs.integers(1, 16))
-    name = data.draw(hs.sampled_from(sorted(builtin_scenes())))
-    scene = parse_scene(builtin_scenes()[name])
+    catalog = {**builtin_scenes(), **edge_scenes()}
+    name = data.draw(hs.sampled_from(sorted(catalog)))
+    scene = parse_scene(catalog[name])
     (lo0, hi0), (lo1, hi1) = [(float(ax[0]), float(ax[-1])) for ax in scene.axes]
     n0, n1 = data.draw(hs.integers(1, 7)), data.draw(hs.integers(1, 10))
     first = data.draw(hs.lists(hs.floats(lo0, hi0), min_size=n0, max_size=n0))
@@ -582,7 +653,7 @@ def test_batched_grid_matches_points_alone(data):
         rows, diags, rejections = cli._evaluate_grid(scene)
     got_rows, got_rejections = iter(zip(rows, diags)), iter(rejections)
     for x in itertools.product(*scene.axes):
-        kind, payload, diag = cli._evaluate_point(scene, x)
+        kind, payload, diag = evaluate_alone(scene, x)
         if kind == "row":
             row, got = next(got_rows)
             assert repr(row) == repr(payload)
@@ -615,10 +686,31 @@ def test_builtin_scenes_evaluate_their_grid_as_one_batch(monkeypatch):
         assert batches == [len(report["rows"])], name
 
 
+def test_no_grid_point_is_evaluated_twice(monkeypatch):
+    # the mink-slice grid regridded 20 x 20 with its polar axis from 0: the
+    # batch rejects the 20 points of the polar row, each with its own typed
+    # error, and the 380 others are evaluated again as one batch; no point
+    # is evaluated alone
+    doc = builtin_scenes()["mink-slice"]
+    doc["grid"] = [dict(doc["grid"][0], min=0.0, count=20), dict(doc["grid"][1], count=20)]
+    batches = []
+    real = cli._evaluate
+
+    def counted(scene, x):
+        batches.append(np.shape(x))
+        return real(scene, x)
+
+    monkeypatch.setattr(cli, "_evaluate", counted)
+    report = run(doc)
+    assert batches == [(400, 2), (380, 2)]
+    assert len(report["rows"]) == 380 and len(report["rejections"]) == 20
+    assert {entry["point"][0] for entry in report["rejections"]} == {0.0}
+
+
 def test_scene_wide_failures_are_rejected_point_by_point():
     # a failure that no single point owns (a constant chart component off a
     # primitive's domain, a constant profile off its range) fails the whole
-    # batch; each point is then evaluated alone and rejected for itself
+    # batch alike; each point is rejected for itself, with its own point
     doc = dict(OFF_CONE_DOC, immersion={"chart": ["sqrt(-1)", "x0", "x1", "3"]})
     report = run(doc)
     assert report["rows"] == [] and len(report["rejections"]) == 9

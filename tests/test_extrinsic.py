@@ -24,6 +24,7 @@ from _surfaces import (
     entry_g_inv,
     entry_null_frame,
     entry_pullback,
+    evaluate_alone,
     grw_graph,
     marginal_height_profile,
     normal_connection_residual,
@@ -276,7 +277,7 @@ def test_each_quantity_computed_once_per_point(name, monkeypatch):
     monkeypatch.setattr(imm.ChartGeometry, "covariant_hessian", counting_hessian)
     monkeypatch.setattr(st, "ambient_inner", marking_inner)
     monkeypatch.setattr(st.WarpingFunction, "__call__", counting_profile)
-    kind, _, diag = cli._evaluate_point(scene, entry["pool"][0])
+    kind, _, diag = evaluate_alone(scene, entry["pool"][0])
     assert kind == "row" and "shape" in diag
     # one map for each of xi, eta and the normal part of the time axis
     normals = {ext.CLOSED_FORMS[which] for which in scene.selectors}

@@ -246,10 +246,10 @@ def test_float_overflow_is_a_primitive_domain_error():
     for fn in (tm.exp, lambda x: x ** 2.5, lambda x: 1.0 / x):
         with pytest.raises(tm.BatchRejected) as err:
             fn(tm.Series.variable(ctx, 0, np.abs(values) if fn is not tm.exp else values))
-        assert err.value.mask.tolist() == [False, True, False]
+        assert list(err.value.errors) == [1]
     with pytest.raises(tm.BatchRejected) as err:
         tm.exp(values)
-    assert err.value.mask.tolist() == [False, True, False]
+    assert list(err.value.errors) == [1]
     # a tiny value whose derivative table divides by a power that underflows
     # to zero is refused the same way, at one point and per column
     for name, fn, tiny in (
@@ -262,7 +262,24 @@ def test_float_overflow_is_a_primitive_domain_error():
             fn(tm.Series.variable(ctx, 0, tiny))
         with pytest.raises(tm.BatchRejected) as err:
             fn(tm.Series.variable(ctx, 0, np.array([1.0, tiny])))
-        assert err.value.mask.tolist() == [False, True]
+        assert list(err.value.errors) == [1]
+    # math's domain error (the sine of an infinity) is refused the same way,
+    # as each column's own error with its own value
+    for name, fn in (("sin", tm.sin), ("cos", tm.cos), ("tan", tm.tan)):
+        for inf in (math.inf, -math.inf):
+            message = f"'{name}' undefined at value {inf}"
+            with pytest.raises(tm.PrimitiveDomainError, match=message):
+                fn(inf)
+            with pytest.raises(tm.PrimitiveDomainError, match=message):
+                fn(tm.Series.variable(ctx, 0, inf))
+        for batch in (np.array([1.0, math.inf, -math.inf]),
+                      tm.Series.variable(ctx, 0, np.array([1.0, math.inf, -math.inf]))):
+            with pytest.raises(tm.BatchRejected) as err:
+                fn(batch)
+            assert list(err.value.errors) == [1, 2]
+            assert [str(e) for e in err.value.errors.values()] == [
+                f"primitive '{name}' undefined at value {v}" for v in (math.inf, -math.inf)
+            ]
 
 
 def test_univariate_primitive_refuses_components():
@@ -284,9 +301,64 @@ def test_batch_rejection_is_no_typed_error():
     batch = tm.Series.variable(ctx, 0, np.array([4.0, -1.0, 9.0]))
     with pytest.raises(tm.BatchRejected) as err:
         tm.sqrt(batch)
-    assert err.value.mask.tolist() == [False, True, False]
-    with pytest.raises(tm.PrimitiveDomainError):
+    assert list(err.value.errors) == [1]
+    with pytest.raises(tm.PrimitiveDomainError) as alone:
         tm.sqrt(tm.Series.variable(ctx, 0, -1.0))
+    # the flagged column carries the typed error it raises alone
+    (column, error), = err.value.errors.items()
+    assert column == 1 and type(error) is type(alone.value)
+    assert str(error) == str(alone.value)
+
+
+def test_column_picker_builds_each_columns_error():
+    # reject and require hand the error factory a picker of one column's
+    # values, laid out as at one point: Python floats, not numpy scalars
+    values = np.array([0.5, -1.0, np.nan])
+
+    points = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+
+    def error(at):
+        return ValueError(f"{at(values)!r} at {at(points)}")
+
+    with pytest.raises(tm.BatchRejected) as err:
+        tm.require(values > 0.0, error)
+    assert {b: str(e) for b, e in err.value.errors.items()} == {
+        1: "-1.0 at [2. 3.]", 2: "nan at [4. 5.]"
+    }
+    with pytest.raises(tm.BatchRejected) as again:
+        tm.reject(~(values > 0.0), error)
+    assert {b: str(e) for b, e in again.value.errors.items()} == {
+        b: str(e) for b, e in err.value.errors.items()
+    }
+    with pytest.raises(ValueError, match="^-1.0 at -1.0$"):
+        tm.reject(True, lambda at: ValueError(f"{at(-1.0)!r} at {at(-1.0)}"))
+    tm.require(values[:1] > 0.0, error)
+    tm.reject(np.zeros(3, dtype=bool), error)
+
+
+def test_column_results_evaluates_no_column_twice():
+    # the failing columns keep their errors and the others run again as
+    # one batch; with `first`, only the columns before the first failure
+    calls = []
+
+    def fn(xs):
+        calls.append(xs.tolist())
+        tm.reject(xs > 2.0, lambda at: ValueError(f"{at(xs)} too large"))
+        tm.reject(xs < 0.0, lambda at: ValueError(f"{at(xs)} negative"))
+        return (10.0 * xs).tolist()
+
+    xs = np.array([1.0, 3.0, -1.0, 2.0, 4.0])
+    out = tm.column_results(fn, xs)
+    assert [str(r) if isinstance(r, Exception) else r for r in out] == [
+        10.0, "3.0 too large", "-1.0 negative", 20.0, "4.0 too large"
+    ]
+    assert calls == [[1.0, 3.0, -1.0, 2.0, 4.0], [1.0, -1.0, 2.0], [1.0, 2.0]]
+    calls.clear()
+    out = tm.column_results(fn, xs, first=True)
+    assert out[:1] == [10.0] and str(out[1]) == "3.0 too large" and len(out) == 2
+    assert calls == [[1.0, 3.0, -1.0, 2.0, 4.0], [1.0]]
+    assert tm.column_results(fn, np.array([1.0, 2.0]), first=True) == [10.0, 20.0]
+    assert tm.column_results(fn, np.zeros(0)) == []
 
 
 def test_expression_parser_matches_direct():
