@@ -796,22 +796,31 @@ def run(config, tol_overrides=None, seed=None, checks=None) -> dict:
     }
 
 
+# the words JSON readers take for the floats that `format` spells nan, inf, -inf
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _format_float(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return format(float(value), ".17g")
+    text = format(value, ".17g")
+    return _NONFINITE.get(text, text)
 
 
-def _emit_json_value(obj, indent, out):
+def _emit_string(text: str, strings: dict) -> str:
+    """The JSON of a string, encoded once per report in `strings`."""
+    out = strings.get(text)
+    if out is None:
+        out = strings[text] = json.dumps(text)
+    return out
+
+
+def _emit_json_value(obj, indent, out, strings):
     # exact floats and strings, most of a report, skip the isinstance chain;
     # bool, numpy scalars and subclasses go through it in its order
     kind = type(obj)
     if kind is float:
         out.append(_format_float(obj))
     elif kind is str:
-        out.append(json.dumps(obj))
+        out.append(_emit_string(obj, strings))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -819,11 +828,18 @@ def _emit_json_value(obj, indent, out):
         inner, last = "  " * (indent + 1), len(obj) - 1
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            out.append(inner)
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _emit_json_value(value, indent + 1, out)
-            out.append(",\n" if i < last else "\n")
+            key = _emit_string(key, strings) if type(key) is str else json.dumps(str(key))
+            end = ",\n" if i < last else "\n"
+            # a row's fields and class: no call of their own
+            if type(value) is float:
+                out.append(f"{inner}{key}: {_format_float(value)}{end}")
+                continue
+            if type(value) is str:
+                out.append(f"{inner}{key}: {_emit_string(value, strings)}{end}")
+                continue
+            out.append(f"{inner}{key}: ")
+            _emit_json_value(value, indent + 1, out, strings)
+            out.append(end)
         out.append("  " * indent + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
@@ -832,9 +848,13 @@ def _emit_json_value(obj, indent, out):
         inner, last = "  " * (indent + 1), len(obj) - 1
         out.append("[\n")
         for i, value in enumerate(obj):
+            end = ",\n" if i < last else "\n"
+            if type(value) is float:  # a coordinate: no call of its own
+                out.append(f"{inner}{_format_float(value)}{end}")
+                continue
             out.append(inner)
-            _emit_json_value(value, indent + 1, out)
-            out.append(",\n" if i < last else "\n")
+            _emit_json_value(value, indent + 1, out, strings)
+            out.append(end)
         out.append("  " * indent + "]")
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
@@ -853,7 +873,7 @@ def _emit_json_value(obj, indent, out):
 def emit_json(report: dict) -> str:
     """Serialize a report with 17-significant-digit floats, stable layout."""
     out = []
-    _emit_json_value(report, 0, out)
+    _emit_json_value(report, 0, out, {})
     out.append("\n")
     return "".join(out)
 

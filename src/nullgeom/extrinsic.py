@@ -6,9 +6,10 @@ lists of the stages before it:
 
 1. `height`: the cone height u = psi^0, its gradient and its Hessian;
 2. `null_frame`: xi, the time axis and its normal part, nu and eta, as
-   vector Series of the ambient components, so that one more coordinate
-   derivative stays exact (`null_partner` is its last step, eta from xi,
-   nu and <xi, nu>);
+   vector Series of the ambient components at order 1 (`FRAME_ORDER`), so
+   that their first coordinate derivatives, all the Weingarten maps read,
+   are exact (`null_partner` is its last step, eta from xi, nu and
+   <xi, nu>);
 3. `weingarten_map` of the xi and eta fields;
 4. `second_fundamental_form` and `expansions`: theta_xi, theta_eta, the
    mean curvature vector H and <H, H>.
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nullcone, spacetime, taylor
-from .immersion import ChartGeometry, Immersion, chart_geometry
+from .immersion import FRAME_ORDER, ChartGeometry, Immersion, chart_geometry
 from .taylor import Series, format_point
 
 MARGINAL_EPS = 1e-7
@@ -157,22 +158,27 @@ def height(geo: ChartGeometry):
 
 
 def null_frame(geo: ChartGeometry):
-    """Vector Series of xi, the time axis, its normal part, nu and eta.
+    """Vector Series of xi, the time axis, its normal part, nu and eta, of
+    order 1: psi, d psi, f, f^2 and the inverse metric enter cut to it.
 
     xi is the cone's null gradient, future-normalized; the normal part of
     the time axis is left unnormalized, and nu is its unit multiple.
     Raises `FrameDegeneracyError` where that part is not timelike.
     """
     model, cone = geo.immersion.model, geo.immersion.target_cone
-    psi, dpsi, ctx, batch = geo.psi, geo.dpsi, geo.ctx, geo.batch
-    xi = Series.stack(nullcone.grad_F_components(cone, psi, geo.f), ctx, batch)
+    psi = [s.truncate(FRAME_ORDER) for s in geo.psi]
+    dpsi = geo.dpsi.truncate(FRAME_ORDER)
+    f = None if geo.f is None else geo.f.truncate(FRAME_ORDER)
+    f2 = None if geo.f2 is None else geo.f2.truncate(FRAME_ORDER)
+    ctx, batch = dpsi.ctx, geo.batch
+    xi = Series.stack(nullcone.grad_F_components(cone, psi, f), ctx, batch)
     if cone.variant == "desitter_alpha":
         # future-normalize on the R > 0 component of a de Sitter section;
         # scaling by -1 or 1 is negation or a copy, bit for bit
         xi = xi * taylor.as_value(np.where(cone.scale(geo.psi0[..., 0]) > 0.0, -1.0, 1.0))
     axis = Series.stack(spacetime.time_axis(model, psi), ctx, batch)
     if model.kind == "desitter":
-        b = spacetime.ambient_inner(model, geo.f2, axis, dpsi)
+        b = spacetime.ambient_inner(model, f2, axis, dpsi)
     else:
         # the axis is (1, 0, ..., 0), so <axis, d_j psi> = -d_j psi^0; 0 - c
         # gives what the ambient product gives, signs of zeros included
@@ -182,7 +188,7 @@ def null_frame(geo: ChartGeometry):
     normal = axis
     for i in range(geo.dim):
         normal = normal - steps[i]
-    nn = spacetime.ambient_inner(model, geo.f2, normal, normal)
+    nn = spacetime.ambient_inner(model, f2, normal, normal)
     taylor.reject(
         nn.val >= -1e-12,
         lambda at: FrameDegeneracyError(
@@ -190,7 +196,7 @@ def null_frame(geo: ChartGeometry):
         ),
     )
     nu = (1.0 / taylor.sqrt(-nn)) * normal
-    eta = null_partner(geo, xi, nu, spacetime.ambient_inner(model, geo.f2, xi, nu))
+    eta = null_partner(geo, xi, nu, spacetime.ambient_inner(model, f2, xi, nu))
     return xi, axis, normal, nu, eta
 
 
@@ -215,7 +221,7 @@ def _directional(geo: ChartGeometry, field: Series, df) -> list:
     model = geo.immersion.model
     n0 = _values(field)
     # [a, j] = d_j N^a
-    d = taylor.batch_first(np.moveaxis(field.c[geo.ctx.first], 0, 1), 2)
+    d = taylor.batch_first(np.moveaxis(field.c[field.ctx.first], 0, 1), 2)
     return [
         d[..., j] + spacetime.warped_connection_term(model, df, geo.tangents[..., j, :], n0)
         for j in range(geo.dim)

@@ -1,14 +1,18 @@
 """Immersed charts: induced metrics, connection and intrinsic curvature.
 
 A submanifold enters the engine as a chart map into an ambient model's
-coordinates.  All differentiation happens through order-3 Taylor jets at a
-base point, from which the induced metric is exact to order 2, the
-Christoffel symbols to order 1, and the curvature tensor at order 0 --
-enough for every intrinsic quantity reported downstream.  The metric
-algebra runs on matrix and vector Series (`taylor`'s component axes), one
-product per matrix rather than one per entry.  The same code evaluates one
-point or a batch of points, the batch riding along as the trailing axis of
-every Series and the leading axis of every array.
+coordinates.  All differentiation happens through Taylor jets at a base
+point, and each stage carries only the order it reads: the chart map psi
+at order 3 (`JET_ORDER`), its first partials, the fiber scale and the
+induced metric at order 2 (`METRIC_ORDER`), and the inverse metric and the
+Christoffel symbols at order 1 (`FRAME_ORDER`), from which the curvature
+tensor follows at order 0 -- enough for every intrinsic quantity reported
+downstream.  A stage cuts the Series it is handed with `Series.truncate`,
+a prefix of the coefficients.  The metric algebra runs on matrix and
+vector Series (`taylor`'s component axes), one product per matrix rather
+than one per entry.  The same code evaluates one point or a batch of
+points, the batch riding along as the trailing axis of every Series and
+the leading axis of every array.
 
 A metric can also be handed over directly in chart coordinates
 (`MetricChart`) when there is no ambient picture, e.g. model-space metrics
@@ -28,7 +32,11 @@ from .nullcone import NullconeSpec, PointRejected, require_on_cone
 from .spacetime import AmbientModel
 from .taylor import BatchRejected, DomainError, Series, SmoothMap, format_point
 
+# the jet order of each stage: psi; d psi, f, f^2 and the metric; the
+# inverse metric, the Christoffel symbols and the null frame
 JET_ORDER = 3
+METRIC_ORDER = 2
+FRAME_ORDER = 1
 
 # induced metrics must be Riemannian; eigenvalues below this are a signature defect
 _EIG_FLOOR = -1e-12
@@ -99,15 +107,24 @@ def _require_on_cone(cone: NullconeSpec, psi0):
         raise BatchRejected(errors)
 
 
-def _stacked(op, error, a, *args):
+def _singular(a) -> np.ndarray:
+    """The (B,) mask of the matrices of a stack that LU factorization with
+    partial pivoting (LAPACK's getrf, which `inv` and `solve` run) finds
+    exactly singular: one batched `slogdet`, whose sign is 0 there."""
+    return np.linalg.slogdet(a)[0] == 0.0
+
+
+def _stacked(op, error, a, *args, refused=None):
     """A numpy.linalg `op` over a matrix or a stack of them; a `LinAlgError`,
     which fails a stack as a whole, is `taylor.reject`'s `error` for each
-    matrix that fails alone."""
+    matrix that `refused(a)` flags, or, without it, each that fails alone."""
     try:
         return op(a, *args)
     except np.linalg.LinAlgError:
         bad = True
-        if a.ndim > 2:
+        if a.ndim > 2 and refused is not None:
+            bad = refused(a)
+        elif a.ndim > 2:
             bad = np.zeros(len(a), dtype=bool)
             for b in range(len(a)):
                 try:
@@ -115,7 +132,7 @@ def _stacked(op, error, a, *args):
                 except np.linalg.LinAlgError:
                     bad[b] = True
         taylor.reject(bad, error)
-        raise  # no matrix of the stack fails alone
+        raise  # no matrix of the stack is flagged
 
 
 @dataclass(frozen=True)
@@ -140,24 +157,19 @@ def _mirrored(g: Series) -> Series:
     return Series(g.ctx, c, g.shape)
 
 
-def _matmul(a: Series, b: Series) -> Series:
-    """The matrix product of (n, n) Series, each entry summed left to right
-    from Python's start 0, as `sum` over l of a[i][l] * b[l][j] gives it."""
-    return (a[:, :, None] * b[None, :, :]).sum(axis=1, start=0.0)
-
-
 class ChartGeometry:
-    """Order-3 metric jet at a chart point, or at each point of a batch, and
+    """Order-2 metric jet at a chart point, or at each point of a batch, and
     everything derived from it.
 
     Built either from an immersion (metric pulled back through the ambient
     inner product of the derivative series `dpsi`, at the fiber scale
     `f2 = f * f` of the warping profile f of the Series time psi^0) or from
     a metric chart.  `g_series` is the (n, n) Series of the metric and
-    `dpsi` the (n, ambient) Series of the d_i psi^a.  At one point `x` has
-    shape (n,) and arrays the shapes noted below; on a batch `x` is (B, n),
-    every Series carries B columns and every array a leading batch axis.
-    Quantities are computed lazily and cached.
+    `dpsi` the (n, ambient) Series of the d_i psi^a, both of order 2 like
+    f and f2; psi keeps order 3.  At one point `x` has shape (n,) and
+    arrays the shapes noted below; on a batch `x` is (B, n), every Series
+    carries B columns and every array a leading batch axis.  Quantities are
+    computed lazily and cached.
     """
 
     def __init__(self, x, g_series: Series, psi=None, dpsi=None, f=None, f2=None,
@@ -183,7 +195,7 @@ class ChartGeometry:
             ),
         )
         self.g0 = g0
-        self.g_inv0 = _stacked(np.linalg.inv, self._defect("is singular"), g0)
+        self.g_inv0 = _stacked(np.linalg.inv, self._defect("is singular"), g0, refused=_singular)
 
     def _defect(self, what: str):
         """The error factory of a defect of the induced metric: it `what`."""
@@ -225,23 +237,23 @@ class ChartGeometry:
 
     @cached_property
     def g_inv_series(self) -> Series:
-        """The inverse metric (n, n): the Neumann series around the point
-        value, (I + A0inv E)^-1 A0inv with E = g - g(x), to order 3."""
+        """The inverse metric (n, n) to order 1: the Neumann series around
+        the point value, (I + A0inv E)^-1 A0inv with E = g - g(x), whose
+        terms past (I - A0inv E) A0inv start at order 2."""
         n = self.dim
         a0inv = self._entries(self.g_inv0)
-        e = self.g_series - self._entries(self.g0)
+        e = self.g_series.truncate(FRAME_ORDER) - self._entries(self.g0)
         # m[i, j] = sum over l of a0inv[i, l] * e[l, j]
         m = (e[None, :, :] * a0inv[:, :, None]).sum(axis=1, start=0.0)
-        m2 = _matmul(m, m)
-        m3 = _matmul(m2, m)
         eye = np.eye(n) if self.batch is None else np.eye(n)[:, :, None]
-        x = eye - m + m2 - m3
+        x = eye - m
         return (x[:, :, None] * a0inv[None, :, :]).sum(axis=1, start=0.0)
 
     @cached_property
     def christoffel_series(self) -> Series:
-        """Gamma^k_ij as a (k, i, j) Series; exact to order 1."""
-        dg = self.g_series.gradient()  # [k, i, j] = d_k g_ij
+        """Gamma^k_ij as a (k, i, j) Series of order 1."""
+        # [k, i, j] = d_k g_ij, exact to order 1
+        dg = self.g_series.gradient().truncate(FRAME_ORDER)
         # [i, j, l] = d_i g_lj + d_j g_li - d_l g_ij
         s = dg.transpose(0, 2, 1) + dg.transpose(2, 0, 1) - dg.transpose(1, 2, 0)
         terms = self.g_inv_series[:, None, None, :] * s[None]
@@ -255,11 +267,9 @@ class ChartGeometry:
     @cached_property
     def riemann(self) -> np.ndarray:
         """R^l_ijk = <chart components of R(d_i, d_j) d_k>, value only."""
-        gamma = self.christoffel
+        gamma, series = self.christoffel, self.christoffel_series
         # d_i Gamma^l_jk, indexed [l, j, k, i]: the first partials of the series
-        dgamma = taylor.batch_first(
-            np.moveaxis(self.christoffel_series.c[self.ctx.first], 0, 3), 4
-        )
+        dgamma = taylor.batch_first(np.moveaxis(series.c[series.ctx.first], 0, 3), 4)
         # [l, i, j, k] = d_i Gamma^l_jk and d_j Gamma^l_ik
         d_i = dgamma.swapaxes(-1, -2).swapaxes(-2, -3)
         d_j = dgamma.swapaxes(-1, -2)
@@ -283,7 +293,10 @@ class ChartGeometry:
         """
         l = _stacked(np.linalg.cholesky, self._defect("has no Cholesky factor"), self.g0)
         eye = np.broadcast_to(np.eye(self.dim), l.shape)
-        solved = _stacked(np.linalg.solve, self._defect("has a singular Cholesky factor"), l, eye)
+        solved = _stacked(
+            np.linalg.solve, self._defect("has a singular Cholesky factor"), l, eye,
+            refused=_singular,
+        )
         return np.swapaxes(solved, -1, -2)
 
     # -- scalar fields on the chart --------------------------------------
@@ -317,11 +330,11 @@ class ChartGeometry:
 
 def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGeometry:
     psi = im.series(x, JET_ORDER, check_membership)
-    # [i, a] = d_i psi^a
-    dpsi = Series.stack(psi, psi[0].ctx).gradient()
+    # [i, a] = d_i psi^a, exact to order 2
+    dpsi = Series.stack(psi, psi[0].ctx).gradient().truncate(METRIC_ORDER)
     # the profile f at the Series time, kept for the cone gradient; f^2 is
     # `spacetime.fiber_scale` of the same time
-    f = im.model.warping(psi[0]) if im.model.warped else None
+    f = im.model.warping(psi[0].truncate(METRIC_ORDER)) if im.model.warped else None
     f2 = None if f is None else f * f
     g = _mirrored(spacetime.ambient_inner(im.model, f2, dpsi[:, None, :], dpsi[None, :, :]))
     return ChartGeometry(x, g, psi=psi, dpsi=dpsi, f=f, f2=f2, immersion=im)
@@ -329,7 +342,7 @@ def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGe
 
 def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
     x = np.asarray(x, dtype=np.float64)
-    ctx = taylor.get_context(chart.dim, JET_ORDER)
+    ctx = taylor.get_context(chart.dim, METRIC_ORDER)
     batch = len(x) if x.ndim == 2 else None
     coords = [Series.variable(ctx, i, x[..., i]) for i in range(chart.dim)]
     raw = chart.metric(coords)

@@ -272,13 +272,17 @@ def ambient_inner(model: AmbientModel, f2, v, w):
     v and w are float arrays (components last, after any batch axis) or
     Series whose last component axis is the ambient one; their other axes
     broadcast, so one product covers every pair of vectors, and the sum
-    over the components runs left to right.  Vectors are expected tangent
-    to the spacetime (quadric-normal parts of curved fibers acquire no
-    metric meaning here).
+    over the components runs left to right, on Series as one signed fold.
+    Vectors are expected tangent to the spacetime (quadric-normal parts of
+    curved fibers acquire no metric meaning here).
     """
     if v.shape[-1] != model.coord_count or w.shape[-1] != model.coord_count:
         raise ValueError("vector dimension does not match the model")
     p = v * w
+    if isinstance(p, Series):
+        if not model.warped:
+            return p.sum(signs=model.signature)
+        return -p[..., 0] + f2 * p[..., 1:].sum(signs=model.signature[1:])
     if not model.warped:
         acc = -p[..., 0]
         for a in range(1, model.coord_count):

@@ -20,7 +20,10 @@ context's (i, j, k) table, with slot k*W + w for entry w of the flattened
 trailing axes, so every entry accumulates in table order exactly as a lone
 scalar at one point does; a large batch product runs in blocks of columns,
 which keeps its temporaries small.  Sums over a component axis run left to
-right.
+right.  The product of order-k prefixes is the order-k prefix of the
+product, entry for entry in table order, so `Series.truncate` cuts a Series
+to a lower order as a prefix view; Series of two contexts never combine (a
+`TypeError`: mixed orders are a programming error, not a rejected point).
 Derivative tables of the primitives are computed one column at a time with
 `math`, whose last bits numpy's ufuncs do not always reproduce; a float
 overflow there, a math domain error (the sine of an infinity), or a
@@ -358,6 +361,8 @@ class Series:
         """Series of equal shape, or values made constant, stacked along a
         new first component axis."""
         items = [as_series(x, ctx, batch) for x in items]
+        for s in items:
+            _same_context(ctx, s)
         c = np.stack([s.c for s in items], axis=1)
         return cls(ctx, c, (len(items),) + items[0].shape)
 
@@ -410,18 +415,34 @@ class Series:
         order = (0,) + tuple(1 + a for a in axes) + tuple(range(1 + k, self.c.ndim))
         return self._with(self.c.transpose(order))
 
-    def sum(self, axis: int = -1, start=None) -> "Series":
+    def sum(self, axis: int = -1, start=None, signs=None) -> "Series":
         """The sum over one component axis, left to right.  A float `start`
         is added to the first entry first, as Python's `sum` adds its start
-        0 (which makes a -0.0 value +0.0)."""
+        0 (which makes a -0.0 value +0.0).  With `signs`, one +1 or -1 per
+        entry of the axis, an entry of sign -1 is subtracted (the first one
+        negated), as `acc - c` and `-c` give it."""
         axis %= len(self.shape)
         lead = (slice(None),) * (1 + axis)
-        acc = self.c[lead + (0,)].copy()
+        first = self.c[lead + (0,)]
+        acc = -first if signs is not None and signs[0] < 0 else first.copy()
         if start is not None:
             acc[0] += start
         for k in range(1, self.shape[axis]):
-            acc += self.c[lead + (k,)]
+            if signs is not None and signs[k] < 0:
+                acc -= self.c[lead + (k,)]
+            else:
+                acc += self.c[lead + (k,)]
         return self._with(acc)
+
+    def truncate(self, order: int) -> "Series":
+        """The Series cut to a lower `order`: the multi-indices are stored in
+        graded order, so its coefficients are a prefix view of these."""
+        if order == self.ctx.order:
+            return self
+        if order > self.ctx.order:
+            raise ValueError(f"cannot raise a series of order {self.ctx.order} to {order}")
+        ctx = get_context(self.ctx.n, order)
+        return Series(ctx, self.c[:ctx.n_terms], self.shape)
 
     def derivative(self, v: int) -> "Series":
         """Series of the partial derivative along variable v.
@@ -445,6 +466,7 @@ class Series:
 
     def __add__(self, other):
         if isinstance(other, Series):
+            _same_context(self.ctx, other)
             if other.shape == self.shape:
                 return Series(self.ctx, self.c + other.c, self.shape)
             a, b = self._aligned(other)
@@ -457,6 +479,7 @@ class Series:
 
     def __sub__(self, other):
         if isinstance(other, Series):
+            _same_context(self.ctx, other)
             if other.shape == self.shape:
                 return Series(self.ctx, self.c - other.c, self.shape)
             a, b = self._aligned(other)
@@ -472,6 +495,7 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, Series):
+            _same_context(self.ctx, other)
             ctx, shape = self.ctx, self.shape
             if other.shape == shape:
                 batch = self.c.ndim > 1 + len(shape)
@@ -534,6 +558,16 @@ class Series:
         return (
             f"Series(n={self.ctx.n}, order={self.ctx.order}, shape={self.shape}, "
             f"batch={self.batch})"
+        )
+
+
+def _same_context(ctx: JetContext, other: Series):
+    """Refuse a Series of another jet context than `ctx`: mixed orders are a
+    programming error, never a rejected point."""
+    if other.ctx is not ctx:
+        raise TypeError(
+            f"series of order {other.ctx.order} in {other.ctx.n} variables combined with "
+            f"one of order {ctx.order} in {ctx.n}"
         )
 
 

@@ -1,6 +1,7 @@
 """Shared immersions, metric charts and sample boxes for the geometry
 test-suite, and the oracles that only the tests use."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import numpy as np
 from nullgeom import cli
 from nullgeom import conformal as cf
 from nullgeom import extrinsic as ext
+from nullgeom import immersion as imm
 from nullgeom import nullcone as nc
 from nullgeom import spacetime as st
 from nullgeom import taylor as tm
@@ -41,7 +43,9 @@ __all__ = [
     "desitter_embed",
     "desitter_graph_height",
     "normal_connection_residual",
+    "emit_json_reference",
     "evaluate_alone",
+    "refused_alone",
     "pullback_alone",
     "local_inverse_alone",
     "factorization_alone",
@@ -50,6 +54,7 @@ __all__ = [
     "entry_g_inv",
     "entry_christoffel",
     "entry_null_frame",
+    "order3_stages",
 ]
 
 
@@ -215,6 +220,67 @@ def normal_connection_residual(pt):
     return worst
 
 
+def _format_float_reference(value: float) -> str:
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return format(float(value), ".17g")
+
+
+def _emit_value_reference(obj, indent, out):
+    kind = type(obj)
+    if kind is float:
+        out.append(_format_float_reference(obj))
+    elif kind is str:
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, last = "  " * (indent + 1), len(obj) - 1
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(inner)
+            out.append(json.dumps(str(key)))
+            out.append(": ")
+            _emit_value_reference(value, indent + 1, out)
+            out.append(",\n" if i < last else "\n")
+        out.append("  " * indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner, last = "  " * (indent + 1), len(obj) - 1
+        out.append("[\n")
+        for i, value in enumerate(obj):
+            out.append(inner)
+            _emit_value_reference(value, indent + 1, out)
+            out.append(",\n" if i < last else "\n")
+        out.append("  " * indent + "]")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_format_float_reference(float(obj)))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot emit {type(obj).__name__} into a report")
+
+
+def emit_json_reference(report: dict) -> str:
+    """A report's JSON with each key and string encoded where it occurs and
+    each float tested for nan and inf first: the oracle of `cli.emit_json`."""
+    out = []
+    _emit_value_reference(report, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
 def evaluate_alone(scene, x):
     """The grid pass's row or rejection of the point x evaluated alone, on
     the one-point path: the oracle of the batched grid pass."""
@@ -224,6 +290,18 @@ def evaluate_alone(scene, x):
     except Exception as err:  # a typed rejection, or raised again
         return "rejected", cli._rejection(x, err), None
     return "row", row, diag
+
+
+def refused_alone(op, a, *args) -> np.ndarray:
+    """The (B,) mask of the matrices of a stack that the numpy.linalg `op`
+    refuses one at a time: the oracle of `immersion._singular`."""
+    bad = np.zeros(len(a), dtype=bool)
+    for b in range(len(a)):
+        try:
+            op(a[b], *(arg[b] for arg in args))
+        except np.linalg.LinAlgError:
+            bad[b] = True
+    return bad
 
 
 def pullback_alone(spec, geo, expected_factor=None):
@@ -344,10 +422,11 @@ def entry_inner(model, f2, v, w):
     return -(v[0] * w[0]) + f2 * acc
 
 
-def entry_pullback(im, psi, f2):
-    """The induced metric [i][j] and d_i psi^a as nested lists of Series."""
+def entry_pullback(im, psi, f2, order=imm.METRIC_ORDER):
+    """The induced metric [i][j] and d_i psi^a as nested lists of Series of
+    `order`, from the order-3 psi and f2 of `order`."""
     n = im.dim
-    dpsi = [[comp.derivative(i) for comp in psi] for i in range(n)]
+    dpsi = [[comp.derivative(i).truncate(order) for comp in psi] for i in range(n)]
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -363,31 +442,39 @@ def _smat_mul(a, b):
     ]
 
 
-def entry_g_inv(g, g0, g_inv0):
-    """The Neumann series of the inverse metric, entry by entry; g0 and
-    g_inv0 are values with any batch axis last."""
+def entry_g_inv(g, g0, g_inv0, order=imm.FRAME_ORDER):
+    """The Neumann series of the inverse metric to `order`, entry by entry:
+    (I - m + m^2 - ...) A0inv through m^order; g0 and g_inv0 are values
+    with any batch axis last."""
     n = len(g)
-    e = [[g[i][j] - g0[i, j] for j in range(n)] for i in range(n)]
+    e = [[g[i][j].truncate(order) - g0[i, j] for j in range(n)] for i in range(n)]
     m = [
         [sum(g_inv0[i, l] * e[l][j] for l in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    m2 = _smat_mul(m, m)
-    m3 = _smat_mul(m2, m)
-    x = [
-        [(1.0 if i == j else 0.0) - m[i][j] + m2[i][j] - m3[i][j] for j in range(n)]
-        for i in range(n)
-    ]
+    x = [[(1.0 if i == j else 0.0) - m[i][j] for j in range(n)] for i in range(n)]
+    power = m
+    for k in range(2, order + 1):
+        power = _smat_mul(power, m)
+        even = k % 2 == 0
+        x = [
+            [x[i][j] + power[i][j] if even else x[i][j] - power[i][j] for j in range(n)]
+            for i in range(n)
+        ]
     return [
         [sum(x[i][l] * g_inv0[l, j] for l in range(n)) for j in range(n)]
         for i in range(n)
     ]
 
 
-def entry_christoffel(g, ginv):
-    """Gamma^k_ij as Series indexed [k][i][j]."""
+def entry_christoffel(g, ginv, order=imm.FRAME_ORDER):
+    """Gamma^k_ij as Series of `order` indexed [k][i][j], from the metric
+    entries and the inverse metric of `order`."""
     n = len(g)
-    dg = [[[g[i][j].derivative(k) for j in range(n)] for i in range(n)] for k in range(n)]
+    dg = [
+        [[g[i][j].derivative(k).truncate(order) for j in range(n)] for i in range(n)]
+        for k in range(n)
+    ]
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for i in range(n):
@@ -400,20 +487,27 @@ def entry_christoffel(g, ginv):
     return gamma
 
 
-def entry_null_frame(geo, ginv, dpsi):
-    """xi, nu and eta as component lists of Series, from the entry lists
-    of the inverse metric and of d_i psi."""
-    model, cone = geo.immersion.model, geo.immersion.target_cone
-    psi, n, f2 = geo.psi, geo.dim, geo.f2
-    xi = nc.grad_F_components(cone, psi, geo.f)
+def entry_null_frame(im, psi, f, f2, ginv, dpsi, order=imm.FRAME_ORDER):
+    """xi, nu and eta as component lists of Series of `order`, from the
+    entry lists of the inverse metric (of `order`) and of d_i psi, with psi,
+    f, f2 and d_i psi cut to `order`."""
+    model, cone, n = im.model, im.target_cone, im.dim
+
+    def cut(s):
+        return None if s is None else s.truncate(order)
+
+    psi, f, f2 = [cut(s) for s in psi], cut(f), cut(f2)
+    dpsi = [[cut(s) for s in row] for row in dpsi]
+    ctx, batch = psi[0].ctx, psi[0].batch
+    xi = nc.grad_F_components(cone, psi, f)
     if cone.variant == "desitter_alpha":
-        sign = np.where(cone.scale(geo.psi0[..., 0]) > 0.0, -1.0, 1.0)
+        sign = np.where(cone.scale(psi[0].val) > 0.0, -1.0, 1.0)
         xi = [c * tm.as_value(sign) for c in xi]
-    axis = [tm.as_series(c, geo.ctx, geo.batch) for c in st.time_axis(model, psi)]
+    axis = [tm.as_series(c, ctx, batch) for c in st.time_axis(model, psi)]
     if model.kind == "desitter":
         b = [entry_inner(model, f2, axis, dpsi[j]) for j in range(n)]
     else:
-        b = [tm.Series(geo.ctx, 0.0 - dpsi[j][0].c) for j in range(n)]
+        b = [tm.Series(ctx, 0.0 - dpsi[j][0].c) for j in range(n)]
     coeff = [sum(ginv[i][j] * b[j] for j in range(n)) for i in range(n)]
     normal = []
     for a in range(len(psi)):
@@ -427,3 +521,21 @@ def entry_null_frame(geo, ginv, dpsi):
     a, b = -1.0 / (2.0 * c * c), -1.0 / c
     eta = [a * x + b * v for x, v in zip(xi, nu)]
     return xi, nu, eta
+
+
+def order3_stages(geo):
+    """The stages of a chart geometry's immersion with every Series at
+    order 3, by the entry algebra with the Neumann series through m^3, as
+    the pipeline ran them before each stage was cut to the order it reads:
+    a dict of nested lists of Series, each stage's reference prefix."""
+    im, order = geo.immersion, imm.JET_ORDER
+    psi = geo.psi
+    f = im.model.warping(psi[0]) if im.model.warped else None
+    f2 = None if f is None else f * f
+    g, dpsi = entry_pullback(im, psi, f2, order)
+    g_inv = entry_g_inv(g, geo._entries(geo.g0), geo._entries(geo.g_inv0), order)
+    xi, nu, eta = entry_null_frame(im, psi, f, f2, g_inv, dpsi, order)
+    return {
+        "f": f, "f2": f2, "dpsi": dpsi, "g": g, "g_inv": g_inv,
+        "christoffel": entry_christoffel(g, g_inv, order), "xi": xi, "nu": nu, "eta": eta,
+    }

@@ -33,7 +33,7 @@ from nullgeom.conformal import MAP_VARIANTS
 from nullgeom.nullcone import CONE_RULES
 from nullgeom.scenes import builtin_scenes
 
-from _surfaces import evaluate_alone
+from _surfaces import emit_json_reference, evaluate_alone
 
 
 def small(doc, count=4):
@@ -981,3 +981,20 @@ def test_config_output_block_honored(tmp_path, capsys):
     assert cli.main(["check", "--config", str(path)]) == EXIT_PASS
     assert out.read_text().startswith("x0,")
     capsys.readouterr()
+
+
+def test_emit_json_matches_reference_emitter_bytes():
+    # every built-in scene report, and values of each kind the emitter meets
+    for config in builtin_scenes().values():
+        report = cli.run(config, seed=3)
+        assert cli.emit_json(report) == emit_json_reference(report)
+    odd = {
+        "floats": [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310, 0.1, 1e300],
+        "numpy": [np.float64(-0.0), np.float32(0.1), np.float64(np.inf), np.int64(-3),
+                  np.bool_(True), np.bool_(False), np.float64(np.nan)],
+        "plain": [True, False, None, 0, -7, 2**70, "", "é \"quoted\"\n", ("a", "a")],
+        "empty": {"dict": {}, "list": [], "tuple": ()},
+        3: "a non-string key", "a": "a", "nested": [{"a": [{"a": "a"}]}],
+    }
+    assert cli.emit_json(odd) == emit_json_reference(odd)
+    assert cli.emit_json({}) == emit_json_reference({}) == "{}\n"

@@ -28,6 +28,7 @@ from _surfaces import (
     grw_graph,
     marginal_height_profile,
     normal_connection_residual,
+    order3_stages,
     psi_f_desitter,
     psi_f_minkowski,
     sample_box,
@@ -124,10 +125,14 @@ POINTWISE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "p
 
 
 def series_frame_residual(pt):
-    """The frame residual through order-3 series inner products, of which
-    only the values are read: the reference for the value-only residual."""
+    """The frame residual through series inner products at the frame's
+    order, of which only the values are read: the reference for the
+    value-only residual."""
+    f2 = None if pt.geo.f2 is None else pt.geo.f2.truncate(imm.FRAME_ORDER)
+    dpsi = pt.geo.dpsi.truncate(imm.FRAME_ORDER)
+
     def inner(a, b):
-        return st.ambient_inner(pt.model, pt.geo.f2, a, b).val
+        return st.ambient_inner(pt.model, f2, a, b).val
 
     xi, eta, nu = pt.xi_series, pt.eta_series, pt.nu_series
     worst = abs(inner(xi, xi))
@@ -136,7 +141,7 @@ def series_frame_residual(pt):
     worst = max(worst, abs(inner(nu, nu) + 1.0))
     for field in (xi, eta, nu):
         for j in range(pt.n):
-            worst = max(worst, abs(inner(field, pt.geo.dpsi[j])))
+            worst = max(worst, abs(inner(field, dpsi[j])))
     t = pt.time_axis_series
     if inner(xi, nu) >= 0.0 or inner(eta, nu) >= 0.0 or inner(nu, t) >= 0.0:
         worst = max(worst, 1.0)
@@ -184,28 +189,37 @@ def assert_entries_equal(series, nested, index=()):
         assert_entries_equal(series, item, index + (k,))
 
 
-@settings(deadline=None, max_examples=40)
-@given(hs.data())
-def test_component_algebra_matches_entry_algebra_bitwise(data):
-    # points of a built-in scene's box, one at a time or as one batch: the
-    # component-axis metric algebra and null frame reproduce the entry by
-    # entry Series algebra bit for bit, signs of zeros included
+def drawn_points(data) -> list:
+    """ExtrinsicPoints at points drawn from a built-in scene's box, one at
+    a time or as one batch; points the pipeline rejects are left out."""
     name = data.draw(hs.sampled_from(sorted(builtin_scenes())))
     scene = cli.parse_scene(builtin_scenes()[name])
     count = data.draw(hs.integers(1, 4))
     coordinate = [hs.floats(float(ax[0]), float(ax[-1])) for ax in scene.axes]
     x = np.array([[data.draw(c) for c in coordinate] for _ in range(count)])
     as_batch = data.draw(hs.booleans())
+    out = []
     for point in [x] if as_batch else list(x):
         try:
-            pt = ExtrinsicPoint(scene.im, point)
+            out.append(ExtrinsicPoint(scene.im, point))
         except (tm.BatchRejected, tm.DomainError, nc.PointRejected, ext.FrameDegeneracyError,
                 imm.MetricSignatureError):
             continue
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(hs.data())
+def test_component_algebra_matches_entry_algebra_bitwise(data):
+    # points of a built-in scene's box, one at a time or as one batch: the
+    # component-axis metric algebra and null frame reproduce the entry by
+    # entry Series algebra bit for bit, each stage at its order, signs of
+    # zeros included
+    for pt in drawn_points(data):
         geo = pt.geo
-        g, dpsi = entry_pullback(scene.im, geo.psi, geo.f2)
+        g, dpsi = entry_pullback(pt.im, geo.psi, geo.f2)
         g_inv = entry_g_inv(g, geo._entries(geo.g0), geo._entries(geo.g_inv0))
-        xi, nu, eta = entry_null_frame(geo, g_inv, dpsi)
+        xi, nu, eta = entry_null_frame(pt.im, geo.psi, geo.f, geo.f2, g_inv, dpsi)
         assert_entries_equal(geo.dpsi, dpsi)
         assert_entries_equal(geo.g_series, g)
         assert_entries_equal(geo.g_inv_series, g_inv)
@@ -213,6 +227,71 @@ def test_component_algebra_matches_entry_algebra_bitwise(data):
         assert_entries_equal(pt.xi_series, xi)
         assert_entries_equal(pt.nu_series, nu)
         assert_entries_equal(pt.eta_series, eta)
+
+
+def coefficients(nested) -> np.ndarray:
+    """The coefficients of nested lists of Series, laid out as those of a
+    component Series: (n_terms, *components[, B])."""
+    if isinstance(nested, tm.Series):
+        return nested.c
+    return np.stack([coefficients(item) for item in nested], axis=1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(hs.data())
+def test_stage_series_are_prefixes_of_the_order3_algebra(data):
+    # each stage's Series, cut to the order it reads, holds the leading
+    # coefficients of the same stage run with every Series at order 3: equal
+    # as numbers, and bit for bit wherever nonzero (the dropped Neumann
+    # terms of the inverse metric flip at most the signs of exact zeros)
+    for pt in drawn_points(data):
+        geo = pt.geo
+        want = order3_stages(geo)
+        stages = {
+            "dpsi": geo.dpsi, "g": geo.g_series, "g_inv": geo.g_inv_series,
+            "christoffel": geo.christoffel_series,
+            "xi": pt.xi_series, "nu": pt.nu_series, "eta": pt.eta_series,
+        }
+        if geo.f is not None:
+            stages.update(f=geo.f, f2=geo.f2)
+        for name, series in stages.items():
+            got = series.c
+            prefix = coefficients(want[name])[: series.ctx.n_terms]
+            assert got.shape == prefix.shape, name
+            assert np.array_equal(got, prefix), name
+            nonzero = got != 0.0
+            assert got[nonzero].tobytes() == prefix[nonzero].tobytes(), name
+
+
+def test_each_stage_runs_at_its_order():
+    # psi at order 3; d psi, f, f^2, the metric and chart fields at order 2;
+    # the inverse metric, Gamma and the null frame at order 1
+    with POINTWISE.open() as fh:
+        entries = json.load(fh)["scenes"]
+    warped = 0
+    for entry in entries:
+        scene = cli.parse_scene(entry["config"])
+        pt = ExtrinsicPoint(scene.im, np.asarray(entry["pool"][:8]))  # one batch
+        geo = pt.geo
+        assert {s.ctx.order for s in geo.psi} == {3}
+        assert geo.dpsi.ctx.order == geo.g_series.ctx.order == geo.ctx.order == 2
+        assert geo.scalar_series(lambda cs: cs[0]).ctx.order == 2
+        if geo.f is not None:
+            assert geo.f.ctx.order == geo.f2.ctx.order == 2
+            warped += 1
+        assert geo.g_inv_series.ctx.order == geo.christoffel_series.ctx.order == 1
+        frame = (pt.xi_series, pt.time_axis_series, pt.time_orthogonal_series, pt.nu_series,
+                 pt.eta_series)
+        assert {s.ctx.order for s in frame} == {1}
+    assert warped
+
+
+def test_mixed_stage_orders_fail_loudly(monkeypatch):
+    # a frame stage fed Series of two orders is a programming error: it
+    # raises TypeError through the grid pass, never a rejected point
+    monkeypatch.setattr(ext, "FRAME_ORDER", 2)
+    with pytest.raises(TypeError, match="order"):
+        cli.run(builtin_scenes()["grw-exp"])
 
 
 def test_minkowski_xi_is_position_and_slice_pairing():
@@ -237,7 +316,7 @@ def test_frame_requires_cone_and_guards_degeneracy():
     with pytest.raises(ValueError):
         ExtrinsicPoint(free, [1.0, 0.5])
     pt = ExtrinsicPoint(psi_f_minkowski(2), [0.2, 0.1])
-    xi_dot_nu = tm.Series.constant(pt.geo.ctx, 0.25)
+    xi_dot_nu = tm.Series.constant(pt.xi_series.ctx, 0.25)
     with pytest.raises(ext.FrameDegeneracyError):
         ext.null_partner(pt.geo, pt.xi_series, pt.nu_series, xi_dot_nu)
 

@@ -1,8 +1,12 @@
 """Induced metrics, intrinsic operators and curvature of immersed charts."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nullgeom import cli
 from nullgeom import immersion as imm
 from nullgeom import nullcone as nc
 from nullgeom import spacetime as st
@@ -20,6 +24,7 @@ from _surfaces import (
     psi_f_desitter,
     psi_f_minkowski,
     pullback_metric_chart,
+    refused_alone,
     sample_box,
     slice_immersion,
     sphere_box,
@@ -322,3 +327,52 @@ def test_hxr_surface_metric():
         g = imm.chart_geometry(im, x).g0
         v = x[0] ** 2 + 1.0
         assert np.allclose(g, np.diag([1.0, v * v]), atol=1e-12)
+
+
+DENSE_GRID = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "dense-grid.json"
+
+
+def test_singular_mask_matches_inversions_alone_on_dense_grids(monkeypatch):
+    # the metric stacks that inv refuses on the dense grids, whose polar row
+    # is singular: the batched mask flags the matrices inv refuses alone
+    stacks = []
+    real = imm._singular
+
+    def recording(a):
+        stacks.append(a.copy())
+        return real(a)
+
+    monkeypatch.setattr(imm, "_singular", recording)
+    with DENSE_GRID.open() as fh:
+        configs = [s["config"] for s in json.load(fh)["scenes"]]
+    for config in configs:
+        cli.run(config)
+    assert len(stacks) >= len(configs)
+    for a in stacks:
+        mask = real(a)
+        assert mask.any()
+        assert np.array_equal(mask, refused_alone(np.linalg.inv, a))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_singular_mask_matches_inv_and_solve_alone_on_planted_stacks(n):
+    rng = np.random.default_rng(n)
+    eye = np.broadcast_to(np.eye(n), (64, n, n))
+    for _ in range(20):
+        a = rng.standard_normal((64, n, n))
+        planted = rng.choice(64, size=8, replace=False)
+        for k, b in enumerate(planted):
+            m = rng.integers(-3, 4, size=(n, n)).astype(float)
+            if k % 4 == 0:
+                m[rng.integers(n)] = 0.0  # a zero row
+            elif k % 4 == 1:
+                m[:, rng.integers(n)] = 0.0  # a zero column
+            elif k % 4 == 2:
+                m[-1] = 2.0 * m[0]  # two parallel rows
+            else:
+                m = np.outer(m[0], m[1])  # rank one
+            a[b] = m
+        mask = imm._singular(a)
+        assert np.array_equal(mask, refused_alone(np.linalg.inv, a))
+        assert np.array_equal(mask, refused_alone(np.linalg.solve, a, eye))
+        assert mask[planted].sum() >= 4  # the zero rows and columns at least

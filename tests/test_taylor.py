@@ -210,6 +210,42 @@ def test_component_product_matches_entry_products_bitwise(data, n, order, batch)
             entries = [prod[i, j, k] for j in range(4)]
             want = sum(entries) if start is not None else functools.reduce(operator.add, entries)
             assert total[i, k].c.tobytes() == want.c.tobytes()
+    # with signs, an entry of sign -1 is subtracted, and a first one negated
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4))
+    total = prod.sum(axis=1, signs=signs)
+    for i, k in itertools.product(range(2), range(3)):
+        want = prod[i, 0, k] if signs[0] > 0 else -prod[i, 0, k]
+        for j in range(1, 4):
+            want = want + prod[i, j, k] if signs[j] > 0 else want - prod[i, j, k]
+        assert total[i, k].c.tobytes() == want.c.tobytes()
+    # the product of prefixes is the prefix of the product, bit for bit
+    for low in range(order + 1):
+        cut = a.truncate(low) * b.truncate(low)
+        assert cut.ctx is tm.get_context(n, low)
+        assert cut.c.tobytes() == prod.truncate(low).c.tobytes()
+
+
+def test_mixed_orders_fail_loudly():
+    # Series of two jet contexts never combine, in either operand order, and
+    # the TypeError is no rejection: column_results lets it through
+    high = tm.Series.variable(tm.get_context(2, 3), 0, np.array([0.5, 1.5]))
+    low = high.truncate(1)
+    stacked = tm.Series.stack([high, high], high.ctx)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for x, y in ((high, low), (low, high), (stacked, low)):
+            with pytest.raises(TypeError, match="order"):
+                op(x, y)
+    with pytest.raises(TypeError, match="order"):
+        tm.Series.stack([high, low], high.ctx)
+    with pytest.raises(ValueError, match="order"):
+        low.truncate(2)
+
+    def mixed(xs):
+        s = tm.Series.variable(tm.get_context(1, 3), 0, xs[:, 0])
+        return list((s + s.truncate(1)).val)
+
+    with pytest.raises(TypeError):
+        tm.column_results(mixed, np.ones((3, 1)))
 
 
 @pytest.mark.parametrize("shapes, columns", [(((4, 1), (1, 5)), 90), (((2,), (2,)), 300)])

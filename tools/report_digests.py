@@ -1,0 +1,98 @@
+"""Print one digest line per engine output, to show two source trees agree.
+
+    python3 tools/report_digests.py > digests.txt
+
+Run from the repository root; it imports the package from `src/` and reads
+the benchmark's stored inputs from `perfbench/reference/` without changing
+them.  It prints, one per line:
+
+- `scene NAME seed S SHA256`: the sha256 of `cli.emit_json` of every
+  built-in scene and every dense-grid configuration, at run seeds 0-7;
+- `point NAME I FIELDS CLASS`: `extrinsic.point_report` at every point of
+  the stored pools, each row field as `float.hex`, or the typed error
+  (`rejected TYPE: MESSAGE`) of a point that is refused;
+- `curvature NAME I SAMPLES`: `conformal.conformal_curvature_check` of each
+  run of 6 consecutive pool points of a scene with a split map, each
+  residual as `float.hex`.
+
+Output is deterministic, so running it on two trees and diffing the output
+shows whether their reports are byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from nullgeom import cli, conformal, extrinsic  # noqa: E402
+from nullgeom.scenes import builtin_scenes  # noqa: E402
+
+REFERENCE = ROOT / "perfbench" / "reference"
+SEEDS = range(8)
+CURVATURE_SAMPLES = 6
+
+
+def _stored(workload: str) -> list:
+    with (REFERENCE / f"{workload}.json").open() as fh:
+        return json.load(fh)["scenes"]
+
+
+def _hex(value) -> str:
+    return float(value).hex()
+
+
+def scene_lines():
+    configs = list(builtin_scenes().values()) + [s["config"] for s in _stored("dense-grid")]
+    for config in configs:
+        for seed in SEEDS:
+            text = cli.emit_json(cli.run(config, seed=seed))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            yield f"scene {config['name']} seed {seed} {digest}"
+
+
+def _point_line(scene, x) -> str:
+    try:
+        rep = extrinsic.point_report(scene.im, x)
+    except (ValueError, ArithmeticError) as err:  # a typed rejection
+        return f"rejected {type(err).__name__}: {err}"
+    fields = " ".join(_hex(getattr(rep, k)) for k in extrinsic.ROW_FIELDS)
+    return f"{fields} {rep.trapped_class}"
+
+
+def pointwise_lines():
+    for entry in _stored("pointwise"):
+        scene = cli.parse_scene(entry["config"])
+        name, pool = entry["config"]["name"], np.array(entry["pool"], dtype=float)
+        for i, x in enumerate(pool):
+            yield f"point {name} {i} {_point_line(scene, x)}"
+        if scene.cspec is None:
+            continue
+        lam = conformal.factor_field(scene.cspec, scene.im)
+        for i in range(0, len(pool), CURVATURE_SAMPLES):
+            try:
+                res = conformal.conformal_curvature_check(
+                    scene.im, lam, list(pool[i:i + CURVATURE_SAMPLES])
+                )
+                out = " ".join(f"{k}={_hex(v)}" for k, v in res.items())
+            except (ValueError, ArithmeticError) as err:
+                out = f"rejected {type(err).__name__}: {err}"
+            yield f"curvature {name} {i} {out}"
+
+
+def main() -> int:
+    for line in scene_lines():
+        print(line)
+    for line in pointwise_lines():
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
