@@ -16,11 +16,11 @@ A scene configuration is a JSON object:
       "output":    {"path": "out.json", "format": "json"}   # optional
     }
 
-Immersion families: psi_f_minkowski (f), psi_f_desitter_alpha (f),
-cylinder_warped (f), sphere_slice (c), grw_graph (height), hxr (profile).
-Scalar parameters are numbers or expression strings in x0..x{n-1} over the
-jet vocabulary.  Alternatively "chart" gives one expression per ambient
-coordinate, with an optional "domain" of per-axis bounds.
+Immersion families: the entries of `scenes.FAMILIES`, the one place that
+names each family's cone, parameter and split map.  Expression parameters
+are numbers or strings in x0..x{n-1} over the jet vocabulary.  Alternatively
+"chart" gives one expression per ambient coordinate, with an optional
+"domain" of per-axis bounds.  Every object rejects a key it does not know.
 
 "checks" lists suite names (frame, shape, expansions, trapped, conformal,
 appendix); "all" expands to every suite applicable to the scene's model and
@@ -66,11 +66,11 @@ from typing import Optional
 import numpy as np
 
 from . import conformal, extrinsic, scenes
-from .conformal import ConformalMapSpec, DegeneracyError, EmbeddingRangeError, InverseError
+from .conformal import ConformalMapSpec, DegeneracyError, InverseError
 from .extrinsic import (ROW_FIELDS, TRAPPED_CLASSES, ExtrinsicPoint, FrameDegeneracyError,
                         closed_forms)
 from .immersion import Immersion, MetricSignatureError
-from .nullcone import NullconeSpec, PointRejected
+from .nullcone import EmbeddingRangeError, NullconeSpec, PointRejected
 from .spacetime import AmbientModel, WarpingFunction
 from .taylor import DomainError, SmoothMap, as_value, column_max, column_results, parse_expression
 
@@ -121,10 +121,6 @@ _CONFIG_KEYS = frozenset(
     }
 )
 
-_IMMERSION_KEYS = frozenset(
-    {"family", "f", "c", "height", "profile", "chart", "domain", "name"}
-)
-
 # at most this many evaluated grid points feed the conformal factor check;
 # the factorization round trip runs on the first few of them
 _CONFORMAL_SAMPLE_CAP = 40
@@ -151,7 +147,6 @@ class Scene:
     model: AmbientModel
     cone: NullconeSpec
     im: Immersion
-    family: Optional[str]
     axes: list
     checks: tuple
     selectors: tuple
@@ -166,9 +161,13 @@ class Scene:
 # -- configuration parsing --------------------------------------------------
 
 
-def _expect_mapping(doc, where):
+def _expect_mapping(doc, where, keys=None):
+    """doc, an object, after checking that it has no key outside `keys`."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object")
+    unknown = set(doc) - set(doc if keys is None else keys)
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
     return doc
 
 
@@ -188,7 +187,7 @@ def _expect_interval(value, where):
 
 
 def _parse_spacetime(doc) -> AmbientModel:
-    doc = _expect_mapping(doc, "spacetime")
+    doc = _expect_mapping(doc, "spacetime", ("kind", "n", "warping", "t0", "fiber"))
     kind = doc.get("kind")
     n = doc.get("n")
     if not isinstance(kind, str):
@@ -198,7 +197,7 @@ def _parse_spacetime(doc) -> AmbientModel:
     warping = None
     wdoc = doc.get("warping")
     if wdoc is not None:
-        wdoc = _expect_mapping(wdoc, "spacetime.warping")
+        wdoc = _expect_mapping(wdoc, "spacetime.warping", ("kind", "params", "domain", "expr"))
         kwargs = {}
         if "params" in wdoc:
             if not isinstance(wdoc["params"], (list, tuple)):
@@ -221,7 +220,7 @@ def _parse_spacetime(doc) -> AmbientModel:
 
 
 def _parse_nullcone(model: AmbientModel, doc) -> NullconeSpec:
-    doc = _expect_mapping(doc, "nullcone")
+    doc = _expect_mapping(doc, "nullcone", ("variant", "alpha", "branch", "component"))
     variant = doc.get("variant")
     if not isinstance(variant, str):
         raise ConfigError("nullcone.variant must be a string")
@@ -238,76 +237,48 @@ def _parse_nullcone(model: AmbientModel, doc) -> NullconeSpec:
         raise ConfigError(f"nullcone: {err}") from None
 
 
-def _scalar_param(doc, key, n_vars):
-    """A family parameter: number, or expression string in x0..x{n_vars-1}."""
+def _family_param(doc, family: scenes.Family, n: int):
+    """The family's parameter: a number, or an expression string in x0..x{n-1}
+    or in x0 alone, as a callable of the coordinates or of the one variable."""
+    key, over = family.param, family.over
     if key not in doc:
         raise ConfigError(f"immersion family needs the parameter {key!r}")
     value = doc[key]
-    if isinstance(value, bool):
-        raise ConfigError(f"immersion.{key} must be a number or expression string")
-    if isinstance(value, (int, float)):
+    if over == "number":
         return _expect_number(value, f"immersion.{key}")
     if isinstance(value, str):
-        names = [f"x{i}" for i in range(n_vars)]
+        names = [f"x{i}" for i in range(n if over == "chart" else 1)]
         try:
-            return parse_expression(value, names)
+            fn = parse_expression(value, names)
         except ValueError as err:
             raise ConfigError(f"immersion.{key}: {err}") from None
-    raise ConfigError(f"immersion.{key} must be a number or expression string")
+        return fn if over == "chart" else (lambda t: fn([t]))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"immersion.{key} must be a number or expression string")
+    number = _expect_number(value, f"immersion.{key}")
+    return lambda _: number
 
 
 def _build_immersion(model: AmbientModel, cone: NullconeSpec, doc):
+    """The configured immersion, and its split map: its family's own, else the cone's."""
     doc = _expect_mapping(doc, "immersion")
-    unknown = set(doc) - _IMMERSION_KEYS
-    if unknown:
-        raise ConfigError(f"immersion has unknown keys {sorted(unknown)}")
-    family = doc.get("family")
-    if family is None and "chart" not in doc:
+    name = doc.get("family")
+    if name is None and "chart" not in doc:
         raise ConfigError("immersion needs either a family or a chart")
-    if family is not None:
-        if family == "psi_f_minkowski":
-            im = scenes.psi_f_minkowski(model.n, _scalar_param(doc, "f", model.n))
-        elif family == "psi_f_desitter_alpha":
-            if cone.variant != "desitter_alpha":
-                raise ConfigError(
-                    "psi_f_desitter_alpha needs the desitter_alpha nullcone"
-                )
-            im = scenes.psi_f_desitter(
-                model.n, cone.alpha, _scalar_param(doc, "f", model.n), cone.component
-            )
-        elif family == "cylinder_warped":
-            fn = _scalar_param(doc, "f", 1)
-            profile = fn if isinstance(fn, float) else (lambda t, _fn=fn: _fn([t]))
-            im = scenes.cylinder_immersion(model.n, profile)
-        elif family == "sphere_slice":
-            c = _expect_number(doc.get("c"), "immersion.c")
-            im = scenes.slice_immersion(model.n, c)
-        elif family == "grw_graph":
-            height = _scalar_param(doc, "height", model.n)
-            if isinstance(height, float):
-                value = height
-                height = lambda cs, _v=value: _v  # noqa: E731
-            im = scenes.grw_graph(model, height)
-        elif family == "hxr":
-            fn = _scalar_param(doc, "profile", 1)
-            if isinstance(fn, float):
-                profile = lambda s, _v=fn: _v  # noqa: E731
-            else:
-                profile = lambda s, _fn=fn: _fn([s])  # noqa: E731
-            im = scenes.hxr_immersion(profile)
-        else:
-            raise ConfigError(f"unknown immersion family {family!r}")
-        if im.model != model:
-            raise ConfigError(
-                f"family {family!r} builds over a different spacetime "
-                f"than the configured {model.kind!r}"
-            )
+    if name is not None:
+        family = scenes.FAMILIES.get(name) if isinstance(name, str) else None
+        if family is None:
+            raise ConfigError(f"unknown immersion family {name!r}")
+        _expect_mapping(doc, "immersion", ("family", family.param))
+        if model.kind not in family.kinds or cone.variant != family.cone:
+            raise ConfigError(f"family {name!r} lands on the {family.cone} nullcone of a "
+                              f"{' or '.join(family.kinds)} model, not on {cone.variant}")
+        im = family.build(cone, _family_param(doc, family, model.n))
         if im.target_cone != cone:
-            raise ConfigError(
-                f"family {family!r} lands on a different nullcone "
-                f"than the configured {cone.variant!r}"
-            )
-        return im, family
+            raise ConfigError(f"family {name!r} builds over a different spacetime than configured")
+        return im, family.split or cone.rules.split
+    # a chart; a null "family" names none
+    _expect_mapping(doc, "immersion", ("family", "chart", "domain", "name"))
     exprs = doc["chart"]
     if not isinstance(exprs, list) or not all(isinstance(s, str) for s in exprs):
         raise ConfigError("immersion.chart must be a list of expression strings")
@@ -335,7 +306,7 @@ def _build_immersion(model: AmbientModel, cone: NullconeSpec, doc):
     map_fn = SmoothMap(
         fn, model.n, model.coord_count, doc.get("name", "chart"), domain=domain
     )
-    return Immersion(map_fn, model, cone), None
+    return Immersion(map_fn, model, cone), cone.rules.split
 
 
 def _parse_grid(doc, dim):
@@ -343,7 +314,7 @@ def _parse_grid(doc, dim):
         raise ConfigError(f"grid needs one axis object per chart coordinate ({dim})")
     axes = []
     for i, axis in enumerate(doc):
-        axis = _expect_mapping(axis, f"grid[{i}]")
+        axis = _expect_mapping(axis, f"grid[{i}]", ("min", "max", "count"))
         lo = _expect_number(axis.get("min"), f"grid[{i}].min")
         hi = _expect_number(axis.get("max"), f"grid[{i}].max")
         count = axis.get("count")
@@ -397,10 +368,7 @@ def _resolve_tolerances(doc, overrides):
     for source, where in ((doc, "tolerances"), (overrides, "--tol")):
         if not source:
             continue
-        mapping = _expect_mapping(source, where)
-        for key, value in mapping.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {key!r}")
+        for key, value in _expect_mapping(source, where, DEFAULT_TOLERANCES).items():
             value = _expect_number(value, f"{where}.{key}")
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{where}.{key} must be positive and finite")
@@ -411,19 +379,17 @@ def _resolve_tolerances(doc, overrides):
 def _parse_expect(doc):
     if doc is None:
         return {}
-    doc = _expect_mapping(doc, "expect")
+    doc = _expect_mapping(doc, "expect", ROW_FIELDS + ("trapped_class",))
     expect = {}
     for key, value in doc.items():
         if key == "trapped_class":
             if value not in TRAPPED_CLASSES:
                 raise ConfigError(f"expect.trapped_class {value!r} is not a class")
             expect[key] = value
-        elif key in ROW_FIELDS:
+        else:
             expect[key] = _expect_number(value, f"expect.{key}")
             if not math.isfinite(expect[key]):
                 raise ConfigError(f"expect.{key} must be finite")
-        else:
-            raise ConfigError(f"unknown expect field {key!r}")
     return expect
 
 
@@ -433,10 +399,8 @@ def _gauss_shift(model, cone) -> Optional[float]:
     return None if c is None else model.n * (model.n - 1) * c
 
 
-def _conformal_spec(model, cone, family, axes):
-    variant = cone.rules.split
-    if family == "hxr":
-        variant = "cylinder_to_HxR"  # a cylinder section over a hyperbola
+def _conformal_spec(model, variant, axes):
+    """The spec of the split map `variant`, None where there is none."""
     if variant is None:
         return None
     if variant == "lightcone_to_Hn":
@@ -449,10 +413,7 @@ def _conformal_spec(model, cone, family, axes):
 
 def parse_scene(doc, tol_overrides=None, seed=None, checks=None) -> Scene:
     """Validate a configuration document and build the runnable scene."""
-    doc = _expect_mapping(doc, "config")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"config has unknown keys {sorted(unknown)}")
+    doc = _expect_mapping(doc, "config", _CONFIG_KEYS)
     for key in ("spacetime", "nullcone", "immersion", "grid"):
         if key not in doc:
             raise ConfigError(f"config needs the key {key!r}")
@@ -461,7 +422,7 @@ def parse_scene(doc, tol_overrides=None, seed=None, checks=None) -> Scene:
         raise ConfigError("name must be a string")
     model = _parse_spacetime(doc["spacetime"])
     cone = _parse_nullcone(model, doc["nullcone"])
-    im, family = _build_immersion(model, cone, doc["immersion"])
+    im, split = _build_immersion(model, cone, doc["immersion"])
     axes = _parse_grid(doc["grid"], model.n)
     requested = doc.get("checks") if checks is None else checks
     resolved = _resolve_checks(requested, model, cone)
@@ -473,7 +434,8 @@ def parse_scene(doc, tol_overrides=None, seed=None, checks=None) -> Scene:
         raise ConfigError("seed must be an unsigned 64-bit integer")
     odoc = doc.get("output")
     if odoc is not None:
-        if _expect_mapping(odoc, "output").get("format", "json") not in ("json", "csv"):
+        odoc = _expect_mapping(odoc, "output", ("path", "format"))
+        if odoc.get("format", "json") not in ("json", "csv"):
             raise ConfigError("output.format must be json or csv")
     echo = {
         "name": name,
@@ -491,12 +453,11 @@ def parse_scene(doc, tol_overrides=None, seed=None, checks=None) -> Scene:
         model=model,
         cone=cone,
         im=im,
-        family=family,
         axes=axes,
         checks=resolved,
         selectors=closed_forms(model, cone),
         gauss_shift=_gauss_shift(model, cone),
-        cspec=_conformal_spec(model, cone, family, axes),
+        cspec=_conformal_spec(model, split, axes),
         tolerances=tolerances,
         expect=expect,
         seed=seed,

@@ -1,15 +1,14 @@
-"""Conformal split maps off null hypersurfaces and the embedding families
-they factor through.
+"""Conformal split maps off null hypersurfaces, and their checks.
 
 Every cone cross-section handled by the engine is conformally a standard
 model space: dividing the ambient coordinates of the immersion by a
 non-vanishing coordinate function lands on hyperbolic space, the round
 sphere, or a model-space cylinder, with conformal factor one over that
-function squared.  This module builds the canonical graph embeddings,
-evaluates the split maps, verifies the conformal factors against jet
-pullbacks, closes the factorization round trip through a numeric local
-inverse, and checks the curvature identities relating a metric to its
-conformal rescalings.
+function squared.  This module evaluates the split maps, verifies the
+conformal factors against jet pullbacks, closes the factorization round
+trip through the canonical graph embeddings (built in `scenes`) by a
+numeric local inverse, and checks the curvature identities relating a
+metric to its conformal rescalings.
 
 The pullback identity reads an evaluated chart geometry, of one point or of
 a batch, and flags the columns whose image leaves the model space instead
@@ -26,32 +25,27 @@ batch, and each sample's solve and line search on its own values.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import spacetime, taylor
-from .immersion import ChartGeometry, Immersion, chart_geometry
-from .nullcone import NullconeSpec
-from .spacetime import AmbientModel
+from . import taylor
+from .immersion import FRAME_ORDER, ChartGeometry, Immersion, chart_geometry
+from .nullcone import EmbeddingRangeError
 # the module's one binding of the quadrature entry point: every integral
 # here goes through this name, which perfbench's tracer wraps to count
 # integrand evaluations
 from .spacetime import quadrature as quad
-from .taylor import DomainError, Series, SmoothMap, format_point
+from .taylor import DomainError, Series, format_point
 
 __all__ = [
     "MAP_VARIANTS",
     "DENOMINATOR_FLOOR",
     "MODEL_MEMBERSHIP_TOL",
     "DegeneracyError",
-    "EmbeddingRangeError",
     "InverseError",
     "ConformalMapSpec",
-    "EmbeddingFamily",
-    "build_embedding",
     "conformal_map",
     "factor_field",
     "primitive_g",
@@ -71,13 +65,6 @@ MAP_VARIANTS = (
     "desitter_to_Sn",
 )
 
-# each embedding family and the (ambient kind, nullcone variant) it lands on
-_FAMILY_CONES = {
-    "psi_f_minkowski": ("minkowski", "minkowski_cone"),
-    "psi_f_desitter_alpha": ("desitter", "desitter_alpha"),
-    "cylinder_warped": ("minkowski", "cylinder"),
-}
-
 DENOMINATOR_FLOOR = 1e-8
 MODEL_MEMBERSHIP_TOL = 1e-10
 # a quadrature whose own error estimate exceeds this is refused
@@ -86,10 +73,6 @@ _QUAD_ERR_MAX = 1e-9
 
 class DegeneracyError(ValueError):
     """A split-map denominator vanished, or the image left the model space."""
-
-
-class EmbeddingRangeError(ValueError):
-    """The graph function left the range its family admits."""
 
 
 class InverseError(RuntimeError):
@@ -130,97 +113,6 @@ class ConformalMapSpec:
     def hyperbolic(self) -> bool:
         """Whether the model factor is a hyperboloid sheet rather than a sphere."""
         return self.variant in ("lightcone_to_Hn", "cylinder_to_HxR")
-
-
-@dataclass(frozen=True)
-class EmbeddingFamily:
-    """A graph embedding family over a model space.
-
-    `f` is a positive scalar field: a callable of the chart coordinate list
-    for the hyperboloid and sphere families, a callable of the axis
-    coordinate for the warped cylinder, or a constant.  On the split de
-    Sitter planes (0 < alpha < 1) its range is further pinned by the
-    component: below the split radius on `minus`, above it on `plus`.
-    `cone` is the null hypersurface the family lands on; building it
-    validates alpha and component.
-    """
-
-    variant: str
-    f: Callable | float
-    alpha: Optional[float] = None
-    n: int = 2
-    component: Optional[str] = None
-    cone: NullconeSpec = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.variant not in _FAMILY_CONES:
-            raise ValueError(f"unknown embedding family {self.variant!r}")
-        kind, variant = _FAMILY_CONES[self.variant]
-        cone = NullconeSpec(
-            AmbientModel(kind, self.n), variant, alpha=self.alpha, component=self.component
-        )
-        object.__setattr__(self, "cone", cone)
-
-    def f_range(self):
-        cone = self.cone
-        if cone.component is None:
-            return 0.0, math.inf
-        split = cone.split_radius
-        return (0.0, split) if cone.component == "minus" else (split, math.inf)
-
-    def check_range(self, value):
-        v = value.val if isinstance(value, Series) else float(value)
-        lo, hi = self.f_range()
-        taylor.require(
-            (lo < v) & (v < hi),
-            lambda at: EmbeddingRangeError(
-                f"f = {at(v):.6g} outside the admissible range ({lo:.6g}, {hi:.6g})"
-            ),
-        )
-        return value
-
-    def evaluate(self, arg):
-        return self.check_range(self.f(arg) if callable(self.f) else float(self.f))
-
-
-def build_embedding(family: EmbeddingFamily) -> Immersion:
-    """The family's canonical immersion into its target null hypersurface."""
-    n, cone = family.n, family.cone
-    model = cone.model
-    if family.variant == "psi_f_minkowski":
-        chart = spacetime.hyperbolic_chart(n)
-
-        def fn(ys):
-            p = chart.fn(ys)
-            fv = family.evaluate(ys)
-            return [fv * c for c in p] + [fv]
-
-        return Immersion(SmoothMap(fn, n, n + 2, "psi_f"), model, cone)
-
-    if family.variant == "psi_f_desitter_alpha":
-        chart = spacetime.sphere_chart(n)
-
-        def fn(qs):
-            q = chart.fn(qs)
-            fv = family.evaluate(qs)
-            r = cone.scale(fv)
-            return [fv] + [r * qi for qi in q] + [cone.alpha + cone.beta * fv]
-
-        return Immersion(
-            SmoothMap(fn, n, n + 3, "psi_f_alpha", domain=chart.domain), model, cone
-        )
-
-    # cylinder_warped: (f(t), f(t) q, t) over (t, sphere chart of S^{n-1})
-    chart = spacetime.sphere_chart(n - 1)
-
-    def fn(cs):
-        t = cs[0]
-        fv = family.evaluate(t)
-        q = chart.fn(cs[1:])
-        return [fv] + [fv * qi for qi in q] + [t]
-
-    domain = ((-math.inf, math.inf),) + chart.domain
-    return Immersion(SmoothMap(fn, n, n + 2, "cylinder", domain=domain), model, cone)
 
 
 # -- split maps ---------------------------------------------------------------
@@ -474,7 +366,8 @@ def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry):
     image leaves the model space is flagged off the model, with deviation
     NaN and spd False; nothing is raised for it.
     """
-    im, psi, g0 = geo.immersion, geo.psi, geo.g0
+    # the jacobian reads first derivatives only
+    im, psi, g0 = geo.immersion, [s.truncate(FRAME_ORDER) for s in geo.psi], geo.g0
     one_point = geo.batch is None
     if one_point:  # a batch of one column
         psi = [Series(s.ctx, s.c[:, None]) for s in psi]

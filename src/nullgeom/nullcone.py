@@ -32,6 +32,7 @@ __all__ = [
     "CONE_RULES",
     "RejectionReason",
     "PointRejected",
+    "EmbeddingRangeError",
     "NullconeSpec",
     "eval_F",
     "grad_F_components",
@@ -84,6 +85,10 @@ class PointRejected(Exception):
         self.detail = detail
         text = reason.value if not detail else f"{reason.value}: {detail}"
         super().__init__(text)
+
+
+class EmbeddingRangeError(ValueError):
+    """The graph function left the range its family admits."""
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,20 @@ class NullconeSpec:
     def split_radius(self) -> float:
         """The x1 value separating the two de Sitter components, where R = 0."""
         return self.beta / self.alpha
+
+    def check_range(self, f):
+        """f, a graph function's value (float or Series), checked to be positive
+        and, on a split de Sitter plane, below the split radius on `minus`, above on `plus`."""
+        v = f.val if isinstance(f, Series) else float(f)
+        lo = self.split_radius if self.component == "plus" else 0.0
+        hi = self.split_radius if self.component == "minus" else math.inf
+        taylor.require(
+            (lo < v) & (v < hi),
+            lambda at: EmbeddingRangeError(
+                f"f = {at(v):.6g} outside the admissible range ({lo:.6g}, {hi:.6g})"
+            ),
+        )
+        return f
 
 
 def eval_F(spec: NullconeSpec, p):

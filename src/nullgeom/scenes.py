@@ -1,9 +1,11 @@
-"""Canonical immersions and the built-in scene catalog.
+"""Canonical immersions, the immersion families and the built-in scenes.
 
 The builders return Immersion objects for the reference surfaces the engine
 exercises end to end: graph embeddings over the hyperboloid and the sphere,
 constant-time slices, warped-product cone graphs, and cylinder cross
-sections.  builtin_scenes() packs ready-to-run configurations over these
+sections.  `FAMILIES` is the one place that names the immersion families a
+configuration asks for, each with its cone, parameter, split map and
+builder.  builtin_scenes() packs ready-to-run configurations over these
 surfaces, keyed by scene name, in the JSON-compatible shape the command
 line consumes.
 """
@@ -11,10 +13,12 @@ line consumes.
 from __future__ import annotations
 
 import copy
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from . import spacetime as st
 from . import taylor as tm
-from .conformal import EmbeddingFamily, build_embedding
 from .immersion import Immersion
 from .nullcone import NullconeSpec
 from .taylor import SmoothMap
@@ -26,28 +30,63 @@ __all__ = [
     "cylinder_immersion",
     "hxr_immersion",
     "grw_graph",
+    "Family",
+    "FAMILIES",
     "builtin_scenes",
 ]
 
 
+def _graph_value(cone: NullconeSpec, f, arg):
+    """The graph function f (a callable, or a constant) at arg, in the cone's range."""
+    return cone.check_range(f(arg) if callable(f) else float(f))
+
+
 def psi_f_minkowski(n, f=None):
     """(f p, f) over the hyperboloid chart; lands on the Minkowski cone."""
-    fv = 1.0 if f is None else f
-    return build_embedding(EmbeddingFamily("psi_f_minkowski", f=fv, n=n))
+    f = 1.0 if f is None else f
+    model = st.AmbientModel("minkowski", n)
+    cone = NullconeSpec(model, "minkowski_cone")
+    chart = st.hyperbolic_chart(n)
+
+    def fn(ys):
+        p = chart.fn(ys)
+        fv = _graph_value(cone, f, ys)
+        return [fv * c for c in p] + [fv]
+
+    return Immersion(SmoothMap(fn, n, n + 2, "psi_f"), model, cone)
 
 
 def psi_f_desitter(n, alpha, f, component=None):
     """(f, R(f) q, alpha + sqrt(1-alpha^2) f) over the sphere chart."""
-    return build_embedding(
-        EmbeddingFamily(
-            "psi_f_desitter_alpha", f=f, alpha=alpha, n=n, component=component
-        )
+    model = st.AmbientModel("desitter", n)
+    cone = NullconeSpec(model, "desitter_alpha", alpha=alpha, component=component)
+    chart = st.sphere_chart(n)
+
+    def fn(qs):
+        q = chart.fn(qs)
+        fv = _graph_value(cone, f, qs)
+        r = cone.scale(fv)
+        return [fv] + [r * qi for qi in q] + [cone.alpha + cone.beta * fv]
+
+    return Immersion(
+        SmoothMap(fn, n, n + 3, "psi_f_alpha", domain=chart.domain), model, cone
     )
 
 
 def cylinder_immersion(n, profile):
     """(f(t), f(t) q, t) over (t, sphere chart of S^{n-1})."""
-    return build_embedding(EmbeddingFamily("cylinder_warped", f=profile, n=n))
+    model = st.AmbientModel("minkowski", n)
+    cone = NullconeSpec(model, "cylinder")
+    chart = st.sphere_chart(n - 1)
+
+    def fn(cs):
+        t = cs[0]
+        fv = _graph_value(cone, profile, t)
+        q = chart.fn(cs[1:])
+        return [fv] + [fv * qi for qi in q] + [t]
+
+    domain = ((-math.inf, math.inf),) + chart.domain
+    return Immersion(SmoothMap(fn, n, n + 2, "cylinder", domain=domain), model, cone)
 
 
 def slice_immersion(n, c):
@@ -76,7 +115,7 @@ def hxr_immersion(profile):
         v = profile(s)
         return [v * tm.cosh(y), v * tm.sinh(y), v, s]
 
-    return Immersion(SmoothMap(fn, 2, 4, "hxr"), model, cone)
+    return Immersion(SmoothMap(fn, 2, 4, "hxr_cylinder"), model, cone)
 
 
 def grw_graph(model, height):
@@ -103,10 +142,44 @@ def grw_graph(model, height):
         return [t] + x
 
     return Immersion(
-        SmoothMap(fn, n, model.coord_count, "grw_graph", domain=chart.domain),
+        SmoothMap(fn, n, model.coord_count, "grw_cone_graph", domain=chart.domain),
         model,
         cone,
     )
+
+
+@dataclass(frozen=True)
+class Family:
+    """One immersion family: the nullcone variant `cone` of a model of one
+    of `kinds` it lands on; its one parameter `param`, a number only (`over`
+    "number") or also an expression in the chart coordinates ("chart") or in
+    one variable ("line"); `build(cone, value)`, its immersion; and `split`,
+    its split map where it differs from the cone's."""
+
+    kinds: tuple
+    cone: str
+    param: str
+    over: str
+    build: Callable
+    split: Optional[str] = None
+
+
+FAMILIES = {
+    "psi_f_minkowski": Family(("minkowski",), "minkowski_cone", "f", "chart",
+                              lambda cone, f: psi_f_minkowski(cone.model.n, f)),
+    "sphere_slice": Family(("minkowski",), "minkowski_cone", "c", "number",
+                           lambda cone, c: slice_immersion(cone.model.n, c)),
+    "psi_f_desitter_alpha": Family(
+        ("desitter",), "desitter_alpha", "f", "chart",
+        lambda cone, f: psi_f_desitter(cone.model.n, cone.alpha, f, cone.component)),
+    "cylinder_warped": Family(("minkowski",), "cylinder", "f", "line",
+                              lambda cone, f: cylinder_immersion(cone.model.n, f)),
+    # a cylinder section over a hyperbola
+    "hxr": Family(("minkowski",), "cylinder", "profile", "line",
+                  lambda cone, profile: hxr_immersion(profile), split="cylinder_to_HxR"),
+    "grw_graph": Family(("product", "grw_euclidean"), "grw_cone", "height", "chart",
+                        lambda cone, height: grw_graph(cone.model, height)),
+}
 
 
 def _axis(lo, hi, count):

@@ -58,6 +58,12 @@ class WarpingDomainError(taylor.DomainError):
     """A warping profile evaluated outside its domain, or where it is not positive."""
 
 
+def _power(x, k: int):
+    """x ** k of a float, or of each column of a (B,) array by numpy's scalar
+    power, as at one point: its array powers differ in the last bit."""
+    return np.array([v ** k for v in x]) if isinstance(x, np.ndarray) and x.ndim else x ** k
+
+
 @lru_cache(maxsize=None)
 def _compiled_profile(expr: str):
     return taylor.parse_expression(expr, ("t",))
@@ -150,7 +156,14 @@ class WarpingFunction:
         a (B,) array of times, evaluated one float at a time."""
         self._check_domain(float(t0))
         if isinstance(t, Series):
-            table = taylor.column_table(lambda v: self._conformal_table(v, t0), t.val)
+            # f's derivatives first: a column rejected by both keeps f's error
+            f0, f1, f2 = self.derivatives(t.val, 2)
+            table = (
+                self.conformal_time(t.val, t0),
+                1.0 / f0,
+                -f1 / _power(f0, 2),
+                (2.0 * _power(f1, 2) - f0 * f2) / _power(f0, 3),
+            )
             return compose_univariate(t, table[: t.ctx.order + 1])
         if isinstance(t, np.ndarray) and t.ndim:
             return taylor.column_map(lambda v: self.conformal_time(v, t0), t)
@@ -166,16 +179,6 @@ class WarpingFunction:
         if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
             raise ArithmeticError(f"quadrature of 1/f failed on [{t0}, {v}]")
         return val
-
-    def _conformal_table(self, v: float, t0: float):
-        """The derivative table of the conformal time at the float time v."""
-        f0, f1, f2 = self.derivatives(v, 2)
-        return (
-            self.conformal_time(v, t0),
-            1.0 / f0,
-            -f1 / f0 ** 2,
-            (2.0 * f1 ** 2 - f0 * f2) / f0 ** 3,
-        )
 
 
 @dataclass(frozen=True)

@@ -369,7 +369,7 @@ def local_inverse_alone(spec, im, target, seed, tol=1e-12, max_iter=60):
             try:
                 trial_psi = im.series(trial, 1, check_membership=False)
                 trial_r = _map_values_alone(spec, im, trial, trial_psi) - target
-            except (tm.DomainError, cf.EmbeddingRangeError, cf.DegeneracyError):
+            except (tm.DomainError, nc.EmbeddingRangeError, cf.DegeneracyError):
                 damping *= 0.5
                 continue
             if float(trial_r @ trial_r) < base_norm:

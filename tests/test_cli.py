@@ -31,7 +31,7 @@ from nullgeom.cli import (
 )
 from nullgeom.conformal import MAP_VARIANTS
 from nullgeom.nullcone import CONE_RULES
-from nullgeom.scenes import builtin_scenes
+from nullgeom.scenes import FAMILIES, builtin_scenes
 
 from _surfaces import emit_json_reference, evaluate_alone
 
@@ -229,6 +229,88 @@ def test_family_cone_mismatch_rejected():
     doc["nullcone"] = {"variant": "cylinder"}
     with pytest.raises(ConfigError):
         parse_scene(doc)
+
+
+@pytest.mark.parametrize(
+    "base, where, key",
+    [
+        ("mink-slice", (), "grids"),
+        ("mink-slice", ("spacetime",), "dim"),
+        ("grw-exp", ("spacetime", "warping"), "param"),
+        ("ds-alpha05-minus", ("nullcone",), "components"),
+        ("mink-slice", ("immersion",), "cc"),
+        ("mink-h2", ("immersion",), "c"),  # a parameter the family does not take
+        ("off-cone", ("immersion",), "domian"),
+        ("mink-slice", ("grid", 1), "cnt"),
+        ("mink-slice", ("output",), "fromat"),
+    ],
+)
+def test_misspelled_key_is_config_error(base, where, key, tmp_path, capsys):
+    doc = small({**builtin_scenes(), "off-cone": OFF_CONE_DOC}[base])
+    doc["output"] = {"format": "json"}
+    obj = doc
+    for step in where:
+        obj = obj[step]
+    obj[key] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert f"unknown keys ['{key}']" in capsys.readouterr().err
+
+
+def family_doc(name, value):
+    """A small configuration of the table family `name`, its parameter set
+    to `value`, on the model, cone and grid of a built-in scene on its cone."""
+    family = FAMILIES[name]
+    base = next(
+        doc for doc in builtin_scenes().values()
+        if doc["nullcone"]["variant"] == family.cone
+        and doc["spacetime"]["kind"] in family.kinds
+    )
+    doc = small(base)
+    doc["immersion"] = {"family": name, family.param: value}
+    return doc
+
+
+def test_every_table_family_parses():
+    # each family with a number and with an expression, on its own cone and
+    # split map; a constant expression builds what the number builds
+    point = np.array([1.1, 0.7])
+    for name, family in FAMILIES.items():
+        number = parse_scene(family_doc(name, 1.5))
+        assert number.im.target_cone == number.cone, name
+        split = family.split or number.cone.rules.split
+        assert (number.cspec and number.cspec.variant) == split, name
+        if family.over == "number":
+            with pytest.raises(ConfigError, match="must be a number"):
+                parse_scene(family_doc(name, "1.5 + 0.1*x0"))
+            continue
+        parse_scene(family_doc(name, "1.5 + 0.1*x0"))
+        constant = parse_scene(family_doc(name, "1.5"))
+        assert [s.val for s in constant.im.series(point, 1)] == [
+            s.val for s in number.im.series(point, 1)
+        ], name
+
+
+def test_family_on_another_cone_or_model_rejected():
+    catalog = builtin_scenes()
+    for name, family in FAMILIES.items():
+        for other in catalog.values():
+            if (other["nullcone"]["variant"] == family.cone
+                    and other["spacetime"]["kind"] in family.kinds):
+                continue
+            doc = small(other)
+            doc["immersion"] = {"family": name, family.param: 1.5}
+            with pytest.raises(ConfigError, match="lands on"):
+                parse_scene(doc)
+    # the cylinder cone of a Minkowski model of another dimension or vertex time
+    hxr = family_doc("hxr", 1.5)
+    hxr["spacetime"]["n"] = 3
+    warped = family_doc("cylinder_warped", 1.5)
+    warped["spacetime"]["t0"] = 1.0
+    for doc in (hxr, warped):
+        with pytest.raises(ConfigError, match="different spacetime"):
+            parse_scene(doc)
 
 
 def test_chart_needs_all_components():

@@ -12,31 +12,27 @@ from nullgeom import immersion
 from nullgeom import spacetime as st
 from nullgeom import taylor as tm
 from nullgeom.cli import parse_scene
-from nullgeom.conformal import (
-    ConformalMapSpec,
-    DegeneracyError,
-    EmbeddingFamily,
-    EmbeddingRangeError,
-    build_embedding,
-)
+from nullgeom.conformal import ConformalMapSpec, DegeneracyError
 from nullgeom.immersion import (
     ChartGeometry,
     Immersion,
     MetricChart,
     chart_geometry,
 )
-from nullgeom.nullcone import NullconeSpec, PointRejected
-from nullgeom.scenes import builtin_scenes
+from nullgeom.nullcone import EmbeddingRangeError, NullconeSpec, PointRejected
+from nullgeom.scenes import FAMILIES, builtin_scenes
 from nullgeom.taylor import SmoothMap
 
 from _jets import jet_eval
 from _surfaces import (
+    cylinder_immersion,
     factorization_alone,
     hxr_immersion,
     local_inverse_alone,
     psi_f_desitter,
     pullback_alone,
     pullback_metric_chart,
+    psi_f_minkowski,
     random_metric_chart,
     random_positive_field,
     sample_box,
@@ -58,21 +54,15 @@ def sphere_f(qs):
 
 
 def minkowski_family(n=2, f=varying_f):
-    return build_embedding(EmbeddingFamily("psi_f_minkowski", f=f, n=n))
+    return psi_f_minkowski(n, f)
 
 
 def desitter_family(alpha, f, component=None, n=2):
-    return build_embedding(
-        EmbeddingFamily(
-            "psi_f_desitter_alpha", f=f, alpha=alpha, n=n, component=component
-        )
-    )
+    return psi_f_desitter(n, alpha, f, component)
 
 
 def cylinder_family(n=2):
-    return build_embedding(
-        EmbeddingFamily("cylinder_warped", f=lambda t: t * t + 1.0, n=n)
-    )
+    return cylinder_immersion(n, lambda t: t * t + 1.0)
 
 
 def sloped_cylinder():
@@ -99,18 +89,33 @@ def chart_values(chart, x):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(variant="nope", f=1.0),
-        dict(variant="psi_f_desitter_alpha", f=1.0),
-        dict(variant="psi_f_desitter_alpha", f=1.0, alpha=1.5),
-        dict(variant="psi_f_desitter_alpha", f=1.0, alpha=0.5),
-        dict(variant="psi_f_desitter_alpha", f=1.0, alpha=0.0, component="minus"),
-        dict(variant="psi_f_minkowski", f=1.0, alpha=0.3),
-        dict(variant="cylinder_warped", f=1.0, component="plus"),
+        dict(family="nope", f=1.0),
+        dict(family="psi_f_desitter_alpha", f=1.0),
+        dict(family="psi_f_desitter_alpha", f=1.0, alpha=1.5),
+        dict(family="psi_f_desitter_alpha", f=1.0, alpha=0.5),
+        dict(family="psi_f_desitter_alpha", f=1.0, alpha=0.0, component="minus"),
+        dict(family="psi_f_minkowski", f=1.0, alpha=0.3),
+        dict(family="cylinder_warped", f=1.0, component="plus"),
     ],
 )
 def test_family_validation(kwargs):
+    # a family on the cone of its table entry, with the alpha and component
+    # given: an unknown family, and a cone that refuses them, are
+    # configuration errors, which are ValueErrors
+    kwargs = dict(kwargs)
+    name, f = kwargs.pop("family"), kwargs.pop("f")
+    family = FAMILIES.get(name, FAMILIES["psi_f_minkowski"])
+    doc = {
+        "spacetime": {"kind": family.kinds[0], "n": 2},
+        "nullcone": {"variant": family.cone, **kwargs},
+        "immersion": {"family": name, "f": f},
+        "grid": [{"min": 0.5, "max": 1.0, "count": 2}] * 2,
+    }
     with pytest.raises(ValueError):
-        EmbeddingFamily(**kwargs)
+        parse_scene(doc)
+    if name == "psi_f_desitter_alpha":  # the builder refuses them alike
+        with pytest.raises(ValueError):
+            psi_f_desitter(2, kwargs.get("alpha"), f, kwargs.get("component"))
 
 
 @pytest.mark.parametrize(
@@ -831,6 +836,16 @@ def test_pullback_columns_match_points_alone():
                 assert np.isnan(deviation[b]) and not spd[b]
                 assert math.isnan(cf.pullback_columns(spec, one)[0])
     assert refusals == {"denominator", "image"}
+
+
+def test_pullback_jacobian_reads_first_derivatives_only():
+    # the split map's jacobian of psi cut to order 1 is that of the order-3 psi
+    for scene in appendix_scenes():
+        x = np.array(list(itertools.product(*(ax[2::3] for ax in scene.axes))))
+        psi = scene.im.series(x, immersion.JET_ORDER)
+        first = [s.truncate(immersion.FRAME_ORDER) for s in psi]
+        want = cf._map_jacobian(scene.cspec, scene.im, psi)
+        assert np.array_equal(cf._map_jacobian(scene.cspec, scene.im, first), want), scene.name
 
 
 @pytest.mark.parametrize(

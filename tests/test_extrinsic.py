@@ -62,7 +62,7 @@ def wavy_height(cs):
 
 
 def scene_points(rng, im, count=12):
-    if im.map.name in ("psi_f", "hxr"):
+    if im.map.name in ("psi_f", "hxr_cylinder"):
         return [rng.uniform(-0.8, 0.8, size=im.dim) for _ in range(count)]
     if im.map.name == "cylinder":
         return [

@@ -92,6 +92,38 @@ def test_conformal_time_closed_forms_match_quadrature():
         assert f.conformal_time(t, t0) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 
+def test_conformal_time_series_batch_matches_columns_alone():
+    # the batch's derivative table of every warping kind is each column's
+    # alone, bit for bit; the time outside the warping domain keeps its error
+    ctx = tm.get_context(1, 3)
+    # 64 times in the domain (-1, 1.5), and 1.7 outside it
+    times = np.insert(np.random.default_rng(5).uniform(-0.9, 1.4, 64), 9, 1.7)
+    kinds = [
+        ("constant", (2.0,), None),
+        ("exp", (), None),
+        ("cosh", (), None),
+        ("polynomial", (1.0, 0.2, 0.3), None),
+        ("custom", (), "1 + 0.5*sin(t)"),
+    ]
+    for kind, params, expr in kinds:
+        f = mk_warping(kind, params, domain=(-1.0, 1.5), expr=expr)
+
+        def batch(ts):
+            s = f.conformal_time(tm.Series.variable(ctx, 0, ts), 0.0)
+            return [s.c[:, b] for b in range(len(ts))]
+
+        rejected = 0
+        for t, got in zip(times, tm.column_results(batch, times)):
+            try:
+                want = f.conformal_time(tm.Series.variable(ctx, 0, float(t)), 0.0).c
+            except st.WarpingDomainError as err:
+                assert type(got) is st.WarpingDomainError and str(got) == str(err), kind
+                rejected += 1
+                continue
+            assert got.tobytes() == want.tobytes(), (kind, t)
+        assert rejected == 1, kind
+
+
 def test_conformal_time_series_derivatives_match_fd():
     f = mk_warping("cosh")
     t0, t = -0.2, 0.85

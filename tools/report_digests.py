@@ -13,7 +13,15 @@ them.  It prints, one per line:
   (`rejected TYPE: MESSAGE`) of a point that is refused;
 - `curvature NAME I SAMPLES`: `conformal.conformal_curvature_check` of each
   run of 6 consecutive pool points of a scene with a split map, each
-  residual as `float.hex`.
+  residual as `float.hex`;
+- `map NAME I IMAGE`: `conformal.conformal_map` at every pool point of the
+  scene whose stored reference has split-map images, each coordinate as
+  `float.hex`;
+- `factorization NAME RESIDUAL`: `conformal.factorization_check` of the
+  first 6 pool points of each scene whose stored reference has a
+  factorization residual, as `float.hex`.
+
+Between them these cover every operation of the `pointwise` workload.
 
 Output is deterministic, so running it on two trees and diffing the output
 shows whether their reports are byte-identical.
@@ -37,6 +45,7 @@ from nullgeom.scenes import builtin_scenes  # noqa: E402
 REFERENCE = ROOT / "perfbench" / "reference"
 SEEDS = range(8)
 CURVATURE_SAMPLES = 6
+FACTORIZATION_SAMPLES = 6
 
 
 def _stored(workload: str) -> list:
@@ -57,13 +66,31 @@ def scene_lines():
             yield f"scene {config['name']} seed {seed} {digest}"
 
 
-def _point_line(scene, x) -> str:
+def _outcome(fn, *args) -> str:
+    """fn(*args), or the typed error it raises."""
     try:
-        rep = extrinsic.point_report(scene.im, x)
+        return fn(*args)
     except (ValueError, ArithmeticError) as err:  # a typed rejection
         return f"rejected {type(err).__name__}: {err}"
+
+
+def _report(scene, x) -> str:
+    rep = extrinsic.point_report(scene.im, x)
     fields = " ".join(_hex(getattr(rep, k)) for k in extrinsic.ROW_FIELDS)
     return f"{fields} {rep.trapped_class}"
+
+
+def _curvature(scene, lam, samples) -> str:
+    res = conformal.conformal_curvature_check(scene.im, lam, samples)
+    return " ".join(f"{k}={_hex(v)}" for k, v in res.items())
+
+
+def _map(scene, x) -> str:
+    return " ".join(_hex(v) for v in conformal.conformal_map(scene.cspec, scene.im, x))
+
+
+def _factorization(scene, samples) -> str:
+    return _hex(conformal.factorization_check(scene.im, scene.cspec, samples))
 
 
 def pointwise_lines():
@@ -71,19 +98,19 @@ def pointwise_lines():
         scene = cli.parse_scene(entry["config"])
         name, pool = entry["config"]["name"], np.array(entry["pool"], dtype=float)
         for i, x in enumerate(pool):
-            yield f"point {name} {i} {_point_line(scene, x)}"
+            yield f"point {name} {i} {_outcome(_report, scene, x)}"
         if scene.cspec is None:
             continue
         lam = conformal.factor_field(scene.cspec, scene.im)
         for i in range(0, len(pool), CURVATURE_SAMPLES):
-            try:
-                res = conformal.conformal_curvature_check(
-                    scene.im, lam, list(pool[i:i + CURVATURE_SAMPLES])
-                )
-                out = " ".join(f"{k}={_hex(v)}" for k, v in res.items())
-            except (ValueError, ArithmeticError) as err:
-                out = f"rejected {type(err).__name__}: {err}"
-            yield f"curvature {name} {i} {out}"
+            samples = list(pool[i:i + CURVATURE_SAMPLES])
+            yield f"curvature {name} {i} {_outcome(_curvature, scene, lam, samples)}"
+        if entry["maps"] is not None:
+            for i, x in enumerate(pool):
+                yield f"map {name} {i} {_outcome(_map, scene, x)}"
+        if entry["factorization"] is not None:
+            samples = list(pool[:FACTORIZATION_SAMPLES])
+            yield f"factorization {name} {_outcome(_factorization, scene, samples)}"
 
 
 def main() -> int:
