@@ -65,7 +65,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import conformal, extrinsic, scenes
+from . import conformal, extrinsic, scenes, taylor
 from .conformal import ConformalMapSpec, DegeneracyError, InverseError
 from .extrinsic import (ROW_FIELDS, TRAPPED_CLASSES, ExtrinsicPoint, FrameDegeneracyError,
                         closed_forms)
@@ -511,10 +511,11 @@ def _trapped_mismatch(pt: ExtrinsicPoint, rep, tolerances):
     return as_value(np.where(ok, 0.0, 1.0))
 
 
+@taylor.float_edges
 def _evaluate(scene: Scene, x) -> list:
     """(row, diag) for the point x (n,), or for each point of a batch
     x (B, n); raises the typed error, or `BatchRejected`, of a point the
-    pipeline refuses."""
+    pipeline refuses.  The grid pass's one floating-point scope."""
     pt = ExtrinsicPoint(scene.im, x)
     rep = pt.report(scene.tolerances["trapped_eps"])
     fields = {key: np.atleast_1d(getattr(rep, key)) for key in ROW_FIELDS}

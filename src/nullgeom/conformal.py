@@ -16,8 +16,8 @@ of raising for them; it is the one check of the conformal factor.  The
 sample checks (de Sitter scale sign, curvature identities) evaluate their
 samples as one batch; where the batch is refused, the samples before the
 first failing one are evaluated again as a batch, and that sample raises
-the typed error its column carries.  Each identity's final
-arithmetic runs on one sample's Python floats, exactly as at one point.
+the typed error its column carries.  The identities are array arithmetic
+over the samples.
 The factorization round trip runs its samples' local inverses in lockstep,
 each round's jacobians and each damping halving's trial points as one
 batch, and each sample's solve and line search on its own values.
@@ -254,6 +254,7 @@ def exactness_residual(spec: ConformalMapSpec, im: Immersion, axes, bounds) -> f
     return abs(loop)
 
 
+@taylor.float_edges
 def conformal_map(spec: ConformalMapSpec, im: Immersion, x) -> np.ndarray:
     """Image of a chart point under the variant's split map.
 
@@ -262,12 +263,6 @@ def conformal_map(spec: ConformalMapSpec, im: Immersion, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     return _map_values(spec, im, x, im.series(x, 1))
-
-
-def _square(v):
-    # Python's float power, as at one point; numpy's array square differs
-    # from it in the last bit
-    return v**2
 
 
 def _model_image(spec, im, psi):
@@ -285,9 +280,7 @@ def _model_image(spec, im, psi):
     y = vals / np.where(above, denom, 1.0)[..., None]
     if spec.hyperbolic:
         y0 = y[..., 0]
-        lorentz = -taylor.column_map(_square, taylor.as_value(y0)) + np.vecdot(
-            y[..., 1:], y[..., 1:]
-        )
+        lorentz = -np.float_power(y0, 2) + np.vecdot(y[..., 1:], y[..., 1:])
         on_model = (np.abs(lorentz + 1.0) < MODEL_MEMBERSHIP_TOL) & (y0 > 0.0)
     else:
         on_model = np.abs(np.vecdot(y, y) - 1.0) < MODEL_MEMBERSHIP_TOL
@@ -379,7 +372,7 @@ def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry):
         if not on_model.all():  # the jacobian divides: keep the columns on the model
             psi = [Series(s.ctx, s.c[:, on_model]) for s in psi]
         pulled = _pullback(spec, im, psi)
-        lam_sq = np.array([_square(v) for v in np.abs(denom[on_model]).tolist()])
+        lam_sq = np.float_power(np.abs(denom[on_model]), 2)
         scaled = g0[on_model] / lam_sq[:, None, None]
         deviation[on_model] = np.max(np.abs(pulled - scaled), axis=(-2, -1))
         symmetric = np.isclose(pulled, np.swapaxes(pulled, -1, -2), atol=1e-12).all(axis=(-2, -1))
@@ -533,6 +526,7 @@ def _psi_f_at_model_point(spec, im, i, y, f_val) -> np.ndarray:
     return np.concatenate([[f_val], cone.scale(f_val) * y, [cone.alpha + cone.beta * f_val]])
 
 
+@taylor.float_edges
 def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float:
     """Max ambient deviation of psi from (family embedding) o (split map).
 
@@ -596,62 +590,50 @@ def sectional_curvatures(geo: ChartGeometry) -> np.ndarray:
     return out
 
 
-def _curvature_residuals(metric_obj, lam: Callable, x):
-    """The list of (sectional residuals per frame pair, scalar residual,
-    Gauss residual or None) over a batch of points (S, n), whose geometries
-    are built once for all of them."""
+def _curvature_residuals(metric_obj, lam: Callable, x) -> np.ndarray:
+    """The (S, 3) residuals of the sectional identity (its worst frame pair),
+    the scalar identity and the Gauss identity (0 outside dimension two)
+    over a batch of points (S, n), whose geometries are built once for all
+    of them.  The powers are `np.float_power`, Python's float power taken
+    elementwise, so each residual is the one of the sample's own floats."""
     geo = chart_geometry(metric_obj, x, check_membership=False)
     n = geo.dim
     s = geo.scalar_series(lam)
     geo_s = geo.rescaled(s)
-    lam0s = s.val
+    lam0 = s.val
     taylor.reject(
-        lam0s <= 0.0,
+        lam0 <= 0.0,
         lambda at: ValueError(f"conformal factor nonpositive at {format_point(at(x))}"),
     )
-    _, grad_sqs = geo.gradient(s)
+    _, grad_sq = geo.gradient(s)
     hess = geo.covariant_hessian(s)
-    partials = geo.partials(s)
-    k_bases = sectional_curvatures(geo)
-    k_scaleds = sectional_curvatures(geo_s)
-    log_laps = geo.laplacian(taylor.log(s)) if n == 2 else None
-
-    def residuals(at):
-        # one sample's identities: `at` picks its value or array, laid out
-        # as at one point, and the arithmetic runs on Python floats, as
-        # numpy's array powers differ from Python's in the last bit
-        lam0, grad_sq = float(at(lam0s)), float(at(grad_sqs))
-        b, hess_k = at(geo.onf), at(hess)
-        lap = float(np.einsum("ij,ij->", at(geo.g_inv0), hess_k))
-        hess_onf = b.T @ hess_k @ b
-        dlam_onf = b.T @ np.ascontiguousarray(at(partials))
-        k_base, k_scaled = at(k_bases), at(k_scaleds)
-        sect = []
-        for a in range(n):
-            for c in range(a + 1, n):
-                lhs = lam0**4 * k_scaled[a, c]
-                rhs = (
-                    lam0**2 * k_base[a, c]
-                    + 2.0 * (dlam_onf[a] ** 2 + dlam_onf[c] ** 2)
-                    - lam0 * (hess_onf[a, a] + hess_onf[c, c])
-                    - grad_sq
-                )
-                sect.append(abs(lhs - rhs))
-        lhs = lam0**2 * float(at(geo_s.scal))
-        rhs = (
-            float(at(geo.scal))
-            - 2.0 * (n - 1) * lap / lam0
-            - (n - 1) * (n - 4) * grad_sq / lam0**2
-        )
-        gauss = None
-        if log_laps is not None:
-            lhs_gauss = lam0**2 * k_scaled[0, 1]
-            gauss = abs(lhs_gauss - (k_base[0, 1] - float(at(log_laps))))
-        return sect, abs(lhs - rhs), gauss
-
-    return [residuals(taylor.column(k)) for k in range(geo.batch)]
+    lap = np.einsum("...ij,...ij->...", geo.g_inv0, hess)
+    b_t = np.swapaxes(geo.onf, -1, -2)
+    hess_onf = b_t @ hess @ geo.onf
+    dlam2 = np.float_power((b_t @ geo.partials(s)[..., None])[..., 0], 2)
+    k_base, k_scaled = sectional_curvatures(geo), sectional_curvatures(geo_s)
+    lam2, lam4 = np.float_power(lam0, 2), np.float_power(lam0, 4)
+    sect = [
+        np.abs(lam4 * k_scaled[:, a, c] - (
+            lam2 * k_base[:, a, c]
+            + 2.0 * (dlam2[:, a] + dlam2[:, c])
+            - lam0 * (hess_onf[:, a, a] + hess_onf[:, c, c])
+            - grad_sq
+        ))
+        for a in range(n)
+        for c in range(a + 1, n)
+    ]
+    scal = np.abs(lam2 * geo_s.scal - (
+        geo.scal - 2.0 * (n - 1) * lap / lam0 - (n - 1) * (n - 4) * grad_sq / lam2
+    ))
+    gauss = np.zeros_like(scal)
+    if n == 2:
+        log_lap = geo.laplacian(taylor.log(s))
+        gauss = np.abs(lam2 * k_scaled[:, 0, 1] - (k_base[:, 0, 1] - log_lap))
+    return np.stack([np.fmax.reduce(sect, initial=0.0), scal, gauss], axis=-1)
 
 
+@taylor.float_edges
 def conformal_curvature_check(metric_obj, lam: Callable, samples) -> dict:
     """Residuals of the curvature identities between g and lambda^2 g.
 
@@ -663,13 +645,7 @@ def conformal_curvature_check(metric_obj, lam: Callable, samples) -> dict:
     samples are evaluated as one batch, each identity on its own sample's
     values; the first failing sample raises its typed error.
     """
-    res_sect = res_scal = res_gauss = 0.0
-    for sect, scal, gauss in _per_sample(
-        lambda x: _curvature_residuals(metric_obj, lam, x), samples
-    ):
-        for value in sect:
-            res_sect = max(res_sect, value)
-        res_scal = max(res_scal, scal)
-        if gauss is not None:
-            res_gauss = max(res_gauss, gauss)
-    return {"sectional": res_sect, "scalar": res_scal, "gauss": res_gauss}
+    rows = _per_sample(lambda x: _curvature_residuals(metric_obj, lam, x), samples)
+    # the worst of each identity, a NaN residual skipped as Python's max skips it
+    worst = np.fmax.reduce(np.reshape(rows, (-1, 3)), axis=0, initial=0.0)
+    return dict(zip(("sectional", "scalar", "gauss"), worst.tolist()))

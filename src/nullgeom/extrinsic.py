@@ -489,6 +489,7 @@ class ExtrinsicPoint:
 # -- public operations ------------------------------------------------------
 
 
+@taylor.float_edges
 def point_report(im: Immersion, x, eps: float = MARGINAL_EPS) -> ExtrinsicReport:
     """Full extrinsic row for one chart point."""
     return ExtrinsicPoint(im, x).report(eps)

@@ -28,9 +28,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import spacetime, taylor
-from .nullcone import NullconeSpec, PointRejected, require_on_cone
+from .nullcone import NullconeSpec, require_on_cone
 from .spacetime import AmbientModel
-from .taylor import BatchRejected, DomainError, Series, SmoothMap, format_point
+from .taylor import Series, SmoothMap, format_point
 
 # the jet order of each stage: psi; d psi, f, f^2 and the metric; the
 # inverse metric, the Christoffel symbols and the null frame
@@ -88,23 +88,8 @@ class Immersion:
         """
         psi = taylor.eval_series(self.map, x, order)
         if check_membership and self.target_cone is not None:
-            _require_on_cone(self.target_cone, taylor.batch_first([s.val for s in psi]))
+            require_on_cone(self.target_cone, taylor.batch_first([s.val for s in psi]))
         return psi
-
-
-def _require_on_cone(cone: NullconeSpec, psi0):
-    """`require_on_cone` of the psi values (ambient,) of one point, or of
-    each column of a batch (B, ambient), tested one float point at a time."""
-    if psi0.ndim == 1:
-        return require_on_cone(cone, psi0)
-    errors = {}
-    for b, p in enumerate(psi0):
-        try:
-            require_on_cone(cone, p)
-        except (PointRejected, DomainError) as err:
-            errors[b] = err
-    if errors:
-        raise BatchRejected(errors)
 
 
 def _singular(a) -> np.ndarray:

@@ -238,44 +238,44 @@ def grad_F_components(spec: NullconeSpec, p, f=None):
 
 def require_on_cone(spec: NullconeSpec, p):
     """Raise PointRejected unless p is an admissible point of the cone, with
-    |F| and any quadric residual within `MEMBERSHIP_TOL`."""
+    |F| and any quadric residual within `MEMBERSHIP_TOL`.  On a batch p
+    (B, ambient), one `BatchRejected` gives each failing column the error
+    of the first check it fails, as alone; a domain error of F comes first."""
     m = spec.model
+    off, vertex = RejectionReason.OFF_CONE, RejectionReason.VERTEX_EXCLUSION
     p = np.asarray(p, dtype=float)
-    F = float(eval_F(spec, p))
-    if abs(F) > MEMBERSHIP_TOL:
-        raise PointRejected(RejectionReason.OFF_CONE, f"|F| = {abs(F):.3e}")
+    q = list(p.T)  # the components: floats at a point, (B,) arrays on a batch
+    t = q[0]
+    F = np.abs(eval_F(spec, q))
+    checks = [(F > MEMBERSHIP_TOL, lambda at: PointRejected(off, f"|F| = {at(F):.3e}"))]
     if spec.variant == "desitter_alpha":
-        quad = -p[0] * p[0] + float(np.dot(p[1:], p[1:])) - 1.0
-        if abs(quad) > MEMBERSHIP_TOL:
-            raise PointRejected(RejectionReason.OFF_CONE,
-                                f"off the unit hyperquadric by {abs(quad):.3e}")
-        if p[0] <= 0.0:
-            raise PointRejected(RejectionReason.OFF_CONE, "past branch (x1 <= 0)")
-        if 0.0 < spec.alpha < 1.0:
-            split = spec.split_radius
-            if spec.component == "minus" and not p[0] < split:
-                raise PointRejected(RejectionReason.OFF_CONE, "beyond the component split radius")
-            if spec.component == "plus" and not p[0] > split:
-                raise PointRejected(RejectionReason.OFF_CONE, "below the component split radius")
-        return
-    if spec.variant == "cylinder":
-        if p[0] <= 0.0:
-            raise PointRejected(RejectionReason.OFF_CONE, "past branch (x1 <= 0)")
-        return
-    if spec.variant == "minkowski_cone":
-        if p[0] <= 0.0:
-            raise PointRejected(RejectionReason.OFF_CONE, "past branch (t <= 0)")
-        if p[0] < VERTEX_EPS:
-            raise PointRejected(RejectionReason.VERTEX_EXCLUSION,
-                                f"time {p[0]:.3e} below {VERTEX_EPS:.0e}")
-        return
-    t = float(p[0])
-    if t <= m.t0:
-        raise PointRejected(RejectionReason.OFF_CONE, "past branch (t <= t0)")
-    if m.kind == "product":
-        resid = abs(float(fiber_constraint(m, p[1:])))
-        if resid > MEMBERSHIP_TOL:
-            raise PointRejected(RejectionReason.OFF_CONE, f"off the fiber quadric by {resid:.3e}")
-    if m.warping.conformal_time(t, m.t0) < VERTEX_EPS:
-        raise PointRejected(RejectionReason.VERTEX_EXCLUSION,
-                            f"conformal time below {VERTEX_EPS:.0e}")
+        quad = np.abs(-(t * t) + taylor.norm_sq(q[1:]) - 1.0)
+        checks += [
+            (quad > MEMBERSHIP_TOL, lambda at: PointRejected(
+                off, f"off the unit hyperquadric by {at(quad):.3e}")),
+            (t <= 0.0, lambda at: PointRejected(off, "past branch (x1 <= 0)")),
+        ]
+        if spec.component == "minus":
+            checks.append((~(t < spec.split_radius), lambda at: PointRejected(
+                off, "beyond the component split radius")))
+        if spec.component == "plus":
+            checks.append((~(t > spec.split_radius), lambda at: PointRejected(
+                off, "below the component split radius")))
+    elif spec.variant == "cylinder":
+        checks.append((t <= 0.0, lambda at: PointRejected(off, "past branch (x1 <= 0)")))
+    elif spec.variant == "minkowski_cone":
+        checks += [
+            (t <= 0.0, lambda at: PointRejected(off, "past branch (t <= 0)")),
+            (t < VERTEX_EPS, lambda at: PointRejected(
+                vertex, f"time {at(t):.3e} below {VERTEX_EPS:.0e}")),
+        ]
+    else:
+        checks.append((t <= m.t0, lambda at: PointRejected(off, "past branch (t <= t0)")))
+        if m.kind == "product":
+            resid = np.abs(fiber_constraint(m, q[1:]))
+            checks.append((resid > MEMBERSHIP_TOL, lambda at: PointRejected(
+                off, f"off the fiber quadric by {at(resid):.3e}")))
+        phi = m.warping.conformal_time(t, m.t0)
+        checks.append((phi < VERTEX_EPS, lambda at: PointRejected(
+            vertex, f"conformal time below {VERTEX_EPS:.0e}")))
+    taylor.reject_first(checks)

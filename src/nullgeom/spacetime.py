@@ -58,12 +58,6 @@ class WarpingDomainError(taylor.DomainError):
     """A warping profile evaluated outside its domain, or where it is not positive."""
 
 
-def _power(x, k: int):
-    """x ** k of a float, or of each column of a (B,) array by numpy's scalar
-    power, as at one point: its array powers differ in the last bit."""
-    return np.array([v ** k for v in x]) if isinstance(x, np.ndarray) and x.ndim else x ** k
-
-
 @lru_cache(maxsize=None)
 def _compiled_profile(expr: str):
     return taylor.parse_expression(expr, ("t",))
@@ -128,11 +122,8 @@ class WarpingFunction:
         return _compiled_profile(self.expr)([t])
 
     def __call__(self, t):
-        """f at a float or Series time t; a (B,) array of times is evaluated
-        one float at a time."""
-        if isinstance(t, np.ndarray) and t.ndim:
-            return taylor.column_map(self, t)
-        v = t.val if isinstance(t, Series) else float(t)
+        """f at a float time, a (B,) array of times or a Series time t."""
+        v = t.val if isinstance(t, Series) else taylor.as_value(t)
         self._check_domain(v)
         out = self._raw(t)
         val = out.val if isinstance(out, Series) else out
@@ -152,8 +143,8 @@ class WarpingFunction:
         return tuple(s.c[k] * math.factorial(k) for k in range(order + 1))
 
     def conformal_time(self, t, t0: float):
-        """Integral of ds/f(s) from t0 to t; accepts a Series argument, and
-        a (B,) array of times, evaluated one float at a time."""
+        """Integral of ds/f(s) from t0 to t: t a float time, a (B,) array of
+        times or a Series time."""
         self._check_domain(float(t0))
         if isinstance(t, Series):
             # f's derivatives first: a column rejected by both keeps f's error
@@ -161,24 +152,26 @@ class WarpingFunction:
             table = (
                 self.conformal_time(t.val, t0),
                 1.0 / f0,
-                -f1 / _power(f0, 2),
-                (2.0 * _power(f1, 2) - f0 * f2) / _power(f0, 3),
+                -f1 / (f0 * f0),
+                (2.0 * (f1 * f1) - f0 * f2) / (f0 * f0 * f0),
             )
             return compose_univariate(t, table[: t.ctx.order + 1])
-        if isinstance(t, np.ndarray) and t.ndim:
-            return taylor.column_map(lambda v: self.conformal_time(v, t0), t)
-        v = float(t)
+        v = taylor.as_value(t)
         self._check_domain(v)
         if self.kind == "constant":
             return (v - t0) / self.params[0]
         if self.kind == "exp":
-            return math.exp(-t0) - math.exp(-v)
+            return np.exp(-t0) - np.exp(-v)
         if self.kind == "cosh":
-            return math.atan(math.sinh(v)) - math.atan(math.sinh(t0))
-        val, err = quadrature(lambda s: 1.0 / self.value(s), t0, v)
-        if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
-            raise ArithmeticError(f"quadrature of 1/f failed on [{t0}, {v}]")
-        return val
+            return np.arctan(np.sinh(v)) - np.arctan(np.sinh(t0))
+
+        def integral(end):
+            val, err = quadrature(lambda s: 1.0 / self.value(s), t0, end)
+            if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
+                raise ArithmeticError(f"quadrature of 1/f failed on [{t0}, {end}]")
+            return val
+
+        return taylor.column_map(integral, v)
 
 
 @dataclass(frozen=True)
@@ -257,9 +250,10 @@ def fiber_scale(model: AmbientModel, t):
     """f(t)^2, the factor of the metric's fiber block at time t; None for
     the flat kinds.
 
-    t may be a float or a Series.  Evaluate each once per point and never
-    convert one into the other: for profiles with division or powers their
-    values differ in the last bits.
+    t may be a float, a (B,) array of a batch's times or a Series.  Evaluate
+    the float (or array) and the Series once per point and never convert one
+    into the other: for profiles with division or powers their values differ
+    in the last bits.
     """
     if not model.warped:
         return None
@@ -358,10 +352,13 @@ def fiber_radius_sq(model: AmbientModel, x):
     if kind == "euclidean":
         return taylor.norm_sq(x)
     c = x[0]
-    if not isinstance(c, Series) and float(c) == 1.0:
-        return 0.0
+    # the distance is 0 at the base point c = 1, outside the open domain of
+    # either primitive: a float (or a column) there is evaluated at 0 or 2
+    base = not isinstance(c, Series) and np.equal(c, 1.0)
+    if np.any(base):
+        c = np.where(base, 0.0 if kind == "sphere" else 2.0, c)
     r = taylor.arccos(c) if kind == "sphere" else taylor.arccosh(c)
-    return r * r
+    return taylor.as_value(np.where(base, 0.0, r * r)) if np.any(base) else r * r
 
 
 def fiber_radial(model: AmbientModel, x):

@@ -24,11 +24,13 @@ right.  The product of order-k prefixes is the order-k prefix of the
 product, entry for entry in table order, so `Series.truncate` cuts a Series
 to a lower order as a prefix view; Series of two contexts never combine (a
 `TypeError`: mixed orders are a programming error, not a rejected point).
-Derivative tables of the primitives are computed one column at a time with
-`math`, whose last bits numpy's ufuncs do not always reproduce; a float
-overflow there, a math domain error (the sine of an infinity), or a
-division by a power that underflowed to zero is a domain error of the
-primitive.
+Derivative tables of the primitives are numpy expressions on the value, a
+float or a (B,) array, so that a point and a batch share one expression and
+agree bit for bit; a float overflow there, a domain error (the sine of an
+infinity), or a division by a power that underflowed to zero is a domain
+error of the primitive.  The engine computes under `float_edges`, numpy's
+error state that lets inf and NaN through without a warning, entered once
+per public call; every such value ends as a typed rejection.
 
 A check that fails at one point raises its typed error; on a batch it
 raises `BatchRejected`, which carries each failing column's typed error,
@@ -49,6 +51,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 MAX_ORDER = 3
+
+# the engine's floating-point scope, a decorator of each public call (the
+# primitives among them): an overflow, an invalid operation or a division by
+# zero gives inf or NaN without a warning, and every such value ends as a
+# typed rejection (a primitive's domain error, a row that is not finite)
+float_edges = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 # table terms of one bincount call on a batch: 16,384 float64 terms are
 # 128 KiB, glibc's default mmap threshold, above which the temporaries of
@@ -117,20 +125,34 @@ def reject(bad, error):
     the values that the column picker `at` picks, when `bad` is one point's
     flag, and `BatchRejected` of `error(column(b))` for each flagged column
     b when it is a batch's (B,) mask."""
-    if not isinstance(bad, np.ndarray) or not bad.ndim:
-        if bad:
-            raise error(column(None))
-    elif bad.any():
-        raise BatchRejected({b: error(column(b)) for b in np.flatnonzero(bad).tolist()})
+    if isinstance(bad, np.ndarray) and bad.ndim:
+        reject_first([(bad, error)])
+    elif bad:
+        raise error(column(None))
+
+
+def reject_first(checks):
+    """`reject` of each (bad, error) check in order, raising once: at one
+    point the error of the first check that fails, on a batch one
+    `BatchRejected` in which each flagged column carries the error of the
+    first check that flags it."""
+    errors = {}
+    for bad, error in checks:
+        if not isinstance(bad, np.ndarray) or not bad.ndim:
+            if bad:
+                raise error(column(None))
+            continue
+        for b in np.flatnonzero(bad).tolist():
+            if b not in errors:
+                errors[b] = error(column(b))
+    if errors:
+        raise BatchRejected(dict(sorted(errors.items())))
 
 
 def require(ok, error):
     """`reject` where `ok` fails, for checks stated as a condition that must
     hold, so that a NaN fails them as it does `if not ok: raise`."""
-    if isinstance(ok, np.ndarray) and ok.ndim:
-        reject(~ok, error)
-    elif not ok:
-        raise error(column(None))
+    reject(~ok if isinstance(ok, np.ndarray) and ok.ndim else not ok, error)
 
 
 def column_results(fn, xs, first: bool = False) -> list:
@@ -181,7 +203,13 @@ def batch_first(values, depth: int = 1) -> np.ndarray:
     return out if out.ndim == depth else np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
-def _per_column(fn, values) -> list:
+def column_map(fn, values):
+    """fn of a float value, or of each column of a (B,) array, as an array;
+    a column whose call raises a `ValueError` (a `DomainError` among them)
+    or an `ArithmeticError` is rejected with that error.  For a step with
+    no array form, such as an adaptive quadrature."""
+    if not isinstance(values, np.ndarray) or not values.ndim:
+        return fn(values)
     out, errors = [], {}
     for b, v in enumerate(values.tolist()):
         try:
@@ -190,25 +218,7 @@ def _per_column(fn, values) -> list:
             errors[b] = err
     if errors:
         raise BatchRejected(errors)
-    return out
-
-
-def column_map(fn, values):
-    """fn of a float value, or of each column of a (B,) array, as an array;
-    a column whose call raises a `ValueError` (a `DomainError` among them)
-    or an `ArithmeticError` is rejected with that error."""
-    if not isinstance(values, np.ndarray) or not values.ndim:
-        return fn(values)
-    return np.array(_per_column(fn, values))
-
-
-def column_table(fn, values):
-    """A derivative table [g(v), g'(v), ...] of a float v, or, for a (B,)
-    array, the list of per-entry arrays over its columns; columns rejected
-    as by `column_map`."""
-    if not isinstance(values, np.ndarray) or not values.ndim:
-        return fn(values)
-    return [np.array(entry) for entry in zip(*_per_column(fn, values))]
+    return np.array(out)
 
 
 class JetContext:
@@ -538,15 +548,7 @@ class Series:
                 base = base * base
                 k >>= 1
             return result
-        v = _scalar_val(self)
-        reject(v <= 0.0, lambda at: PrimitiveDomainError("pow", at(v)))
-        p = float(p)
-
-        def table(v):
-            return [v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2),
-                    p * (p - 1) * (p - 2) * v ** (p - 3)]
-
-        return _compose(self, _primitive_values("pow", column_table, table, v))
+        return _real_power(self, float(p))
 
     def __rpow__(self, base):
         b = float(base)
@@ -572,11 +574,12 @@ def _same_context(ctx: JetContext, other: Series):
 
 
 def _scalar_val(x: Series):
-    """The value of a scalar Series, the argument of a univariate primitive;
-    a vector or a matrix is refused, its components not being a batch."""
+    """The value of a scalar Series, the argument of a univariate primitive,
+    as a numpy float or a (B,) array; a vector or a matrix is refused, its
+    components not being a batch."""
     if x.shape:
         raise TypeError(f"univariate primitive of a series of shape {x.shape}")
-    return x.val
+    return x.c[0]
 
 
 def _compose(x: Series, deriv_values) -> Series:
@@ -608,141 +611,164 @@ def compose_univariate(x: Series, deriv_values) -> Series:
     return _compose(x, deriv_values)
 
 
-def _reciprocal_table(v):
-    return [1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4]
+def _checked(name: str, v, values: list, ok=True) -> list:
+    """values computed at a primitive's argument v, a numpy float or a (B,)
+    array, where `ok` holds: a column where it fails, or where a value is
+    not finite (an overflow, a domain error, a division by a power of v
+    that underflowed to zero), is the primitive's domain error at v."""
+    if isinstance(v, np.ndarray):
+        ok = ok & np.isfinite(np.array(values)).all(axis=0)
+    else:
+        ok = ok and all(map(math.isfinite, values))
+    require(ok, lambda at: PrimitiveDomainError(name, float(at(v))))
+    return values
 
 
-def _reciprocal(x: Series) -> Series:
+# The derivative tables [g(v), g'(v), g''(v), g'''(v)] of the primitives at a
+# numpy value v, one expression for a point and a batch, end with the powers
+# of v they divide by, whose overflow leaves the entries finite.  Integer
+# powers are products: numpy's array and scalar powers differ in the last bit.
+
+
+@float_edges
+def _real_power(x: Series, p: float) -> Series:
+    """x ** p for a non-integer p, as Python's float power (`np.float_power`)."""
     v = _scalar_val(x)
-    reject(v == 0.0, lambda at: PrimitiveDomainError("reciprocal", at(v)))
-    return _compose(x, _primitive_values("reciprocal", column_table, _reciprocal_table, v))
+    w = [np.float_power(v, p - k) for k in range(4)]
+    table = [w[0], p * w[1], p * (p - 1) * w[2], p * (p - 1) * (p - 2) * w[3]]
+    return _compose(x, _checked("pow", v, table, v > 0.0))
 
 
-def _primitive_values(name: str, over, fn, v):
-    """`over(fn, v)`, the `column_map` or `column_table` of a `math` function
-    of a primitive's argument v: a float overflow, a math domain error, or a
-    division by a power of v that underflowed to zero is the primitive's
-    domain error at one point, and its column's on a batch."""
-    try:
-        return over(fn, v)
-    except (ValueError, ArithmeticError):
-        raise PrimitiveDomainError(name, v) from None
-    except BatchRejected as err:
-        # every error here is math's, raised by its column's value
-        errors = {b: PrimitiveDomainError(name, column(b)(v)) for b in err.errors}
-        raise BatchRejected(errors) from None
+def _unary(name: str, ufunc, table_fn, domain_ok=lambda v: True):
+    """The primitive `name`: the numpy `ufunc` of a float or a (B,) array,
+    and the composition with `table_fn`'s derivative table of a Series."""
 
-
-def _unary(name: str, float_fn, table_fn, domain_ok=None):
-    def check(v):
-        if domain_ok is not None:
-            require(domain_ok(v), lambda at: PrimitiveDomainError(name, at(v)))
-
+    @float_edges
     def fn(x):
         if isinstance(x, Series):
             v = _scalar_val(x)
-            check(v)
-            return _compose(x, _primitive_values(name, column_table, table_fn, v))
-        v = as_value(x)
-        check(v)
-        return _primitive_values(name, column_map, float_fn, v)
+            return _compose(x, _checked(name, v, table_fn(v), domain_ok(v)))
+        v = np.float64(x)  # a (B,) array stays one
+        return as_value(_checked(name, v, [ufunc(v)], domain_ok(v))[0])
 
     fn.__name__ = name
     fn.__qualname__ = name
     return fn
 
 
+def _reciprocal_table(v):
+    v2 = v * v
+    v3 = v2 * v
+    v4 = v3 * v
+    return [1.0 / v, -1.0 / v2, 2.0 / v3, -6.0 / v4, v2, v3, v4]
+
+
 def _exp_table(v):
-    e = math.exp(v)
+    e = np.exp(v)
     return [e, e, e, e]
 
 
 def _log_table(v):
-    return [math.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3]
+    v2 = v * v
+    v3 = v2 * v
+    return [np.log(v), 1.0 / v, -1.0 / v2, 2.0 / v3, v2, v3]
 
 
 def _sin_table(v):
-    s, c = math.sin(v), math.cos(v)
+    s, c = np.sin(v), np.cos(v)
     return [s, c, -s, -c]
 
 
 def _cos_table(v):
-    s, c = math.sin(v), math.cos(v)
+    s, c = np.sin(v), np.cos(v)
     return [c, -s, -c, s]
 
 
 def _tan_table(v):
-    t = math.tan(v)
+    t = np.tan(v)
     w = 1.0 + t * t
     return [t, w, 2.0 * t * w, w * (2.0 + 6.0 * t * t)]
 
 
 def _sinh_table(v):
-    s, c = math.sinh(v), math.cosh(v)
+    s, c = np.sinh(v), np.cosh(v)
     return [s, c, s, c]
 
 
 def _cosh_table(v):
-    s, c = math.sinh(v), math.cosh(v)
+    s, c = np.sinh(v), np.cosh(v)
     return [c, s, c, s]
 
 
 def _tanh_table(v):
-    u = math.tanh(v)
+    u = np.tanh(v)
     w = 1.0 - u * u
     return [u, w, -2.0 * u * w, w * (6.0 * u * u - 2.0)]
 
 
 def _arctan_table(v):
     w = 1.0 + v * v
-    return [math.atan(v), 1.0 / w, -2.0 * v / w ** 2, (6.0 * v * v - 2.0) / w ** 3]
+    w2 = w * w
+    w3 = w2 * w
+    return [np.arctan(v), 1.0 / w, -2.0 * v / w2, (6.0 * v * v - 2.0) / w3, w2, w3]
 
 
 def _arcsin_table(v):
-    s = math.sqrt(1.0 - v * v)
-    return [math.asin(v), 1.0 / s, v / s ** 3, (1.0 + 2.0 * v * v) / s ** 5]
+    s = np.sqrt(1.0 - v * v)
+    s3 = s * s * s
+    s5 = s3 * s * s
+    return [np.arcsin(v), 1.0 / s, v / s3, (1.0 + 2.0 * v * v) / s5, s3, s5]
 
 
 def _arccos_table(v):
-    s = math.sqrt(1.0 - v * v)
-    return [math.acos(v), -1.0 / s, -v / s ** 3, -(1.0 + 2.0 * v * v) / s ** 5]
+    _, d1, d2, d3, *powers = _arcsin_table(v)
+    return [np.arccos(v), -d1, -d2, -d3, *powers]
 
 
 def _arcsinh_table(v):
-    c = math.sqrt(1.0 + v * v)
-    return [math.asinh(v), 1.0 / c, -v / c ** 3, (2.0 * v * v - 1.0) / c ** 5]
+    c = np.sqrt(1.0 + v * v)
+    c3 = c * c * c
+    c5 = c3 * c * c
+    return [np.arcsinh(v), 1.0 / c, -v / c3, (2.0 * v * v - 1.0) / c5, c3, c5]
 
 
 def _arccosh_table(v):
-    s = math.sqrt(v * v - 1.0)
-    return [math.acosh(v), 1.0 / s, -v / s ** 3, (2.0 * v * v + 1.0) / s ** 5]
+    s = np.sqrt(v * v - 1.0)
+    s3 = s * s * s
+    s5 = s3 * s * s
+    return [np.arccosh(v), 1.0 / s, -v / s3, (2.0 * v * v + 1.0) / s5, s3, s5]
 
 
 def _arctanh_table(v):
     w = 1.0 - v * v
-    return [math.atanh(v), 1.0 / w, 2.0 * v / w ** 2, (2.0 + 6.0 * v * v) / w ** 3]
+    w2 = w * w
+    w3 = w2 * w
+    return [np.arctanh(v), 1.0 / w, 2.0 * v / w2, (2.0 + 6.0 * v * v) / w3, w2, w3]
 
 
 def _sqrt_table(v):
-    r = math.sqrt(v)
-    return [r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)]
+    r = np.sqrt(v)
+    rv = r * v
+    rvv = rv * v
+    return [r, 0.5 / r, -0.25 / rv, 0.375 / rvv, rv, rvv]
 
 
-exp = _unary("exp", math.exp, _exp_table)
-log = _unary("log", math.log, _log_table, lambda v: v > 0.0)
-sin = _unary("sin", math.sin, _sin_table)
-cos = _unary("cos", math.cos, _cos_table)
-tan = _unary("tan", math.tan, _tan_table)
-sinh = _unary("sinh", math.sinh, _sinh_table)
-cosh = _unary("cosh", math.cosh, _cosh_table)
-tanh = _unary("tanh", math.tanh, _tanh_table)
-arctan = _unary("arctan", math.atan, _arctan_table)
-arcsin = _unary("arcsin", math.asin, _arcsin_table, lambda v: abs(v) < 1.0)
-arccos = _unary("arccos", math.acos, _arccos_table, lambda v: abs(v) < 1.0)
-arcsinh = _unary("arcsinh", math.asinh, _arcsinh_table)
-arccosh = _unary("arccosh", math.acosh, _arccosh_table, lambda v: v > 1.0)
-arctanh = _unary("arctanh", math.atanh, _arctanh_table, lambda v: abs(v) < 1.0)
-sqrt = _unary("sqrt", math.sqrt, _sqrt_table, lambda v: v > 0.0)
+exp = _unary("exp", np.exp, _exp_table)
+log = _unary("log", np.log, _log_table, lambda v: v > 0.0)
+sin = _unary("sin", np.sin, _sin_table)
+cos = _unary("cos", np.cos, _cos_table)
+tan = _unary("tan", np.tan, _tan_table)
+sinh = _unary("sinh", np.sinh, _sinh_table)
+cosh = _unary("cosh", np.cosh, _cosh_table)
+tanh = _unary("tanh", np.tanh, _tanh_table)
+arctan = _unary("arctan", np.arctan, _arctan_table)
+arcsin = _unary("arcsin", np.arcsin, _arcsin_table, lambda v: abs(v) < 1.0)
+arccos = _unary("arccos", np.arccos, _arccos_table, lambda v: abs(v) < 1.0)
+arcsinh = _unary("arcsinh", np.arcsinh, _arcsinh_table)
+arccosh = _unary("arccosh", np.arccosh, _arccosh_table, lambda v: v > 1.0)
+arctanh = _unary("arctanh", np.arctanh, _arctanh_table, lambda v: abs(v) < 1.0)
+sqrt = _unary("sqrt", np.sqrt, _sqrt_table, lambda v: v > 0.0)
+_reciprocal = _unary("reciprocal", np.reciprocal, _reciprocal_table, lambda v: v != 0.0)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -840,6 +866,14 @@ _EXPR_FUNCS = {
 _EXPR_CONSTS = {"pi": math.pi, "e": math.e}
 
 
+def _power(a, b):
+    """a ** b of an expression: Python's float power of floats, elementwise
+    on arrays too (`np.float_power`), so a batch's values are its points'."""
+    if isinstance(a, Series) or isinstance(b, Series):
+        return a ** b
+    return as_value(np.float_power(a, b))
+
+
 def parse_expression(expr: str, variables: Sequence[str]) -> Callable:
     """Compile an expression string over the primitive vocabulary.
 
@@ -881,7 +915,7 @@ def parse_expression(expr: str, variables: Sequence[str]) -> Callable:
             if op is ast.Div:
                 return lambda xs: lhs(xs) / rhs(xs)
             if op is ast.Pow:
-                return lambda xs: lhs(xs) ** rhs(xs)
+                return lambda xs: _power(lhs(xs), rhs(xs))
             raise ValueError(f"operator {op.__name__} not allowed in expressions")
         if isinstance(node, ast.UnaryOp):
             arg = build(node.operand)

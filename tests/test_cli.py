@@ -750,6 +750,47 @@ def test_batched_grid_matches_points_alone(data):
     assert next(got_rows, None) is None and next(got_rejections, None) is None
 
 
+def test_overflowing_jets_are_the_same_typed_rejection_batched_and_alone():
+    # the order-3 jets of sqrt(x0) at this polar coordinate overflow in the
+    # products of the induced metric; under pyproject's error::RuntimeWarning
+    # filter, an overflow warning would escape instead of the typed rejection
+    scene = parse_scene(edge_scenes()["primitive-domain"])
+    x = (5.84790378351203e-117, 0.0)
+    scene.axes = [np.array([x[0], 0.5]), np.array([x[1]])]
+    rows, _, rejections = cli._evaluate_grid(scene)
+    kind, alone, _ = evaluate_alone(scene, x)
+    assert len(rows) == 1 and kind == "rejected"
+    assert rejections == [alone]
+    assert alone == {
+        "point": list(x),
+        "reason": "chart_singularity",
+        "detail": f"induced metric at {x} is singular",
+    }
+
+
+def test_engine_entry_points_restore_the_error_state():
+    # the engine's floating-point scope is entered and left per call, never
+    # set for the process, also when the call ends in a typed rejection
+    before = np.geterr()
+    scene = parse_scene(edge_scenes()["primitive-domain"])
+    run(small(builtin_scenes()["mink-slice"]))
+    assert np.geterr() == before
+    x = np.array([5.84790378351203e-117, 0.0])
+    with pytest.raises(immersion.MetricSignatureError):
+        extrinsic.point_report(scene.im, x)
+    assert np.geterr() == before
+    extrinsic.point_report(scene.im, np.array([0.5, 0.3]))
+    assert np.geterr() == before
+    slice_scene = parse_scene(slice_doc())
+    lam = conformal.factor_field(slice_scene.cspec, slice_scene.im)
+    points = [np.array(row) for row in itertools.product(*slice_scene.axes)][:3]
+    conformal.conformal_curvature_check(slice_scene.im, lam, points)
+    assert np.geterr() == before
+    with pytest.raises(conformal.DegeneracyError):
+        conformal.conformal_map(slice_scene.cspec, slice_scene.im, np.array([0.0, 0.0]))
+    assert np.geterr() == before
+
+
 def test_builtin_scenes_evaluate_their_grid_as_one_batch(monkeypatch):
     # no built-in grid has a rejected point or outgrows GRID_CHUNK, so each
     # scene's grid pass is one batch of all its points

@@ -124,6 +124,31 @@ def test_conformal_time_series_batch_matches_columns_alone():
         assert rejected == 1, kind
 
 
+def test_warping_of_a_time_array_is_each_floats():
+    # f and the conformal time of a (B,) array of times are each float's, bit
+    # for bit (a custom profile's powers included); a time outside the
+    # warping domain rejects its own column with the error it raises alone
+    times = np.insert(np.random.default_rng(6).uniform(-0.9, 1.4, 48), 9, 1.7)
+    kinds = [
+        ("constant", (2.0,), None),
+        ("exp", (), None),
+        ("cosh", (), None),
+        ("polynomial", (1.0, 0.2, 0.3), None),
+        ("custom", (), "(2 + t)**4.5 / (2 + t)**3"),
+    ]
+    for kind, params, expr in kinds:
+        f = mk_warping(kind, params, domain=(-1.0, 1.5), expr=expr)
+        for fn in (f, lambda ts: f.conformal_time(ts, 0.0)):
+            batch = tm.column_results(lambda ts: np.broadcast_to(fn(ts), ts.shape), times)
+            for t, got in zip(times, batch):
+                try:
+                    want = fn(float(t))
+                except st.WarpingDomainError as err:
+                    assert type(got) is st.WarpingDomainError and str(got) == str(err), kind
+                    continue
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (kind, t)
+
+
 def test_conformal_time_series_derivatives_match_fd():
     f = mk_warping("cosh")
     t0, t = -0.2, 0.85

@@ -318,6 +318,52 @@ def test_float_overflow_is_a_primitive_domain_error():
             ]
 
 
+UNARY = ("exp", "log", "sin", "cos", "tan", "sinh", "cosh", "tanh", "arctan", "arcsin",
+         "arccos", "arcsinh", "arccosh", "arctanh", "sqrt")
+# domain edges, and magnitudes whose tables overflow or divide by a power
+# that underflows to zero
+EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 2.0, 1e-8, 1e-110, 1e-117, 1e-200, -1e-200, 5e-324,
+               1e200, -1e200, 1e103, 1e155, 709.0, 710.0, -745.0, math.pi / 2, math.inf,
+               -math.inf, math.nan)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_primitive_point_matches_its_batch_column(data):
+    # a point's Series (or float) is its column of the batch bit for bit, and
+    # the batch's rejected columns carry the errors their points raise alone
+    name = data.draw(st.sampled_from(UNARY + ("pow", "reciprocal")))
+    if name == "pow":
+        p = data.draw(st.floats(-3.5, 3.5).filter(lambda q: not q.is_integer()))
+        fn = lambda x: x ** p  # noqa: E731
+    else:
+        fn = (lambda x: 1.0 / x) if name == "reciprocal" else getattr(tm, name)
+    plain = name in UNARY and data.draw(st.booleans())
+    values = data.draw(st.lists(
+        st.one_of(st.sampled_from(EDGE_VALUES), st.floats(), st.floats(-3.0, 3.0)),
+        min_size=1, max_size=12,
+    ))
+    ctx = tm.get_context(1, data.draw(st.integers(0, 3)))
+
+    def evaluate(v):
+        return fn(v) if plain else fn(tm.Series.variable(ctx, 0, v))
+
+    def columns(vs):
+        out = evaluate(vs)
+        return list(out) if plain else [out.c[:, b] for b in range(len(vs))]
+
+    batch = tm.column_results(columns, np.array(values))
+    for v, got in zip(values, batch):
+        try:
+            alone = evaluate(v)
+        except tm.PrimitiveDomainError as err:
+            assert type(got) is type(err) and str(got) == str(err), (name, v)
+            continue
+        assert not isinstance(got, Exception), (name, v, got)
+        want = np.float64(alone) if plain else alone.c
+        assert np.asarray(got).tobytes() == want.tobytes(), (name, v)
+
+
 def test_univariate_primitive_refuses_components():
     # a vector's components are no batch: a primitive of one is a TypeError
     ctx = tm.get_context(2, 3)
