@@ -33,12 +33,13 @@ reads that per-row diagnostic for its first 40 evaluated points and drops
 the flagged ones.  The appendix checks the conformal curvature identities
 at up to five evaluated grid points, drawn without replacement by the
 scene's seed and evaluated as one batch.  The grid is
-evaluated on the calling thread as one batch through the same pipeline that
-evaluates a single point, in chunks of `GRID_CHUNK` points only where it is
-larger (the bound on a batch's memory; every built-in grid fits in one).
-A point the batch rejects keeps its column's typed error, and the others
-are evaluated again as one batch; no point is evaluated alone, and
-every point comes out exactly as it would alone.  Rows and rejections
+evaluated on the calling thread as one batch through the one pipeline,
+which evaluates a single point as a batch of one, in chunks of
+`GRID_CHUNK` points only where it is larger (the bound on a batch's
+memory; every built-in grid fits in one).  A point the batch rejects
+keeps its column's typed error, and the others are evaluated again as one
+batch; no point is evaluated alone, and every point comes out exactly as
+it would in a batch of its own.  Rows and rejections
 are reported in grid order, so identical configurations produce
 byte-identical output.
 
@@ -72,7 +73,7 @@ from .extrinsic import (ROW_FIELDS, TRAPPED_CLASSES, ExtrinsicPoint, FrameDegene
 from .immersion import Immersion, MetricSignatureError
 from .nullcone import EmbeddingRangeError, NullconeSpec, PointRejected
 from .spacetime import AmbientModel, WarpingFunction
-from .taylor import DomainError, SmoothMap, as_value, column_max, column_results, parse_expression
+from .taylor import DomainError, SmoothMap, column_max, column_results, parse_expression
 
 __all__ = [
     "ConfigError",
@@ -483,7 +484,7 @@ def _shape_residual(pt: ExtrinsicPoint, selectors):
             numeric[normal] = pt.shape_numeric(normal)
         diff = pt.shape_closed(which) - numeric[normal]
         worst = column_max(worst, _frobenius(diff))
-    return as_value(worst)
+    return worst
 
 
 def _expansion_residuals(pt: ExtrinsicPoint, rep, gauss_shift) -> dict:
@@ -491,7 +492,7 @@ def _expansion_residuals(pt: ExtrinsicPoint, rep, gauss_shift) -> dict:
     expected = -(theta_xi * pt.eta + theta_eta * pt.xi)
     vec = np.max(np.abs(pt.mean_curvature_vector - expected), axis=-1)
     sq = abs(rep.H_sq + 2.0 * rep.theta_xi * rep.theta_eta)
-    out = {"identity": as_value(column_max(vec, sq))}
+    out = {"identity": column_max(vec, sq)}
     if gauss_shift is not None:
         out["gauss"] = abs(rep.scal_intrinsic - rep.scal_formula - gauss_shift)
     return out
@@ -508,18 +509,17 @@ def _trapped_mismatch(pt: ExtrinsicPoint, rep, tolerances):
         s < band,
         np.where(klass == "untrapped", s > -band, abs(s) <= band),
     )
-    return as_value(np.where(ok, 0.0, 1.0))
+    return np.where(ok, 0.0, 1.0)
 
 
 @taylor.float_edges
 def _evaluate(scene: Scene, x) -> list:
-    """(row, diag) for the point x (n,), or for each point of a batch
-    x (B, n); raises the typed error, or `BatchRejected`, of a point the
-    pipeline refuses.  The grid pass's one floating-point scope."""
+    """(row, diag) for each point of a batch x (B, n); raises
+    `BatchRejected` for the points the pipeline refuses.  The grid pass's
+    one floating-point scope."""
     pt = ExtrinsicPoint(scene.im, x)
     rep = pt.report(scene.tolerances["trapped_eps"])
-    fields = {key: np.atleast_1d(getattr(rep, key)) for key in ROW_FIELDS}
-    classes = np.atleast_1d(rep.trapped_class)
+    fields = {key: getattr(rep, key) for key in ROW_FIELDS}
     residuals, expansion = {}, {}
     if "frame" in scene.checks:
         residuals["frame"] = pt.frame_residual()
@@ -530,16 +530,12 @@ def _evaluate(scene: Scene, x) -> list:
     if "expansions" in scene.checks:
         expansion = _expansion_residuals(pt, rep, scene.gauss_shift)
     if "conformal" in scene.checks:
-        deviation, spd, on_model = (
-            np.atleast_1d(v) for v in conformal.pullback_columns(scene.cspec, pt.geo)
-        )
-    residuals = {name: np.atleast_1d(v) for name, v in residuals.items()}
-    expansion = {name: np.atleast_1d(v) for name, v in expansion.items()}
+        deviation, spd, on_model = conformal.pullback_columns(scene.cspec, pt.geo)
     out = []
-    for b, point in enumerate(np.atleast_2d(x)):
+    for b, point in enumerate(x):
         row = {"point": [float(v) for v in point]}
         row.update((key, float(v[b])) for key, v in fields.items())
-        row["trapped_class"] = str(classes[b])
+        row["trapped_class"] = str(rep.trapped_class[b])
         diag = {name: float(v[b]) for name, v in residuals.items()}
         if expansion:
             diag["expansions"] = {key: float(v[b]) for key, v in expansion.items()}

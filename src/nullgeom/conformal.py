@@ -10,9 +10,9 @@ trip through the canonical graph embeddings (built in `scenes`) by a
 numeric local inverse, and checks the curvature identities relating a
 metric to its conformal rescalings.
 
-The pullback identity reads an evaluated chart geometry, of one point or of
-a batch, and flags the columns whose image leaves the model space instead
-of raising for them; it is the one check of the conformal factor.  The
+The pullback identity reads an evaluated chart geometry of a batch, and
+flags the columns whose image leaves the model space instead of raising
+for them; it is the one check of the conformal factor.  The
 sample checks (de Sitter scale sign, curvature identities) evaluate their
 samples as one batch; where the batch is refused, the samples before the
 first failing one are evaluated again as a batch, and that sample raises
@@ -148,19 +148,17 @@ def _denominator_series(spec: ConformalMapSpec, im: Immersion, psi):
 def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
     """The conformal scale as a smooth chart field, sign-normalized positive.
 
-    Returns a callable over jet coordinates, at one point or on a batch,
-    suitable for scalar_series and conformal_curvature_check.  Columns where
-    the raw denominator is negative get a sign flip so the field stays
-    positive throughout; a column inside the floor is rejected.
+    Returns a callable over the coordinate Series of a batch, suitable for
+    scalar_series and conformal_curvature_check.  Columns where the raw
+    denominator is negative get a sign flip so the field stays positive
+    throughout; a column inside the floor is rejected.
     """
 
     def lam(coords):
         first = coords[0]
-        psi = list(im.map.fn(list(coords)))
-        if isinstance(first, Series):
-            psi = [taylor.as_series(c, first.ctx, first.batch) for c in psi]
+        psi = [taylor.as_series(c, first.ctx, first.batch) for c in im.map.fn(list(coords))]
         den = _denominator_series(spec, im, psi)
-        value = den.val if isinstance(den, Series) else float(den)
+        value = den.val
         taylor.reject(
             np.abs(value) <= DENOMINATOR_FLOOR,
             lambda at: DegeneracyError(
@@ -168,23 +166,29 @@ def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
             ),
         )
         # multiplying by -1.0 is negation, bit for bit
-        return den * taylor.as_value(np.where(value < 0.0, -1.0, 1.0))
+        return den * np.where(value < 0.0, -1.0, 1.0)
 
     return lam
 
 
 def _primitive_integrand(spec: ConformalMapSpec, im: Immersion):
-    """Chart components of dw/u as a covector field: (point, axis) -> float."""
+    """Chart components of dw/u as a covector field: (point, axis) -> float,
+    the point a batch of one."""
 
-    def cov(point, axis):
-        psi = im.series(point, 1, check_membership=False)
+    def components(points, axis):
+        psi = im.series(points, 1, check_membership=False)
         denom = _denominator_series(spec, im, psi).val
-        if abs(denom) <= DENOMINATOR_FLOOR:
-            raise DegeneracyError(
-                f"split-map denominator {denom:.3e} vanishes near {format_point(point)}"
-            )
+        taylor.reject(
+            np.abs(denom) <= DENOMINATOR_FLOOR,
+            lambda at: DegeneracyError(
+                f"split-map denominator {at(denom):.3e} vanishes near {format_point(at(points))}"
+            ),
+        )
         w = psi[-1]
         return w.c[w.ctx.first[axis]] / denom
+
+    def cov(point, axis):
+        return float(taylor.per_sample(lambda ps: components(ps, axis), [point])[0])
 
     return cov
 
@@ -256,19 +260,20 @@ def exactness_residual(spec: ConformalMapSpec, im: Immersion, axes, bounds) -> f
 
 @taylor.float_edges
 def conformal_map(spec: ConformalMapSpec, im: Immersion, x) -> np.ndarray:
-    """Image of a chart point under the variant's split map.
+    """Image of a chart point (n,) under the variant's split map, a batch of
+    one; a refused point raises its typed error.
 
     Lands on the model space (hyperboloid sheet, round sphere, or a model
     cross-section paired with the primitive g); membership is enforced.
     """
-    x = np.asarray(x, dtype=np.float64)
-    return _map_values(spec, im, x, im.series(x, 1))
+    (y,) = taylor.per_sample(lambda xs: _map_values(spec, im, xs, im.series(xs, 1)), [x])
+    return y
 
 
 def _model_image(spec, im, psi):
-    """The split map's model image of psi at one point, or per column of a
-    batch: (denominator value, image y (..., k), whether the column is on
-    the model space).
+    """The split map's model image of psi per column of a batch:
+    (denominator values, images y (B, k), whether each column is on the
+    model space).
 
     A column whose denominator lies inside the floor is off the model and
     is not divided by; membership is tested on values, so no column raises.
@@ -277,7 +282,7 @@ def _model_image(spec, im, psi):
     above = np.abs(denom) > DENOMINATOR_FLOOR
     _, keep = _split_layout(spec, im)
     vals = taylor.batch_first([psi[a].val for a in keep])
-    y = vals / np.where(above, denom, 1.0)[..., None]
+    y = vals / np.where(above, denom, 1.0)[:, None]
     if spec.hyperbolic:
         y0 = y[..., 0]
         lorentz = -np.float_power(y0, 2) + np.vecdot(y[..., 1:], y[..., 1:])
@@ -287,10 +292,10 @@ def _model_image(spec, im, psi):
     return denom, y, above & on_model
 
 
-def _model_values(spec, im, x, psi) -> np.ndarray:
-    """Image of psi on the model factor (hyperboloid sheet or round sphere),
-    without the cylinder maps' primitive g, at one point or per row of a
-    batch; membership is enforced."""
+def _map_values(spec, im, x, psi) -> np.ndarray:
+    """Image of psi per row of a batch: on the model factor (hyperboloid
+    sheet or round sphere), membership enforced, followed by the primitive
+    g on the cylinder maps."""
     denom, y, on_model = _model_image(spec, im, psi)
     taylor.reject(
         np.abs(denom) <= DENOMINATOR_FLOOR,
@@ -301,24 +306,16 @@ def _model_values(spec, im, x, psi) -> np.ndarray:
     taylor.require(
         on_model, lambda at: DegeneracyError(f"split-map image {at(y)} left the model space")
     )
-    return y
-
-
-def _map_values(spec, im, x, psi) -> np.ndarray:
-    """The model image, followed by the primitive g on the cylinder maps."""
-    y = _model_values(spec, im, x, psi)
     if spec.primitive:
-        if x.ndim == 1:
-            g = [primitive_g(spec, im, x)]
-        else:  # a point whose quadrature fails rejects its own column
-            g = taylor.column_map(lambda p: primitive_g(spec, im, p), x)
-        return np.concatenate([y, np.reshape(g, y.shape[:-1] + (1,))], axis=-1)
+        # a point whose quadrature fails rejects its own column
+        g = taylor.column_map(lambda p: primitive_g(spec, im, p), x)
+        return np.concatenate([y, g[:, None]], axis=-1)
     return y
 
 
 def _map_jacobian(spec, im, psi) -> np.ndarray:
-    """d(split map) rows per model component, columns per chart axis; the
-    batch axis first on a batch.
+    """d(split map) rows per model component, columns per chart axis, the
+    batch axis first.
 
     The primitive's differential is dg = dw/u exactly, so no quadrature
     enters the jacobian.
@@ -331,26 +328,18 @@ def _map_jacobian(spec, im, psi) -> np.ndarray:
     _, keep = _split_layout(spec, im)
     n = denom.ctx.n
     comps = [psi[a] / denom for a in keep]
-    jac = taylor.batch_first([[c.derivative(i).val for i in range(n)] for c in comps], 2)
+    jac = taylor.batch_first([[c.derivative(i).val for i in range(n)] for c in comps])
     if spec.primitive:
         w = psi[-1]
         dg = taylor.batch_first([w.derivative(i).val for i in range(n)])
-        dg = dg / np.asarray(denom.val)[..., None]
+        dg = dg / denom.val[:, None]
         jac = np.concatenate([jac, dg[..., None, :]], axis=-2)
     return jac
 
 
-def _pullback(spec, im, psi):
-    jac = _map_jacobian(spec, im, psi)
-    signs = np.ones(jac.shape[-2])
-    if spec.hyperbolic:
-        signs[0] = -1.0
-    return np.einsum("a,...ai,...aj->...ij", signs, jac, jac)
-
-
 def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry):
     """(deviation, spd, on_model) of the pullback identity at an evaluated
-    immersion geometry: values at one point, (B,) arrays over a batch.
+    immersion geometry, (B,) arrays over its batch.
 
     The deviation compares the model inner products of the split map's jet
     columns against lambda^-2 times the induced metric, entrywise in the
@@ -361,34 +350,23 @@ def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry):
     """
     # the jacobian reads first derivatives only
     im, psi, g0 = geo.immersion, [s.truncate(FRAME_ORDER) for s in geo.psi], geo.g0
-    one_point = geo.batch is None
-    if one_point:  # a batch of one column
-        psi = [Series(s.ctx, s.c[:, None]) for s in psi]
-        g0 = g0[None]
     denom, _, on_model = _model_image(spec, im, psi)
     deviation = np.full(len(g0), np.nan)
     spd = np.zeros(len(g0), dtype=bool)
     if on_model.any():
         if not on_model.all():  # the jacobian divides: keep the columns on the model
             psi = [Series(s.ctx, s.c[:, on_model]) for s in psi]
-        pulled = _pullback(spec, im, psi)
+        jac = _map_jacobian(spec, im, psi)
+        signs = np.ones(jac.shape[-2])
+        if spec.hyperbolic:
+            signs[0] = -1.0
+        pulled = np.einsum("a,...ai,...aj->...ij", signs, jac, jac)
         lam_sq = np.float_power(np.abs(denom[on_model]), 2)
         scaled = g0[on_model] / lam_sq[:, None, None]
         deviation[on_model] = np.max(np.abs(pulled - scaled), axis=(-2, -1))
         symmetric = np.isclose(pulled, np.swapaxes(pulled, -1, -2), atol=1e-12).all(axis=(-2, -1))
         spd[on_model] = symmetric & (np.linalg.eigvalsh(pulled)[:, 0] > 0.0)
-    if one_point:
-        return float(deviation[0]), bool(spd[0]), bool(on_model[0])
     return deviation, spd, on_model
-
-
-def _per_sample(fn, samples) -> list:
-    """fn's per-sample results, fn evaluating the samples stacked as one
-    batch (S, n); the first failing sample raises its own typed error."""
-    results = taylor.column_results(fn, np.array(list(samples), dtype=np.float64), first=True)
-    if results and isinstance(results[-1], Exception):
-        raise results[-1]
-    return results
 
 
 def desitter_r_sign(im: Immersion, samples) -> float:
@@ -409,7 +387,7 @@ def desitter_r_sign(im: Immersion, samples) -> float:
         )
         return r.tolist()
 
-    signs = {1.0 if r > 0.0 else -1.0 for r in _per_sample(scale, samples)}
+    signs = {1.0 if r > 0.0 else -1.0 for r in taylor.per_sample(scale, samples)}
     if len(signs) != 1:
         raise DegeneracyError("scale R changes sign across the samples")
     return signs.pop()
@@ -564,7 +542,7 @@ def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float
     if images:
         ys = np.array([y for y, _ in images])
         x_hats = local_inverse(spec, im, ys, np.array(seeds[: len(images)]))
-        for (y, psi0), f_val in zip(images, _per_sample(f_at, x_hats)):
+        for (y, psi0), f_val in zip(images, taylor.per_sample(f_at, x_hats)):
             ambient = _psi_f_at_model_point(spec, im, idx, y, f_val)
             worst = max(worst, float(np.max(np.abs(ambient - psi0))))
     if error is not None:
@@ -645,7 +623,7 @@ def conformal_curvature_check(metric_obj, lam: Callable, samples) -> dict:
     samples are evaluated as one batch, each identity on its own sample's
     values; the first failing sample raises its typed error.
     """
-    rows = _per_sample(lambda x: _curvature_residuals(metric_obj, lam, x), samples)
+    rows = taylor.per_sample(lambda x: _curvature_residuals(metric_obj, lam, x), samples)
     # the worst of each identity, a NaN residual skipped as Python's max skips it
     worst = np.fmax.reduce(np.reshape(rows, (-1, 3)), axis=0, initial=0.0)
     return dict(zip(("sectional", "scalar", "gauss"), worst.tolist()))

@@ -1,8 +1,8 @@
 """Null frames, shape operators, expansions and trapped-ness classification.
 
-One chart point, or a batch of them, runs through plain stage functions,
-in this order, each taking the `ChartGeometry` and the arrays or Series
-lists of the stages before it:
+A batch of chart points runs through plain stage functions, in this
+order, each taking the `ChartGeometry` and the arrays or Series lists of
+the stages before it:
 
 1. `height`: the cone height u = psi^0, its gradient and its Hessian;
 2. `null_frame`: xi, the time axis and its normal part, nu and eta, as
@@ -14,10 +14,11 @@ lists of the stages before it:
 4. `second_fundamental_form` and `expansions`: theta_xi, theta_eta, the
    mean curvature vector H and <H, H>.
 
-`ExtrinsicPoint` runs them once and keeps the results; `point_report` is
-the one-point facade.  On a batch every Series carries one column per
-point and every array a leading batch axis; vectors keep their ambient
-components last, as `spacetime.ambient_inner` reads them.
+`ExtrinsicPoint` runs them once over a batch and keeps the results;
+`point_report` is the one-point facade, a batch of one.  Every Series
+carries one column per point and every array a leading batch axis;
+vectors keep their ambient components last, as `spacetime.ambient_inner`
+reads them.
 
 Conventions are the general-relativity ones throughout: the Gauss formula
 reads nabla^amb_X Y = nabla_X Y - II(X, Y) and the Weingarten map is
@@ -85,8 +86,8 @@ class ShapeDispatchError(ValueError):
 
 @dataclass(frozen=True)
 class ExtrinsicReport:
-    """Per-point extrinsic summary, the row format of the suite reports;
-    each field holds one value per point on a batch."""
+    """Per-point extrinsic summary, the row format of the suite reports: of
+    one point (`point_report`), or one value per point of a batch."""
 
     point: np.ndarray
     u: float
@@ -132,18 +133,8 @@ def closed_forms(model, cone) -> tuple:
 
 
 def _values(series: Series) -> np.ndarray:
-    """Values of a vector Series, components last."""
+    """Values of a vector Series, the batch axis first, components last."""
     return taylor.batch_first(series.val)
-
-
-def _col(a):
-    """Per-point scalars shaped to scale component arrays."""
-    return a[..., None] if isinstance(a, np.ndarray) else a
-
-
-def _mat(a):
-    """Per-point scalars shaped to scale (n, n) matrices."""
-    return a[..., None, None] if isinstance(a, np.ndarray) else a
 
 
 def height(geo: ChartGeometry):
@@ -170,12 +161,12 @@ def null_frame(geo: ChartGeometry):
     dpsi = geo.dpsi.truncate(FRAME_ORDER)
     f = None if geo.f is None else geo.f.truncate(FRAME_ORDER)
     f2 = None if geo.f2 is None else geo.f2.truncate(FRAME_ORDER)
-    ctx, batch = dpsi.ctx, geo.batch
+    ctx, batch = dpsi.ctx, len(geo.x)
     xi = Series.stack(nullcone.grad_F_components(cone, psi, f), ctx, batch)
     if cone.variant == "desitter_alpha":
         # future-normalize on the R > 0 component of a de Sitter section;
         # scaling by -1 or 1 is negation or a copy, bit for bit
-        xi = xi * taylor.as_value(np.where(cone.scale(geo.psi0[..., 0]) > 0.0, -1.0, 1.0))
+        xi = xi * np.where(cone.scale(geo.psi0[:, 0]) > 0.0, -1.0, 1.0)
     axis = Series.stack(spacetime.time_axis(model, psi), ctx, batch)
     if model.kind == "desitter":
         b = spacetime.ambient_inner(model, f2, axis, dpsi)
@@ -221,7 +212,7 @@ def _directional(geo: ChartGeometry, field: Series, df) -> list:
     model = geo.immersion.model
     n0 = _values(field)
     # [a, j] = d_j N^a
-    d = taylor.batch_first(np.moveaxis(field.c[field.ctx.first], 0, 1), 2)
+    d = taylor.batch_first(field.c[field.ctx.first].swapaxes(0, 1))
     return [
         d[..., j] + spacetime.warped_connection_term(model, df, geo.tangents[..., j, :], n0)
         for j in range(geo.dim)
@@ -235,9 +226,9 @@ def weingarten_map(geo: ChartGeometry, field: Series, f2, df) -> np.ndarray:
     `spacetime.ambient_inner` and `spacetime.warped_connection_term`).
     """
     # [..., j, :] = nabla^amb_{d_j psi} N, paired with [..., i, :] = d_i psi
-    dn = np.stack(_directional(geo, field, df), axis=-2)
+    dn = np.array(_directional(geo, field, df)).swapaxes(0, 1)
     m = spacetime.ambient_inner(
-        geo.immersion.model, _mat(f2), dn[..., None, :, :], geo.tangents[..., :, None, :]
+        geo.immersion.model, f2, dn[..., None, :, :], geo.tangents[..., :, None, :]
     )
     return geo.g_inv0 @ m
 
@@ -252,16 +243,15 @@ def second_fundamental_form(geo: ChartGeometry, xi, eta, f2, df) -> np.ndarray:
     model, n = geo.immersion.model, geo.dim
     tangents = geo.tangents
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    w = np.stack(
+    w = np.array(
         [
             geo.psi_second_partials[..., i, j, :]
             + spacetime.warped_connection_term(model, df, tangents[..., i, :], tangents[..., j, :])
             for i, j in pairs
-        ],
-        axis=-2,
-    )
-    a = -spacetime.ambient_inner(model, _col(f2), w, eta[..., None, :])
-    b = -spacetime.ambient_inner(model, _col(f2), w, xi[..., None, :])
+        ]
+    ).swapaxes(0, 1)
+    a = -spacetime.ambient_inner(model, f2, w, eta[..., None, :])
+    b = -spacetime.ambient_inner(model, f2, w, xi[..., None, :])
     # [..., pair, :] = -(a xi + b eta)
     ab = -(a[..., None] * xi[..., None, :] + b[..., None] * eta[..., None, :])
     ii = np.zeros(xi.shape[:-1] + (n, n, xi.shape[-1]))
@@ -277,33 +267,23 @@ def expansions(geo: ChartGeometry, a_xi, a_eta, ii, f2):
     h = np.zeros(ii.shape[:-3] + ii.shape[-1:])
     for i in range(n):
         for j in range(n):
-            h += _col(geo.g_inv0[..., i, j]) * ii[..., i, j, :]
+            h += geo.g_inv0[:, i, j, None] * ii[..., i, j, :]
     h = h / n
-    h_sq = taylor.as_value(spacetime.ambient_inner(geo.immersion.model, f2, h, h))
-    theta_xi = taylor.as_value(np.trace(a_xi, axis1=-2, axis2=-1)) / n
-    theta_eta = taylor.as_value(np.trace(a_eta, axis1=-2, axis2=-1)) / n
+    h_sq = spacetime.ambient_inner(geo.immersion.model, f2, h, h)
+    theta_xi = a_xi.trace(axis1=-2, axis2=-1) / n
+    theta_eta = a_eta.trace(axis1=-2, axis2=-1) / n
     return theta_xi, theta_eta, h, h_sq
 
 
-def _classify(m: float, eps: float) -> str:
-    """The trapped class of the mean-curvature sign quantity m."""
-    if m > eps:
-        return "past_trapped"
-    if abs(m) <= eps:
-        return "past_marginally_trapped"
-    return "untrapped"
-
-
 class ExtrinsicPoint:
-    """All extrinsic data of an immersion at one chart point (n,), or at
-    each point of a batch (B, n).
+    """All extrinsic data of an immersion at each point of a batch (B, n).
 
     The constructor runs the stages once, in pipeline order: chart
     geometry, `height`, `null_frame`, the xi and eta `weingarten_map`s,
     `second_fundamental_form` and `expansions`, and keeps every result as
-    a plain attribute: floats and arrays at one point, with a leading batch
-    axis on a batch.  The time-orthogonal Weingarten map, which only the
-    shape checks read, is built on first request and kept.
+    a plain attribute, an array with a leading batch axis.  The
+    time-orthogonal Weingarten map, which only the shape checks read, is
+    built on first request and kept.
     """
 
     def __init__(self, im: Immersion, x):
@@ -315,7 +295,7 @@ class ExtrinsicPoint:
         self.geo = geo = chart_geometry(im, x)
         self.n = im.dim
         self.u, self.du, self.grad_u, self.grad_u_sq, hess = height(geo)
-        self.laplacian_u = taylor.as_value(np.einsum("...ij,...ij->...", geo.g_inv0, hess))
+        self.laplacian_u = np.einsum("...ij,...ij->...", geo.g_inv0, hess)
         self.hess_u_mixed = geo.g_inv0 @ hess  # g^{ik} Hess_kj
         (
             self.xi_series,
@@ -329,10 +309,10 @@ class ExtrinsicPoint:
         self.nu = _values(self.nu_series)
         # the float point's warping factors, apart from the Series ones of
         # geo.f2: f^2 scales the metric, (f, f') enter the connection
-        t = geo.psi0[..., 0]
+        t = geo.psi0[:, 0]
         self.f2 = spacetime.fiber_scale(model, t)
         self.df = model.warping.derivatives(t, 1) if model.warped else None
-        self.warping_ratio = 0.0 if self.df is None else self.df[1] / self.df[0]
+        self.warping_ratio = np.zeros_like(t) if self.df is None else self.df[1] / self.df[0]
         self.shape_maps = {
             "xi": weingarten_map(geo, self.xi_series, self.f2, self.df),
             "eta": weingarten_map(geo, self.eta_series, self.f2, self.df),
@@ -342,8 +322,8 @@ class ExtrinsicPoint:
             geo, self.shape_maps["xi"], self.shape_maps["eta"], self.ii, self.f2
         )
 
-    def frame_residual(self) -> float:
-        """Max deviation of the frame identities at this point.
+    def frame_residual(self) -> np.ndarray:
+        """Max deviation of the frame identities at each point.
 
         Checks <xi,xi> = <eta,eta> = 0, <xi,eta> = -1, <nu,nu> = -1,
         orthogonality of all three fields to the tangents, and the shared
@@ -364,7 +344,7 @@ class ExtrinsicPoint:
                 worst = taylor.column_max(worst, abs(inner(field, tangent)))
         t = _values(self.time_axis_series)
         flipped = (inner(xi, nu) >= 0.0) | (inner(eta, nu) >= 0.0) | (inner(nu, t) >= 0.0)
-        return taylor.as_value(np.where(flipped, taylor.column_max(worst, 1.0), worst))
+        return np.where(flipped, taylor.column_max(worst, 1.0), worst)
 
     # -- Weingarten maps --------------------------------------------------
 
@@ -400,14 +380,14 @@ class ExtrinsicPoint:
         eye = np.eye(self.n)
         outer = self.grad_u[..., :, None] * self.du[..., None, :]
         if which == "time_orthogonal":
-            return self.hess_u_mixed + _mat(self.warping_ratio) * (eye + outer)
+            return self.hess_u_mixed + self.warping_ratio[:, None, None] * (eye + outer)
         if which in ("minkowski_xi", "minkowski_eta"):
             if which == "minkowski_xi":
                 return np.broadcast_to(eye, self.hess_u_mixed.shape)
             u = self.u
             return (
-                _mat(-((1.0 + self.grad_u_sq) / (2.0 * u * u))) * eye
-                + self.hess_u_mixed / _mat(u)
+                (-((1.0 + self.grad_u_sq) / (2.0 * u * u)))[:, None, None] * eye
+                + self.hess_u_mixed / u[:, None, None]
             )
         if which in ("warped_xi", "warped_eta"):
             if model.kind == "minkowski":
@@ -416,17 +396,18 @@ class ExtrinsicPoint:
                 f0, f1 = self.df
                 phi = model.warping.conformal_time(self.u, model.t0)
             if which == "warped_xi":
-                return _mat((f1 * phi + 1.0) / (f0 * f0)) * eye
+                return ((f1 * phi + 1.0) / (f0 * f0))[:, None, None] * eye
             gsq = self.grad_u_sq
             c0 = -((1.0 + gsq) / (2.0 * phi * phi) + f1 * (gsq - 1.0) / (2.0 * phi))
-            return _mat(c0) * eye + _mat(f1 / phi) * outer + _mat(f0 / phi) * self.hess_u_mixed
+            return (c0[:, None, None] * eye + (f1 / phi)[:, None, None] * outer
+                    + (f0 / phi)[:, None, None] * self.hess_u_mixed)
         a_xi = self._product_xi_chart()
         if which == "product_xi":
             return a_xi
         p = self.u - (model.t0 or 0.0)
         return (
-            _mat(-((1.0 + self.grad_u_sq) / (2.0 * p * p))) * a_xi
-            + self.hess_u_mixed / _mat(p)
+            (-((1.0 + self.grad_u_sq) / (2.0 * p * p)))[:, None, None] * a_xi
+            + self.hess_u_mixed / p[:, None, None]
         )
 
     def _product_xi_chart(self) -> np.ndarray:
@@ -434,12 +415,12 @@ class ExtrinsicPoint:
         model, tangents = self.model, self.geo.tangents
         r, dr = spacetime.fiber_radial(model, self.geo.psi0.T[1:])
         dr = np.stack(dr, axis=-1)
-        rc = _col(spacetime.radial_tangential_factor(model, r))
+        rc = spacetime.radial_tangential_factor(model, r)[:, None]
         signs = model.signature[1:]
         cols = []
         for j in range(self.n):
             xhat = tangents[..., j, 1:]  # fiber part of Xhat = X - <X, grad u> dt
-            radial = _col(np.sum(signs * xhat * dr, axis=-1))
+            radial = np.sum(signs * xhat * dr, axis=-1)[:, None]
             v = radial * dr + rc * (xhat - radial * dr)
             v_amb = np.concatenate((np.zeros(v.shape[:-1] + (1,)), v), axis=-1)
             m = np.stack(
@@ -449,7 +430,7 @@ class ExtrinsicPoint:
                 ],
                 axis=-1,
             )
-            cols.append(-_col(self.du[..., j]) * self.grad_u + np.matvec(self.geo.g_inv0, m))
+            cols.append(-self.du[:, j, None] * self.grad_u + np.matvec(self.geo.g_inv0, m))
         return np.stack(cols, axis=-1)
 
     def shape_closed(self, which: str) -> np.ndarray:
@@ -457,16 +438,18 @@ class ExtrinsicPoint:
 
     # -- classification -----------------------------------------------------
 
-    def trapped_class(self, eps: float = MARGINAL_EPS):
-        """The class at the point, or an array of classes over a batch."""
-        if self.cone.rules.trapped:
-            m = 2.0 * self.u * self.laplacian_u - self.n * (1.0 + self.grad_u_sq)
-            return taylor.column_map(lambda v: _classify(v, eps), m)
-        return taylor.column_map(lambda v: "unclassified", self.u)
+    def trapped_class(self, eps: float = MARGINAL_EPS) -> np.ndarray:
+        """The points' classes: trapped where m exceeds eps, marginal within it."""
+        if not self.cone.rules.trapped:
+            return np.full(len(self.u), "unclassified")
+        m = 2.0 * self.u * self.laplacian_u - self.n * (1.0 + self.grad_u_sq)
+        marginal = np.where(np.abs(m) <= eps, "past_marginally_trapped", "untrapped")
+        return np.where(m > eps, "past_trapped", marginal)
 
     def report(self, eps: float = MARGINAL_EPS) -> ExtrinsicReport:
-        """The row of the point, or of each point of a batch; a point with a
-        `ROW_FIELDS` value that is not finite is a `ChartDomainError`."""
+        """The rows of the points, one value per point in each field; a
+        point with a `ROW_FIELDS` value that is not finite is a
+        `ChartDomainError`."""
         h_sq = self.h_sq
         values = (self.u, self.grad_u_sq, self.laplacian_u, self.theta_xi, self.theta_eta,
                   h_sq, self.n * (self.n - 1) * h_sq, self.geo.scal)  # ROW_FIELDS
@@ -491,5 +474,14 @@ class ExtrinsicPoint:
 
 @taylor.float_edges
 def point_report(im: Immersion, x, eps: float = MARGINAL_EPS) -> ExtrinsicReport:
-    """Full extrinsic row for one chart point."""
-    return ExtrinsicPoint(im, x).report(eps)
+    """Full extrinsic row for one chart point (n,), a batch of one, its
+    fields Python floats; a refused point raises its typed error."""
+
+    def rows(xs):
+        rep = ExtrinsicPoint(im, xs).report(eps)
+        fields = zip(*(getattr(rep, key).tolist() for key in ROW_FIELDS))
+        return [ExtrinsicReport(p, *f, trapped_class=str(k))
+                for p, f, k in zip(rep.point, fields, rep.trapped_class)]
+
+    (rep,) = taylor.per_sample(rows, [x])
+    return rep

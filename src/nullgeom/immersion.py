@@ -10,9 +10,9 @@ tensor follows at order 0 -- enough for every intrinsic quantity reported
 downstream.  A stage cuts the Series it is handed with `Series.truncate`,
 a prefix of the coefficients.  The metric algebra runs on matrix and
 vector Series (`taylor`'s component axes), one product per matrix rather
-than one per entry.  The same code evaluates one point or a batch of
-points, the batch riding along as the trailing axis of every Series and
-the leading axis of every array.
+than one per entry.  It evaluates a batch of chart points (one point is a
+batch of one), the batch riding along as the trailing axis of every Series
+and the leading axis of every array.
 
 A metric can also be handed over directly in chart coordinates
 (`MetricChart`) when there is no ambient picture, e.g. model-space metrics
@@ -79,12 +79,12 @@ class Immersion:
         return self.map.n_inputs
 
     def series(self, x, order: int, check_membership=True) -> list:
-        """The ambient coordinates psi at a chart point (n,), or at each point
-        of a batch (B, n), as Series of `order`.
+        """The ambient coordinates psi at each point of a batch (B, n), as
+        Series of `order`.
 
-        Raises `ChartDomainError` outside the chart domain and, unless
-        `check_membership` is off, `PointRejected` off the target cone; on a
-        batch, `BatchRejected` with each failing column's error.
+        Raises `BatchRejected` whose failing columns carry
+        `ChartDomainError` outside the chart domain and, unless
+        `check_membership` is off, `PointRejected` off the target cone.
         """
         psi = taylor.eval_series(self.map, x, order)
         if check_membership and self.target_cone is not None:
@@ -100,16 +100,15 @@ def _singular(a) -> np.ndarray:
 
 
 def _stacked(op, error, a, *args, refused=None):
-    """A numpy.linalg `op` over a matrix or a stack of them; a `LinAlgError`,
-    which fails a stack as a whole, is `taylor.reject`'s `error` for each
-    matrix that `refused(a)` flags, or, without it, each that fails alone."""
+    """A numpy.linalg `op` over a stack of matrices; a `LinAlgError`, which
+    fails a stack as a whole, is `taylor.reject`'s `error` for each matrix
+    that `refused(a)` flags, or, without it, each that fails alone."""
     try:
         return op(a, *args)
     except np.linalg.LinAlgError:
-        bad = True
-        if a.ndim > 2 and refused is not None:
+        if refused is not None:
             bad = refused(a)
-        elif a.ndim > 2:
+        else:
             bad = np.zeros(len(a), dtype=bool)
             for b in range(len(a)):
                 try:
@@ -143,18 +142,17 @@ def _mirrored(g: Series) -> Series:
 
 
 class ChartGeometry:
-    """Order-2 metric jet at a chart point, or at each point of a batch, and
-    everything derived from it.
+    """Order-2 metric jet at each point of a batch, and everything derived
+    from it.
 
     Built either from an immersion (metric pulled back through the ambient
     inner product of the derivative series `dpsi`, at the fiber scale
     `f2 = f * f` of the warping profile f of the Series time psi^0) or from
     a metric chart.  `g_series` is the (n, n) Series of the metric and
     `dpsi` the (n, ambient) Series of the d_i psi^a, both of order 2 like
-    f and f2; psi keeps order 3.  At one point `x` has shape (n,) and
-    arrays the shapes noted below; on a batch `x` is (B, n), every Series
-    carries B columns and every array a leading batch axis.  Quantities are
-    computed lazily and cached.
+    f and f2; psi keeps order 3.  `x` is the batch (B, n), every Series
+    carries B columns, and every array has a leading batch axis before the
+    shapes noted below.  Quantities are computed lazily and cached.
     """
 
     def __init__(self, x, g_series: Series, psi=None, dpsi=None, f=None, f2=None,
@@ -163,14 +161,13 @@ class ChartGeometry:
         self.g_series = g_series
         self.dim = g_series.shape[0]
         self.ctx = g_series.ctx
-        self.batch = None if self.x.ndim == 1 else len(self.x)
         self.psi = psi
         self.dpsi = dpsi
         self.f = f
         self.f2 = f2
         self.immersion = immersion
-        g0 = taylor.batch_first(g_series.val, 2)
-        g0 = 0.5 * (g0 + np.swapaxes(g0, -1, -2))
+        g0 = taylor.batch_first(g_series.val)
+        g0 = 0.5 * (g0 + g0.swapaxes(-1, -2))
         lowest = _stacked(np.linalg.eigvalsh, self._defect("has no eigenvalues"), g0)[..., 0]
         taylor.reject(
             lowest <= _EIG_FLOOR,
@@ -191,7 +188,7 @@ class ChartGeometry:
     @cached_property
     def coords(self) -> list:
         """The chart coordinates as Series, for fields on the chart."""
-        return [Series.variable(self.ctx, i, self.x[..., i]) for i in range(self.dim)]
+        return [Series.variable(self.ctx, i, self.x[:, i]) for i in range(self.dim)]
 
     def rescaled(self, lam: Series) -> "ChartGeometry":
         """Geometry of the conformal metric lam^2 g at the same point."""
@@ -206,32 +203,26 @@ class ChartGeometry:
     @cached_property
     def tangents(self) -> np.ndarray:
         """Coordinate tangent vectors d_i psi, shape (dim, ambient)."""
-        return taylor.batch_first(self.dpsi.val, 2)
+        return taylor.batch_first(self.dpsi.val)
 
     @cached_property
     def psi_second_partials(self) -> np.ndarray:
         """d_i d_j psi values, shape (dim, dim, ambient)."""
-        return np.stack([self.second_partials(s) for s in self.psi], axis=-1)
+        return np.array([self.second_partials(s) for s in self.psi]).transpose(1, 2, 3, 0)
 
     # -- metric jet algebra ---------------------------------------------
-
-    def _entries(self, a: np.ndarray) -> np.ndarray:
-        """a with any batch axis moved last, as values over the component
-        and batch axes of a Series."""
-        return a if self.batch is None else np.moveaxis(a, 0, -1)
 
     @cached_property
     def g_inv_series(self) -> Series:
         """The inverse metric (n, n) to order 1: the Neumann series around
         the point value, (I + A0inv E)^-1 A0inv with E = g - g(x), whose
         terms past (I - A0inv E) A0inv start at order 2."""
-        n = self.dim
-        a0inv = self._entries(self.g_inv0)
-        e = self.g_series.truncate(FRAME_ORDER) - self._entries(self.g0)
+        # the values over the component and batch axes of a Series
+        a0inv = self.g_inv0.transpose(1, 2, 0)
+        e = self.g_series.truncate(FRAME_ORDER) - self.g0.transpose(1, 2, 0)
         # m[i, j] = sum over l of a0inv[i, l] * e[l, j]
         m = (e[None, :, :] * a0inv[:, :, None]).sum(axis=1, start=0.0)
-        eye = np.eye(n) if self.batch is None else np.eye(n)[:, :, None]
-        x = eye - m
+        x = np.eye(self.dim)[:, :, None] - m
         return (x[:, :, None] * a0inv[None, :, :]).sum(axis=1, start=0.0)
 
     @cached_property
@@ -247,14 +238,14 @@ class ChartGeometry:
     @cached_property
     def christoffel(self) -> np.ndarray:
         """Gamma^k_ij values, shape (dim, dim, dim)."""
-        return taylor.batch_first(self.christoffel_series.val, 3)
+        return taylor.batch_first(self.christoffel_series.val)
 
     @cached_property
     def riemann(self) -> np.ndarray:
         """R^l_ijk = <chart components of R(d_i, d_j) d_k>, value only."""
         gamma, series = self.christoffel, self.christoffel_series
         # d_i Gamma^l_jk, indexed [l, j, k, i]: the first partials of the series
-        dgamma = taylor.batch_first(np.moveaxis(series.c[series.ctx.first], 0, 3), 4)
+        dgamma = taylor.batch_first(series.c[series.ctx.first].transpose(1, 2, 3, 0, 4))
         # [l, i, j, k] = d_i Gamma^l_jk and d_j Gamma^l_ik
         d_i = dgamma.swapaxes(-1, -2).swapaxes(-2, -3)
         d_j = dgamma.swapaxes(-1, -2)
@@ -268,7 +259,7 @@ class ChartGeometry:
     def scal(self):
         # Ricci as the trace over the first slot; sign fixed by Scal(S^n) = +n(n-1)
         ric = np.einsum("...iijk->...jk", self.riemann)
-        return taylor.as_value(np.einsum("...jk,...jk->...", self.g_inv0, ric))
+        return np.einsum("...jk,...jk->...", self.g_inv0, ric)
 
     @cached_property
     def onf(self) -> np.ndarray:
@@ -288,7 +279,7 @@ class ChartGeometry:
 
     def scalar_series(self, h) -> Series:
         """The chart field h, a callable of the coordinate list, as a Series."""
-        return taylor.as_series(h(self.coords), self.ctx, self.batch)
+        return taylor.as_series(h(self.coords), self.ctx, len(self.x))
 
     def partials(self, s: Series) -> np.ndarray:
         return s.slots(s.ctx.first)
@@ -300,7 +291,7 @@ class ChartGeometry:
         """Contravariant gradient components and its squared norm."""
         dh = self.partials(s)
         comps = np.matvec(self.g_inv0, dh)
-        return comps, taylor.as_value(np.vecdot(dh, comps))
+        return comps, np.vecdot(dh, comps)
 
     def covariant_hessian(self, s: Series) -> np.ndarray:
         """Hess_ij = d_i d_j h - Gamma^k_ij d_k h, chart components."""
@@ -308,15 +299,13 @@ class ChartGeometry:
         return self.second_partials(s) - np.einsum("...kij,...k->...ij", self.christoffel, dh)
 
     def laplacian(self, s: Series):
-        return taylor.as_value(
-            np.einsum("...ij,...ij->...", self.g_inv0, self.covariant_hessian(s))
-        )
+        return np.einsum("...ij,...ij->...", self.g_inv0, self.covariant_hessian(s))
 
 
 def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGeometry:
     psi = im.series(x, JET_ORDER, check_membership)
     # [i, a] = d_i psi^a, exact to order 2
-    dpsi = Series.stack(psi, psi[0].ctx).gradient().truncate(METRIC_ORDER)
+    dpsi = Series.stack(psi, psi[0].ctx, len(x)).gradient().truncate(METRIC_ORDER)
     # the profile f at the Series time, kept for the cone gradient; f^2 is
     # `spacetime.fiber_scale` of the same time
     f = im.model.warping(psi[0].truncate(METRIC_ORDER)) if im.model.warped else None
@@ -328,8 +317,8 @@ def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGe
 def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
     x = np.asarray(x, dtype=np.float64)
     ctx = taylor.get_context(chart.dim, METRIC_ORDER)
-    batch = len(x) if x.ndim == 2 else None
-    coords = [Series.variable(ctx, i, x[..., i]) for i in range(chart.dim)]
+    batch = len(x)
+    coords = [Series.variable(ctx, i, x[:, i]) for i in range(chart.dim)]
     raw = chart.metric(coords)
     n = chart.dim
     g = [[None] * n for _ in range(n)]
@@ -339,12 +328,12 @@ def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
             s = 0.5 * (upper + taylor.as_series(raw[j][i], ctx, batch))
             g[i][j] = s
             g[j][i] = s
-    return ChartGeometry(x, Series.stack([Series.stack(row, ctx) for row in g], ctx))
+    return ChartGeometry(x, Series.stack([Series.stack(row, ctx, batch) for row in g], ctx, batch))
 
 
 def chart_geometry(obj, x, check_membership=True) -> ChartGeometry:
-    """Metric jet of an `Immersion` or a `MetricChart` at a chart point (n,)
-    or at each point of a batch (B, n)."""
+    """Metric jet of an `Immersion` or a `MetricChart` at each point of a
+    batch (B, n)."""
     if isinstance(obj, Immersion):
         return _geometry_from_immersion(obj, x, check_membership=check_membership)
     if isinstance(obj, MetricChart):

@@ -155,17 +155,21 @@ class NullconeSpec:
         return self.beta / self.alpha
 
     def check_range(self, f):
-        """f, a graph function's value (float or Series), checked to be positive
-        and, on a split de Sitter plane, below the split radius on `minus`, above on `plus`."""
-        v = f.val if isinstance(f, Series) else float(f)
+        """f, a graph function's value (a Series, or a float constant over the
+        chart), checked to be positive and, on a split de Sitter plane, below
+        the split radius on `minus`, above on `plus`."""
         lo = self.split_radius if self.component == "plus" else 0.0
         hi = self.split_radius if self.component == "minus" else math.inf
-        taylor.require(
-            (lo < v) & (v < hi),
-            lambda at: EmbeddingRangeError(
-                f"f = {at(v):.6g} outside the admissible range ({lo:.6g}, {hi:.6g})"
-            ),
-        )
+
+        def outside(v):
+            return EmbeddingRangeError(
+                f"f = {v:.6g} outside the admissible range ({lo:.6g}, {hi:.6g})"
+            )
+
+        if isinstance(f, Series):
+            taylor.require((lo < f.val) & (f.val < hi), lambda at: outside(at(f.val)))
+        elif not lo < f < hi:  # a constant fails every column alike
+            raise outside(float(f))
         return f
 
 
@@ -204,12 +208,10 @@ def grad_F_components(spec: NullconeSpec, p, f=None):
     m = spec.model
     if len(p) != m.coord_count:
         raise ValueError("point dimension does not match the model")
-    is_series = any(isinstance(x, Series) for x in p)
     if spec.variant == "minkowski_cone":
         return list(p)
     if spec.variant == "cylinder":
-        zero = 0.0 * p[0] if is_series else 0.0
-        return list(p[: m.n + 1]) + [zero]
+        return list(p[: m.n + 1]) + [0.0 * p[0]]
     if spec.variant == "desitter_alpha":
         scale = eval_F(spec, p) + spec.alpha
         comps = [-scale * x for x in p]
@@ -228,8 +230,6 @@ def grad_F_components(spec: NullconeSpec, p, f=None):
         f = m.warping(t)
     try:
         r, dr = fiber_radial(m, p[1:])
-    except PrimitiveDomainError as exc:
-        raise _reject_radial(exc) from exc
     except BatchRejected as err:
         raise BatchRejected({b: _reject_radial(e) for b, e in err.errors.items()}) from None
     scale = r / (f * f)
@@ -237,14 +237,15 @@ def grad_F_components(spec: NullconeSpec, p, f=None):
 
 
 def require_on_cone(spec: NullconeSpec, p):
-    """Raise PointRejected unless p is an admissible point of the cone, with
-    |F| and any quadric residual within `MEMBERSHIP_TOL`.  On a batch p
-    (B, ambient), one `BatchRejected` gives each failing column the error
-    of the first check it fails, as alone; a domain error of F comes first."""
+    """Reject the points of a batch p (B, ambient) that are not admissible
+    points of the cone, with |F| and any quadric residual within
+    `MEMBERSHIP_TOL`: one `BatchRejected` gives each failing column the
+    `PointRejected` of the first check it fails; a domain error of F comes
+    first."""
     m = spec.model
     off, vertex = RejectionReason.OFF_CONE, RejectionReason.VERTEX_EXCLUSION
     p = np.asarray(p, dtype=float)
-    q = list(p.T)  # the components: floats at a point, (B,) arrays on a batch
+    q = list(p.T)  # the components, (B,) arrays
     t = q[0]
     F = np.abs(eval_F(spec, q))
     checks = [(F > MEMBERSHIP_TOL, lambda at: PointRejected(off, f"|F| = {at(F):.3e}"))]

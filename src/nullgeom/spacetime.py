@@ -97,13 +97,15 @@ class WarpingFunction:
                 raise ValueError("custom warping needs an expression in t")
             _compiled_profile(self.expr)  # a malformed expression fails here
 
-    def _check_domain(self, v):
-        """v: a float time, or the (B,) array of a batch's times."""
+    def _outside(self, t: float) -> WarpingDomainError:
         lo, hi = self.domain
-        taylor.require(
-            (lo < v) & (v < hi),
-            lambda at: WarpingDomainError(f"time {at(v)} outside warping domain ({lo}, {hi})"),
-        )
+        return WarpingDomainError(f"time {t} outside warping domain ({lo}, {hi})")
+
+    def _check_domain(self, v: np.ndarray):
+        """v: the (B,) array of a batch's times; the whole line holds the finite."""
+        lo, hi = self.domain
+        inside = np.isfinite(v) if lo == -math.inf and hi == math.inf else (lo < v) & (v < hi)
+        taylor.require(inside, lambda at: self._outside(at(v)))
 
     def _raw(self, t):
         if self.kind == "constant":
@@ -122,48 +124,57 @@ class WarpingFunction:
         return _compiled_profile(self.expr)([t])
 
     def __call__(self, t):
-        """f at a float time, a (B,) array of times or a Series time t."""
-        v = t.val if isinstance(t, Series) else taylor.as_value(t)
+        """f at a (B,) array of times or at a Series time t."""
+        v = t.val if isinstance(t, Series) else t
         self._check_domain(v)
         out = self._raw(t)
-        val = out.val if isinstance(out, Series) else out
+        if isinstance(out, float):  # a profile that is a constant
+            out = np.full(v.shape, out)
+        positive = (out.val if isinstance(out, Series) else out) > 0.0
         taylor.require(
-            val > 0.0,
-            lambda at: WarpingDomainError(f"warping function nonpositive at t={at(v)}"),
+            positive, lambda at: WarpingDomainError(f"warping function nonpositive at t={at(v)}")
         )
         return out
 
     def value(self, t: float) -> float:
-        return float(self(float(t)))
+        """f at a float time, a batch of one, for a quadrature's integrand."""
+        return float(taylor.per_sample(self, [t])[0])
 
-    def derivatives(self, t, order: int = 2):
-        """(f, f', ..., f^(order)) at t, a float or the (B,) array of a batch."""
+    def derivatives(self, t: np.ndarray, order: int = 2):
+        """(f, f', ..., f^(order)) at the (B,) array of times t, in closed
+        form for exp and cosh (as their jets give them, bit for bit)."""
+        if self.kind in ("exp", "cosh"):
+            f = self(t)
+            s = f if self.kind == "exp" else np.sinh(t)
+            return (f, s, f, s)[:order + 1]
         ctx = get_context(1, order)
-        s = self(Series.variable(ctx, 0, taylor.as_value(t)))
+        s = self(Series.variable(ctx, 0, t))
         return tuple(s.c[k] * math.factorial(k) for k in range(order + 1))
 
     def conformal_time(self, t, t0: float):
-        """Integral of ds/f(s) from t0 to t: t a float time, a (B,) array of
-        times or a Series time."""
-        self._check_domain(float(t0))
+        """Integral of ds/f(s) from the float t0 to t: a (B,) array of times,
+        a Series time, or a float time (a constant height), a batch of one."""
+        lo, hi = self.domain
+        if not lo < t0 < hi:
+            raise self._outside(t0)
+        if isinstance(t, float):
+            return float(taylor.per_sample(lambda ts: self.conformal_time(ts, t0), [t])[0])
         if isinstance(t, Series):
             # f's derivatives first: a column rejected by both keeps f's error
             f0, f1, f2 = self.derivatives(t.val, 2)
-            table = (
-                self.conformal_time(t.val, t0),
-                1.0 / f0,
-                -f1 / (f0 * f0),
-                (2.0 * (f1 * f1) - f0 * f2) / (f0 * f0 * f0),
-            )
+            table = [self.conformal_time(t.val, t0), 1.0 / f0]
+            if t.ctx.order >= 2:
+                table.append(-f1 / (f0 * f0))
+            if t.ctx.order >= 3:
+                table.append((2.0 * (f1 * f1) - f0 * f2) / (f0 * f0 * f0))
             return compose_univariate(t, table[: t.ctx.order + 1])
-        v = taylor.as_value(t)
-        self._check_domain(v)
+        self._check_domain(t)
         if self.kind == "constant":
-            return (v - t0) / self.params[0]
+            return (t - t0) / self.params[0]
         if self.kind == "exp":
-            return np.exp(-t0) - np.exp(-v)
+            return np.exp(-t0) - np.exp(-t)
         if self.kind == "cosh":
-            return np.arctan(np.sinh(v)) - np.arctan(np.sinh(t0))
+            return np.arctan(np.sinh(t)) - np.arctan(np.sinh(t0))
 
         def integral(end):
             val, err = quadrature(lambda s: 1.0 / self.value(s), t0, end)
@@ -171,7 +182,7 @@ class WarpingFunction:
                 raise ArithmeticError(f"quadrature of 1/f failed on [{t0}, {end}]")
             return val
 
-        return taylor.column_map(integral, v)
+        return taylor.column_map(integral, t)
 
 
 @dataclass(frozen=True)
@@ -250,10 +261,10 @@ def fiber_scale(model: AmbientModel, t):
     """f(t)^2, the factor of the metric's fiber block at time t; None for
     the flat kinds.
 
-    t may be a float, a (B,) array of a batch's times or a Series.  Evaluate
-    the float (or array) and the Series once per point and never convert one
-    into the other: for profiles with division or powers their values differ
-    in the last bits.
+    t may be the (B,) array of a batch's times or a Series.  Evaluate the
+    array and the Series once per batch and never convert one into the
+    other: for profiles with division or powers their values differ in the
+    last bits.
     """
     if not model.warped:
         return None
@@ -266,10 +277,12 @@ def ambient_inner(model: AmbientModel, f2, v, w):
     ambient components, at a point whose fiber scale is f2 (`fiber_scale`
     of its time; the flat kinds ignore it).
 
-    v and w are float arrays (components last, after any batch axis) or
+    v and w are float arrays (components last, after the batch axis) or
     Series whose last component axis is the ambient one; their other axes
     broadcast, so one product covers every pair of vectors, and the sum
     over the components runs left to right, on Series as one signed fold.
+    An array f2 holds one scale per point, batch first, and scales every
+    pair of vectors at its point.
     Vectors are expected tangent to the spacetime (quadric-normal parts of
     curved fibers acquire no metric meaning here).
     """
@@ -289,13 +302,15 @@ def ambient_inner(model: AmbientModel, f2, v, w):
     for a, s in enumerate(model.signature[1:], start=1):
         term = p[..., a] if s > 0 else -p[..., a]
         acc = term if acc is None else acc + term
+    if np.ndim(f2) < acc.ndim:  # one scale per point, batch first
+        f2 = np.reshape(f2, np.shape(f2) + (1,) * (acc.ndim - np.ndim(f2)))
     return -p[..., 0] + f2 * acc
 
 
 def warped_connection_term(model: AmbientModel, df, a, b) -> np.ndarray:
     """Ambient Christoffel correction Gamma(a, b) of float component arrays
-    (components last, after any batch axis), where df = (f, f') at the
-    point's time (`WarpingFunction.derivatives(t, 1)`).
+    (components last, after the batch axis), where df = (f, f') at the
+    points' times (`WarpingFunction.derivatives(t, 1)`).
 
     Zero for the flat kinds, which pass df = None.  For the cosmological
     kinds this is the warped part of the connection; the curved-fiber
@@ -303,15 +318,13 @@ def warped_connection_term(model: AmbientModel, df, a, b) -> np.ndarray:
     metrically orthogonal to every spacetime-tangent field and therefore
     omitted (tangential projections never see them).
     """
-    out = np.zeros(np.shape(a))
+    out = np.zeros(a.shape)
     if not model.warped:
         return out
     f, fp = df
-    flat = np.sum(model.signature[1:] * a[..., 1:] * b[..., 1:], axis=-1)
+    flat = (model.signature[1:] * a[..., 1:] * b[..., 1:]).sum(axis=-1)
     out[..., 0] = f * fp * flat
-    ratio = fp / f
-    if isinstance(ratio, np.ndarray):
-        ratio = ratio[..., None]  # one per batch column
+    ratio = (fp / f)[:, None]  # one per batch column
     out[..., 1:] = ratio * (a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:])
     return out
 
@@ -353,12 +366,12 @@ def fiber_radius_sq(model: AmbientModel, x):
         return taylor.norm_sq(x)
     c = x[0]
     # the distance is 0 at the base point c = 1, outside the open domain of
-    # either primitive: a float (or a column) there is evaluated at 0 or 2
+    # either primitive: a column there is evaluated at 0 or 2
     base = not isinstance(c, Series) and np.equal(c, 1.0)
     if np.any(base):
         c = np.where(base, 0.0 if kind == "sphere" else 2.0, c)
     r = taylor.arccos(c) if kind == "sphere" else taylor.arccosh(c)
-    return taylor.as_value(np.where(base, 0.0, r * r)) if np.any(base) else r * r
+    return np.where(base, 0.0, r * r) if np.any(base) else r * r
 
 
 def fiber_radial(model: AmbientModel, x):
@@ -388,7 +401,7 @@ def radial_tangential_factor(model: AmbientModel, r):
     """r * c(r) with Hess r = c(r)(g - dr (x) dr) on the fiber space form."""
     kind = model.fiber_kind
     if kind == "euclidean":
-        return Series.constant(r.ctx, 1.0, r.batch) if isinstance(r, Series) else 1.0
+        return Series.constant(r.ctx, 1.0, r.batch) if isinstance(r, Series) else np.ones_like(r)
     if kind == "sphere":
         return r * taylor.cos(r) / taylor.sin(r)
     return r / taylor.tanh(r)

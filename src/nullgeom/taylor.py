@@ -3,45 +3,49 @@
 A smooth map is any callable written against this module's primitive
 vocabulary (arithmetic plus the functions exported below), wrapped in a
 `SmoothMap` with its arity and domain.  Called with plain floats it
-evaluates normally; `eval_series` calls it with `Series` arguments, which
-propagate truncated Taylor expansions whose coefficients give exact
-partial derivatives.
+evaluates normally; `eval_series` calls it with `Series` arguments over a
+batch of chart points, which propagate truncated Taylor expansions whose
+coefficients give exact partial derivatives.
 
 Internally a scalar quantity is a dense coefficient vector indexed by the
 multi-indices of total degree <= order in graded lexicographic order; the
 stored numbers are Taylor coefficients (partial derivative over factorial
 of the multi-index), so multiplication is a truncated convolution.  A
 `Series` may also hold a vector or a matrix of such quantities along
-component axes, and a batch of B chart points carries one coefficient
+component axes, and always a batch of B chart points, one coefficient
 column per point on a trailing axis: coefficients are shaped
-(n_terms, *components[, B]).  The convolution is the hot kernel, the same
-for a scalar, a vector, a matrix and a batch: one `np.bincount` over the
-context's (i, j, k) table, with slot k*W + w for entry w of the flattened
-trailing axes, so every entry accumulates in table order exactly as a lone
-scalar at one point does; a large batch product runs in blocks of columns,
-which keeps its temporaries small.  Sums over a component axis run left to
-right.  The product of order-k prefixes is the order-k prefix of the
-product, entry for entry in table order, so `Series.truncate` cuts a Series
-to a lower order as a prefix view; Series of two contexts never combine (a
-`TypeError`: mixed orders are a programming error, not a rejected point).
-Derivative tables of the primitives are numpy expressions on the value, a
-float or a (B,) array, so that a point and a batch share one expression and
-agree bit for bit; a float overflow there, a domain error (the sine of an
-infinity), or a division by a power that underflowed to zero is a domain
-error of the primitive.  The engine computes under `float_edges`, numpy's
-error state that lets inf and NaN through without a warning, entered once
-per public call; every such value ends as a typed rejection.
+(n_terms, *components, B); one point is a batch of one.  The convolution
+is the hot kernel, the same for a scalar, a vector and a matrix: one
+`np.bincount` over the context's (i, j, k) table, with slot k*W + w for
+entry w of the flattened trailing axes, so every entry accumulates in
+table order exactly as a lone scalar of one column does; a large product
+runs in blocks of columns, which keeps its temporaries small.  Sums over a
+component axis run left to right.  The product of order-k prefixes is the
+order-k prefix of the product, entry for entry in table order, so
+`Series.truncate` cuts a Series to a lower order as a prefix view; Series
+of two contexts never combine (a `TypeError`: mixed orders are a
+programming error, not a rejected point).  Derivative tables of the
+primitives are numpy expressions on the (B,) values, the expression of a
+plain float too, so that the two agree bit for bit; a float overflow
+there, a domain error (the sine of an infinity), or a division by a power
+that underflowed to zero is a domain error of the primitive.  The engine
+computes under `float_edges`, numpy's error state that lets inf and NaN
+through without a warning, entered by the outermost public call; every
+such value ends as a typed rejection.
 
-A check that fails at one point raises its typed error; on a batch it
-raises `BatchRejected`, which carries each failing column's typed error,
-the one that column raises alone.  `column_results` is the one way a batch
-learns why its columns fail: it keeps the errors of the flagged columns
-and evaluates the rest again as a batch, so no column is evaluated alone.
+A check that fails raises `BatchRejected`, which carries each failing
+column's typed error, the one that column raises in a batch of its own.
+`column_results` is the one way a batch learns why its columns fail: it
+keeps the errors of the flagged columns and evaluates the rest again as a
+batch, so no column is evaluated alone; a single-point call raises its
+point's error through `per_sample`.
 """
 
 from __future__ import annotations
 
 import ast
+import contextvars
+import functools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,16 +56,34 @@ import numpy as np
 
 MAX_ORDER = 3
 
-# the engine's floating-point scope, a decorator of each public call (the
-# primitives among them): an overflow, an invalid operation or a division by
-# zero gives inf or NaN without a warning, and every such value ends as a
-# typed rejection (a primitive's domain error, a row that is not finite)
-float_edges = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+# whether the engine's floating-point scope is entered, so that a call inside
+# another engine call does not enter it again
+_within_edges = contextvars.ContextVar("within_edges", default=False)
 
 # table terms of one bincount call on a batch: 16,384 float64 terms are
 # 128 KiB, glibc's default mmap threshold, above which the temporaries of
 # a product are mapped afresh and page-faulted in on every call
 _BLOCK_TERMS = 1 << 14
+
+
+def float_edges(fn):
+    """The engine's floating-point scope, a decorator of each public call
+    (the primitives among them), entered by the outermost one: an overflow,
+    an invalid operation or a division by zero gives inf or NaN without a
+    warning, and every such value ends as a typed rejection."""
+    scoped = np.errstate(over="ignore", invalid="ignore", divide="ignore")(fn)
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if _within_edges.get():
+            return fn(*args, **kwargs)
+        token = _within_edges.set(True)
+        try:
+            return scoped(*args, **kwargs)
+        finally:
+            _within_edges.reset(token)
+
+    return call
 
 
 def format_point(point) -> str:
@@ -95,7 +117,7 @@ class ChartDomainError(DomainError):
 
 class BatchRejected(Exception):
     """Columns of a batch that failed a check: `errors` maps each to the
-    typed error it raises alone.
+    typed error it raises in a batch of its own.
 
     Deliberately neither a `DomainError` nor a `ValueError`, so that no
     handler of typed rejections catches it: `column_results` does.
@@ -108,10 +130,7 @@ class BatchRejected(Exception):
 
 def column(b):
     """The column picker `at` of an error factory: at(a) is column b of a
-    per-point value laid out batch first (a Python scalar for a number), or
-    a itself at one point, where b is None."""
-    if b is None:
-        return lambda a: a
+    per-point value laid out batch first (a Python scalar for a number)."""
 
     def at(a):
         out = a[b]
@@ -121,26 +140,19 @@ def column(b):
 
 
 def reject(bad, error):
-    """Raise for failing columns: `error(at)`, the typed error built from
-    the values that the column picker `at` picks, when `bad` is one point's
-    flag, and `BatchRejected` of `error(column(b))` for each flagged column
-    b when it is a batch's (B,) mask."""
-    if isinstance(bad, np.ndarray) and bad.ndim:
-        reject_first([(bad, error)])
-    elif bad:
-        raise error(column(None))
+    """Raise `BatchRejected` for the columns flagged by the (B,) mask `bad`:
+    column b carries `error(column(b))`, the typed error built from the
+    values that the column picker picks."""
+    reject_first([(bad, error)])
 
 
 def reject_first(checks):
-    """`reject` of each (bad, error) check in order, raising once: at one
-    point the error of the first check that fails, on a batch one
+    """`reject` of each (bad, error) check in order, raising once: one
     `BatchRejected` in which each flagged column carries the error of the
     first check that flags it."""
     errors = {}
     for bad, error in checks:
-        if not isinstance(bad, np.ndarray) or not bad.ndim:
-            if bad:
-                raise error(column(None))
+        if not np.count_nonzero(bad):
             continue
         for b in np.flatnonzero(bad).tolist():
             if b not in errors:
@@ -150,9 +162,10 @@ def reject_first(checks):
 
 
 def require(ok, error):
-    """`reject` where `ok` fails, for checks stated as a condition that must
-    hold, so that a NaN fails them as it does `if not ok: raise`."""
-    reject(~ok if isinstance(ok, np.ndarray) and ok.ndim else not ok, error)
+    """`reject` where the (B,) mask `ok` fails, for checks stated as a condition
+    that must hold, so that a NaN fails them as it does `if not ok: raise`."""
+    if np.count_nonzero(ok) < len(ok):
+        reject(~ok, error)
 
 
 def column_results(fn, xs, first: bool = False) -> list:
@@ -163,10 +176,10 @@ def column_results(fn, xs, first: bool = False) -> list:
     and the rest are evaluated again as one batch; with `first`, only those
     before the first failing column, whose error then ends the list."""
     out = [None] * len(xs)
-    pending = np.arange(len(xs))
-    while pending.size:
+    pending, batch = list(range(len(xs))), xs
+    while pending:
         try:
-            done = fn(xs[pending])
+            done = fn(batch)
         except BatchRejected as err:
             for b, e in err.errors.items():
                 out[pending[b]] = e
@@ -175,19 +188,22 @@ def column_results(fn, xs, first: bool = False) -> list:
                 del out[pending[stop] + 1:]
                 pending = pending[:stop]
             else:
-                pending = np.delete(pending, list(err.errors))
+                pending = [p for b, p in enumerate(pending) if b not in err.errors]
+            batch = xs[pending]
             continue
-        for i, result in zip(pending.tolist(), done):
+        for i, result in zip(pending, done):
             out[i] = result
         break
     return out
 
 
-def as_value(x):
-    """A per-point value as a float, or as the (B,) array of a batch."""
-    if isinstance(x, np.ndarray) and x.ndim:
-        return x
-    return float(x)
+def per_sample(fn, samples) -> list:
+    """fn's per-sample results, fn evaluating the samples stacked as one
+    batch (S, ...); the first failing sample raises its own typed error."""
+    results = column_results(fn, np.array(list(samples), dtype=np.float64), first=True)
+    if results and isinstance(results[-1], Exception):
+        raise results[-1]
+    return results
 
 
 def column_max(a, b):
@@ -196,20 +212,24 @@ def column_max(a, b):
     return np.where(b > a, b, a)
 
 
-def batch_first(values, depth: int = 1) -> np.ndarray:
-    """The array of `depth`-deep nested lists of per-point values (floats,
-    or (B,) arrays), with the batch axis first and C-contiguous."""
-    out = np.array(values)
-    return out if out.ndim == depth else np.ascontiguousarray(np.moveaxis(out, -1, 0))
+@lru_cache(maxsize=None)
+def _last_first(ndim: int) -> tuple:
+    """The axes of an array of `ndim` axes with its last axis moved first."""
+    return (ndim - 1,) + tuple(range(ndim - 1))
+
+
+def batch_first(values) -> np.ndarray:
+    """An array of per-point values (nested lists of (B,) arrays, or an
+    array with the batch axis last) with the batch axis first, C-contiguous."""
+    out = np.asarray(values)
+    return np.ascontiguousarray(out.transpose(_last_first(out.ndim)))
 
 
 def column_map(fn, values):
-    """fn of a float value, or of each column of a (B,) array, as an array;
-    a column whose call raises a `ValueError` (a `DomainError` among them)
-    or an `ArithmeticError` is rejected with that error.  For a step with
-    no array form, such as an adaptive quadrature."""
-    if not isinstance(values, np.ndarray) or not values.ndim:
-        return fn(values)
+    """fn of each column of a (B,) array, as an array; a column whose call
+    raises a `ValueError` (a `DomainError` among them) or an
+    `ArithmeticError` is rejected with that error.  For a step with no
+    array form, such as an adaptive quadrature."""
     out, errors = [], {}
     for b, v in enumerate(values.tolist()):
         try:
@@ -305,39 +325,40 @@ def get_context(n: int, order: int) -> JetContext:
     return JetContext(n, order)
 
 
-def _product(ctx: JetContext, a: np.ndarray, b: np.ndarray, batch: bool) -> np.ndarray:
+def _product(ctx: JetContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The truncated product of two coefficient arrays whose trailing axes
     broadcast against each other: one `np.bincount` over the flattened
     trailing axes, each entry accumulated in table order.
 
-    On a batch (the last axis holds the columns) the product runs in
-    blocks of columns of at most `_BLOCK_TERMS` table terms."""
-    if batch:
-        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        step = max(1, _BLOCK_TERMS // (len(ctx.mul_ti) * math.prod(shape[:-1])))
-        if step < shape[-1]:
-            return np.concatenate([
-                _product(ctx, a[..., lo:lo + step], b[..., lo:lo + step], False)
-                for lo in range(0, shape[-1], step)
-            ], axis=-1)
+    The product runs in blocks of columns (the last axis) of at most
+    `_BLOCK_TERMS` table terms."""
+    if a.shape == b.shape:
+        shape, width = a.shape[1:], a.size // len(a)
+    else:  # equal numbers of axes, each of equal length or of length 1
+        shape = tuple(map(max, a.shape[1:], b.shape[1:]))
+        width = math.prod(shape)
+    if len(ctx.mul_ti) * width > _BLOCK_TERMS and shape[-1] > 1:
+        step = max(1, _BLOCK_TERMS // (len(ctx.mul_ti) * (width // shape[-1])))
+        return np.concatenate([
+            _product(ctx, a[..., lo:lo + step], b[..., lo:lo + step])
+            for lo in range(0, shape[-1], step)
+        ], axis=-1)
     terms = a.take(ctx.mul_ti, axis=0) * b.take(ctx.mul_tj, axis=0)
-    if terms.ndim == 1:
-        return np.bincount(ctx.mul_tk, terms, ctx.n_terms)
-    width = terms.size // len(terms)
-    out = np.bincount(ctx.product_slots(width), terms.ravel(), ctx.n_terms * width)
-    return out.reshape((ctx.n_terms,) + terms.shape[1:])
+    slots = ctx.mul_tk if width == 1 else ctx.product_slots(width)
+    out = np.bincount(slots, terms.ravel(), ctx.n_terms * width)
+    return out.reshape((ctx.n_terms,) + shape)
 
 
 class Series:
-    """A truncated Taylor expansion in the chart variables: one scalar
-    quantity, or a vector or matrix of them along the component axes
-    `shape`.
+    """A truncated Taylor expansion in the chart variables over a batch of
+    B chart points: one scalar quantity, or a vector or matrix of them along
+    the component axes `shape`.
 
-    `c` has shape (n_terms, *shape) at one chart point and
-    (n_terms, *shape, B) for a batch of B points.  Components index and
-    broadcast like numpy arrays, the batch axis riding along last.  Scalars
-    combined with a Series may be floats, (B,) arrays of per-column values,
-    or arrays of values over its trailing component and batch axes.
+    `c` has shape (n_terms, *shape, B); one point is a batch of one.
+    Components index and broadcast like numpy arrays, the batch axis riding
+    along last.  Scalars combined with a Series may be floats, (B,) arrays
+    of per-column values, or arrays of values over its trailing component
+    and batch axes.
     """
 
     __slots__ = ("ctx", "c", "shape")
@@ -351,63 +372,58 @@ class Series:
         self.shape = shape
 
     @classmethod
-    def constant(cls, ctx: JetContext, value, batch=None) -> "Series":
-        c = np.zeros(ctx.n_terms if batch is None else (ctx.n_terms, batch))
+    def constant(cls, ctx: JetContext, value, batch: int) -> "Series":
+        c = np.zeros((ctx.n_terms, batch))
         c[0] = value
         return cls(ctx, c)
 
     @classmethod
-    def variable(cls, ctx: JetContext, i: int, value) -> "Series":
-        """x_i at a float value, or at the (B,) array of a batch."""
-        value = as_value(value)
-        c = np.zeros((ctx.n_terms,) + (value.shape if isinstance(value, np.ndarray) else ()))
-        c[0] = value
+    def variable(cls, ctx: JetContext, i: int, values: np.ndarray) -> "Series":
+        """x_i at the (B,) array of its values."""
+        c = np.zeros((ctx.n_terms, len(values)))
+        c[0] = values
         if ctx.order >= 1:
             c[ctx.first[i]] = 1.0
         return cls(ctx, c)
 
     @classmethod
-    def stack(cls, items, ctx: JetContext, batch=None) -> "Series":
+    def stack(cls, items, ctx: JetContext, batch: int) -> "Series":
         """Series of equal shape, or values made constant, stacked along a
         new first component axis."""
         items = [as_series(x, ctx, batch) for x in items]
         for s in items:
             _same_context(ctx, s)
-        c = np.stack([s.c for s in items], axis=1)
+        c = np.array([s.c for s in items]).swapaxes(0, 1).copy()
         return cls(ctx, c, (len(items),) + items[0].shape)
 
-    def _batch_axes(self) -> int:
-        return self.c.ndim - 1 - len(self.shape)
-
     def _with(self, coeffs: np.ndarray) -> "Series":
-        """A Series of `coeffs`, which keep this one's batch axis."""
-        end = coeffs.ndim - (self.c.ndim - 1 - len(self.shape))
-        return Series(self.ctx, coeffs, coeffs.shape[1:end])
+        """A Series of `coeffs`, whose last axis is the batch."""
+        return Series(self.ctx, coeffs, coeffs.shape[1:-1])
 
     def _aligned(self, other: "Series"):
         """Both coefficient arrays, the shorter component shape padded with
         leading unit axes so that the components broadcast as numpy's do."""
         k = max(len(self.shape), len(other.shape))
         return tuple(
-            s.c.reshape(s.c.shape[:1] + (1,) * (k - len(s.shape)) + s.c.shape[1:])
+            s.c if len(s.shape) == k
+            else s.c.reshape(s.c.shape[:1] + (1,) * (k - len(s.shape)) + s.c.shape[1:])
             for s in (self, other)
         )
 
     @property
-    def batch(self) -> Optional[int]:
-        """The number of columns, None at one point."""
-        return self.c.shape[-1] if self._batch_axes() else None
+    def batch(self) -> int:
+        """The number of columns."""
+        return self.c.shape[-1]
 
     @property
-    def val(self):
-        """The value: a float for a scalar at one point, else the array of
-        component values with any batch axis last."""
-        return float(self.c[0]) if self.c.ndim == 1 else self.c[0]
+    def val(self) -> np.ndarray:
+        """The array of component values, the batch axis last."""
+        return self.c[0]
 
     def slots(self, index) -> np.ndarray:
         """Coefficients at the slot array `index`, the batch axis first."""
         out = self.c[index]
-        return np.moveaxis(out, -1, 0) if self._batch_axes() else out
+        return out.transpose(_last_first(out.ndim))
 
     def __getitem__(self, key) -> "Series":
         """Components by numpy indexing of the component axes."""
@@ -416,7 +432,7 @@ class Series:
         if not isinstance(key, tuple):
             key = (key,)
         if any(k is Ellipsis for k in key):  # it stands for component axes only
-            key = key + (slice(None),) * self._batch_axes()
+            key = key + (slice(None),)
         return self._with(self.c[(slice(None),) + key])
 
     def transpose(self, *axes) -> "Series":
@@ -436,7 +452,7 @@ class Series:
         first = self.c[lead + (0,)]
         acc = -first if signs is not None and signs[0] < 0 else first.copy()
         if start is not None:
-            acc[0] += start
+            acc[0] = acc[0] + start
         for k in range(1, self.shape[axis]):
             if signs is not None and signs[k] < 0:
                 acc -= self.c[lead + (k,)]
@@ -461,9 +477,7 @@ class Series:
         truncated expansion and are set to zero.
         """
         ctx = self.ctx
-        fac = ctx.deriv_fac[v]
-        if self.c.ndim > 1:
-            fac = fac.reshape(fac.shape + (1,) * (self.c.ndim - 1))
+        fac = ctx.deriv_fac[v].reshape((-1,) + (1,) * (self.c.ndim - 1))
         return Series(ctx, self.c.take(ctx.deriv_src[v], axis=0) * fac, self.shape)
 
     def gradient(self) -> "Series":
@@ -482,7 +496,7 @@ class Series:
             a, b = self._aligned(other)
             return self._with(a + b)
         out = self.c.copy()
-        out[0] += other
+        out[0] = self.c[0] + other
         return Series(self.ctx, out, self.shape)
 
     __radd__ = __add__
@@ -495,22 +509,20 @@ class Series:
             a, b = self._aligned(other)
             return self._with(a - b)
         out = self.c.copy()
-        out[0] -= other
+        out[0] = self.c[0] - other
         return Series(self.ctx, out, self.shape)
 
     def __rsub__(self, other):
         out = -self.c
-        out[0] += other
+        out[0] = out[0] + other
         return Series(self.ctx, out, self.shape)
 
     def __mul__(self, other):
         if isinstance(other, Series):
             _same_context(self.ctx, other)
-            ctx, shape = self.ctx, self.shape
-            if other.shape == shape:
-                batch = self.c.ndim > 1 + len(shape)
-                return Series(ctx, _product(ctx, self.c, other.c, batch), shape)
-            return self._with(_product(ctx, *self._aligned(other), self._batch_axes() > 0))
+            if other.shape == self.shape:
+                return Series(self.ctx, _product(self.ctx, self.c, other.c), self.shape)
+            return self._with(_product(self.ctx, *self._aligned(other)))
         if not isinstance(other, np.ndarray):
             return Series(self.ctx, self.c * float(other), self.shape)
         return self._with(self.c * other)
@@ -545,8 +557,9 @@ class Series:
             while k:
                 if k & 1:
                     result = result * base
-                base = base * base
                 k >>= 1
+                if k:
+                    base = base * base
             return result
         return _real_power(self, float(p))
 
@@ -573,28 +586,47 @@ def _same_context(ctx: JetContext, other: Series):
         )
 
 
-def _scalar_val(x: Series):
-    """The value of a scalar Series, the argument of a univariate primitive,
-    as a numpy float or a (B,) array; a vector or a matrix is refused, its
-    components not being a batch."""
+def _scalar_val(x: Series) -> np.ndarray:
+    """The (B,) values of a scalar Series, the argument of a univariate
+    primitive; a vector or a matrix is refused, its components not being a
+    batch."""
     if x.shape:
         raise TypeError(f"univariate primitive of a series of shape {x.shape}")
     return x.c[0]
 
 
-def _compose(x: Series, deriv_values) -> Series:
-    """Series of g(x) given derivative values [g(x0), g'(x0), ...] at x0 = x.val
-    (floats, or (B,) arrays on a batch)."""
+# k! of each derivative order k, the divisor of its Taylor coefficient
+_FACTORIALS = np.array([[math.factorial(k)] for k in range(MAX_ORDER + 1)], dtype=np.float64)
+
+
+def _compose(x: Series, table: np.ndarray) -> Series:
+    """Series of g(x) given the derivative table [g(x0), g'(x0), ...] at
+    x0 = x.val (order + 1 rows or more of B values): Horner's scheme in
+    x - x0, each step a `_product`, in blocks of `_BLOCK_TERMS` terms."""
     ctx = x.ctx
-    order = ctx.order
-    batch = x.batch is not None
+    coeffs = table[:ctx.order + 1] / _FACTORIALS[:ctx.order + 1]
+    if ctx.order == 1:
+        # the one step c0 + c1 (x - x0) as the product sums it: entry k >= 1
+        # is (0 + c1 x_k) + 0 (x - x0)_0, entry 0 (0 + c1 (x - x0)_0) + c0
+        result = 0.0 + coeffs[1] * x.c + 0.0
+        result[0] = (0.0 + coeffs[1] * 0.0) + coeffs[0]
+        return Series(ctx, result)
+    step = _BLOCK_TERMS // len(ctx.mul_ti)
+    if x.batch > step:
+        return Series(ctx, np.concatenate([
+            _compose(Series(ctx, x.c[:, lo:lo + step]), table[:, lo:lo + step]).c
+            for lo in range(0, x.batch, step)
+        ], axis=-1))
     ftilde = x.c.copy()
     ftilde[0] = 0.0
-    result = np.zeros_like(ftilde)
-    result[0] = deriv_values[order] / math.factorial(order)
-    for k in range(order - 1, -1, -1):
-        result = _product(ctx, result, ftilde, batch)
-        result[0] += deriv_values[k] / math.factorial(k)
+    right = ftilde.take(ctx.mul_tj, axis=0)  # the factor x - x0 of every step
+    slots = ctx.product_slots(x.batch)
+    result = np.zeros(ftilde.shape)
+    result[0] = coeffs[-1]
+    for k in range(ctx.order - 1, -1, -1):
+        terms = result.take(ctx.mul_ti, axis=0) * right
+        result = np.bincount(slots, terms.ravel(), ftilde.size).reshape(ftilde.shape)
+        result[0] = result[0] + coeffs[k]
     return Series(ctx, result)
 
 
@@ -608,26 +640,25 @@ def compose_univariate(x: Series, deriv_values) -> Series:
     if len(deriv_values) < x.ctx.order + 1:
         raise ValueError("derivative table shorter than context order")
     _scalar_val(x)
-    return _compose(x, deriv_values)
+    return _compose(x, np.array(deriv_values))
 
 
-def _checked(name: str, v, values: list, ok=True) -> list:
-    """values computed at a primitive's argument v, a numpy float or a (B,)
-    array, where `ok` holds: a column where it fails, or where a value is
-    not finite (an overflow, a domain error, a division by a power of v
-    that underflowed to zero), is the primitive's domain error at v."""
-    if isinstance(v, np.ndarray):
-        ok = ok & np.isfinite(np.array(values)).all(axis=0)
-    else:
-        ok = ok and all(map(math.isfinite, values))
-    require(ok, lambda at: PrimitiveDomainError(name, float(at(v))))
-    return values
+def _checked(name: str, v: np.ndarray, values: list, ok=True) -> np.ndarray:
+    """The values computed at a primitive's (B,) argument v, as one array of
+    rows, where `ok` holds: a column where it fails, or where a value is not
+    finite (an overflow, a domain error, a division by a power of v that
+    underflowed to zero), is the primitive's domain error at v."""
+    table = np.array(values)
+    finite = np.isfinite(table)
+    if np.count_nonzero(finite) < finite.size or np.count_nonzero(ok) < np.size(ok):
+        require(finite.all(axis=0) & ok, lambda at: PrimitiveDomainError(name, float(at(v))))
+    return table
 
 
-# The derivative tables [g(v), g'(v), g''(v), g'''(v)] of the primitives at a
-# numpy value v, one expression for a point and a batch, end with the powers
-# of v they divide by, whose overflow leaves the entries finite.  Integer
-# powers are products: numpy's array and scalar powers differ in the last bit.
+# The derivative tables [g(v), g'(v), g''(v), g'''(v)] of the primitives at
+# numpy values v, of a batch or a plain float, end with the powers of v they
+# divide by, whose overflow leaves the entries finite.  Integer powers are
+# products: numpy's array and scalar powers differ in the last bit.
 
 
 @float_edges
@@ -640,16 +671,22 @@ def _real_power(x: Series, p: float) -> Series:
 
 
 def _unary(name: str, ufunc, table_fn, domain_ok=lambda v: True):
-    """The primitive `name`: the numpy `ufunc` of a float or a (B,) array,
-    and the composition with `table_fn`'s derivative table of a Series."""
+    """The primitive `name`: the composition with `table_fn`'s derivative
+    table of a Series, not finite outside `domain_ok`, and the numpy `ufunc`
+    of a (B,) array or of a plain float (for a quadrature's integrand)."""
 
     @float_edges
     def fn(x):
         if isinstance(x, Series):
             v = _scalar_val(x)
-            return _compose(x, _checked(name, v, table_fn(v), domain_ok(v)))
-        v = np.float64(x)  # a (B,) array stays one
-        return as_value(_checked(name, v, [ufunc(v)], domain_ok(v))[0])
+            return _compose(x, _checked(name, v, table_fn(v)))
+        v = np.asarray(x, dtype=np.float64)
+        if v.ndim:
+            return _checked(name, v, [ufunc(v)], domain_ok(v))[0]
+        out = ufunc(v)
+        if not (domain_ok(v) and np.isfinite(out)):
+            raise PrimitiveDomainError(name, float(v))
+        return float(out)
 
     fn.__name__ = name
     fn.__qualname__ = name
@@ -785,18 +822,6 @@ def norm_sq(v: Sequence):
     return dot(v, v)
 
 
-def in_box(point, box):
-    """Whether a point (n,) lies in the per-axis (low, high) box, or the
-    (B,) mask of a batch (B, n) of points; no box holds everything."""
-    point = np.asarray(point, dtype=np.float64)
-    if point.ndim == 1:
-        return all(lo <= x <= hi for x, (lo, hi) in zip(point, box or ()))
-    inside = np.ones(len(point), dtype=bool)
-    for i, (lo, hi) in enumerate(box or ()):
-        inside &= (lo <= point[:, i]) & (point[:, i] <= hi)
-    return inside
-
-
 @dataclass(frozen=True)
 class SmoothMap:
     """A callable over the primitive vocabulary with declared arity.
@@ -812,15 +837,18 @@ class SmoothMap:
     name: str = ""
     domain: Optional[tuple] = None
 
-    def contains(self, point):
-        """Whether the point lies in the domain box; a (B,) mask for a (B, n) batch."""
-        return in_box(point, self.domain)
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """The (B,) mask of the points (B, n) in the domain box; no box holds all."""
+        if self.domain is None:
+            return np.ones(len(points), dtype=bool)
+        lo, hi = np.array(self.domain).T
+        return ((lo <= points) & (points <= hi)).all(axis=1)
 
 
-def as_series(value, ctx: JetContext, batch=None) -> Series:
+def as_series(value, ctx: JetContext, batch: int) -> Series:
     """`value` itself if it is a Series, else the constant Series of its
-    value (a float, or a (B,) array for a batch of `batch` columns)."""
-    return value if isinstance(value, Series) else Series.constant(ctx, as_value(value), batch)
+    value (a float, or a (B,) array) over `batch` columns."""
+    return value if isinstance(value, Series) else Series.constant(ctx, value, batch)
 
 
 def _at_point(err, point):
@@ -828,30 +856,28 @@ def _at_point(err, point):
     return err.with_point(point) if isinstance(err, PrimitiveDomainError) else err
 
 
-def eval_series(map_fn: SmoothMap, point, order: int):
-    """Evaluate a smooth map on Series arguments at a point (n,) or a batch
-    (B, n) of points inside its domain; returns a list of Series.
+def eval_series(map_fn: SmoothMap, points, order: int):
+    """Evaluate a smooth map on Series arguments at a batch (B, n) of points
+    inside its domain; returns a list of Series.
 
     A primitive's domain error carries its column's point; a typed error (a
     `ValueError`) of a float-valued step fails every column alike."""
-    point = np.asarray(point, dtype=np.float64)
-    ctx = get_context(point.shape[-1], order)
-    batch = point.shape[0] if point.ndim == 2 else None
+    points = np.asarray(points, dtype=np.float64)
+    batch, n = points.shape
+    ctx = get_context(n, order)
     require(
-        map_fn.contains(point),
+        map_fn.contains(points),
         lambda at: ChartDomainError(
-            f"point {format_point(at(point))} outside the map's declared domain"
+            f"point {format_point(at(points))} outside the map's declared domain"
         ),
     )
-    xs = [Series.variable(ctx, i, point[..., i]) for i in range(ctx.n)]
+    xs = [Series.variable(ctx, i, points[:, i]) for i in range(n)]
     try:
         result = map_fn.fn(xs)
     except BatchRejected as err:
-        raise BatchRejected({b: _at_point(e, point[b]) for b, e in err.errors.items()}) from None
+        raise BatchRejected({b: _at_point(e, points[b]) for b, e in err.errors.items()}) from None
     except ValueError as err:
-        if batch is None:
-            raise _at_point(err, point) from None
-        raise BatchRejected({b: _at_point(err, p) for b, p in enumerate(point)}) from None
+        raise BatchRejected({b: _at_point(err, p) for b, p in enumerate(points)}) from None
     return [as_series(r, ctx, batch) for r in result]
 
 
@@ -871,7 +897,8 @@ def _power(a, b):
     on arrays too (`np.float_power`), so a batch's values are its points'."""
     if isinstance(a, Series) or isinstance(b, Series):
         return a ** b
-    return as_value(np.float_power(a, b))
+    out = np.float_power(a, b)
+    return out if out.ndim else float(out)
 
 
 def parse_expression(expr: str, variables: Sequence[str]) -> Callable:

@@ -37,14 +37,20 @@ class Jet:
 
 
 def jet_eval(map_fn, point, order: int) -> Jet:
-    """Jet of a smooth map at a point; degree-k slots hold exact k-th
-    partials.  A bare callable of the point's arity is wrapped in a
-    `SmoothMap`, its scalar result in a one-component list."""
+    """Jet of a smooth map at a point, a batch of one; degree-k slots hold
+    exact k-th partials, and a refused point raises its typed error.  A
+    bare callable of the point's arity is wrapped in a `SmoothMap`, its
+    scalar result in a one-component list."""
     if not isinstance(map_fn, tm.SmoothMap):
         fn = map_fn
         map_fn = tm.SmoothMap(lambda xs: _as_list(fn(xs)), len(point))
-    outs = tm.eval_series(map_fn, point, order)
-    return Jet(outs[0].ctx, np.stack([s.c for s in outs]))
+
+    def jets(points):
+        outs = tm.eval_series(map_fn, points, order)
+        return [Jet(outs[0].ctx, np.stack([s.c[:, b] for s in outs])) for b in range(len(points))]
+
+    (jet,) = tm.per_sample(jets, [point])
+    return jet
 
 
 def _as_list(result):
@@ -110,7 +116,7 @@ def _fd_estimate(map_fn, point, multi_index, h: float, acc: int):
             weight *= wts[idx[k]]
         if weight != 0.0:
             pt = point + h * offset
-            if isinstance(map_fn, tm.SmoothMap) and not map_fn.contains(pt):
+            if isinstance(map_fn, tm.SmoothMap) and not map_fn.contains(pt[None])[0]:
                 raise StencilDomainError(pt)
             try:
                 val = fn([float(c) for c in pt])

@@ -38,6 +38,9 @@ __all__ = [
     "scaled_metric_chart",
     "random_positive_field",
     "inner_at",
+    "series_alone",
+    "geometry_alone",
+    "point_alone",
     "intrinsic_gradient",
     "hessian_laplacian",
     "desitter_embed",
@@ -150,22 +153,50 @@ def random_positive_field(rng, n):
 
 
 def inner_at(model, p, v, w):
-    """<v, w> at the point p, through the fiber scale of its time."""
+    """<v, w> at the point p, through the fiber scale f(t)^2 of its time."""
     v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
-    return st.ambient_inner(model, st.fiber_scale(model, p[0]), v, w)
+    f2 = None
+    if model.warped:
+        f = model.warping.value(p[0])
+        f2 = f * f
+    return st.ambient_inner(model, f2, v, w)
+
+
+def series_alone(im, x, order, check_membership=True):
+    """The psi Series of the chart point x (n,), a batch of one; a refused
+    point raises its typed error."""
+    (psi,) = tm.per_sample(lambda xs: [im.series(xs, order, check_membership)], [x])
+    return psi
+
+
+def geometry_alone(obj, x, check_membership=True):
+    """The chart geometry of the point x (n,), a batch of one; a refused
+    point raises its typed error."""
+    (geo,) = tm.per_sample(lambda xs: [chart_geometry(obj, xs, check_membership)], [x])
+    return geo
+
+
+def point_alone(im, x):
+    """The `ExtrinsicPoint` of the chart point x (n,), a batch of one; a
+    refused point raises its typed error."""
+    (pt,) = tm.per_sample(lambda xs: [ext.ExtrinsicPoint(im, xs)], [x])
+    return pt
 
 
 def intrinsic_gradient(obj, h, x):
-    """Gradient of a chart scalar field: (contravariant components, |grad h|^2)."""
-    geo = chart_geometry(obj, x)
-    return geo.gradient(geo.scalar_series(h))
+    """Gradient of a chart scalar field at the point x: (contravariant
+    components, |grad h|^2)."""
+    geo = geometry_alone(obj, x)
+    comps, norm_sq = geo.gradient(geo.scalar_series(h))
+    return comps[0], float(norm_sq[0])
 
 
 def hessian_laplacian(obj, h, x):
-    """Covariant Hessian in the orthonormal tangent frame and the Laplacian."""
-    geo = chart_geometry(obj, x)
-    hess = geo.covariant_hessian(geo.scalar_series(h))
-    b = geo.onf
+    """Covariant Hessian in the orthonormal tangent frame and the Laplacian
+    at the point x."""
+    geo = geometry_alone(obj, x)
+    hess = geo.covariant_hessian(geo.scalar_series(h))[0]
+    b = geo.onf[0]
     hess_onf = b.T @ hess @ b
     return hess_onf, float(np.trace(hess_onf))
 
@@ -198,24 +229,25 @@ def desitter_graph_height(theta0: float, q) -> float:
 
 def normal_connection_residual(pt):
     """Residual of the propagation law for the normal part of the time axis
-    at an `ExtrinsicPoint`:
+    at the `ExtrinsicPoint` of one point:
     nabla^perp_X dt^perp = -(f'/f) <X, grad u> dt^perp - II(X, grad u).
     """
     model = pt.model
     if model.kind == "desitter":
         raise ext.ShapeDispatchError("the propagation law needs a warped-product model")
-    ratio = pt.warping_ratio
-    xi0, eta0 = pt.xi, pt.eta
-    n0 = np.array([s.val for s in pt.time_orthogonal_series])
+    ratio = pt.warping_ratio[0]
+    f2 = None if pt.f2 is None else pt.f2[0]
+    xi0, eta0 = pt.xi[0], pt.eta[0]
+    n0 = tm.batch_first(pt.time_orthogonal_series.val)[0]
     worst = 0.0
     for j, dn in enumerate(ext._directional(pt.geo, pt.time_orthogonal_series, pt.df)):
-        a = -st.ambient_inner(model, pt.f2, dn, eta0)
-        b = -st.ambient_inner(model, pt.f2, dn, xi0)
+        a = -st.ambient_inner(model, f2, dn[0], eta0)
+        b = -st.ambient_inner(model, f2, dn[0], xi0)
         lhs = a * xi0 + b * eta0
         ii = np.zeros(len(n0))
         for i in range(pt.n):
-            ii += pt.grad_u[i] * pt.ii[j, i]
-        rhs = -ratio * pt.du[j] * n0 - ii
+            ii += pt.grad_u[0, i] * pt.ii[0, j, i]
+        rhs = -ratio * pt.du[0, j] * n0 - ii
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -282,11 +314,11 @@ def emit_json_reference(report: dict) -> str:
 
 
 def evaluate_alone(scene, x):
-    """The grid pass's row or rejection of the point x evaluated alone, on
-    the one-point path: the oracle of the batched grid pass."""
+    """The grid pass's row or rejection of the point x evaluated alone, as a
+    batch of one: the oracle of the batched grid pass."""
     x = np.asarray(x, dtype=float)
     try:
-        ((row, diag),) = cli._evaluate(scene, x)
+        ((row, diag),) = tm.per_sample(lambda xs: cli._evaluate(scene, xs), [x])
     except Exception as err:  # a typed rejection, or raised again
         return "rejected", cli._rejection(x, err), None
     return "row", row, diag
@@ -305,18 +337,18 @@ def refused_alone(op, a, *args) -> np.ndarray:
 
 
 def pullback_alone(spec, geo, expected_factor=None):
-    """(deviation, spd) of the split map's pullback identity at one evaluated
-    point, with lambda the variant's denominator or `expected_factor` (a
-    callable of the chart point): the oracle of `conformal.pullback_columns`,
-    and the check of the conformal factor against an independent lambda."""
-    im, x, psi = geo.immersion, geo.x, geo.psi
+    """(deviation, spd) of the split map's pullback identity at the
+    geometry of one point, with lambda the variant's denominator or
+    `expected_factor` (a callable of the chart point): the oracle of
+    `conformal.pullback_columns`, and the check of the conformal factor
+    against an independent lambda."""
+    im, x, psi = geo.immersion, geo.x[0], geo.psi
     _, keep = cf._split_layout(spec, im)
     denom = cf._denominator_series(spec, im, psi)
-    if abs(denom.val) <= cf.DENOMINATOR_FLOOR:
-        raise cf.DegeneracyError(
-            f"split-map denominator {denom.val:.3e} at {tm.format_point(x)}"
-        )
-    y = np.array([psi[a].val for a in keep]) / denom.val
+    d = denom.val[0]
+    if abs(d) <= cf.DENOMINATOR_FLOOR:
+        raise cf.DegeneracyError(f"split-map denominator {d:.3e} at {tm.format_point(x)}")
+    y = np.array([psi[a].val[0] for a in keep]) / d
     if spec.hyperbolic:
         on_model = abs(-y[0] ** 2 + y[1:] @ y[1:] + 1.0) < cf.MODEL_MEMBERSHIP_TOL and y[0] > 0.0
     else:
@@ -324,23 +356,24 @@ def pullback_alone(spec, geo, expected_factor=None):
     if not on_model:
         raise cf.DegeneracyError(f"split-map image {np.asarray(y)} left the model space")
     n = len(x)
-    jac = np.array([[(psi[a] / denom).derivative(i).val for i in range(n)] for a in keep])
+    jac = np.array([[(psi[a] / denom).derivative(i).val[0] for i in range(n)] for a in keep])
     if spec.primitive:
         w = psi[-1]
-        jac = np.vstack([jac, np.array([w.derivative(i).val for i in range(n)]) / denom.val])
+        jac = np.vstack([jac, np.array([w.derivative(i).val[0] for i in range(n)]) / d])
     signs = np.ones(jac.shape[0])
     if spec.hyperbolic:
         signs[0] = -1.0
     pulled = np.einsum("a,ai,aj->ij", signs, jac, jac)
-    lam = abs(denom.val) if expected_factor is None else float(expected_factor(x))
-    deviation = float(np.max(np.abs(pulled - geo.g0 / lam**2)))
+    lam = abs(d) if expected_factor is None else float(expected_factor(x))
+    deviation = float(np.max(np.abs(pulled - geo.g0[0] / lam**2)))
     spd = np.allclose(pulled, pulled.T, atol=1e-12) and np.linalg.eigvalsh(pulled)[0] > 0.0
     return deviation, bool(spd)
 
 
 def _map_values_alone(spec, im, x, psi):
-    """The split map's image of psi at one chart point, membership enforced."""
-    denom, y, on_model = cf._model_image(spec, im, psi)
+    """The split map's image of psi at one chart point (a batch of one),
+    membership enforced."""
+    (denom,), (y,), (on_model,) = cf._model_image(spec, im, psi)
     if abs(denom) <= cf.DENOMINATOR_FLOOR:
         raise cf.DegeneracyError(f"split-map denominator {denom:.3e} at {tm.format_point(x)}")
     if not on_model:
@@ -352,22 +385,23 @@ def _map_values_alone(spec, im, x, psi):
 
 def local_inverse_alone(spec, im, target, seed, tol=1e-12, max_iter=60):
     """Damped Gauss-Newton local inverse of the split map at one target, one
-    point and one trial at a time: the oracle of `conformal.local_inverse`."""
+    point and one trial at a time, each a batch of one: the oracle of
+    `conformal.local_inverse`."""
     x = np.asarray(seed, dtype=float).copy()
     target = np.asarray(target, dtype=float)
-    psi = im.series(x, 1, check_membership=False)
+    psi = series_alone(im, x, 1, check_membership=False)
     r = _map_values_alone(spec, im, x, psi) - target
     for _ in range(max_iter):
         if np.max(np.abs(r)) < tol:
             return x
-        jac = cf._map_jacobian(spec, im, psi)
+        (jac,) = cf._map_jacobian(spec, im, psi)
         step, *_ = np.linalg.lstsq(jac, r, rcond=None)
         base_norm = float(r @ r)
         damping = 1.0
         for _ in range(30):
             trial = x - damping * step
             try:
-                trial_psi = im.series(trial, 1, check_membership=False)
+                trial_psi = series_alone(im, trial, 1, check_membership=False)
                 trial_r = _map_values_alone(spec, im, trial, trial_psi) - target
             except (tm.DomainError, nc.EmbeddingRangeError, cf.DegeneracyError):
                 damping *= 0.5
@@ -392,14 +426,14 @@ def factorization_alone(im, spec, samples):
     idx, _ = cf._split_layout(spec, im)
     worst = 0.0
     for k, x in enumerate(samples):
-        psi = im.series(x, 1)
+        psi = series_alone(im, x, 1)
         y = _map_values_alone(spec, im, x, psi)
         others = [s for j, s in enumerate(samples) if j != k]
         seed = min(others, key=lambda s: float(np.sum((s - x) ** 2)))
         x_hat = local_inverse_alone(spec, im, y, seed)
-        f_val = im.series(x_hat, 0, check_membership=False)[idx].val
+        f_val = float(series_alone(im, x_hat, 0, check_membership=False)[idx].val[0])
         ambient = cf._psi_f_at_model_point(spec, im, idx, y, f_val)
-        psi0 = np.array([s.val for s in psi])
+        psi0 = np.array([s.val[0] for s in psi])
         worst = max(worst, float(np.max(np.abs(ambient - psi0))))
     return worst
 
@@ -445,7 +479,7 @@ def _smat_mul(a, b):
 def entry_g_inv(g, g0, g_inv0, order=imm.FRAME_ORDER):
     """The Neumann series of the inverse metric to `order`, entry by entry:
     (I - m + m^2 - ...) A0inv through m^order; g0 and g_inv0 are values
-    with any batch axis last."""
+    with the batch axis last."""
     n = len(g)
     e = [[g[i][j].truncate(order) - g0[i, j] for j in range(n)] for i in range(n)]
     m = [
@@ -502,7 +536,7 @@ def entry_null_frame(im, psi, f, f2, ginv, dpsi, order=imm.FRAME_ORDER):
     xi = nc.grad_F_components(cone, psi, f)
     if cone.variant == "desitter_alpha":
         sign = np.where(cone.scale(psi[0].val) > 0.0, -1.0, 1.0)
-        xi = [c * tm.as_value(sign) for c in xi]
+        xi = [c * sign for c in xi]
     axis = [tm.as_series(c, ctx, batch) for c in st.time_axis(model, psi)]
     if model.kind == "desitter":
         b = [entry_inner(model, f2, axis, dpsi[j]) for j in range(n)]
@@ -533,7 +567,7 @@ def order3_stages(geo):
     f = im.model.warping(psi[0]) if im.model.warped else None
     f2 = None if f is None else f * f
     g, dpsi = entry_pullback(im, psi, f2, order)
-    g_inv = entry_g_inv(g, geo._entries(geo.g0), geo._entries(geo.g_inv0), order)
+    g_inv = entry_g_inv(g, geo.g0.transpose(1, 2, 0), geo.g_inv0.transpose(1, 2, 0), order)
     xi, nu, eta = entry_null_frame(im, psi, f, f2, g_inv, dpsi, order)
     return {
         "f": f, "f2": f2, "dpsi": dpsi, "g": g, "g_inv": g_inv,

@@ -17,6 +17,8 @@ from _composites import (
 )
 from _surfaces import (
     marginal_height_profile,
+    geometry_alone,
+    point_alone,
     pullback_alone,
     random_metric_chart,
     random_positive_field,
@@ -34,8 +36,7 @@ from nullgeom.conformal import (
     primitive_g,
     sectional_curvatures,
 )
-from nullgeom.extrinsic import ExtrinsicPoint
-from nullgeom.immersion import MetricChart, chart_geometry
+from nullgeom.immersion import MetricChart
 from nullgeom.scenes import (
     builtin_scenes,
     cylinder_immersion,
@@ -101,7 +102,7 @@ def test_minkowski_xi_is_identity_everywhere():
     eye = np.eye(2)
     for im, box in cases:
         for x in sample_box(rng, box, 30):
-            pt = ExtrinsicPoint(im, x)
+            pt = point_alone(im, x)
             assert abs(pt.theta_xi - 1.0) < 1e-10
             assert np.linalg.norm(pt.shape_numeric("xi") - eye) < 1e-8
 
@@ -134,7 +135,7 @@ def test_shape_operator_branches_under_budget():
     counts = dict.fromkeys(selector_of, 0)
     start = time.monotonic()
     for im, box, n_pts in cases:
-        probe = ExtrinsicPoint(im, np.array([(lo + hi) / 2 for lo, hi in box]))
+        probe = point_alone(im, np.array([(lo + hi) / 2 for lo, hi in box]))
         branches = []
         for branch, names in selector_of.items():
             try:
@@ -144,7 +145,7 @@ def test_shape_operator_branches_under_budget():
             branches.append(branch)
         assert branches, "every case must exercise at least one branch"
         for x in sample_box(rng, box, n_pts):
-            pt = ExtrinsicPoint(im, x)
+            pt = point_alone(im, x)
             numeric = {}
             for branch in branches:
                 for which in selector_of[branch]:
@@ -201,7 +202,7 @@ def test_hyperboloid_slices_trapped_in_higher_dimension():
     rng = np.random.default_rng(23)
     im = psi_f_minkowski(3)
     for x in sample_box(rng, ((-1.0, 1.0),) * 3, 15):
-        assert ExtrinsicPoint(im, x).trapped_class() == "past_trapped"
+        assert point_alone(im, x).trapped_class() == "past_trapped"
 
 
 def test_classification_agrees_with_curvature_sign():
@@ -235,7 +236,7 @@ def test_conformal_factor_deviations_all_variants():
     spec = ConformalMapSpec("cylinder_to_HxR", base_point=(0.2, -0.4))
     samples = sample_box(rng, ((-0.8, 0.8), (-0.9, 0.9)), 12)
     for x in samples:
-        assert pullback_alone(spec, chart_geometry(im, x))[0] < 1e-8
+        assert pullback_alone(spec, geometry_alone(im, x))[0] < 1e-8
 
 
 def test_cylinder_primitive_matches_arctan():
@@ -254,11 +255,11 @@ def test_desitter_zero_metric_is_round():
     rng = np.random.default_rng(41)
     samples = sample_box(rng, sphere_box(2), 12)
     for x in samples:
-        geo = chart_geometry(im, x)
+        geo = geometry_alone(im, x)
         round_metric = np.diag([1.0, math.sin(x[0]) ** 2])
         assert np.max(np.abs(geo.g0 - round_metric)) < 1e-10
     for x in samples:
-        assert pullback_alone(spec, chart_geometry(im, x), lambda x: 1.0)[0] < 1e-10
+        assert pullback_alone(spec, geometry_alone(im, x), lambda x: 1.0)[0] < 1e-10
 
 
 # 7. The graph factorization inverts in ambient coordinates.
@@ -301,7 +302,7 @@ def test_stereographic_sphere_curvature():
     scaled = scaled_metric_chart(flat, lam)
     rng = np.random.default_rng(47)
     for x in sample_box(rng, BOX2, 6):
-        ks = sectional_curvatures(chart_geometry(scaled, x))
+        (ks,) = sectional_curvatures(geometry_alone(scaled, x))
         assert abs(ks[0, 1] - 1.0) < 1e-6
         assert abs(ks[1, 0] - 1.0) < 1e-6
 

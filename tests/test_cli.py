@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from nullgeom import cli, conformal, extrinsic, immersion, spacetime
+from nullgeom import cli, conformal, extrinsic, immersion, spacetime, taylor
 from nullgeom.cli import (
     ConfigError,
     DEFAULT_TOLERANCES,
@@ -33,7 +33,7 @@ from nullgeom.conformal import MAP_VARIANTS
 from nullgeom.nullcone import CONE_RULES
 from nullgeom.scenes import FAMILIES, builtin_scenes
 
-from _surfaces import emit_json_reference, evaluate_alone
+from _surfaces import emit_json_reference, evaluate_alone, geometry_alone
 
 
 def small(doc, count=4):
@@ -287,8 +287,8 @@ def test_every_table_family_parses():
             continue
         parse_scene(family_doc(name, "1.5 + 0.1*x0"))
         constant = parse_scene(family_doc(name, "1.5"))
-        assert [s.val for s in constant.im.series(point, 1)] == [
-            s.val for s in number.im.series(point, 1)
+        assert [s.val.tolist() for s in constant.im.series(point[None], 1)] == [
+            s.val.tolist() for s in number.im.series(point[None], 1)
         ], name
 
 
@@ -750,6 +750,63 @@ def test_batched_grid_matches_points_alone(data):
     assert next(got_rows, None) is None and next(got_rejections, None) is None
 
 
+DENSE_GRID = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "dense-grid.json"
+
+
+def dense_grid_configs() -> dict:
+    with DENSE_GRID.open() as fh:
+        return {s["config"]["name"]: s["config"] for s in json.load(fh)["scenes"]}
+
+
+def test_columns_do_not_interact_across_product_blocks():
+    # order-3 scalar products of a batch run in blocks of 16384 // 35 = 468
+    # columns: on a 30x20 grid of mink-h2 with one point refused in the
+    # second block, every row, diag and typed error is the point's in a
+    # batch of its own, bit for bit
+    scene = parse_scene(builtin_scenes()["mink-h2"])
+    assert taylor._BLOCK_TERMS // len(taylor.get_context(2, 3).mul_ti) == 468
+    axes = [np.linspace(-1.5, 1.5, 30), np.linspace(-1.5, 1.5, 20)]
+    points = np.array(list(itertools.product(*axes)))
+    points[500] = (1e155, 0.3)  # x0**2 overflows: sqrt refuses the column
+    results = taylor.column_results(lambda xs: cli._evaluate(scene, xs), points)
+    assert [b for b, r in enumerate(results) if isinstance(r, Exception)] == [500]
+    for x, got in zip(points, results):
+        kind, payload, diag = evaluate_alone(scene, x)
+        if kind == "row":
+            assert repr(got) == repr((payload, diag))
+        else:
+            assert cli._rejection(x, got) == payload
+
+
+def test_single_point_entries_raise_their_typed_errors():
+    # point_report and conformal_map take one point as a batch of one: a
+    # refused point raises its own typed error, never BatchRejected, whose
+    # message is the detail the grid pass reports for the point (the polar
+    # rows of the dense grids), or the error its column carries in the
+    # grid's batched split map (mink-slice's vanishing denominators)
+    configs = dense_grid_configs()
+    for name in ("grw-cosh", "mink-slice", "ds-alpha0"):
+        scene = parse_scene(configs[name])
+        _, _, rejections = cli._evaluate_grid(scene)
+        assert len(rejections) == 20, name
+        for rejection in rejections:
+            with pytest.raises(immersion.MetricSignatureError) as err:
+                extrinsic.point_report(scene.im, np.array(rejection["point"]))
+            assert cli._rejection(rejection["point"], err.value) == rejection
+    scene = parse_scene(configs["mink-slice"])
+    points = np.array(list(itertools.product(*scene.axes)))
+    columns = taylor.column_results(
+        lambda xs: conformal._map_values(scene.cspec, scene.im, xs, scene.im.series(xs, 1)),
+        points,
+    )
+    refused = [(x, e) for x, e in zip(points, columns) if isinstance(e, Exception)]
+    assert len(refused) == 20
+    for x, error in refused:
+        with pytest.raises(conformal.DegeneracyError) as err:
+            conformal.conformal_map(scene.cspec, scene.im, x)
+        assert type(error) is conformal.DegeneracyError and str(err.value) == str(error)
+
+
 def test_overflowing_jets_are_the_same_typed_rejection_batched_and_alone():
     # the order-3 jets of sqrt(x0) at this polar coordinate overflow in the
     # products of the induced metric; under pyproject's error::RuntimeWarning
@@ -872,7 +929,8 @@ def test_desitter_half_minus_conformal_factor():
     assert report["suites"]["conformal"]["residuals"]["factor"] < 1e-8
     scene = parse_scene(doc)
     x = np.asarray(report["rows"][0]["point"])
-    lam = conformal.factor_field(scene.cspec, scene.im)(list(x))
+    lam = conformal.factor_field(scene.cspec, scene.im)
+    lam = geometry_alone(scene.im, x).scalar_series(lam).val[0]
     expected = math.sqrt(3.0) / 2.0 - 0.5 * math.sqrt(3.0) / 2.0
     assert abs(lam - expected) < 1e-12
 

@@ -27,6 +27,7 @@ from _jets import jet_eval
 from _surfaces import (
     cylinder_immersion,
     factorization_alone,
+    geometry_alone,
     hxr_immersion,
     local_inverse_alone,
     psi_f_desitter,
@@ -37,6 +38,7 @@ from _surfaces import (
     random_positive_field,
     sample_box,
     scaled_metric_chart,
+    series_alone,
     slice_immersion,
     sphere_box,
 )
@@ -137,13 +139,13 @@ def test_range_enforcement():
     # the split component pins f strictly between 0 and sqrt(1-a^2)/a
     minus_big = desitter_family(0.5, 2.0, component="minus")
     with pytest.raises(EmbeddingRangeError):
-        chart_geometry(minus_big, (1.2, 0.4))
+        geometry_alone(minus_big, (1.2, 0.4))
     plus_small = desitter_family(0.5, 1.0, component="plus")
     with pytest.raises(EmbeddingRangeError):
-        chart_geometry(plus_small, (1.2, 0.4))
+        geometry_alone(plus_small, (1.2, 0.4))
     negative = minkowski_family(f=lambda ys: -1.0 + 0.0 * ys[0])
     with pytest.raises(EmbeddingRangeError):
-        chart_geometry(negative, (0.2, 0.1))
+        geometry_alone(negative, (0.2, 0.1))
 
 
 # -- split-map values ----------------------------------------------------------
@@ -171,9 +173,9 @@ def test_desitter_split_inverts_graph_embedding():
     rng = np.random.default_rng(11)
     for x in sample_box(rng, sphere_box(n), 8):
         q = chart_values(chart, x)
-        geo = chart_geometry(im, x)
-        fv = geo.psi0[0]
-        assert np.max(np.abs(geo.psi0 - np.concatenate([[fv], -q, [fv]]))) < 1e-12
+        geo = geometry_alone(im, x)
+        fv = geo.psi0[0, 0]
+        assert np.max(np.abs(geo.psi0[0] - np.concatenate([[fv], -q, [fv]]))) < 1e-12
         assert np.max(np.abs(cf.conformal_map(spec, im, x) - q)) < 1e-12
 
 
@@ -264,7 +266,7 @@ def factor_cases():
 def test_conformal_factor_identity(spec, im, lam, samples):
     # lambda is the variant's denominator, or the case's independent one
     for x in samples:
-        geo = chart_geometry(im, x)
+        geo = geometry_alone(im, x)
         assert pullback_alone(spec, geo, lam)[0] < 1e-8
         assert pullback_alone(spec, geo)[1]
 
@@ -276,7 +278,7 @@ def test_constant_family_factor_value():
     expected = BETA_HALF - 0.5 * BETA_HALF
     lam = cf.factor_field(spec, im)
     for x in [(1.2, 0.4), (1.8, -0.9)]:
-        assert abs(lam(list(x)) - expected) < 1e-12
+        assert abs(geometry_alone(im, x).scalar_series(lam).val[0] - expected) < 1e-12
 
 
 def test_desitter_sign_coherence():
@@ -335,7 +337,7 @@ def test_local_inverse_recovers_chart_point():
     im = minkowski_family(n=2)
     spec = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
     x0 = np.array([0.4, -0.7])
-    targets = cf.conformal_map(spec, im, x0[None])
+    targets = cf.conformal_map(spec, im, x0)[None]
     (x_hat,) = cf.local_inverse(spec, im, targets, seeds=[(0.1, -0.2)])
     assert np.max(np.abs(x_hat - x0)) < 1e-9
 
@@ -345,7 +347,7 @@ def test_local_inverse_does_not_swallow_programming_errors(monkeypatch):
     # plain ValueError is a programming error and escapes
     im = minkowski_family(n=2)
     spec = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
-    targets = cf.conformal_map(spec, im, np.array([(0.4, -0.7)]))
+    targets = cf.conformal_map(spec, im, np.array([0.4, -0.7]))[None]
     real = cf._map_values
     calls = []
 
@@ -365,7 +367,7 @@ def test_local_inverse_evaluates_each_accepted_point_once(monkeypatch):
     # the accepted trial's psi and residual carry over to the next step
     im = minkowski_family(n=2)
     spec = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
-    targets = cf.conformal_map(spec, im, np.array([(0.4, -0.7)]))
+    targets = cf.conformal_map(spec, im, np.array([0.4, -0.7]))[None]
     real = cf._map_values
     points = []
 
@@ -433,7 +435,7 @@ def test_factorization_builds_no_chart_geometry(monkeypatch):
     samples = sample_box(np.random.default_rng(37), ((-0.9, 0.9), (-0.9, 0.9)), 6)
     assert cf.factorization_check(im, spec, samples) < 1e-7
     assert built == []
-    chart_geometry(im, samples[0])
+    geometry_alone(im, samples[0])
     assert len(built) == 1
 
 
@@ -566,19 +568,19 @@ def test_scaled_metric_chart_values():
     lam = lambda coords: 1.0 + coords[0] * coords[0]
     scaled = scaled_metric_chart(FLAT2, lam)
     x = (0.7, -0.4)
-    geo = chart_geometry(scaled, x)
-    assert np.max(np.abs(geo.g0 - (1.0 + 0.49) ** 2 * np.eye(2))) < 1e-12
+    geo = geometry_alone(scaled, x)
+    assert np.max(np.abs(geo.g0[0] - (1.0 + 0.49) ** 2 * np.eye(2))) < 1e-12
 
 
 def test_sectional_anchors():
     sphere = pullback_metric_chart(st.sphere_chart(2))
-    k = cf.sectional_curvatures(chart_geometry(sphere, (1.1, 0.6)))
+    (k,) = cf.sectional_curvatures(geometry_alone(sphere, (1.1, 0.6)))
     assert abs(k[0, 1] - 1.0) < 1e-10
     hyper = pullback_metric_chart(st.hyperbolic_chart(2), signs=(-1.0, 1.0, 1.0))
-    k = cf.sectional_curvatures(chart_geometry(hyper, (0.4, -0.8)))
+    (k,) = cf.sectional_curvatures(geometry_alone(hyper, (0.4, -0.8)))
     assert abs(k[0, 1] + 1.0) < 1e-10
     sphere3 = pullback_metric_chart(st.sphere_chart(3))
-    k = cf.sectional_curvatures(chart_geometry(sphere3, (1.2, 0.9, 0.5)))
+    (k,) = cf.sectional_curvatures(geometry_alone(sphere3, (1.2, 0.9, 0.5)))
     for a in range(3):
         for c in range(a + 1, 3):
             assert abs(k[a, c] - 1.0) < 1e-10
@@ -590,7 +592,7 @@ def test_stereographic_factor_gives_round_sphere():
     rng = np.random.default_rng(41)
     samples = sample_box(rng, ((-1.5, 1.5),) * 2, 6)
     for x in samples:
-        k = cf.sectional_curvatures(chart_geometry(scaled, x))[0, 1]
+        k = cf.sectional_curvatures(geometry_alone(scaled, x))[0, 0, 1]
         assert abs(k - 1.0) < 1e-6
     res = cf.conformal_curvature_check(FLAT2, lam, samples)
     assert max(res.values()) < 1e-8
@@ -601,7 +603,7 @@ def test_exponential_factor_stays_flat():
     lam = lambda xs: tm.exp(xs[0])
     scaled = scaled_metric_chart(FLAT2, lam)
     for x in [(0.0, 0.0), (0.4, -0.6), (-0.8, 0.3)]:
-        k = cf.sectional_curvatures(chart_geometry(scaled, x))[0, 1]
+        k = cf.sectional_curvatures(geometry_alone(scaled, x))[0, 0, 1]
         assert abs(k) < 1e-9
     res = cf.conformal_curvature_check(FLAT2, lam, [(0.4, -0.6), (-0.8, 0.3)])
     assert max(res.values()) < 1e-8
@@ -626,9 +628,9 @@ def test_rescaled_geometry_matches_scaled_metric_chart():
     for obj, base in cases:
         scaled = scaled_metric_chart(base, lam)
         for x in [(0.3, -0.5), (-0.7, 0.2)]:
-            geo = chart_geometry(obj, x)
+            geo = geometry_alone(obj, x)
             got = geo.rescaled(geo.scalar_series(lam))
-            want = chart_geometry(scaled, x)
+            want = geometry_alone(scaled, x)
             assert np.max(np.abs(got.g0 - want.g0)) < 1e-12
             assert abs(got.scal - want.scal) < 1e-12
 
@@ -663,7 +665,7 @@ def test_random_conformal_identities():
 
 # -- batched samples against the per-sample loops -------------------------------
 #
-# The oracles below evaluate one sample at a time with one-point arithmetic:
+# The oracles below evaluate one sample at a time, each a batch of one:
 # every batched result must equal theirs bit for bit, and a failing sample
 # must raise the same type with the same message.
 
@@ -672,7 +674,7 @@ def r_sign_loop(im, samples):
     cone = im.target_cone
     signs = set()
     for x in samples:
-        r = cone.scale(im.series(x, 0, check_membership=False)[0].val)
+        r = cone.scale(series_alone(im, x, 0, check_membership=False)[0].val[0])
         if abs(r) <= cf.DENOMINATOR_FLOOR:
             raise DegeneracyError(f"scale R = {r:.3e} vanishes at {tm.format_point(x)}")
         signs.add(1.0 if r > 0.0 else -1.0)
@@ -684,21 +686,22 @@ def r_sign_loop(im, samples):
 def curvature_check_loop(metric_obj, lam, samples):
     res_sect = res_scal = res_gauss = 0.0
     for x in samples:
-        geo = chart_geometry(metric_obj, x, check_membership=False)
+        geo = geometry_alone(metric_obj, x, check_membership=False)
         n = geo.dim
         s = geo.scalar_series(lam)
-        geo_s = geo.rescaled(s)
-        lam0 = s.val
+        (geo_s,) = tm.per_sample(lambda xs: [geo.rescaled(s)], [x])
+        lam0 = float(s.val[0])
         if lam0 <= 0.0:
             raise ValueError(f"conformal factor nonpositive at {tm.format_point(x)}")
         _, grad_sq = geo.gradient(s)
-        hess = geo.covariant_hessian(s)
-        lap = float(np.einsum("ij,ij->", geo.g_inv0, hess))
-        b = geo.onf
+        grad_sq = float(grad_sq[0])
+        hess = geo.covariant_hessian(s)[0]
+        lap = float(np.einsum("ij,ij->", geo.g_inv0[0], hess))
+        b = geo.onf[0]
         hess_onf = b.T @ hess @ b
-        dlam_onf = b.T @ geo.partials(s)
-        k_base = cf.sectional_curvatures(geo)
-        k_scaled = cf.sectional_curvatures(geo_s)
+        dlam_onf = b.T @ geo.partials(s)[0]
+        (k_base,) = cf.sectional_curvatures(geo)
+        (k_scaled,) = cf.sectional_curvatures(geo_s)
         for a in range(n):
             for c in range(a + 1, n):
                 lhs = lam0**4 * k_scaled[a, c]
@@ -709,11 +712,12 @@ def curvature_check_loop(metric_obj, lam, samples):
                     - grad_sq
                 )
                 res_sect = max(res_sect, abs(lhs - rhs))
-        lhs = lam0**2 * geo_s.scal
-        rhs = geo.scal - 2.0 * (n - 1) * lap / lam0 - (n - 1) * (n - 4) * grad_sq / lam0**2
+        lhs = lam0**2 * float(geo_s.scal[0])
+        rhs = (float(geo.scal[0]) - 2.0 * (n - 1) * lap / lam0
+               - (n - 1) * (n - 4) * grad_sq / lam0**2)
         res_scal = max(res_scal, abs(lhs - rhs))
         if n == 2:
-            log_lap = geo.laplacian(tm.log(s))
+            log_lap = float(geo.laplacian(tm.log(s))[0])
             lhs = lam0**2 * k_scaled[0, 1]
             res_gauss = max(res_gauss, abs(lhs - (k_base[0, 1] - log_lap)))
     return {"sectional": res_sect, "scalar": res_scal, "gauss": res_gauss}
@@ -744,6 +748,11 @@ def grid_samples(scene, seed, count=5):
     points = np.array(list(itertools.product(*scene.axes)))
     picks = np.random.default_rng(seed).choice(len(points), size=count, replace=False)
     return [points[i] for i in picks]
+
+
+def pullback_alone_columns(spec, geo):
+    """`conformal.pullback_columns` of the geometry of one point."""
+    return tuple(v[0] for v in cf.pullback_columns(spec, geo))
 
 
 def chart_geometry_calls(monkeypatch):
@@ -817,24 +826,24 @@ def test_pullback_columns_match_points_alone():
         good = []
         for x in map(np.array, points):
             try:
-                chart_geometry(im, x)
+                geometry_alone(im, x)
             except (tm.DomainError, immersion.MetricSignatureError, PointRejected):
                 continue
             good.append(x)
         geo = chart_geometry(im, np.array(good))
         deviation, spd, on_model = cf.pullback_columns(spec, geo)
         for b, x in enumerate(good):
-            one = chart_geometry(im, x)
+            one = geometry_alone(im, x)
             want = outcome(pullback_alone, spec, one)
-            assert cf.pullback_columns(spec, one)[2] == on_model[b]
+            assert pullback_alone_columns(spec, one)[2] == on_model[b]
             if on_model[b]:
                 assert want == (float(deviation[b]).hex(), bool(spd[b]))
-                assert outcome(cf.pullback_columns, spec, one) == want
+                assert outcome(pullback_alone_columns, spec, one) == want
             else:
                 refusals.add(want[1].split()[1])
                 assert want[0] is DegeneracyError
                 assert np.isnan(deviation[b]) and not spd[b]
-                assert math.isnan(cf.pullback_columns(spec, one)[0])
+                assert math.isnan(pullback_alone_columns(spec, one)[0])
     assert refusals == {"denominator", "image"}
 
 
@@ -858,10 +867,10 @@ def test_factor_check_batch_matches_samples_alone(spec, im, samples):
     deviation, spd, on_model = cf.pullback_columns(spec, chart_geometry(im, np.array(samples)))
     assert on_model.all()
     for b, x in enumerate(samples):
-        want = outcome(pullback_alone, spec, chart_geometry(im, x))
+        want = outcome(pullback_alone, spec, geometry_alone(im, x))
         assert isinstance(want[0], str)
         assert (float(deviation[b]).hex(), bool(spd[b])) == want
-        assert outcome(cf.pullback_columns, spec, chart_geometry(im, x)) == want
+        assert outcome(pullback_alone_columns, spec, geometry_alone(im, x)) == want
 
 
 def test_desitter_r_sign_batch_matches_samples_alone():

@@ -35,6 +35,25 @@ DS_MINUS = nc.NullconeSpec(model=DS, variant="desitter_alpha", alpha=0.5, compon
 DS_PLUS = nc.NullconeSpec(model=DS, variant="desitter_alpha", alpha=0.5, component="plus")
 
 
+def F_at(spec, p):
+    """F at the ambient point p, a batch of one."""
+    (out,) = tm.per_sample(lambda ps: [nc.eval_F(spec, list(ps.T))], [p])
+    return float(out[0])
+
+
+def grad_at(spec, p):
+    """The components of half the gradient of F at the ambient point p, a
+    batch of one; a refused point raises its typed error."""
+    (out,) = tm.per_sample(lambda ps: [nc.grad_F_components(spec, list(ps.T))], [p])
+    return np.array([np.ravel(c)[0] for c in out])
+
+
+def on_cone(spec, p):
+    """require_on_cone of the ambient point p, a batch of one: a refused
+    point raises its `PointRejected`."""
+    tm.per_sample(lambda ps: [nc.require_on_cone(spec, ps)], [p])
+
+
 def unit(rng, k):
     d = rng.standard_normal(k)
     return d / np.linalg.norm(d)
@@ -65,7 +84,7 @@ def on_cone_point(spec, rng):
         return np.concatenate(([s], R * q, [a + math.sqrt(1.0 - a * a) * s]))
     m = spec.model
     t = rng.uniform(0.3, 1.4)
-    r = m.warping.conformal_time(t, m.t0)
+    r = float(m.warping.conformal_time(np.array([t]), m.t0)[0])
     if m.fiber_kind == "euclidean":
         x = r * unit(rng, 3)
     elif m.fiber_kind == "sphere":
@@ -118,17 +137,17 @@ def test_spec_validation():
 
 
 def test_eval_F_examples():
-    assert nc.eval_F(MINK_CONE, np.array([1.0, 1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=0.0)
+    assert F_at(MINK_CONE, np.array([1.0, 1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=0.0)
 
     t = math.log(2.0)
     oracle, _ = quad(lambda s: math.exp(-s), 0.0, t, epsabs=1e-13)
     assert oracle == pytest.approx(0.5, abs=1e-12)
     p = np.array([t, 0.5, 0.0, 0.0])
-    assert nc.eval_F(GRW_CONE, p) == pytest.approx(0.0, abs=1e-12)
+    assert F_at(GRW_CONE, p) == pytest.approx(0.0, abs=1e-12)
 
     c = 0.7
     x = np.array([c, 1.0, 0.0, 0.0, c])
-    assert nc.eval_F(DS0, x) == pytest.approx(0.0, abs=0.0)
+    assert F_at(DS0, x) == pytest.approx(0.0, abs=0.0)
 
 
 def test_eval_F_zero_on_generated_points():
@@ -136,23 +155,23 @@ def test_eval_F_zero_on_generated_points():
     for spec in ALL_SPECS:
         for _ in range(100):
             p = on_cone_point(spec, rng)
-            assert abs(nc.eval_F(spec, p)) < 1e-10
+            assert abs(F_at(spec, p)) < 1e-10
 
 
 def test_grad_F_examples():
     p = np.array([1.3, 0.4, -0.2, 1.1])
-    g = nc.grad_F_components(MINK_CONE, p)
+    g = grad_at(MINK_CONE, p)
     assert np.allclose(g, p, atol=0.0)
 
     static = st.AmbientModel(kind="grw_euclidean", n=2,
                              warping=mk_warping("constant", (1.0,)), t0=0.0)
     cone = nc.NullconeSpec(model=static, variant="grw_cone")
     p = np.array([0.9, 0.3, 0.0, -0.6])
-    g = nc.grad_F_components(cone, p)
+    g = grad_at(cone, p)
     assert np.allclose(g, p, atol=1e-14)  # t dt + r Dr collapses to (t, x)
 
     p = on_cone_point(CYL, np.random.default_rng(0))
-    g = nc.grad_F_components(CYL, p)
+    g = grad_at(CYL, p)
     assert np.allclose(g, np.concatenate((p[:3], [0.0])), atol=0.0)
 
 
@@ -161,7 +180,7 @@ def test_grad_F_null_on_cone():
     for spec in ALL_SPECS:
         for _ in range(100):
             p = on_cone_point(spec, rng)
-            g = nc.grad_F_components(spec, p)
+            g = grad_at(spec, p)
             norm = inner_at(spec.model, p, g, g)
             assert -1e-9 < norm < 1e-9
 
@@ -171,7 +190,7 @@ def test_grad_F_future_pointing_on_grw_variants():
     for spec in (MINK_CONE, GRW_CONE, SPH_CONE, HYP_CONE):
         for _ in range(25):
             p = on_cone_point(spec, rng)
-            g = nc.grad_F_components(spec, p)
+            g = grad_at(spec, p)
             axis = st.time_axis(spec.model, p)
             assert inner_at(spec.model, p, g, axis) < 0.0
 
@@ -217,8 +236,8 @@ def test_grad_F_orthogonal_to_cone_tangents():
         psi, y0 = _patch(spec)
         jet = jet_eval(psi, y0, 1)
         p = jet.value
-        nc.require_on_cone(spec, p)
-        g = nc.grad_F_components(spec, p)
+        on_cone(spec, p)
+        g = grad_at(spec, p)
         for j in range(2):
             tangent = jet.jacobian[:, j]
             val = inner_at(spec.model, p, g, tangent)
@@ -229,11 +248,11 @@ def test_grad_F_series_matches_float_path():
     for spec in ALL_SPECS:
         psi, y0 = _patch(spec)
         ctx = tm.get_context(2, 2)
-        xs = [tm.Series.variable(ctx, i, y0[i]) for i in range(2)]
+        xs = [tm.Series.variable(ctx, i, np.array([y0[i]])) for i in range(2)]
         comps = nc.grad_F_components(spec, psi(xs))
         jet = jet_eval(psi, y0, 1)
-        g = nc.grad_F_components(spec, jet.value)
-        got = np.array([c.val if isinstance(c, tm.Series) else float(c) for c in comps])
+        g = grad_at(spec, jet.value)
+        got = np.array([c.val[0] if isinstance(c, tm.Series) else float(c) for c in comps])
         assert np.allclose(got, g, atol=1e-12)
 
 
@@ -243,27 +262,27 @@ def test_grad_F_series_matches_float_path():
 def test_vertex_exclusion():
     p = np.array([1e-12, 1e-12, 0.0, 0.0])
     with pytest.raises(nc.PointRejected) as err:
-        nc.grad_F_components(GRW_CONE, p)
+        grad_at(GRW_CONE, p)
     assert err.value.reason is nc.RejectionReason.VERTEX_EXCLUSION
     with pytest.raises(nc.PointRejected):
-        nc.require_on_cone(GRW_CONE, p)
+        on_cone(GRW_CONE, p)
 
     with pytest.raises(nc.PointRejected) as err:
-        nc.require_on_cone(MINK_CONE, np.array([1e-10, 1e-10, 0.0, 0.0]))
+        on_cone(MINK_CONE, np.array([1e-10, 1e-10, 0.0, 0.0]))
     assert err.value.reason is nc.RejectionReason.VERTEX_EXCLUSION
 
 
 def test_radial_singularities():
     with pytest.raises(nc.PointRejected) as err:
-        nc.grad_F_components(GRW_CONE, np.array([0.5, 0.0, 0.0, 0.0]))
+        grad_at(GRW_CONE, np.array([0.5, 0.0, 0.0, 0.0]))
     assert err.value.reason is nc.RejectionReason.DENOMINATOR_ZERO
 
     with pytest.raises(nc.PointRejected) as err:
-        nc.grad_F_components(SPH_CONE, np.array([0.5, -1.0, 0.0, 0.0, 0.0]))
+        grad_at(SPH_CONE, np.array([0.5, -1.0, 0.0, 0.0, 0.0]))
     assert err.value.reason is nc.RejectionReason.CHART_SINGULARITY
 
     with pytest.raises(nc.PointRejected) as err:
-        nc.grad_F_components(SPH_CONE, np.array([0.5, 1.0, 0.0, 0.0, 0.0]))
+        grad_at(SPH_CONE, np.array([0.5, 1.0, 0.0, 0.0, 0.0]))
     assert err.value.reason is nc.RejectionReason.DENOMINATOR_ZERO
 
 
@@ -272,29 +291,29 @@ def test_membership_rejects_off_cone_and_wrong_branch():
     p = on_cone_point(MINK_CONE, rng)
     q = p.copy()
     q[0] += 1e-3
-    nc.require_on_cone(MINK_CONE, p)
+    on_cone(MINK_CONE, p)
     with pytest.raises(nc.PointRejected) as err:
-        nc.require_on_cone(MINK_CONE, q)
+        on_cone(MINK_CONE, q)
     assert err.value.reason is nc.RejectionReason.OFF_CONE
 
     past = -p
     with pytest.raises(nc.PointRejected):
-        nc.require_on_cone(MINK_CONE, past)
+        on_cone(MINK_CONE, past)
 
     p = on_cone_point(DS_MINUS, rng)
-    nc.require_on_cone(DS_MINUS, p)
+    on_cone(DS_MINUS, p)
     with pytest.raises(nc.PointRejected):
-        nc.require_on_cone(DS_PLUS, p)
+        on_cone(DS_PLUS, p)
 
     off_quadric = p * 1.001
     with pytest.raises(nc.PointRejected):
-        nc.require_on_cone(DS_MINUS, off_quadric)
+        on_cone(DS_MINUS, off_quadric)
 
     p = on_cone_point(HYP_CONE, rng)
     q = p.copy()
     q[1] *= 1.01
     with pytest.raises(nc.PointRejected):
-        nc.require_on_cone(HYP_CONE, q)
+        on_cone(HYP_CONE, q)
 
 
 # ---------------------------------------------------------------- de Sitter graphs
@@ -339,4 +358,4 @@ def test_desitter_parametrization_lies_in_quadric():
         for _ in range(25):
             p = on_cone_point(spec, rng)
             assert -p[0] ** 2 + np.dot(p[1:], p[1:]) == pytest.approx(1.0, abs=1e-10)
-            nc.require_on_cone(spec, p)
+            on_cone(spec, p)

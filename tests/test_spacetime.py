@@ -38,21 +38,21 @@ def desitter(n=2):
 def test_warping_families_values_and_slopes():
     f = mk_warping("exp")
     assert f.value(0.3) == pytest.approx(math.exp(0.3), rel=1e-15)
-    assert f.derivatives(0.3, 1)[1] == pytest.approx(math.exp(0.3), rel=1e-12)
+    assert f.derivatives(np.array([0.3]), 1)[1] == pytest.approx(math.exp(0.3), rel=1e-12)
 
     f = mk_warping("cosh")
-    v, d1, d2 = f.derivatives(0.7, 2)
+    v, d1, d2 = f.derivatives(np.array([0.7]), 2)
     assert v == pytest.approx(math.cosh(0.7), rel=1e-15)
     assert d1 == pytest.approx(math.sinh(0.7), rel=1e-12)
     assert d2 == pytest.approx(math.cosh(0.7), rel=1e-12)
 
     f = mk_warping("polynomial", (1.0, 0.0, 1.0))  # 1 + t^2
     assert f.value(2.0) == pytest.approx(5.0, abs=1e-14)
-    assert f.derivatives(2.0, 1)[1] == pytest.approx(4.0, abs=1e-12)
+    assert f.derivatives(np.array([2.0]), 1)[1] == pytest.approx(4.0, abs=1e-12)
 
     f = mk_warping("custom", expr="1 + 0.5*sin(t)")
     assert f.value(0.2) == pytest.approx(1.0 + 0.5 * math.sin(0.2), rel=1e-15)
-    assert f.derivatives(0.2, 1)[1] == pytest.approx(0.5 * math.cos(0.2), rel=1e-12)
+    assert f.derivatives(np.array([0.2]), 1)[1] == pytest.approx(0.5 * math.cos(0.2), rel=1e-12)
 
 
 def test_warping_rejects_bad_inputs():
@@ -70,10 +70,12 @@ def test_warping_rejects_bad_inputs():
         mk_warping("exp", domain=(1.0, 1.0))
     f = mk_warping("polynomial", (1.0, -1.0))  # 1 - t
     with pytest.raises(ValueError):
-        f(2.0)  # nonpositive value
+        f.value(2.0)  # nonpositive value
     f = mk_warping("exp", domain=(-1.0, 1.0))
     with pytest.raises(ValueError):
-        f(1.5)  # outside the declared interval
+        f.value(1.5)  # outside the declared interval
+    with pytest.raises(ValueError):
+        f.conformal_time(np.array([0.5]), 1.5)  # a vertex time outside it
 
 
 def test_conformal_time_closed_forms_match_quadrature():
@@ -89,12 +91,13 @@ def test_conformal_time_closed_forms_match_quadrature():
     ]
     for f, t0, t in cases:
         oracle, _ = quad(lambda s: 1.0 / f.value(s), t0, t, epsabs=1e-13, epsrel=1e-13)
-        assert f.conformal_time(t, t0) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+        assert f.conformal_time(np.array([t]), t0) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 
 def test_conformal_time_series_batch_matches_columns_alone():
-    # the batch's derivative table of every warping kind is each column's
-    # alone, bit for bit; the time outside the warping domain keeps its error
+    # the batch's derivative table of every warping kind is each column's in
+    # a batch of one, bit for bit; the time outside the warping domain keeps
+    # its error
     ctx = tm.get_context(1, 3)
     # 64 times in the domain (-1, 1.5), and 1.7 outside it
     times = np.insert(np.random.default_rng(5).uniform(-0.9, 1.4, 64), 9, 1.7)
@@ -115,7 +118,7 @@ def test_conformal_time_series_batch_matches_columns_alone():
         rejected = 0
         for t, got in zip(times, tm.column_results(batch, times)):
             try:
-                want = f.conformal_time(tm.Series.variable(ctx, 0, float(t)), 0.0).c
+                (want,) = tm.per_sample(batch, [t])
             except st.WarpingDomainError as err:
                 assert type(got) is st.WarpingDomainError and str(got) == str(err), kind
                 rejected += 1
@@ -125,9 +128,10 @@ def test_conformal_time_series_batch_matches_columns_alone():
 
 
 def test_warping_of_a_time_array_is_each_floats():
-    # f and the conformal time of a (B,) array of times are each float's, bit
-    # for bit (a custom profile's powers included); a time outside the
-    # warping domain rejects its own column with the error it raises alone
+    # f and the conformal time of a (B,) array of times are each float's in
+    # a batch of one, bit for bit (a custom profile's powers included), and
+    # f's value at the float is too; a time outside the warping domain
+    # rejects its own column with the error it raises alone
     times = np.insert(np.random.default_rng(6).uniform(-0.9, 1.4, 48), 9, 1.7)
     kinds = [
         ("constant", (2.0,), None),
@@ -139,10 +143,16 @@ def test_warping_of_a_time_array_is_each_floats():
     for kind, params, expr in kinds:
         f = mk_warping(kind, params, domain=(-1.0, 1.5), expr=expr)
         for fn in (f, lambda ts: f.conformal_time(ts, 0.0)):
-            batch = tm.column_results(lambda ts: np.broadcast_to(fn(ts), ts.shape), times)
+
+            def columns(ts):
+                return np.broadcast_to(fn(ts), ts.shape)
+
+            batch = tm.column_results(columns, times)
             for t, got in zip(times, batch):
                 try:
-                    want = fn(float(t))
+                    (want,) = tm.per_sample(columns, [t])
+                    if fn is f:
+                        assert np.float64(f.value(t)).tobytes() == want.tobytes(), (kind, t)
                 except st.WarpingDomainError as err:
                     assert type(got) is st.WarpingDomainError and str(got) == str(err), kind
                     continue
@@ -153,10 +163,10 @@ def test_conformal_time_series_derivatives_match_fd():
     f = mk_warping("cosh")
     t0, t = -0.2, 0.85
     ctx = tm.get_context(1, 3)
-    series = f.conformal_time(tm.Series.variable(ctx, 0, t), t0)
+    series = f.conformal_time(tm.Series.variable(ctx, 0, np.array([t])), t0)
 
     def profile(xs):
-        return f.conformal_time(float(xs[0]), t0)
+        return float(f.conformal_time(np.array([xs[0]]), t0)[0])
 
     for k, scheme in ((1, FdScheme(1e-4, 2, True)),
                       (2, FdScheme(1e-3, 2, True)),
@@ -355,18 +365,18 @@ def test_radial_hessian_factor_against_jets():
     ):
         m = product_model(fiber)
         ctx = tm.get_context(3, 1)
-        ys = [tm.Series.variable(ctx, i, params[i]) for i in range(3)]
+        ys = [tm.Series.variable(ctx, i, np.array([params[i]])) for i in range(3)]
         xs = chart.fn(ys)
         r, dr = st.fiber_radial(m, xs)
         field = [r * c for c in dr]
         signs = m.signature[1:]
-        x0 = np.array([c.val for c in xs])
-        dr0 = np.array([c.val for c in dr])
-        factor = st.radial_tangential_factor(m, r.val)
+        x0 = np.array([c.val[0] for c in xs])
+        dr0 = np.array([c.val[0] for c in dr])
+        factor = st.radial_tangential_factor(m, r.val)[0]
         quad_sign = 1.0 if fiber == "sphere" else -1.0
         for j in range(3):
-            V = np.array([c.derivative(j).val for c in xs])
-            flat_d = np.array([c.derivative(j).val for c in field])
+            V = np.array([c.derivative(j).val[0] for c in xs])
+            flat_d = np.array([c.derivative(j).val[0] for c in field])
             # remove the quadric-normal component (normal is the position)
             coef = float(np.sum(signs * flat_d * x0)) / quad_sign
             tangential = flat_d - coef * x0
@@ -415,7 +425,8 @@ def test_warped_connection_term_against_fd_symbols():
         for _ in range(5):
             v, w = rng.standard_normal((2, d))
             expect = np.einsum("abc,b,c->a", gamma, v, w)
-            got = st.warped_connection_term(m, m.warping.derivatives(p[0], 1), v, w)
+            df = m.warping.derivatives(np.array([p[0]]), 1)
+            (got,) = st.warped_connection_term(m, df, v[None], w[None])
             assert np.allclose(got, expect, atol=1e-6)
         flatk = st.warped_connection_term(minkowski(2), None, np.ones(4), np.ones(4))
         assert np.allclose(flatk, 0.0, atol=0.0)

@@ -9,19 +9,23 @@ them.  It prints, one per line:
 - `scene NAME seed S SHA256`: the sha256 of `cli.emit_json` of every
   built-in scene and every dense-grid configuration, at run seeds 0-7;
 - `point NAME I FIELDS CLASS`: `extrinsic.point_report` at every point of
-  the stored pools, each row field as `float.hex`, or the typed error
+  the stored pools and at every grid point of each dense-grid
+  configuration, each row field as `float.hex`, or the typed error
   (`rejected TYPE: MESSAGE`) of a point that is refused;
 - `curvature NAME I SAMPLES`: `conformal.conformal_curvature_check` of each
   run of 6 consecutive pool points of a scene with a split map, each
   residual as `float.hex`;
 - `map NAME I IMAGE`: `conformal.conformal_map` at every pool point of the
-  scene whose stored reference has split-map images, each coordinate as
-  `float.hex`;
+  scene whose stored reference has split-map images, and at every grid
+  point of each dense-grid configuration with a split map, each coordinate
+  as `float.hex`;
 - `factorization NAME RESIDUAL`: `conformal.factorization_check` of the
   first 6 pool points of each scene whose stored reference has a
   factorization residual, as `float.hex`.
 
-Between them these cover every operation of the `pointwise` workload.
+Between them these cover every operation of the `pointwise` workload, and
+the one-point refusals of the dense grids, whose messages are the details
+of the grid pass's rejections.
 
 Output is deterministic, so running it on two trees and diffing the output
 shows whether their reports are byte-identical.
@@ -30,6 +34,7 @@ shows whether their reports are byte-identical.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -113,11 +118,22 @@ def pointwise_lines():
             yield f"factorization {name} {_outcome(_factorization, scene, samples)}"
 
 
+def grid_point_lines():
+    for entry in _stored("dense-grid"):
+        scene = cli.parse_scene(entry["config"])
+        name = f"{scene.name}-grid"
+        points = list(itertools.product(*scene.axes))
+        for i, x in enumerate(points):
+            yield f"point {name} {i} {_outcome(_report, scene, np.array(x))}"
+        if scene.cspec is not None:
+            for i, x in enumerate(points):
+                yield f"map {name} {i} {_outcome(_map, scene, np.array(x))}"
+
+
 def main() -> int:
-    for line in scene_lines():
-        print(line)
-    for line in pointwise_lines():
-        print(line)
+    for lines in (scene_lines(), pointwise_lines(), grid_point_lines()):
+        for line in lines:
+            print(line)
     return 0
 
 
