@@ -173,7 +173,7 @@ def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
 
 def _primitive_integrand(spec: ConformalMapSpec, im: Immersion):
     """Chart components of dw/u as a covector field: (point, axis) -> float,
-    the point a batch of one."""
+    the point a batch of one whose refusal raises its typed error."""
 
     def components(points, axis):
         psi = im.series(points, 1, check_membership=False)
@@ -188,7 +188,10 @@ def _primitive_integrand(spec: ConformalMapSpec, im: Immersion):
         return w.c[w.ctx.first[axis]] / denom
 
     def cov(point, axis):
-        return float(taylor.per_sample(lambda ps: components(ps, axis), [point])[0])
+        try:
+            return float(components(point[None], axis)[0])
+        except taylor.BatchRejected as err:
+            raise err.errors[0] from None
 
     return cov
 

@@ -207,16 +207,13 @@ def null_partner(geo: ChartGeometry, xi: Series, nu: Series, xi_dot_nu: Series) 
     return (-1.0 / (2.0 * c * c)) * xi + (-1.0 / c) * nu
 
 
-def _directional(geo: ChartGeometry, field: Series, df) -> list:
-    """Components of nabla^amb_{d_j psi} N for each j, modulo quadric normals."""
+def _directional(geo: ChartGeometry, field: Series, df) -> np.ndarray:
+    """Components of nabla^amb_{d_j psi} N, modulo quadric normals, [..., j, :]."""
     model = geo.immersion.model
     n0 = _values(field)
-    # [a, j] = d_j N^a
-    d = taylor.batch_first(field.c[field.ctx.first].swapaxes(0, 1))
-    return [
-        d[..., j] + spacetime.warped_connection_term(model, df, geo.tangents[..., j, :], n0)
-        for j in range(geo.dim)
-    ]
+    # [j, a] = d_j N^a
+    d = taylor.batch_first(field.c[field.ctx.first])
+    return d + spacetime.warped_connection_term(model, df, geo.tangents, n0[:, None, :])
 
 
 def weingarten_map(geo: ChartGeometry, field: Series, f2, df) -> np.ndarray:
@@ -226,7 +223,7 @@ def weingarten_map(geo: ChartGeometry, field: Series, f2, df) -> np.ndarray:
     `spacetime.ambient_inner` and `spacetime.warped_connection_term`).
     """
     # [..., j, :] = nabla^amb_{d_j psi} N, paired with [..., i, :] = d_i psi
-    dn = np.array(_directional(geo, field, df)).swapaxes(0, 1)
+    dn = _directional(geo, field, df)
     m = spacetime.ambient_inner(
         geo.immersion.model, f2, dn[..., None, :, :], geo.tangents[..., :, None, :]
     )
@@ -242,21 +239,17 @@ def second_fundamental_form(geo: ChartGeometry, xi, eta, f2, df) -> np.ndarray:
     """
     model, n = geo.immersion.model, geo.dim
     tangents = geo.tangents
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    w = np.array(
-        [
-            geo.psi_second_partials[..., i, j, :]
-            + spacetime.warped_connection_term(model, df, tangents[..., i, :], tangents[..., j, :])
-            for i, j in pairs
-        ]
-    ).swapaxes(0, 1)
+    # [..., pair, :], the pairs i <= j in row order
+    i, j = np.array([(i, j) for i in range(n) for j in range(i, n)]).T
+    w = geo.psi_second_partials[:, i, j, :] + spacetime.warped_connection_term(
+        model, df, tangents[:, i, :], tangents[:, j, :]
+    )
     a = -spacetime.ambient_inner(model, f2, w, eta[..., None, :])
     b = -spacetime.ambient_inner(model, f2, w, xi[..., None, :])
     # [..., pair, :] = -(a xi + b eta)
     ab = -(a[..., None] * xi[..., None, :] + b[..., None] * eta[..., None, :])
     ii = np.zeros(xi.shape[:-1] + (n, n, xi.shape[-1]))
-    for p, (i, j) in enumerate(pairs):
-        ii[..., i, j, :] = ii[..., j, i, :] = ab[..., p, :]
+    ii[:, i, j, :] = ii[:, j, i, :] = ab
     return ii
 
 
@@ -477,11 +470,7 @@ def point_report(im: Immersion, x, eps: float = MARGINAL_EPS) -> ExtrinsicReport
     """Full extrinsic row for one chart point (n,), a batch of one, its
     fields Python floats; a refused point raises its typed error."""
 
-    def rows(xs):
-        rep = ExtrinsicPoint(im, xs).report(eps)
-        fields = zip(*(getattr(rep, key).tolist() for key in ROW_FIELDS))
-        return [ExtrinsicReport(p, *f, trapped_class=str(k))
-                for p, f, k in zip(rep.point, fields, rep.trapped_class)]
-
-    (rep,) = taylor.per_sample(rows, [x])
-    return rep
+    # the report of the batch of one, whose (1,) fields are the point's
+    (rep,) = taylor.per_sample(lambda xs: [ExtrinsicPoint(im, xs).report(eps)], [x])
+    fields = (getattr(rep, key).item() for key in ROW_FIELDS)
+    return ExtrinsicReport(rep.point[0], *fields, trapped_class=str(rep.trapped_class[0]))

@@ -155,21 +155,18 @@ class NullconeSpec:
         return self.beta / self.alpha
 
     def check_range(self, f):
-        """f, a graph function's value (a Series, or a float constant over the
-        chart), checked to be positive and, on a split de Sitter plane, below
-        the split radius on `minus`, above on `plus`."""
+        """f, a graph function's value (a Series, or the (B,) array of a
+        constant), checked to be positive and, on a split de Sitter plane,
+        below the split radius on `minus`, above on `plus`."""
+        v = f.val if isinstance(f, Series) else f
         lo = self.split_radius if self.component == "plus" else 0.0
         hi = self.split_radius if self.component == "minus" else math.inf
-
-        def outside(v):
-            return EmbeddingRangeError(
-                f"f = {v:.6g} outside the admissible range ({lo:.6g}, {hi:.6g})"
-            )
-
-        if isinstance(f, Series):
-            taylor.require((lo < f.val) & (f.val < hi), lambda at: outside(at(f.val)))
-        elif not lo < f < hi:  # a constant fails every column alike
-            raise outside(float(f))
+        taylor.require(
+            (lo < v) & (v < hi),
+            lambda at: EmbeddingRangeError(
+                f"f = {at(v):.6g} outside the admissible range ({lo:.6g}, {hi:.6g})"
+            ),
+        )
         return f
 
 

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import spacetime as st
 from . import taylor as tm
 from .immersion import Immersion
@@ -36,9 +38,13 @@ __all__ = [
 ]
 
 
-def _graph_value(cone: NullconeSpec, f, arg):
-    """The graph function f (a callable, or a constant) at arg, in the cone's range."""
-    return cone.check_range(f(arg) if callable(f) else float(f))
+def _graph_value(cone: NullconeSpec, f, arg, batch: int):
+    """The graph function f (a callable, or a constant) at arg, in the cone's
+    range: a Series, or a constant's (B,) array over the batch."""
+    fv = f(arg) if callable(f) else f
+    if not isinstance(fv, tm.Series):
+        fv = np.full(batch, fv, dtype=np.float64)
+    return cone.check_range(fv)
 
 
 def psi_f_minkowski(n, f=None):
@@ -50,7 +56,7 @@ def psi_f_minkowski(n, f=None):
 
     def fn(ys):
         p = chart.fn(ys)
-        fv = _graph_value(cone, f, ys)
+        fv = _graph_value(cone, f, ys, ys[0].batch)
         return [fv * c for c in p] + [fv]
 
     return Immersion(SmoothMap(fn, n, n + 2, "psi_f"), model, cone)
@@ -64,7 +70,7 @@ def psi_f_desitter(n, alpha, f, component=None):
 
     def fn(qs):
         q = chart.fn(qs)
-        fv = _graph_value(cone, f, qs)
+        fv = _graph_value(cone, f, qs, qs[0].batch)
         r = cone.scale(fv)
         return [fv] + [r * qi for qi in q] + [cone.alpha + cone.beta * fv]
 
@@ -81,7 +87,7 @@ def cylinder_immersion(n, profile):
 
     def fn(cs):
         t = cs[0]
-        fv = _graph_value(cone, profile, t)
+        fv = _graph_value(cone, profile, t, t.batch)
         q = chart.fn(cs[1:])
         return [fv] + [fv * qi for qi in q] + [t]
 
@@ -130,6 +136,8 @@ def grw_graph(model, height):
 
     def fn(cs):
         t = height(cs)
+        if not isinstance(t, tm.Series):  # a constant height, each column's
+            t = np.full(cs[0].batch, t, dtype=np.float64)
         phi = model.warping.conformal_time(t, model.t0)
         om = chart.fn(cs)
         kind = model.fiber_kind

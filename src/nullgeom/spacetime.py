@@ -111,7 +111,7 @@ class WarpingFunction:
         if self.kind == "constant":
             if isinstance(t, Series):
                 return Series.constant(t.ctx, self.params[0], t.batch)
-            return self.params[0]
+            return np.full(np.shape(t), self.params[0])
         if self.kind == "exp":
             return taylor.exp(t)
         if self.kind == "cosh":
@@ -128,8 +128,6 @@ class WarpingFunction:
         v = t.val if isinstance(t, Series) else t
         self._check_domain(v)
         out = self._raw(t)
-        if isinstance(out, float):  # a profile that is a constant
-            out = np.full(v.shape, out)
         positive = (out.val if isinstance(out, Series) else out) > 0.0
         taylor.require(
             positive, lambda at: WarpingDomainError(f"warping function nonpositive at t={at(v)}")
@@ -137,8 +135,15 @@ class WarpingFunction:
         return out
 
     def value(self, t: float) -> float:
-        """f at a float time, a batch of one, for a quadrature's integrand."""
-        return float(taylor.per_sample(self, [t])[0])
+        """f at a float time, for a quadrature's integrand: the plain-float
+        primitives, with the checks of a batch's column."""
+        lo, hi = self.domain
+        if not lo < t < hi:
+            raise self._outside(t)
+        out = float(self._raw(t))
+        if not out > 0.0:
+            raise WarpingDomainError(f"warping function nonpositive at t={t}")
+        return out
 
     def derivatives(self, t: np.ndarray, order: int = 2):
         """(f, f', ..., f^(order)) at the (B,) array of times t, in closed
@@ -152,13 +157,11 @@ class WarpingFunction:
         return tuple(s.c[k] * math.factorial(k) for k in range(order + 1))
 
     def conformal_time(self, t, t0: float):
-        """Integral of ds/f(s) from the float t0 to t: a (B,) array of times,
-        a Series time, or a float time (a constant height), a batch of one."""
+        """Integral of ds/f(s) from the float t0 to t: a (B,) array of times
+        or a Series time."""
         lo, hi = self.domain
         if not lo < t0 < hi:
             raise self._outside(t0)
-        if isinstance(t, float):
-            return float(taylor.per_sample(lambda ts: self.conformal_time(ts, t0), [t])[0])
         if isinstance(t, Series):
             # f's derivatives first: a column rejected by both keeps f's error
             f0, f1, f2 = self.derivatives(t.val, 2)
@@ -309,8 +312,9 @@ def ambient_inner(model: AmbientModel, f2, v, w):
 
 def warped_connection_term(model: AmbientModel, df, a, b) -> np.ndarray:
     """Ambient Christoffel correction Gamma(a, b) of float component arrays
-    (components last, after the batch axis), where df = (f, f') at the
-    points' times (`WarpingFunction.derivatives(t, 1)`).
+    (components last, after the batch axis; their other axes broadcast),
+    where df = (f, f') at the points' times (`WarpingFunction.derivatives(t,
+    1)`).
 
     Zero for the flat kinds, which pass df = None.  For the cosmological
     kinds this is the warped part of the connection; the curved-fiber
@@ -318,13 +322,14 @@ def warped_connection_term(model: AmbientModel, df, a, b) -> np.ndarray:
     metrically orthogonal to every spacetime-tangent field and therefore
     omitted (tangential projections never see them).
     """
-    out = np.zeros(a.shape)
     if not model.warped:
-        return out
+        return np.zeros(np.broadcast_shapes(a.shape, b.shape))
     f, fp = df
     flat = (model.signature[1:] * a[..., 1:] * b[..., 1:]).sum(axis=-1)
-    out[..., 0] = f * fp * flat
-    ratio = (fp / f)[:, None]  # one per batch column
+    per_point = (len(f),) + (1,) * (flat.ndim - 1)  # one per batch column
+    out = np.empty(flat.shape + (model.coord_count,))
+    out[..., 0] = (f * fp).reshape(per_point) * flat
+    ratio = (fp / f).reshape(per_point + (1,))
     out[..., 1:] = ratio * (a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:])
     return out
 

@@ -605,12 +605,6 @@ def _compose(x: Series, table: np.ndarray) -> Series:
     x - x0, each step a `_product`, in blocks of `_BLOCK_TERMS` terms."""
     ctx = x.ctx
     coeffs = table[:ctx.order + 1] / _FACTORIALS[:ctx.order + 1]
-    if ctx.order == 1:
-        # the one step c0 + c1 (x - x0) as the product sums it: entry k >= 1
-        # is (0 + c1 x_k) + 0 (x - x0)_0, entry 0 (0 + c1 (x - x0)_0) + c0
-        result = 0.0 + coeffs[1] * x.c + 0.0
-        result[0] = (0.0 + coeffs[1] * 0.0) + coeffs[0]
-        return Series(ctx, result)
     step = _BLOCK_TERMS // len(ctx.mul_ti)
     if x.batch > step:
         return Series(ctx, np.concatenate([
@@ -631,7 +625,8 @@ def _compose(x: Series, table: np.ndarray) -> Series:
 
 
 def compose_univariate(x: Series, deriv_values) -> Series:
-    """Series of g(x) from the derivative table [g(v), g'(v), ...] at v = x.val.
+    """Series of g(x) from the derivative table [g(v), g'(v), ...] at v = x.val,
+    each entry a float for every column or a (B,) array of per-column values.
 
     Covers scalar profiles whose derivatives are known analytically even when
     g itself is only available numerically (an antiderivative, say).  The
@@ -640,7 +635,7 @@ def compose_univariate(x: Series, deriv_values) -> Series:
     if len(deriv_values) < x.ctx.order + 1:
         raise ValueError("derivative table shorter than context order")
     _scalar_val(x)
-    return _compose(x, np.array(deriv_values))
+    return _compose(x, np.array([np.full(x.batch, d) for d in deriv_values]))
 
 
 def _checked(name: str, v: np.ndarray, values: list, ok=True) -> np.ndarray:
@@ -650,7 +645,7 @@ def _checked(name: str, v: np.ndarray, values: list, ok=True) -> np.ndarray:
     underflowed to zero), is the primitive's domain error at v."""
     table = np.array(values)
     finite = np.isfinite(table)
-    if np.count_nonzero(finite) < finite.size or np.count_nonzero(ok) < np.size(ok):
+    if np.count_nonzero(finite) < finite.size or (ok is not True and np.count_nonzero(ok) < ok.size):
         require(finite.all(axis=0) & ok, lambda at: PrimitiveDomainError(name, float(at(v))))
     return table
 
@@ -837,12 +832,17 @@ class SmoothMap:
     name: str = ""
     domain: Optional[tuple] = None
 
+    @functools.cached_property
+    def _bounds(self) -> Optional[np.ndarray]:
+        """The box's (low, high) rows over the axes."""
+        return None if self.domain is None else np.array(self.domain, dtype=np.float64).T
+
     def contains(self, points: np.ndarray) -> np.ndarray:
         """The (B,) mask of the points (B, n) in the domain box; no box holds all."""
-        if self.domain is None:
+        if self._bounds is None:
             return np.ones(len(points), dtype=bool)
-        lo, hi = np.array(self.domain).T
-        return ((lo <= points) & (points <= hi)).all(axis=1)
+        lo, hi = self._bounds
+        return np.logical_and.reduce((lo <= points) & (points <= hi), axis=1)
 
 
 def as_series(value, ctx: JetContext, batch: int) -> Series:

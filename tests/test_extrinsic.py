@@ -86,6 +86,8 @@ def all_scenes():
         grw_graph(product_model("sphere"), wavy_height),
         grw_graph(product_model("hyperbolic"), wavy_height),
         grw_graph(product_model("euclidean"), wavy_height),
+        grw_graph(exp_model(), lambda cs: 1.1),
+        grw_graph(product_model("sphere"), lambda cs: 1.1),
         psi_f_desitter(2, 0.0, lambda qs: 1.0 + 0.2 * tm.sin(qs[0]) * tm.cos(qs[1])),
         psi_f_desitter(2, 0.5, 0.5 * SQ3, component="minus"),
         psi_f_desitter(2, 0.5, lambda qs: 2.0 + 0.1 * tm.sin(qs[0]), component="plus"),
@@ -120,6 +122,22 @@ def test_frame_identities_across_scenes():
                 assert abs(frame_inner(pt, xi, tan)) < 1e-9
                 assert abs(frame_inner(pt, eta, tan)) < 1e-9
                 assert abs(frame_inner(pt, nu, tan)) < 1e-9
+
+
+def test_constant_grw_height_is_each_columns_time():
+    # a height function that returns a float is the time of every column:
+    # u is that time, flat along the chart, and a batch's rows are its
+    # points' rows alone
+    for model in (exp_model(), product_model("sphere")):
+        im = grw_graph(model, lambda cs: 1.1)
+        xs = sample_box(np.random.default_rng(5), sphere_box(2), 6)
+        batch = ExtrinsicPoint(im, np.array(xs)).report()
+        for b, x in enumerate(xs):
+            rep = ext.point_report(im, x)
+            assert rep.u == 1.1 and rep.grad_u_sq == 0.0
+            assert [getattr(rep, k) for k in ext.ROW_FIELDS] == [
+                getattr(batch, k)[b] for k in ext.ROW_FIELDS
+            ]
 
 
 POINTWISE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "pointwise.json"

@@ -277,7 +277,7 @@ def test_blocked_batch_product_matches_columns(shapes, columns):
 
 def horner_alone(x, table):
     """Horner's scheme of `_compose`, each step a `_product`: the oracle of
-    its hoisted and order-one forms."""
+    its hoisted form."""
     ctx = x.ctx
     coeffs = table[:ctx.order + 1] / tm._FACTORIALS[:ctx.order + 1]
     ftilde = x.c.copy()
@@ -415,6 +415,26 @@ def test_univariate_primitive_refuses_components():
         with pytest.raises(TypeError, match="shape"):
             fn(vec)
     assert (vec ** 2)[1].c.tobytes() == (vec[1] * vec[1]).c.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_compose_univariate_float_table_applies_to_every_column(order):
+    # a float entry of the table is each column's, at every batch width,
+    # the width order + 1 among them; a (B,) entry is per column
+    ctx = tm.get_context(1, order)
+    table = [1.0, 2.0, 3.0, 4.0][:order + 1]
+    for batch in (1, order + 1, 5):
+        x = tm.Series.variable(ctx, 0, np.linspace(0.5, 1.5, batch))
+        got = tm.compose_univariate(x, table)
+        for b in range(batch):
+            alone = tm.compose_univariate(tm.Series(ctx, x.c[:, b:b + 1].copy()), table)
+            assert got.c[:, b].tobytes() == alone.c[:, 0].tobytes()
+        mixed = tm.compose_univariate(x, [np.full(batch, 1.0)] + table[1:])
+        assert mixed.c.tobytes() == got.c.tobytes()
+    # the coefficient of (x - v)^k is g^(k)(v) / k!
+    assert got.c[:, 0].tolist() == [1.0, 2.0, 1.5, 4.0 / 6.0][:order + 1]
+    with pytest.raises(ValueError):
+        tm.compose_univariate(x, [np.ones(2)] + table[1:])
 
 
 def test_batch_rejection_is_no_typed_error():
