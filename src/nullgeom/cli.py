@@ -43,8 +43,14 @@ it would in a batch of its own.  Rows and rejections
 are reported in grid order, so identical configurations produce
 byte-identical output.
 
-Reports are plain JSON (or CSV rows); `json.loads` reads a JSON report
-back, infinities included.
+Reports are plain JSON (or CSV rows).  A float is spelled with 17
+significant digits (`format(v, ".17g")`), and a non-finite one as `NaN`,
+`Infinity` or `-Infinity`, which `json.loads` reads back.  The grid pass
+keeps its fields as columns and builds each row from them in one step, and
+each row is emitted by one `%` of a template built once per report: in JSON
+one per key signature of a list of records, in CSV one for the report.  A
+row holding a non-finite float, or of another shape, is spelled value by
+value.
 
 Exit codes: 0 every requested suite passed, 1 a suite exceeded its
 tolerance, 2 configuration error (an expression that does not compile and
@@ -61,6 +67,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -519,7 +526,6 @@ def _evaluate(scene: Scene, x) -> list:
     one floating-point scope."""
     pt = ExtrinsicPoint(scene.im, x)
     rep = pt.report(scene.tolerances["trapped_eps"])
-    fields = {key: getattr(rep, key) for key in ROW_FIELDS}
     residuals, expansion = {}, {}
     if "frame" in scene.checks:
         residuals["frame"] = pt.frame_residual()
@@ -531,19 +537,30 @@ def _evaluate(scene: Scene, x) -> list:
         expansion = _expansion_residuals(pt, rep, scene.gauss_shift)
     if "conformal" in scene.checks:
         deviation, spd, on_model = conformal.pullback_columns(scene.cspec, pt.geo)
-    out = []
-    for b, point in enumerate(x):
-        row = {"point": [float(v) for v in point]}
-        row.update((key, float(v[b])) for key, v in fields.items())
-        row["trapped_class"] = str(rep.trapped_class[b])
-        diag = {name: float(v[b]) for name, v in residuals.items()}
-        if expansion:
-            diag["expansions"] = {key: float(v[b]) for key, v in expansion.items()}
-        if "conformal" in scene.checks:
-            # (deviation, spd) of the pullback identity, None off the model space
-            diag["conformal"] = (float(deviation[b]), bool(spd[b])) if on_model[b] else None
-        out.append((row, diag))
-    return out
+    # one tolist per field, then one dict per point in the field order
+    columns = {"point": x.tolist()}
+    columns.update((key, getattr(rep, key).tolist()) for key in ROW_FIELDS)
+    columns["trapped_class"] = rep.trapped_class.tolist()
+    diag_columns = {name: v.tolist() for name, v in residuals.items()}
+    if expansion:
+        diag_columns["expansions"] = _records(
+            {key: v.tolist() for key, v in expansion.items()}, len(x))
+    if "conformal" in scene.checks:
+        # (deviation, spd) of the pullback identity, None off the model space
+        diag_columns["conformal"] = [
+            (d, s) if on else None
+            for d, s, on in zip(deviation.tolist(), spd.tolist(), on_model.tolist())
+        ]
+    return list(zip(_records(columns, len(x)), _records(diag_columns, len(x))))
+
+
+def _records(columns: dict, count: int) -> list:
+    """The `count` dicts of per-point values `columns` holds as one list per
+    key, each dict in the key order of `columns`."""
+    if not columns:
+        return [{} for _ in range(count)]
+    keys = tuple(columns)
+    return [dict(zip(keys, values)) for values in zip(*columns.values())]
 
 
 def _rejection(point, err) -> dict:
@@ -772,8 +789,8 @@ def _emit_string(text: str, strings: dict) -> str:
 
 
 def _emit_json_value(obj, indent, out, strings):
-    # exact floats and strings, most of a report, skip the isinstance chain;
-    # bool, numpy scalars and subclasses go through it in its order
+    # exact floats and strings skip the isinstance chain; bool, numpy
+    # scalars and subclasses go through it in its order
     kind = type(obj)
     if kind is float:
         out.append(_format_float(obj))
@@ -788,32 +805,12 @@ def _emit_json_value(obj, indent, out, strings):
         for i, (key, value) in enumerate(obj.items()):
             key = _emit_string(key, strings) if type(key) is str else json.dumps(str(key))
             end = ",\n" if i < last else "\n"
-            # a row's fields and class: no call of their own
-            if type(value) is float:
-                out.append(f"{inner}{key}: {_format_float(value)}{end}")
-                continue
-            if type(value) is str:
-                out.append(f"{inner}{key}: {_emit_string(value, strings)}{end}")
-                continue
             out.append(f"{inner}{key}: ")
             _emit_json_value(value, indent + 1, out, strings)
             out.append(end)
         out.append("  " * indent + "}")
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner, last = "  " * (indent + 1), len(obj) - 1
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            end = ",\n" if i < last else "\n"
-            if type(value) is float:  # a coordinate: no call of its own
-                out.append(f"{inner}{_format_float(value)}{end}")
-                continue
-            out.append(inner)
-            _emit_json_value(value, indent + 1, out, strings)
-            out.append(end)
-        out.append("  " * indent + "]")
+        _emit_list(obj, indent, out, strings)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
@@ -828,6 +825,97 @@ def _emit_json_value(obj, indent, out, strings):
         raise TypeError(f"cannot emit {type(obj).__name__} into a report")
 
 
+def _emit_list(items, indent, out, strings):
+    """A JSON array.  A record (see `_record_plan`) costs one `%` of its
+    signature's template; anything else, and a record with a non-finite
+    float, goes value by value."""
+    if not items:
+        out.append("[]")
+        return
+    inner, last = "  " * (indent + 1), len(items) - 1
+    out.append("[\n")
+    signature = plan = None
+    for i, value in enumerate(items):
+        text = None
+        if type(value) is dict:
+            values = list(value.values())
+            seen = (tuple(value), tuple(map(type, values)))
+            if seen != signature:
+                signature, plan = seen, _record_plan(seen, values, indent + 1, strings)
+            if plan is not None:
+                text = _fill_record(plan, values, strings)
+        out.append(inner)
+        if text is None:
+            _emit_json_value(value, indent + 1, out, strings)
+        else:
+            out.append(text)
+        out.append(",\n" if i < last else "\n")
+    out.append("  " * indent + "]")
+
+
+def _record_plan(signature, values, indent, strings):
+    """How to emit a record at `indent` whose keys and value types are
+    `signature`, and whose list values have the lengths of `values`; None
+    where it is no record.  A record is a non-empty dict of string keys whose
+    values are floats, strings and lists of floats.  The plan is (the list
+    slots last first, each with its element types; the positions of the
+    strings among the flattened values; a getter of the floats; the `%`
+    template), built once per report and kept in the `strings` memo."""
+    keys, types = signature
+    lengths = tuple(len(v) for v in values if type(v) is list)
+    memo = (indent, keys, types, lengths)
+    if memo in strings:
+        return strings[memo]
+    plan = None
+    if keys and all(type(k) is str for k in keys) and set(types) <= {float, str, list}:
+        inner, lists, strs, floats, parts = "  " * (indent + 1), [], [], [], []
+        for j, (key, kind, value) in enumerate(zip(keys, types, values)):
+            flat = len(floats) + len(strs)
+            if kind is list:
+                lists.insert(0, (j, (float,) * len(value)))
+                floats.extend(range(flat, flat + len(value)))
+                body = ",\n".join([f"{inner}  %.17g"] * len(value))
+                spec = f"[\n{body}\n{inner}]" if value else "[]"
+            elif kind is str:
+                strs.append(flat)
+                spec = "%s"
+            else:
+                floats.append(flat)
+                spec = "%.17g"
+            key = _emit_string(key, strings).replace("%", "%%")
+            parts.append(f"{inner}{key}: {spec}")
+        body = ",\n".join(parts)
+        template = f"{{\n{body}\n{'  ' * indent}}}"
+        plan = (tuple(lists), tuple(strs), _getter(floats), template)
+    strings[memo] = plan
+    return plan
+
+
+def _getter(positions):
+    """The tuple of the items of a list at `positions`."""
+    if len(positions) == 1:
+        (k,) = positions
+        return lambda values: (values[k],)
+    return itemgetter(*positions) if positions else (lambda values: ())
+
+
+def _fill_record(plan, values, strings):
+    """The JSON of a record's `values` by its plan, or None where a list
+    does not hold floats of the planned length, or a float is not finite
+    (JSON spells those as words).  A finite row whose sum overflows takes
+    the value-by-value path too; it only costs time."""
+    lists, strs, floats, template = plan
+    for j, element_types in lists:
+        if tuple(map(type, values[j])) != element_types:
+            return None
+        values[j:j + 1] = values[j]
+    if not math.isfinite(sum(floats(values))):
+        return None
+    for k in strs:
+        values[k] = _emit_string(values[k], strings)
+    return template % tuple(values)
+
+
 def emit_json(report: dict) -> str:
     """Serialize a report with 17-significant-digit floats, stable layout."""
     out = []
@@ -837,15 +925,22 @@ def emit_json(report: dict) -> str:
 
 
 def emit_csv(report: dict) -> str:
-    """Rows only, fixed column order; floats carry 17 significant digits."""
+    """Rows only, fixed column order; floats carry 17 significant digits.
+    Each row is one `%` of the report's template; a row with a non-finite
+    float, or of another shape, is formatted cell by cell."""
     dim = len(report["config"]["grid"])
     header = [f"x{i}" for i in range(dim)] + list(ROW_FIELDS) + ["trapped_class"]
+    template = ",".join(["%.17g"] * (dim + len(ROW_FIELDS)) + ["%s"])
+    fields = itemgetter(*ROW_FIELDS)
     lines = [",".join(header)]
     for row in report["rows"]:
-        cells = [_format_float(v) for v in row["point"]]
-        cells += [_format_float(row[key]) for key in ROW_FIELDS]
-        cells.append(row["trapped_class"])
-        lines.append(",".join(cells))
+        floats = (*row["point"], *fields(row))
+        klass = row["trapped_class"]
+        if len(floats) == dim + len(ROW_FIELDS) and type(klass) is str \
+                and math.isfinite(sum(floats)):
+            lines.append(template % (*floats, klass))
+        else:
+            lines.append(",".join([_format_float(v) for v in floats] + [klass]))
     return "\n".join(lines) + "\n"
 
 

@@ -552,11 +552,13 @@ class Series:
             k = int(p)
             if k < 0:
                 return _reciprocal(self.__pow__(-k))
-            result = Series.constant(self.ctx, 1.0, self.batch)
-            base = self
+            if k == 0:
+                return Series.constant(self.ctx, 1.0, self.batch)
+            # square and multiply, starting from the first factor
+            result, base = None, self
             while k:
                 if k & 1:
-                    result = result * base
+                    result = base if result is None else result * base
                 k >>= 1
                 if k:
                     base = base * base

@@ -47,6 +47,7 @@ __all__ = [
     "desitter_graph_height",
     "normal_connection_residual",
     "emit_json_reference",
+    "emit_csv_reference",
     "evaluate_alone",
     "refused_alone",
     "pullback_alone",
@@ -311,6 +312,20 @@ def emit_json_reference(report: dict) -> str:
     _emit_value_reference(report, 0, out)
     out.append("\n")
     return "".join(out)
+
+
+def emit_csv_reference(report: dict) -> str:
+    """A report's CSV with each cell formatted on its own, nan and inf
+    tested first: the oracle of `cli.emit_csv`."""
+    dim = len(report["config"]["grid"])
+    header = [f"x{i}" for i in range(dim)] + list(ext.ROW_FIELDS) + ["trapped_class"]
+    lines = [",".join(header)]
+    for row in report["rows"]:
+        cells = [_format_float_reference(v) for v in row["point"]]
+        cells += [_format_float_reference(row[key]) for key in ext.ROW_FIELDS]
+        cells.append(row["trapped_class"])
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def evaluate_alone(scene, x):

@@ -33,7 +33,7 @@ from nullgeom.conformal import MAP_VARIANTS
 from nullgeom.nullcone import CONE_RULES
 from nullgeom.scenes import FAMILIES, builtin_scenes
 
-from _surfaces import emit_json_reference, evaluate_alone, geometry_alone
+from _surfaces import emit_csv_reference, emit_json_reference, evaluate_alone, geometry_alone
 
 
 def small(doc, count=4):
@@ -1023,60 +1023,6 @@ def test_json_handles_infinity():
     assert json.loads(emit_json({"residual": math.inf})) == {"residual": math.inf}
 
 
-def _oracle_float(value):
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return format(float(value), ".17g")
-
-
-def _oracle_value(obj, indent, out):
-    """The emitter as a plain isinstance chain, kept as the byte oracle."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append("  " * (indent + 1))
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _oracle_value(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append("  " * (indent + 1))
-            _oracle_value(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_oracle_float(float(obj)))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot emit {type(obj).__name__} into a report")
-
-
-def _oracle_json(report):
-    out = []
-    _oracle_value(report, 0, out)
-    out.append("\n")
-    return "".join(out)
-
-
 class _Label(str):
     pass
 
@@ -1084,7 +1030,7 @@ class _Label(str):
 def test_emit_json_matches_isinstance_chain():
     for name, doc in builtin_scenes().items():
         report = run(doc)
-        assert emit_json(report) == _oracle_json(report), name
+        assert emit_json(report) == emit_json_reference(report), name
     mixed = {
         "f64": np.float64(0.1),
         "f32": np.float32(1.5),
@@ -1096,7 +1042,7 @@ def test_emit_json_matches_isinstance_chain():
         7: None,
         "nested": {"a": {"b": {"c": (1.0, [2.5e-300, {"d": ()}])}}},
     }
-    assert emit_json(mixed) == _oracle_json(mixed)
+    assert emit_json(mixed) == emit_json_reference(mixed)
     with pytest.raises(TypeError, match="cannot emit set"):
         emit_json({"bad": {1.0}})
 
@@ -1179,3 +1125,65 @@ def test_emit_json_matches_reference_emitter_bytes():
     }
     assert cli.emit_json(odd) == emit_json_reference(odd)
     assert cli.emit_json({}) == emit_json_reference({}) == "{}\n"
+
+
+def _row(point, fill=0.25, klass="untrapped"):
+    row = {"point": list(point)}
+    row.update((key, fill) for key in extrinsic.ROW_FIELDS)
+    row["trapped_class"] = klass
+    return row
+
+
+def test_emit_json_records_match_reference_emitter_bytes():
+    # each list below takes the record path for some of its rows and the
+    # value-by-value path for the others
+    middle = [_row([0.5, -1.0]) for _ in range(5)]
+    middle[2]["theta_eta"] = math.nan
+    middle[3]["H_sq"] = -math.inf
+    middle[4]["point"] = [math.inf, -0.0]
+    reordered = _row([1.0, 2.0])
+    reordered = {key: reordered[key] for key in reversed(reordered)}
+    renamed = _row([1.0, 2.0])
+    renamed["u%s"] = renamed.pop("u")
+    kinds = [_row([0.1, 0.2]) for _ in range(6)]
+    kinds[1]["u"] = np.float64(0.1)
+    kinds[2]["theta_xi"] = True
+    kinds[3]["trapped_class"] = _Label("past_trapped")
+    kinds[4]["point"] = [np.float64(0.1), 0.2]
+    kinds[5]["point"] = (0.1, 0.2)
+    lengths = [_row([0.1]), _row([0.1, 0.2, 0.3]), _row([]), _row([0.1, 0.2, 0.3])]
+    report = {
+        "middle": middle,
+        "keys": [_row([1.0, 2.0]), reordered, renamed, {"u": 1.0}, _row([1.0, 2.0])],
+        "empty_first": [{}, _row([1.0, 2.0]), {}, [], ()],
+        "kinds": kinds,
+        "lengths": lengths,
+        "overflow": [{"a": 1e308, "b": 1e308}, {"a": [1e308, 1e308]}, {"a": 1e308, "b": -1e308}],
+        "ints": [{"count": 3, "min": -1.5}, {"count": 2**70, "min": 0.0}],
+        "strings": [{"s": "é \"quoted\"\n", "t": "50% off", "u": ""}] * 2,
+        "nested": [{"a": 1.0, "b": {"c": 2.0}}, {"a": [1.0, [2.0]]}, {"a": None}],
+        "keyed": [{3: 1.0}, {"a": 1.0, 3: 2.0}],
+    }
+    assert emit_json(report) == emit_json_reference(report)
+    assert json.loads(emit_json(report))["middle"][3]["H_sq"] == -math.inf
+
+
+def test_emit_csv_matches_reference_emitter_bytes():
+    for name, config in builtin_scenes().items():
+        report = run(config)
+        assert emit_csv(report) == emit_csv_reference(report), name
+    rows = [_row([0.5, -1.0]) for _ in range(6)]
+    rows[1]["u"] = math.nan
+    rows[2]["theta_xi"] = math.inf
+    rows[3]["H_sq"] = -math.inf
+    rows[4]["point"] = [-0.0, 0.0]
+    rows[4]["laplacian_u"] = -0.0
+    rows[5]["point"] = [1e308, 1e308]
+    report = {"config": {"grid": [{}, {}]}, "rows": rows}
+    text = emit_csv(report)
+    assert text == emit_csv_reference(report)
+    lines = text.splitlines()
+    assert lines[2].split(",")[2] == "NaN"
+    assert lines[3].split(",")[2 + extrinsic.ROW_FIELDS.index("theta_xi")] == "Infinity"
+    assert lines[4].split(",")[2 + extrinsic.ROW_FIELDS.index("H_sq")] == "-Infinity"
+    assert lines[5].startswith("-0,0,")

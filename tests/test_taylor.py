@@ -417,6 +417,25 @@ def test_univariate_primitive_refuses_components():
     assert (vec ** 2)[1].c.tobytes() == (vec[1] * vec[1]).c.tobytes()
 
 
+def test_integer_power_is_the_square_and_multiply_chain_bit_for_bit():
+    # x ** k starts from x itself, so a -0.0 coefficient of x ** 1 stays
+    # -0.0 (a product by the constant 1 would make it +0.0)
+    ctx = tm.get_context(2, 3)
+    for values in (np.array([[-1.5, -0.0, 0.75, 3.0], [0.5, 2.0, -0.0, -1.25]]),
+                   np.array([[-1.5, 0.3, 0.75, 3.0], [0.5, 2.0, -0.7, -1.25]])):
+        x0, x1 = (tm.Series.variable(ctx, i, values[i]) for i in range(2))
+        for x in (x0, x0 * x1 - 0.5 * x0):
+            x2 = x * x
+            x4 = x2 * x2
+            chain = {1: x, 2: x2, 3: x * x2, 4: x4, 5: x * x4}
+            for k, want in chain.items():
+                assert (x ** k).c.tobytes() == want.c.tobytes(), k
+                assert (x ** float(k)).c.tobytes() == want.c.tobytes(), k
+                if np.all(x.c[0] != 0.0):
+                    assert (x ** -k).c.tobytes() == (1.0 / want).c.tobytes(), -k
+            assert (x ** 0).c.tobytes() == tm.Series.constant(ctx, 1.0, 4).c.tobytes()
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_compose_univariate_float_table_applies_to_every_column(order):
     # a float entry of the table is each column's, at every batch width,

@@ -8,6 +8,8 @@ them.  It prints, one per line:
 
 - `scene NAME seed S SHA256`: the sha256 of `cli.emit_json` of every
   built-in scene and every dense-grid configuration, at run seeds 0-7;
+- `csv NAME seed S SHA256`: the sha256 of `cli.emit_csv` of the same
+  report, after its `scene` line;
 - `point NAME I FIELDS CLASS`: `extrinsic.point_report` at every point of
   the stored pools and at every grid point of each dense-grid
   configuration, each row field as `float.hex`, or the typed error
@@ -66,9 +68,10 @@ def scene_lines():
     configs = list(builtin_scenes().values()) + [s["config"] for s in _stored("dense-grid")]
     for config in configs:
         for seed in SEEDS:
-            text = cli.emit_json(cli.run(config, seed=seed))
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            yield f"scene {config['name']} seed {seed} {digest}"
+            report = cli.run(config, seed=seed)
+            for kind, emit in (("scene", cli.emit_json), ("csv", cli.emit_csv)):
+                digest = hashlib.sha256(emit(report).encode()).hexdigest()
+                yield f"{kind} {config['name']} seed {seed} {digest}"
 
 
 def _outcome(fn, *args) -> str:
