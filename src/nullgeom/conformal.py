@@ -21,6 +21,9 @@ over the samples.
 The factorization round trip runs its samples' local inverses in lockstep,
 each round's jacobians and each damping halving's trial points as one
 batch, and each sample's solve and line search on its own values.
+The cylinder maps' primitive g of dw/u sums integrals along axis-parallel
+legs: the legs of a batch of points, or the exactness loop's four, are one
+quadrature, each of whose rounds evaluates the immersion as one batch.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .immersion import FRAME_ORDER, ChartGeometry, Immersion, chart_geometry
 from .nullcone import EmbeddingRangeError
 # the module's one binding of the quadrature entry point: every integral
 # here goes through this name, which perfbench's tracer wraps to count
-# integrand evaluations
-from .spacetime import quadrature as quad
+# integrand calls, each one batch of nodes
+from .spacetime import QUAD_ERR_MAX, quadrature as quad
 from .taylor import DomainError, Series, format_point
 
 __all__ = [
@@ -67,8 +70,6 @@ MAP_VARIANTS = (
 
 DENOMINATOR_FLOOR = 1e-8
 MODEL_MEMBERSHIP_TOL = 1e-10
-# a quadrature whose own error estimate exceeds this is refused
-_QUAD_ERR_MAX = 1e-9
 
 
 class DegeneracyError(ValueError):
@@ -145,6 +146,12 @@ def _denominator_series(spec: ConformalMapSpec, im: Immersion, psi):
     return psi[i]
 
 
+def _reject_floored(value, message):
+    """Reject the columns whose denominator value lies inside the floor, each
+    with the DegeneracyError of message(at), at the column picker."""
+    taylor.reject(np.abs(value) <= DENOMINATOR_FLOOR, lambda at: DegeneracyError(message(at)))
+
+
 def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
     """The conformal scale as a smooth chart field, sign-normalized positive.
 
@@ -159,76 +166,64 @@ def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
         psi = [taylor.as_series(c, first.ctx, first.batch) for c in im.map.fn(list(coords))]
         den = _denominator_series(spec, im, psi)
         value = den.val
-        taylor.reject(
-            np.abs(value) <= DENOMINATOR_FLOOR,
-            lambda at: DegeneracyError(
-                f"conformal scale {at(value):.3e} is inside the floor {DENOMINATOR_FLOOR:.1e}"
-            ),
-        )
+        _reject_floored(value, lambda at: (
+            f"conformal scale {at(value):.3e} is inside the floor {DENOMINATOR_FLOOR:.1e}"))
         # multiplying by -1.0 is negation, bit for bit
         return den * np.where(value < 0.0, -1.0, 1.0)
 
     return lam
 
 
-def _primitive_integrand(spec: ConformalMapSpec, im: Immersion):
-    """Chart components of dw/u as a covector field: (point, axis) -> float,
-    the point a batch of one whose refusal raises its typed error."""
+def _legs(spec: ConformalMapSpec, im: Immersion, starts, axes, lo, hi, what) -> np.ndarray:
+    """The integrals of dw/u along axis-parallel legs from the chart points
+    starts (L, n), each moving its axis of axes (L,) from lo to hi.  A leg
+    with a rejected node is rejected, and then one whose error estimate
+    exceeds `QUAD_ERR_MAX` (an ArithmeticError, `what` naming the leg)."""
 
-    def components(points, axis):
+    def integrand(j, s):
+        points, rows = starts[j], np.arange(len(j))
+        points[rows, axes[j]] = s
         psi = im.series(points, 1, check_membership=False)
         denom = _denominator_series(spec, im, psi).val
-        taylor.reject(
-            np.abs(denom) <= DENOMINATOR_FLOOR,
-            lambda at: DegeneracyError(
-                f"split-map denominator {at(denom):.3e} vanishes near {format_point(at(points))}"
-            ),
-        )
+        _reject_floored(denom, lambda at: (
+            f"split-map denominator {at(denom):.3e} vanishes near {format_point(at(points))}"))
         w = psi[-1]
-        return w.c[w.ctx.first[axis]] / denom
+        return w.c[w.ctx.first[axes[j]], rows] / denom
 
-    def cov(point, axis):
-        try:
-            return float(components(point[None], axis)[0])
-        except taylor.BatchRejected as err:
-            raise err.errors[0] from None
+    vals, errs = quad(integrand, lo, hi)
+    taylor.reject(
+        errs > QUAD_ERR_MAX,
+        lambda at: ArithmeticError(f"{what} {at(axes)}: quadrature error {at(errs):.3e}"),
+    )
+    return vals
 
-    return cov
 
-
-def _checked_quad(integrand, lo, hi, what) -> float:
-    """Adaptive quadrature of a 1-form leg; raises when its error estimate is too large."""
-    val, err = quad(integrand, lo, hi)
-    if err > _QUAD_ERR_MAX:
-        raise ArithmeticError(f"{what}: quadrature error {err:.3e}")
-    return val
+def _primitive(spec: ConformalMapSpec, im: Immersion, x) -> np.ndarray:
+    """The primitive g of dw/u at each chart point of a batch x (B, n): its
+    legs from the anchor along the axes in order, summed; a point with a
+    refused leg raises the error of its first one."""
+    base = np.asarray(spec.base_point, dtype=float)
+    if base.shape != x.shape[1:]:
+        raise ValueError("base_point arity does not match the chart point")
+    n = len(base)
+    # leg a moves axis a, the axes before it at the point's values
+    starts = np.where(np.tri(n, k=-1, dtype=bool), x[:, None, :], base).reshape(-1, n)
+    axes = np.tile(np.arange(n), len(x))
+    try:
+        vals = _legs(spec, im, starts, axes, np.tile(base, len(x)), x.ravel(), "primitive on axis")
+    except taylor.BatchRejected as err:  # each point keeps its first leg's error
+        first = {leg // n: e for leg, e in sorted(err.errors.items(), reverse=True)}
+        raise taylor.BatchRejected(dict(sorted(first.items()))) from None
+    return sum(vals.reshape(-1, n).T)
 
 
 def primitive_g(spec: ConformalMapSpec, im: Immersion, x) -> float:
-    """The primitive of dw/u along axis-parallel segments from the anchor.
-
-    Normalized to vanish at the spec's base point; adaptive quadrature per
-    segment.  Exactness of dw/u makes the value path-independent.
-    """
-    base = np.asarray(spec.base_point, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if base.shape != x.shape:
-        raise ValueError("base_point arity does not match the chart point")
-    cov = _primitive_integrand(spec, im)
-    total = 0.0
-    current = base.copy()
-    for axis in range(len(x)):
-        lo, hi = current[axis], x[axis]
-        if lo != hi:
-
-            def integrand(s, axis=axis, frozen=current.copy()):
-                pt = frozen
-                pt[axis] = s
-                return cov(pt, axis)
-
-            total += _checked_quad(integrand, lo, hi, f"primitive on axis {axis}")
-        current[axis] = x[axis]
-    return total
+    """The primitive of dw/u along axis-parallel segments from the anchor, at
+    one chart point (a batch of one: a refused point raises its typed
+    error); it vanishes at the spec's base point, and exactness of dw/u
+    makes it path-independent."""
+    (g,) = taylor.per_sample(lambda xs: _primitive(spec, im, xs), [x])
+    return float(g)
 
 
 def exactness_residual(spec: ConformalMapSpec, im: Immersion, axes, bounds) -> float:
@@ -236,29 +231,22 @@ def exactness_residual(spec: ConformalMapSpec, im: Immersion, axes, bounds) -> f
 
     `axes` names the two chart axes spanning the rectangle, `bounds` their
     (low, high) ranges; the remaining coordinates sit at the base point.
-    Exactness of the 1-form makes the loop vanish.  Like `primitive_g`,
-    raises ArithmeticError when a leg's quadrature error estimate exceeds
-    1e-9.
+    Exactness of the 1-form makes the loop vanish.  The four legs are one
+    batch, and the first refused leg raises its error: a typed rejection,
+    or an ArithmeticError where its quadrature error estimate exceeds
+    `QUAD_ERR_MAX`.
     """
     a0, a1 = axes
     (lo0, hi0), (lo1, hi1) = bounds
-    base = np.asarray(spec.base_point, dtype=float)
-    cov = _primitive_integrand(spec, im)
-
-    def leg(move_axis, frm, to, held_axis, held_value):
-        def integrand(s):
-            q = base.copy()
-            q[move_axis] = s
-            q[held_axis] = held_value
-            return cov(q, move_axis)
-
-        return _checked_quad(integrand, frm, to, f"exactness loop along axis {move_axis}")
-
-    loop = leg(a0, lo0, hi0, a1, lo1)
-    loop += leg(a1, lo1, hi1, a0, hi0)
-    loop += leg(a0, hi0, lo0, a1, hi1)
-    loop += leg(a1, hi1, lo1, a0, lo0)
-    return abs(loop)
+    move = np.array([a0, a1, a0, a1])
+    starts = np.tile(np.asarray(spec.base_point, dtype=float), (4, 1))
+    starts[np.arange(4), move[::-1]] = (lo1, hi0, hi1, lo0)  # each leg's held axis
+    try:
+        vals = _legs(spec, im, starts, move, (lo0, lo1, hi0, hi1), (hi0, hi1, lo0, lo1),
+                     "exactness loop along axis")
+    except taylor.BatchRejected as err:
+        raise err.errors[min(err.errors)] from None
+    return abs(sum(vals.tolist()))
 
 
 @taylor.float_edges
@@ -300,19 +288,13 @@ def _map_values(spec, im, x, psi) -> np.ndarray:
     sheet or round sphere), membership enforced, followed by the primitive
     g on the cylinder maps."""
     denom, y, on_model = _model_image(spec, im, psi)
-    taylor.reject(
-        np.abs(denom) <= DENOMINATOR_FLOOR,
-        lambda at: DegeneracyError(
-            f"split-map denominator {at(denom):.3e} at {format_point(at(x))}"
-        ),
-    )
+    _reject_floored(denom, lambda at: (
+        f"split-map denominator {at(denom):.3e} at {format_point(at(x))}"))
     taylor.require(
         on_model, lambda at: DegeneracyError(f"split-map image {at(y)} left the model space")
     )
     if spec.primitive:
-        # a point whose quadrature fails rejects its own column
-        g = taylor.column_map(lambda p: primitive_g(spec, im, p), x)
-        return np.concatenate([y, g[:, None]], axis=-1)
+        return np.concatenate([y, _primitive(spec, im, x)[:, None]], axis=-1)
     return y
 
 
@@ -324,10 +306,7 @@ def _map_jacobian(spec, im, psi) -> np.ndarray:
     enters the jacobian.
     """
     denom = _denominator_series(spec, im, psi)
-    taylor.reject(
-        np.abs(denom.val) <= DENOMINATOR_FLOOR,
-        lambda at: DegeneracyError(f"split-map denominator {at(denom.val):.3e}"),
-    )
+    _reject_floored(denom.val, lambda at: f"split-map denominator {at(denom.val):.3e}")
     _, keep = _split_layout(spec, im)
     n = denom.ctx.n
     comps = [psi[a] / denom for a in keep]
@@ -384,10 +363,7 @@ def desitter_r_sign(im: Immersion, samples) -> float:
 
     def scale(x):
         r = cone.scale(im.series(x, 0, check_membership=False)[0].val)
-        taylor.reject(
-            np.abs(r) <= DENOMINATOR_FLOOR,
-            lambda at: DegeneracyError(f"scale R = {at(r):.3e} vanishes at {format_point(at(x))}"),
-        )
+        _reject_floored(r, lambda at: f"scale R = {at(r):.3e} vanishes at {format_point(at(x))}")
         return r.tolist()
 
     signs = {1.0 if r > 0.0 else -1.0 for r in taylor.per_sample(scale, samples)}

@@ -105,7 +105,7 @@ def _is_unit_warping(model) -> bool:
     if model.kind == "minkowski":
         return True
     w = model.warping
-    return w is not None and w.kind == "constant" and w.value(model.t0) == 1.0
+    return w is not None and w.kind == "constant" and w.params[0] == 1.0
 
 
 def _euclidean_fiber(model) -> bool:

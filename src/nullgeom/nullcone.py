@@ -170,8 +170,9 @@ class NullconeSpec:
         return f
 
 
-def eval_F(spec: NullconeSpec, p):
-    """The defining function; zero (with the branch conditions) on the cone."""
+def eval_F(spec: NullconeSpec, p, phi=None):
+    """The defining function; zero (with the branch conditions) on the cone.
+    On a GRW cone, `phi` is p's conformal time when the caller holds it."""
     m = spec.model
     if len(p) != m.coord_count:
         raise ValueError("point dimension does not match the model")
@@ -182,7 +183,7 @@ def eval_F(spec: NullconeSpec, p):
         return -(p[0] * p[0]) + taylor.norm_sq(block[1:])
     if spec.variant == "desitter_alpha":
         return p[-1] - spec.alpha - spec.beta * p[0]
-    phi = m.warping.conformal_time(p[0], m.t0)
+    phi = m.warping.conformal_time(p[0], m.t0) if phi is None else phi
     return -(phi * phi) + fiber_radius_sq(m, p[1:])
 
 
@@ -244,7 +245,9 @@ def require_on_cone(spec: NullconeSpec, p):
     p = np.asarray(p, dtype=float)
     q = list(p.T)  # the components, (B,) arrays
     t = q[0]
-    F = np.abs(eval_F(spec, q))
+    # the GRW cone's conformal time, which F and the vertex check both read
+    phi = m.warping.conformal_time(t, m.t0) if spec.variant == "grw_cone" else None
+    F = np.abs(eval_F(spec, q, phi))
     checks = [(F > MEMBERSHIP_TOL, lambda at: PointRejected(off, f"|F| = {at(F):.3e}"))]
     if spec.variant == "desitter_alpha":
         quad = np.abs(-(t * t) + taylor.norm_sq(q[1:]) - 1.0)
@@ -273,7 +276,6 @@ def require_on_cone(spec: NullconeSpec, p):
             resid = np.abs(fiber_constraint(m, q[1:]))
             checks.append((resid > MEMBERSHIP_TOL, lambda at: PointRejected(
                 off, f"off the fiber quadric by {at(resid):.3e}")))
-        phi = m.warping.conformal_time(t, m.t0)
         checks.append((phi < VERTEX_EPS, lambda at: PointRejected(
             vertex, f"conformal time below {VERTEX_EPS:.0e}")))
     taylor.reject_first(checks)

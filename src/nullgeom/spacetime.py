@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -42,16 +42,64 @@ _MODEL_KINDS = ("minkowski", "product", "grw_euclidean", "desitter")
 _FIBER_KINDS = ("euclidean", "hyperbolic", "sphere")
 
 
-def quadrature(fn, lo: float, hi: float):
-    """Adaptive quadrature of fn over [lo, hi]: (value, error estimate).
+# Gauss-Legendre nodes of an interval, the agreement of its halves with it
+# that closes it, and the intervals of an integral
+_QUAD_NODES, _QUAD_TOL, _QUAD_LIMIT = 10, 1e-12, 200
+# an integral whose error estimate exceeds this is refused: relative to
+# max(1, |value|) for a conformal time, absolute for a leg of dw/u
+QUAD_ERR_MAX = 1e-9
 
-    The one entry point of every numeric integral in the package; each
-    caller applies its own error test.  SciPy is imported at the first
-    call, so a process that never integrates does not load it.
+
+@lru_cache(maxsize=None)
+def _gauss_rule() -> tuple:
+    from numpy.polynomial.legendre import leggauss  # at the first integral, not on import
+
+    return leggauss(_QUAD_NODES)
+
+
+@taylor.float_edges
+def quadrature(fn, lo, hi):
+    """The integrals of fn over [lo_k, hi_k] for the (K,) arrays lo and
+    hi: their (K,) values and error estimates.
+
+    fn(j, s) is the integrand of integral j[i] at node s[i]; each round's
+    nodes are one call, and a rejected node (`BatchRejected`) rejects its
+    integral with the error of its first one.  Adaptive bisection of a
+    Gauss-Legendre rule: an interval closes when its halves' sum agrees with
+    its own to `_QUAD_TOL` times max(1, |sum|); past `_QUAD_LIMIT` intervals
+    the error estimate is infinite.  A reversed integral is the ascending
+    one negated.  No integral's arithmetic depends on the rest of the batch.
     """
-    from scipy.integrate import quad
+    x, w = _gauss_rule()
 
-    return quad(fn, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
+    def sums(owner, a, b):  # each segment's Gauss sum, left to right
+        j, half = np.repeat(owner, len(x)), 0.5 * (b - a)
+        try:
+            f = fn(j, ((0.5 * (a + b))[:, None] + half[:, None] * x).ravel())
+        except taylor.BatchRejected as err:  # each integral keeps its first node's error
+            first = {int(j[k]): e for k, e in sorted(err.errors.items(), reverse=True)}
+            raise taylor.BatchRejected(dict(sorted(first.items()))) from None
+        return half * reduce(np.add, (f.reshape(-1, len(x)) * w).T)
+
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    value, error, count = np.zeros(len(lo)), np.zeros(len(lo)), np.ones(len(lo), dtype=int)
+    owner = np.flatnonzero(lo != hi)  # the open intervals, in order, and their sums
+    a, b = np.minimum(lo, hi)[owner], np.maximum(lo, hi)[owner]
+    whole = sums(owner, a, b) if len(owner) else None
+    while len(owner):
+        edges = np.stack([a, 0.5 * (a + b), b], axis=1)
+        owner, a, b = np.repeat(owner, 2), edges[:, :2].ravel(), edges[:, 1:].ravel()
+        halves = sums(owner, a, b)
+        total = halves[0::2] + halves[1::2]
+        diff = np.abs(total - whole)
+        done, parent = diff <= _QUAD_TOL * np.maximum(1.0, np.abs(whole)), owner[0::2]
+        np.add.at(value, parent[done], total[done])  # left to right within an integral
+        np.add.at(error, parent[done], diff[done])
+        count += np.bincount(parent[~done], minlength=len(count))
+        error[count > _QUAD_LIMIT] = math.inf
+        keep = np.repeat(~done & (count[parent] <= _QUAD_LIMIT), 2)
+        owner, a, b, whole = owner[keep], a[keep], b[keep], halves[keep]
+    return np.where(hi < lo, -value, value), error
 
 
 class WarpingDomainError(taylor.DomainError):
@@ -134,17 +182,6 @@ class WarpingFunction:
         )
         return out
 
-    def value(self, t: float) -> float:
-        """f at a float time, for a quadrature's integrand: the plain-float
-        primitives, with the checks of a batch's column."""
-        lo, hi = self.domain
-        if not lo < t < hi:
-            raise self._outside(t)
-        out = float(self._raw(t))
-        if not out > 0.0:
-            raise WarpingDomainError(f"warping function nonpositive at t={t}")
-        return out
-
     def derivatives(self, t: np.ndarray, order: int = 2):
         """(f, f', ..., f^(order)) at the (B,) array of times t, in closed
         form for exp and cosh (as their jets give them, bit for bit)."""
@@ -165,12 +202,10 @@ class WarpingFunction:
         if isinstance(t, Series):
             # f's derivatives first: a column rejected by both keeps f's error
             f0, f1, f2 = self.derivatives(t.val, 2)
-            table = [self.conformal_time(t.val, t0), 1.0 / f0]
-            if t.ctx.order >= 2:
-                table.append(-f1 / (f0 * f0))
-            if t.ctx.order >= 3:
-                table.append((2.0 * (f1 * f1) - f0 * f2) / (f0 * f0 * f0))
-            return compose_univariate(t, table[: t.ctx.order + 1])
+            return compose_univariate(t, [
+                self.conformal_time(t.val, t0), 1.0 / f0, -f1 / (f0 * f0),
+                (2.0 * (f1 * f1) - f0 * f2) / (f0 * f0 * f0),
+            ])
         self._check_domain(t)
         if self.kind == "constant":
             return (t - t0) / self.params[0]
@@ -179,13 +214,12 @@ class WarpingFunction:
         if self.kind == "cosh":
             return np.arctan(np.sinh(t)) - np.arctan(np.sinh(t0))
 
-        def integral(end):
-            val, err = quadrature(lambda s: 1.0 / self.value(s), t0, end)
-            if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
-                raise ArithmeticError(f"quadrature of 1/f failed on [{t0}, {end}]")
-            return val
-
-        return taylor.column_map(integral, t)
+        val, err = quadrature(lambda j, s: 1.0 / self(s), np.full(len(t), t0), t)
+        taylor.require(
+            np.isfinite(val) & ~(err > QUAD_ERR_MAX * np.maximum(1.0, np.abs(val))),
+            lambda at: ArithmeticError(f"quadrature of 1/f failed on [{t0}, {at(t)}]"),
+        )
+        return val
 
 
 @dataclass(frozen=True)

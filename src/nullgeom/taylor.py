@@ -38,7 +38,9 @@ column's typed error, the one that column raises in a batch of its own.
 `column_results` is the one way a batch learns why its columns fail: it
 keeps the errors of the flagged columns and evaluates the rest again as a
 batch, so no column is evaluated alone; a single-point call raises its
-point's error through `per_sample`.
+point's error through `per_sample`.  An integral's integrand is one more
+batch: `spacetime.quadrature` evaluates the nodes of each round of its rule
+as one, and a rejected node rejects its integral.
 """
 
 from __future__ import annotations
@@ -223,22 +225,6 @@ def batch_first(values) -> np.ndarray:
     array with the batch axis last) with the batch axis first, C-contiguous."""
     out = np.asarray(values)
     return np.ascontiguousarray(out.transpose(_last_first(out.ndim)))
-
-
-def column_map(fn, values):
-    """fn of each column of a (B,) array, as an array; a column whose call
-    raises a `ValueError` (a `DomainError` among them) or an
-    `ArithmeticError` is rejected with that error.  For a step with no
-    array form, such as an adaptive quadrature."""
-    out, errors = [], {}
-    for b, v in enumerate(values.tolist()):
-        try:
-            out.append(fn(v))
-        except (ValueError, ArithmeticError) as err:
-            errors[b] = err
-    if errors:
-        raise BatchRejected(errors)
-    return np.array(out)
 
 
 class JetContext:
@@ -670,7 +656,8 @@ def _real_power(x: Series, p: float) -> Series:
 def _unary(name: str, ufunc, table_fn, domain_ok=lambda v: True):
     """The primitive `name`: the composition with `table_fn`'s derivative
     table of a Series, not finite outside `domain_ok`, and the numpy `ufunc`
-    of a (B,) array or of a plain float (for a quadrature's integrand)."""
+    of a (B,) array or of a plain float (a constant subexpression of a map
+    or a profile, such as sqrt(3)/2)."""
 
     @float_edges
     def fn(x):

@@ -37,6 +37,7 @@ __all__ = [
     "pullback_metric_chart",
     "scaled_metric_chart",
     "random_positive_field",
+    "profile_at",
     "inner_at",
     "series_alone",
     "geometry_alone",
@@ -153,12 +154,19 @@ def random_positive_field(rng, n):
     return lam
 
 
+def profile_at(warping, t) -> float:
+    """The warping profile f at the float time t, a batch of one on the
+    array path; a refused time raises its typed error."""
+    (f,) = tm.per_sample(warping, [t])
+    return float(f)
+
+
 def inner_at(model, p, v, w):
     """<v, w> at the point p, through the fiber scale f(t)^2 of its time."""
     v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
     f2 = None
     if model.warped:
-        f = model.warping.value(p[0])
+        f = profile_at(model.warping, p[0])
         f2 = f * f
     return st.ambient_inner(model, f2, v, w)
 

@@ -330,6 +330,47 @@ def test_sloped_primitive_matches_closed_form():
         assert abs(cf.primitive_g(spec, im, x) - expected) < 1e-9
 
 
+def test_cylinder_map_integrates_in_a_few_batches(monkeypatch):
+    # both legs of the primitive share each round of the rule, so one map
+    # is a few integrand calls, not one per node
+    scene = parse_scene(builtin_scenes()["cyl-arctan"])
+    real, calls = cf.quad, []
+
+    def counted(fn, lo, hi):
+        def integrand(j, s):
+            calls.append(len(s))
+            return fn(j, s)
+
+        return real(integrand, lo, hi)
+
+    monkeypatch.setattr(cf, "quad", counted)
+    rng = np.random.default_rng(19)
+    for x in sample_box(rng, ((-1.2, 1.4), (0.5, 2.6)), 12):
+        calls.clear()
+        cf.conformal_map(scene.cspec, scene.im, x)
+        assert 1 <= len(calls) <= 4
+
+
+def test_batch_primitive_equals_each_point_alone():
+    # the primitive of a batch is each point's primitive_g, to the bit, and a
+    # point whose leg crosses the denominator's zero keeps its own error
+    im = cylinder_immersion(2, lambda t: t * t)  # u vanishes at t = 0
+    spec = ConformalMapSpec("cylinder_to_SxR", base_point=(0.4, 0.5))
+    rng = np.random.default_rng(23)
+    xs = np.array(sample_box(rng, ((0.1, 1.4), (0.3, 2.5)), 24))
+    xs[5, 0] = -0.6
+    got = tm.column_results(lambda ps: cf._primitive(spec, im, ps), xs)
+    for x, g in zip(xs, got):
+        try:
+            want = cf.primitive_g(spec, im, x)
+        except DegeneracyError as err:
+            assert type(g) is DegeneracyError and str(g) == str(err)
+            continue
+        assert np.float64(g).tobytes() == np.float64(want).tobytes()
+    assert isinstance(got[5], DegeneracyError)
+    assert sum(isinstance(g, Exception) for g in got) == 1
+
+
 # -- factorization -------------------------------------------------------------
 
 

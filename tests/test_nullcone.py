@@ -359,3 +359,29 @@ def test_desitter_parametrization_lies_in_quadric():
             p = on_cone_point(spec, rng)
             assert -p[0] ** 2 + np.dot(p[1:], p[1:]) == pytest.approx(1.0, abs=1e-10)
             on_cone(spec, p)
+
+
+def test_membership_integrates_the_conformal_time_once(monkeypatch):
+    # F and the vertex check of a GRW cone read one conformal time: a
+    # polynomial profile's batch is one quadrature, and the checks keep
+    # their order: a point on F = 0 before the vertex time is past the
+    # branch before its conformal time is below the vertex bound
+    model = st.AmbientModel(kind="grw_euclidean", n=2,
+                            warping=mk_warping("polynomial", (1.0, 0.0, 1.0)), t0=0.0)
+    spec = nc.NullconeSpec(model=model, variant="grw_cone")
+    rng = np.random.default_rng(41)
+    points = np.array([on_cone_point(spec, rng) for _ in range(5)])
+    real, calls = st.quadrature, []
+
+    def counted(fn, lo, hi):
+        calls.append(len(lo))
+        return real(fn, lo, hi)
+
+    monkeypatch.setattr(st, "quadrature", counted)
+    nc.require_on_cone(spec, points)
+    assert calls == [5]
+    points[2] = [-0.2, math.atan(0.2), 0.0, 0.0]
+    with pytest.raises(tm.BatchRejected) as err:
+        nc.require_on_cone(spec, points)
+    assert list(err.value.errors) == [2]
+    assert "past branch" in str(err.value.errors[2])

@@ -8,7 +8,7 @@ from nullgeom import taylor as tm
 from nullgeom import spacetime as st
 
 from _jets import FdScheme, fd_derivative, jet_eval
-from _surfaces import desitter_embed, inner_at
+from _surfaces import desitter_embed, inner_at, profile_at
 
 
 def mk_warping(kind, params=(), domain=(-math.inf, math.inf), expr=None):
@@ -37,7 +37,7 @@ def desitter(n=2):
 
 def test_warping_families_values_and_slopes():
     f = mk_warping("exp")
-    assert f.value(0.3) == pytest.approx(math.exp(0.3), rel=1e-15)
+    assert profile_at(f, 0.3) == pytest.approx(math.exp(0.3), rel=1e-15)
     assert f.derivatives(np.array([0.3]), 1)[1] == pytest.approx(math.exp(0.3), rel=1e-12)
 
     f = mk_warping("cosh")
@@ -47,11 +47,11 @@ def test_warping_families_values_and_slopes():
     assert d2 == pytest.approx(math.cosh(0.7), rel=1e-12)
 
     f = mk_warping("polynomial", (1.0, 0.0, 1.0))  # 1 + t^2
-    assert f.value(2.0) == pytest.approx(5.0, abs=1e-14)
+    assert profile_at(f, 2.0) == pytest.approx(5.0, abs=1e-14)
     assert f.derivatives(np.array([2.0]), 1)[1] == pytest.approx(4.0, abs=1e-12)
 
     f = mk_warping("custom", expr="1 + 0.5*sin(t)")
-    assert f.value(0.2) == pytest.approx(1.0 + 0.5 * math.sin(0.2), rel=1e-15)
+    assert profile_at(f, 0.2) == pytest.approx(1.0 + 0.5 * math.sin(0.2), rel=1e-15)
     assert f.derivatives(np.array([0.2]), 1)[1] == pytest.approx(0.5 * math.cos(0.2), rel=1e-12)
 
 
@@ -70,10 +70,10 @@ def test_warping_rejects_bad_inputs():
         mk_warping("exp", domain=(1.0, 1.0))
     f = mk_warping("polynomial", (1.0, -1.0))  # 1 - t
     with pytest.raises(ValueError):
-        f.value(2.0)  # nonpositive value
+        profile_at(f, 2.0)  # nonpositive value
     f = mk_warping("exp", domain=(-1.0, 1.0))
     with pytest.raises(ValueError):
-        f.value(1.5)  # outside the declared interval
+        profile_at(f, 1.5)  # outside the declared interval
     with pytest.raises(ValueError):
         f.conformal_time(np.array([0.5]), 1.5)  # a vertex time outside it
 
@@ -90,7 +90,7 @@ def test_conformal_time_closed_forms_match_quadrature():
         (mk_warping("custom", expr="exp(0.5*t) + 0.1"), -0.2, 0.8),
     ]
     for f, t0, t in cases:
-        oracle, _ = quad(lambda s: 1.0 / f.value(s), t0, t, epsabs=1e-13, epsrel=1e-13)
+        oracle, _ = quad(lambda s: 1.0 / profile_at(f, s), t0, t, epsabs=1e-13, epsrel=1e-13)
         assert f.conformal_time(np.array([t]), t0) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 
@@ -129,9 +129,9 @@ def test_conformal_time_series_batch_matches_columns_alone():
 
 def test_warping_of_a_time_array_is_each_floats():
     # f and the conformal time of a (B,) array of times are each float's in
-    # a batch of one, bit for bit (a custom profile's powers included), and
-    # f's value at the float is too; a time outside the warping domain
-    # rejects its own column with the error it raises alone
+    # a batch of one, bit for bit (a custom profile's powers included); a
+    # time outside the warping domain rejects its own column with the error
+    # it raises alone
     times = np.insert(np.random.default_rng(6).uniform(-0.9, 1.4, 48), 9, 1.7)
     kinds = [
         ("constant", (2.0,), None),
@@ -151,12 +151,112 @@ def test_warping_of_a_time_array_is_each_floats():
             for t, got in zip(times, batch):
                 try:
                     (want,) = tm.per_sample(columns, [t])
-                    if fn is f:
-                        assert np.float64(f.value(t)).tobytes() == want.tobytes(), (kind, t)
                 except st.WarpingDomainError as err:
                     assert type(got) is st.WarpingDomainError and str(got) == str(err), kind
                     continue
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), (kind, t)
+
+
+def _quadrature_profiles():
+    """The profiles of the conformal-time tests, each with the integrand 1/f
+    of a batch of nodes."""
+    profiles = [
+        mk_warping("constant", (2.0,)),
+        mk_warping("exp"),
+        mk_warping("cosh"),
+        mk_warping("polynomial", (1.0, 0.0, 1.0)),
+        mk_warping("polynomial", (1.0, 0.2, 0.3)),
+        mk_warping("custom", expr="exp(0.5*t) + 0.1"),
+        mk_warping("custom", expr="1 + 0.5*sin(t)"),
+    ]
+    return [(f, lambda j, s, f=f: 1.0 / f(s)) for f in profiles]
+
+
+def test_quadrature_matches_scipy_quad():
+    # forward, reversed and empty intervals against QUADPACK's adaptive rule
+    bounds = [(0.0, 1.3), (-0.2, 0.8), (0.9, -0.4), (2.5, 0.0), (0.7, 0.7), (-3.0, 4.0)]
+    lo, hi = np.array(bounds).T
+    for f, fn in _quadrature_profiles():
+        val, err = st.quadrature(fn, lo, hi)
+        for (a, b), v, e in zip(bounds, val, err):
+            oracle, _ = quad(lambda s: 1.0 / profile_at(f, s), a, b, epsabs=1e-13, epsrel=1e-13)
+            assert v == pytest.approx(oracle, rel=1e-13, abs=1e-14), (f, a, b)
+            assert 0.0 <= e < st.QUAD_ERR_MAX
+        # the reversed integral is the ascending one negated, bit for bit,
+        # and the empty one is +0.0 either way
+        back, _ = st.quadrature(fn, hi, lo)
+        assert back.tobytes() == np.where(lo == hi, 0.0, -val).tobytes()
+    val, err = st.quadrature(lambda j, s: np.ones_like(s), np.array([0.3]), np.array([0.3]))
+    assert val.tolist() == [0.0] and err.tolist() == [0.0]
+
+
+def test_quadrature_batch_equals_each_integral_alone():
+    # each integral's value and error are the ones it has alone, to the bit,
+    # whatever else the batch holds and however many rounds it takes
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(-2.0, 1.0, 40)
+    hi = lo + rng.uniform(-1.5, 3.0, 40)
+    hi[7] = lo[7]
+    for _, fn in _quadrature_profiles():
+        val, err = st.quadrature(fn, lo, hi)
+        for k in range(len(lo)):
+            alone = st.quadrature(fn, lo[k:k + 1], hi[k:k + 1])
+            assert val[k].tobytes() == alone[0][0].tobytes()
+            assert err[k].tobytes() == alone[1][0].tobytes()
+
+
+def test_quadrature_integrand_sees_each_round_as_one_batch():
+    calls = []
+
+    def fn(j, s):
+        calls.append(len(s))
+        return 1.0 / (1.0 + s * s)
+
+    val, _ = st.quadrature(fn, np.zeros(3), np.array([0.5, 1.0, 1.5]))
+    assert val == pytest.approx(np.arctan([0.5, 1.0, 1.5]), rel=1e-15)
+    # every integral's nodes of a round are in one call: the first round
+    # sums each integral over its interval, the next over its halves
+    assert 2 <= len(calls) <= 4
+    assert calls[:2] == [3 * st._QUAD_NODES, 3 * 2 * st._QUAD_NODES]
+
+
+def test_quadrature_rejects_an_integral_at_its_first_rejected_node():
+    # 1/f of a profile nonpositive beyond t = 1: the integrals that reach it
+    # are rejected, each with the error of its first node beyond, alone too
+    f = mk_warping("polynomial", (1.0, -1.0))
+
+    def fn(j, s):
+        return 1.0 / f(s)
+
+    lo, hi = np.zeros(4), np.array([0.5, 1.5, 0.8, 2.0])
+    with pytest.raises(tm.BatchRejected) as err:
+        st.quadrature(fn, lo, hi)
+    assert sorted(err.value.errors) == [1, 3]
+    for k, e in err.value.errors.items():
+        assert isinstance(e, st.WarpingDomainError) and "nonpositive" in str(e)
+        with pytest.raises(tm.BatchRejected) as alone:
+            st.quadrature(fn, lo[k:k + 1], hi[k:k + 1])
+        assert str(alone.value.errors[0]) == str(e)
+    # so is the conformal time that integrates through t = 1
+    with pytest.raises(st.WarpingDomainError, match="nonpositive"):
+        tm.per_sample(lambda ts: f.conformal_time(ts, 0.0), [1.5])
+
+
+def test_quadrature_of_a_nan_integrand_is_refused_within_its_interval_cap():
+    nodes = []
+
+    def fn(j, s):
+        nodes.append(len(s))
+        return np.where(s > 0.3, np.where(j == 2, np.inf, np.nan), 1.0)
+
+    # a NaN and an infinite integrand, neither with a warning
+    val, err = st.quadrature(fn, np.zeros(3), np.array([1.0, 0.2, 1.0]))
+    assert math.isinf(err[0]) and err[1] < 1e-12 and math.isinf(err[2])
+    assert val[1] == pytest.approx(0.2, rel=1e-15)
+    # at most the cap's intervals per integral are open, and a round
+    # evaluates their halves
+    assert max(nodes) <= 3 * 2 * st._QUAD_LIMIT * st._QUAD_NODES
+    assert len(nodes) < 12
 
 
 def test_conformal_time_series_derivatives_match_fd():
@@ -398,7 +498,7 @@ def test_warped_connection_term_against_fd_symbols():
         signs = m.signature
 
         def metric(pt):
-            f = m.warping.value(pt[0])
+            f = profile_at(m.warping, pt[0])
             g = np.diag(signs.copy())
             g[1:, 1:] *= f * f
             return g
