@@ -32,7 +32,13 @@ flags the rows whose split-map image leaves the model space; the suite
 reads that per-row diagnostic for its first 40 evaluated points and drops
 the flagged ones.  The appendix checks the conformal curvature identities
 at up to five evaluated grid points, drawn without replacement by the
-scene's seed and evaluated as one batch.  The grid is
+scene's seed.  These sample checks ride the grid pass, which keeps the
+chart geometry of each evaluated batch (`Grid`): the factorization round
+trip reads psi at the first 6 sampled rows, and the de Sitter scale sign
+at all of them; the appendix reads its rows' columns of the geometry,
+curvature included, and takes the conformal scale from their psi.  Only
+the local inverse's trial points and the cylinder maps' exactness
+quadrature evaluate the immersion again.  The grid is
 evaluated on the calling thread as one batch through the one pipeline,
 which evaluates a single point as a batch of one, in chunks of
 `GRID_CHUNK` points only where it is larger (the bound on a batch's
@@ -77,7 +83,7 @@ from . import conformal, extrinsic, scenes, taylor
 from .conformal import ConformalMapSpec, DegeneracyError, InverseError
 from .extrinsic import (ROW_FIELDS, TRAPPED_CLASSES, ExtrinsicPoint, FrameDegeneracyError,
                         closed_forms)
-from .immersion import Immersion, MetricSignatureError
+from .immersion import ChartGeometry, Immersion, MetricSignatureError
 from .nullcone import EmbeddingRangeError, NullconeSpec, PointRejected
 from .spacetime import AmbientModel, WarpingFunction
 from .taylor import DomainError, SmoothMap, column_max, column_results, parse_expression
@@ -521,9 +527,9 @@ def _trapped_mismatch(pt: ExtrinsicPoint, rep, tolerances):
 
 @taylor.float_edges
 def _evaluate(scene: Scene, x) -> list:
-    """(row, diag) for each point of a batch x (B, n); raises
-    `BatchRejected` for the points the pipeline refuses.  The grid pass's
-    one floating-point scope."""
+    """(row, diag, the batch's chart geometry) for each point of a batch x
+    (B, n); raises `BatchRejected` for the points the pipeline refuses.
+    The grid pass's one floating-point scope."""
     pt = ExtrinsicPoint(scene.im, x)
     rep = pt.report(scene.tolerances["trapped_eps"])
     residuals, expansion = {}, {}
@@ -551,7 +557,8 @@ def _evaluate(scene: Scene, x) -> list:
             (d, s) if on else None
             for d, s, on in zip(deviation.tolist(), spd.tolist(), on_model.tolist())
         ]
-    return list(zip(_records(columns, len(x)), _records(diag_columns, len(x))))
+    records = zip(_records(columns, len(x)), _records(diag_columns, len(x)))
+    return [(row, diag, pt.geo) for row, diag in records]
 
 
 def _records(columns: dict, count: int) -> list:
@@ -580,21 +587,47 @@ def _rejection(point, err) -> dict:
     return {"point": [float(v) for v in point], "reason": reason, "detail": detail}
 
 
-def _evaluate_grid(scene: Scene):
-    """Rows, their diags and rejections of the grid points, each chunk
-    evaluated as one batch: a point the batch rejects keeps its column's
-    typed error, and the rest are evaluated again as a batch."""
+@dataclass
+class Grid:
+    """The grid pass of a scene: its rows, their diags and its rejections in
+    grid order, and the chart geometry of each evaluated batch with the
+    index of its first row, since a batch's columns are consecutive rows."""
+
+    rows: list
+    diags: list
+    rejections: list
+    batches: list
+
+    def geometry(self, picks) -> ChartGeometry:
+        """The chart geometry of the rows `picks`, in that order, gathered
+        from the batches that evaluated them."""
+        starts = [start for start, _ in self.batches]
+        which = np.searchsorted(starts, picks, side="right") - 1
+        parts = []
+        for k, run in itertools.groupby(zip(which.tolist(), picks), key=itemgetter(0)):
+            start, geo = self.batches[k]
+            parts.append((geo, np.array([i for _, i in run]) - start))
+        return ChartGeometry.gather(parts)
+
+
+def _evaluate_grid(scene: Scene) -> Grid:
+    """The grid pass, each chunk evaluated as one batch: a point the batch
+    rejects keeps its column's typed error, and the rest are evaluated
+    again as a batch."""
     points = np.array(list(itertools.product(*scene.axes)), dtype=float)
-    rows, diags, rejections = [], [], []
+    grid = Grid([], [], [], [])
     for start in range(0, len(points), GRID_CHUNK):
         chunk = points[start:start + GRID_CHUNK]
         for x, result in zip(chunk, column_results(lambda xs: _evaluate(scene, xs), chunk)):
             if isinstance(result, Exception):
-                rejections.append(_rejection(x, result))
-            else:
-                rows.append(result[0])
-                diags.append(result[1])
-    return rows, diags, rejections
+                grid.rejections.append(_rejection(x, result))
+                continue
+            row, diag, geo = result
+            if not grid.batches or grid.batches[-1][1] is not geo:
+                grid.batches.append((len(grid.rows), geo))
+            grid.rows.append(row)
+            grid.diags.append(diag)
+    return grid
 
 
 # -- suites -------------------------------------------------------------------
@@ -605,33 +638,34 @@ def _require_rows(rows, name):
         raise SuiteUnevaluable(f"suite {name!r} has no evaluable grid points")
 
 
-def _suite_frame(scene, rows, diags):
-    _require_rows(rows, "frame")
-    worst = max(d["frame"] for d in diags)
+def _suite_frame(scene, grid):
+    _require_rows(grid.rows, "frame")
+    worst = max(d["frame"] for d in grid.diags)
     return {
         "passed": worst < scene.tolerances["frame"],
         "residuals": {"frame": worst},
-        "points": len(rows),
+        "points": len(grid.rows),
     }
 
 
-def _suite_shape(scene, rows, diags):
-    _require_rows(rows, "shape")
-    worst = max(d["shape"] for d in diags)
+def _suite_shape(scene, grid):
+    _require_rows(grid.rows, "shape")
+    worst = max(d["shape"] for d in grid.diags)
     return {
         "passed": worst < scene.tolerances["shape"],
         "residuals": {"shape": worst, "branches": float(len(scene.selectors))},
-        "points": len(rows),
+        "points": len(grid.rows),
     }
 
 
-def _suite_expansions(scene, rows, diags):
+def _suite_expansions(scene, grid):
+    rows = grid.rows
     _require_rows(rows, "expansions")
-    identity = max(d["expansions"]["identity"] for d in diags)
+    identity = max(d["expansions"]["identity"] for d in grid.diags)
     residuals = {"identity": identity}
     passed = identity < scene.tolerances["expansions"]
     if scene.gauss_shift is not None:
-        gauss = max(d["expansions"]["gauss"] for d in diags)
+        gauss = max(d["expansions"]["gauss"] for d in grid.diags)
         residuals["gauss"] = gauss
         passed = passed and gauss < scene.tolerances["gauss"]
     if scene.expect:
@@ -648,26 +682,26 @@ def _suite_expansions(scene, rows, diags):
     return {"passed": passed, "residuals": residuals, "points": len(rows)}
 
 
-def _suite_trapped(scene, rows, diags):
-    _require_rows(rows, "trapped")
-    mismatches = sum(d["trapped"] for d in diags)
-    fraction = mismatches / len(rows)
+def _suite_trapped(scene, grid):
+    _require_rows(grid.rows, "trapped")
+    mismatches = sum(d["trapped"] for d in grid.diags)
+    fraction = mismatches / len(grid.rows)
     return {
         "passed": fraction == 0.0,
         "residuals": {"sign_mismatch_fraction": fraction},
-        "points": len(rows),
+        "points": len(grid.rows),
     }
 
 
-def _suite_conformal(scene, rows, diags):
-    _require_rows(rows, "conformal")
-    spec, im = scene.cspec, scene.im
+def _suite_conformal(scene, grid):
+    _require_rows(grid.rows, "conformal")
+    spec = scene.cspec
     evaluable, factor, spd_failures = [], 0.0, 0.0
-    for row, d in zip(rows[:_CONFORMAL_SAMPLE_CAP], diags):
+    for i, d in enumerate(grid.diags[:_CONFORMAL_SAMPLE_CAP]):
         if d["conformal"] is None:
             continue  # the image left the model space: not a sample
         deviation, spd = d["conformal"]
-        evaluable.append(np.asarray(row["point"]))
+        evaluable.append(i)
         factor = max(factor, deviation)
         spd_failures += 0.0 if spd else 1.0
     if not evaluable:
@@ -677,7 +711,7 @@ def _suite_conformal(scene, rows, diags):
     passed = factor < tols["factor"] and spd_failures == 0.0
     if spec.variant == "desitter_to_Sn":
         try:
-            conformal.desitter_r_sign(im, evaluable)
+            conformal.scale_sign_at(grid.geometry(evaluable))
             residuals["scale_sign"] = 0.0
         except DegeneracyError:
             residuals["scale_sign"] = 1.0
@@ -690,38 +724,36 @@ def _suite_conformal(scene, rows, diags):
             span = hi - lo
             bounds.append((lo + 0.25 * span, hi - 0.25 * span))
         try:
-            residuals["exactness"] = conformal.exactness_residual(spec, im, (0, 1), tuple(bounds))
+            residuals["exactness"] = conformal.exactness_residual(
+                spec, scene.im, (0, 1), tuple(bounds))
         except (DomainError, EmbeddingRangeError, DegeneracyError, ArithmeticError) as err:
             # a refused leg of the rectangle is no evidence either way
             raise SuiteUnevaluable(str(err)) from None
         passed = passed and residuals["exactness"] < tols["exactness"]
     elif len(evaluable) >= 2:
         # the map factors through a graph embedding: close the round trip
+        samples = grid.geometry(evaluable[:_FACTORIZATION_SAMPLES])
         try:
-            residuals["factorization"] = conformal.factorization_check(
-                im, spec, evaluable[:_FACTORIZATION_SAMPLES]
-            )
+            residuals["factorization"] = conformal.factorization_at(spec, samples)
         except InverseError:
             residuals["factorization"] = math.inf
         passed = passed and residuals["factorization"] < tols["factorization"]
     return {"passed": passed, "residuals": residuals, "points": len(evaluable)}
 
 
-def _suite_appendix(scene, rows, diags):
-    _require_rows(rows, "appendix")
-    lam = conformal.factor_field(scene.cspec, scene.im)
+def _suite_appendix(scene, grid):
+    _require_rows(grid.rows, "appendix")
     rng = np.random.default_rng(scene.seed)
-    picks = rng.choice(len(rows), size=min(_APPENDIX_SAMPLES, len(rows)), replace=False)
-    samples = [np.asarray(rows[i]["point"]) for i in picks]
+    picks = rng.choice(len(grid.rows), size=min(_APPENDIX_SAMPLES, len(grid.rows)), replace=False)
     try:
-        residuals = conformal.conformal_curvature_check(scene.im, lam, samples)
+        residuals = conformal.curvature_check_at(scene.cspec, grid.geometry(picks))
     except (DegeneracyError, ArithmeticError) as err:
         raise SuiteUnevaluable(str(err)) from None
     worst = max(residuals.values())
     return {
         "passed": worst < scene.tolerances["appendix"],
         "residuals": dict(residuals),
-        "points": len(samples),
+        "points": len(picks),
     }
 
 
@@ -746,12 +778,12 @@ def run(config, tol_overrides=None, seed=None, checks=None) -> dict:
     the per-suite verdicts, and the process exit status.
     """
     scene = parse_scene(config, tol_overrides=tol_overrides, seed=seed, checks=checks)
-    rows, diags, rejections = _evaluate_grid(scene)
+    grid = _evaluate_grid(scene)
     suites = {}
     status = EXIT_PASS
     for name in scene.checks:
         try:
-            result = _SUITE_RUNNERS[name](scene, rows, diags)
+            result = _SUITE_RUNNERS[name](scene, grid)
         except SuiteUnevaluable as err:
             suites[name] = {"passed": False, "unevaluable": str(err)}
             status = max(status, EXIT_DEGENERATE)
@@ -759,12 +791,12 @@ def run(config, tol_overrides=None, seed=None, checks=None) -> dict:
         suites[name] = result
         if not result["passed"]:
             status = max(status, EXIT_SUITE_FAILURE)
-    if not scene.checks and not rows:
+    if not scene.checks and not grid.rows:
         status = max(status, EXIT_DEGENERATE)
     return {
         "config": scene.echo,
-        "rows": rows,
-        "rejections": rejections,
+        "rows": grid.rows,
+        "rejections": grid.rejections,
         "suites": suites,
         "exit_status": status,
     }

@@ -12,15 +12,21 @@ metric to its conformal rescalings.
 
 The pullback identity reads an evaluated chart geometry of a batch, and
 flags the columns whose image leaves the model space instead of raising
-for them; it is the one check of the conformal factor.  The
-sample checks (de Sitter scale sign, curvature identities) evaluate their
-samples as one batch; where the batch is refused, the samples before the
-first failing one are evaluated again as a batch, and that sample raises
-the typed error its column carries.  The identities are array arithmetic
-over the samples.
+for them; it is the one check of the conformal factor.  Each sample check
+(factorization round trip, de Sitter scale sign, curvature identities) is
+one routine over its samples' psi or chart geometry.  The public check
+evaluates its samples as one batch and calls it; the suites call it
+(`factorization_at`, `scale_sign_at`, `curvature_check_at`) on columns of
+the chart geometry the grid pass evaluated, so their samples are not
+evaluated again.  Where a sample is refused, the samples before the first
+failing one are taken again as a batch, and that sample raises the typed
+error its column carries.  The identities are array arithmetic over the
+samples.
 The factorization round trip runs its samples' local inverses in lockstep,
 each round's jacobians and each damping halving's trial points as one
-batch, and each sample's solve and line search on its own values.
+batch, and each sample's solve and line search on its own values; a local
+inverse starts from its seed's image, since the seed is another sample,
+and f at the recovered point is read from the psi of its last step.
 The cylinder maps' primitive g of dw/u sums integrals along axis-parallel
 legs: the legs of a batch of points, or the exactness loop's four, are one
 quadrature, each of whose rounds evaluates the immersion as one batch.
@@ -55,10 +61,13 @@ __all__ = [
     "exactness_residual",
     "pullback_columns",
     "desitter_r_sign",
+    "scale_sign_at",
     "local_inverse",
     "factorization_check",
+    "factorization_at",
     "sectional_curvatures",
     "conformal_curvature_check",
+    "curvature_check_at",
 ]
 
 MAP_VARIANTS = (
@@ -70,6 +79,10 @@ MAP_VARIANTS = (
 
 DENOMINATOR_FLOOR = 1e-8
 MODEL_MEMBERSHIP_TOL = 1e-10
+
+# the local inverse's residual tolerance and iteration limit
+_INVERSE_TOL = 1e-12
+_INVERSE_MAX_ITER = 60
 
 
 class DegeneracyError(ValueError):
@@ -152,6 +165,17 @@ def _reject_floored(value, message):
     taylor.reject(np.abs(value) <= DENOMINATOR_FLOOR, lambda at: DegeneracyError(message(at)))
 
 
+def _scale(spec: ConformalMapSpec, im: Immersion, psi) -> Series:
+    """The conformal scale of psi, the split-map denominator with its sign
+    flipped where it is negative; a column inside the floor is rejected."""
+    den = _denominator_series(spec, im, psi)
+    value = den.val
+    _reject_floored(value, lambda at: (
+        f"conformal scale {at(value):.3e} is inside the floor {DENOMINATOR_FLOOR:.1e}"))
+    # multiplying by -1.0 is negation, bit for bit
+    return den * np.where(value < 0.0, -1.0, 1.0)
+
+
 def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
     """The conformal scale as a smooth chart field, sign-normalized positive.
 
@@ -164,12 +188,7 @@ def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
     def lam(coords):
         first = coords[0]
         psi = [taylor.as_series(c, first.ctx, first.batch) for c in im.map.fn(list(coords))]
-        den = _denominator_series(spec, im, psi)
-        value = den.val
-        _reject_floored(value, lambda at: (
-            f"conformal scale {at(value):.3e} is inside the floor {DENOMINATOR_FLOOR:.1e}"))
-        # multiplying by -1.0 is negation, bit for bit
-        return den * np.where(value < 0.0, -1.0, 1.0)
+        return _scale(spec, im, psi)
 
     return lam
 
@@ -308,13 +327,11 @@ def _map_jacobian(spec, im, psi) -> np.ndarray:
     denom = _denominator_series(spec, im, psi)
     _reject_floored(denom.val, lambda at: f"split-map denominator {at(denom.val):.3e}")
     _, keep = _split_layout(spec, im)
-    n = denom.ctx.n
-    comps = [psi[a] / denom for a in keep]
-    jac = taylor.batch_first([[c.derivative(i).val for i in range(n)] for c in comps])
+    # a partial is its first-order coefficient; a / denom is a * (1 / denom)
+    first, inverse = denom.ctx.first, 1.0 / denom
+    jac = taylor.batch_first([(psi[a] * inverse).c[first] for a in keep])
     if spec.primitive:
-        w = psi[-1]
-        dg = taylor.batch_first([w.derivative(i).val for i in range(n)])
-        dg = dg / denom.val[:, None]
+        dg = taylor.batch_first(psi[-1].c[first]) / denom.val[:, None]
         jac = np.concatenate([jac, dg[..., None, :]], axis=-2)
     return jac
 
@@ -351,25 +368,40 @@ def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry):
     return deviation, spd, on_model
 
 
+def _scale_sign(im: Immersion, x, psi_at) -> float:
+    """`desitter_r_sign` at the chart points x (S, n), psi_at(ks) giving psi
+    at the points ks."""
+    cone = im.target_cone
+    if cone is None or cone.variant != "desitter_alpha":
+        raise ValueError("sign coherence applies to de Sitter plane sections")
+
+    def scale(ks):
+        r = cone.scale(psi_at(ks)[0].val)
+        _reject_floored(r, lambda at: (
+            f"scale R = {at(r):.3e} vanishes at {format_point(at(x[ks]))}"))
+        return r.tolist()
+
+    signs = {1.0 if r > 0.0 else -1.0 for r in taylor.per_index(scale, len(x))}
+    if len(signs) != 1:
+        raise DegeneracyError("scale R changes sign across the samples")
+    return signs.pop()
+
+
 def desitter_r_sign(im: Immersion, samples) -> float:
     """Common sign of the de Sitter scale R along the samples.
 
     Raises when R changes sign or nearly vanishes, which would mean the
     immersion straddles the two components of a split plane section.
     """
-    cone = im.target_cone
-    if cone is None or cone.variant != "desitter_alpha":
-        raise ValueError("sign coherence applies to de Sitter plane sections")
+    x = np.array(list(samples), dtype=np.float64)
+    return _scale_sign(im, x, lambda ks: im.series(x[ks], 0, check_membership=False))
 
-    def scale(x):
-        r = cone.scale(im.series(x, 0, check_membership=False)[0].val)
-        _reject_floored(r, lambda at: f"scale R = {at(r):.3e} vanishes at {format_point(at(x))}")
-        return r.tolist()
 
-    signs = {1.0 if r > 0.0 else -1.0 for r in taylor.per_sample(scale, samples)}
-    if len(signs) != 1:
-        raise DegeneracyError("scale R changes sign across the samples")
-    return signs.pop()
+@taylor.float_edges
+def scale_sign_at(geo: ChartGeometry) -> float:
+    """`desitter_r_sign` at the columns of an evaluated immersion geometry,
+    read from its psi values."""
+    return _scale_sign(geo.immersion, geo.x, lambda ks: [geo.psi[0].columns(ks)])
 
 
 # -- factorization ------------------------------------------------------------
@@ -404,23 +436,34 @@ def local_inverse(
     im: Immersion,
     targets: np.ndarray,
     seeds,
-    tol: float = 1e-12,
-    max_iter: int = 60,
+    tol: float = _INVERSE_TOL,
+    max_iter: int = _INVERSE_MAX_ITER,
 ) -> np.ndarray:
     """The chart points (S, n) mapping to the stacked targets (S, m) under
     the split map, seeded from the stacked seeds (S, n).
 
     Damped Gauss-Newton on the forward map; the system is overdetermined by
     the model constraint, so each step solves the least squares normal
-    equations.  The stack iterates in lockstep: each round evaluates the
-    jacobians of the samples still iterating as one batch, and each damping
-    halving the trial points of the samples still searching as one batch.
-    The solve, the norms, the damping and the iteration limits stay per
-    sample, so every sample takes the steps it takes alone; the stack
-    raises the error of its first failing sample.
+    equations.  The seeds are evaluated as one batch, and the stack
+    iterates in lockstep: each round evaluates the jacobians of the samples
+    still iterating as one batch, and each damping halving the trial points
+    of the samples still searching as one batch.  The solve, the norms, the
+    damping and the iteration limits stay per sample, so every sample takes
+    the steps it takes alone; the stack raises the error of its first
+    failing sample.  The factorization round trip runs the same descent
+    from its seeds' images, which it holds already.
     """
     targets = np.asarray(targets, dtype=float)
     xs = np.array(seeds, dtype=float)
+    starts = _inverse_residuals(spec, im, xs, targets)
+    return _descend(spec, im, targets, xs, starts, tol, max_iter)[0]
+
+
+def _descend(spec, im, targets, xs, starts, tol=_INVERSE_TOL, max_iter=_INVERSE_MAX_ITER):
+    """`local_inverse` from the seeds xs (S, n), changed in place, whose
+    (order-1 psi coefficients, residual) or typed error `starts` holds:
+    (the recovered points, the psi coefficients of each at its last
+    accepted step)."""
     ctx = taylor.get_context(xs.shape[1], 1)
     psis, rs = [None] * len(xs), [None] * len(xs)
     errors = {}  # sample -> its error; the first failing sample's is raised
@@ -431,7 +474,7 @@ def local_inverse(
         return [k for k in ks if k < first]
 
     active = []
-    for k, res in enumerate(_inverse_residuals(spec, im, xs, targets)):
+    for k, res in enumerate(starts):
         if isinstance(res, Exception):
             errors[k] = res
         else:
@@ -472,15 +515,69 @@ def local_inverse(
             )
     if errors:
         raise errors[min(errors)]
-    return xs
+    return xs, psis
 
 
 def _psi_f_at_model_point(spec, im, i, y, f_val) -> np.ndarray:
+    """The family embedding psi_f at model points y (..., k) with f values
+    f_val (...)."""
+    f = np.asarray(f_val)[..., None]
     if spec.hyperbolic:
         # the image has 1 in the denominator slot i; rescaling by f restores psi
-        return f_val * np.insert(y, i, 1.0)
+        return f * np.insert(y, i, 1.0, axis=-1)
     cone = im.target_cone
-    return np.concatenate([[f_val], cone.scale(f_val) * y, [cone.alpha + cone.beta * f_val]])
+    return np.concatenate([f, cone.scale(f) * y, cone.alpha + cone.beta * f], axis=-1)
+
+
+def _round_trip(spec, im, x, psi_at) -> float:
+    """`factorization_check` at the chart points x (S, n), psi_at(ks)
+    giving psi, of order 1 or more, at the points ks."""
+    if spec.primitive:
+        raise ValueError(f"{spec.variant} has no graph-embedding factorization")
+    if len(x) < 2:
+        raise ValueError("factorization check needs at least two samples")
+    idx, _ = _split_layout(spec, im)
+    # each sample's seed is its nearest other sample: distance[k][j] is
+    # np.sum((x[j] - x[k]) ** 2), and Python's min picks the first of equals
+    distance = np.sum((x[None, :, :] - x[:, None, :]) ** 2, axis=-1).tolist()
+    seeds = np.array([
+        min((j for j in range(len(x)) if j != k), key=distance[k].__getitem__)
+        for k in range(len(x))
+    ])
+
+    def image(ks):
+        psi = [s.truncate(FRAME_ORDER) for s in psi_at(ks)]
+        y, coeffs = _map_values(spec, im, x[ks], psi), np.stack([s.c for s in psi])
+        return [(y[b], coeffs[..., b]) for b in range(len(ks))]
+
+    # the samples after the first one whose image fails cannot change the outcome
+    images = taylor.column_results(image, np.arange(len(x)), first=True)
+    error = images.pop() if images and isinstance(images[-1], Exception) else None
+    worst = 0.0
+    if images:
+        kept = len(images)
+        targets = np.array([y for y, _ in images])
+        # a seed is another sample, whose image and psi start its local
+        # inverse; only a seed past the kept samples is evaluated
+        starts = [
+            (images[j][1], images[j][0] - targets[k]) if j < kept else None
+            for k, j in enumerate(seeds[:kept])
+        ]
+        late = [k for k, start in enumerate(starts) if start is None]
+        if late:
+            for k, res in zip(late, _inverse_residuals(spec, im, x[seeds[late]], targets[late])):
+                starts[k] = res
+        _, psis = _descend(spec, im, targets, x[seeds[:kept]], starts)
+        # f is the denominator coordinate of psi at each recovered point
+        f_val = np.array([psi[idx, 0] for psi in psis])
+        ambient = _psi_f_at_model_point(spec, im, idx, targets, f_val)
+        psi0 = np.array([coeffs[:, 0] for _, coeffs in images])
+        deviation = np.max(np.abs(ambient - psi0), axis=-1)
+        # a NaN deviation is skipped, as Python's max skips it
+        worst = float(np.fmax.reduce(deviation, initial=0.0))
+    if error is not None:
+        raise error
+    return worst
 
 
 @taylor.float_edges
@@ -489,44 +586,22 @@ def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float
 
     f is reconstructed at each image point as the denominator coordinate
     composed with a local inverse seeded from the nearest *other* sample, so
-    the round trip genuinely exercises invertibility.  The samples' images,
-    their local inverses and f at the recovered points are each evaluated
-    as one batch; a failure raises the error of the first failing sample,
-    as taking the samples one at a time would.
+    the round trip genuinely exercises invertibility.  The samples' images
+    are evaluated as one batch, at order 1.  Each local inverse starts from
+    its seed's image, since the seed is another sample, and f at a
+    recovered point is the value of the psi of its last accepted step, so
+    nothing is evaluated twice.  A failure raises the error of the first
+    failing sample, as taking the samples one at a time would.
     """
-    if spec.primitive:
-        raise ValueError(f"{spec.variant} has no graph-embedding factorization")
-    samples = [np.asarray(s, dtype=float) for s in samples]
-    if len(samples) < 2:
-        raise ValueError("factorization check needs at least two samples")
-    idx, _ = _split_layout(spec, im)
-    seeds = []
-    for k, x in enumerate(samples):
-        others = [s for j, s in enumerate(samples) if j != k]
-        seeds.append(min(others, key=lambda s: float(np.sum((s - x) ** 2))))
+    x = np.array([np.asarray(s, dtype=float) for s in samples])
+    return _round_trip(spec, im, x, lambda ks: im.series(x[ks], 1))
 
-    def image(x):
-        psi = im.series(x, 1)
-        y, psi0 = _map_values(spec, im, x, psi), taylor.batch_first([s.val for s in psi])
-        return list(zip(y, psi0))
 
-    def f_at(x):
-        f_val = im.series(x, 0, check_membership=False)[idx].val
-        return f_val.tolist()
-
-    # the samples after the first one whose image fails cannot change the outcome
-    images = taylor.column_results(image, np.array(samples), first=True)
-    error = images.pop() if images and isinstance(images[-1], Exception) else None
-    worst = 0.0
-    if images:
-        ys = np.array([y for y, _ in images])
-        x_hats = local_inverse(spec, im, ys, np.array(seeds[: len(images)]))
-        for (y, psi0), f_val in zip(images, taylor.per_sample(f_at, x_hats)):
-            ambient = _psi_f_at_model_point(spec, im, idx, y, f_val)
-            worst = max(worst, float(np.max(np.abs(ambient - psi0))))
-    if error is not None:
-        raise error
-    return worst
+@taylor.float_edges
+def factorization_at(spec: ConformalMapSpec, geo: ChartGeometry) -> float:
+    """`factorization_check` at the columns of an evaluated immersion
+    geometry, whose psi, cut to order 1, gives their images."""
+    return _round_trip(spec, geo.immersion, geo.x, lambda ks: [s.columns(ks) for s in geo.psi])
 
 
 # -- conformal curvature ------------------------------------------------------
@@ -547,20 +622,19 @@ def sectional_curvatures(geo: ChartGeometry) -> np.ndarray:
     return out
 
 
-def _curvature_residuals(metric_obj, lam: Callable, x) -> np.ndarray:
+def _curvature_residuals(geo: ChartGeometry, s: Series) -> np.ndarray:
     """The (S, 3) residuals of the sectional identity (its worst frame pair),
     the scalar identity and the Gauss identity (0 outside dimension two)
-    over a batch of points (S, n), whose geometries are built once for all
-    of them.  The powers are `np.float_power`, Python's float power taken
-    elementwise, so each residual is the one of the sample's own floats."""
-    geo = chart_geometry(metric_obj, x, check_membership=False)
+    over the batch of a chart geometry, s the Series of the factor lambda
+    on its chart.  The powers are `np.float_power`, Python's float power
+    taken elementwise, so each residual is the one of the sample's own
+    floats."""
     n = geo.dim
-    s = geo.scalar_series(lam)
     geo_s = geo.rescaled(s)
     lam0 = s.val
     taylor.reject(
         lam0 <= 0.0,
-        lambda at: ValueError(f"conformal factor nonpositive at {format_point(at(x))}"),
+        lambda at: ValueError(f"conformal factor nonpositive at {format_point(at(geo.x))}"),
     )
     _, grad_sq = geo.gradient(s)
     hess = geo.covariant_hessian(s)
@@ -590,6 +664,15 @@ def _curvature_residuals(metric_obj, lam: Callable, x) -> np.ndarray:
     return np.stack([np.fmax.reduce(sect, initial=0.0), scal, gauss], axis=-1)
 
 
+def _curvature_check(evaluate, count: int) -> dict:
+    """`conformal_curvature_check` of `count` samples, evaluate(ks) giving
+    the chart geometry and the factor's Series at the samples ks."""
+    rows = taylor.per_index(lambda ks: _curvature_residuals(*evaluate(ks)), count)
+    # the worst of each identity, a NaN residual skipped as Python's max skips it
+    worst = np.fmax.reduce(np.reshape(rows, (-1, 3)), axis=0, initial=0.0)
+    return dict(zip(("sectional", "scalar", "gauss"), worst.tolist()))
+
+
 @taylor.float_edges
 def conformal_curvature_check(metric_obj, lam: Callable, samples) -> dict:
     """Residuals of the curvature identities between g and lambda^2 g.
@@ -602,7 +685,26 @@ def conformal_curvature_check(metric_obj, lam: Callable, samples) -> dict:
     samples are evaluated as one batch, each identity on its own sample's
     values; the first failing sample raises its typed error.
     """
-    rows = taylor.per_sample(lambda x: _curvature_residuals(metric_obj, lam, x), samples)
-    # the worst of each identity, a NaN residual skipped as Python's max skips it
-    worst = np.fmax.reduce(np.reshape(rows, (-1, 3)), axis=0, initial=0.0)
-    return dict(zip(("sectional", "scalar", "gauss"), worst.tolist()))
+    x = np.array(list(samples), dtype=np.float64)
+
+    def evaluate(ks):
+        geo = chart_geometry(metric_obj, x[ks], check_membership=False)
+        return geo, geo.scalar_series(lam)
+
+    return _curvature_check(evaluate, len(x))
+
+
+@taylor.float_edges
+def curvature_check_at(spec: ConformalMapSpec, geo: ChartGeometry) -> dict:
+    """`conformal_curvature_check` of the conformal scale (`factor_field`)
+    at the columns of an evaluated immersion geometry: its chart geometry
+    with every quantity it holds, and the scale from its psi, cut to the
+    metric's order."""
+
+    def evaluate(ks):
+        # the first evaluation takes every sample, a later one fewer
+        part = geo if len(ks) == len(geo.x) else ChartGeometry.gather([(geo, ks)])
+        psi = [s.truncate(part.ctx.order) for s in part.psi]
+        return part, _scale(spec, part.immersion, psi)
+
+    return _curvature_check(evaluate, len(geo.x))

@@ -179,6 +179,20 @@ class ChartGeometry:
         self.g0 = g0
         self.g_inv0 = _stacked(np.linalg.inv, self._defect("is singular"), g0, refused=_singular)
 
+    @classmethod
+    def gather(cls, parts) -> "ChartGeometry":
+        """The geometry of columns of evaluated geometries: `parts` lists
+        (geometry, column index array) pairs, whose columns follow one
+        another in that order.  Every quantity that all of them hold comes
+        along, the cached ones too, so nothing is evaluated again."""
+        held = [vars(geo) for geo, _ in parts]
+        indices = [index for _, index in parts]
+        out = cls.__new__(cls)
+        for key in held[0]:
+            if all(key in other for other in held[1:]):
+                out.__dict__[key] = _gathered([h[key] for h in held], indices)
+        return out
+
     def _defect(self, what: str):
         """The error factory of a defect of the induced metric: it `what`."""
         return lambda at: MetricSignatureError(
@@ -300,6 +314,24 @@ class ChartGeometry:
 
     def laplacian(self, s: Series):
         return np.einsum("...ij,...ij->...", self.g_inv0, self.covariant_hessian(s))
+
+
+def _gathered(values, indices):
+    """The columns `indices` of each of `values`, one quantity of several
+    geometries, joined: arrays along their leading batch axis, Series along
+    their batch columns, lists entry by entry; anything else, which does not
+    vary by column, is the first one's."""
+    first = values[0]
+    if isinstance(first, np.ndarray):
+        taken = [v[index] for v, index in zip(values, indices)]
+        return taken[0] if len(taken) == 1 else np.concatenate(taken)
+    if isinstance(first, Series):
+        taken = [v.c[..., index] for v, index in zip(values, indices)]
+        c = taken[0] if len(taken) == 1 else np.concatenate(taken, axis=-1)
+        return Series(first.ctx, c, first.shape)
+    if isinstance(first, list):
+        return [_gathered(entries, indices) for entries in zip(*values)]
+    return first
 
 
 def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGeometry:

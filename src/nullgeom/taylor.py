@@ -199,13 +199,21 @@ def column_results(fn, xs, first: bool = False) -> list:
     return out
 
 
-def per_sample(fn, samples) -> list:
-    """fn's per-sample results, fn evaluating the samples stacked as one
-    batch (S, ...); the first failing sample raises its own typed error."""
-    results = column_results(fn, np.array(list(samples), dtype=np.float64), first=True)
+def per_index(fn, count: int) -> list:
+    """fn's results for the samples 0..count-1, fn evaluating the index
+    array of samples as one batch; the first failing sample raises its own
+    typed error."""
+    results = column_results(fn, np.arange(count), first=True)
     if results and isinstance(results[-1], Exception):
         raise results[-1]
     return results
+
+
+def per_sample(fn, samples) -> list:
+    """fn's per-sample results, fn evaluating the samples stacked as one
+    batch (S, ...); the first failing sample raises its own typed error."""
+    xs = np.array(list(samples), dtype=np.float64)
+    return per_index(lambda ks: fn(xs[ks]), len(xs))
 
 
 def column_max(a, b):
@@ -445,6 +453,10 @@ class Series:
             else:
                 acc += self.c[lead + (k,)]
         return self._with(acc)
+
+    def columns(self, index) -> "Series":
+        """The Series of the columns `index` of the batch."""
+        return Series(self.ctx, self.c[..., index], self.shape)
 
     def truncate(self, order: int) -> "Series":
         """The Series cut to a lower `order`: the multi-indices are stored in

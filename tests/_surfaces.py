@@ -50,6 +50,7 @@ __all__ = [
     "emit_json_reference",
     "emit_csv_reference",
     "evaluate_alone",
+    "suite_samples",
     "refused_alone",
     "pullback_alone",
     "local_inverse_alone",
@@ -341,10 +342,26 @@ def evaluate_alone(scene, x):
     batch of one: the oracle of the batched grid pass."""
     x = np.asarray(x, dtype=float)
     try:
-        ((row, diag),) = tm.per_sample(lambda xs: cli._evaluate(scene, xs), [x])
+        ((row, diag, _),) = tm.per_sample(lambda xs: cli._evaluate(scene, xs), [x])
     except Exception as err:  # a typed rejection, or raised again
         return "rejected", cli._rejection(x, err), None
     return "row", row, diag
+
+
+def suite_samples(scene, seed):
+    """The chart points the conformal suite samples (its first evaluated
+    rows on the model space), the first of them that its factorization
+    round trip takes, and the rows the appendix draws by the seed, each as
+    the cli docstring states the rule: the oracle of the suites' choice."""
+    grid = cli._evaluate_grid(scene)
+    points = [np.array(row["point"]) for row in grid.rows]
+    on_model = [
+        x for x, diag in zip(points[:cli._CONFORMAL_SAMPLE_CAP], grid.diags)
+        if diag.get("conformal") is not None
+    ]
+    count = min(cli._APPENDIX_SAMPLES, len(points))
+    picks = np.random.default_rng(seed).choice(len(points), size=count, replace=False)
+    return on_model, on_model[:cli._FACTORIZATION_SAMPLES], [points[i] for i in picks]
 
 
 def refused_alone(op, a, *args) -> np.ndarray:

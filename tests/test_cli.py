@@ -33,7 +33,14 @@ from nullgeom.conformal import MAP_VARIANTS
 from nullgeom.nullcone import CONE_RULES
 from nullgeom.scenes import FAMILIES, builtin_scenes
 
-from _surfaces import emit_csv_reference, emit_json_reference, evaluate_alone, geometry_alone
+import _surfaces
+from _surfaces import (
+    emit_csv_reference,
+    emit_json_reference,
+    evaluate_alone,
+    geometry_alone,
+    suite_samples,
+)
 
 
 def small(doc, count=4):
@@ -462,7 +469,8 @@ def test_float_overflow_is_a_chart_singularity(tmp_path, capsys):
     assert [tuple(r["point"]) for r in report["rows"]] == [(0.0, -1.5), (0.0, 0.0), (0.0, 1.5)]
     assert all(reasons[(1.5, y)] == "chart_singularity" for y in (-1.5, 0.0, 1.5))
     # the batch gives every point what evaluating it alone gives
-    rows, diags, rejections = cli._evaluate_grid(scene)
+    grid = cli._evaluate_grid(scene)
+    rows, diags, rejections = grid.rows, grid.diags, grid.rejections
     got_rows, got_rejections = iter(zip(rows, diags)), iter(rejections)
     for x in itertools.product(*scene.axes):
         kind, payload, diag = evaluate_alone(scene, x)
@@ -689,10 +697,10 @@ def test_conformal_suite_drops_samples_off_the_model_space():
 
 
 def test_grid_geometries_are_not_rebuilt(monkeypatch):
-    # one chart geometry per grid point and one per appendix sample: the
-    # conformal suite reads the pullback identity the grid pass evaluated.
-    # A call builds the geometries of one point or of a batch of points;
-    # each point counts
+    # one chart geometry per grid point: the conformal suite reads the
+    # pullback identity the grid pass evaluated, and the appendix reads the
+    # grid's geometry of its samples.  A call builds the geometries of one
+    # point or of a batch of points; each point counts
     real = immersion.chart_geometry
     calls = []
 
@@ -706,7 +714,7 @@ def test_grid_geometries_are_not_rebuilt(monkeypatch):
     assert len(report["rows"]) == 400
     assert report["suites"]["appendix"]["points"] == 5
     assert report["suites"]["conformal"]["points"] == 40
-    assert len(calls) == 405
+    assert len(calls) == 400
 
 
 def edge_scenes():
@@ -754,7 +762,8 @@ def test_batched_grid_matches_points_alone(data):
     second = data.draw(hs.lists(hs.floats(lo1, hi1), min_size=n1, max_size=n1))
     scene.axes = [np.array(first), np.array(second)]
     with mock.patch.object(cli, "GRID_CHUNK", chunk):
-        rows, diags, rejections = cli._evaluate_grid(scene)
+        grid = cli._evaluate_grid(scene)
+    rows, diags, rejections = grid.rows, grid.diags, grid.rejections
     got_rows, got_rejections = iter(zip(rows, diags)), iter(rejections)
     for x in itertools.product(*scene.axes):
         kind, payload, diag = evaluate_alone(scene, x)
@@ -795,7 +804,7 @@ def test_columns_do_not_interact_across_product_blocks():
     for x, got in zip(points, results):
         kind, payload, diag = evaluate_alone(scene, x)
         if kind == "row":
-            assert repr(got) == repr((payload, diag))
+            assert repr(got[:2]) == repr((payload, diag))
         else:
             assert cli._rejection(x, got) == payload
 
@@ -809,7 +818,7 @@ def test_single_point_entries_raise_their_typed_errors():
     configs = dense_grid_configs()
     for name in ("grw-cosh", "mink-slice", "ds-alpha0"):
         scene = parse_scene(configs[name])
-        _, _, rejections = cli._evaluate_grid(scene)
+        rejections = cli._evaluate_grid(scene).rejections
         assert len(rejections) == 20, name
         for rejection in rejections:
             with pytest.raises(immersion.MetricSignatureError) as err:
@@ -836,7 +845,8 @@ def test_overflowing_jets_are_the_same_typed_rejection_batched_and_alone():
     scene = parse_scene(edge_scenes()["primitive-domain"])
     x = (5.84790378351203e-117, 0.0)
     scene.axes = [np.array([x[0], 0.5]), np.array([x[1]])]
-    rows, _, rejections = cli._evaluate_grid(scene)
+    grid = cli._evaluate_grid(scene)
+    rows, rejections = grid.rows, grid.rejections
     kind, alone, _ = evaluate_alone(scene, x)
     assert len(rows) == 1 and kind == "rejected"
     assert rejections == [alone]
@@ -907,6 +917,174 @@ def test_no_grid_point_is_evaluated_twice(monkeypatch):
     assert batches == [(400, 2), (380, 2)]
     assert len(report["rows"]) == 380 and len(report["rejections"]) == 20
     assert {entry["point"][0] for entry in report["rejections"]} == {0.0}
+
+
+def _outcome(fn, *args):
+    """fn(*args) with every float as its exact bits, or its error's type and
+    message."""
+    try:
+        out = fn(*args)
+    except Exception as err:  # noqa: BLE001 - the error is the outcome compared
+        return type(err).__name__, str(err)
+    if isinstance(out, dict):
+        return {key: float(v).hex() for key, v in out.items()}
+    return float(out).hex()
+
+
+def test_sample_checks_read_the_grid_as_the_public_checks_evaluate():
+    # the suites' factorization, appendix and scale sign read the grid
+    # pass's jets and geometry; on every built-in scene and dense grid at run
+    # seeds 0-7 they give, to the bit, what the public checks and the
+    # one-sample oracle give on the same samples.  The dense mink-slice grid
+    # evaluates its 380 rows again after the polar rejections, so its rows
+    # are not the columns of its first batch
+    configs = {**builtin_scenes(), **{f"dense-{k}": v for k, v in dense_grid_configs().items()}}
+    seen = set()
+    for name, doc in sorted(configs.items()):
+        factorization = None
+        for seed in range(8):
+            scene = parse_scene(doc, seed=seed)
+            if scene.cspec is None:
+                continue
+            report = run(doc, seed=seed)
+            evaluable, first, drawn = suite_samples(scene, seed)
+            if "appendix" in scene.checks:
+                lam = conformal.factor_field(scene.cspec, scene.im)
+                want = _outcome(conformal.conformal_curvature_check, scene.im, lam, drawn)
+                appendix = report["suites"]["appendix"]
+                got = appendix.get("unevaluable") or _outcome(dict, appendix["residuals"])
+                assert got == (want[1] if isinstance(want, tuple) else want), (name, seed)
+                seen.add("appendix")
+            residuals = report["suites"]["conformal"]["residuals"]
+            if scene.cspec.variant == "desitter_to_Sn":
+                sign = _outcome(conformal.desitter_r_sign, scene.im, evaluable)
+                assert residuals["scale_sign"] == (1.0 if isinstance(sign, tuple) else 0.0)
+                seen.add("scale_sign")
+            if not scene.cspec.primitive:
+                if factorization is None:  # the samples do not depend on the seed
+                    factorization = _outcome(_surfaces.factorization_alone, scene.im,
+                                             scene.cspec, first)
+                assert float(residuals["factorization"]).hex() == factorization, (name, seed)
+                seen.add("factorization")
+    assert seen == {"appendix", "scale_sign", "factorization"}
+
+
+@pytest.mark.parametrize("chunk", [5, 7, 64])
+def test_sample_checks_gather_columns_across_grid_chunks(chunk):
+    # with the grid in chunks, the suites' samples come from several
+    # evaluated batches, in the appendix's drawn order: every report is the
+    # one of the grid evaluated as one batch, byte for byte
+    for name in ("ds-alpha0", "grw-exp", "mink-slice"):
+        doc = builtin_scenes()[name]
+        for seed in range(3):
+            whole = emit_json(run(doc, seed=seed))
+            with mock.patch.object(cli, "GRID_CHUNK", chunk):
+                assert emit_json(run(doc, seed=seed)) == whole, (name, seed)
+
+
+def test_suites_evaluate_the_immersion_only_at_trials_and_quadrature(monkeypatch):
+    # in cli.run of each built-in scene the grid pass builds the one chart
+    # geometry of its batch; the suites read it and evaluate the immersion
+    # only at the trial points of the local inverse's damped steps and at
+    # the nodes of the cylinder maps' exactness quadrature
+    stray, builds = [], []
+    real_series, real_build = immersion.Immersion.series, immersion._geometry_from_immersion
+
+    def callers():
+        frame, names = sys._getframe(2), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        return names
+
+    def series(self, x, order, check_membership=True):
+        if not callers() & {"_evaluate", "_descend", "exactness_residual"}:
+            stray.append(("series", order, len(x)))
+        return real_series(self, x, order, check_membership)
+
+    def build(im, x, check_membership=True):
+        builds.append("_evaluate" in callers())
+        return real_build(im, x, check_membership)
+
+    monkeypatch.setattr(immersion.Immersion, "series", series)
+    monkeypatch.setattr(immersion, "_geometry_from_immersion", build)
+    suites = set()
+    for name, doc in sorted(builtin_scenes().items()):
+        builds.clear()
+        report = run(doc)
+        assert report["exit_status"] == EXIT_PASS, name
+        assert builds == [True], name
+        for suite, result in report["suites"].items():
+            suites.update(f"{suite}.{key}" for key in result["residuals"])
+    assert stray == []
+    assert {"conformal.factorization", "conformal.scale_sign", "conformal.exactness",
+            "appendix.sectional"} <= suites
+
+
+@pytest.mark.parametrize("seed,message", [
+    (0, None),
+    (1, "conformal scale 0.000e+00 is inside the floor 1.0e-08"),
+    (2, "conformal scale 0.000e+00 is inside the floor 1.0e-08"),
+])
+def test_appendix_sample_inside_the_floor_is_unevaluable(seed, message):
+    # mink-slice's conformal scale is its last coordinate, 0 on the grid row
+    # x1 = 0: an appendix draw of such a row leaves the suite unevaluable
+    # with the error of the first such sample, as the public check raises it
+    doc = builtin_scenes()["mink-slice"]
+    doc["grid"][1] = {"min": -0.45, "max": 0.45, "count": 3}
+    report = run(doc, seed=seed)
+    appendix = report["suites"]["appendix"]
+    assert appendix.get("unevaluable") == message
+    assert report["suites"]["conformal"]["passed"]
+    assert report["exit_status"] == (EXIT_PASS if message is None else EXIT_DEGENERATE)
+    scene = parse_scene(doc, seed=seed)
+    lam = conformal.factor_field(scene.cspec, scene.im)
+    drawn = suite_samples(scene, seed)[2]
+    if message is None:
+        assert appendix["passed"]
+        return
+    with pytest.raises(conformal.DegeneracyError) as err:
+        conformal.conformal_curvature_check(scene.im, lam, drawn)
+    assert str(err.value) == message
+
+
+def test_scale_sign_change_fails_the_conformal_suite(monkeypatch):
+    # R = x1 on ds-alpha1; a sample geometry whose last column has x1 < 0
+    # straddles the split plane: the scale sign check raises, and the suite
+    # reports scale_sign 1.0 and fails, as the public check raises on such
+    # samples
+    real = conformal.scale_sign_at
+    raised = []
+
+    def straddling(geo):
+        geo.psi[0].c[0, -1] *= -1.0
+        try:
+            return real(geo)
+        except conformal.DegeneracyError as err:
+            raised.append(str(err))
+            raise
+
+    monkeypatch.setattr(conformal, "scale_sign_at", straddling)
+    report = run(builtin_scenes()["ds-alpha1"])
+    suite = report["suites"]["conformal"]
+    assert raised == ["scale R changes sign across the samples"]
+    assert suite["residuals"]["scale_sign"] == 1.0
+    assert not suite["passed"] and report["exit_status"] == EXIT_SUITE_FAILURE
+    assert json.loads(emit_json(report))["suites"]["conformal"]["residuals"]["scale_sign"] == 1.0
+
+
+def test_inverse_error_gives_infinite_factorization(monkeypatch):
+    # every trial point of the damped steps refused: the local inverse finds
+    # no descent step, and the suite reports the round trip as Infinity
+    def refused(spec, im, points, targets):
+        return [conformal.DegeneracyError("refused trial")] * len(points)
+
+    monkeypatch.setattr(conformal, "_inverse_residuals", refused)
+    report = run(builtin_scenes()["mink-bowl"])
+    suite = report["suites"]["conformal"]
+    assert suite["residuals"]["factorization"] == math.inf
+    assert not suite["passed"] and report["exit_status"] == EXIT_SUITE_FAILURE
+    assert '"factorization": Infinity' in emit_json(report)
 
 
 def test_scene_wide_failures_are_rejected_point_by_point():

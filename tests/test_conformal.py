@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from _surfaces import (
     series_alone,
     slice_immersion,
     sphere_box,
+    suite_samples,
 )
 
 BETA_HALF = math.sqrt(3.0) / 2.0  # sqrt(1 - alpha^2) at alpha = 1/2
@@ -578,26 +580,54 @@ def test_factorization_failing_sample_raises_as_the_loop(bad, neighbor):
     assert got == _outcome(factorization_alone, im, spec, samples)
 
 
-def test_factorization_matches_the_loop_on_builtin_scenes(monkeypatch):
-    # the suite's factorization round trip on every built-in scene that has
-    # one gives, to the bit, what the samples give one at a time
-    calls = []
-    real = cf.factorization_check
-
-    def recorded(im, spec, samples):
-        calls.append((im, spec, samples, real(im, spec, samples)))
-        return calls[-1][-1]
-
-    monkeypatch.setattr(cf, "factorization_check", recorded)
-    with_factorization = set()
+def test_factorization_matches_the_loop_on_builtin_scenes():
+    # the suite's factorization round trip, read from the grid pass's psi,
+    # gives on every built-in scene with a graph-embedding split map, to the
+    # bit, what its samples give one at a time
+    checked = set()
     for name, doc in sorted(builtin_scenes().items()):
-        report = cli.run(doc)
-        conformal_suite = report["suites"].get("conformal")
-        if conformal_suite and "factorization" in conformal_suite["residuals"]:
-            with_factorization.add(name)
-    assert len(calls) == len(with_factorization) > 0
-    for im, spec, samples, got in calls:
-        assert got.hex() == factorization_alone(im, spec, samples).hex()
+        scene = parse_scene(doc)
+        if scene.cspec is None or scene.cspec.primitive:
+            continue
+        residuals = cli.run(doc)["suites"]["conformal"]["residuals"]
+        _, samples, _ = suite_samples(scene, scene.seed)
+        assert len(samples) == 6, name
+        want = factorization_alone(scene.im, scene.cspec, samples)
+        assert residuals["factorization"].hex() == want.hex(), name
+        checked.add(name)
+    assert len(checked) == 8
+
+
+def test_factorization_evaluates_each_sample_once(monkeypatch):
+    # one order-1 batch of the samples' images; each local inverse starts
+    # from its seed's image, since the seed is another sample, and f at a
+    # recovered point is read from its last accepted step: no seed is
+    # evaluated again and nothing at order 0.  The immersion is evaluated
+    # elsewhere only at trial points of the damped steps
+    scene = parse_scene(builtin_scenes()["ds-alpha0"])
+    samples = suite_samples(scene, 0)[1]
+    calls, inverse_callers = [], []
+    real_series, real_residuals = immersion.Immersion.series, cf._inverse_residuals
+
+    def series(self, x, order, check_membership=True):
+        calls.append((order, np.array(x), check_membership))
+        return real_series(self, x, order, check_membership)
+
+    def residuals(spec, im, points, targets):
+        inverse_callers.append(sys._getframe(1).f_code.co_name)
+        return real_residuals(spec, im, points, targets)
+
+    monkeypatch.setattr(immersion.Immersion, "series", series)
+    monkeypatch.setattr(cf, "_inverse_residuals", residuals)
+    got = cf.factorization_check(scene.im, scene.cspec, samples)
+    monkeypatch.undo()
+    assert got.hex() == factorization_alone(scene.im, scene.cspec, samples).hex()
+    order, points, membership = calls[0]
+    assert (order, membership) == (1, True)
+    assert np.array_equal(points, np.array(samples))
+    assert inverse_callers and set(inverse_callers) == {"_descend"}
+    assert len(calls) == 1 + len(inverse_callers)
+    assert all((order, membership) == (1, False) for order, _, membership in calls[1:])
 
 
 # -- conformal curvature -------------------------------------------------------
