@@ -1050,9 +1050,8 @@ def test_appendix_sample_inside_the_floor_is_unevaluable(seed, message):
 
 def test_scale_sign_change_fails_the_conformal_suite(monkeypatch):
     # R = x1 on ds-alpha1; a sample geometry whose last column has x1 < 0
-    # straddles the split plane: the scale sign check raises, and the suite
-    # reports scale_sign 1.0 and fails, as the public check raises on such
-    # samples
+    # (a copy of the grid's columns) straddles the split plane: the scale
+    # sign check raises, and the suite reports scale_sign 1.0 and fails
     real = conformal.scale_sign_at
     raised = []
 
