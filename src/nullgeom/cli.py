@@ -598,16 +598,16 @@ class Grid:
     rejections: list
     batches: list
 
-    def geometry(self, picks) -> ChartGeometry:
+    def geometry(self, picks, keys=None) -> ChartGeometry:
         """The chart geometry of the rows `picks`, in that order, gathered
-        from the batches that evaluated them."""
+        from the batches that evaluated them (only `keys`, if given)."""
         starts = [start for start, _ in self.batches]
         which = np.searchsorted(starts, picks, side="right") - 1
         parts = []
         for k, run in itertools.groupby(zip(which.tolist(), picks), key=itemgetter(0)):
             start, geo = self.batches[k]
             parts.append((geo, np.array([i for _, i in run]) - start))
-        return ChartGeometry.gather(parts)
+        return ChartGeometry.gather(parts, keys)
 
 
 def _evaluate_grid(scene: Scene) -> Grid:
@@ -711,7 +711,7 @@ def _suite_conformal(scene, grid):
     passed = factor < tols["factor"] and spd_failures == 0.0
     if spec.variant == "desitter_to_Sn":
         try:
-            conformal.scale_sign_at(grid.geometry(evaluable))
+            conformal.scale_sign_at(grid.geometry(evaluable, conformal.PSI_KEYS))
             residuals["scale_sign"] = 0.0
         except DegeneracyError:
             residuals["scale_sign"] = 1.0
@@ -732,7 +732,7 @@ def _suite_conformal(scene, grid):
         passed = passed and residuals["exactness"] < tols["exactness"]
     elif len(evaluable) >= 2:
         # the map factors through a graph embedding: close the round trip
-        samples = grid.geometry(evaluable[:_FACTORIZATION_SAMPLES])
+        samples = grid.geometry(evaluable[:_FACTORIZATION_SAMPLES], conformal.PSI_KEYS)
         try:
             residuals["factorization"] = conformal.factorization_at(spec, samples)
         except InverseError:

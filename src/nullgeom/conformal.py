@@ -22,11 +22,11 @@ evaluated again.  Where a sample is refused, the samples before the first
 failing one are taken again as a batch, and that sample raises the typed
 error its column carries.  The identities are array arithmetic over the
 samples.
-The factorization round trip runs its samples' local inverses in lockstep,
-each round's jacobians and each damping halving's trial points as one
-batch, and each sample's solve and line search on its own values; a local
-inverse starts from its seed's image, since the seed is another sample,
-and f at the recovered point is read from the psi of its last step.
+The factorization round trip runs its samples' local inverses in lockstep
+as array code: each round's jacobians are one batch and their steps one
+stacked solve, and each damping halving's trial points are one batch.  A
+local inverse starts from its seed's image, since the seed is another
+sample, and f at the recovered point is read from the psi of its last step.
 The cylinder maps' primitive g of dw/u sums integrals along axis-parallel
 legs: the legs of a batch of points, or the exactness loop's four, are one
 quadrature, each of whose rounds evaluates the immersion as one batch.
@@ -52,6 +52,7 @@ __all__ = [
     "MAP_VARIANTS",
     "DENOMINATOR_FLOOR",
     "MODEL_MEMBERSHIP_TOL",
+    "PSI_KEYS",
     "DegeneracyError",
     "InverseError",
     "ConformalMapSpec",
@@ -79,6 +80,9 @@ MAP_VARIANTS = (
 
 DENOMINATOR_FLOOR = 1e-8
 MODEL_MEMBERSHIP_TOL = 1e-10
+
+# all that `scale_sign_at` and `factorization_at` read of a chart geometry
+PSI_KEYS = ("immersion", "x", "psi")
 
 # the local inverse's residual tolerance and iteration limit
 _INVERSE_TOL = 1e-12
@@ -412,110 +416,108 @@ def scale_sign_at(geo: ChartGeometry) -> float:
 _TRIAL_REFUSALS = (DomainError, EmbeddingRangeError, DegeneracyError)
 
 
-def _inverse_residuals(spec, im, points, targets) -> list:
-    """(order-1 psi coefficients, residual against the target) per point of
-    a stack (S, n) against targets (S, m), evaluated as one batch; a point
-    that leaves the chart, the family's range or the model space gives its
-    typed error instead."""
+def _inverse_residuals(spec, im, points, targets):
+    """(order-1 psi coefficients (S, ambient, terms), residuals (S, m),
+    {sample: typed error}) of a stack of points (S, n) against targets
+    (S, m), evaluated as one batch; a refused point has NaN rows."""
+    coeffs = np.full((len(points), im.model.coord_count, points.shape[1] + 1), np.nan)
+    r = np.full(targets.shape, np.nan)
 
     def residuals(ks):
         psi = im.series(points[ks], 1, check_membership=False)
-        r = _map_values(spec, im, points[ks], psi) - targets[ks]
-        coeffs = np.stack([s.c for s in psi])
-        return [(coeffs[..., b], r[b]) for b in range(len(ks))]
+        r[ks] = _map_values(spec, im, points[ks], psi) - targets[ks]
+        coeffs[ks] = taylor.batch_first([s.c for s in psi])
+        return ks
 
     out = taylor.column_results(residuals, np.arange(len(points)))
-    for res in out:
-        if isinstance(res, Exception) and not isinstance(res, _TRIAL_REFUSALS):
-            raise res
-    return out
+    errors = {k: err for k, err in enumerate(out) if isinstance(err, Exception)}
+    for err in errors.values():
+        if not isinstance(err, _TRIAL_REFUSALS):
+            raise err
+    return coeffs, r, errors
 
 
-def local_inverse(
-    spec: ConformalMapSpec,
-    im: Immersion,
-    targets: np.ndarray,
-    seeds,
-    tol: float = _INVERSE_TOL,
-    max_iter: int = _INVERSE_MAX_ITER,
-) -> np.ndarray:
+@taylor.float_edges
+def local_inverse(spec: ConformalMapSpec, im: Immersion, targets: np.ndarray, seeds,
+                  tol: float = _INVERSE_TOL, max_iter: int = _INVERSE_MAX_ITER) -> np.ndarray:
     """The chart points (S, n) mapping to the stacked targets (S, m) under
     the split map, seeded from the stacked seeds (S, n).
 
-    Damped Gauss-Newton on the forward map; the system is overdetermined by
-    the model constraint, so each step solves the least squares normal
-    equations.  The seeds are evaluated as one batch, and the stack
-    iterates in lockstep: each round evaluates the jacobians of the samples
-    still iterating as one batch, and each damping halving the trial points
-    of the samples still searching as one batch.  The solve, the norms, the
-    damping and the iteration limits stay per sample, so every sample takes
-    the steps it takes alone; the stack raises the error of its first
-    failing sample.  The factorization round trip runs the same descent
-    from its seeds' images, which it holds already.
+    Damped Gauss-Newton on the forward map, overdetermined by the model
+    constraint: each step solves the normal equations (J^T J) s = J^T r.
+    The stack iterates in lockstep, each round's jacobians one batch and
+    their steps one stacked solve, each damping halving's trial points one
+    batch; norms, damping and iteration limits are per sample, so every
+    sample takes the steps it takes alone, and the stack raises the error
+    of its first failing sample.
     """
     targets = np.asarray(targets, dtype=float)
     xs = np.array(seeds, dtype=float)
-    starts = _inverse_residuals(spec, im, xs, targets)
-    return _descend(spec, im, targets, xs, starts, tol, max_iter)[0]
+    return _descend(spec, im, targets, xs, *_inverse_residuals(spec, im, xs, targets),
+                    tol, max_iter)[0]
 
 
-def _descend(spec, im, targets, xs, starts, tol=_INVERSE_TOL, max_iter=_INVERSE_MAX_ITER):
-    """`local_inverse` from the seeds xs (S, n), changed in place, whose
-    (order-1 psi coefficients, residual) or typed error `starts` holds:
-    (the recovered points, the psi coefficients of each at its last
-    accepted step)."""
+def _steps(jac, r) -> np.ndarray:
+    """The Gauss-Newton steps of stacked jacobians (S, m, n) and residuals
+    (S, m): one stacked solve of the normal equations (J^T J) s = J^T r,
+    each sum over m left to right.  Where LU finds some J^T J singular, each
+    sample is solved alone, and a singular one takes lstsq's minimum-norm
+    step, or NaN where its jacobian is not finite."""
+    jtj = (jac[:, :, :, None] * jac[:, :, None, :]).sum(axis=1)
+    jtr = (jac * r[:, :, None]).sum(axis=1)
+    try:
+        return np.linalg.solve(jtj, jtr[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(jac) > 1:
+            return np.concatenate([_steps(jac[k:k + 1], r[k:k + 1]) for k in range(len(jac))])
+        if np.isfinite(jac).all():
+            return np.linalg.lstsq(jac[0], r[0], rcond=None)[0][None]
+        return np.full(jtr.shape[:-1], np.nan)
+
+
+def _descend(spec, im, targets, xs, coeffs, r, errors, tol=_INVERSE_TOL,
+             max_iter=_INVERSE_MAX_ITER):
+    """`local_inverse` from the seeds xs (S, n), changed in place, with
+    their order-1 psi coefficients, residuals and typed errors as
+    `_inverse_residuals` gives them: (the recovered points, the psi
+    coefficients of each at its last accepted step)."""
     ctx = taylor.get_context(xs.shape[1], 1)
-    psis, rs = [None] * len(xs), [None] * len(xs)
-    errors = {}  # sample -> its error; the first failing sample's is raised
 
-    def live(ks):
+    def unconverged():
         # a sample after a failed one cannot change what is raised
         first = min(errors, default=len(xs))
-        return [k for k in ks if k < first]
+        return np.flatnonzero(~(np.max(np.abs(r[:first]), axis=-1) < tol))
 
-    active = []
-    for k, res in enumerate(starts):
-        if isinstance(res, Exception):
-            errors[k] = res
-        else:
-            psis[k], rs[k] = res
-            active.append(k)
+    def fail(ks, message):
+        errors.update((k, InverseError(message(k))) for k in ks.tolist())
+
     for _ in range(max_iter):
-        active = [k for k in live(active) if not np.max(np.abs(rs[k])) < tol]
-        if not active:
+        active = unconverged()
+        if not len(active):
             break
-        coeffs = np.stack([psis[k] for k in active], axis=-1)
-        jacs = _map_jacobian(spec, im, [Series(ctx, c) for c in coeffs])
-        steps, base_norms = {}, {}
-        for k, jac in zip(active, jacs):
-            steps[k], *_ = np.linalg.lstsq(jac, rs[k], rcond=None)
-            base_norms[k] = float(rs[k] @ rs[k])
-        damping = dict.fromkeys(active, 1.0)
-        searching = active
+        jac = _map_jacobian(spec, im, [Series(ctx, c) for c in coeffs[active].transpose(1, 2, 0)])
+        steps = _steps(jac, r[active])
+        finite = np.isfinite(steps).all(axis=-1)
+        fail(active[~finite], lambda k: f"no finite step at {format_point(xs[k])}")
+        searching, steps = active[finite], steps[finite]
+        base, damping = np.vecdot(r[searching], r[searching]), np.ones(len(searching))
         for _ in range(30):
-            if not searching:
+            if not len(searching):
                 break
-            trials = np.array([xs[k] - damping[k] * steps[k] for k in searching])
-            results = _inverse_residuals(spec, im, trials, targets[searching])
-            failed = []
-            for k, trial, res in zip(searching, trials, results):
-                if not isinstance(res, Exception) and float(res[1] @ res[1]) < base_norms[k]:
-                    xs[k], (psis[k], rs[k]) = trial, res
-                else:
-                    damping[k] *= 0.5
-                    failed.append(k)
-            searching = failed
-        for k in searching:
-            errors[k] = InverseError(f"no descent step at {format_point(xs[k])}")
-    for k in live(active):
-        if not np.max(np.abs(rs[k])) < tol:
-            errors[k] = InverseError(
-                f"iteration stalled near {format_point(xs[k])} "
-                f"for target {format_point(targets[k])}"
-            )
+            trials = xs[searching] - damping[:, None] * steps
+            c, trial_r, _ = _inverse_residuals(spec, im, trials, targets[searching])
+            # a refused trial's NaN norm is no descent
+            better = np.vecdot(trial_r, trial_r) < base
+            done = searching[better]
+            xs[done], coeffs[done], r[done] = trials[better], c[better], trial_r[better]
+            searching, steps, base, damping = (
+                a[~better] for a in (searching, steps, base, 0.5 * damping))
+        fail(searching, lambda k: f"no descent step at {format_point(xs[k])}")
+    fail(unconverged(), lambda k: (
+        f"iteration stalled near {format_point(xs[k])} for target {format_point(targets[k])}"))
     if errors:
         raise errors[min(errors)]
-    return xs, psis
+    return xs, coeffs
 
 
 def _psi_f_at_model_point(spec, im, i, y, f_val) -> np.ndarray:
@@ -536,19 +538,19 @@ def _round_trip(spec, im, x, psi_at) -> float:
         raise ValueError(f"{spec.variant} has no graph-embedding factorization")
     if len(x) < 2:
         raise ValueError("factorization check needs at least two samples")
-    idx, _ = _split_layout(spec, im)
-    # each sample's seed is its nearest other sample: distance[k][j] is
-    # np.sum((x[j] - x[k]) ** 2), and Python's min picks the first of equals
-    distance = np.sum((x[None, :, :] - x[:, None, :]) ** 2, axis=-1).tolist()
-    seeds = np.array([
-        min((j for j in range(len(x)) if j != k), key=distance[k].__getitem__)
-        for k in range(len(x))
-    ])
+    idx, keep = _split_layout(spec, im)
+    # each sample's seed is its nearest other sample, the first of equals
+    distance = np.sum((x[None, :, :] - x[:, None, :]) ** 2, axis=-1)
+    np.fill_diagonal(distance, np.inf)
+    seeds = np.argmin(distance, axis=-1)
+    targets = np.empty((len(x), len(keep)))
+    held = np.empty((len(x), im.model.coord_count, x.shape[1] + 1))
 
     def image(ks):
         psi = [s.truncate(FRAME_ORDER) for s in psi_at(ks)]
-        y, coeffs = _map_values(spec, im, x[ks], psi), np.stack([s.c for s in psi])
-        return [(y[b], coeffs[..., b]) for b in range(len(ks))]
+        targets[ks] = _map_values(spec, im, x[ks], psi)
+        held[ks] = taylor.batch_first([s.c for s in psi])
+        return ks
 
     # the samples after the first one whose image fails cannot change the outcome
     images = taylor.column_results(image, np.arange(len(x)), first=True)
@@ -556,23 +558,17 @@ def _round_trip(spec, im, x, psi_at) -> float:
     worst = 0.0
     if images:
         kept = len(images)
-        targets = np.array([y for y, _ in images])
+        targets, held, seeds = targets[:kept], held[:kept], seeds[:kept]
         # a seed is another sample, whose image and psi start its local
-        # inverse; only a seed past the kept samples is evaluated
-        starts = [
-            (images[j][1], images[j][0] - targets[k]) if j < kept else None
-            for k, j in enumerate(seeds[:kept])
-        ]
-        late = [k for k, start in enumerate(starts) if start is None]
-        if late:
-            for k, res in zip(late, _inverse_residuals(spec, im, x[seeds[late]], targets[late])):
-                starts[k] = res
-        _, psis = _descend(spec, im, targets, x[seeds[:kept]], starts)
+        # inverse; if one is past the kept samples, the seeds are evaluated
+        if seeds.max() < kept:
+            starts = held[seeds], targets[seeds] - targets, {}
+        else:
+            starts = _inverse_residuals(spec, im, x[seeds], targets)
+        _, coeffs = _descend(spec, im, targets, x[seeds], *starts)
         # f is the denominator coordinate of psi at each recovered point
-        f_val = np.array([psi[idx, 0] for psi in psis])
-        ambient = _psi_f_at_model_point(spec, im, idx, targets, f_val)
-        psi0 = np.array([coeffs[:, 0] for _, coeffs in images])
-        deviation = np.max(np.abs(ambient - psi0), axis=-1)
+        ambient = _psi_f_at_model_point(spec, im, idx, targets, coeffs[:, idx, 0])
+        deviation = np.max(np.abs(ambient - held[..., 0]), axis=-1)
         # a NaN deviation is skipped, as Python's max skips it
         worst = float(np.fmax.reduce(deviation, initial=0.0))
     if error is not None:
@@ -587,11 +583,10 @@ def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float
     f is reconstructed at each image point as the denominator coordinate
     composed with a local inverse seeded from the nearest *other* sample, so
     the round trip genuinely exercises invertibility.  The samples' images
-    are evaluated as one batch, at order 1.  Each local inverse starts from
-    its seed's image, since the seed is another sample, and f at a
-    recovered point is the value of the psi of its last accepted step, so
-    nothing is evaluated twice.  A failure raises the error of the first
-    failing sample, as taking the samples one at a time would.
+    are evaluated as one batch, at order 1; each local inverse starts from
+    its seed's image, and f at a recovered point is the value of the psi of
+    its last accepted step.  A failure raises the error of the first failing
+    sample, as taking the samples one at a time would.
     """
     x = np.array([np.asarray(s, dtype=float) for s in samples])
     return _round_trip(spec, im, x, lambda ks: im.series(x[ks], 1))

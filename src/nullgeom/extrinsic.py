@@ -351,9 +351,10 @@ class ExtrinsicPoint:
         return self.shape_maps[name]
 
     def to_frame(self, a_chart: np.ndarray) -> np.ndarray:
-        """Rewrite a (1,1) chart-basis operator in the orthonormal frame."""
-        b = self.geo.onf
-        return np.linalg.solve(b, a_chart @ b)
+        """Rewrite a (1,1) chart-basis operator in the orthonormal frame b =
+        `geo.onf`: b^-1 A b, with b^-1 = L^T for the metric's Cholesky factor
+        L, so two stacked matmuls and no solve."""
+        return np.swapaxes(self.geo.cholesky, -1, -2) @ a_chart @ self.geo.onf
 
     def shape_numeric(self, name: str) -> np.ndarray:
         return self.to_frame(self.shape_chart(name))

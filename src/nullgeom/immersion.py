@@ -180,16 +180,17 @@ class ChartGeometry:
         self.g_inv0 = _stacked(np.linalg.inv, self._defect("is singular"), g0, refused=_singular)
 
     @classmethod
-    def gather(cls, parts) -> "ChartGeometry":
+    def gather(cls, parts, keys=None) -> "ChartGeometry":
         """The geometry of columns of evaluated geometries: `parts` lists
         (geometry, column index array) pairs, whose columns follow one
         another in that order.  Every quantity that all of them hold comes
-        along, the cached ones too, so nothing is evaluated again."""
+        along, the cached ones too, so nothing is evaluated again; with
+        `keys`, only those of the quantities named there."""
         held = [vars(geo) for geo, _ in parts]
         indices = [index for _, index in parts]
         out = cls.__new__(cls)
-        for key in held[0]:
-            if all(key in other for other in held[1:]):
+        for key in held[0] if keys is None else keys:
+            if all(key in h for h in held):
                 out.__dict__[key] = _gathered([h[key] for h in held], indices)
         return out
 
@@ -276,18 +277,20 @@ class ChartGeometry:
         return np.einsum("...jk,...jk->...", self.g_inv0, ric)
 
     @cached_property
+    def cholesky(self) -> np.ndarray:
+        """The lower Cholesky factor L of the metric, g = L L^T."""
+        return _stacked(np.linalg.cholesky, self._defect("has no Cholesky factor"), self.g0)
+
+    @cached_property
     def onf(self) -> np.ndarray:
         """Columns are g-orthonormal tangent frame vectors in chart components.
 
-        Cholesky of the metric, i.e. Gram-Schmidt on the coordinate basis.
+        b = L^-T for the Cholesky factor L of the metric (Gram-Schmidt on the
+        coordinate basis), so its inverse is L^T, with no solve.
         """
-        l = _stacked(np.linalg.cholesky, self._defect("has no Cholesky factor"), self.g0)
-        eye = np.broadcast_to(np.eye(self.dim), l.shape)
-        solved = _stacked(
-            np.linalg.solve, self._defect("has a singular Cholesky factor"), l, eye,
-            refused=_singular,
-        )
-        return np.swapaxes(solved, -1, -2)
+        inverse = _stacked(np.linalg.inv, self._defect("has a singular Cholesky factor"),
+                           self.cholesky, refused=_singular)
+        return np.swapaxes(inverse, -1, -2)
 
     # -- scalar fields on the chart --------------------------------------
 

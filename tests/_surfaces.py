@@ -53,6 +53,7 @@ __all__ = [
     "suite_samples",
     "refused_alone",
     "pullback_alone",
+    "gauss_newton_step_alone",
     "local_inverse_alone",
     "factorization_alone",
     "entry_inner",
@@ -423,10 +424,28 @@ def _map_values_alone(spec, im, x, psi):
     return y
 
 
-def local_inverse_alone(spec, im, target, seed, tol=1e-12, max_iter=60):
+def gauss_newton_step_alone(jac, r):
+    """The least-squares step of jac s = r (m, n) for one sample: the
+    normal equations (J^T J) s = J^T r, each sum over m left to right, or
+    where LU finds J^T J singular, lstsq's minimum-norm step, NaN for a
+    jacobian that is not finite.  The oracle of `conformal._steps`, in the
+    engine's scope of floating-point errors."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        jtj = sum(jac[a, :, None] * jac[a, None, :] for a in range(len(jac)))
+        jtr = sum(jac[a] * r[a] for a in range(len(jac)))
+    try:
+        return np.linalg.solve(jtj, jtr)
+    except np.linalg.LinAlgError:
+        if np.isfinite(jac).all():
+            return np.linalg.lstsq(jac, r, rcond=None)[0]
+        return np.full(jac.shape[1], np.nan)
+
+
+def local_inverse_alone(spec, im, target, seed, tol=1e-12, max_iter=60,
+                        step_alone=gauss_newton_step_alone):
     """Damped Gauss-Newton local inverse of the split map at one target, one
-    point and one trial at a time, each a batch of one: the oracle of
-    `conformal.local_inverse`."""
+    point and one trial at a time, each a batch of one, each step that
+    step_alone(jac, r) gives: the oracle of `conformal.local_inverse`."""
     x = np.asarray(seed, dtype=float).copy()
     target = np.asarray(target, dtype=float)
     psi = series_alone(im, x, 1, check_membership=False)
@@ -435,8 +454,10 @@ def local_inverse_alone(spec, im, target, seed, tol=1e-12, max_iter=60):
         if np.max(np.abs(r)) < tol:
             return x
         (jac,) = cf._map_jacobian(spec, im, psi)
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        base_norm = float(r @ r)
+        step = step_alone(jac, r)
+        if not np.isfinite(step).all():
+            raise cf.InverseError(f"no finite step at {tm.format_point(x)}")
+        base_norm = float(np.vecdot(r, r))
         damping = 1.0
         for _ in range(30):
             trial = x - damping * step
@@ -446,7 +467,7 @@ def local_inverse_alone(spec, im, target, seed, tol=1e-12, max_iter=60):
             except (tm.DomainError, nc.EmbeddingRangeError, cf.DegeneracyError):
                 damping *= 0.5
                 continue
-            if float(trial_r @ trial_r) < base_norm:
+            if float(np.vecdot(trial_r, trial_r)) < base_norm:
                 x, psi, r = trial, trial_psi, trial_r
                 break
             damping *= 0.5

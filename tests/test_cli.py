@@ -717,6 +717,45 @@ def test_grid_geometries_are_not_rebuilt(monkeypatch):
     assert len(calls) == 400
 
 
+def test_psi_checks_gather_only_what_they_read(monkeypatch):
+    # the factorization round trip and the de Sitter scale sign read the
+    # immersion, x and psi of their samples, and the gather brings only
+    # those; the appendix's gather brings every quantity the grid holds
+    held = {}
+    for name in ("factorization_at", "scale_sign_at", "curvature_check_at"):
+        def spy(*args, _real=getattr(conformal, name), _name=name):
+            held[_name] = set(vars(args[-1]))
+            return _real(*args)
+
+        monkeypatch.setattr(conformal, name, spy)
+    report = run(builtin_scenes()["ds-alpha1"])
+    assert report["exit_status"] == EXIT_PASS
+    assert held["factorization_at"] == held["scale_sign_at"] == set(conformal.PSI_KEYS)
+    assert {"g0", "g_inv0", "psi", "christoffel_series"} <= held["curvature_check_at"]
+
+
+def test_suites_make_no_per_matrix_lapack_calls(monkeypatch):
+    # over the built-in catalog, the shape operators reach the frame by
+    # matmuls and the local inverses take one stacked solve per round: no
+    # lstsq, and no solve outside the local inverse's steps
+    callers = []
+
+    def recorded(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            callers.append((name, sys._getframe(1).f_code.co_name))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, call)
+
+    recorded("lstsq")
+    recorded("solve")
+    for name, doc in sorted(builtin_scenes().items()):
+        assert run(doc)["exit_status"] == EXIT_PASS, name
+    assert callers and set(callers) == {("solve", "_steps")}
+
+
 def edge_scenes():
     """Built-in scenes changed so that their boxes reach rejection sites
     that no built-in grid reaches: a primitive's domain (sqrt and log of a
@@ -1076,7 +1115,9 @@ def test_inverse_error_gives_infinite_factorization(monkeypatch):
     # every trial point of the damped steps refused: the local inverse finds
     # no descent step, and the suite reports the round trip as Infinity
     def refused(spec, im, points, targets):
-        return [conformal.DegeneracyError("refused trial")] * len(points)
+        coeffs = np.full((len(points), im.model.coord_count, points.shape[1] + 1), np.nan)
+        errors = dict.fromkeys(range(len(points)), conformal.DegeneracyError("refused trial"))
+        return coeffs, np.full(targets.shape, np.nan), errors
 
     monkeypatch.setattr(conformal, "_inverse_residuals", refused)
     report = run(builtin_scenes()["mink-bowl"])
@@ -1084,6 +1125,27 @@ def test_inverse_error_gives_infinite_factorization(monkeypatch):
     assert suite["residuals"]["factorization"] == math.inf
     assert not suite["passed"] and report["exit_status"] == EXIT_SUITE_FAILURE
     assert '"factorization": Infinity' in emit_json(report)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_jacobian_gives_infinite_factorization(monkeypatch, value):
+    # a local inverse whose jacobians are not finite ends in its own
+    # InverseError, neither in a LinAlgError (lstsq on NaN) nor in a NaN
+    # step: the suite reports the round trip as Infinity and cli.run returns
+    real = conformal._map_jacobian
+
+    def non_finite(spec, im, psi):
+        jac = real(spec, im, psi)
+        if sys._getframe(1).f_code.co_name == "_descend":
+            jac[..., 0] = value
+        return jac
+
+    monkeypatch.setattr(conformal, "_map_jacobian", non_finite)
+    report = run(builtin_scenes()["mink-bowl"])
+    suite = report["suites"]["conformal"]
+    assert suite["residuals"]["factorization"] == math.inf
+    assert suite["residuals"]["factor"] < 1e-12
+    assert not suite["passed"] and report["exit_status"] == EXIT_SUITE_FAILURE
 
 
 def test_scene_wide_failures_are_rejected_point_by_point():

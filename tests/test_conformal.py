@@ -535,7 +535,7 @@ def test_stacked_local_inverse_matches_calls_alone(
 
     def spy(spec, im, points, targets):
         out = real(spec, im, points, targets)
-        if points.ndim == 2 and any(isinstance(r, Exception) for r in out):
+        if out[2]:  # some trial refused
             refused.append(len(points))
         return out
 
@@ -562,6 +562,79 @@ def test_stacked_local_inverse_raises_for_the_first_failing_sample(max_iter):
     assert stacked == alone
     expected = cf.InverseError if max_iter == 2 else tm.ChartDomainError
     assert stacked[1] is expected
+
+
+def _patched_jacobian(monkeypatch, column, value):
+    """Make `conformal._map_jacobian` set `column` of the jacobians of the
+    points with psi^1 > 0 to `value` (y_0 > 0 on the hyperbolic chart)."""
+    real = cf._map_jacobian
+
+    def patched(spec, im, psi):
+        jac = real(spec, im, psi)
+        jac[psi[1].val > 0.0, :, column] = value
+        return jac
+
+    monkeypatch.setattr(cf, "_map_jacobian", patched)
+
+
+# samples 0 and 2 lie at y_0 > 0, sample 1 at y_0 < 0; each seed is off its
+# target along y_0 only, so a step with no y_1 part can still converge
+SPLIT_XS = np.array([(0.4, -0.7), (-0.5, 0.3), (0.6, 0.4)])
+
+
+def _lstsq_step(jac, r):
+    return np.linalg.lstsq(jac, r, rcond=None)[0]
+
+
+def test_singular_normal_equations_take_the_minimum_norm_step(monkeypatch):
+    # with the y_1 column of J zeroed, J^T J is singular: that sample alone
+    # takes lstsq's minimum-norm step, every round, so it ends, to the bit,
+    # where a descent by lstsq steps (the local inverse before the normal
+    # equations) ends; the other sample keeps the stacked solve
+    im = minkowski_family(n=2)
+    spec = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
+    targets = np.array([cf.conformal_map(spec, im, x) for x in SPLIT_XS])
+    seeds = SPLIT_XS - (0.15, 0.0)
+    _patched_jacobian(monkeypatch, 1, 0.0)
+    solved = []
+    real_lstsq = np.linalg.lstsq
+
+    def lstsq(a, b, rcond=None):
+        solved.append(a.copy())
+        return real_lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    stacked = cf.local_inverse(spec, im, targets, seeds)
+    assert solved and all(np.all(a[:, 1] == 0.0) for a in solved)
+    monkeypatch.setattr(np.linalg, "lstsq", real_lstsq)
+    assert np.max(np.abs(stacked - SPLIT_XS)) < 1e-9
+    for k in (0, 2):
+        by_lstsq = local_inverse_alone(spec, im, targets[k], seeds[k], step_alone=_lstsq_step)
+        assert stacked[k].tobytes() == by_lstsq.tobytes()
+    alone = _outcome(_loop(local_inverse_alone), spec, im, targets, seeds)
+    assert alone == ("returned", stacked.tobytes())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2)])
+def test_non_finite_jacobian_is_its_samples_inverse_error(monkeypatch, value, order):
+    # a jacobian entry that is not finite neither raises LinAlgError (as
+    # lstsq did on NaN) nor gives a NaN step (as the stacked solve does): the
+    # sample ends in its own InverseError, which the stack raises when it is
+    # the first failing sample, as the loop of samples alone does
+    im = minkowski_family(n=2)
+    spec = ConformalMapSpec("lightcone_to_Hn", coordinate_index=3)
+    xs = SPLIT_XS[list(order)]
+    targets = np.array([cf.conformal_map(spec, im, x) for x in xs])
+    seeds = xs - (0.15, 0.1)
+    _patched_jacobian(monkeypatch, 0, value)
+    stacked = _outcome(cf.local_inverse, spec, im, targets, seeds)
+    assert stacked == _outcome(_loop(local_inverse_alone), spec, im, targets, seeds)
+    first = order.index(0)  # the first sample at y_0 > 0
+    assert stacked == ("raised", cf.InverseError, f"no finite step at {tm.format_point(seeds[first])}")
+    # the sample at y_0 < 0 still converges in a stack without the failing ones
+    ok = [order.index(1)]
+    assert np.max(np.abs(cf.local_inverse(spec, im, targets[ok], seeds[ok]) - xs[ok])) < 1e-9
 
 
 @pytest.mark.parametrize("bad,neighbor", [(0, None), (2, None), (5, None), (5, 1)])

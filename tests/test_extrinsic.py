@@ -470,6 +470,38 @@ def test_shape_dispatch_errors():
         point_alone(grw, x).shape_closed("bogus")[0]
 
 
+DENSE_GRID = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "dense-grid.json"
+
+
+def _scene_grids() -> dict:
+    with DENSE_GRID.open() as fh:
+        dense = {f"dense-{s['config']['name']}": s["config"] for s in json.load(fh)["scenes"]}
+    return {**builtin_scenes(), **dense}
+
+
+@pytest.mark.parametrize("name", sorted(_scene_grids()))
+def test_to_frame_matches_the_solve_on_scene_grids(name):
+    # b^-1 A b with b^-1 = L^T, the Cholesky factor behind onf, is the solve
+    # it replaced to 1e-15 relative, on every operator the shape suite
+    # rewrites at the evaluated points of the scene's grid; the numeric xi
+    # map is self-adjoint for g, so its frame form is symmetric to that bound
+    config = _scene_grids()[name]
+    scene = cli.parse_scene(config)
+    points = np.array([row["point"] for row in cli.run(config)["rows"]])
+    pt = tm.float_edges(ExtrinsicPoint)(scene.im, points)
+    b = pt.geo.onf
+    assert np.allclose(pt.geo.cholesky.swapaxes(-1, -2) @ b, np.eye(pt.n), rtol=0.0, atol=1e-15)
+    operators = [pt.shape_chart(normal) for normal in ("xi", "eta", "time_orthogonal")
+                 if normal != "time_orthogonal" or "time_orthogonal" in scene.selectors]
+    operators += [pt.shape_closed_chart(which) for which in scene.selectors]
+    for a in operators:
+        want = np.linalg.solve(b, a @ b)
+        assert np.all(np.abs(pt.to_frame(a) - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+    a_xi = pt.shape_numeric("xi")
+    asymmetry = np.abs(a_xi - a_xi.swapaxes(-1, -2))
+    assert np.all(asymmetry <= 1e-15 * np.maximum(1.0, np.abs(a_xi)))
+
+
 # ---------------------------------------------------------------------------
 # expansions, mean curvature, scalar curvature
 
