@@ -477,10 +477,10 @@ def _steps(jac, r) -> np.ndarray:
 
 def _descend(spec, im, targets, xs, coeffs, r, errors, tol=_INVERSE_TOL,
              max_iter=_INVERSE_MAX_ITER):
-    """`local_inverse` from the seeds xs (S, n), changed in place, with
-    their order-1 psi coefficients, residuals and typed errors as
-    `_inverse_residuals` gives them: (the recovered points, the psi
-    coefficients of each at its last accepted step)."""
+    """`local_inverse`, one stacked solve per round, from the seeds xs
+    (S, n), changed in place, whose order-1 psi coefficients, residuals and
+    typed errors are as `_inverse_residuals` gives them: (the recovered
+    points, the psi coefficients of each at its last accepted step)."""
     ctx = taylor.get_context(xs.shape[1], 1)
 
     def unconverged():
