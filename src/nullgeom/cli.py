@@ -23,31 +23,32 @@ are numbers or strings in x0..x{n-1} over the jet vocabulary.  Alternatively
 "domain" of per-axis bounds.  Every object rejects a key it does not know.
 
 "checks" lists suite names (frame, shape, expansions, trapped, conformal,
-appendix); "all" expands to every suite applicable to the scene's model and
-cone (`nullcone.CONE_RULES` holds the per-cone facts), and requesting an
-inapplicable suite by name is a configuration error.  When the conformal
-suite is requested, the grid pass evaluates the pullback identity of the
-split map for every row, from the chart geometry the row was built on, and
-flags the rows whose split-map image leaves the model space; the suite
-reads that per-row diagnostic for its first 40 evaluated points and drops
-the flagged ones.  The appendix checks the conformal curvature identities
-at up to five evaluated grid points, drawn without replacement by the
-scene's seed.  These sample checks ride the grid pass, which keeps the
-chart geometry of each evaluated batch (`Grid`): the factorization round
-trip reads psi at the first 6 sampled rows, and the de Sitter scale sign
-at all of them; the appendix reads its rows' columns of the geometry,
-curvature included, and takes the conformal scale from their psi.  Only
-the local inverse's trial points and the cylinder maps' exactness
-quadrature evaluate the immersion again.  The grid is
-evaluated on the calling thread as one batch through the one pipeline,
-which evaluates a single point as a batch of one, in chunks of
+appendix); "all" expands to every suite applicable to the scene's model
+and cone (`nullcone.CONE_RULES` holds the per-cone facts), and requesting
+an inapplicable suite by name is a configuration error.  When the
+conformal suite is requested, the grid pass evaluates the pullback
+identity of the split map for every row, from the chart geometry the row
+was built on, and flags the rows whose split-map image leaves the model
+space; the suite reads that diagnostic for its first 40 evaluated points
+and drops the flagged ones.  The grid pass keeps each suite diagnostic as
+one list over its rows, extended once per evaluated batch, and each suite
+reduces its lists with Python's `max` or `sum`.  The appendix checks the
+conformal curvature identities at up to five evaluated grid points, drawn
+without replacement by the scene's seed.  These sample checks ride the
+grid pass, which keeps the chart geometry of each evaluated batch
+(`Grid`): the factorization round trip reads psi at the first 6 sampled
+rows, and the de Sitter scale sign at all of them; the appendix reads its
+rows' columns of the geometry, curvature included, and takes the conformal
+scale from their psi.  Only the local inverse's trial points and the
+cylinder maps' exactness quadrature evaluate the immersion again.  The
+grid is evaluated on the calling thread as one batch through the one
+pipeline, which evaluates a single point as a batch of one, in chunks of
 `GRID_CHUNK` points only where it is larger (the bound on a batch's
-memory; every built-in grid fits in one).  A point the batch rejects
-keeps its column's typed error, and the others are evaluated again as one
-batch; no point is evaluated alone, and every point comes out exactly as
-it would in a batch of its own.  Rows and rejections
-are reported in grid order, so identical configurations produce
-byte-identical output.
+memory; every built-in grid fits in one).  A point the batch rejects keeps
+its column's typed error, and the others are evaluated again as one batch;
+no point is evaluated alone, and every point comes out exactly as it would
+in a batch of its own.  Rows and rejections are reported in grid order, so
+identical configurations produce byte-identical output.
 
 Reports are plain JSON (or CSV rows).  A float is spelled with 17
 significant digits (`format(v, ".17g")`), and a non-finite one as `NaN`,
@@ -216,7 +217,8 @@ def _parse_spacetime(doc) -> AmbientModel:
         if "params" in wdoc:
             if not isinstance(wdoc["params"], (list, tuple)):
                 raise ConfigError("spacetime.warping.params must be a list of numbers")
-            kwargs["params"] = tuple(wdoc["params"])
+            kwargs["params"] = tuple(_expect_number(v, f"spacetime.warping.params[{i}]")
+                                     for i, v in enumerate(wdoc["params"]))
         if "domain" in wdoc:
             kwargs["domain"] = _expect_interval(wdoc["domain"], "spacetime.warping.domain")
         if "expr" in wdoc:
@@ -225,10 +227,11 @@ def _parse_spacetime(doc) -> AmbientModel:
             warping = WarpingFunction(wdoc.get("kind"), **kwargs)
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"spacetime.warping: {err}") from None
+    t0 = doc.get("t0")
+    if t0 is not None:
+        t0 = _expect_number(t0, "spacetime.t0")
     try:
-        return AmbientModel(
-            kind, n, warping=warping, t0=doc.get("t0"), fiber=doc.get("fiber")
-        )
+        return AmbientModel(kind, n, warping=warping, t0=t0, fiber=doc.get("fiber"))
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"spacetime: {err}") from None
 
@@ -317,9 +320,10 @@ def _build_immersion(model: AmbientModel, cone: NullconeSpec, doc):
     def fn(xs, _fns=fns):
         return [f(xs) for f in _fns]
 
-    map_fn = SmoothMap(
-        fn, model.n, model.coord_count, doc.get("name", "chart"), domain=domain
-    )
+    name = doc.get("name", "chart")
+    if not isinstance(name, str):
+        raise ConfigError("immersion.name must be a string")
+    map_fn = SmoothMap(fn, model.n, model.coord_count, name, domain=domain)
     return Immersion(map_fn, model, cone), cone.rules.split
 
 
@@ -413,13 +417,11 @@ def _gauss_shift(model, cone) -> Optional[float]:
     return None if c is None else model.n * (model.n - 1) * c
 
 
-def _conformal_spec(model, variant, axes):
+def _conformal_spec(variant, axes):
     """The spec of the split map `variant`, None where there is none."""
     if variant is None:
         return None
-    if variant == "lightcone_to_Hn":
-        return ConformalMapSpec(variant, coordinate_index=model.coord_count - 1)
-    if variant == "desitter_to_Sn":
+    if variant in ("lightcone_to_Hn", "desitter_to_Sn"):
         return ConformalMapSpec(variant)
     base = tuple(float(0.5 * (ax[0] + ax[-1])) for ax in axes)
     return ConformalMapSpec(variant, base_point=base)
@@ -449,6 +451,8 @@ def parse_scene(doc, tol_overrides=None, seed=None, checks=None) -> Scene:
     odoc = doc.get("output")
     if odoc is not None:
         odoc = _expect_mapping(odoc, "output", ("path", "format"))
+        if not isinstance(odoc.get("path"), (str, type(None))):
+            raise ConfigError("output.path must be a string")
         if odoc.get("format", "json") not in ("json", "csv"):
             raise ConfigError("output.format must be json or csv")
     echo = {
@@ -471,7 +475,7 @@ def parse_scene(doc, tol_overrides=None, seed=None, checks=None) -> Scene:
         checks=resolved,
         selectors=closed_forms(model, cone),
         gauss_shift=_gauss_shift(model, cone),
-        cspec=_conformal_spec(model, split, axes),
+        cspec=_conformal_spec(split, axes),
         tolerances=tolerances,
         expect=expect,
         seed=seed,
@@ -527,47 +531,30 @@ def _trapped_mismatch(pt: ExtrinsicPoint, rep, tolerances):
 
 @taylor.float_edges
 def _evaluate(scene: Scene, x) -> list:
-    """(row, diag, the batch's chart geometry) for each point of a batch x
-    (B, n); raises `BatchRejected` for the points the pipeline refuses.
-    The grid pass's one floating-point scope."""
+    """(row, the batch's (diag, chart geometry)) for each point of a batch
+    x (B, n), the diag holding one list per diagnostic over the batch;
+    raises `BatchRejected` for the points the pipeline refuses.  The grid
+    pass's one floating-point scope."""
     pt = ExtrinsicPoint(scene.im, x)
     rep = pt.report(scene.tolerances["trapped_eps"])
-    residuals, expansion = {}, {}
+    diag = {}
     if "frame" in scene.checks:
-        residuals["frame"] = pt.frame_residual()
+        diag["frame"] = pt.frame_residual()
     if "shape" in scene.checks:
-        residuals["shape"] = _shape_residual(pt, scene.selectors)
+        diag["shape"] = _shape_residual(pt, scene.selectors)
     if "trapped" in scene.checks:
-        residuals["trapped"] = _trapped_mismatch(pt, rep, scene.tolerances)
+        diag["trapped"] = _trapped_mismatch(pt, rep, scene.tolerances)
     if "expansions" in scene.checks:
-        expansion = _expansion_residuals(pt, rep, scene.gauss_shift)
+        diag.update(_expansion_residuals(pt, rep, scene.gauss_shift))
     if "conformal" in scene.checks:
-        deviation, spd, on_model = conformal.pullback_columns(scene.cspec, pt.geo)
+        pullback = conformal.pullback_columns(scene.cspec, pt.geo)
+        diag.update(zip(("deviation", "spd", "on_model"), pullback))
     # one tolist per field, then one dict per point in the field order
     columns = {"point": x.tolist()}
     columns.update((key, getattr(rep, key).tolist()) for key in ROW_FIELDS)
     columns["trapped_class"] = rep.trapped_class.tolist()
-    diag_columns = {name: v.tolist() for name, v in residuals.items()}
-    if expansion:
-        diag_columns["expansions"] = _records(
-            {key: v.tolist() for key, v in expansion.items()}, len(x))
-    if "conformal" in scene.checks:
-        # (deviation, spd) of the pullback identity, None off the model space
-        diag_columns["conformal"] = [
-            (d, s) if on else None
-            for d, s, on in zip(deviation.tolist(), spd.tolist(), on_model.tolist())
-        ]
-    records = zip(_records(columns, len(x)), _records(diag_columns, len(x)))
-    return [(row, diag, pt.geo) for row, diag in records]
-
-
-def _records(columns: dict, count: int) -> list:
-    """The `count` dicts of per-point values `columns` holds as one list per
-    key, each dict in the key order of `columns`."""
-    if not columns:
-        return [{} for _ in range(count)]
-    keys = tuple(columns)
-    return [dict(zip(keys, values)) for values in zip(*columns.values())]
+    batch = ({name: v.tolist() for name, v in diag.items()}, pt.geo)
+    return [(dict(zip(columns, values)), batch) for values in zip(*columns.values())]
 
 
 def _rejection(point, err) -> dict:
@@ -589,12 +576,13 @@ def _rejection(point, err) -> dict:
 
 @dataclass
 class Grid:
-    """The grid pass of a scene: its rows, their diags and its rejections in
-    grid order, and the chart geometry of each evaluated batch with the
-    index of its first row, since a batch's columns are consecutive rows."""
+    """The grid pass of a scene: its rows and rejections in grid order, its
+    diagnostics as one list per name over the rows, and the chart geometry
+    of each evaluated batch with the index of its first row, since a
+    batch's columns are consecutive rows."""
 
     rows: list
-    diags: list
+    diag: dict
     rejections: list
     batches: list
 
@@ -615,18 +603,19 @@ def _evaluate_grid(scene: Scene) -> Grid:
     rejects keeps its column's typed error, and the rest are evaluated
     again as a batch."""
     points = np.array(list(itertools.product(*scene.axes)), dtype=float)
-    grid = Grid([], [], [], [])
+    grid = Grid([], {}, [], [])
     for start in range(0, len(points), GRID_CHUNK):
         chunk = points[start:start + GRID_CHUNK]
         for x, result in zip(chunk, column_results(lambda xs: _evaluate(scene, xs), chunk)):
             if isinstance(result, Exception):
                 grid.rejections.append(_rejection(x, result))
                 continue
-            row, diag, geo = result
+            row, (diag, geo) = result
             if not grid.batches or grid.batches[-1][1] is not geo:
                 grid.batches.append((len(grid.rows), geo))
+                for name, values in diag.items():
+                    grid.diag.setdefault(name, []).extend(values)
             grid.rows.append(row)
-            grid.diags.append(diag)
     return grid
 
 
@@ -640,7 +629,7 @@ def _require_rows(rows, name):
 
 def _suite_frame(scene, grid):
     _require_rows(grid.rows, "frame")
-    worst = max(d["frame"] for d in grid.diags)
+    worst = max(grid.diag["frame"])
     return {
         "passed": worst < scene.tolerances["frame"],
         "residuals": {"frame": worst},
@@ -650,7 +639,7 @@ def _suite_frame(scene, grid):
 
 def _suite_shape(scene, grid):
     _require_rows(grid.rows, "shape")
-    worst = max(d["shape"] for d in grid.diags)
+    worst = max(grid.diag["shape"])
     return {
         "passed": worst < scene.tolerances["shape"],
         "residuals": {"shape": worst, "branches": float(len(scene.selectors))},
@@ -661,11 +650,11 @@ def _suite_shape(scene, grid):
 def _suite_expansions(scene, grid):
     rows = grid.rows
     _require_rows(rows, "expansions")
-    identity = max(d["expansions"]["identity"] for d in grid.diags)
+    identity = max(grid.diag["identity"])
     residuals = {"identity": identity}
     passed = identity < scene.tolerances["expansions"]
     if scene.gauss_shift is not None:
-        gauss = max(d["expansions"]["gauss"] for d in grid.diags)
+        gauss = max(grid.diag["gauss"])
         residuals["gauss"] = gauss
         passed = passed and gauss < scene.tolerances["gauss"]
     if scene.expect:
@@ -684,7 +673,7 @@ def _suite_expansions(scene, grid):
 
 def _suite_trapped(scene, grid):
     _require_rows(grid.rows, "trapped")
-    mismatches = sum(d["trapped"] for d in grid.diags)
+    mismatches = sum(grid.diag["trapped"])
     fraction = mismatches / len(grid.rows)
     return {
         "passed": fraction == 0.0,
@@ -695,17 +684,13 @@ def _suite_trapped(scene, grid):
 
 def _suite_conformal(scene, grid):
     _require_rows(grid.rows, "conformal")
-    spec = scene.cspec
-    evaluable, factor, spd_failures = [], 0.0, 0.0
-    for i, d in enumerate(grid.diags[:_CONFORMAL_SAMPLE_CAP]):
-        if d["conformal"] is None:
-            continue  # the image left the model space: not a sample
-        deviation, spd = d["conformal"]
-        evaluable.append(i)
-        factor = max(factor, deviation)
-        spd_failures += 0.0 if spd else 1.0
+    spec, diag = scene.cspec, grid.diag
+    # a row whose image left the model space is not a sample
+    evaluable = [i for i, on in enumerate(diag["on_model"][:_CONFORMAL_SAMPLE_CAP]) if on]
     if not evaluable:
         raise SuiteUnevaluable("the split map is degenerate at every sampled point")
+    factor = max([0.0] + [diag["deviation"][i] for i in evaluable])
+    spd_failures = float(sum(not diag["spd"][i] for i in evaluable))
     tols = scene.tolerances
     residuals = {"factor": factor, "pullback_spd_failures": spd_failures}
     passed = factor < tols["factor"] and spd_failures == 0.0

@@ -14,14 +14,14 @@ The pullback identity reads an evaluated chart geometry of a batch, and
 flags the columns whose image leaves the model space instead of raising
 for them; it is the one check of the conformal factor.  Each sample check
 (factorization round trip, de Sitter scale sign, curvature identities) is
-one routine over its samples' psi or chart geometry.  The public check
-evaluates its samples as one batch and calls it; the suites call it
+one routine over its samples' psi or chart geometry.  The suites call it
 (`factorization_at`, `scale_sign_at`, `curvature_check_at`) on columns of
 the chart geometry the grid pass evaluated, so their samples are not
-evaluated again.  Where a sample is refused, the samples before the first
-failing one are taken again as a batch, and that sample raises the typed
-error its column carries.  The identities are array arithmetic over the
-samples.
+evaluated again; the public round trip and curvature checks evaluate
+their samples as one batch and call it.  Where a sample is refused, the
+samples before the first failing one are taken again as a batch, and that
+sample raises the typed error its column carries.  The identities are
+array arithmetic over the samples.
 The factorization round trip runs its samples' local inverses in lockstep
 as array code: each round's jacobians are one batch and their steps one
 stacked solve, and each damping halving's trial points are one batch.  A
@@ -58,12 +58,9 @@ __all__ = [
     "ConformalMapSpec",
     "conformal_map",
     "factor_field",
-    "primitive_g",
     "exactness_residual",
     "pullback_columns",
-    "desitter_r_sign",
     "scale_sign_at",
-    "local_inverse",
     "factorization_check",
     "factorization_at",
     "sectional_curvatures",
@@ -101,24 +98,17 @@ class InverseError(RuntimeError):
 class ConformalMapSpec:
     """Which split map to apply and how it is anchored.
 
-    `coordinate_index` picks the ambient coordinate playing the denominator
-    for the lightcone variant (any spacelike index); the cylinder and de
-    Sitter variants have canonical denominators and ignore it.  `base_point`
-    anchors the primitive g of dw/u at zero for the cylinder variants.
+    Every variant has a canonical denominator (`_split_layout`).
+    `base_point` anchors the primitive g of dw/u at zero for the cylinder
+    variants.
     """
 
     variant: str
-    coordinate_index: Optional[int] = None
     base_point: Optional[tuple] = None
 
     def __post_init__(self):
         if self.variant not in MAP_VARIANTS:
             raise ValueError(f"unknown split-map variant {self.variant!r}")
-        if self.variant == "lightcone_to_Hn":
-            if self.coordinate_index is None:
-                raise ValueError("lightcone_to_Hn needs a coordinate_index")
-            if self.coordinate_index < 1:
-                raise ValueError("the denominator must be a spacelike coordinate")
         if self.primitive and self.base_point is None:
             raise ValueError(f"{self.variant} needs a base_point for the primitive")
 
@@ -145,10 +135,8 @@ def _split_layout(spec: ConformalMapSpec, im: Immersion):
     """
     m = im.model.coord_count
     if spec.variant == "lightcone_to_Hn":
-        i = spec.coordinate_index
-        if i >= m:
-            raise ValueError(f"coordinate_index {i} out of range for a {m}-coordinate model")
-        return i, [a for a in range(m) if a != i]
+        # the last coordinate, f of the graph psi_f = (f p, f)
+        return m - 1, list(range(m - 1))
     if spec.variant == "cylinder_to_HxR":
         # the last cone-block coordinate, before the line factor
         return m - 2, list(range(m - 2))
@@ -238,15 +226,6 @@ def _primitive(spec: ConformalMapSpec, im: Immersion, x) -> np.ndarray:
         first = {leg // n: e for leg, e in sorted(err.errors.items(), reverse=True)}
         raise taylor.BatchRejected(dict(sorted(first.items()))) from None
     return sum(vals.reshape(-1, n).T)
-
-
-def primitive_g(spec: ConformalMapSpec, im: Immersion, x) -> float:
-    """The primitive of dw/u along axis-parallel segments from the anchor, at
-    one chart point (a batch of one: a refused point raises its typed
-    error); it vanishes at the spec's base point, and exactness of dw/u
-    makes it path-independent."""
-    (g,) = taylor.per_sample(lambda xs: _primitive(spec, im, xs), [x])
-    return float(g)
 
 
 def exactness_residual(spec: ConformalMapSpec, im: Immersion, axes, bounds) -> float:
@@ -372,15 +351,20 @@ def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry):
     return deviation, spd, on_model
 
 
-def _scale_sign(im: Immersion, x, psi_at) -> float:
-    """`desitter_r_sign` at the chart points x (S, n), psi_at(ks) giving psi
-    at the points ks."""
-    cone = im.target_cone
+@taylor.float_edges
+def scale_sign_at(geo: ChartGeometry) -> float:
+    """Common sign of the de Sitter scale R at the columns of an evaluated
+    immersion geometry, read from its psi values.
+
+    Raises when R changes sign or nearly vanishes, which would mean the
+    immersion straddles the two components of a split plane section.
+    """
+    cone, x = geo.immersion.target_cone, geo.x
     if cone is None or cone.variant != "desitter_alpha":
         raise ValueError("sign coherence applies to de Sitter plane sections")
 
     def scale(ks):
-        r = cone.scale(psi_at(ks)[0].val)
+        r = cone.scale(geo.psi[0].columns(ks).val)
         _reject_floored(r, lambda at: (
             f"scale R = {at(r):.3e} vanishes at {format_point(at(x[ks]))}"))
         return r.tolist()
@@ -389,23 +373,6 @@ def _scale_sign(im: Immersion, x, psi_at) -> float:
     if len(signs) != 1:
         raise DegeneracyError("scale R changes sign across the samples")
     return signs.pop()
-
-
-def desitter_r_sign(im: Immersion, samples) -> float:
-    """Common sign of the de Sitter scale R along the samples.
-
-    Raises when R changes sign or nearly vanishes, which would mean the
-    immersion straddles the two components of a split plane section.
-    """
-    x = np.array(list(samples), dtype=np.float64)
-    return _scale_sign(im, x, lambda ks: im.series(x[ks], 0, check_membership=False))
-
-
-@taylor.float_edges
-def scale_sign_at(geo: ChartGeometry) -> float:
-    """`desitter_r_sign` at the columns of an evaluated immersion geometry,
-    read from its psi values."""
-    return _scale_sign(geo.immersion, geo.x, lambda ks: [geo.psi[0].columns(ks)])
 
 
 # -- factorization ------------------------------------------------------------
@@ -437,26 +404,6 @@ def _inverse_residuals(spec, im, points, targets):
     return coeffs, r, errors
 
 
-@taylor.float_edges
-def local_inverse(spec: ConformalMapSpec, im: Immersion, targets: np.ndarray, seeds,
-                  tol: float = _INVERSE_TOL, max_iter: int = _INVERSE_MAX_ITER) -> np.ndarray:
-    """The chart points (S, n) mapping to the stacked targets (S, m) under
-    the split map, seeded from the stacked seeds (S, n).
-
-    Damped Gauss-Newton on the forward map, overdetermined by the model
-    constraint: each step solves the normal equations (J^T J) s = J^T r.
-    The stack iterates in lockstep, each round's jacobians one batch and
-    their steps one stacked solve, each damping halving's trial points one
-    batch; norms, damping and iteration limits are per sample, so every
-    sample takes the steps it takes alone, and the stack raises the error
-    of its first failing sample.
-    """
-    targets = np.asarray(targets, dtype=float)
-    xs = np.array(seeds, dtype=float)
-    return _descend(spec, im, targets, xs, *_inverse_residuals(spec, im, xs, targets),
-                    tol, max_iter)[0]
-
-
 def _steps(jac, r) -> np.ndarray:
     """The Gauss-Newton steps of stacked jacobians (S, m, n) and residuals
     (S, m): one stacked solve of the normal equations (J^T J) s = J^T r,
@@ -477,10 +424,19 @@ def _steps(jac, r) -> np.ndarray:
 
 def _descend(spec, im, targets, xs, coeffs, r, errors, tol=_INVERSE_TOL,
              max_iter=_INVERSE_MAX_ITER):
-    """`local_inverse`, one stacked solve per round, from the seeds xs
-    (S, n), changed in place, whose order-1 psi coefficients, residuals and
-    typed errors are as `_inverse_residuals` gives them: (the recovered
-    points, the psi coefficients of each at its last accepted step)."""
+    """The local inverses of the split map at the stacked targets (S, m),
+    from the seeds xs (S, n), changed in place, whose order-1 psi
+    coefficients, residuals and typed errors are as `_inverse_residuals`
+    gives them: (the recovered points, the psi coefficients of each at its
+    last accepted step).
+
+    Damped Gauss-Newton on the forward map, overdetermined by the model
+    constraint: each step solves the normal equations (J^T J) s = J^T r.
+    The stack iterates in lockstep, each round's jacobians one batch and
+    their steps one stacked solve, each damping halving's trial points one
+    batch; norms, damping and iteration limits are per sample, so every
+    sample takes the steps it takes alone, and the stack raises the error
+    of its first failing sample."""
     ctx = taylor.get_context(xs.shape[1], 1)
 
     def unconverged():

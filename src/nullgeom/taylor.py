@@ -246,7 +246,7 @@ class JetContext:
     """
 
     __slots__ = (
-        "n", "order", "alphas", "index", "n_terms", "factorials",
+        "n", "order", "alphas", "index", "n_terms",
         "mul_ti", "mul_tj", "mul_tk", "deriv_src", "deriv_fac",
         "first", "second", "second_fac", "_slots",
     )
@@ -268,9 +268,6 @@ class JetContext:
         self.alphas = tuple(alphas)
         self.index = {a: i for i, a in enumerate(alphas)}
         self.n_terms = len(alphas)
-        self.factorials = np.array(
-            [math.prod(math.factorial(k) for k in a) for a in alphas], dtype=np.float64
-        )
         ti, tj, tk = [], [], []
         for i, ai in enumerate(alphas):
             di = sum(ai)
@@ -468,19 +465,13 @@ class Series:
         ctx = get_context(self.ctx.n, order)
         return Series(ctx, self.c[:ctx.n_terms], self.shape)
 
-    def derivative(self, v: int) -> "Series":
-        """Series of the partial derivative along variable v.
+    def gradient(self) -> "Series":
+        """The partial derivatives along every variable, on a new first
+        component axis.
 
-        The top-degree coefficients of the result are not determined by a
+        The top-degree coefficients of each are not determined by a
         truncated expansion and are set to zero.
         """
-        ctx = self.ctx
-        fac = ctx.deriv_fac[v].reshape((-1,) + (1,) * (self.c.ndim - 1))
-        return Series(ctx, self.c.take(ctx.deriv_src[v], axis=0) * fac, self.shape)
-
-    def gradient(self) -> "Series":
-        """The partial derivatives along every variable, as `derivative`
-        gives them, on a new first component axis."""
         ctx = self.ctx
         fac = ctx.deriv_fac.T.reshape(ctx.deriv_fac.T.shape + (1,) * (self.c.ndim - 1))
         c = self.c.take(ctx.deriv_src.T, axis=0) * fac

@@ -50,10 +50,12 @@ __all__ = [
     "emit_json_reference",
     "emit_csv_reference",
     "evaluate_alone",
+    "row_diags",
     "suite_samples",
     "refused_alone",
     "pullback_alone",
     "gauss_newton_step_alone",
+    "stacked_local_inverse",
     "local_inverse_alone",
     "factorization_alone",
     "entry_inner",
@@ -120,7 +122,7 @@ def pullback_metric_chart(chart_map: tm.SmoothMap, signs=None) -> MetricChart:
             ys = [ys]
         sg = signs if signs is not None else (1.0,) * len(ys)
         k = len(coords)
-        d = [[comp.derivative(i) for comp in ys] for i in range(k)]
+        d = [[comp.gradient()[i] for comp in ys] for i in range(k)]
         return [
             [
                 sum(s * a * b for s, a, b in zip(sg, d[i], d[j]))
@@ -343,10 +345,16 @@ def evaluate_alone(scene, x):
     batch of one: the oracle of the batched grid pass."""
     x = np.asarray(x, dtype=float)
     try:
-        ((row, diag, _),) = tm.per_sample(lambda xs: cli._evaluate(scene, xs), [x])
+        ((row, (diag, _)),) = tm.per_sample(lambda xs: cli._evaluate(scene, xs), [x])
     except Exception as err:  # a typed rejection, or raised again
         return "rejected", cli._rejection(x, err), None
-    return "row", row, diag
+    return "row", row, {name: v for name, (v,) in diag.items()}
+
+
+def row_diags(grid):
+    """The diagnostics of each row of a grid pass, one dict per row as
+    `evaluate_alone` gives them."""
+    return [{name: v[i] for name, v in grid.diag.items()} for i in range(len(grid.rows))]
 
 
 def suite_samples(scene, seed):
@@ -357,8 +365,8 @@ def suite_samples(scene, seed):
     grid = cli._evaluate_grid(scene)
     points = [np.array(row["point"]) for row in grid.rows]
     on_model = [
-        x for x, diag in zip(points[:cli._CONFORMAL_SAMPLE_CAP], grid.diags)
-        if diag.get("conformal") is not None
+        x for x, on in zip(points[:cli._CONFORMAL_SAMPLE_CAP], grid.diag.get("on_model", []))
+        if on
     ]
     count = min(cli._APPENDIX_SAMPLES, len(points))
     picks = np.random.default_rng(seed).choice(len(points), size=count, replace=False)
@@ -397,10 +405,10 @@ def pullback_alone(spec, geo, expected_factor=None):
     if not on_model:
         raise cf.DegeneracyError(f"split-map image {np.asarray(y)} left the model space")
     n = len(x)
-    jac = np.array([[(psi[a] / denom).derivative(i).val[0] for i in range(n)] for a in keep])
+    jac = np.array([[(psi[a] / denom).gradient()[i].val[0] for i in range(n)] for a in keep])
     if spec.primitive:
         w = psi[-1]
-        jac = np.vstack([jac, np.array([w.derivative(i).val[0] for i in range(n)]) / d])
+        jac = np.vstack([jac, np.array([w.gradient()[i].val[0] for i in range(n)]) / d])
     signs = np.ones(jac.shape[0])
     if spec.hyperbolic:
         signs[0] = -1.0
@@ -420,7 +428,7 @@ def _map_values_alone(spec, im, x, psi):
     if not on_model:
         raise cf.DegeneracyError(f"split-map image {y} left the model space")
     if spec.primitive:
-        return np.concatenate([y, [cf.primitive_g(spec, im, x)]])
+        return np.concatenate([y, tm.per_sample(lambda xs: cf._primitive(spec, im, xs), [x])])
     return y
 
 
@@ -441,11 +449,23 @@ def gauss_newton_step_alone(jac, r):
         return np.full(jac.shape[1], np.nan)
 
 
+@tm.float_edges
+def stacked_local_inverse(spec, im, targets, seeds, max_iter=60):
+    """The local inverses of the split map at the stacked targets (S, m)
+    from the stacked seeds (S, n), as the factorization round trip runs
+    them: `conformal._inverse_residuals` of the seeds, then
+    `conformal._descend`, in the engine's floating-point scope."""
+    targets = np.asarray(targets, dtype=float)
+    xs = np.array(seeds, dtype=float)
+    start = cf._inverse_residuals(spec, im, xs, targets)
+    return cf._descend(spec, im, targets, xs, *start, max_iter=max_iter)[0]
+
+
 def local_inverse_alone(spec, im, target, seed, tol=1e-12, max_iter=60,
                         step_alone=gauss_newton_step_alone):
     """Damped Gauss-Newton local inverse of the split map at one target, one
     point and one trial at a time, each a batch of one, each step that
-    step_alone(jac, r) gives: the oracle of `conformal.local_inverse`."""
+    step_alone(jac, r) gives: the oracle of `stacked_local_inverse`."""
     x = np.asarray(seed, dtype=float).copy()
     target = np.asarray(target, dtype=float)
     psi = series_alone(im, x, 1, check_membership=False)
@@ -521,7 +541,7 @@ def entry_pullback(im, psi, f2, order=imm.METRIC_ORDER):
     """The induced metric [i][j] and d_i psi^a as nested lists of Series of
     `order`, from the order-3 psi and f2 of `order`."""
     n = im.dim
-    dpsi = [[comp.derivative(i).truncate(order) for comp in psi] for i in range(n)]
+    dpsi = [[comp.gradient()[i].truncate(order) for comp in psi] for i in range(n)]
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -567,7 +587,7 @@ def entry_christoffel(g, ginv, order=imm.FRAME_ORDER):
     entries and the inverse metric of `order`."""
     n = len(g)
     dg = [
-        [[g[i][j].derivative(k).truncate(order) for j in range(n)] for i in range(n)]
+        [[g[i][j].gradient()[k].truncate(order) for j in range(n)] for i in range(n)]
         for k in range(n)
     ]
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]

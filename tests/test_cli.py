@@ -39,6 +39,7 @@ from _surfaces import (
     emit_json_reference,
     evaluate_alone,
     geometry_alone,
+    row_diags,
     suite_samples,
 )
 
@@ -219,6 +220,35 @@ def test_malformed_pairs_and_params_are_config_errors(where, value, tmp_path, ca
     path.write_text(json.dumps(doc))
     assert cli.main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
     assert "config error" in capsys.readouterr().err
+
+
+def untyped_doc(where):
+    """A small configuration whose value at `where` has the wrong type, one
+    that a float(), str() or Path() of it would take."""
+    if where == "immersion.name":
+        doc = copy.deepcopy(OFF_CONE_DOC)
+        doc["immersion"]["name"] = 3
+        return doc
+    doc = small(builtin_scenes()["grw-exp"])
+    if where == "spacetime.t0":
+        doc["spacetime"]["t0"] = "0.1"
+    elif where == "output.path":
+        doc["output"] = {"path": 3}
+    else:
+        with_warping(doc, {"kind": "constant", "params": [True]})
+    return doc
+
+
+@pytest.mark.parametrize(
+    "where", ["spacetime.t0", "spacetime.warping.params", "immersion.name", "output.path"]
+)
+def test_untyped_config_values_exit_as_config_errors(where, tmp_path, capsys):
+    # refused while the configuration is parsed, before any grid point is
+    # evaluated: output.path was a TypeError traceback from the writer
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(untyped_doc(where)))
+    assert cli.main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert f"config error: {where}" in capsys.readouterr().err
 
 
 def test_inapplicable_suite_rejected():
@@ -470,7 +500,7 @@ def test_float_overflow_is_a_chart_singularity(tmp_path, capsys):
     assert all(reasons[(1.5, y)] == "chart_singularity" for y in (-1.5, 0.0, 1.5))
     # the batch gives every point what evaluating it alone gives
     grid = cli._evaluate_grid(scene)
-    rows, diags, rejections = grid.rows, grid.diags, grid.rejections
+    rows, diags, rejections = grid.rows, row_diags(grid), grid.rejections
     got_rows, got_rejections = iter(zip(rows, diags)), iter(rejections)
     for x in itertools.product(*scene.axes):
         kind, payload, diag = evaluate_alone(scene, x)
@@ -802,15 +832,15 @@ def test_batched_grid_matches_points_alone(data):
     scene.axes = [np.array(first), np.array(second)]
     with mock.patch.object(cli, "GRID_CHUNK", chunk):
         grid = cli._evaluate_grid(scene)
-    rows, diags, rejections = grid.rows, grid.diags, grid.rejections
+    rows, diags, rejections = grid.rows, row_diags(grid), grid.rejections
     got_rows, got_rejections = iter(zip(rows, diags)), iter(rejections)
     for x in itertools.product(*scene.axes):
         kind, payload, diag = evaluate_alone(scene, x)
         if kind == "row":
             row, got = next(got_rows)
             assert repr(row) == repr(payload)
-            # the per-row diag, the conformal pullback (deviation, spd) included
-            assert ("conformal" in got) == ("conformal" in scene.checks)
+            # each row's diagnostics, the conformal pullback's included
+            assert ("on_model" in got) == ("conformal" in scene.checks)
             assert repr(got) == repr(diag)
         else:
             got = next(got_rejections)
@@ -840,10 +870,14 @@ def test_columns_do_not_interact_across_product_blocks():
     points[500] = (1e155, 0.3)  # x0**2 overflows: sqrt refuses the column
     results = taylor.column_results(lambda xs: cli._evaluate(scene, xs), points)
     assert [b for b, r in enumerate(results) if isinstance(r, Exception)] == [500]
+    # the kept columns share the diag lists of the batch that evaluated them
+    kept = iter(range(len(points)))
     for x, got in zip(points, results):
         kind, payload, diag = evaluate_alone(scene, x)
         if kind == "row":
-            assert repr(got[:2]) == repr((payload, diag))
+            row, (diags, _) = got
+            i = next(kept)
+            assert repr((row, {name: v[i] for name, v in diags.items()})) == repr((payload, diag))
         else:
             assert cli._rejection(x, got) == payload
 
@@ -996,7 +1030,8 @@ def test_sample_checks_read_the_grid_as_the_public_checks_evaluate():
                 seen.add("appendix")
             residuals = report["suites"]["conformal"]["residuals"]
             if scene.cspec.variant == "desitter_to_Sn":
-                sign = _outcome(conformal.desitter_r_sign, scene.im, evaluable)
+                geo = immersion.chart_geometry(scene.im, np.array(evaluable), check_membership=False)
+                sign = _outcome(conformal.scale_sign_at, geo)
                 assert residuals["scale_sign"] == (1.0 if isinstance(sign, tuple) else 0.0)
                 seen.add("scale_sign")
             if not scene.cspec.primitive:

@@ -265,7 +265,7 @@ def test_metric_compatibility():
         for k in range(n):
             dg = np.array(
                 [
-                    [geo.g_series[i][j].derivative(k).val[0] for j in range(n)]
+                    [geo.g_series[i][j].gradient()[k].val[0] for j in range(n)]
                     for i in range(n)
                 ]
             )
@@ -317,7 +317,7 @@ def test_christoffel_matches_fd_oracle():
                 fn = lambda ys, i=i, j=j: geometry_alone(im, ys).g0[0, i, j]
                 e_k = tuple(1 if a == k else 0 for a in range(2))
                 fd = fd_derivative(fn, x, e_k, scheme)
-                assert abs(geo.g_series[i][j].derivative(k).val[0] - fd) < 1e-6
+                assert abs(geo.g_series[i][j].gradient()[k].val[0] - fd) < 1e-6
 
 
 def test_hxr_surface_metric():

@@ -475,8 +475,8 @@ def test_radial_hessian_factor_against_jets():
         factor = st.radial_tangential_factor(m, r.val)[0]
         quad_sign = 1.0 if fiber == "sphere" else -1.0
         for j in range(3):
-            V = np.array([c.derivative(j).val[0] for c in xs])
-            flat_d = np.array([c.derivative(j).val[0] for c in field])
+            V = np.array([c.gradient()[j].val[0] for c in xs])
+            flat_d = np.array([c.gradient()[j].val[0] for c in field])
             # remove the quadric-normal component (normal is the position)
             coef = float(np.sum(signs * flat_d * x0)) / quad_sign
             tangential = flat_d - coef * x0
