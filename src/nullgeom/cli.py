@@ -45,10 +45,15 @@ grid is evaluated on the calling thread as one batch through the one
 pipeline, which evaluates a single point as a batch of one, in chunks of
 `GRID_CHUNK` points only where it is larger (the bound on a batch's
 memory; every built-in grid fits in one).  A point the batch rejects keeps
-its column's typed error, and the others are evaluated again as one batch;
-no point is evaluated alone, and every point comes out exactly as it would
-in a batch of its own.  Rows and rejections are reported in grid order, so
-identical configurations produce byte-identical output.
+its column's typed error and is dropped where it is found: the chart
+geometry of a chunk is evaluated once (`immersion.geometry_columns`, where
+a check of evaluated values selects the other columns and only a refusal
+inside the chart map runs the map again), and a refusal in the extrinsic
+stages runs those stages alone again, on the gathered geometry of the
+other points.  No point is evaluated alone, and every point comes out
+exactly as it would in a batch of its own.  Rows and rejections are
+reported in grid order, so identical configurations produce byte-identical
+output.
 
 Reports are plain JSON (or CSV rows).  A float is spelled with 17
 significant digits (`format(v, ".17g")`), and a non-finite one as `NaN`,
@@ -80,7 +85,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import conformal, extrinsic, scenes, taylor
+from . import conformal, extrinsic, immersion, scenes, taylor
 from .conformal import ConformalMapSpec, DegeneracyError, InverseError
 from .extrinsic import (ROW_FIELDS, TRAPPED_CLASSES, ExtrinsicPoint, FrameDegeneracyError,
                         closed_forms)
@@ -529,13 +534,13 @@ def _trapped_mismatch(pt: ExtrinsicPoint, rep, tolerances):
     return np.where(ok, 0.0, 1.0)
 
 
-@taylor.float_edges
-def _evaluate(scene: Scene, x) -> list:
-    """(row, the batch's (diag, chart geometry)) for each point of a batch
-    x (B, n), the diag holding one list per diagnostic over the batch;
-    raises `BatchRejected` for the points the pipeline refuses.  The grid
-    pass's one floating-point scope."""
-    pt = ExtrinsicPoint(scene.im, x)
+def _evaluate(scene: Scene, geo: ChartGeometry) -> list:
+    """(row, the batch's (diag, chart geometry)) for each point of the
+    immersion's chart geometry geo of a batch, the diag holding one list per
+    diagnostic over the batch; raises `BatchRejected` for the points the
+    extrinsic stages refuse."""
+    pt = ExtrinsicPoint(geo)
+    x = geo.x
     rep = pt.report(scene.tolerances["trapped_eps"])
     diag = {}
     if "frame" in scene.checks:
@@ -598,15 +603,16 @@ class Grid:
         return ChartGeometry.gather(parts, keys)
 
 
+@taylor.float_edges
 def _evaluate_grid(scene: Scene) -> Grid:
-    """The grid pass, each chunk evaluated as one batch: a point the batch
-    rejects keeps its column's typed error, and the rest are evaluated
-    again as a batch."""
+    """The grid pass, its one floating-point scope: each chunk's chart
+    geometry is evaluated once, and the extrinsic stages run over its
+    columns as one batch (`_chunk_results`)."""
     points = np.array(list(itertools.product(*scene.axes)), dtype=float)
     grid = Grid([], {}, [], [])
     for start in range(0, len(points), GRID_CHUNK):
         chunk = points[start:start + GRID_CHUNK]
-        for x, result in zip(chunk, column_results(lambda xs: _evaluate(scene, xs), chunk)):
+        for x, result in zip(chunk, _chunk_results(scene, chunk)):
             if isinstance(result, Exception):
                 grid.rejections.append(_rejection(x, result))
                 continue
@@ -617,6 +623,27 @@ def _evaluate_grid(scene: Scene) -> Grid:
                     grid.diag.setdefault(name, []).extend(values)
             grid.rows.append(row)
     return grid
+
+
+def _chunk_results(scene: Scene, chunk) -> list:
+    """Each point's `_evaluate` result or typed error.  A point that the
+    chart geometry refuses is dropped where its check finds it
+    (`immersion.geometry_columns`); one that the extrinsic stages refuse
+    keeps its error, and those stages alone run again on the other columns,
+    from their gathered geometry."""
+    geo, errors = immersion.geometry_columns(scene.im, chunk)
+    out = [errors.get(b) for b in range(len(chunk))]
+    if geo is not None:
+        count = len(geo.x)
+
+        def stages(ks):
+            # the first evaluation takes every column, a later one fewer
+            return _evaluate(scene, geo if len(ks) == count else ChartGeometry.gather([(geo, ks)]))
+
+        kept = (b for b in range(len(chunk)) if b not in errors)
+        for b, result in zip(kept, column_results(stages, np.arange(count))):
+            out[b] = result
+    return out
 
 
 # -- suites -------------------------------------------------------------------

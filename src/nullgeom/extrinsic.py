@@ -269,23 +269,25 @@ def expansions(geo: ChartGeometry, a_xi, a_eta, ii, f2):
 
 
 class ExtrinsicPoint:
-    """All extrinsic data of an immersion at each point of a batch (B, n).
+    """All extrinsic data of an immersion at each point of a batch, from
+    the immersion's chart geometry `geo` of that batch.
 
-    The constructor runs the stages once, in pipeline order: chart
-    geometry, `height`, `null_frame`, the xi and eta `weingarten_map`s,
-    `second_fundamental_form` and `expansions`, and keeps every result as
-    a plain attribute, an array with a leading batch axis.  The
+    The constructor runs the stages once, in pipeline order: `height`,
+    `null_frame`, the xi and eta `weingarten_map`s, `second_fundamental_form`
+    and `expansions`, and keeps every result as a plain attribute, an array
+    with a leading batch axis.  The
     time-orthogonal Weingarten map, which only the shape checks read, is
     built on first request and kept.
     """
 
-    def __init__(self, im: Immersion, x):
-        if im.target_cone is None:
+    def __init__(self, geo: ChartGeometry):
+        im = geo.immersion
+        if im is None or im.target_cone is None:
             raise ValueError("extrinsic geometry needs an immersion with a target cone")
         self.im = im
         self.model = model = im.model
         self.cone = im.target_cone
-        self.geo = geo = chart_geometry(im, x)
+        self.geo = geo
         self.n = im.dim
         self.u, self.du, self.grad_u, self.grad_u_sq, hess = height(geo)
         self.laplacian_u = np.einsum("...ij,...ij->...", geo.g_inv0, hess)
@@ -472,6 +474,8 @@ def point_report(im: Immersion, x, eps: float = MARGINAL_EPS) -> ExtrinsicReport
     fields Python floats; a refused point raises its typed error."""
 
     # the report of the batch of one, whose (1,) fields are the point's
-    (rep,) = taylor.per_sample(lambda xs: [ExtrinsicPoint(im, xs).report(eps)], [x])
+    (rep,) = taylor.per_sample(
+        lambda xs: [ExtrinsicPoint(chart_geometry(im, xs)).report(eps)], [x]
+    )
     fields = (getattr(rep, key).item() for key in ROW_FIELDS)
     return ExtrinsicReport(rep.point[0], *fields, trapped_class=str(rep.trapped_class[0]))

@@ -26,11 +26,12 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import spacetime, taylor
 from .nullcone import NullconeSpec, require_on_cone
 from .spacetime import AmbientModel
-from .taylor import Series, SmoothMap, format_point
+from .taylor import BatchRejected, Series, SmoothMap, format_point
 
 # the jet order of each stage: psi; d psi, f, f^2 and the metric; the
 # inverse metric, the Christoffel symbols and the null frame
@@ -99,22 +100,37 @@ def _singular(a) -> np.ndarray:
     return np.linalg.slogdet(a)[0] == 0.0
 
 
-def _stacked(op, error, a, *args, refused=None):
+def _inverses(a):
+    """(inverse, singular) of a stack of matrices: each inverse as
+    `np.linalg.inv` computes it, and the (B,) mask `_singular` of the
+    matrices it refuses, whose inverses are NaN.  It calls the gufunc behind
+    `inv` once, recording the error that `inv` raises for a stack as a whole
+    instead of raising it, so that no matrix is inverted twice."""
+    failed = []
+    with np.errstate(call=lambda *_: failed.append(True), invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        inverse = _umath_linalg.inv(a, signature="d->d")
+    if not failed:
+        return inverse, np.zeros(len(a), dtype=bool)
+    singular = _singular(a)
+    if not singular.any():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return inverse, singular
+
+
+def _stacked(op, error, a):
     """A numpy.linalg `op` over a stack of matrices; a `LinAlgError`, which
     fails a stack as a whole, is `taylor.reject`'s `error` for each matrix
-    that `refused(a)` flags, or, without it, each that fails alone."""
+    that fails alone."""
     try:
-        return op(a, *args)
+        return op(a)
     except np.linalg.LinAlgError:
-        if refused is not None:
-            bad = refused(a)
-        else:
-            bad = np.zeros(len(a), dtype=bool)
-            for b in range(len(a)):
-                try:
-                    op(a[b], *(arg[b] for arg in args))
-                except np.linalg.LinAlgError:
-                    bad[b] = True
+        bad = np.zeros(len(a), dtype=bool)
+        for b in range(len(a)):
+            try:
+                op(a[b])
+            except np.linalg.LinAlgError:
+                bad[b] = True
         taylor.reject(bad, error)
         raise  # no matrix of the stack is flagged
 
@@ -152,7 +168,9 @@ class ChartGeometry:
     `dpsi` the (n, ambient) Series of the d_i psi^a, both of order 2 like
     f and f2; psi keeps order 3.  `x` is the batch (B, n), every Series
     carries B columns, and every array has a leading batch axis before the
-    shapes noted below.  Quantities are computed lazily and cached.
+    shapes noted below.  The constructor checks nothing: the metric of a
+    geometry the engine hands out has passed `_metric_checked`, which sets
+    its inverse `g_inv0`.  Other quantities are computed lazily and cached.
     """
 
     def __init__(self, x, g_series: Series, psi=None, dpsi=None, f=None, f2=None,
@@ -167,17 +185,7 @@ class ChartGeometry:
         self.f2 = f2
         self.immersion = immersion
         g0 = taylor.batch_first(g_series.val)
-        g0 = 0.5 * (g0 + g0.swapaxes(-1, -2))
-        lowest = _stacked(np.linalg.eigvalsh, self._defect("has no eigenvalues"), g0)[..., 0]
-        taylor.reject(
-            lowest <= _EIG_FLOOR,
-            lambda at: MetricSignatureError(
-                f"induced metric at {format_point(at(self.x))} is not positive definite "
-                f"(min eigenvalue {at(lowest):.3e})"
-            ),
-        )
-        self.g0 = g0
-        self.g_inv0 = _stacked(np.linalg.inv, self._defect("is singular"), g0, refused=_singular)
+        self.g0 = 0.5 * (g0 + g0.swapaxes(-1, -2))
 
     @classmethod
     def gather(cls, parts, keys=None) -> "ChartGeometry":
@@ -206,8 +214,13 @@ class ChartGeometry:
         return [Series.variable(self.ctx, i, self.x[:, i]) for i in range(self.dim)]
 
     def rescaled(self, lam: Series) -> "ChartGeometry":
-        """Geometry of the conformal metric lam^2 g at the same point."""
-        return ChartGeometry(self.x, (lam * lam) * self.g_series)
+        """Geometry of the conformal metric lam^2 g at the same point;
+        raises `BatchRejected` where that metric fails its checks."""
+        kept = _Kept(len(self.x))
+        geo = _metric_checked(ChartGeometry(self.x, (lam * lam) * self.g_series), kept)
+        if kept.errors:
+            raise BatchRejected(dict(sorted(kept.errors.items())))
+        return geo
 
     # -- ambient side (immersions only) --------------------------------
 
@@ -288,8 +301,8 @@ class ChartGeometry:
         b = L^-T for the Cholesky factor L of the metric (Gram-Schmidt on the
         coordinate basis), so its inverse is L^T, with no solve.
         """
-        inverse = _stacked(np.linalg.inv, self._defect("has a singular Cholesky factor"),
-                           self.cholesky, refused=_singular)
+        inverse, singular = _inverses(self.cholesky)
+        taylor.reject(singular, self._defect("has a singular Cholesky factor"))
         return np.swapaxes(inverse, -1, -2)
 
     # -- scalar fields on the chart --------------------------------------
@@ -337,8 +350,97 @@ def _gathered(values, indices):
     return first
 
 
-def _geometry_from_immersion(im: Immersion, x, check_membership=True) -> ChartGeometry:
-    psi = im.series(x, JET_ORDER, check_membership)
+class _Kept:
+    """The columns of a batch that the geometry routine still evaluates,
+    as indices into the batch, and the typed error of each column refused
+    so far, by its index."""
+
+    def __init__(self, count: int):
+        self.index = np.arange(count)
+        self.errors = {}
+
+    def drop(self, err: BatchRejected):
+        """Keep the errors that err gives its columns, numbered by position
+        among the columns still evaluated; the positions of the others, or
+        None when no column is left."""
+        for b, e in err.errors.items():
+            self.errors[self.index[b].item()] = e
+        kept = np.delete(np.arange(len(self.index)), list(err.errors))
+        self.index = self.index[kept]
+        return kept if len(kept) else None
+
+    def retried(self, stage, state, select):
+        """stage(state) of the columns still evaluated, which state holds:
+        where it raises `BatchRejected`, the refused columns' errors are kept
+        and it runs again on select(state, positions of the others).  The
+        result and the state it ran on, or (None, None) once no column is
+        left."""
+        while True:
+            try:
+                return stage(state), state
+            except BatchRejected as err:
+                kept = self.drop(err)
+                if kept is None:
+                    return None, None
+                state = select(state, kept)
+
+
+def _columns(geo: ChartGeometry, kept) -> ChartGeometry:
+    return ChartGeometry.gather([(geo, kept)])
+
+
+def _metric_checked(geo: Optional[ChartGeometry], kept: _Kept) -> Optional[ChartGeometry]:
+    """The geometry of the columns of geo whose induced metric has its
+    lowest eigenvalue above `_EIG_FLOOR` and an inverse, with `g_inv0`
+    set, or None when no column passes (or geo is None); each refused
+    column's error goes to `kept`.  Both checks read values computed once
+    for every column, and drop the refused columns from them by column
+    selection; `eigvalsh`, which LAPACK fails as a whole stack, runs again
+    on the other columns only where a matrix has no eigenvalues."""
+    if geo is None:
+        return None
+    lowest, geo = kept.retried(
+        lambda g: _stacked(np.linalg.eigvalsh, g._defect("has no eigenvalues"), g.g0)[..., 0],
+        geo, _columns,
+    )
+    if geo is None:
+        return None
+    g_inv0, singular = _inverses(geo.g0)
+    try:
+        taylor.reject_first([
+            (lowest <= _EIG_FLOOR, lambda at: MetricSignatureError(
+                f"induced metric at {format_point(at(geo.x))} is not positive definite "
+                f"(min eigenvalue {at(lowest):.3e})"
+            )),
+            (singular, geo._defect("is singular")),
+        ])
+    except BatchRejected as err:
+        positions = kept.drop(err)
+        if positions is None:
+            return None
+        geo, g_inv0 = _columns(geo, positions), g_inv0[positions]
+    geo.g_inv0 = g_inv0
+    return geo
+
+
+def _rows(x, positions):
+    return x[positions]
+
+
+def _geometry_from_immersion(im: Immersion, x, check_membership, kept: _Kept):
+    # the chart map, its domain box first: a primitive refused partway runs
+    # the map again on the other columns
+    psi, x = kept.retried(lambda xs: im.series(xs, JET_ORDER, check_membership=False), x, _rows)
+    if psi is None:
+        return None
+    if check_membership and im.target_cone is not None:
+        try:
+            require_on_cone(im.target_cone, taylor.batch_first([s.val for s in psi]))
+        except BatchRejected as err:
+            positions = kept.drop(err)
+            if positions is None:
+                return None
+            x, psi = x[positions], [s.columns(positions) for s in psi]
     # [i, a] = d_i psi^a, exact to order 2
     dpsi = Series.stack(psi, psi[0].ctx, len(x)).gradient().truncate(METRIC_ORDER)
     # the profile f at the Series time, kept for the cone gradient; f^2 is
@@ -366,11 +468,37 @@ def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
     return ChartGeometry(x, Series.stack([Series.stack(row, ctx, batch) for row in g], ctx, batch))
 
 
+def geometry_columns(obj, x, check_membership=True) -> tuple:
+    """(geometry, errors) of an `Immersion` or a `MetricChart` at a batch
+    x (B, n): the checked `ChartGeometry` of the columns the pipeline keeps,
+    in order, or None when it keeps none, and the typed error of each
+    refused column by its index in x.
+
+    A check of values already evaluated, cone membership after psi and the
+    metric's eigenvalue floor and singular-inverse test, drops its refused
+    columns from them by column selection.  A stage refused partway, the
+    chart map (its domain box, or a primitive inside it), a metric chart's
+    metric or `eigvalsh`, which LAPACK fails as a whole stack, runs again on
+    the other columns; nothing else does."""
+    x = np.asarray(x, dtype=np.float64)
+    kept = _Kept(len(x))
+    if not isinstance(obj, (Immersion, MetricChart)):
+        raise TypeError(f"expected Immersion or MetricChart, got {type(obj).__name__}")
+    # the check holds the one reference to the unchecked geometry, which is
+    # freed once the check has selected the kept columns
+    geo = _metric_checked(
+        _geometry_from_immersion(obj, x, check_membership, kept) if isinstance(obj, Immersion)
+        else kept.retried(lambda xs: _geometry_from_metric(obj, xs), x, _rows)[0],
+        kept,
+    )
+    return geo, dict(sorted(kept.errors.items()))
+
+
 def chart_geometry(obj, x, check_membership=True) -> ChartGeometry:
     """Metric jet of an `Immersion` or a `MetricChart` at each point of a
-    batch (B, n)."""
-    if isinstance(obj, Immersion):
-        return _geometry_from_immersion(obj, x, check_membership=check_membership)
-    if isinstance(obj, MetricChart):
-        return _geometry_from_metric(obj, x)
-    raise TypeError(f"expected Immersion or MetricChart, got {type(obj).__name__}")
+    batch (B, n); raises `BatchRejected` of the columns that
+    `geometry_columns` refuses."""
+    geo, errors = geometry_columns(obj, x, check_membership)
+    if errors:
+        raise BatchRejected(errors)
+    return geo

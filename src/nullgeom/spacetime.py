@@ -144,6 +144,11 @@ class WarpingFunction:
             if not self.expr:
                 raise ValueError("custom warping needs an expression in t")
             _compiled_profile(self.expr)  # a malformed expression fails here
+        # a value the kind does not read would be echoed as if it shaped f
+        if self.params and self.kind not in ("constant", "polynomial"):
+            raise ValueError(f"{self.kind} warping takes no params")
+        if self.expr is not None and self.kind != "custom":
+            raise ValueError(f"{self.kind} warping takes no expr")
 
     def _outside(self, t: float) -> WarpingDomainError:
         lo, hi = self.domain

@@ -35,10 +35,13 @@ such value ends as a typed rejection.
 
 A check that fails raises `BatchRejected`, which carries each failing
 column's typed error, the one that column raises in a batch of its own.
-`column_results` is the one way a batch learns why its columns fail: it
-keeps the errors of the flagged columns and evaluates the rest again as a
-batch, so no column is evaluated alone; a single-point call raises its
-point's error through `per_sample`.  An integral's integrand is one more
+Where it is caught, the flagged columns keep their errors and the rest go
+on as a batch, so no column is evaluated alone: a check of values already
+evaluated drops the flagged columns from them
+(`immersion.geometry_columns`), and `column_results` evaluates a function
+of the columns again on the rest, as the grid pass's extrinsic stages and
+the sample checks do; a single-point call raises its point's error through
+`per_sample`.  An integral's integrand is one more
 batch: `spacetime.quadrature` evaluates the nodes of each round of its rule
 as one, and a rejected node rejects its integral.
 """
@@ -122,7 +125,8 @@ class BatchRejected(Exception):
     typed error it raises in a batch of its own.
 
     Deliberately neither a `DomainError` nor a `ValueError`, so that no
-    handler of typed rejections catches it: `column_results` does.
+    handler of typed rejections catches it: `column_results` and
+    `immersion.geometry_columns` do.
     """
 
     def __init__(self, errors: dict):
@@ -175,8 +179,11 @@ def column_results(fn, xs, first: bool = False) -> list:
     columns xs (B, ...) as one batch and returning its per-column results.
 
     Where fn raises `BatchRejected`, the flagged columns keep their errors
-    and the rest are evaluated again as one batch; with `first`, only those
-    before the first failing column, whose error then ends the list."""
+    and fn runs again on the rest as one batch; with `first`, only on those
+    before the first failing column, whose error then ends the list.  Only
+    fn runs again, so a caller hands it what is evaluated once for every
+    column, as the grid pass hands its extrinsic stages the chart geometry
+    of the kept columns."""
     out = [None] * len(xs)
     pending, batch = list(range(len(xs))), xs
     while pending:

@@ -192,7 +192,7 @@ def geometry_alone(obj, x, check_membership=True):
 def point_alone(im, x):
     """The `ExtrinsicPoint` of the chart point x (n,), a batch of one; a
     refused point raises its typed error."""
-    (pt,) = tm.per_sample(lambda xs: [ext.ExtrinsicPoint(im, xs)], [x])
+    (pt,) = tm.per_sample(lambda xs: [ext.ExtrinsicPoint(chart_geometry(im, xs))], [x])
     return pt
 
 
@@ -345,7 +345,9 @@ def evaluate_alone(scene, x):
     batch of one: the oracle of the batched grid pass."""
     x = np.asarray(x, dtype=float)
     try:
-        ((row, (diag, _)),) = tm.per_sample(lambda xs: cli._evaluate(scene, xs), [x])
+        ((row, (diag, _)),) = tm.per_sample(
+            tm.float_edges(lambda xs: cli._evaluate(scene, chart_geometry(scene.im, xs))), [x]
+        )
     except Exception as err:  # a typed rejection, or raised again
         return "rejected", cli._rejection(x, err), None
     return "row", row, {name: v for name, (v,) in diag.items()}

@@ -251,6 +251,24 @@ def test_untyped_config_values_exit_as_config_errors(where, tmp_path, capsys):
     assert f"config error: {where}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("warping", [
+    {"kind": "exp", "params": [1.0, 2.0]},
+    {"kind": "exp", "expr": "t"},
+    {"kind": "cosh", "params": [1.0]},
+    {"kind": "constant", "params": [1.0], "expr": "t"},
+    {"kind": "polynomial", "params": [1.0, 0.5], "expr": "1 + t"},
+    {"kind": "custom", "params": [2.0], "expr": "1 + 0.5*sin(t)"},
+])
+def test_warping_values_the_kind_does_not_read_are_config_errors(warping, tmp_path, capsys):
+    # an unread params or expr ran with exit 0, echoed in the report's config
+    doc = small(builtin_scenes()["grw-exp"])
+    doc["spacetime"]["warping"] = warping
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert "config error: spacetime.warping: " in capsys.readouterr().err
+
+
 def test_inapplicable_suite_rejected():
     doc = small(builtin_scenes()["ds-alpha0"])
     doc["checks"] = ["trapped"]
@@ -730,21 +748,27 @@ def test_grid_geometries_are_not_rebuilt(monkeypatch):
     # one chart geometry per grid point: the conformal suite reads the
     # pullback identity the grid pass evaluated, and the appendix reads the
     # grid's geometry of its samples.  A call builds the geometries of one
-    # point or of a batch of points; each point counts
-    real = immersion.chart_geometry
+    # point or of a batch of points; each point counts.  The dense grids
+    # drop their refused polar rows from the geometry of their one chunk,
+    # so no kept point's geometry is built again
+    real = immersion.geometry_columns
     calls = []
 
     def counted(*args, **kwargs):
         calls.extend(np.atleast_2d(args[1]))
         return real(*args, **kwargs)
 
-    for module in (immersion, extrinsic, conformal):
-        monkeypatch.setattr(module, "chart_geometry", counted)
+    monkeypatch.setattr(immersion, "geometry_columns", counted)
     report = run(builtin_scenes()["mink-h2"])
     assert len(report["rows"]) == 400
     assert report["suites"]["appendix"]["points"] == 5
     assert report["suites"]["conformal"]["points"] == 40
     assert len(calls) == 400
+    for name, doc in sorted(dense_grid_configs().items()):
+        calls.clear()
+        report = run(doc)
+        assert len(report["rows"]) == 380 and len(report["rejections"]) == 20, name
+        assert len(calls) == 400, name
 
 
 def test_psi_checks_gather_only_what_they_read(monkeypatch):
@@ -868,7 +892,7 @@ def test_columns_do_not_interact_across_product_blocks():
     axes = [np.linspace(-1.5, 1.5, 30), np.linspace(-1.5, 1.5, 20)]
     points = np.array(list(itertools.product(*axes)))
     points[500] = (1e155, 0.3)  # x0**2 overflows: sqrt refuses the column
-    results = taylor.column_results(lambda xs: cli._evaluate(scene, xs), points)
+    results = taylor.float_edges(cli._chunk_results)(scene, points)
     assert [b for b, r in enumerate(results) if isinstance(r, Exception)] == [500]
     # the kept columns share the diag lists of the batch that evaluated them
     kept = iter(range(len(points)))
@@ -880,6 +904,79 @@ def test_columns_do_not_interact_across_product_blocks():
             assert repr((row, {name: v[i] for name, v in diags.items()})) == repr((payload, diag))
         else:
             assert cli._rejection(x, got) == payload
+
+
+def refused_chunks() -> dict:
+    """Scenes, each with one chunk of points that the pipeline refuses at
+    several stages, evaluable points among them, and the error types of
+    the refusals.  On mink-h2: a primitive partway through the chart map,
+    and, at coordinates of 1e10, cone membership, the metric's eigenvalue
+    floor and both null-frame checks, which rounding fails there.  On the
+    dense ds-alpha0 grid, its f plus 0.01 sqrt(x1 + 2.4): the domain box,
+    that primitive, and the sphere chart's pole, whose metric is singular."""
+    corners = list(itertools.product(np.linspace(-1.5, 1.5, 4), repeat=2))
+    h2 = corners[:8] + [
+        (1e155, 0.3),  # x0**2 overflows: sqrt refuses the column
+        (-1e10, -1e10),  # off the cone
+        (-1e10, 0.0),  # not positive definite
+        (-8e9, -1e10),  # the time axis's normal part is not timelike
+        (-6e9, -5e9),  # <xi, nu> = 0
+    ] + corners[8:]
+    doc = copy.deepcopy(dense_grid_configs()["ds-alpha0"])
+    doc["immersion"]["f"] += " + 0.01*sqrt(x1 + 2.4)"
+    ds = [(1.0, -1.0), (0.0, -1.0), (3.5, 0.5), (1.0, -2.45), (2.0, 0.0), (0.0, 2.0), (0.5, 0.5)]
+    return {
+        "mink-h2": (builtin_scenes()["mink-h2"], h2, {
+            "PrimitiveDomainError", "PointRejected", "MetricSignatureError",
+            "FrameDegeneracyError",
+        }),
+        "ds-alpha0-sqrt": (doc, ds, {
+            "ChartDomainError", "PrimitiveDomainError", "MetricSignatureError",
+        }),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(refused_chunks()))
+def test_refusals_at_every_stage_match_points_alone(monkeypatch, name):
+    # one chunk refused at several stages gives each point the row, diag
+    # or rejection entry of the point alone, by repr.  The chart map runs
+    # again only after a refusal inside it; the checks of evaluated values
+    # drop their columns, and the extrinsic stages run again, on the kept
+    # columns, only after a refusal of their own
+    doc, points, kinds = refused_chunks()[name]
+    scene = parse_scene(doc)
+    points = np.array(points)
+    batches = []
+    real = cli._evaluate
+
+    def counted(scene, geo):
+        batches.append(len(geo.x))
+        return real(scene, geo)
+
+    monkeypatch.setattr(cli, "_evaluate", counted)
+    jets = order3_columns(monkeypatch)
+    results = taylor.float_edges(cli._chunk_results)(scene, points)
+    refused = [type(r).__name__ for r in results if isinstance(r, Exception)]
+    assert set(refused) == kinds
+    # the map runs again after the domain box and after the primitive, on
+    # one column fewer each time
+    assert jets == [len(points) - k for k in range(len(jets))] and len(jets) <= 3
+    # the extrinsic stages start on the columns the geometry keeps, and each
+    # null-frame check that refuses a column runs them again on the others
+    frame_refused = refused.count("FrameDegeneracyError")
+    assert batches[0] == len(points) - len(refused) + frame_refused
+    assert batches[-1] == len(points) - len(refused)
+    assert len(batches) <= 1 + frame_refused
+    monkeypatch.undo()
+    rows = iter(range(len(points)))
+    for x, got in zip(points, results):
+        kind, payload, diag = evaluate_alone(scene, x)
+        if kind == "row":
+            row, (diags, _) = got
+            i = next(rows)
+            assert repr((row, {key: v[i] for key, v in diags.items()})) == repr((payload, diag))
+        else:
+            assert repr(cli._rejection(x, got)) == repr(payload)
 
 
 def test_single_point_entries_raise_their_typed_errors():
@@ -959,9 +1056,9 @@ def test_builtin_scenes_evaluate_their_grid_as_one_batch(monkeypatch):
     batches = []
     real = cli._evaluate
 
-    def counted(scene, x):
-        batches.append(len(x))
-        return real(scene, x)
+    def counted(scene, geo):
+        batches.append(len(geo.x))
+        return real(scene, geo)
 
     monkeypatch.setattr(cli, "_evaluate", counted)
     for name, doc in sorted(builtin_scenes().items()):
@@ -971,25 +1068,80 @@ def test_builtin_scenes_evaluate_their_grid_as_one_batch(monkeypatch):
         assert batches == [len(report["rows"])], name
 
 
+def order3_columns(monkeypatch) -> list:
+    """The batch sizes of the order-3 jets of psi that `taylor.eval_series`
+    evaluates from now on, as a list that fills as they run."""
+    sizes = []
+    real = taylor.eval_series
+
+    def counted(map_fn, points, order):
+        if order == immersion.JET_ORDER:
+            sizes.append(len(points))
+        return real(map_fn, points, order)
+
+    monkeypatch.setattr(taylor, "eval_series", counted)
+    return sizes
+
+
 def test_no_grid_point_is_evaluated_twice(monkeypatch):
     # the mink-slice grid regridded 20 x 20 with its polar axis from 0: the
-    # batch rejects the 20 points of the polar row, each with its own typed
-    # error, and the 380 others are evaluated again as one batch; no point
-    # is evaluated alone
+    # chart geometry of the 400 points is evaluated once, order-3 psi
+    # included, and drops the 20 points of the polar row, each with its own
+    # typed error, at the metric's singular-inverse test; the extrinsic
+    # stages then run once on the 380 others.  No point is evaluated alone
     doc = builtin_scenes()["mink-slice"]
     doc["grid"] = [dict(doc["grid"][0], min=0.0, count=20), dict(doc["grid"][1], count=20)]
-    batches = []
-    real = cli._evaluate
+    geometries, batches = [], []
+    real_geometry, real_evaluate = immersion.geometry_columns, cli._evaluate
 
-    def counted(scene, x):
-        batches.append(np.shape(x))
-        return real(scene, x)
+    def geometry(obj, x, *args):
+        geometries.append(np.shape(x))
+        return real_geometry(obj, x, *args)
 
+    def counted(scene, geo):
+        batches.append(np.shape(geo.x))
+        return real_evaluate(scene, geo)
+
+    monkeypatch.setattr(immersion, "geometry_columns", geometry)
     monkeypatch.setattr(cli, "_evaluate", counted)
+    jets = order3_columns(monkeypatch)
     report = run(doc)
-    assert batches == [(400, 2), (380, 2)]
+    assert geometries == [(400, 2)] and jets == [400]
+    assert batches == [(380, 2)]
     assert len(report["rows"]) == 380 and len(report["rejections"]) == 20
     assert {entry["point"][0] for entry in report["rejections"]} == {0.0}
+
+
+def test_dense_grids_evaluate_each_point_once(monkeypatch):
+    # each dense configuration's grid pass computes order-3 psi, the
+    # metric's eigenvalues and its inverse once per point: 400 columns
+    # each, where evaluating the 380 kept points again took 780
+    jets = order3_columns(monkeypatch)
+    stacks = {"eigvalsh": [], "inv": []}
+    real_eigvalsh, real_inverses = np.linalg.eigvalsh, immersion._inverses
+
+    def eigvalsh(a):
+        stacks["eigvalsh"].append(len(a))
+        return real_eigvalsh(a)
+
+    def inverses(a):
+        stacks["inv"].append(len(a))
+        return real_inverses(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(immersion, "_inverses", inverses)
+    for name, doc in sorted(dense_grid_configs().items()):
+        jets.clear()
+        for sizes in stacks.values():
+            sizes.clear()
+        scene = parse_scene(doc)
+        grid = cli._evaluate_grid(scene)
+        assert len(grid.rows) == 380 and len(grid.rejections) == 20, name
+        assert jets == [400], name
+        # the metric's stacks come first; the shape suite's Cholesky factors
+        # are inverted on the kept points
+        assert stacks["eigvalsh"][0] == stacks["inv"][0] == 400, name
+        assert set(stacks["inv"][1:]) <= {380}, name
 
 
 def _outcome(fn, *args):
@@ -1008,9 +1160,9 @@ def test_sample_checks_read_the_grid_as_the_public_checks_evaluate():
     # the suites' factorization, appendix and scale sign read the grid
     # pass's jets and geometry; on every built-in scene and dense grid at run
     # seeds 0-7 they give, to the bit, what the public checks and the
-    # one-sample oracle give on the same samples.  The dense mink-slice grid
-    # evaluates its 380 rows again after the polar rejections, so its rows
-    # are not the columns of its first batch
+    # one-sample oracle give on the same samples.  The dense grids drop
+    # their polar rows from the chart geometry of their one chunk, so their
+    # rows are columns gathered from it
     configs = {**builtin_scenes(), **{f"dense-{k}": v for k, v in dense_grid_configs().items()}}
     seen = set()
     for name, doc in sorted(configs.items()):
@@ -1072,13 +1224,13 @@ def test_suites_evaluate_the_immersion_only_at_trials_and_quadrature(monkeypatch
         return names
 
     def series(self, x, order, check_membership=True):
-        if not callers() & {"_evaluate", "_descend", "exactness_residual"}:
+        if not callers() & {"_chunk_results", "_descend", "exactness_residual"}:
             stray.append(("series", order, len(x)))
         return real_series(self, x, order, check_membership)
 
-    def build(im, x, check_membership=True):
-        builds.append("_evaluate" in callers())
-        return real_build(im, x, check_membership)
+    def build(im, x, *args):
+        builds.append("_chunk_results" in callers())
+        return real_build(im, x, *args)
 
     monkeypatch.setattr(immersion.Immersion, "series", series)
     monkeypatch.setattr(immersion, "_geometry_from_immersion", build)

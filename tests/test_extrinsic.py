@@ -131,7 +131,7 @@ def test_constant_grw_height_is_each_columns_time():
     for model in (exp_model(), product_model("sphere")):
         im = grw_graph(model, lambda cs: 1.1)
         xs = sample_box(np.random.default_rng(5), sphere_box(2), 6)
-        batch = ExtrinsicPoint(im, np.array(xs)).report()
+        batch = ExtrinsicPoint(imm.chart_geometry(im, np.array(xs))).report()
         for b, x in enumerate(xs):
             rep = ext.point_report(im, x)
             assert rep.u == 1.1 and rep.grad_u_sq == 0.0
@@ -221,7 +221,7 @@ def drawn_points(data) -> list:
     out = []
     for point in [x] if as_batch else list(x[:, None]):
         try:
-            out.append(ExtrinsicPoint(scene.im, point))
+            out.append(ExtrinsicPoint(imm.chart_geometry(scene.im, point)))
         except (tm.BatchRejected, tm.DomainError, nc.PointRejected, ext.FrameDegeneracyError,
                 imm.MetricSignatureError):
             continue
@@ -291,7 +291,8 @@ def test_each_stage_runs_at_its_order():
     warped = 0
     for entry in entries:
         scene = cli.parse_scene(entry["config"])
-        pt = ExtrinsicPoint(scene.im, np.asarray(entry["pool"][:8]))  # one batch
+        # one batch
+        pt = ExtrinsicPoint(imm.chart_geometry(scene.im, np.asarray(entry["pool"][:8])))
         geo = pt.geo
         assert {s.ctx.order for s in geo.psi} == {3}
         assert geo.dpsi.ctx.order == geo.g_series.ctx.order == geo.ctx.order == 2
@@ -488,7 +489,7 @@ def test_to_frame_matches_the_solve_on_scene_grids(name):
     config = _scene_grids()[name]
     scene = cli.parse_scene(config)
     points = np.array([row["point"] for row in cli.run(config)["rows"]])
-    pt = tm.float_edges(ExtrinsicPoint)(scene.im, points)
+    pt = tm.float_edges(lambda xs: ExtrinsicPoint(imm.chart_geometry(scene.im, xs)))(points)
     b = pt.geo.onf
     assert np.allclose(pt.geo.cholesky.swapaxes(-1, -2) @ b, np.eye(pt.n), rtol=0.0, atol=1e-15)
     operators = [pt.shape_chart(normal) for normal in ("xi", "eta", "time_orthogonal")

@@ -7,7 +7,8 @@ the benchmark's stored inputs from `perfbench/reference/` without changing
 them.  It prints, one per line:
 
 - `scene NAME seed S SHA256`: the sha256 of `cli.emit_json` of every
-  built-in scene and every dense-grid configuration, at run seeds 0-7;
+  built-in scene, every dense-grid configuration and the two refusal
+  grids below, at run seeds 0-7;
 - `csv NAME seed S SHA256`: the sha256 of `cli.emit_csv` of the same
   report, after its `scene` line;
 - `point NAME I FIELDS CLASS`: `extrinsic.point_report` at every point of
@@ -27,7 +28,13 @@ them.  It prints, one per line:
 
 Between them these cover every operation of the `pointwise` workload, and
 the one-point refusals of the dense grids, whose messages are the details
-of the grid pass's rejections.
+of the grid pass's rejections.  The refusal grids put several kinds of
+refused point in one chunk: `mink-bowl-off-cone` (f = 0.6 + 0.5 x0 on
+[-2, 2]^2, whose 80 points with f <= 0 the chart map refuses partway) and
+`grw-cosh-overflow` (the dense grw-cosh grid, its height plus
+1e-300 exp(100 x1 + 461), which overflows inside the map on the 20 points
+with x1 = 2.5, next to the polar points x0 = 0, which the metric's
+singular-inverse test, a primitive or the null frame refuse).
 
 Output is deterministic, so running it on two trees and diffing the output
 shows whether their reports are byte-identical.
@@ -35,6 +42,7 @@ shows whether their reports are byte-identical.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -64,8 +72,22 @@ def _hex(value) -> str:
     return float(value).hex()
 
 
+def refusal_configs() -> list:
+    """The two refusal grids of the module docstring."""
+    bowl = copy.deepcopy(builtin_scenes()["mink-bowl"])
+    bowl["name"] = "mink-bowl-off-cone"
+    bowl["immersion"]["f"] = "0.6 + 0.5*x0"
+    bowl["grid"] = [{"min": -2.0, "max": 2.0, "count": 20}] * 2
+    (cosh,) = [s["config"] for s in _stored("dense-grid") if s["config"]["name"] == "grw-cosh"]
+    cosh = copy.deepcopy(cosh)
+    cosh["name"] = "grw-cosh-overflow"
+    cosh["immersion"]["height"] += " + 1e-300*exp(100*x1 + 461)"
+    return [bowl, cosh]
+
+
 def scene_lines():
     configs = list(builtin_scenes().values()) + [s["config"] for s in _stored("dense-grid")]
+    configs += refusal_configs()
     for config in configs:
         for seed in SEEDS:
             report = cli.run(config, seed=seed)
