@@ -45,14 +45,15 @@ grid is evaluated on the calling thread as one batch through the one
 pipeline, which evaluates a single point as a batch of one, in chunks of
 `GRID_CHUNK` points only where it is larger (the bound on a batch's
 memory; every built-in grid fits in one).  A point the batch rejects keeps
-its column's typed error and is dropped where it is found: the chart
-geometry of a chunk is evaluated once (`immersion.geometry_columns`, where
-a check of evaluated values selects the other columns and only a refusal
-inside the chart map runs the map again), and a refusal in the extrinsic
-stages runs those stages alone again, on the gathered geometry of the
-other points.  No point is evaluated alone, and every point comes out
-exactly as it would in a batch of its own.  Rows and rejections are
-reported in grid order, so identical configurations produce byte-identical
+its column's typed error in the chunk's one `taylor.Kept` and is dropped
+where it is found: the chart geometry of a chunk is evaluated once
+(`immersion.geometry_columns`, where a check of evaluated values selects
+the other columns and only a refusal inside the chart map runs the map
+again), and its `Kept` goes on to the extrinsic stages: after a refusal
+of theirs, only they run again, on the gathered geometry of the other
+points.  No point is evaluated alone, and every point comes out exactly
+as it would in a batch of its own.  A chunk's rows and its rejections are
+each in grid order, so identical configurations produce byte-identical
 output.
 
 Reports are plain JSON (or CSV rows).  A float is spelled with 17
@@ -92,7 +93,7 @@ from .extrinsic import (ROW_FIELDS, TRAPPED_CLASSES, ExtrinsicPoint, FrameDegene
 from .immersion import ChartGeometry, Immersion, MetricSignatureError
 from .nullcone import EmbeddingRangeError, NullconeSpec, PointRejected
 from .spacetime import AmbientModel, WarpingFunction
-from .taylor import DomainError, SmoothMap, column_max, column_results, parse_expression
+from .taylor import DomainError, SmoothMap, column_max, parse_expression
 
 __all__ = [
     "ConfigError",
@@ -534,11 +535,10 @@ def _trapped_mismatch(pt: ExtrinsicPoint, rep, tolerances):
     return np.where(ok, 0.0, 1.0)
 
 
-def _evaluate(scene: Scene, geo: ChartGeometry) -> list:
-    """(row, the batch's (diag, chart geometry)) for each point of the
-    immersion's chart geometry geo of a batch, the diag holding one list per
-    diagnostic over the batch; raises `BatchRejected` for the points the
-    extrinsic stages refuse."""
+def _evaluate(scene: Scene, geo: ChartGeometry) -> tuple:
+    """(rows, diag, geo) of the immersion's chart geometry geo of a batch:
+    a row per point, and one list per diagnostic over the batch; raises
+    `BatchRejected` for the points the extrinsic stages refuse."""
     pt = ExtrinsicPoint(geo)
     x = geo.x
     rep = pt.report(scene.tolerances["trapped_eps"])
@@ -558,8 +558,8 @@ def _evaluate(scene: Scene, geo: ChartGeometry) -> list:
     columns = {"point": x.tolist()}
     columns.update((key, getattr(rep, key).tolist()) for key in ROW_FIELDS)
     columns["trapped_class"] = rep.trapped_class.tolist()
-    batch = ({name: v.tolist() for name, v in diag.items()}, pt.geo)
-    return [(dict(zip(columns, values)), batch) for values in zip(*columns.values())]
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    return rows, {name: v.tolist() for name, v in diag.items()}, pt.geo
 
 
 def _rejection(point, err) -> dict:
@@ -606,44 +606,24 @@ class Grid:
 @taylor.float_edges
 def _evaluate_grid(scene: Scene) -> Grid:
     """The grid pass, its one floating-point scope: each chunk's chart
-    geometry is evaluated once, and the extrinsic stages run over its
-    columns as one batch (`_chunk_results`)."""
+    geometry is evaluated once (`immersion.geometry_columns`), and the
+    extrinsic stages run over its kept columns as one batch, again on the
+    others where they refuse some (`taylor.Kept.run`).  A chunk's rows and
+    its rejections, each in grid order, extend the grid's."""
     points = np.array(list(itertools.product(*scene.axes)), dtype=float)
     grid = Grid([], {}, [], [])
     for start in range(0, len(points), GRID_CHUNK):
         chunk = points[start:start + GRID_CHUNK]
-        for x, result in zip(chunk, _chunk_results(scene, chunk)):
-            if isinstance(result, Exception):
-                grid.rejections.append(_rejection(x, result))
-                continue
-            row, (diag, geo) = result
-            if not grid.batches or grid.batches[-1][1] is not geo:
-                grid.batches.append((len(grid.rows), geo))
-                for name, values in diag.items():
-                    grid.diag.setdefault(name, []).extend(values)
-            grid.rows.append(row)
+        geo, kept = immersion.geometry_columns(scene.im, chunk)
+        batch = kept.run(lambda g: _evaluate(scene, g), geo, ChartGeometry.columns)
+        if batch is not None:
+            rows, diag, geo = batch
+            grid.batches.append((len(grid.rows), geo))
+            grid.rows.extend(rows)
+            for name, values in diag.items():
+                grid.diag.setdefault(name, []).extend(values)
+        grid.rejections.extend(_rejection(chunk[b], err) for b, err in kept.errors.items())
     return grid
-
-
-def _chunk_results(scene: Scene, chunk) -> list:
-    """Each point's `_evaluate` result or typed error.  A point that the
-    chart geometry refuses is dropped where its check finds it
-    (`immersion.geometry_columns`); one that the extrinsic stages refuse
-    keeps its error, and those stages alone run again on the other columns,
-    from their gathered geometry."""
-    geo, errors = immersion.geometry_columns(scene.im, chunk)
-    out = [errors.get(b) for b in range(len(chunk))]
-    if geo is not None:
-        count = len(geo.x)
-
-        def stages(ks):
-            # the first evaluation takes every column, a later one fewer
-            return _evaluate(scene, geo if len(ks) == count else ChartGeometry.gather([(geo, ks)]))
-
-        kept = (b for b in range(len(chunk)) if b not in errors)
-        for b, result in zip(kept, column_results(stages, np.arange(count))):
-            out[b] = result
-    return out
 
 
 # -- suites -------------------------------------------------------------------

@@ -18,10 +18,10 @@ one routine over its samples' psi or chart geometry.  The suites call it
 (`factorization_at`, `scale_sign_at`, `curvature_check_at`) on columns of
 the chart geometry the grid pass evaluated, so their samples are not
 evaluated again; the public round trip and curvature checks evaluate
-their samples as one batch and call it.  Where a sample is refused, the
-samples before the first failing one are taken again as a batch, and that
-sample raises the typed error its column carries.  The identities are
-array arithmetic over the samples.
+their samples as one batch and call it.  Where a sample is refused, it
+keeps the typed error its column carries and the other samples are taken
+again as a batch (`taylor.Kept.run`); the first failing sample raises its
+error.  The identities are array arithmetic over the samples.
 The factorization round trip runs its samples' local inverses in lockstep
 as array code: each round's jacobians are one batch and their steps one
 stacked solve, and each damping halving's trial points are one batch.  A
@@ -506,18 +506,17 @@ def _round_trip(spec, im, x, psi_at) -> float:
         psi = [s.truncate(FRAME_ORDER) for s in psi_at(ks)]
         targets[ks] = _map_values(spec, im, x[ks], psi)
         held[ks] = taylor.batch_first([s.c for s in psi])
-        return ks
 
+    images = taylor.Kept(len(x))
+    images.run(image, np.arange(len(x)))
     # the samples after the first one whose image fails cannot change the outcome
-    images = taylor.column_results(image, np.arange(len(x)), first=True)
-    error = images.pop() if images and isinstance(images[-1], Exception) else None
+    first = min(images.errors, default=len(x))
     worst = 0.0
-    if images:
-        kept = len(images)
-        targets, held, seeds = targets[:kept], held[:kept], seeds[:kept]
+    if first:
+        targets, held, seeds = targets[:first], held[:first], seeds[:first]
         # a seed is another sample, whose image and psi start its local
-        # inverse; if one is past the kept samples, the seeds are evaluated
-        if seeds.max() < kept:
+        # inverse; if one is past the first failing sample, the seeds are evaluated
+        if seeds.max() < first:
             starts = held[seeds], targets[seeds] - targets, {}
         else:
             starts = _inverse_residuals(spec, im, x[seeds], targets)
@@ -527,8 +526,8 @@ def _round_trip(spec, im, x, psi_at) -> float:
         deviation = np.max(np.abs(ambient - held[..., 0]), axis=-1)
         # a NaN deviation is skipped, as Python's max skips it
         worst = float(np.fmax.reduce(deviation, initial=0.0))
-    if error is not None:
-        raise error
+    if images.errors:
+        raise images.errors[first]
     return worst
 
 
@@ -654,7 +653,7 @@ def curvature_check_at(spec: ConformalMapSpec, geo: ChartGeometry) -> dict:
 
     def evaluate(ks):
         # the first evaluation takes every sample, a later one fewer
-        part = geo if len(ks) == len(geo.x) else ChartGeometry.gather([(geo, ks)])
+        part = geo if len(ks) == len(geo.x) else geo.columns(ks)
         psi = [s.truncate(part.ctx.order) for s in part.psi]
         return part, _scale(spec, part.immersion, psi)
 

@@ -93,46 +93,29 @@ class Immersion:
         return psi
 
 
-def _singular(a) -> np.ndarray:
-    """The (B,) mask of the matrices of a stack that LU factorization with
-    partial pivoting (LAPACK's getrf, which `inv` and `solve` run) finds
-    exactly singular: one batched `slogdet`, whose sign is 0 there."""
-    return np.linalg.slogdet(a)[0] == 0.0
-
-
-def _inverses(a):
-    """(inverse, singular) of a stack of matrices: each inverse as
-    `np.linalg.inv` computes it, and the (B,) mask `_singular` of the
-    matrices it refuses, whose inverses are NaN.  It calls the gufunc behind
-    `inv` once, recording the error that `inv` raises for a stack as a whole
-    instead of raising it, so that no matrix is inverted twice."""
-    failed = []
-    with np.errstate(call=lambda *_: failed.append(True), invalid="call",
+def _recorded(gufunc, a):
+    """(result, whether it flagged an error) of the gufunc behind a
+    numpy.linalg call over the matrices a, recording the error that
+    numpy.linalg raises for them as a whole instead of raising it."""
+    flagged = []
+    with np.errstate(call=lambda *_: flagged.append(True), invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
-        inverse = _umath_linalg.inv(a, signature="d->d")
-    if not failed:
-        return inverse, np.zeros(len(a), dtype=bool)
-    singular = _singular(a)
-    if not singular.any():
-        raise np.linalg.LinAlgError("Singular matrix")
-    return inverse, singular
+        out = gufunc(a, signature="d->d")
+    return out, bool(flagged)
 
 
-def _stacked(op, error, a):
-    """A numpy.linalg `op` over a stack of matrices; a `LinAlgError`, which
-    fails a stack as a whole, is `taylor.reject`'s `error` for each matrix
-    that fails alone."""
-    try:
-        return op(a)
-    except np.linalg.LinAlgError:
-        bad = np.zeros(len(a), dtype=bool)
-        for b in range(len(a)):
-            try:
-                op(a[b])
-            except np.linalg.LinAlgError:
-                bad[b] = True
-        taylor.reject(bad, error)
-        raise  # no matrix of the stack is flagged
+def _lapack(gufunc, a):
+    """(result, refused) of the gufunc behind a numpy.linalg call over a
+    stack of matrices a (B, n, n): each matrix's result as the call computes
+    it, and the (B,) mask of the matrices that the call refuses alone, whose
+    results are NaN.  The stack runs once; a matrix is tried alone only where
+    the stack was flagged and left its result NaN."""
+    out, flagged = _recorded(gufunc, a)
+    refused = np.zeros(len(a), dtype=bool)
+    if flagged:
+        for b in np.flatnonzero(np.isnan(out.reshape(len(a), -1)).any(axis=1)).tolist():
+            refused[b] = _recorded(gufunc, a[b])[1]
+    return out, refused
 
 
 @dataclass(frozen=True)
@@ -202,6 +185,10 @@ class ChartGeometry:
                 out.__dict__[key] = _gathered([h[key] for h in held], indices)
         return out
 
+    def columns(self, index) -> "ChartGeometry":
+        """The geometry of the columns `index` of the batch."""
+        return ChartGeometry.gather([(self, index)])
+
     def _defect(self, what: str):
         """The error factory of a defect of the induced metric: it `what`."""
         return lambda at: MetricSignatureError(
@@ -216,10 +203,10 @@ class ChartGeometry:
     def rescaled(self, lam: Series) -> "ChartGeometry":
         """Geometry of the conformal metric lam^2 g at the same point;
         raises `BatchRejected` where that metric fails its checks."""
-        kept = _Kept(len(self.x))
+        kept = taylor.Kept(len(self.x))
         geo = _metric_checked(ChartGeometry(self.x, (lam * lam) * self.g_series), kept)
         if kept.errors:
-            raise BatchRejected(dict(sorted(kept.errors.items())))
+            raise BatchRejected(kept.errors)
         return geo
 
     # -- ambient side (immersions only) --------------------------------
@@ -292,7 +279,9 @@ class ChartGeometry:
     @cached_property
     def cholesky(self) -> np.ndarray:
         """The lower Cholesky factor L of the metric, g = L L^T."""
-        return _stacked(np.linalg.cholesky, self._defect("has no Cholesky factor"), self.g0)
+        factor, refused = _lapack(_umath_linalg.cholesky_lo, self.g0)
+        taylor.reject(refused, self._defect("has no Cholesky factor"))
+        return factor
 
     @cached_property
     def onf(self) -> np.ndarray:
@@ -301,7 +290,7 @@ class ChartGeometry:
         b = L^-T for the Cholesky factor L of the metric (Gram-Schmidt on the
         coordinate basis), so its inverse is L^T, with no solve.
         """
-        inverse, singular = _inverses(self.cholesky)
+        inverse, singular = _lapack(_umath_linalg.inv, self.cholesky)
         taylor.reject(singular, self._defect("has a singular Cholesky factor"))
         return np.swapaxes(inverse, -1, -2)
 
@@ -350,64 +339,21 @@ def _gathered(values, indices):
     return first
 
 
-class _Kept:
-    """The columns of a batch that the geometry routine still evaluates,
-    as indices into the batch, and the typed error of each column refused
-    so far, by its index."""
-
-    def __init__(self, count: int):
-        self.index = np.arange(count)
-        self.errors = {}
-
-    def drop(self, err: BatchRejected):
-        """Keep the errors that err gives its columns, numbered by position
-        among the columns still evaluated; the positions of the others, or
-        None when no column is left."""
-        for b, e in err.errors.items():
-            self.errors[self.index[b].item()] = e
-        kept = np.delete(np.arange(len(self.index)), list(err.errors))
-        self.index = self.index[kept]
-        return kept if len(kept) else None
-
-    def retried(self, stage, state, select):
-        """stage(state) of the columns still evaluated, which state holds:
-        where it raises `BatchRejected`, the refused columns' errors are kept
-        and it runs again on select(state, positions of the others).  The
-        result and the state it ran on, or (None, None) once no column is
-        left."""
-        while True:
-            try:
-                return stage(state), state
-            except BatchRejected as err:
-                kept = self.drop(err)
-                if kept is None:
-                    return None, None
-                state = select(state, kept)
-
-
-def _columns(geo: ChartGeometry, kept) -> ChartGeometry:
-    return ChartGeometry.gather([(geo, kept)])
-
-
-def _metric_checked(geo: Optional[ChartGeometry], kept: _Kept) -> Optional[ChartGeometry]:
-    """The geometry of the columns of geo whose induced metric has its
-    lowest eigenvalue above `_EIG_FLOOR` and an inverse, with `g_inv0`
-    set, or None when no column passes (or geo is None); each refused
-    column's error goes to `kept`.  Both checks read values computed once
-    for every column, and drop the refused columns from them by column
-    selection; `eigvalsh`, which LAPACK fails as a whole stack, runs again
-    on the other columns only where a matrix has no eigenvalues."""
+def _metric_checked(geo: Optional[ChartGeometry], kept: taylor.Kept) -> Optional[ChartGeometry]:
+    """The geometry of the columns of geo whose induced metric has
+    eigenvalues, the lowest above `_EIG_FLOOR`, and an inverse, with
+    `g_inv0` set, or None when no column passes (or geo is None); each
+    refused column's error goes to `kept`.  The checks read
+    the eigenvalues and the inverses computed once for every column, and
+    drop the refused columns from them by column selection."""
     if geo is None:
         return None
-    lowest, geo = kept.retried(
-        lambda g: _stacked(np.linalg.eigvalsh, g._defect("has no eigenvalues"), g.g0)[..., 0],
-        geo, _columns,
-    )
-    if geo is None:
-        return None
-    g_inv0, singular = _inverses(geo.g0)
+    eigenvalues, no_eigenvalues = _lapack(_umath_linalg.eigvalsh_lo, geo.g0)
+    lowest = eigenvalues[..., 0]
+    g_inv0, singular = _lapack(_umath_linalg.inv, geo.g0)
     try:
         taylor.reject_first([
+            (no_eigenvalues, geo._defect("has no eigenvalues")),
             (lowest <= _EIG_FLOOR, lambda at: MetricSignatureError(
                 f"induced metric at {format_point(at(geo.x))} is not positive definite "
                 f"(min eigenvalue {at(lowest):.3e})"
@@ -416,21 +362,17 @@ def _metric_checked(geo: Optional[ChartGeometry], kept: _Kept) -> Optional[Chart
         ])
     except BatchRejected as err:
         positions = kept.drop(err)
-        if positions is None:
+        if not len(positions):
             return None
-        geo, g_inv0 = _columns(geo, positions), g_inv0[positions]
+        geo, g_inv0 = geo.columns(positions), g_inv0[positions]
     geo.g_inv0 = g_inv0
     return geo
 
 
-def _rows(x, positions):
-    return x[positions]
-
-
-def _geometry_from_immersion(im: Immersion, x, check_membership, kept: _Kept):
+def _geometry_from_immersion(im: Immersion, x, check_membership, kept: taylor.Kept):
     # the chart map, its domain box first: a primitive refused partway runs
     # the map again on the other columns
-    psi, x = kept.retried(lambda xs: im.series(xs, JET_ORDER, check_membership=False), x, _rows)
+    psi = kept.run(lambda xs: im.series(xs, JET_ORDER, check_membership=False), x)
     if psi is None:
         return None
     if check_membership and im.target_cone is not None:
@@ -438,9 +380,10 @@ def _geometry_from_immersion(im: Immersion, x, check_membership, kept: _Kept):
             require_on_cone(im.target_cone, taylor.batch_first([s.val for s in psi]))
         except BatchRejected as err:
             positions = kept.drop(err)
-            if positions is None:
+            if not len(positions):
                 return None
-            x, psi = x[positions], [s.columns(positions) for s in psi]
+            psi = [s.columns(positions) for s in psi]
+    x = x[kept.index]
     # [i, a] = d_i psi^a, exact to order 2
     dpsi = Series.stack(psi, psi[0].ctx, len(x)).gradient().truncate(METRIC_ORDER)
     # the profile f at the Series time, kept for the cone gradient; f^2 is
@@ -469,36 +412,36 @@ def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:
 
 
 def geometry_columns(obj, x, check_membership=True) -> tuple:
-    """(geometry, errors) of an `Immersion` or a `MetricChart` at a batch
+    """(geometry, kept) of an `Immersion` or a `MetricChart` at a batch
     x (B, n): the checked `ChartGeometry` of the columns the pipeline keeps,
-    in order, or None when it keeps none, and the typed error of each
-    refused column by its index in x.
+    in order, or None when it keeps none, and the `taylor.Kept` of x, which
+    holds their indices and the typed error of each refused column.
 
     A check of values already evaluated, cone membership after psi and the
-    metric's eigenvalue floor and singular-inverse test, drops its refused
-    columns from them by column selection.  A stage refused partway, the
-    chart map (its domain box, or a primitive inside it), a metric chart's
-    metric or `eigvalsh`, which LAPACK fails as a whole stack, runs again on
-    the other columns; nothing else does."""
+    metric's eigenvalue, eigenvalue floor and singular-inverse tests, drops
+    its refused columns from them by column selection (`Kept.drop`).  A
+    stage refused partway, the chart map (its domain box, or a primitive
+    inside it) or a metric chart's metric, runs again on the other columns
+    (`Kept.run`); nothing else does."""
     x = np.asarray(x, dtype=np.float64)
-    kept = _Kept(len(x))
     if not isinstance(obj, (Immersion, MetricChart)):
         raise TypeError(f"expected Immersion or MetricChart, got {type(obj).__name__}")
+    kept = taylor.Kept(len(x))
     # the check holds the one reference to the unchecked geometry, which is
     # freed once the check has selected the kept columns
     geo = _metric_checked(
         _geometry_from_immersion(obj, x, check_membership, kept) if isinstance(obj, Immersion)
-        else kept.retried(lambda xs: _geometry_from_metric(obj, xs), x, _rows)[0],
+        else kept.run(lambda xs: _geometry_from_metric(obj, xs), x),
         kept,
     )
-    return geo, dict(sorted(kept.errors.items()))
+    return geo, kept
 
 
 def chart_geometry(obj, x, check_membership=True) -> ChartGeometry:
     """Metric jet of an `Immersion` or a `MetricChart` at each point of a
     batch (B, n); raises `BatchRejected` of the columns that
     `geometry_columns` refuses."""
-    geo, errors = geometry_columns(obj, x, check_membership)
-    if errors:
-        raise BatchRejected(errors)
+    geo, kept = geometry_columns(obj, x, check_membership)
+    if kept.errors:
+        raise BatchRejected(kept.errors)
     return geo

@@ -35,15 +35,19 @@ such value ends as a typed rejection.
 
 A check that fails raises `BatchRejected`, which carries each failing
 column's typed error, the one that column raises in a batch of its own.
-Where it is caught, the flagged columns keep their errors and the rest go
-on as a batch, so no column is evaluated alone: a check of values already
-evaluated drops the flagged columns from them
-(`immersion.geometry_columns`), and `column_results` evaluates a function
-of the columns again on the rest, as the grid pass's extrinsic stages and
-the sample checks do; a single-point call raises its point's error through
-`per_sample`.  An integral's integrand is one more
-batch: `spacetime.quadrature` evaluates the nodes of each round of its rule
-as one, and a rejected node rejects its integral.
+One `Kept` holds the columns of a batch still evaluated and the error of
+each refused one, so no column is evaluated alone: a check of values
+already evaluated drops the flagged columns and selects the others from
+those values (`Kept.drop`, as `immersion.geometry_columns` does after cone
+membership and the metric's tests), and `Kept.run`, the package's one
+loop that runs a stage again, evaluates a stage refused partway on the
+other columns, as the chart map, the grid pass's extrinsic stages and the
+sample checks do.  Every column ends with its result or its own error, so
+the first failing sample of a batch is the least refused index, which
+`per_index` and `per_sample` raise (one point is a batch of one).  An
+integral's integrand is one more batch: `spacetime.quadrature` evaluates
+the nodes of each round of its rule as one, and a rejected node rejects
+its integral.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import ast
 import contextvars
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -125,8 +130,7 @@ class BatchRejected(Exception):
     typed error it raises in a batch of its own.
 
     Deliberately neither a `DomainError` nor a `ValueError`, so that no
-    handler of typed rejections catches it: `column_results` and
-    `immersion.geometry_columns` do.
+    handler of typed rejections catches it: `Kept` does.
     """
 
     def __init__(self, errors: dict):
@@ -174,49 +178,65 @@ def require(ok, error):
         reject(~ok, error)
 
 
-def column_results(fn, xs, first: bool = False) -> list:
-    """The list of each column's result or typed error, fn evaluating the
-    columns xs (B, ...) as one batch and returning its per-column results.
+class Kept:
+    """The columns of a batch still evaluated, as the array `index` of
+    their indices in it, and `errors`, the typed error of each column
+    refused so far by its index, in index order."""
 
-    Where fn raises `BatchRejected`, the flagged columns keep their errors
-    and fn runs again on the rest as one batch; with `first`, only on those
-    before the first failing column, whose error then ends the list.  Only
-    fn runs again, so a caller hands it what is evaluated once for every
-    column, as the grid pass hands its extrinsic stages the chart geometry
-    of the kept columns."""
-    out = [None] * len(xs)
-    pending, batch = list(range(len(xs))), xs
-    while pending:
-        try:
-            done = fn(batch)
-        except BatchRejected as err:
-            for b, e in err.errors.items():
-                out[pending[b]] = e
-            if first:
-                stop = min(err.errors)
-                del out[pending[stop] + 1:]
-                pending = pending[:stop]
-            else:
-                pending = [p for b, p in enumerate(pending) if b not in err.errors]
-            batch = xs[pending]
-            continue
-        for i, result in zip(pending, done):
-            out[i] = result
-        break
+    def __init__(self, count: int):
+        self.index = np.arange(count)
+        self.errors = {}
+
+    def drop(self, err: BatchRejected) -> np.ndarray:
+        """Keep the errors that err gives its columns, numbered by position
+        among the columns still evaluated; the positions of the others, which
+        a check of values already evaluated selects from them."""
+        positions = np.delete(np.arange(len(self.index)), list(err.errors))
+        self.errors.update((self.index[b].item(), e) for b, e in err.errors.items())
+        self.errors = dict(sorted(self.errors.items()))
+        self.index = self.index[positions]
+        return positions
+
+    def run(self, stage, state, select=operator.getitem):
+        """stage(state), state holding the columns still evaluated: where it
+        raises `BatchRejected`, the refused columns keep their errors and the
+        stage runs again on select(state, positions of the others); None
+        once no column is left.  The package's one loop that runs a stage
+        again: only the stage runs again, so a caller hands it in state what
+        is evaluated once for every column, as the grid pass hands its
+        extrinsic stages the chart geometry of the kept columns."""
+        while len(self.index):
+            try:
+                return stage(state)
+            except BatchRejected as err:
+                state = select(state, self.drop(err))
+        return None
+
+
+def column_results(fn, xs) -> list:
+    """The list of each column's result or typed error, fn evaluating the
+    columns xs (B, ...) as one batch (`Kept.run`) and returning its
+    per-column results."""
+    kept = Kept(len(xs))
+    done = kept.run(fn, xs)
+    out = [kept.errors.get(b) for b in range(len(xs))]
+    for b, result in zip(kept.index.tolist(), () if done is None else done):
+        out[b] = result
     return out
 
 
-def per_index(fn, count: int) -> list:
+def per_index(fn, count: int):
     """fn's results for the samples 0..count-1, fn evaluating the index
-    array of samples as one batch; the first failing sample raises its own
-    typed error."""
-    results = column_results(fn, np.arange(count), first=True)
-    if results and isinstance(results[-1], Exception):
-        raise results[-1]
-    return results
+    array of samples as one batch (`Kept.run`); where samples fail, the
+    first of them raises its own typed error."""
+    kept = Kept(count)
+    results = kept.run(fn, np.arange(count))
+    if kept.errors:
+        raise kept.errors[min(kept.errors)]
+    return [] if results is None else results
 
 
-def per_sample(fn, samples) -> list:
+def per_sample(fn, samples):
     """fn's per-sample results, fn evaluating the samples stacked as one
     batch (S, ...); the first failing sample raises its own typed error."""
     xs = np.array(list(samples), dtype=np.float64)
@@ -891,13 +911,30 @@ _EXPR_FUNCS = {
 _EXPR_CONSTS = {"pi": math.pi, "e": math.e}
 
 
-def _power(a, b):
-    """a ** b of an expression: Python's float power of floats, elementwise
-    on arrays too (`np.float_power`), so a batch's values are its points'."""
-    if isinstance(a, Series) or isinstance(b, Series):
-        return a ** b
-    out = np.float_power(a, b)
-    return out if out.ndim else float(out)
+def _elementwise(op, ufunc):
+    """The binary operator op of an expression: op itself where an operand
+    is a Series, else the numpy `ufunc`, on floats as elementwise on arrays,
+    so that a batch's values are its points' and a power that overflows or
+    a division by zero gives inf or NaN, a typed rejection, not an
+    exception."""
+
+    def apply(a, b):
+        if isinstance(a, Series) or isinstance(b, Series):
+            return op(a, b)
+        out = ufunc(a, b)
+        return out if out.ndim else float(out)
+
+    return apply
+
+
+# Python's float power and division, as numpy computes them
+_power = _elementwise(operator.pow, np.float_power)
+_divide = _elementwise(operator.truediv, np.true_divide)
+
+
+def _mentions(node, names) -> bool:
+    """Whether an expression's syntax tree names one of `names`."""
+    return any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
 
 
 def parse_expression(expr: str, variables: Sequence[str]) -> Callable:
@@ -939,8 +976,14 @@ def parse_expression(expr: str, variables: Sequence[str]) -> Callable:
             if op is ast.Mult:
                 return lambda xs: lhs(xs) * rhs(xs)
             if op is ast.Div:
-                return lambda xs: lhs(xs) / rhs(xs)
+                return lambda xs: _divide(lhs(xs), rhs(xs))
             if op is ast.Pow:
+                # a Series has no Series-valued exponent
+                if _mentions(node.left, slot) and _mentions(node.right, slot):
+                    raise ValueError(
+                        f"variable exponent of a variable base in {ast.unparse(node)!r} "
+                        "not allowed in expressions"
+                    )
                 return lambda xs: _power(lhs(xs), rhs(xs))
             raise ValueError(f"operator {op.__name__} not allowed in expressions")
         if isinstance(node, ast.UnaryOp):

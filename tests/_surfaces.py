@@ -345,7 +345,7 @@ def evaluate_alone(scene, x):
     batch of one: the oracle of the batched grid pass."""
     x = np.asarray(x, dtype=float)
     try:
-        ((row, (diag, _)),) = tm.per_sample(
+        (row,), diag, _ = tm.per_sample(
             tm.float_edges(lambda xs: cli._evaluate(scene, chart_geometry(scene.im, xs))), [x]
         )
     except Exception as err:  # a typed rejection, or raised again
@@ -377,7 +377,7 @@ def suite_samples(scene, seed):
 
 def refused_alone(op, a, *args) -> np.ndarray:
     """The (B,) mask of the matrices of a stack that the numpy.linalg `op`
-    refuses one at a time: the oracle of `immersion._singular`."""
+    refuses one at a time: the oracle of `immersion._lapack`."""
     bad = np.zeros(len(a), dtype=bool)
     for b in range(len(a)):
         try:

@@ -159,6 +159,17 @@ def break_grid_overflow(doc):
     doc["grid"][0]["max"] = 10**400
 
 
+def break_variable_exponent(doc):
+    # a Series has no Series-valued exponent: refused when the scene is parsed
+    doc.clear()
+    doc.update(small(builtin_scenes()["mink-h2"]))
+    doc["immersion"]["f"] = "1 + 0.1*x0**x1"
+
+
+def break_warping_variable_exponent(doc):
+    with_warping(doc, {"kind": "custom", "expr": "t**t"})
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -482,7 +493,10 @@ def test_non_finite_tolerance_and_expect_exit_as_config_errors(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "mutate", [break_warping_expression, break_warping_param_overflow, break_grid_overflow]
+    "mutate", [
+        break_warping_expression, break_warping_param_overflow, break_grid_overflow,
+        break_variable_exponent, break_warping_variable_exponent,
+    ]
 )
 def test_bad_expression_and_huge_number_exit_as_config_errors(mutate, tmp_path, capsys):
     control = {}
@@ -547,6 +561,20 @@ def test_float_overflow_is_a_chart_singularity(tmp_path, capsys):
         assert entry["detail"] == (
             f"primitive 'sin' undefined at value inf (evaluation point {tuple(entry['point'])})"
         )
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--config", str(path), "--out", str(tmp_path / "r.json")]) == (
+        EXIT_DEGENERATE
+    )
+    assert "Traceback" not in capsys.readouterr().err
+    # a constant division by zero is numpy's inf, as x0/0 is, not Python's
+    # ZeroDivisionError: f leaves the family's range (0, inf) at every point
+    doc["immersion"]["f"] = "1 + 1/0"
+    report = run(doc)
+    assert report["rows"] == [] and report["exit_status"] == EXIT_DEGENERATE
+    assert len(report["rejections"]) == 9
+    for entry in report["rejections"]:
+        assert entry["reason"] == "off_cone"
+        assert entry["detail"] == "f = inf outside the admissible range (0, inf)"
     path.write_text(json.dumps(doc))
     assert cli.main(["check", "--config", str(path), "--out", str(tmp_path / "r.json")]) == (
         EXIT_DEGENERATE
@@ -882,6 +910,22 @@ def dense_grid_configs() -> dict:
         return {s["config"]["name"]: s["config"] for s in json.load(fh)["scenes"]}
 
 
+@taylor.float_edges
+def chunk_outcomes(scene, points) -> list:
+    """Each point's (row, diag) or typed error where the grid pass takes
+    the points as one chunk: its chart geometry, then the extrinsic stages
+    on the columns it keeps, run again on the others where they refuse
+    some."""
+    geo, kept = immersion.geometry_columns(scene.im, points)
+    batch = kept.run(lambda g: cli._evaluate(scene, g), geo, immersion.ChartGeometry.columns)
+    out = dict(kept.errors)
+    if batch is not None:
+        rows, diag, _ = batch
+        for i, b in enumerate(kept.index.tolist()):
+            out[b] = (rows[i], {name: v[i] for name, v in diag.items()})
+    return [out[b] for b in range(len(points))]
+
+
 def test_columns_do_not_interact_across_product_blocks():
     # order-3 scalar products of a batch run in blocks of 16384 // 35 = 468
     # columns: on a 30x20 grid of mink-h2 with one point refused in the
@@ -892,16 +936,12 @@ def test_columns_do_not_interact_across_product_blocks():
     axes = [np.linspace(-1.5, 1.5, 30), np.linspace(-1.5, 1.5, 20)]
     points = np.array(list(itertools.product(*axes)))
     points[500] = (1e155, 0.3)  # x0**2 overflows: sqrt refuses the column
-    results = taylor.float_edges(cli._chunk_results)(scene, points)
+    results = chunk_outcomes(scene, points)
     assert [b for b, r in enumerate(results) if isinstance(r, Exception)] == [500]
-    # the kept columns share the diag lists of the batch that evaluated them
-    kept = iter(range(len(points)))
     for x, got in zip(points, results):
         kind, payload, diag = evaluate_alone(scene, x)
         if kind == "row":
-            row, (diags, _) = got
-            i = next(kept)
-            assert repr((row, {name: v[i] for name, v in diags.items()})) == repr((payload, diag))
+            assert repr(got) == repr((payload, diag))
         else:
             assert cli._rejection(x, got) == payload
 
@@ -955,7 +995,7 @@ def test_refusals_at_every_stage_match_points_alone(monkeypatch, name):
 
     monkeypatch.setattr(cli, "_evaluate", counted)
     jets = order3_columns(monkeypatch)
-    results = taylor.float_edges(cli._chunk_results)(scene, points)
+    results = chunk_outcomes(scene, points)
     refused = [type(r).__name__ for r in results if isinstance(r, Exception)]
     assert set(refused) == kinds
     # the map runs again after the domain box and after the primitive, on
@@ -968,13 +1008,10 @@ def test_refusals_at_every_stage_match_points_alone(monkeypatch, name):
     assert batches[-1] == len(points) - len(refused)
     assert len(batches) <= 1 + frame_refused
     monkeypatch.undo()
-    rows = iter(range(len(points)))
     for x, got in zip(points, results):
         kind, payload, diag = evaluate_alone(scene, x)
         if kind == "row":
-            row, (diags, _) = got
-            i = next(rows)
-            assert repr((row, {key: v[i] for key, v in diags.items()})) == repr((payload, diag))
+            assert repr(got) == repr((payload, diag))
         else:
             assert repr(cli._rejection(x, got)) == repr(payload)
 
@@ -1114,22 +1151,17 @@ def test_no_grid_point_is_evaluated_twice(monkeypatch):
 
 def test_dense_grids_evaluate_each_point_once(monkeypatch):
     # each dense configuration's grid pass computes order-3 psi, the
-    # metric's eigenvalues and its inverse once per point: 400 columns
-    # each, where evaluating the 380 kept points again took 780
+    # metric's eigenvalues and its inverse once per point: one stack of 400
+    # columns each, where evaluating the 380 kept points again took 780
     jets = order3_columns(monkeypatch)
-    stacks = {"eigvalsh": [], "inv": []}
-    real_eigvalsh, real_inverses = np.linalg.eigvalsh, immersion._inverses
+    stacks = {"eigvalsh_lo": [], "inv": [], "cholesky_lo": []}
+    real = immersion._lapack
 
-    def eigvalsh(a):
-        stacks["eigvalsh"].append(len(a))
-        return real_eigvalsh(a)
+    def lapack(gufunc, a):
+        stacks[gufunc.__name__].append(len(a))
+        return real(gufunc, a)
 
-    def inverses(a):
-        stacks["inv"].append(len(a))
-        return real_inverses(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    monkeypatch.setattr(immersion, "_inverses", inverses)
+    monkeypatch.setattr(immersion, "_lapack", lapack)
     for name, doc in sorted(dense_grid_configs().items()):
         jets.clear()
         for sizes in stacks.values():
@@ -1139,9 +1171,9 @@ def test_dense_grids_evaluate_each_point_once(monkeypatch):
         assert len(grid.rows) == 380 and len(grid.rejections) == 20, name
         assert jets == [400], name
         # the metric's stacks come first; the shape suite's Cholesky factors
-        # are inverted on the kept points
-        assert stacks["eigvalsh"][0] == stacks["inv"][0] == 400, name
-        assert set(stacks["inv"][1:]) <= {380}, name
+        # are computed and inverted on the kept points
+        assert stacks["eigvalsh_lo"] == [400] and stacks["inv"][0] == 400, name
+        assert set(stacks["inv"][1:]) <= {380} and set(stacks["cholesky_lo"]) <= {380}, name
 
 
 def _outcome(fn, *args):
@@ -1224,12 +1256,12 @@ def test_suites_evaluate_the_immersion_only_at_trials_and_quadrature(monkeypatch
         return names
 
     def series(self, x, order, check_membership=True):
-        if not callers() & {"_chunk_results", "_descend", "exactness_residual"}:
+        if not callers() & {"_evaluate_grid", "_descend", "exactness_residual"}:
             stray.append(("series", order, len(x)))
         return real_series(self, x, order, check_membership)
 
     def build(im, x, *args):
-        builds.append("_chunk_results" in callers())
+        builds.append("_evaluate_grid" in callers())
         return real_build(im, x, *args)
 
     monkeypatch.setattr(immersion.Immersion, "series", series)

@@ -950,6 +950,32 @@ def test_curvature_check_batch_matches_samples_alone(monkeypatch):
         assert outcome(cf.conformal_curvature_check, chart, lam, samples) == want
 
 
+def test_sample_checks_raise_the_first_refused_sample_as_the_loops():
+    # refused samples in the middle of a batch, among the sphere chart's
+    # polar points, whose metric is singular: a sample refused at a later
+    # stage than a sample after it (the factor, after the chart geometry)
+    # raises its error, and the round trip refuses the samples off the
+    # chart; each check raises what its samples taken one at a time raise
+    im = desitter_family(0.0, sphere_f)
+    spec = ConformalMapSpec("desitter_to_Sn")
+    lam = lambda qs: qs[1]  # noqa: E731 - nonpositive where x1 <= 0
+    cases = [
+        ([(1.5, 0.2), (1.2, -0.3), (1.4, 0.5), (0.0, 0.1), (1.1, 0.4)],
+         ValueError, None),
+        ([(1.5, 0.2), (0.0, -0.3), (1.4, 0.5), (3.3, 0.1), (1.1, 0.4)],
+         immersion.MetricSignatureError, tm.ChartDomainError),
+        ([(1.5, 0.2), (1.2, 0.3), (0.0, 0.5), (1.4, 0.1), (3.3, 0.4), (1.1, -0.4)],
+         immersion.MetricSignatureError, tm.ChartDomainError),
+    ]
+    for samples, curvature, factorization in cases:
+        want = outcome(curvature_check_loop, im, lam, samples)
+        assert want[0] is curvature
+        assert outcome(cf.conformal_curvature_check, im, lam, samples) == want
+        want = outcome(factorization_alone, im, spec, samples)
+        assert want[0] is factorization if factorization else isinstance(want, str)
+        assert outcome(cf.factorization_check, im, spec, samples) == want
+
+
 def test_pullback_columns_match_points_alone():
     cases = [(sc.cspec, sc.im, itertools.product(*sc.axes)) for sc in appendix_scenes()]
     # mink-slice with half of its grid below x1 = 0, where the image lands on

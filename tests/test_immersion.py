@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from nullgeom import cli
 from nullgeom import immersion as imm
@@ -337,26 +338,78 @@ def test_singular_mask_matches_inversions_alone_on_dense_grids(monkeypatch):
     # the metric stacks that inv refuses on the dense grids, whose polar row
     # is singular: the batched mask flags the matrices inv refuses alone
     stacks = []
-    real = imm._singular
+    real = imm._lapack
 
-    def recording(a):
-        stacks.append(a.copy())
-        return real(a)
+    def recording(gufunc, a):
+        if gufunc is _umath_linalg.inv:
+            stacks.append(a.copy())
+        return real(gufunc, a)
 
-    monkeypatch.setattr(imm, "_singular", recording)
+    monkeypatch.setattr(imm, "_lapack", recording)
     with DENSE_GRID.open() as fh:
         configs = [s["config"] for s in json.load(fh)["scenes"]]
     for config in configs:
         cli.run(config)
-    assert len(stacks) >= len(configs)
+    refusing = 0
     for a in stacks:
-        mask = real(a)
-        assert mask.any()
+        _, mask = real(_umath_linalg.inv, a)
         assert np.array_equal(mask, refused_alone(np.linalg.inv, a))
+        # a stack that inv fails as a whole has a matrix inv refuses alone
+        assert imm._recorded(_umath_linalg.inv, a)[1] == mask.any()
+        refusing += bool(mask.any())
+    assert refusing >= len(configs)
+
+
+def assert_lone_results(gufunc, op, a, expect=None):
+    """`immersion._lapack` of the stack a: its mask flags exactly the
+    matrices that the numpy.linalg op refuses alone (`expect`, if given,
+    too), and every other matrix's result is op's alone, bit for bit."""
+    out, mask = imm._lapack(gufunc, a)
+    assert np.array_equal(mask, refused_alone(op, a))
+    if expect is not None:
+        assert np.array_equal(mask, expect)
+    for b in np.flatnonzero(~mask).tolist():
+        assert out[b].tobytes() == op(a[b]).tobytes()
+    return mask
+
+
+def symmetric_stack(rng, n, count=16):
+    """count random symmetric positive definite n x n matrices, and planted
+    in the first five: a NaN, an inf on and one off the diagonal, an
+    indefinite matrix, and [[1, 1], [1, 1 - 1e-13]] on the leading block,
+    whose lowest eigenvalue passes the floor but which has no Cholesky
+    factor."""
+    m = rng.standard_normal((count, n, n))
+    a = m @ m.swapaxes(-1, -2) + n * np.eye(n)
+    a[0, 0, 0] = np.nan
+    a[1, -1, -1] = np.inf
+    a[2, 0, -1] = a[2, -1, 0] = np.inf
+    a[3] = np.diag(np.arange(n) - 0.5)
+    a[4] = np.eye(n)
+    a[4, :2, :2] = [[1.0, 1.0], [1.0, 1.0 - 1e-13]]
+    return a
+
+
+def failing_eigvalsh(real, calls):
+    """The gufunc behind eigvalsh as a LAPACK build on which it does not
+    converge for a matrix with a non-finite entry: NaN eigenvalues and the
+    invalid flag, which numpy.linalg raises as a LinAlgError.  Each call's
+    argument shape goes to calls."""
+
+    def gufunc(a, **kwargs):
+        calls.append(a.shape)
+        out = real(a, **kwargs)
+        bad = ~np.isfinite(a).all(axis=(-2, -1))
+        if bad.any():
+            out[bad] = np.nan
+            np.sqrt(np.float64(-1.0))  # the invalid flag
+        return out
+
+    return gufunc
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_singular_mask_matches_inv_and_solve_alone_on_planted_stacks(n):
+def test_singular_mask_matches_inv_and_solve_alone_on_planted_stacks(monkeypatch, n):
     rng = np.random.default_rng(n)
     eye = np.broadcast_to(np.eye(n), (64, n, n))
     for _ in range(20):
@@ -373,7 +426,38 @@ def test_singular_mask_matches_inv_and_solve_alone_on_planted_stacks(n):
             else:
                 m = np.outer(m[0], m[1])  # rank one
             a[b] = m
-        mask = imm._singular(a)
-        assert np.array_equal(mask, refused_alone(np.linalg.inv, a))
+        mask = assert_lone_results(_umath_linalg.inv, np.linalg.inv, a)
         assert np.array_equal(mask, refused_alone(np.linalg.solve, a, eye))
         assert mask[planted].sum() >= 4  # the zero rows and columns at least
+    # the metric's Cholesky factor and eigenvalues: the planted stack's
+    # non-finite, indefinite and nearly singular matrices among others
+    a = symmetric_stack(rng, n)
+    mask = assert_lone_results(_umath_linalg.cholesky_lo, np.linalg.cholesky, a)
+    assert mask[3:5].all() and not mask[5:].any()
+    assert_lone_results(_umath_linalg.eigvalsh_lo, np.linalg.eigvalsh, a)
+    # LAPACK builds differ in the matrices whose eigenvalues do not converge:
+    # one that fails on every non-finite matrix
+    calls = []
+    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo",
+                        failing_eigvalsh(_umath_linalg.eigvalsh_lo, calls))
+    assert_lone_results(_umath_linalg.eigvalsh_lo, np.linalg.eigvalsh, a, np.arange(16) < 3)
+    # the stack ran once, and only its NaN results were tried alone
+    assert calls[:4] == [a.shape] + [(n, n)] * 3
+    # a metric chart whose metric has no Cholesky factor at one column: the
+    # frame refuses that column only, with the error it raises alone
+    def metric(cs):
+        g = np.eye(n).tolist()
+        g[0][1] = g[1][0] = cs[0]
+        g[1][1] = 1.0 - 1e-13
+        return g
+
+    chart = imm.MetricChart(metric, n)
+    x = np.zeros((4, n))
+    x[:, 0] = (0.5, 1.0, -0.3, 0.2)
+    geo = imm.chart_geometry(chart, x)
+    with pytest.raises(tm.BatchRejected) as err:
+        geo.onf
+    assert list(err.value.errors) == [1]
+    with pytest.raises(imm.MetricSignatureError, match="has no Cholesky factor$") as alone:
+        tm.per_sample(lambda xs: [imm.chart_geometry(chart, xs).onf], [x[1]])
+    assert str(err.value.errors[1]) == str(alone.value)

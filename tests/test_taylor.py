@@ -499,7 +499,7 @@ def test_column_picker_builds_each_columns_error():
 
 def test_column_results_evaluates_no_column_twice():
     # the failing columns keep their errors and the others run again as
-    # one batch; with `first`, only the columns before the first failure
+    # one batch, until every column ends with its result or its error
     calls = []
 
     def fn(xs):
@@ -514,12 +514,30 @@ def test_column_results_evaluates_no_column_twice():
         10.0, "3.0 too large", "-1.0 negative", 20.0, "4.0 too large"
     ]
     assert calls == [[1.0, 3.0, -1.0, 2.0, 4.0], [1.0, -1.0, 2.0], [1.0, 2.0]]
-    calls.clear()
-    out = tm.column_results(fn, xs, first=True)
-    assert out[:1] == [10.0] and str(out[1]) == "3.0 too large" and len(out) == 2
-    assert calls == [[1.0, 3.0, -1.0, 2.0, 4.0], [1.0]]
-    assert tm.column_results(fn, np.array([1.0, 2.0]), first=True) == [10.0, 20.0]
     assert tm.column_results(fn, np.zeros(0)) == []
+
+
+def test_per_index_raises_the_first_failing_sample():
+    # sample 2 is refused at the first check and sample 0 only at a later
+    # one, after the others run again: per_index raises sample 0's error,
+    # the least refused index, and evaluates no refused sample again
+    calls = []
+
+    def fn(ks):
+        calls.append(ks.tolist())
+        tm.reject(ks == 2, lambda at: ValueError(f"sample {at(ks)} at the first check"))
+        tm.reject(ks == 0, lambda at: ValueError(f"sample {at(ks)} at a later check"))
+        return (10 * ks).tolist()
+
+    with pytest.raises(ValueError, match="^sample 0 at a later check$"):
+        tm.per_index(fn, 4)
+    assert calls == [[0, 1, 2, 3], [0, 1, 3], [1, 3]]
+    assert tm.per_index(lambda ks: (10 * ks).tolist(), 3) == [0, 10, 20]
+    assert tm.per_index(fn, 0) == []
+    calls.clear()
+    with pytest.raises(ValueError, match="^sample 2 at the first check$"):
+        tm.per_sample(lambda xs: fn(xs.astype(int)), [3.0, 2.0, 1.0])
+    assert calls == [[3, 2, 1], [3, 1]]
 
 
 def test_expression_parser_matches_direct():
@@ -530,6 +548,10 @@ def test_expression_parser_matches_direct():
     ja = jet_eval(f, x, 3)
     jb = jet_eval(direct, x, 3)
     assert np.allclose(ja.taylor, jb.taylor, atol=1e-15)
+    # a variable exponent of a constant base, a constant one of a variable
+    f = tm.parse_expression("2**x * (y + 1)**(1/2)", ["x", "y"])
+    direct = lambda xs: 2.0 ** xs[0] * (xs[1] + 1.0) ** 0.5
+    assert np.allclose(jet_eval(f, x, 3).taylor, jet_eval(direct, x, 3).taylor, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -543,6 +565,7 @@ def test_expression_parser_matches_direct():
         "lambda v: v",
         "x @ y",
         "True",
+        "x ** y",
     ],
 )
 def test_expression_parser_rejects_non_vocabulary(bad):

@@ -24,11 +24,18 @@ them.  It prints, one per line:
   as `float.hex`;
 - `factorization NAME RESIDUAL`: `conformal.factorization_check` of the
   first 6 pool points of each scene whose stored reference has a
-  factorization residual, as `float.hex`.
+  factorization residual, as `float.hex`;
+- `curvature NAME-grid-mixed S SAMPLES` and
+  `factorization NAME-grid-mixed-S RESIDUAL`: the two checks over a set of
+  6 grid points drawn by the seed S (0-7) on each dense-grid configuration
+  with a split map, one or two of them on the polar row x0 = 0, whose
+  metric is singular, the others off it, in drawn order; or the typed
+  error of the first refused sample.
 
-Between them these cover every operation of the `pointwise` workload, and
-the one-point refusals of the dense grids, whose messages are the details
-of the grid pass's rejections.  The refusal grids put several kinds of
+Between them these cover every operation of the `pointwise` workload, the
+one-point refusals of the dense grids, whose messages are the details of
+the grid pass's rejections, and sample checks whose batch holds refused
+samples among evaluated ones.  The refusal grids put several kinds of
 refused point in one chunk: `mink-bowl-off-cone` (f = 0.6 + 0.5 x0 on
 [-2, 2]^2, whose 80 points with f <= 0 the chart map refuses partway) and
 `grw-cosh-overflow` (the dense grw-cosh grid, its height plus
@@ -61,6 +68,7 @@ REFERENCE = ROOT / "perfbench" / "reference"
 SEEDS = range(8)
 CURVATURE_SAMPLES = 6
 FACTORIZATION_SAMPLES = 6
+MIXED_SAMPLES = 6
 
 
 def _stored(workload: str) -> list:
@@ -100,7 +108,7 @@ def _outcome(fn, *args) -> str:
     """fn(*args), or the typed error it raises."""
     try:
         return fn(*args)
-    except (ValueError, ArithmeticError) as err:  # a typed rejection
+    except (ValueError, ArithmeticError, conformal.InverseError) as err:  # a typed rejection
         return f"rejected {type(err).__name__}: {err}"
 
 
@@ -143,6 +151,17 @@ def pointwise_lines():
             yield f"factorization {name} {_outcome(_factorization, scene, samples)}"
 
 
+def mixed_samples(points, seed) -> list:
+    """The sample set of the seed in the module docstring, from the grid
+    points (N, n)."""
+    rng = np.random.default_rng(seed)
+    polar = np.flatnonzero(points[:, 0] == 0.0)
+    polar = rng.choice(polar, size=1 + seed % 2, replace=False)
+    others = np.flatnonzero(points[:, 0] != 0.0)
+    others = rng.choice(others, size=MIXED_SAMPLES - len(polar), replace=False)
+    return list(points[rng.permutation(np.concatenate([polar, others]))])
+
+
 def grid_point_lines():
     for entry in _stored("dense-grid"):
         scene = cli.parse_scene(entry["config"])
@@ -150,9 +169,15 @@ def grid_point_lines():
         points = list(itertools.product(*scene.axes))
         for i, x in enumerate(points):
             yield f"point {name} {i} {_outcome(_report, scene, np.array(x))}"
-        if scene.cspec is not None:
-            for i, x in enumerate(points):
-                yield f"map {name} {i} {_outcome(_map, scene, np.array(x))}"
+        if scene.cspec is None:
+            continue
+        for i, x in enumerate(points):
+            yield f"map {name} {i} {_outcome(_map, scene, np.array(x))}"
+        lam = conformal.factor_field(scene.cspec, scene.im)
+        for seed in SEEDS:
+            samples = mixed_samples(np.array(points), seed)
+            yield f"curvature {name}-mixed {seed} {_outcome(_curvature, scene, lam, samples)}"
+            yield f"factorization {name}-mixed-{seed} {_outcome(_factorization, scene, samples)}"
 
 
 def main() -> int:
