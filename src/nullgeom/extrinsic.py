@@ -5,12 +5,13 @@ order, each taking the `ChartGeometry` and the arrays or Series lists of
 the stages before it:
 
 1. `height`: the cone height u = psi^0, its gradient and its Hessian;
-2. `null_frame`: xi, the time axis and its normal part, nu and eta, as
-   vector Series of the ambient components at order 1 (`FRAME_ORDER`), so
-   that their first coordinate derivatives, all the Weingarten maps read,
-   are exact (`null_partner` is its last step, eta from xi, nu and
-   <xi, nu>);
-3. `weingarten_map` of the xi and eta fields;
+2. `null_frame`: xi and the normal part N of the time axis as vector
+   Series of the ambient components at order 1 (`FRAME_ORDER`), whose
+   first derivatives, all the Weingarten maps read, are exact; as values
+   only, nu = N / s with s = sqrt(-<N, N>), and eta = a xi + (b/s) N with
+   c = <xi, nu>, a = -1/(2c^2) and b = -1/c;
+3. `weingarten_map` of xi and N.  A shape operator is linear over
+   functions in its normal field, so A_eta = a A_xi + (b/s) A_N;
 4. `second_fundamental_form` and `expansions`: theta_xi, theta_eta, the
    mean curvature vector H and <H, H>.
 
@@ -132,11 +133,6 @@ def closed_forms(model, cone) -> tuple:
 # -- pipeline stages ---------------------------------------------------------
 
 
-def _values(series: Series) -> np.ndarray:
-    """Values of a vector Series, the batch axis first, components last."""
-    return taylor.batch_first(series.val)
-
-
 def height(geo: ChartGeometry):
     """The cone height u with du, grad u, |grad u|^2 and Hess u (chart components).
 
@@ -148,69 +144,90 @@ def height(geo: ChartGeometry):
     return u.val, geo.partials(u), grad_u, grad_u_sq, geo.covariant_hessian(u)
 
 
-def null_frame(geo: ChartGeometry):
-    """Vector Series of xi, the time axis, its normal part, nu and eta, of
-    order 1: psi, d psi, f, f^2 and the inverse metric enter cut to it.
+def _inner(model, f2, v, w) -> np.ndarray:
+    """The value of `spacetime.ambient_inner` of two Series of values v and
+    w (components first, the batch last), f2 the fiber scale's value, as the
+    Series arithmetic computes it: a bincount adds each product to +0.0,
+    and the signed sum runs left to right."""
+    p = v * w + 0.0
+    signs, lead = model.signature, int(model.warped)
+    acc = -p[lead] if signs[lead] < 0 else p[lead]
+    for k in range(lead + 1, len(p)):
+        acc = acc - p[k] if signs[k] < 0 else acc + p[k]
+    return -p[0] + (f2 * acc + 0.0) if model.warped else acc
 
-    xi is the cone's null gradient, future-normalized; the normal part of
-    the time axis is left unnormalized, and nu is its unit multiple.
-    Raises `FrameDegeneracyError` where that part is not timelike.
-    """
+
+def _table_refusals(v, r, w) -> tuple:
+    """The columns that a composition with sqrt at v > 1e-12 (r = sqrt(v)),
+    and one with the reciprocal at w >= 0, refuse: where the largest entry
+    of the derivative table, r v^2, or w^4 or 6/w^4, is not finite."""
+    w4 = w * w * w * w
+    return ~np.isfinite(r * v * v), ~np.isfinite(w4 + 6.0 / w4)
+
+
+def null_frame(geo: ChartGeometry):
+    """xi, the time axis and its normal part N as vector Series of order 1
+    (psi, d psi, f and the inverse metric enter cut to it), nu = N / s and
+    eta as values, batch first, and eta's coefficients a and b/s on xi and N;
+    xi is the cone's null gradient, future-normalized.  Raises
+    `FrameDegeneracyError` where N is not timelike, or else unless
+    c = <xi, nu> < 0, i.e. unless xi and nu share a time orientation."""
     model, cone = geo.immersion.model, geo.immersion.target_cone
     psi = [s.truncate(FRAME_ORDER) for s in geo.psi]
     dpsi = geo.dpsi.truncate(FRAME_ORDER)
     f = None if geo.f is None else geo.f.truncate(FRAME_ORDER)
-    f2 = None if geo.f2 is None else geo.f2.truncate(FRAME_ORDER)
+    f2 = None if geo.f2 is None else geo.f2.val  # only <., .> reads it, by value
     ctx, batch = dpsi.ctx, len(geo.x)
     xi = Series.stack(nullcone.grad_F_components(cone, psi, f), ctx, batch)
     if cone.variant == "desitter_alpha":
         # future-normalize on the R > 0 component of a de Sitter section;
         # scaling by -1 or 1 is negation or a copy, bit for bit
         xi = xi * np.where(cone.scale(geo.psi0[:, 0]) > 0.0, -1.0, 1.0)
-    axis = Series.stack(spacetime.time_axis(model, psi), ctx, batch)
     if model.kind == "desitter":
-        b = spacetime.ambient_inner(model, f2, axis, dpsi)
+        axis = Series.stack(spacetime.time_axis(model, psi), ctx, batch)
+        proj = spacetime.ambient_inner(model, None, axis, dpsi)  # de Sitter is not warped
     else:
-        # the axis is (1, 0, ..., 0), so <axis, d_j psi> = -d_j psi^0; 0 - c
+        # the constant axis (1, 0, ..., 0), so <axis, d_j psi> = -d_j psi^0; 0 - c
         # gives what the ambient product gives, signs of zeros included
-        b = Series(ctx, 0.0 - dpsi[:, 0].c, (geo.dim,))
-    coeff = (geo.g_inv_series * b).sum(axis=-1, start=0.0)
+        axis = Series(ctx, np.zeros((ctx.n_terms, model.coord_count, batch)), (model.coord_count,))
+        axis.c[0, 0] = 1.0
+        proj = Series(ctx, 0.0 - dpsi[:, 0].c, (geo.dim,))
+    coeff = (geo.g_inv_series * proj).sum(axis=-1, start=0.0)
     steps = coeff[:, None] * dpsi
     normal = axis
     for i in range(geo.dim):
         normal = normal - steps[i]
-    nn = spacetime.ambient_inner(model, f2, normal, normal)
-    taylor.reject(
-        nn.val >= -1e-12,
-        lambda at: FrameDegeneracyError(
+    # the values the Series arithmetic gave: a bincount adds each product,
+    # and a composition (sqrt, reciprocal) its value, to +0.0
+    nn = _inner(model, f2, normal.val, normal.val)
+    r = np.sqrt(-nn)
+    inv_s = 0.0 + 1.0 / (0.0 + r)
+    nu = inv_s * normal.val + 0.0
+    c = _inner(model, f2, xi.val, nu)
+    w = c * 2.0 * c + 0.0
+    # each column refused as the compositions refused it; the reciprocals
+    # of s and of c refuse none that these checks pass
+    no_sqrt, no_reciprocal = _table_refusals(-nn, r, w)
+    taylor.reject_first([
+        (nn >= -1e-12, lambda at: FrameDegeneracyError(
             f"time axis projects to a non-timelike normal at {format_point(at(geo.x))}"
-        ),
-    )
-    nu = (1.0 / taylor.sqrt(-nn)) * normal
-    eta = null_partner(geo, xi, nu, spacetime.ambient_inner(model, f2, xi, nu))
-    return xi, axis, normal, nu, eta
-
-
-def null_partner(geo: ChartGeometry, xi: Series, nu: Series, xi_dot_nu: Series) -> Series:
-    """eta = -xi / (2c^2) - nu / c with c = <xi, nu>, so <xi, eta> = -1.
-
-    Raises `FrameDegeneracyError` unless c < 0, i.e. unless xi and nu
-    share a time orientation.
-    """
-    c = xi_dot_nu
-    taylor.reject(
-        c.val >= 0.0,
-        lambda at: FrameDegeneracyError(
-            f"<xi, nu> = {at(c.val):.3e} >= 0 at {format_point(at(geo.x))}"
-        ),
-    )
-    return (-1.0 / (2.0 * c * c)) * xi + (-1.0 / c) * nu
+        )),
+        (no_sqrt, lambda at: taylor.PrimitiveDomainError("sqrt", -at(nn))),
+        (c >= 0.0, lambda at: FrameDegeneracyError(
+            f"<xi, nu> = {at(c):.3e} >= 0 at {format_point(at(geo.x))}"
+        )),
+        (no_reciprocal, lambda at: taylor.PrimitiveDomainError("reciprocal", float(at(w)))),
+    ])
+    a = (0.0 + 1.0 / w) * -1.0
+    b = (0.0 + 1.0 / c) * -1.0
+    eta = (a * xi.val + 0.0) + (b * nu + 0.0)
+    return xi, axis, normal, taylor.batch_first(nu), taylor.batch_first(eta), a, b * inv_s
 
 
 def _directional(geo: ChartGeometry, field: Series, df) -> np.ndarray:
     """Components of nabla^amb_{d_j psi} N, modulo quadric normals, [..., j, :]."""
     model = geo.immersion.model
-    n0 = _values(field)
+    n0 = taylor.batch_first(field.val)
     # [j, a] = d_j N^a
     d = taylor.batch_first(field.c[field.ctx.first])
     return d + spacetime.warped_connection_term(model, df, geo.tangents, n0[:, None, :])
@@ -273,11 +290,10 @@ class ExtrinsicPoint:
     the immersion's chart geometry `geo` of that batch.
 
     The constructor runs the stages once, in pipeline order: `height`,
-    `null_frame`, the xi and eta `weingarten_map`s, `second_fundamental_form`
-    and `expansions`, and keeps every result as a plain attribute, an array
-    with a leading batch axis.  The
-    time-orthogonal Weingarten map, which only the shape checks read, is
-    built on first request and kept.
+    `null_frame`, the xi and N `weingarten_map`s, from which the eta map
+    follows, `second_fundamental_form` and `expansions`, and keeps every
+    result as a plain attribute, an array with a leading batch axis; xi, the
+    time axis and N keep their Series as well.
     """
 
     def __init__(self, geo: ChartGeometry):
@@ -292,26 +308,20 @@ class ExtrinsicPoint:
         self.u, self.du, self.grad_u, self.grad_u_sq, hess = height(geo)
         self.laplacian_u = np.einsum("...ij,...ij->...", geo.g_inv0, hess)
         self.hess_u_mixed = geo.g_inv0 @ hess  # g^{ik} Hess_kj
-        (
-            self.xi_series,
-            self.time_axis_series,
-            self.time_orthogonal_series,
-            self.nu_series,
-            self.eta_series,
-        ) = null_frame(geo)
-        self.xi = _values(self.xi_series)
-        self.eta = _values(self.eta_series)
-        self.nu = _values(self.nu_series)
+        (self.xi_series, self.time_axis_series, self.time_orthogonal_series, self.nu,
+         self.eta, a, b_s) = null_frame(geo)
+        self.xi = taylor.batch_first(self.xi_series.val)
         # the float point's warping factors, apart from the Series ones of
         # geo.f2: f^2 scales the metric, (f, f') enter the connection
         t = geo.psi0[:, 0]
         self.f2 = spacetime.fiber_scale(model, t)
         self.df = model.warping.derivatives(t, 1) if model.warped else None
         self.warping_ratio = np.zeros_like(t) if self.df is None else self.df[1] / self.df[0]
-        self.shape_maps = {
-            "xi": weingarten_map(geo, self.xi_series, self.f2, self.df),
-            "eta": weingarten_map(geo, self.eta_series, self.f2, self.df),
-        }
+        a_xi = weingarten_map(geo, self.xi_series, self.f2, self.df)
+        a_n = weingarten_map(geo, self.time_orthogonal_series, self.f2, self.df)
+        # A_eta = a A_xi + (b/s) A_N, linear over functions in the normal
+        self.shape_maps = {"xi": a_xi, "time_orthogonal": a_n,
+                           "eta": a[:, None, None] * a_xi + b_s[:, None, None] * a_n}
         self.ii = second_fundamental_form(geo, self.xi, self.eta, self.f2, self.df)
         self.theta_xi, self.theta_eta, self.mean_curvature_vector, self.h_sq = expansions(
             geo, self.shape_maps["xi"], self.shape_maps["eta"], self.ii, self.f2
@@ -337,7 +347,7 @@ class ExtrinsicPoint:
             for i in range(self.n):
                 tangent = self.geo.tangents[..., i, :]
                 worst = taylor.column_max(worst, abs(inner(field, tangent)))
-        t = _values(self.time_axis_series)
+        t = taylor.batch_first(self.time_axis_series.val)
         flipped = (inner(xi, nu) >= 0.0) | (inner(eta, nu) >= 0.0) | (inner(nu, t) >= 0.0)
         return np.where(flipped, taylor.column_max(worst, 1.0), worst)
 
@@ -346,10 +356,6 @@ class ExtrinsicPoint:
     def shape_chart(self, name: str) -> np.ndarray:
         """Numeric Weingarten map of the normal field xi, eta or
         time_orthogonal (a CLOSED_FORMS value), chart basis (A^i_j)."""
-        if name == "time_orthogonal" and name not in self.shape_maps:
-            self.shape_maps[name] = weingarten_map(
-                self.geo, self.time_orthogonal_series, self.f2, self.df
-            )
         return self.shape_maps[name]
 
     def to_frame(self, a_chart: np.ndarray) -> np.ndarray:
@@ -377,14 +383,6 @@ class ExtrinsicPoint:
         outer = self.grad_u[..., :, None] * self.du[..., None, :]
         if which == "time_orthogonal":
             return self.hess_u_mixed + self.warping_ratio[:, None, None] * (eye + outer)
-        if which in ("minkowski_xi", "minkowski_eta"):
-            if which == "minkowski_xi":
-                return np.broadcast_to(eye, self.hess_u_mixed.shape)
-            u = self.u
-            return (
-                (-((1.0 + self.grad_u_sq) / (2.0 * u * u)))[:, None, None] * eye
-                + self.hess_u_mixed / u[:, None, None]
-            )
         if which in ("warped_xi", "warped_eta"):
             if model.kind == "minkowski":
                 f0, f1, phi = 1.0, 0.0, self.u
@@ -397,14 +395,15 @@ class ExtrinsicPoint:
             c0 = -((1.0 + gsq) / (2.0 * phi * phi) + f1 * (gsq - 1.0) / (2.0 * phi))
             return (c0[:, None, None] * eye + (f1 / phi)[:, None, None] * outer
                     + (f0 / phi)[:, None, None] * self.hess_u_mixed)
-        a_xi = self._product_xi_chart()
-        if which == "product_xi":
+        # the light cone and the product cones: A_eta from A_xi and Hess u
+        if which.startswith("minkowski"):
+            a_xi, p = np.broadcast_to(eye, self.hess_u_mixed.shape), self.u
+        else:
+            a_xi, p = self._product_xi_chart(), self.u - (model.t0 or 0.0)
+        if which.endswith("_xi"):
             return a_xi
-        p = self.u - (model.t0 or 0.0)
-        return (
-            (-((1.0 + self.grad_u_sq) / (2.0 * p * p)))[:, None, None] * a_xi
-            + self.hess_u_mixed / p[:, None, None]
-        )
+        return ((-((1.0 + self.grad_u_sq) / (2.0 * p * p)))[:, None, None] * a_xi
+                + self.hess_u_mixed / p[:, None, None])
 
     def _product_xi_chart(self) -> np.ndarray:
         """A_xi X = -<X, grad u> grad u + (nabla^M_{Xhat}(r Dr))^tangent."""

@@ -341,8 +341,8 @@ def _gathered(values, indices):
 
 def _metric_checked(geo: Optional[ChartGeometry], kept: taylor.Kept) -> Optional[ChartGeometry]:
     """The geometry of the columns of geo whose induced metric has
-    eigenvalues, the lowest above `_EIG_FLOOR`, and an inverse, with
-    `g_inv0` set, or None when no column passes (or geo is None); each
+    eigenvalues, the lowest above `_EIG_FLOOR`, an inverse and finite
+    entries, with `g_inv0` set, or None when no column passes (or geo is None); each
     refused column's error goes to `kept`.  The checks read
     the eigenvalues and the inverses computed once for every column, and
     drop the refused columns from them by column selection."""
@@ -359,6 +359,7 @@ def _metric_checked(geo: Optional[ChartGeometry], kept: taylor.Kept) -> Optional
                 f"(min eigenvalue {at(lowest):.3e})"
             )),
             (singular, geo._defect("is singular")),
+            (~np.isfinite(geo.g0).all(axis=(-2, -1)), geo._defect("is not finite")),
         ])
     except BatchRejected as err:
         positions = kept.drop(err)

@@ -1001,12 +1001,13 @@ def test_refusals_at_every_stage_match_points_alone(monkeypatch, name):
     # the map runs again after the domain box and after the primitive, on
     # one column fewer each time
     assert jets == [len(points) - k for k in range(len(jets))] and len(jets) <= 3
-    # the extrinsic stages start on the columns the geometry keeps, and each
-    # null-frame check that refuses a column runs them again on the others
+    # the extrinsic stages start on the columns the geometry keeps, and run
+    # once more, on the others, where the null frame refuses columns: both
+    # of its checks run before either raises
     frame_refused = refused.count("FrameDegeneracyError")
-    assert batches[0] == len(points) - len(refused) + frame_refused
-    assert batches[-1] == len(points) - len(refused)
-    assert len(batches) <= 1 + frame_refused
+    kept = len(points) - len(refused)
+    assert batches == ([kept + frame_refused, kept] if frame_refused else [kept])
+    assert name != "mink-h2" or batches == [18, 16]
     monkeypatch.undo()
     for x, got in zip(points, results):
         kind, payload, diag = evaluate_alone(scene, x)

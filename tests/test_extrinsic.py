@@ -1,5 +1,6 @@
 """Null frames, Weingarten maps, expansions and the trapped classifier."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -143,17 +144,35 @@ def test_constant_grw_height_is_each_columns_time():
 POINTWISE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "pointwise.json"
 
 
+def entry_frame(pt):
+    """xi, nu and eta of an `ExtrinsicPoint`'s batch as component lists of
+    Series, by the entry-by-entry Series algebra (`entry_null_frame`)."""
+    geo = pt.geo
+    g, dpsi = entry_pullback(pt.im, geo.psi, geo.f2)
+    g_inv = entry_g_inv(g, geo.g0.transpose(1, 2, 0), geo.g_inv0.transpose(1, 2, 0))
+    return entry_null_frame(pt.im, geo.psi, geo.f, geo.f2, g_inv, dpsi)
+
+
+def assert_values_equal(values, nested):
+    """The batch-first values (B, m) of a frame field are, by `float.hex`,
+    the values of the component list of Series `nested`."""
+    want = [[float(v).hex() for v in comp.val] for comp in nested]
+    assert [[float(v).hex() for v in comp] for comp in values.T] == want
+
+
 def series_frame_residual(pt):
     """The frame residual through series inner products at the frame's
-    order, of which only the values are read: the reference for the
-    value-only residual."""
+    order, of which only the values are read, with nu and eta of the entry
+    algebra: the reference for the value-only residual."""
     f2 = None if pt.geo.f2 is None else pt.geo.f2.truncate(imm.FRAME_ORDER)
     dpsi = pt.geo.dpsi.truncate(imm.FRAME_ORDER)
 
     def inner(a, b):
         return st.ambient_inner(pt.model, f2, a, b).val
 
-    xi, eta, nu = pt.xi_series, pt.eta_series, pt.nu_series
+    _, nu, eta = entry_frame(pt)
+    xi = pt.xi_series
+    nu, eta = (tm.Series.stack(field, xi.ctx, xi.batch) for field in (nu, eta))
     worst = abs(inner(xi, xi))
     worst = max(worst, abs(inner(eta, eta)))
     worst = max(worst, abs(inner(xi, eta) + 1.0))
@@ -245,8 +264,8 @@ def test_component_algebra_matches_entry_algebra_bitwise(data):
         assert_entries_equal(geo.g_inv_series, g_inv)
         assert_entries_equal(geo.christoffel_series, entry_christoffel(g, g_inv))
         assert_entries_equal(pt.xi_series, xi)
-        assert_entries_equal(pt.nu_series, nu)
-        assert_entries_equal(pt.eta_series, eta)
+        assert_values_equal(pt.nu, nu)
+        assert_values_equal(pt.eta, eta)
 
 
 def coefficients(nested) -> np.ndarray:
@@ -263,14 +282,16 @@ def test_stage_series_are_prefixes_of_the_order3_algebra(data):
     # each stage's Series, cut to the order it reads, holds the leading
     # coefficients of the same stage run with every Series at order 3: equal
     # as numbers, and bit for bit wherever nonzero (the dropped Neumann
-    # terms of the inverse metric flip at most the signs of exact zeros)
+    # terms of the inverse metric flip at most the signs of exact zeros);
+    # nu and eta, values only, as Series of order 0
     for pt in drawn_points(data):
         geo = pt.geo
         want = order3_stages(geo)
+        ctx0 = tm.get_context(pt.n, 0)
         stages = {
             "dpsi": geo.dpsi, "g": geo.g_series, "g_inv": geo.g_inv_series,
-            "christoffel": geo.christoffel_series,
-            "xi": pt.xi_series, "nu": pt.nu_series, "eta": pt.eta_series,
+            "christoffel": geo.christoffel_series, "xi": pt.xi_series,
+            "nu": tm.Series(ctx0, pt.nu.T[None]), "eta": tm.Series(ctx0, pt.eta.T[None]),
         }
         if geo.f is not None:
             stages.update(f=geo.f, f2=geo.f2)
@@ -285,7 +306,7 @@ def test_stage_series_are_prefixes_of_the_order3_algebra(data):
 
 def test_each_stage_runs_at_its_order():
     # psi at order 3; d psi, f, f^2, the metric and chart fields at order 2;
-    # the inverse metric, Gamma and the null frame at order 1
+    # the inverse metric, Gamma, xi and N at order 1; nu and eta are values
     with POINTWISE.open() as fh:
         entries = json.load(fh)["scenes"]
     warped = 0
@@ -301,9 +322,9 @@ def test_each_stage_runs_at_its_order():
             assert geo.f.ctx.order == geo.f2.ctx.order == 2
             warped += 1
         assert geo.g_inv_series.ctx.order == geo.christoffel_series.ctx.order == 1
-        frame = (pt.xi_series, pt.time_axis_series, pt.time_orthogonal_series, pt.nu_series,
-                 pt.eta_series)
+        frame = (pt.xi_series, pt.time_axis_series, pt.time_orthogonal_series)
         assert {s.ctx.order for s in frame} == {1}
+        assert pt.nu.shape == pt.eta.shape == pt.xi.shape
     assert warped
 
 
@@ -325,7 +346,7 @@ def test_minkowski_xi_is_position_and_slice_pairing():
     assert np.allclose(pt.nu, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_frame_requires_cone_and_guards_degeneracy():
+def test_frame_requires_cone_and_guards_degeneracy(monkeypatch):
     model = st.AmbientModel("minkowski", 2)
     chart = st.sphere_chart(2)
     free = imm.Immersion(
@@ -336,11 +357,68 @@ def test_frame_requires_cone_and_guards_degeneracy():
     )
     with pytest.raises(ValueError):
         point_alone(free, [1.0, 0.5])
-    pt = point_alone(psi_f_minkowski(2), [0.2, 0.1])
-    xi_dot_nu = tm.Series.constant(pt.xi_series.ctx, 0.25, 1)
+    # a past-pointing xi makes <xi, nu> > 0, which the frame refuses
+    real = nc.grad_F_components
+    monkeypatch.setattr(nc, "grad_F_components", lambda *args: [-c for c in real(*args)])
+    geo = imm.chart_geometry(psi_f_minkowski(2), np.array([[0.2, 0.1]]))
     with pytest.raises(tm.BatchRejected) as err:
-        ext.null_partner(pt.geo, pt.xi_series, pt.nu_series, xi_dot_nu)
+        ExtrinsicPoint(geo)
     assert type(err.value.errors[0]) is ext.FrameDegeneracyError
+    assert str(err.value.errors[0]).startswith("<xi, nu> = 1.")
+
+
+def test_frame_makes_no_sqrt_or_reciprocal_composition(monkeypatch):
+    # nu and eta are values: the frame composes a primitive (sqrt, the
+    # reciprocal, ...) only inside the Series of xi, the cone's gradient,
+    # and of the de Sitter time axis
+    with POINTWISE.open() as fh:
+        entries = json.load(fh)["scenes"]
+    inside, outside = [], []
+    real = tm._checked
+
+    def marked(fn):
+        def call(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return call
+
+    def recorded(name, *args):
+        if not inside:
+            outside.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(nc, "grad_F_components", marked(nc.grad_F_components))
+    monkeypatch.setattr(st, "time_axis", marked(st.time_axis))
+    for entry in entries:
+        scene = cli.parse_scene(entry["config"])
+        geo = imm.chart_geometry(scene.im, np.asarray(entry["pool"][:4]))
+        with monkeypatch.context() as m:
+            m.setattr(tm, "_checked", recorded)
+            tm.float_edges(ext.null_frame)(geo)
+        assert outside == [], scene.name
+
+
+def test_frame_refusals_are_those_of_the_compositions():
+    # the frame refuses a column where sqrt's derivative table at
+    # v = -<N, N> > 1e-12, or the reciprocal's at w = 2c^2, is not finite,
+    # as the compositions did, from the largest entries alone; the
+    # reciprocals of s = sqrt(v) and of c then refuse no other column;
+    # over magnitudes from the least subnormal to the largest float
+    def refused(table):
+        return ~np.isfinite(np.array(table)).all(axis=0)
+
+    mags = np.concatenate([np.logspace(-324, 308, 20001), [0.0, 5e-324, 1.79e308, np.inf, np.nan]])
+    with np.errstate(all="ignore"):
+        v = mags[~(mags <= 1e-12)]
+        w = -mags * 2.0 * -mags + 0.0
+        no_sqrt, no_reciprocal = ext._table_refusals(v, np.sqrt(v), w)
+        assert np.array_equal(no_sqrt, refused(tm._sqrt_table(v)))
+        assert np.array_equal(no_reciprocal, refused(tm._reciprocal_table(w)))
+        assert not np.any(refused(tm._reciprocal_table(0.0 + np.sqrt(v))) & ~no_sqrt)
+        assert not np.any(refused(tm._reciprocal_table(-mags)) & ~no_reciprocal)
 
 
 @pytest.mark.parametrize("name", ["mink-bowl", "grw-exp"])
@@ -380,10 +458,11 @@ def test_each_quantity_computed_once_per_point(name, monkeypatch):
     monkeypatch.setattr(st.WarpingFunction, "__call__", counting_profile)
     kind, _, diag = evaluate_alone(scene, entry["pool"][0])
     assert kind == "row" and "shape" in diag
-    # one map for each of xi, eta and the normal part of the time axis
+    # one map for each of xi and the normal part N of the time axis, and
+    # A_eta from those two
     normals = {ext.CLOSED_FORMS[which] for which in scene.selectors}
     assert len(normals) == 3
-    assert len(maps) == 3 and len({id(field) for field in maps}) == 3
+    assert len(maps) == 2 and len({id(field) for field in maps}) == 2
     assert len(hessians) == 1  # Hess u, for both the Laplacian and the closed forms
     assert profiles_in_inner == []
 
@@ -501,6 +580,36 @@ def test_to_frame_matches_the_solve_on_scene_grids(name):
     a_xi = pt.shape_numeric("xi")
     asymmetry = np.abs(a_xi - a_xi.swapaxes(-1, -2))
     assert np.all(asymmetry <= 1e-15 * np.maximum(1.0, np.abs(a_xi)))
+
+
+@pytest.mark.parametrize("name", sorted(_scene_grids()))
+def test_eta_map_is_linear_in_the_normal_field(name):
+    # A_eta = a A_xi + (b/s) A_N is the map of the entry algebra's eta
+    # Series, whose derivatives hold the terms in da and db that pairing
+    # with the tangents drops, and the map of a xi + b N is a A_xi + b A_N
+    # for random per-point a and b; both within 1e-14 times each point's
+    # largest entry (at least 1), at the pool points of a built-in scene or
+    # the points of a dense grid (measured worst: 4.9e-15, mink-bowl's pool)
+    scene = cli.parse_scene(_scene_grids()[name])
+    if name.startswith("dense-"):
+        points = list(itertools.product(*scene.axes))
+    else:
+        with POINTWISE.open() as fh:
+            (points,) = [e["pool"] for e in json.load(fh)["scenes"] if e["config"]["name"] == name]
+    kept = tm.Kept(len(points))
+    pt = tm.float_edges(kept.run)(
+        lambda xs: ExtrinsicPoint(imm.chart_geometry(scene.im, xs)), np.array(points)
+    )
+    assert len(kept.index) >= 0.9 * len(points)
+    xi, normal = pt.xi_series, pt.time_orthogonal_series
+    a, b = np.random.default_rng(3).uniform(-2.0, 2.0, size=(2, xi.batch))
+    combined = a[:, None, None] * pt.shape_chart("xi") + b[:, None, None] * pt.shape_chart(
+        "time_orthogonal")
+    for got, field in ((pt.shape_chart("eta"), tm.Series.stack(entry_frame(pt)[2], xi.ctx, xi.batch)),
+                       (combined, xi * a + normal * b)):
+        want = ext.weingarten_map(pt.geo, field, pt.f2, pt.df)
+        scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
+        assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from nullgeom import cli
+from nullgeom import conformal as cf
 from nullgeom import immersion as imm
 from nullgeom import nullcone as nc
 from nullgeom import spacetime as st
@@ -121,6 +122,29 @@ def test_signature_error_for_non_spacelike_chart():
     )
     with pytest.raises(imm.MetricSignatureError):
         geometry_alone(lorentz, np.zeros(2))
+
+
+def test_non_finite_metric_is_refused():
+    # a metric entry of inf or NaN passes the eigenvalue, floor and inverse
+    # tests; the last check refuses it, so a column those tests refuse
+    # keeps its message
+    metric = imm.MetricChart(
+        lambda cs: [[cs[0], 0.0], [0.0, 1.0 + cs[1] * 1e200 * 1e200]], 2
+    )
+    points = np.array([[0.3, 0.0], [0.3, 1.0], [-1.0, 0.0]])
+    with pytest.raises(tm.BatchRejected) as err:
+        tm.float_edges(imm.chart_geometry)(metric, points)
+    assert {b: str(e) for b, e in err.value.errors.items()} == {
+        1: "induced metric at (0.3, 1.0) is not finite",
+        2: "induced metric at (-1.0, 0.0) is not positive definite (min eigenvalue -1.000e+00)",
+    }
+    nan_metric = imm.MetricChart(lambda cs: [[cs[0] * np.nan, 0.0], [0.0, 1.0]], 2)
+    with pytest.raises(tm.BatchRejected) as err:
+        tm.float_edges(imm.chart_geometry)(nan_metric, points[:1])
+    assert str(err.value.errors[0]) == "induced metric at (0.3, 0.0) is not finite"
+    # it passed as residuals of 0.0 before
+    with pytest.raises(imm.MetricSignatureError, match="is not finite"):
+        cf.conformal_curvature_check(nan_metric, lambda cs: 1.0 + 0.0 * cs[0], points[:1])
 
 
 def test_immersion_validation():

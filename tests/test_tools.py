@@ -1,13 +1,16 @@
 """The repository tools that compare report digests across source trees."""
 
 import importlib.util
+import json
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "digest_drift.py"
+import numpy as np
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("digest_drift", TOOL)
+def _tool(name="digest_drift"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -81,3 +84,28 @@ def test_digest_drift_exit_status(tmp_path, capsys):
     shuffled.write_text("\n".join(OLD[1::-1] + OLD[2:]) + "\n")
     assert tool.main(["digest_drift.py", str(old), str(shuffled)]) == 2
     assert "does not pair" in capsys.readouterr().err
+
+
+def test_call_counts_per_stage(capsys):
+    # the counts of one point_report per stage are the same on every run,
+    # every pipeline stage makes calls, and a scene's total is their sum
+    tool = _tool("call_counts")
+    with tool.POOLS.open() as fh:
+        entry = json.load(fh)["scenes"][0]
+    scene = tool.cli.parse_scene(entry["config"])
+    points = np.array(entry["pool"][:2])
+    counts = tool.stage_counts(scene, points)
+    assert counts == tool.stage_counts(scene, points)
+    assert list(counts) == list(tool.STAGES)
+    assert all(python > 0 for python, _ in counts.values())
+    assert tool.main(["--points", "1"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 11 * (len(tool.STAGES) + 1)
+    for k in range(0, len(lines), len(tool.STAGES) + 1):
+        block = lines[k:k + len(tool.STAGES) + 1]
+        assert [stage for _, stage, _, _ in block] == [*tool.STAGES, "total"]
+        assert len({name for name, *_ in block}) == 1
+        for column in (2, 3):
+            total = sum(float(line[column]) for line in block[:-1])
+            assert abs(float(block[-1][column]) - total) < 0.5
+

@@ -1,0 +1,130 @@
+"""Count the calls one `extrinsic.point_report` makes, per pipeline stage.
+
+    python3 tools/call_counts.py              # every point of each pool
+    python3 tools/call_counts.py --points 4   # the first 4 points of each
+
+Run from the repository root; it imports the package from `src/` and reads
+the stored point pools of the `pointwise` workload from
+`perfbench/reference/pointwise.json` without changing them.  For each pool
+scene it runs `point_report` at the pool's points under `sys.setprofile`
+and prints, per stage, the mean number of Python calls (`call` events) and
+of C calls (`c_call` events: builtins and numpy functions, not operators
+or ufuncs) per report, then their totals:
+
+    SCENE STAGE PYTHON C
+
+A call counts toward the innermost stage running when it is made:
+
+- `geometry`: `immersion.chart_geometry` and every `ChartGeometry` method,
+  the lazily cached quantities included, whichever stage reads them first;
+- `height`, `null_frame`, `weingarten_map`, `second_fundamental_form`,
+  `expansions`: the `extrinsic` stage functions;
+- `report`: `ExtrinsicPoint.report`, the rows and their finiteness check;
+- `other`: the rest, such as the batch-of-one wrapper and the constructor.
+
+The counts depend on the code path alone, not on the machine or its load,
+so two source trees compare by them where a timing on a shared machine is
+noisy.  Points that the pipeline refuses count as well, up to their error;
+the caches that the first report of a process fills are filled first.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from collections import Counter
+from functools import cached_property
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from nullgeom import cli, extrinsic, immersion  # noqa: E402
+
+POOLS = ROOT / "perfbench" / "reference" / "pointwise.json"
+EXTRINSIC_STAGES = ("height", "null_frame", "weingarten_map", "second_fundamental_form",
+                    "expansions")
+STAGES = ("geometry", *EXTRINSIC_STAGES, "report", "other")
+
+
+def _stage_codes() -> dict:
+    """{code object: stage} of the functions that open a stage."""
+    members = [immersion.chart_geometry]
+    for member in vars(immersion.ChartGeometry).values():
+        member = member.func if isinstance(member, cached_property) else member
+        member = getattr(member, "__func__", member)  # a classmethod's function
+        if callable(member) and hasattr(member, "__code__"):
+            members.append(member)
+    codes = {fn.__code__: "geometry" for fn in members}
+    for name in EXTRINSIC_STAGES:
+        codes[getattr(extrinsic, name).__code__] = name
+    codes[extrinsic.ExtrinsicPoint.report.__code__] = "report"
+    return codes
+
+
+def _report(scene, x):
+    try:
+        extrinsic.point_report(scene.im, x)
+    except ValueError:  # a typed rejection; its calls count
+        pass
+
+
+def stage_counts(scene, points) -> dict:
+    """{stage: (python calls, C calls)} per `point_report` at the points,
+    after one report at the first point fills the caches (jet contexts,
+    product slots) that only a first call builds."""
+    codes = _stage_codes()
+    tally = Counter()
+    running = [(None, "other")]  # (frame, stage) of each stage entered
+
+    def profile(frame, event, arg):
+        if event == "call":
+            stage = codes.get(frame.f_code)
+            if stage is not None:
+                running.append((frame, stage))
+            tally[running[-1][1], "python"] += 1
+        elif event == "return":
+            if running[-1][0] is frame:
+                running.pop()
+        elif event == "c_call":
+            tally[running[-1][1], "c"] += 1
+
+    _report(scene, points[0])
+    for x in points:
+        sys.setprofile(profile)
+        try:
+            _report(scene, x)
+        finally:
+            sys.setprofile(None)
+    return {stage: (tally[stage, "python"] / len(points), tally[stage, "c"] / len(points))
+            for stage in STAGES}
+
+
+def lines(limit=None):
+    with POOLS.open() as fh:
+        entries = json.load(fh)["scenes"]
+    for entry in entries:
+        scene = cli.parse_scene(entry["config"])
+        points = np.array(entry["pool"], dtype=float)[:limit]
+        counts = stage_counts(scene, points)
+        for stage, (python, c) in counts.items():
+            yield f"{scene.name} {stage} {python:.1f} {c:.1f}"
+        python, c = (sum(column) for column in zip(*counts.values()))
+        yield f"{scene.name} total {python:.1f} {c:.1f}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--points", type=int, default=None,
+                        help="count at the first POINTS points of each pool only")
+    args = parser.parse_args(argv)
+    for line in lines(args.points):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
