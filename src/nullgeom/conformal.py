@@ -79,7 +79,7 @@ DENOMINATOR_FLOOR = 1e-8
 MODEL_MEMBERSHIP_TOL = 1e-10
 
 # all that `scale_sign_at` and `factorization_at` read of a chart geometry
-PSI_KEYS = ("immersion", "x", "psi")
+PSI_KEYS = ("immersion", "x", "position")
 
 # the local inverse's residual tolerance and iteration limit
 _INVERSE_TOL = 1e-12

@@ -167,36 +167,33 @@ def _table_refusals(v, r, w) -> tuple:
 
 def null_frame(geo: ChartGeometry):
     """xi, the time axis and its normal part N as vector Series of order 1
-    (psi, d psi, f and the inverse metric enter cut to it), nu = N / s and
-    eta as values, batch first, and eta's coefficients a and b/s on xi and N;
-    xi is the cone's null gradient, future-normalized.  Raises
+    (the position psi, d psi, f and the inverse metric enter cut to it),
+    nu = N / s and eta as values, batch first, and eta's coefficients a and
+    b/s on xi and N; xi is the cone's null gradient, future-normalized.
+    Each of xi and the axis is one vector Series times at most one scalar
+    Series (`nullcone.null_gradient`, `spacetime.time_axis`), so the stage
+    makes as many Python calls in every dimension.  Raises
     `FrameDegeneracyError` where N is not timelike, or else unless
     c = <xi, nu> < 0, i.e. unless xi and nu share a time orientation."""
     model, cone = geo.immersion.model, geo.immersion.target_cone
-    psi = [s.truncate(FRAME_ORDER) for s in geo.psi]
+    x = geo.position.truncate(FRAME_ORDER)
     dpsi = geo.dpsi.truncate(FRAME_ORDER)
     f = None if geo.f is None else geo.f.truncate(FRAME_ORDER)
     f2 = None if geo.f2 is None else geo.f2.val  # only <., .> reads it, by value
-    ctx, batch = dpsi.ctx, len(geo.x)
-    xi = Series.stack(nullcone.grad_F_components(cone, psi, f), ctx, batch)
-    if cone.variant == "desitter_alpha":
-        # future-normalize on the R > 0 component of a de Sitter section;
-        # scaling by -1 or 1 is negation or a copy, bit for bit
-        xi = xi * np.where(cone.scale(geo.psi0[:, 0]) > 0.0, -1.0, 1.0)
+    axis = spacetime.time_axis(model, x)
     if model.kind == "desitter":
-        axis = Series.stack(spacetime.time_axis(model, psi), ctx, batch)
         proj = spacetime.ambient_inner(model, None, axis, dpsi)  # de Sitter is not warped
     else:
         # the constant axis (1, 0, ..., 0), so <axis, d_j psi> = -d_j psi^0; 0 - c
         # gives what the ambient product gives, signs of zeros included
-        axis = Series(ctx, np.zeros((ctx.n_terms, model.coord_count, batch)), (model.coord_count,))
-        axis.c[0, 0] = 1.0
-        proj = Series(ctx, 0.0 - dpsi[:, 0].c, (geo.dim,))
+        proj = Series(dpsi.ctx, 0.0 - dpsi[:, 0].c, (geo.dim,))
     coeff = (geo.g_inv_series * proj).sum(axis=-1, start=0.0)
-    steps = coeff[:, None] * dpsi
-    normal = axis
-    for i in range(geo.dim):
-        normal = normal - steps[i]
+    normal = axis - (coeff[:, None] * dpsi).sum(axis=0)
+    xi = nullcone.null_gradient(cone, x, f)
+    if cone.variant == "desitter_alpha":
+        # future-normalize on the R > 0 component of a de Sitter section;
+        # scaling by -1 or 1 is negation or a copy, bit for bit
+        xi = xi * np.where(cone.scale(geo.psi0[:, 0]) > 0.0, -1.0, 1.0)
     # the values the Series arithmetic gave: a bincount adds each product,
     # and a composition (sqrt, reciprocal) its value, to +0.0
     nn = _inner(model, f2, normal.val, normal.val)
@@ -312,11 +309,11 @@ class ExtrinsicPoint:
          self.eta, a, b_s) = null_frame(geo)
         self.xi = taylor.batch_first(self.xi_series.val)
         # the float point's warping factors, apart from the Series ones of
-        # geo.f2: f^2 scales the metric, (f, f') enter the connection
-        t = geo.psi0[:, 0]
-        self.f2 = spacetime.fiber_scale(model, t)
-        self.df = model.warping.derivatives(t, 1) if model.warped else None
-        self.warping_ratio = np.zeros_like(t) if self.df is None else self.df[1] / self.df[0]
+        # geo.f2, from one evaluation: (f, f') enter the connection, f^2
+        # scales the metric
+        self.df = model.warping.derivatives(geo.psi0[:, 0], 1) if model.warped else None
+        self.f2 = None if self.df is None else self.df[0] * self.df[0]
+        self.warping_ratio = np.zeros_like(self.u) if self.df is None else self.df[1] / self.df[0]
         a_xi = weingarten_map(geo, self.xi_series, self.f2, self.df)
         a_n = weingarten_map(geo, self.time_orthogonal_series, self.f2, self.df)
         # A_eta = a A_xi + (b/s) A_N, linear over functions in the normal

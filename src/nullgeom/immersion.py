@@ -149,20 +149,21 @@ class ChartGeometry:
     `f2 = f * f` of the warping profile f of the Series time psi^0) or from
     a metric chart.  `g_series` is the (n, n) Series of the metric and
     `dpsi` the (n, ambient) Series of the d_i psi^a, both of order 2 like
-    f and f2; psi keeps order 3.  `x` is the batch (B, n), every Series
+    f and f2; `position`, the (ambient,) vector Series of the ambient
+    coordinates psi, keeps order 3.  `x` is the batch (B, n), every Series
     carries B columns, and every array has a leading batch axis before the
     shapes noted below.  The constructor checks nothing: the metric of a
     geometry the engine hands out has passed `_metric_checked`, which sets
     its inverse `g_inv0`.  Other quantities are computed lazily and cached.
     """
 
-    def __init__(self, x, g_series: Series, psi=None, dpsi=None, f=None, f2=None,
+    def __init__(self, x, g_series: Series, position=None, dpsi=None, f=None, f2=None,
                  immersion=None):
         self.x = np.asarray(x, dtype=np.float64)
         self.g_series = g_series
         self.dim = g_series.shape[0]
         self.ctx = g_series.ctx
-        self.psi = psi
+        self.position = position
         self.dpsi = dpsi
         self.f = f
         self.f2 = f2
@@ -212,8 +213,14 @@ class ChartGeometry:
     # -- ambient side (immersions only) --------------------------------
 
     @cached_property
+    def psi(self) -> list:
+        """The list of the ambient coordinates' Series, views of the
+        components of `position`."""
+        return [Series(self.position.ctx, c) for c in self.position.c.swapaxes(0, 1)]
+
+    @cached_property
     def psi0(self) -> np.ndarray:
-        return taylor.batch_first([s.val for s in self.psi])
+        return taylor.batch_first(self.position.val)
 
     @cached_property
     def tangents(self) -> np.ndarray:
@@ -385,14 +392,15 @@ def _geometry_from_immersion(im: Immersion, x, check_membership, kept: taylor.Ke
                 return None
             psi = [s.columns(positions) for s in psi]
     x = x[kept.index]
+    position = Series.stack(psi, psi[0].ctx, len(x))
     # [i, a] = d_i psi^a, exact to order 2
-    dpsi = Series.stack(psi, psi[0].ctx, len(x)).gradient().truncate(METRIC_ORDER)
-    # the profile f at the Series time, kept for the cone gradient; f^2 is
-    # `spacetime.fiber_scale` of the same time
+    dpsi = position.gradient().truncate(METRIC_ORDER)
+    # the profile f at the Series time, kept for the cone gradient, and the
+    # fiber scale f^2
     f = im.model.warping(psi[0].truncate(METRIC_ORDER)) if im.model.warped else None
     f2 = None if f is None else f * f
     g = _mirrored(spacetime.ambient_inner(im.model, f2, dpsi[:, None, :], dpsi[None, :, :]))
-    return ChartGeometry(x, g, psi=psi, dpsi=dpsi, f=f, f2=f2, immersion=im)
+    return ChartGeometry(x, g, position=position, dpsi=dpsi, f=f, f2=f2, immersion=im)
 
 
 def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:

@@ -35,7 +35,7 @@ __all__ = [
     "EmbeddingRangeError",
     "NullconeSpec",
     "eval_F",
-    "grad_F_components",
+    "null_gradient",
     "require_on_cone",
 ]
 
@@ -197,41 +197,54 @@ def _reject_radial(exc):
                          "fiber base point: radial direction undefined")
 
 
-def grad_F_components(spec: NullconeSpec, p, f=None):
-    """Half the ambient gradient of F, as a component list (Series-capable).
-
-    On a GRW cone, `f` is the warping profile at p's time when the caller
-    already holds it (the chart geometry does), so it is not evaluated twice.
+def null_gradient(spec: NullconeSpec, x: Series, f: Series = None) -> Series:
+    """Half the ambient gradient of F at the points of a batch, one vector
+    Series of the ambient components, from x, their position vector Series
+    (of order at most 1 on a GRW cone): one vector times at most one scalar
+    Series.  It is x on the light cone, x with its line component zero on
+    the cylinder, 1/2 (-(x_last - beta x_1) x + beta e_1 + e_last) on a de
+    Sitter section and f^-2 (phi f, r Dr) on a GRW cone, with phi the
+    conformal time, entered as its tangent line phi(t0) + (t - t0) / f(t0)
+    at each point's time t0, and r Dr the fiber distance times its unit
+    radial field (`fiber_radial`), on a Euclidean fiber the fiber part of x:
+    one reciprocal and no sqrt.  `f` is the warping profile at x's time when
+    the caller already holds it (the chart geometry does).
     """
     m = spec.model
-    if len(p) != m.coord_count:
+    if x.shape != (m.coord_count,):
         raise ValueError("point dimension does not match the model")
     if spec.variant == "minkowski_cone":
-        return list(p)
+        return x
     if spec.variant == "cylinder":
-        return list(p[: m.n + 1]) + [0.0 * p[0]]
+        c = x.c.copy()
+        c[:, -1] = x.c[:, 0] * 0.0
+        return Series(x.ctx, c, x.shape)
     if spec.variant == "desitter_alpha":
-        scale = eval_F(spec, p) + spec.alpha
-        comps = [-scale * x for x in p]
-        comps[0] = comps[0] + spec.beta
-        comps[-1] = comps[-1] + 1.0
-        return [0.5 * c for c in comps]
-    t = p[0]
-    phi = m.warping.conformal_time(t, m.t0)
-    phi_val = phi.val if isinstance(phi, Series) else phi
+        v = -(x[-1] - spec.beta * x[0]) * x
+        v.c[0, 0] += spec.beta
+        v.c[0, -1] += 1.0
+        return 0.5 * v
+    t = x[0]
+    phi = m.warping.conformal_time(t.val, m.t0)
     taylor.reject(
-        phi_val < VERTEX_EPS,
+        phi < VERTEX_EPS,
         lambda at: PointRejected(RejectionReason.VERTEX_EXCLUSION,
-                                 f"conformal time {at(phi_val):.3e} below {VERTEX_EPS:.0e}"),
+                                 f"conformal time {at(phi):.3e} below {VERTEX_EPS:.0e}"),
     )
     if f is None:
         f = m.warping(t)
-    try:
-        r, dr = fiber_radial(m, p[1:])
-    except BatchRejected as err:
-        raise BatchRejected({b: _reject_radial(e) for b, e in err.errors.items()}) from None
-    scale = r / (f * f)
-    return [phi / f] + [scale * d for d in dr]
+    phi_f = taylor.compose_univariate(t, [phi, 1.0 / f.val]) * f
+    if m.fiber_kind == "euclidean":
+        c = x.c.copy()
+        c[:, 0] = phi_f.c
+        v = Series(x.ctx, c, x.shape)
+    else:
+        try:
+            r, dr = fiber_radial(m, [x[k] for k in range(1, m.coord_count)])
+        except BatchRejected as err:
+            raise BatchRejected({b: _reject_radial(e) for b, e in err.errors.items()}) from None
+        v = Series.stack([phi_f] + [r * d for d in dr], x.ctx, x.batch)
+    return (1.0 / (f * f)) * v
 
 
 def require_on_cone(spec: NullconeSpec, p):

@@ -25,7 +25,6 @@ __all__ = [
     "WarpingDomainError",
     "WarpingFunction",
     "AmbientModel",
-    "fiber_scale",
     "ambient_inner",
     "warped_connection_term",
     "time_axis",
@@ -299,25 +298,10 @@ class AmbientModel:
         raise ValueError("desitter model has no fiber")
 
 
-def fiber_scale(model: AmbientModel, t):
-    """f(t)^2, the factor of the metric's fiber block at time t; None for
-    the flat kinds.
-
-    t may be the (B,) array of a batch's times or a Series.  Evaluate the
-    array and the Series once per batch and never convert one into the
-    other: for profiles with division or powers their values differ in the
-    last bits.
-    """
-    if not model.warped:
-        return None
-    f = model.warping(t)
-    return f * f
-
-
 def ambient_inner(model: AmbientModel, f2, v, w):
     """Lorentzian inner product of v and w, whose last axis holds the
-    ambient components, at a point whose fiber scale is f2 (`fiber_scale`
-    of its time; the flat kinds ignore it).
+    ambient components, at a point whose fiber scale is f2, the squared
+    warping profile at its time (the flat kinds ignore it).
 
     v and w are float arrays (components last, after the batch axis) or
     Series whose last component axis is the ambient one; their other axes
@@ -373,20 +357,27 @@ def warped_connection_term(model: AmbientModel, df, a, b) -> np.ndarray:
     return out
 
 
-def time_axis(model: AmbientModel, p):
-    """Components of the future unit timelike reference field at p.
+def time_axis(model: AmbientModel, x: Series) -> Series:
+    """The future timelike reference field at the points of a batch, a
+    vector Series of the ambient components, from x, their position vector.
 
-    Coordinate time axis for the flat and cosmological kinds; for the de
-    Sitter quadric, the pushforward of the warped-product time axis.
+    The coordinate time axis (1, 0, ..., 0) for the flat and cosmological
+    kinds.  On the de Sitter quadric, ch = sqrt(1 + x_1^2) times the
+    pushforward of the warped-product unit time axis: the polynomial field
+    (1 + x_1^2, x_1 x_2, ..., x_1 x_last) = x_1 x + e_1, one product and no
+    sqrt.  A positive multiple is all the null frame needs: it reads the
+    axis through its normal part N, whose factor cancels in nu = N / s and
+    in (b/s) A_N, the frame residual reads only the sign of <nu, axis>, and
+    the `time_orthogonal` closed form, which would see the factor, does not
+    apply on de Sitter.
     """
     if model.kind != "desitter":
-        comps = [0.0] * model.coord_count
-        comps[0] = 1.0
-        return comps
-    x1 = p[0]
-    ch = taylor.sqrt(1.0 + x1 * x1)
-    scale = x1 / ch
-    return [ch] + [scale * x for x in p[1:]]
+        c = np.zeros(x.c.shape)
+        c[0, 0] = 1.0
+        return Series(x.ctx, c, x.shape)
+    axis = x[0] * x
+    axis.c[0, 0] += 1.0
+    return axis
 
 
 def fiber_constraint(model: AmbientModel, x):

@@ -62,6 +62,8 @@ __all__ = [
     "entry_pullback",
     "entry_g_inv",
     "entry_christoffel",
+    "entry_null_gradient",
+    "entry_time_axis",
     "entry_null_frame",
     "order3_stages",
 ]
@@ -604,6 +606,42 @@ def entry_christoffel(g, ginv, order=imm.FRAME_ORDER):
     return gamma
 
 
+def entry_null_gradient(cone, psi, f):
+    """Half the gradient of F as a component list of Series, one product
+    per component: psi on the light cone, psi with its line component zero
+    on the cylinder, 1/2 (-(x_last - beta x_1) psi + beta e_1 + e_last) on a
+    de Sitter section, f^-2 (phi f, r Dr) on a GRW cone, with the conformal
+    time phi composed to the order of psi."""
+    model = cone.model
+    if cone.variant == "minkowski_cone":
+        return list(psi)
+    if cone.variant == "cylinder":
+        return list(psi[: model.n + 1]) + [0.0 * psi[0]]
+    if cone.variant == "desitter_alpha":
+        scale = psi[-1] - cone.beta * psi[0]
+        comps = [-scale * x for x in psi]
+        comps[0] = comps[0] + cone.beta
+        comps[-1] = comps[-1] + 1.0
+        return [0.5 * c for c in comps]
+    phi = model.warping.conformal_time(psi[0], model.t0)
+    if model.fiber_kind == "euclidean":
+        radial = psi[1:]
+    else:
+        r, dr = st.fiber_radial(model, psi[1:])
+        radial = [r * d for d in dr]
+    inv = 1.0 / (f * f)
+    return [inv * (phi * f)] + [inv * x for x in radial]
+
+
+def entry_time_axis(model, psi):
+    """The time axis as a component list: (1, 0, ..., 0), or on the de
+    Sitter quadric (1 + x_1^2, x_1 x_2, ..., x_1 x_last), cosh t times the
+    pushforward of the unit axis of -dt^2 + cosh^2 t g_S."""
+    if model.kind != "desitter":
+        return [1.0] + [0.0] * (len(psi) - 1)
+    return [psi[0] * psi[0] + 1.0] + [psi[0] * x for x in psi[1:]]
+
+
 def entry_null_frame(im, psi, f, f2, ginv, dpsi, order=imm.FRAME_ORDER):
     """xi, nu and eta as component lists of Series of `order`, from the
     entry lists of the inverse metric (of `order`) and of d_i psi, with psi,
@@ -616,11 +654,11 @@ def entry_null_frame(im, psi, f, f2, ginv, dpsi, order=imm.FRAME_ORDER):
     psi, f, f2 = [cut(s) for s in psi], cut(f), cut(f2)
     dpsi = [[cut(s) for s in row] for row in dpsi]
     ctx, batch = psi[0].ctx, psi[0].batch
-    xi = nc.grad_F_components(cone, psi, f)
+    xi = entry_null_gradient(cone, psi, f)
     if cone.variant == "desitter_alpha":
         sign = np.where(cone.scale(psi[0].val) > 0.0, -1.0, 1.0)
         xi = [c * sign for c in xi]
-    axis = [tm.as_series(c, ctx, batch) for c in st.time_axis(model, psi)]
+    axis = [tm.as_series(c, ctx, batch) for c in entry_time_axis(model, psi)]
     if model.kind == "desitter":
         b = [entry_inner(model, f2, axis, dpsi[j]) for j in range(n)]
     else:
@@ -628,10 +666,10 @@ def entry_null_frame(im, psi, f, f2, ginv, dpsi, order=imm.FRAME_ORDER):
     coeff = [sum(ginv[i][j] * b[j] for j in range(n)) for i in range(n)]
     normal = []
     for a in range(len(psi)):
-        s = axis[a]
-        for i in range(n):
-            s = s - coeff[i] * dpsi[i][a]
-        normal.append(s)
+        steps = coeff[0] * dpsi[0][a]
+        for i in range(1, n):
+            steps = steps + coeff[i] * dpsi[i][a]
+        normal.append(axis[a] - steps)
     scale = 1.0 / tm.sqrt(-entry_inner(model, f2, normal, normal))
     nu = [scale * comp for comp in normal]
     c = entry_inner(model, f2, xi, nu)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -358,8 +359,8 @@ def test_frame_requires_cone_and_guards_degeneracy(monkeypatch):
     with pytest.raises(ValueError):
         point_alone(free, [1.0, 0.5])
     # a past-pointing xi makes <xi, nu> > 0, which the frame refuses
-    real = nc.grad_F_components
-    monkeypatch.setattr(nc, "grad_F_components", lambda *args: [-c for c in real(*args)])
+    real = nc.null_gradient
+    monkeypatch.setattr(nc, "null_gradient", lambda *args: -real(*args))
     geo = imm.chart_geometry(psi_f_minkowski(2), np.array([[0.2, 0.1]]))
     with pytest.raises(tm.BatchRejected) as err:
         ExtrinsicPoint(geo)
@@ -368,37 +369,110 @@ def test_frame_requires_cone_and_guards_degeneracy(monkeypatch):
 
 
 def test_frame_makes_no_sqrt_or_reciprocal_composition(monkeypatch):
-    # nu and eta are values: the frame composes a primitive (sqrt, the
-    # reciprocal, ...) only inside the Series of xi, the cone's gradient,
-    # and of the de Sitter time axis
+    # nu and eta are values, and xi and the time axis are each one vector
+    # Series times at most one scalar Series: the Minkowski, cylinder and de
+    # Sitter frames compose no primitive at all, and a GRW frame on a
+    # Euclidean fiber composes exactly one, the reciprocal 1/f^2, per batch
     with POINTWISE.open() as fh:
         entries = json.load(fh)["scenes"]
-    inside, outside = [], []
+    composed = []
     real = tm._checked
 
-    def marked(fn):
-        def call(*args):
-            inside.append(fn)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
-        return call
-
     def recorded(name, *args):
-        if not inside:
-            outside.append(name)
+        composed.append(name)
         return real(name, *args)
 
-    monkeypatch.setattr(nc, "grad_F_components", marked(nc.grad_F_components))
-    monkeypatch.setattr(st, "time_axis", marked(st.time_axis))
+    kinds = set()
     for entry in entries:
         scene = cli.parse_scene(entry["config"])
         geo = imm.chart_geometry(scene.im, np.asarray(entry["pool"][:4]))
+        composed.clear()
         with monkeypatch.context() as m:
             m.setattr(tm, "_checked", recorded)
             tm.float_edges(ext.null_frame)(geo)
-        assert outside == [], scene.name
+        kind = scene.im.model.kind
+        kinds.add(kind)
+        assert composed == (["reciprocal"] if kind == "grw_euclidean" else []), scene.name
+    assert kinds == {"minkowski", "grw_euclidean", "desitter"}
+
+
+def entered(fn, *args) -> list:
+    """The code objects of the Python calls that fn(*args) makes, nested
+    ones included, as `sys.setprofile` reports them (`tools/call_counts.py`
+    counts them so)."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_frame_calls_do_not_grow_with_the_dimension():
+    # xi and the time axis are vector Series, not one Series per ambient
+    # component, and N subtracts one sum over the tangents: the frame makes
+    # as many Python calls at n = 3 as at n = 2 on a Euclidean GRW cone, a
+    # de Sitter section and the light cone (after a first run has filled the
+    # geometry's caches)
+    def builds(n):
+        return (grw_graph(exp_model(n), wavy_height),
+                psi_f_desitter(n, 0.5, lambda qs: 2.0 + 0.1 * tm.sin(qs[0]), component="plus"),
+                psi_f_minkowski(n, perturbed_f))
+
+    rng = np.random.default_rng(8)
+    counts = []
+    for n in (2, 3):
+        x = np.array(sample_box(rng, sphere_box(n), 3))
+        row = []
+        for im in builds(n):
+            geo = imm.chart_geometry(im, x)
+            ext.null_frame(geo)
+            row.append(len(entered(ext.null_frame, geo)))
+        counts.append(row)
+    assert counts[0] == counts[1]
+
+
+def test_product_euclidean_fiber_takes_the_vector_path(monkeypatch):
+    # a product model with a Euclidean fiber is a GRW cone on a Euclidean
+    # fiber: xi = f^-2 (phi f, x), with no fiber_radial, and its Series (the
+    # values and the first derivatives) within 1e-14 of the entry algebra's
+    # times each point's largest entry
+    def refused(*args):
+        raise AssertionError("fiber_radial on a Euclidean fiber")
+
+    im = grw_graph(product_model("euclidean"), wavy_height)
+    x = np.array(sample_box(np.random.default_rng(9), sphere_box(2), 6))
+    monkeypatch.setattr(nc, "fiber_radial", refused)
+    pt = ExtrinsicPoint(imm.chart_geometry(im, x))
+    got, want = pt.xi_series.c, coefficients(entry_frame(pt)[0])
+    assert got.shape == want.shape == (3, 4, len(x))
+    scale = np.abs(want).max(axis=(0, 1))
+    assert np.all(np.abs(got - want).max(axis=(0, 1)) <= 1e-14 * scale)
+
+
+def test_grw_report_enters_the_warping_at_most_nine_times():
+    # the chart map's conformal time (4 entries, nested ones included), the
+    # membership check's (1), the metric's f (1), the frame's conformal time
+    # at the points' times (1) and the float point's (f, f') (2): a grw-exp
+    # report enters WarpingFunction.__call__, conformal_time and derivatives
+    # at most 9 times, where a Series conformal time in the frame and a
+    # separate f^2 made it 13
+    with POINTWISE.open() as fh:
+        entry = next(e for e in json.load(fh)["scenes"] if e["config"]["name"] == "grw-exp")
+    scene = cli.parse_scene(entry["config"])
+    profile = {fn.__code__ for fn in (st.WarpingFunction.__call__,
+                                      st.WarpingFunction.conformal_time,
+                                      st.WarpingFunction.derivatives)}
+    ext.point_report(scene.im, entry["pool"][0])
+    for x in entry["pool"][:4]:
+        calls = entered(ext.point_report, scene.im, x)
+        assert 0 < sum(code in profile for code in calls) <= 9, x
 
 
 def test_frame_refusals_are_those_of_the_compositions():

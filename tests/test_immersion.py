@@ -325,7 +325,7 @@ def test_tangency_on_target_cones():
     ]
     for im, x in cases:
         geo = geometry_alone(im, x)
-        grad = [np.ravel(c)[0] for c in nc.grad_F_components(im.target_cone, list(geo.psi0.T))]
+        grad = nc.null_gradient(im.target_cone, geo.position.truncate(imm.FRAME_ORDER)).val[:, 0]
         for i in range(geo.dim):
             inner = inner_at(im.model, geo.psi0[0], grad, geo.tangents[0, i])
             assert abs(inner) < 1e-8

@@ -387,9 +387,12 @@ def test_desitter_time_axis_pushforward():
         jet = jet_eval(curve, [t], 1)
         tangent = jet.jacobian[:, 0]
         x = jet.value
-        axis = st.time_axis(m, x)
-        assert np.allclose(axis, tangent, atol=1e-12)
-        assert inner_at(m, x, axis, axis) == pytest.approx(-1.0, abs=1e-12)
+        # cosh t times the unit axis, the polynomial field x_1 x + e_1
+        ctx = tm.get_context(1, 0)
+        axis = st.time_axis(m, tm.Series(ctx, x[None, :, None], (len(x),))).val[:, 0]
+        ch = math.cosh(t)
+        assert np.allclose(axis, ch * tangent, atol=1e-12)
+        assert inner_at(m, x, axis, axis) == pytest.approx(-ch * ch, abs=1e-12)
 
 
 def test_warped_product_pullback_is_desitter_metric():

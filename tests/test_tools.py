@@ -88,7 +88,9 @@ def test_digest_drift_exit_status(tmp_path, capsys):
 
 def test_call_counts_per_stage(capsys):
     # the counts of one point_report per stage are the same on every run,
-    # every pipeline stage makes calls, and a scene's total is their sum
+    # every pipeline stage makes calls, and a scene's total is their sum;
+    # the chart maps compose primitives in the geometry, and the null frame
+    # composes one (1/f^2) on the GRW cones and none elsewhere
     tool = _tool("call_counts")
     with tool.POOLS.open() as fh:
         entry = json.load(fh)["scenes"][0]
@@ -97,15 +99,19 @@ def test_call_counts_per_stage(capsys):
     counts = tool.stage_counts(scene, points)
     assert counts == tool.stage_counts(scene, points)
     assert list(counts) == list(tool.STAGES)
-    assert all(python > 0 for python, _ in counts.values())
+    assert all(python > 0 for python, _, _ in counts.values())
     assert tool.main(["--points", "1"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert len(lines) == 11 * (len(tool.STAGES) + 1)
     for k in range(0, len(lines), len(tool.STAGES) + 1):
         block = lines[k:k + len(tool.STAGES) + 1]
-        assert [stage for _, stage, _, _ in block] == [*tool.STAGES, "total"]
-        assert len({name for name, *_ in block}) == 1
-        for column in (2, 3):
+        assert [stage for _, stage, *_ in block] == [*tool.STAGES, "total"]
+        assert {len(line) for line in block} == {5}
+        (name,) = {name for name, *_ in block}
+        for column in (2, 3, 4):
             total = sum(float(line[column]) for line in block[:-1])
             assert abs(float(block[-1][column]) - total) < 0.5
+        primitives = {row[1]: float(row[4]) for row in block}
+        assert primitives["geometry"] > 0.0
+        assert primitives["null_frame"] == (1.0 if name.startswith("grw") else 0.0), name
 

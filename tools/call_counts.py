@@ -7,11 +7,13 @@ Run from the repository root; it imports the package from `src/` and reads
 the stored point pools of the `pointwise` workload from
 `perfbench/reference/pointwise.json` without changing them.  For each pool
 scene it runs `point_report` at the pool's points under `sys.setprofile`
-and prints, per stage, the mean number of Python calls (`call` events) and
-of C calls (`c_call` events: builtins and numpy functions, not operators
-or ufuncs) per report, then their totals:
+and prints, per stage, the mean number per report of Python calls (`call`
+events), of C calls (`c_call` events: builtins and numpy functions, not
+operators or ufuncs) and of primitives (calls of `taylor._checked`: each
+composition of a Series with a primitive such as sqrt or the reciprocal,
+and each primitive of an array), then their totals:
 
-    SCENE STAGE PYTHON C
+    SCENE STAGE PYTHON C PRIMITIVE
 
 A call counts toward the innermost stage running when it is made:
 
@@ -42,7 +44,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from nullgeom import cli, extrinsic, immersion  # noqa: E402
+from nullgeom import cli, extrinsic, immersion, taylor  # noqa: E402
 
 POOLS = ROOT / "perfbench" / "reference" / "pointwise.json"
 EXTRINSIC_STAGES = ("height", "null_frame", "weingarten_map", "second_fundamental_form",
@@ -73,10 +75,11 @@ def _report(scene, x):
 
 
 def stage_counts(scene, points) -> dict:
-    """{stage: (python calls, C calls)} per `point_report` at the points,
-    after one report at the first point fills the caches (jet contexts,
-    product slots) that only a first call builds."""
+    """{stage: (python calls, C calls, primitives)} per `point_report` at
+    the points, after one report at the first point fills the caches (jet
+    contexts, product slots) that only a first call builds."""
     codes = _stage_codes()
+    primitive = taylor._checked.__code__
     tally = Counter()
     running = [(None, "other")]  # (frame, stage) of each stage entered
 
@@ -86,6 +89,8 @@ def stage_counts(scene, points) -> dict:
             if stage is not None:
                 running.append((frame, stage))
             tally[running[-1][1], "python"] += 1
+            if frame.f_code is primitive:
+                tally[running[-1][1], "primitive"] += 1
         elif event == "return":
             if running[-1][0] is frame:
                 running.pop()
@@ -99,7 +104,7 @@ def stage_counts(scene, points) -> dict:
             _report(scene, x)
         finally:
             sys.setprofile(None)
-    return {stage: (tally[stage, "python"] / len(points), tally[stage, "c"] / len(points))
+    return {stage: tuple(tally[stage, kind] / len(points) for kind in ("python", "c", "primitive"))
             for stage in STAGES}
 
 
@@ -110,10 +115,8 @@ def lines(limit=None):
         scene = cli.parse_scene(entry["config"])
         points = np.array(entry["pool"], dtype=float)[:limit]
         counts = stage_counts(scene, points)
-        for stage, (python, c) in counts.items():
-            yield f"{scene.name} {stage} {python:.1f} {c:.1f}"
-        python, c = (sum(column) for column in zip(*counts.values()))
-        yield f"{scene.name} total {python:.1f} {c:.1f}"
+        for stage, values in [*counts.items(), ("total", map(sum, zip(*counts.values())))]:
+            yield f"{scene.name} {stage} " + " ".join(f"{v:.1f}" for v in values)
 
 
 def main(argv=None) -> int:
