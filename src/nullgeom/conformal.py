@@ -10,9 +10,11 @@ trip through the canonical graph embeddings (built in `scenes`) by a
 numeric local inverse, and checks the curvature identities relating a
 metric to its conformal rescalings.
 
-The pullback identity reads an evaluated chart geometry of a batch, and
-flags the columns whose image leaves the model space instead of raising
-for them; it is the one check of the conformal factor.  Each sample check
+Every routine reads psi as the one vector Series of `Immersion.series`
+and `ChartGeometry.position`.  The pullback identity reads an evaluated
+chart geometry of a batch, and flags the columns whose image leaves the
+model space instead of raising for them; it is the one check of the
+conformal factor.  Each sample check
 (factorization round trip, de Sitter scale sign, curvature identities) is
 one routine over its samples' psi or chart geometry.  The suites call it
 (`factorization_at`, `scale_sign_at`, `curvature_check_at`) on columns of
@@ -144,7 +146,8 @@ def _split_layout(spec: ConformalMapSpec, im: Immersion):
     return 0, list(range(1, m - 1))
 
 
-def _denominator_series(spec: ConformalMapSpec, im: Immersion, psi):
+def _denominator(spec: ConformalMapSpec, im: Immersion, psi):
+    """The split-map denominator of psi, a vector Series or its values."""
     i, _ = _split_layout(spec, im)
     if spec.variant == "desitter_to_Sn":
         return im.target_cone.scale(psi[i])
@@ -160,7 +163,7 @@ def _reject_floored(value, message):
 def _scale(spec: ConformalMapSpec, im: Immersion, psi) -> Series:
     """The conformal scale of psi, the split-map denominator with its sign
     flipped where it is negative; a column inside the floor is rejected."""
-    den = _denominator_series(spec, im, psi)
+    den = _denominator(spec, im, psi)
     value = den.val
     _reject_floored(value, lambda at: (
         f"conformal scale {at(value):.3e} is inside the floor {DENOMINATOR_FLOOR:.1e}"))
@@ -179,8 +182,7 @@ def factor_field(spec: ConformalMapSpec, im: Immersion) -> Callable:
 
     def lam(coords):
         first = coords[0]
-        psi = [taylor.as_series(c, first.ctx, first.batch) for c in im.map.fn(list(coords))]
-        return _scale(spec, im, psi)
+        return _scale(spec, im, Series.stack(im.map.fn(list(coords)), first.ctx, first.batch))
 
     return lam
 
@@ -195,11 +197,10 @@ def _legs(spec: ConformalMapSpec, im: Immersion, starts, axes, lo, hi, what) -> 
         points, rows = starts[j], np.arange(len(j))
         points[rows, axes[j]] = s
         psi = im.series(points, 1, check_membership=False)
-        denom = _denominator_series(spec, im, psi).val
+        denom = _denominator(spec, im, psi.val)
         _reject_floored(denom, lambda at: (
             f"split-map denominator {at(denom):.3e} vanishes near {format_point(at(points))}"))
-        w = psi[-1]
-        return w.c[w.ctx.first[axes[j]], rows] / denom
+        return psi.c[psi.ctx.first[axes[j]], -1, rows] / denom
 
     vals, errs = quad(integrand, lo, hi)
     taylor.reject(
@@ -271,11 +272,10 @@ def _model_image(spec, im, psi):
     A column whose denominator lies inside the floor is off the model and
     is not divided by; membership is tested on values, so no column raises.
     """
-    denom = _denominator_series(spec, im, psi).val
+    denom = _denominator(spec, im, psi.val)
     above = np.abs(denom) > DENOMINATOR_FLOOR
     _, keep = _split_layout(spec, im)
-    vals = taylor.batch_first([psi[a].val for a in keep])
-    y = vals / np.where(above, denom, 1.0)[:, None]
+    y = taylor.batch_first(psi.val[keep]) / np.where(above, denom, 1.0)[:, None]
     if spec.hyperbolic:
         y0 = y[..., 0]
         lorentz = -np.float_power(y0, 2) + np.vecdot(y[..., 1:], y[..., 1:])
@@ -307,14 +307,14 @@ def _map_jacobian(spec, im, psi) -> np.ndarray:
     The primitive's differential is dg = dw/u exactly, so no quadrature
     enters the jacobian.
     """
-    denom = _denominator_series(spec, im, psi)
+    denom = _denominator(spec, im, psi)
     _reject_floored(denom.val, lambda at: f"split-map denominator {at(denom.val):.3e}")
     _, keep = _split_layout(spec, im)
-    # a partial is its first-order coefficient; a / denom is a * (1 / denom)
-    first, inverse = denom.ctx.first, 1.0 / denom
-    jac = taylor.batch_first([(psi[a] * inverse).c[first] for a in keep])
+    # a partial is its first-order coefficient; psi / denom is psi * (1 / denom)
+    first = denom.ctx.first
+    jac = taylor.batch_first((psi[keep] * (1.0 / denom)).c[first].swapaxes(0, 1))
     if spec.primitive:
-        dg = taylor.batch_first(psi[-1].c[first]) / denom.val[:, None]
+        dg = taylor.batch_first(psi.c[first, -1]) / denom.val[:, None]
         jac = np.concatenate([jac, dg[..., None, :]], axis=-2)
     return jac
 
@@ -331,13 +331,13 @@ def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry):
     NaN and spd False; nothing is raised for it.
     """
     # the jacobian reads first derivatives only
-    im, psi, g0 = geo.immersion, [s.truncate(FRAME_ORDER) for s in geo.psi], geo.g0
+    im, psi, g0 = geo.immersion, geo.position.truncate(FRAME_ORDER), geo.g0
     denom, _, on_model = _model_image(spec, im, psi)
     deviation = np.full(len(g0), np.nan)
     spd = np.zeros(len(g0), dtype=bool)
     if on_model.any():
         if not on_model.all():  # the jacobian divides: keep the columns on the model
-            psi = [Series(s.ctx, s.c[:, on_model]) for s in psi]
+            psi = psi.columns(on_model)
         jac = _map_jacobian(spec, im, psi)
         signs = np.ones(jac.shape[-2])
         if spec.hyperbolic:
@@ -364,7 +364,7 @@ def scale_sign_at(geo: ChartGeometry) -> float:
         raise ValueError("sign coherence applies to de Sitter plane sections")
 
     def scale(ks):
-        r = cone.scale(geo.psi[0].columns(ks).val)
+        r = cone.scale(geo.position.val[0, ks])
         _reject_floored(r, lambda at: (
             f"scale R = {at(r):.3e} vanishes at {format_point(at(x[ks]))}"))
         return r.tolist()
@@ -393,7 +393,7 @@ def _inverse_residuals(spec, im, points, targets):
     def residuals(ks):
         psi = im.series(points[ks], 1, check_membership=False)
         r[ks] = _map_values(spec, im, points[ks], psi) - targets[ks]
-        coeffs[ks] = taylor.batch_first([s.c for s in psi])
+        coeffs[ks] = psi.c.T
         return ks
 
     out = taylor.column_results(residuals, np.arange(len(points)))
@@ -451,7 +451,7 @@ def _descend(spec, im, targets, xs, coeffs, r, errors, tol=_INVERSE_TOL,
         active = unconverged()
         if not len(active):
             break
-        jac = _map_jacobian(spec, im, [Series(ctx, c) for c in coeffs[active].transpose(1, 2, 0)])
+        jac = _map_jacobian(spec, im, Series(ctx, coeffs[active].T, coeffs.shape[1:2]))
         steps = _steps(jac, r[active])
         finite = np.isfinite(steps).all(axis=-1)
         fail(active[~finite], lambda k: f"no finite step at {format_point(xs[k])}")
@@ -503,9 +503,9 @@ def _round_trip(spec, im, x, psi_at) -> float:
     held = np.empty((len(x), im.model.coord_count, x.shape[1] + 1))
 
     def image(ks):
-        psi = [s.truncate(FRAME_ORDER) for s in psi_at(ks)]
+        psi = psi_at(ks).truncate(FRAME_ORDER)
         targets[ks] = _map_values(spec, im, x[ks], psi)
-        held[ks] = taylor.batch_first([s.c for s in psi])
+        held[ks] = psi.c.T
 
     images = taylor.Kept(len(x))
     images.run(image, np.arange(len(x)))
@@ -551,7 +551,7 @@ def factorization_check(im: Immersion, spec: ConformalMapSpec, samples) -> float
 def factorization_at(spec: ConformalMapSpec, geo: ChartGeometry) -> float:
     """`factorization_check` at the columns of an evaluated immersion
     geometry, whose psi, cut to order 1, gives their images."""
-    return _round_trip(spec, geo.immersion, geo.x, lambda ks: [s.columns(ks) for s in geo.psi])
+    return _round_trip(spec, geo.immersion, geo.x, lambda ks: geo.position.columns(ks))
 
 
 # -- conformal curvature ------------------------------------------------------
@@ -654,7 +654,7 @@ def curvature_check_at(spec: ConformalMapSpec, geo: ChartGeometry) -> dict:
     def evaluate(ks):
         # the first evaluation takes every sample, a later one fewer
         part = geo if len(ks) == len(geo.x) else geo.columns(ks)
-        psi = [s.truncate(part.ctx.order) for s in part.psi]
+        psi = part.position.truncate(part.ctx.order)
         return part, _scale(spec, part.immersion, psi)
 
     return _curvature_check(evaluate, len(geo.x))

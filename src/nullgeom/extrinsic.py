@@ -1,7 +1,7 @@
 """Null frames, shape operators, expansions and trapped-ness classification.
 
 A batch of chart points runs through plain stage functions, in this
-order, each taking the `ChartGeometry` and the arrays or Series lists of
+order, each taking the `ChartGeometry` and the arrays or Series of
 the stages before it:
 
 1. `height`: the cone height u = psi^0, its gradient and its Hessian;
@@ -139,7 +139,7 @@ def height(geo: ChartGeometry):
     u is the first ambient coordinate in every model: t for cones and
     cylinders, x_1 on the de Sitter cone.
     """
-    u = geo.psi[0]
+    u = geo.position[0]
     grad_u, grad_u_sq = geo.gradient(u)
     return u.val, geo.partials(u), grad_u, grad_u_sq, geo.covariant_hessian(u)
 
@@ -350,11 +350,6 @@ class ExtrinsicPoint:
 
     # -- Weingarten maps --------------------------------------------------
 
-    def shape_chart(self, name: str) -> np.ndarray:
-        """Numeric Weingarten map of the normal field xi, eta or
-        time_orthogonal (a CLOSED_FORMS value), chart basis (A^i_j)."""
-        return self.shape_maps[name]
-
     def to_frame(self, a_chart: np.ndarray) -> np.ndarray:
         """Rewrite a (1,1) chart-basis operator in the orthonormal frame b =
         `geo.onf`: b^-1 A b, with b^-1 = L^T for the metric's Cholesky factor
@@ -362,7 +357,9 @@ class ExtrinsicPoint:
         return np.swapaxes(self.geo.cholesky, -1, -2) @ a_chart @ self.geo.onf
 
     def shape_numeric(self, name: str) -> np.ndarray:
-        return self.to_frame(self.shape_chart(name))
+        """Numeric Weingarten map of the normal field xi, eta or
+        time_orthogonal (a CLOSED_FORMS value) in the orthonormal frame."""
+        return self.to_frame(self.shape_maps[name])
 
     def shape_closed_chart(self, which: str) -> np.ndarray:
         model = self.model

@@ -79,9 +79,9 @@ class Immersion:
     def dim(self) -> int:
         return self.map.n_inputs
 
-    def series(self, x, order: int, check_membership=True) -> list:
+    def series(self, x, order: int, check_membership=True) -> Series:
         """The ambient coordinates psi at each point of a batch (B, n), as
-        Series of `order`.
+        one (ambient,) vector Series of `order`.
 
         Raises `BatchRejected` whose failing columns carry
         `ChartDomainError` outside the chart domain and, unless
@@ -89,7 +89,7 @@ class Immersion:
         """
         psi = taylor.eval_series(self.map, x, order)
         if check_membership and self.target_cone is not None:
-            require_on_cone(self.target_cone, taylor.batch_first([s.val for s in psi]))
+            require_on_cone(self.target_cone, taylor.batch_first(psi.val))
         return psi
 
 
@@ -150,11 +150,12 @@ class ChartGeometry:
     a metric chart.  `g_series` is the (n, n) Series of the metric and
     `dpsi` the (n, ambient) Series of the d_i psi^a, both of order 2 like
     f and f2; `position`, the (ambient,) vector Series of the ambient
-    coordinates psi, keeps order 3.  `x` is the batch (B, n), every Series
-    carries B columns, and every array has a leading batch axis before the
-    shapes noted below.  The constructor checks nothing: the metric of a
-    geometry the engine hands out has passed `_metric_checked`, which sets
-    its inverse `g_inv0`.  Other quantities are computed lazily and cached.
+    coordinates psi, keeps order 3: it is the one psi every reader reads.
+    `x` is the batch (B, n), every Series carries B columns, and every
+    array has a leading batch axis before the shapes noted below.  The
+    constructor checks nothing: the metric of a geometry the engine hands
+    out has passed `_metric_checked`, which sets its inverse `g_inv0`.
+    Other quantities are computed lazily and cached.
     """
 
     def __init__(self, x, g_series: Series, position=None, dpsi=None, f=None, f2=None,
@@ -196,11 +197,6 @@ class ChartGeometry:
             f"induced metric at {format_point(at(self.x))} {what}"
         )
 
-    @cached_property
-    def coords(self) -> list:
-        """The chart coordinates as Series, for fields on the chart."""
-        return [Series.variable(self.ctx, i, self.x[:, i]) for i in range(self.dim)]
-
     def rescaled(self, lam: Series) -> "ChartGeometry":
         """Geometry of the conformal metric lam^2 g at the same point;
         raises `BatchRejected` where that metric fails its checks."""
@@ -211,12 +207,6 @@ class ChartGeometry:
         return geo
 
     # -- ambient side (immersions only) --------------------------------
-
-    @cached_property
-    def psi(self) -> list:
-        """The list of the ambient coordinates' Series, views of the
-        components of `position`."""
-        return [Series(self.position.ctx, c) for c in self.position.c.swapaxes(0, 1)]
 
     @cached_property
     def psi0(self) -> np.ndarray:
@@ -230,7 +220,8 @@ class ChartGeometry:
     @cached_property
     def psi_second_partials(self) -> np.ndarray:
         """d_i d_j psi values, shape (dim, dim, ambient)."""
-        return np.array([self.second_partials(s) for s in self.psi]).transpose(1, 2, 3, 0)
+        ctx = self.position.ctx
+        return self.position.slots(ctx.second) * ctx.second_fac[..., None]
 
     # -- metric jet algebra ---------------------------------------------
 
@@ -304,8 +295,9 @@ class ChartGeometry:
     # -- scalar fields on the chart --------------------------------------
 
     def scalar_series(self, h) -> Series:
-        """The chart field h, a callable of the coordinate list, as a Series."""
-        return taylor.as_series(h(self.coords), self.ctx, len(self.x))
+        """The chart field h, a callable of the coordinate Series list, as a Series."""
+        coords = [Series.variable(self.ctx, i, self.x[:, i]) for i in range(self.dim)]
+        return taylor.as_series(h(coords), self.ctx, len(self.x))
 
     def partials(self, s: Series) -> np.ndarray:
         return s.slots(s.ctx.first)
@@ -331,8 +323,8 @@ class ChartGeometry:
 def _gathered(values, indices):
     """The columns `indices` of each of `values`, one quantity of several
     geometries, joined: arrays along their leading batch axis, Series along
-    their batch columns, lists entry by entry; anything else, which does not
-    vary by column, is the first one's."""
+    their batch columns; anything else, which does not vary by column, is
+    the first one's."""
     first = values[0]
     if isinstance(first, np.ndarray):
         taken = [v[index] for v, index in zip(values, indices)]
@@ -341,8 +333,6 @@ def _gathered(values, indices):
         taken = [v.c[..., index] for v, index in zip(values, indices)]
         c = taken[0] if len(taken) == 1 else np.concatenate(taken, axis=-1)
         return Series(first.ctx, c, first.shape)
-    if isinstance(first, list):
-        return [_gathered(entries, indices) for entries in zip(*values)]
     return first
 
 
@@ -385,22 +375,21 @@ def _geometry_from_immersion(im: Immersion, x, check_membership, kept: taylor.Ke
         return None
     if check_membership and im.target_cone is not None:
         try:
-            require_on_cone(im.target_cone, taylor.batch_first([s.val for s in psi]))
+            require_on_cone(im.target_cone, taylor.batch_first(psi.val))
         except BatchRejected as err:
             positions = kept.drop(err)
             if not len(positions):
                 return None
-            psi = [s.columns(positions) for s in psi]
+            psi = psi.columns(positions)
     x = x[kept.index]
-    position = Series.stack(psi, psi[0].ctx, len(x))
     # [i, a] = d_i psi^a, exact to order 2
-    dpsi = position.gradient().truncate(METRIC_ORDER)
+    dpsi = psi.gradient().truncate(METRIC_ORDER)
     # the profile f at the Series time, kept for the cone gradient, and the
     # fiber scale f^2
     f = im.model.warping(psi[0].truncate(METRIC_ORDER)) if im.model.warped else None
     f2 = None if f is None else f * f
     g = _mirrored(spacetime.ambient_inner(im.model, f2, dpsi[:, None, :], dpsi[None, :, :]))
-    return ChartGeometry(x, g, position=position, dpsi=dpsi, f=f, f2=f2, immersion=im)
+    return ChartGeometry(x, g, position=psi, dpsi=dpsi, f=f, f2=f2, immersion=im)
 
 
 def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:

@@ -5,7 +5,8 @@ vocabulary (arithmetic plus the functions exported below), wrapped in a
 `SmoothMap` with its arity and domain.  Called with plain floats it
 evaluates normally; `eval_series` calls it with `Series` arguments over a
 batch of chart points, which propagate truncated Taylor expansions whose
-coefficients give exact partial derivatives.
+coefficients give exact partial derivatives, and returns its outputs as
+one vector Series.
 
 Internally a scalar quantity is a dense coefficient vector indexed by the
 multi-indices of total degree <= order in graded lexicographic order; the
@@ -407,12 +408,20 @@ class Series:
     @classmethod
     def stack(cls, items, ctx: JetContext, batch: int) -> "Series":
         """Series of equal shape, or values made constant, stacked along a
-        new first component axis."""
-        items = [as_series(x, ctx, batch) for x in items]
-        for s in items:
-            _same_context(ctx, s)
-        c = np.array([s.c for s in items]).swapaxes(0, 1).copy()
-        return cls(ctx, c, (len(items),) + items[0].shape)
+        new first component axis, with no Python call per item (every chart
+        map stacks its outputs); a Series of another context is a TypeError."""
+        coeffs = []
+        for x in items:
+            if not isinstance(x, Series):
+                c = np.zeros((ctx.n_terms, batch))
+                c[0] = x
+                coeffs.append(c)
+            elif x.ctx is ctx:
+                coeffs.append(x.c)
+            else:
+                _same_context(ctx, x)  # raises the TypeError
+        c = np.array(coeffs).swapaxes(0, 1).copy()
+        return cls(ctx, c, c.shape[1:-1])
 
     def _with(self, coeffs: np.ndarray) -> "Series":
         """A Series of `coeffs`, whose last axis is the batch."""
@@ -875,9 +884,10 @@ def _at_point(err, point):
     return err.with_point(point) if isinstance(err, PrimitiveDomainError) else err
 
 
-def eval_series(map_fn: SmoothMap, points, order: int):
+def eval_series(map_fn: SmoothMap, points, order: int) -> Series:
     """Evaluate a smooth map on Series arguments at a batch (B, n) of points
-    inside its domain; returns a list of Series.
+    inside its domain; returns the vector Series of its outputs, stacked
+    once (`Series.stack`), a float output made constant.
 
     A primitive's domain error carries its column's point; a typed error (a
     `ValueError`) of a float-valued step fails every column alike."""
@@ -897,7 +907,7 @@ def eval_series(map_fn: SmoothMap, points, order: int):
         raise BatchRejected({b: _at_point(e, points[b]) for b, e in err.errors.items()}) from None
     except ValueError as err:
         raise BatchRejected({b: _at_point(err, p) for b, p in enumerate(points)}) from None
-    return [as_series(r, ctx, batch) for r in result]
+    return Series.stack(result, ctx, batch)
 
 
 _EXPR_FUNCS = {

@@ -40,6 +40,7 @@ __all__ = [
     "profile_at",
     "inner_at",
     "series_alone",
+    "components",
     "geometry_alone",
     "point_alone",
     "intrinsic_gradient",
@@ -175,6 +176,12 @@ def inner_at(model, p, v, w):
         f = profile_at(model.warping, p[0])
         f2 = f * f
     return st.ambient_inner(model, f2, v, w)
+
+
+def components(s):
+    """The list of the components of a vector Series, views of its
+    coefficients: the psi of the per-component oracles."""
+    return [s[a] for a in range(s.shape[0])]
 
 
 def series_alone(im, x, order, check_membership=True):
@@ -395,9 +402,9 @@ def pullback_alone(spec, geo, expected_factor=None):
     `expected_factor` (a callable of the chart point): the oracle of
     `conformal.pullback_columns`, and the check of the conformal factor
     against an independent lambda."""
-    im, x, psi = geo.immersion, geo.x[0], geo.psi
+    im, x, psi = geo.immersion, geo.x[0], geo.position
     _, keep = cf._split_layout(spec, im)
-    denom = cf._denominator_series(spec, im, psi)
+    denom = cf._denominator(spec, im, psi)
     d = denom.val[0]
     if abs(d) <= cf.DENOMINATOR_FLOOR:
         raise cf.DegeneracyError(f"split-map denominator {d:.3e} at {tm.format_point(x)}")
@@ -518,7 +525,7 @@ def factorization_alone(im, spec, samples):
         x_hat = local_inverse_alone(spec, im, y, seed)
         f_val = float(series_alone(im, x_hat, 0, check_membership=False)[idx].val[0])
         ambient = cf._psi_f_at_model_point(spec, im, idx, y, f_val)
-        psi0 = np.array([s.val[0] for s in psi])
+        psi0 = psi.val[:, 0]
         worst = max(worst, float(np.max(np.abs(ambient - psi0))))
     return worst
 
@@ -684,7 +691,7 @@ def order3_stages(geo):
     the pipeline ran them before each stage was cut to the order it reads:
     a dict of nested lists of Series, each stage's reference prefix."""
     im, order = geo.immersion, imm.JET_ORDER
-    psi = geo.psi
+    psi = components(geo.position)
     f = im.model.warping(psi[0]) if im.model.warped else None
     f2 = None if f is None else f * f
     g, dpsi = entry_pullback(im, psi, f2, order)

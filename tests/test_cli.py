@@ -353,9 +353,9 @@ def test_every_table_family_parses():
             continue
         parse_scene(family_doc(name, "1.5 + 0.1*x0"))
         constant = parse_scene(family_doc(name, "1.5"))
-        assert [s.val.tolist() for s in constant.im.series(point[None], 1)] == [
-            s.val.tolist() for s in number.im.series(point[None], 1)
-        ], name
+        assert constant.im.series(point[None], 1).val.tolist() == (
+            number.im.series(point[None], 1).val.tolist()
+        ), name
 
 
 def test_family_on_another_cone_or_model_rejected():
@@ -802,18 +802,20 @@ def test_grid_geometries_are_not_rebuilt(monkeypatch):
 def test_psi_checks_gather_only_what_they_read(monkeypatch):
     # the factorization round trip and the de Sitter scale sign read the
     # immersion, x and psi of their samples, and the gather brings only
-    # those; the appendix's gather brings every quantity the grid holds
+    # those; the appendix's gather brings every quantity the grid holds,
+    # none of which is a list: psi is the one vector Series `position`
     held = {}
     for name in ("factorization_at", "scale_sign_at", "curvature_check_at"):
         def spy(*args, _real=getattr(conformal, name), _name=name):
-            held[_name] = set(vars(args[-1]))
+            held[_name] = dict(vars(args[-1]))
             return _real(*args)
 
         monkeypatch.setattr(conformal, name, spy)
     report = run(builtin_scenes()["ds-alpha1"])
     assert report["exit_status"] == EXIT_PASS
-    assert held["factorization_at"] == held["scale_sign_at"] == set(conformal.PSI_KEYS)
-    assert {"g0", "g_inv0", "psi", "christoffel_series"} <= held["curvature_check_at"]
+    assert set(held["factorization_at"]) == set(held["scale_sign_at"]) == set(conformal.PSI_KEYS)
+    assert {"g0", "g_inv0", "position", "christoffel_series"} <= set(held["curvature_check_at"])
+    assert not any(isinstance(v, list) for geo in held.values() for v in geo.values())
 
 
 def test_suites_make_no_per_matrix_lapack_calls(monkeypatch):
@@ -1315,7 +1317,7 @@ def test_scale_sign_change_fails_the_conformal_suite(monkeypatch):
     raised = []
 
     def straddling(geo):
-        geo.psi[0].c[0, -1] *= -1.0
+        geo.position.c[0, 0, -1] *= -1.0
         try:
             return real(geo)
         except conformal.DegeneracyError as err:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from nullgeom import cli
+from nullgeom import conformal as cf
 from nullgeom import extrinsic as ext
 from nullgeom import immersion as imm
 from nullgeom import nullcone as nc
@@ -21,6 +22,7 @@ from nullgeom.extrinsic import ExtrinsicPoint
 from nullgeom.scenes import builtin_scenes
 
 from _surfaces import (
+    components,
     cylinder_immersion,
     entry_christoffel,
     entry_g_inv,
@@ -148,10 +150,10 @@ POINTWISE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "p
 def entry_frame(pt):
     """xi, nu and eta of an `ExtrinsicPoint`'s batch as component lists of
     Series, by the entry-by-entry Series algebra (`entry_null_frame`)."""
-    geo = pt.geo
-    g, dpsi = entry_pullback(pt.im, geo.psi, geo.f2)
+    geo, psi = pt.geo, components(pt.geo.position)
+    g, dpsi = entry_pullback(pt.im, psi, geo.f2)
     g_inv = entry_g_inv(g, geo.g0.transpose(1, 2, 0), geo.g_inv0.transpose(1, 2, 0))
-    return entry_null_frame(pt.im, geo.psi, geo.f, geo.f2, g_inv, dpsi)
+    return entry_null_frame(pt.im, psi, geo.f, geo.f2, g_inv, dpsi)
 
 
 def assert_values_equal(values, nested):
@@ -256,10 +258,10 @@ def test_component_algebra_matches_entry_algebra_bitwise(data):
     # entry Series algebra bit for bit, each stage at its order, signs of
     # zeros included
     for pt in drawn_points(data):
-        geo = pt.geo
-        g, dpsi = entry_pullback(pt.im, geo.psi, geo.f2)
+        geo, psi = pt.geo, components(pt.geo.position)
+        g, dpsi = entry_pullback(pt.im, psi, geo.f2)
         g_inv = entry_g_inv(g, geo.g0.transpose(1, 2, 0), geo.g_inv0.transpose(1, 2, 0))
-        xi, nu, eta = entry_null_frame(pt.im, geo.psi, geo.f, geo.f2, g_inv, dpsi)
+        xi, nu, eta = entry_null_frame(pt.im, psi, geo.f, geo.f2, g_inv, dpsi)
         assert_entries_equal(geo.dpsi, dpsi)
         assert_entries_equal(geo.g_series, g)
         assert_entries_equal(geo.g_inv_series, g_inv)
@@ -316,7 +318,7 @@ def test_each_stage_runs_at_its_order():
         # one batch
         pt = ExtrinsicPoint(imm.chart_geometry(scene.im, np.asarray(entry["pool"][:8])))
         geo = pt.geo
-        assert {s.ctx.order for s in geo.psi} == {3}
+        assert geo.position.ctx.order == 3
         assert geo.dpsi.ctx.order == geo.g_series.ctx.order == geo.ctx.order == 2
         assert geo.scalar_series(lambda cs: cs[0]).ctx.order == 2
         if geo.f is not None:
@@ -434,6 +436,32 @@ def test_frame_calls_do_not_grow_with_the_dimension():
             geo = imm.chart_geometry(im, x)
             ext.null_frame(geo)
             row.append(len(entered(ext.null_frame, geo)))
+        counts.append(row)
+    assert counts[0] == counts[1]
+
+
+def test_chart_map_jets_cost_the_same_in_every_dimension():
+    # psi is one vector Series: its second partials are one slot read, and
+    # the split map's jacobian one vector product by 1/den, so both make as
+    # many Python calls at n = 3 as at n = 2 on a light-cone section and a
+    # de Sitter section (after a first run has filled the caches)
+    def builds(n):
+        return ((psi_f_minkowski(n, perturbed_f), "lightcone_to_Hn"),
+                (psi_f_desitter(n, 0.5, lambda qs: 2.0 + 0.1 * tm.sin(qs[0]), component="plus"),
+                 "desitter_to_Sn"))
+
+    second_partials = imm.ChartGeometry.psi_second_partials.func
+    rng = np.random.default_rng(8)
+    counts = []
+    for n in (2, 3):
+        x = np.array(sample_box(rng, sphere_box(n), 3))
+        row = []
+        for im, variant in builds(n):
+            geo = imm.chart_geometry(im, x)
+            jacobian = (cf.ConformalMapSpec(variant), im, geo.position.truncate(imm.FRAME_ORDER))
+            for fn, args in ((second_partials, (geo,)), (cf._map_jacobian, jacobian)):
+                fn(*args)
+                row.append(len(entered(fn, *args)))
         counts.append(row)
     assert counts[0] == counts[1]
 
@@ -586,7 +614,7 @@ def test_time_orthogonal_trace_formula():
     ):
         for x in scene_points(rng, im, 6):
             pt = point_alone(im, x)
-            tr = float(np.trace(pt.shape_chart("time_orthogonal")[0]))
+            tr = float(np.trace(pt.shape_maps["time_orthogonal"][0]))
             expected = pt.laplacian_u + pt.warping_ratio * (pt.n + pt.grad_u_sq)
             assert abs(tr - expected) < 1e-7
 
@@ -645,7 +673,7 @@ def test_to_frame_matches_the_solve_on_scene_grids(name):
     pt = tm.float_edges(lambda xs: ExtrinsicPoint(imm.chart_geometry(scene.im, xs)))(points)
     b = pt.geo.onf
     assert np.allclose(pt.geo.cholesky.swapaxes(-1, -2) @ b, np.eye(pt.n), rtol=0.0, atol=1e-15)
-    operators = [pt.shape_chart(normal) for normal in ("xi", "eta", "time_orthogonal")
+    operators = [pt.shape_maps[normal] for normal in ("xi", "eta", "time_orthogonal")
                  if normal != "time_orthogonal" or "time_orthogonal" in scene.selectors]
     operators += [pt.shape_closed_chart(which) for which in scene.selectors]
     for a in operators:
@@ -677,9 +705,9 @@ def test_eta_map_is_linear_in_the_normal_field(name):
     assert len(kept.index) >= 0.9 * len(points)
     xi, normal = pt.xi_series, pt.time_orthogonal_series
     a, b = np.random.default_rng(3).uniform(-2.0, 2.0, size=(2, xi.batch))
-    combined = a[:, None, None] * pt.shape_chart("xi") + b[:, None, None] * pt.shape_chart(
-        "time_orthogonal")
-    for got, field in ((pt.shape_chart("eta"), tm.Series.stack(entry_frame(pt)[2], xi.ctx, xi.batch)),
+    combined = a[:, None, None] * pt.shape_maps["xi"] + b[:, None, None] * pt.shape_maps[
+        "time_orthogonal"]
+    for got, field in ((pt.shape_maps["eta"], tm.Series.stack(entry_frame(pt)[2], xi.ctx, xi.batch)),
                        (combined, xi * a + normal * b)):
         want = ext.weingarten_map(pt.geo, field, pt.f2, pt.df)
         scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
@@ -835,7 +863,7 @@ def test_classification_invariant_under_chart_diffeomorphism():
         )
         for _ in range(6):
             x = rng.uniform(-0.4, 0.4, size=2)
-            y = np.array([s.val[0] for s in tm.eval_series(tm.SmoothMap(phi, 2, 2), x[None], 1)])
+            y = tm.eval_series(tm.SmoothMap(phi, 2, 2), x[None], 1).val[:, 0]
             if base.map.name == "slice" and not all(
                 lo <= yi <= hi for yi, (lo, hi) in zip(y, base.map.domain)
             ):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -255,6 +256,41 @@ def test_mixed_orders_fail_loudly():
 
     with pytest.raises(TypeError):
         tm.column_results(mixed, np.ones((3, 1)))
+
+
+def test_eval_series_stacks_the_map_outputs():
+    # the chart map's outputs as one vector Series, each component, a float
+    # constant's too, by float.hex the map's output on the coordinate
+    # Series; the stack makes no Python call per component
+    def fn(xs):
+        return [xs[0] * xs[1], 2.5, tm.sin(xs[0]) + xs[1], xs[1]]
+
+    points = np.array([[0.3, -1.2], [1.5, 0.25], [-0.7, 2.0]])
+    ctx = tm.get_context(2, 3)
+    psi = tm.eval_series(tm.SmoothMap(fn, 2, 4), points, 3)
+    assert psi.ctx is ctx and psi.shape == (4,) and psi.batch == len(points)
+    coords = [tm.Series.variable(ctx, i, points[:, i]) for i in range(2)]
+    for a, want in enumerate(fn(coords)):
+        want = tm.as_series(want, ctx, len(points))
+        assert [v.hex() for v in psi[a].c.ravel().tolist()] == [
+            v.hex() for v in want.c.ravel().tolist()]
+    calls = {2: [], 6: []}
+    for width, entered in calls.items():
+        items = [coords[0], 1.0, coords[1]] * (width // 2)
+        sys.setprofile(lambda frame, event, arg: event == "call" and entered.append(frame.f_code))
+        try:
+            tm.Series.stack(items, ctx, len(points))
+        finally:
+            sys.setprofile(None)
+    assert calls[2] == calls[6]
+    # an output of another jet context is a TypeError through Kept.run, not a
+    # typed rejection of the columns
+    low = tm.get_context(2, 1)
+    foreign = tm.SmoothMap(lambda xs: [xs[0], tm.Series.variable(low, 1, xs[1].val)], 2, 2)
+    kept = tm.Kept(len(points))
+    with pytest.raises(TypeError, match="order"):
+        kept.run(lambda xs: tm.eval_series(foreign, xs, 3), points)
+    assert kept.errors == {} and len(kept.index) == len(points)
 
 
 @pytest.mark.parametrize("shapes, columns", [(((4, 1), (1, 5)), 90), (((2,), (2,)), 300)])

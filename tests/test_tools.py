@@ -87,31 +87,48 @@ def test_digest_drift_exit_status(tmp_path, capsys):
 
 
 def test_call_counts_per_stage(capsys):
-    # the counts of one point_report per stage are the same on every run,
-    # every pipeline stage makes calls, and a scene's total is their sum;
-    # the chart maps compose primitives in the geometry, and the null frame
-    # composes one (1/f^2) on the GRW cones and none elsewhere
+    # the counts of one point_report per stage, and of each conformal
+    # operation, are the same on every run, every pipeline stage makes
+    # calls, and a scene's total is their sum; the chart maps compose
+    # primitives in the geometry, and the null frame composes one (1/f^2)
+    # on the GRW cones and none elsewhere
     tool = _tool("call_counts")
     with tool.POOLS.open() as fh:
         entry = json.load(fh)["scenes"][0]
     scene = tool.cli.parse_scene(entry["config"])
-    points = np.array(entry["pool"][:2])
+    pool = np.array(entry["pool"])
+    points = pool[:2]
     counts = tool.stage_counts(scene, points)
     assert counts == tool.stage_counts(scene, points)
+    assert tool.operation_counts(scene, points, pool) == tool.operation_counts(scene, points, pool)
     assert list(counts) == list(tool.STAGES)
     assert all(python > 0 for python, _, _ in counts.values())
     assert tool.main(["--points", "1"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert len(lines) == 11 * (len(tool.STAGES) + 1)
-    for k in range(0, len(lines), len(tool.STAGES) + 1):
-        block = lines[k:k + len(tool.STAGES) + 1]
-        assert [stage for _, stage, *_ in block] == [*tool.STAGES, "total"]
-        assert {len(line) for line in block} == {5}
-        (name,) = {name for name, *_ in block}
-        for column in (2, 3, 4):
-            total = sum(float(line[column]) for line in block[:-1])
-            assert abs(float(block[-1][column]) - total) < 0.5
-        primitives = {row[1]: float(row[4]) for row in block}
+    assert {len(line) for line in lines} == {5}
+    blocks = {}
+    for name, *row in lines:
+        blocks.setdefault(name, []).append(row)
+    assert len(blocks) == 11
+    for name, block in blocks.items():
+        stages = block[:len(tool.STAGES) + 1]
+        assert [stage for stage, *_ in stages] == [*tool.STAGES, "total"]
+        for column in (1, 2, 3):
+            total = sum(float(row[column]) for row in stages[:-1])
+            assert abs(float(stages[-1][column]) - total) < 0.5
+        primitives = {row[0]: float(row[3]) for row in stages}
         assert primitives["geometry"] > 0.0
         assert primitives["null_frame"] == (1.0 if name.startswith("grw") else 0.0), name
+        # then the conformal operations of a scene with a split map: its
+        # map and the two checks, the cylinder map having no factorization
+        operations = [row[0] for row in block[len(stages):]]
+        if name.startswith("grw"):
+            assert operations == [], name
+        elif name.startswith("cyl"):
+            assert operations == ["conformal_map", "conformal_curvature_check"], name
+        else:
+            assert operations == ["conformal_map", "factorization_check",
+                                  "conformal_curvature_check"], name
+        assert all(float(row[1]) > 0.0 and float(row[3]) > 0.0 for row in block[len(stages):])
+
 

@@ -1,4 +1,5 @@
-"""Count the calls one `extrinsic.point_report` makes, per pipeline stage.
+"""Count the calls one `extrinsic.point_report` makes, per pipeline stage,
+and the calls of each conformal operation of the `pointwise` workload.
 
     python3 tools/call_counts.py              # every point of each pool
     python3 tools/call_counts.py --points 4   # the first 4 points of each
@@ -15,6 +16,19 @@ and each primitive of an array), then their totals:
 
     SCENE STAGE PYTHON C PRIMITIVE
 
+A pool scene with a split map then gets one line per conformal operation,
+with the mean of the same three counts per call:
+
+    SCENE OPERATION PYTHON C PRIMITIVE
+
+- `conformal_map` at each of the pool's points;
+- `factorization_check` of the pool's first 6 points, on the split maps
+  that have the graph-embedding factorization (not the cylinder maps);
+- `conformal_curvature_check` of the pool's first 5 points, with the
+  conformal scale (`conformal.factor_field`) as the factor;
+
+the sample counts are those of the workload's checks.
+
 A call counts toward the innermost stage running when it is made:
 
 - `geometry`: `immersion.chart_geometry` and every `ChartGeometry` method,
@@ -27,7 +41,7 @@ A call counts toward the innermost stage running when it is made:
 The counts depend on the code path alone, not on the machine or its load,
 so two source trees compare by them where a timing on a shared machine is
 noisy.  Points that the pipeline refuses count as well, up to their error;
-the caches that the first report of a process fills are filled first.
+the caches that the first call of a process fills are filled first.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +58,16 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from nullgeom import cli, extrinsic, immersion, taylor  # noqa: E402
+from nullgeom import cli, conformal, extrinsic, immersion, taylor  # noqa: E402
 
 POOLS = ROOT / "perfbench" / "reference" / "pointwise.json"
 EXTRINSIC_STAGES = ("height", "null_frame", "weingarten_map", "second_fundamental_form",
                     "expansions")
 STAGES = ("geometry", *EXTRINSIC_STAGES, "report", "other")
+KINDS = ("python", "c", "primitive")
+# the samples of the pointwise workload's checks
+FACTORIZATION_SAMPLES = 6
+CURVATURE_SAMPLES = 5
 
 
 def _stage_codes() -> dict:
@@ -67,18 +85,18 @@ def _stage_codes() -> dict:
     return codes
 
 
-def _report(scene, x):
+def _call(fn, *args):
     try:
-        extrinsic.point_report(scene.im, x)
+        fn(*args)
     except ValueError:  # a typed rejection; its calls count
         pass
 
 
-def stage_counts(scene, points) -> dict:
-    """{stage: (python calls, C calls, primitives)} per `point_report` at
-    the points, after one report at the first point fills the caches (jet
-    contexts, product slots) that only a first call builds."""
-    codes = _stage_codes()
+def _tally(calls, codes) -> Counter:
+    """{(stage, kind): count} over the calls, each a callable of no
+    argument, after the first of them has filled the caches (jet contexts,
+    product slots) that only a first call builds; a call counts toward the
+    innermost stage of codes ({code object: stage}) running, else `other`."""
     primitive = taylor._checked.__code__
     tally = Counter()
     running = [(None, "other")]  # (frame, stage) of each stage entered
@@ -97,15 +115,44 @@ def stage_counts(scene, points) -> dict:
         elif event == "c_call":
             tally[running[-1][1], "c"] += 1
 
-    _report(scene, points[0])
-    for x in points:
+    calls[0]()
+    for call in calls:
         sys.setprofile(profile)
         try:
-            _report(scene, x)
+            call()
         finally:
             sys.setprofile(None)
-    return {stage: tuple(tally[stage, kind] / len(points) for kind in ("python", "c", "primitive"))
-            for stage in STAGES}
+    return tally
+
+
+def stage_counts(scene, points) -> dict:
+    """{stage: (python calls, C calls, primitives)} per `point_report` at
+    the points."""
+    tally = _tally([partial(_call, extrinsic.point_report, scene.im, x) for x in points],
+                   _stage_codes())
+    return {stage: tuple(tally[stage, kind] / len(points) for kind in KINDS) for stage in STAGES}
+
+
+def operation_counts(scene, points, pool) -> dict:
+    """{operation: (python calls, C calls, primitives)} per call of the
+    conformal operations of a scene with a split map: `conformal_map` at
+    the points, and the checks of the first samples of the pool."""
+    spec, im = scene.cspec, scene.im
+    calls = {
+        "conformal_map": [partial(_call, conformal.conformal_map, spec, im, x) for x in points],
+        "factorization_check": [partial(_call, conformal.factorization_check, im, spec,
+                                        pool[:FACTORIZATION_SAMPLES])],
+        "conformal_curvature_check": [partial(_call, conformal.conformal_curvature_check, im,
+                                              conformal.factor_field(spec, im),
+                                              pool[:CURVATURE_SAMPLES])],
+    }
+    if spec.primitive:  # a cylinder map has no graph-embedding factorization
+        del calls["factorization_check"]
+    counts = {}
+    for name, ops in calls.items():
+        tally = _tally(ops, {})
+        counts[name] = tuple(tally["other", kind] / len(ops) for kind in KINDS)
+    return counts
 
 
 def lines(limit=None):
@@ -113,9 +160,12 @@ def lines(limit=None):
         entries = json.load(fh)["scenes"]
     for entry in entries:
         scene = cli.parse_scene(entry["config"])
-        points = np.array(entry["pool"], dtype=float)[:limit]
-        counts = stage_counts(scene, points)
-        for stage, values in [*counts.items(), ("total", map(sum, zip(*counts.values())))]:
+        pool = np.array(entry["pool"], dtype=float)
+        counts = stage_counts(scene, pool[:limit])
+        rows = [*counts.items(), ("total", map(sum, zip(*counts.values())))]
+        if scene.cspec is not None:
+            rows += operation_counts(scene, pool[:limit], pool).items()
+        for stage, values in rows:
             yield f"{scene.name} {stage} " + " ".join(f"{v:.1f}" for v in values)
 
 
