@@ -144,19 +144,6 @@ def height(geo: ChartGeometry):
     return u.val, geo.partials(u), grad_u, grad_u_sq, geo.covariant_hessian(u)
 
 
-def _inner(model, f2, v, w) -> np.ndarray:
-    """The value of `spacetime.ambient_inner` of two Series of values v and
-    w (components first, the batch last), f2 the fiber scale's value, as the
-    Series arithmetic computes it: a bincount adds each product to +0.0,
-    and the signed sum runs left to right."""
-    p = v * w + 0.0
-    signs, lead = model.signature, int(model.warped)
-    acc = -p[lead] if signs[lead] < 0 else p[lead]
-    for k in range(lead + 1, len(p)):
-        acc = acc - p[k] if signs[k] < 0 else acc + p[k]
-    return -p[0] + (f2 * acc + 0.0) if model.warped else acc
-
-
 def _table_refusals(v, r, w) -> tuple:
     """The columns that a composition with sqrt at v > 1e-12 (r = sqrt(v)),
     and one with the reciprocal at w >= 0, refuse: where the largest entry
@@ -189,18 +176,20 @@ def null_frame(geo: ChartGeometry):
         proj = Series(dpsi.ctx, 0.0 - dpsi[:, 0].c, (geo.dim,))
     coeff = (geo.g_inv_series * proj).sum(axis=-1, start=0.0)
     normal = axis - (coeff[:, None] * dpsi).sum(axis=0)
-    xi = nullcone.null_gradient(cone, x, f)
+    xi = nullcone.null_gradient(cone, x, f, geo.cone_time)
     if cone.variant == "desitter_alpha":
         # future-normalize on the R > 0 component of a de Sitter section;
         # scaling by -1 or 1 is negation or a copy, bit for bit
         xi = xi * np.where(cone.scale(geo.psi0[:, 0]) > 0.0, -1.0, 1.0)
     # the values the Series arithmetic gave: a bincount adds each product,
-    # and a composition (sqrt, reciprocal) its value, to +0.0
-    nn = _inner(model, f2, normal.val, normal.val)
+    # and a composition (sqrt, reciprocal) its value, to +0.0; the pairings
+    # differ from the Series ones at most in the sign of a zero, which the
+    # checks below refuse
+    nn = spacetime.ambient_inner(model, f2, normal.val.T, normal.val.T)
     r = np.sqrt(-nn)
     inv_s = 0.0 + 1.0 / (0.0 + r)
     nu = inv_s * normal.val + 0.0
-    c = _inner(model, f2, xi.val, nu)
+    c = spacetime.ambient_inner(model, f2, xi.val.T, nu.T)
     w = c * 2.0 * c + 0.0
     # each column refused as the compositions refused it; the reciprocals
     # of s and of c refuse none that these checks pass
@@ -247,35 +236,25 @@ def weingarten_map(geo: ChartGeometry, field: Series, f2, df) -> np.ndarray:
 def second_fundamental_form(geo: ChartGeometry, xi, eta, f2, df) -> np.ndarray:
     """II(d_i psi, d_j psi) as ambient vectors in the {xi, eta} span, [i, j, :].
 
-    II(X, Y) = -(ambient derivative)^normal.  Both the second partials of
-    psi and the warped connection term are symmetric in (i, j), so each
-    unordered pair is computed once.
+    II(X, Y) = -(ambient derivative)^normal, over all n x n pairs at once:
+    both the second partials of psi and the warped connection term are
+    symmetric in (i, j) bit for bit, so II is too.
     """
-    model, n = geo.immersion.model, geo.dim
-    tangents = geo.tangents
-    # [..., pair, :], the pairs i <= j in row order
-    i, j = np.array([(i, j) for i in range(n) for j in range(i, n)]).T
-    w = geo.psi_second_partials[:, i, j, :] + spacetime.warped_connection_term(
-        model, df, tangents[:, i, :], tangents[:, j, :]
+    model, tangents = geo.immersion.model, geo.tangents
+    w = geo.psi_second_partials + spacetime.warped_connection_term(
+        model, df, tangents[:, :, None, :], tangents[:, None, :, :]
     )
-    a = -spacetime.ambient_inner(model, f2, w, eta[..., None, :])
-    b = -spacetime.ambient_inner(model, f2, w, xi[..., None, :])
-    # [..., pair, :] = -(a xi + b eta)
-    ab = -(a[..., None] * xi[..., None, :] + b[..., None] * eta[..., None, :])
-    ii = np.zeros(xi.shape[:-1] + (n, n, xi.shape[-1]))
-    ii[:, i, j, :] = ii[:, j, i, :] = ab
-    return ii
+    xi, eta = xi[:, None, None, :], eta[:, None, None, :]
+    a = -spacetime.ambient_inner(model, f2, w, eta)
+    b = -spacetime.ambient_inner(model, f2, w, xi)
+    return -(a[..., None] * xi + b[..., None] * eta)
 
 
 def expansions(geo: ChartGeometry, a_xi, a_eta, ii, f2):
     """theta_xi and theta_eta (the traces of the xi and eta Weingarten maps
     over n), the mean curvature vector H = tr II / n and <H, H>."""
     n = geo.dim
-    h = np.zeros(ii.shape[:-3] + ii.shape[-1:])
-    for i in range(n):
-        for j in range(n):
-            h += geo.g_inv0[:, i, j, None] * ii[..., i, j, :]
-    h = h / n
+    h = np.einsum("...ij,...ija->...a", geo.g_inv0, ii) / n
     h_sq = spacetime.ambient_inner(geo.immersion.model, f2, h, h)
     theta_xi = a_xi.trace(axis1=-2, axis2=-1) / n
     theta_eta = a_eta.trace(axis1=-2, axis2=-1) / n
@@ -400,27 +379,20 @@ class ExtrinsicPoint:
                 + self.hess_u_mixed / p[:, None, None])
 
     def _product_xi_chart(self) -> np.ndarray:
-        """A_xi X = -<X, grad u> grad u + (nabla^M_{Xhat}(r Dr))^tangent."""
+        """A_xi X = -<X, grad u> grad u + (nabla^M_{Xhat}(r Dr))^tangent,
+        for all the coordinate fields X = d_j psi at once."""
         model, tangents = self.model, self.geo.tangents
         r, dr = spacetime.fiber_radial(model, self.geo.psi0.T[1:])
-        dr = np.stack(dr, axis=-1)
-        rc = spacetime.radial_tangential_factor(model, r)[:, None]
-        signs = model.signature[1:]
-        cols = []
-        for j in range(self.n):
-            xhat = tangents[..., j, 1:]  # fiber part of Xhat = X - <X, grad u> dt
-            radial = np.sum(signs * xhat * dr, axis=-1)[:, None]
-            v = radial * dr + rc * (xhat - radial * dr)
-            v_amb = np.concatenate((np.zeros(v.shape[:-1] + (1,)), v), axis=-1)
-            m = np.stack(
-                [
-                    spacetime.ambient_inner(model, self.f2, v_amb, tangents[..., i, :])
-                    for i in range(self.n)
-                ],
-                axis=-1,
-            )
-            cols.append(-self.du[:, j, None] * self.grad_u + np.matvec(self.geo.g_inv0, m))
-        return np.stack(cols, axis=-1)
+        dr = np.stack(dr, axis=-1)[:, None, :]
+        rc = spacetime.radial_tangential_factor(model, r)[:, None, None]
+        xhat = tangents[..., 1:]  # [., j, :], the fiber part of Xhat = X - <X, grad u> dt
+        radial = np.sum(model.signature[1:] * xhat * dr, axis=-1)[..., None]
+        v = radial * dr + rc * (xhat - radial * dr)
+        v_amb = np.concatenate((np.zeros(v.shape[:-1] + (1,)), v), axis=-1)
+        # [., j, i] = <v_j, d_i psi>, then [., j, k] = column j of A_xi
+        m = spacetime.ambient_inner(model, self.f2, v_amb[:, :, None, :], tangents[:, None])
+        cols = -self.du[..., None] * self.grad_u[:, None] + np.matvec(self.geo.g_inv0[:, None], m)
+        return np.ascontiguousarray(cols.swapaxes(-1, -2))
 
     def shape_closed(self, which: str) -> np.ndarray:
         return self.to_frame(self.shape_closed_chart(which))

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import spacetime, taylor
-from .nullcone import NullconeSpec, require_on_cone
+from .nullcone import NullconeSpec, cone_time, require_on_cone
 from .spacetime import AmbientModel
 from .taylor import BatchRejected, Series, SmoothMap, format_point
 
@@ -151,6 +151,8 @@ class ChartGeometry:
     `dpsi` the (n, ambient) Series of the d_i psi^a, both of order 2 like
     f and f2; `position`, the (ambient,) vector Series of the ambient
     coordinates psi, keeps order 3: it is the one psi every reader reads.
+    `cone_time` holds the conformal time of the points on a GRW target cone
+    as cone membership computed it (`nullcone.cone_time`), else None.
     `x` is the batch (B, n), every Series carries B columns, and every
     array has a leading batch axis before the shapes noted below.  The
     constructor checks nothing: the metric of a geometry the engine hands
@@ -159,7 +161,7 @@ class ChartGeometry:
     """
 
     def __init__(self, x, g_series: Series, position=None, dpsi=None, f=None, f2=None,
-                 immersion=None):
+                 immersion=None, cone_time=None):
         self.x = np.asarray(x, dtype=np.float64)
         self.g_series = g_series
         self.dim = g_series.shape[0]
@@ -169,6 +171,7 @@ class ChartGeometry:
         self.f = f
         self.f2 = f2
         self.immersion = immersion
+        self.cone_time = cone_time
         g0 = taylor.batch_first(g_series.val)
         self.g0 = 0.5 * (g0 + g0.swapaxes(-1, -2))
 
@@ -227,26 +230,30 @@ class ChartGeometry:
 
     @cached_property
     def g_inv_series(self) -> Series:
-        """The inverse metric (n, n) to order 1: the Neumann series around
-        the point value, (I + A0inv E)^-1 A0inv with E = g - g(x), whose
-        terms past (I - A0inv E) A0inv start at order 2."""
-        # the values over the component and batch axes of a Series
-        a0inv = self.g_inv0.transpose(1, 2, 0)
-        e = self.g_series.truncate(FRAME_ORDER) - self.g0.transpose(1, 2, 0)
-        # m[i, j] = sum over l of a0inv[i, l] * e[l, j]
-        m = (e[None, :, :] * a0inv[:, :, None]).sum(axis=1, start=0.0)
-        x = np.eye(self.dim)[:, :, None] - m
-        return (x[:, :, None] * a0inv[None, :, :]).sum(axis=1, start=0.0)
+        """The inverse metric (n, n) to order 1: its value g^-1 and, in the
+        slot of d_m, -g^-1 (d_m g) g^-1, each sum over an index running
+        left to right as the Neumann series (I - g^-1 (g - g(x))) g^-1 adds
+        its terms."""
+        a = self.g_inv0.transpose(1, 2, 0)
+        # [m, i, l] = (g^-1 d_m g)_il, then the product with g^-1 of its negation
+        m = taylor.fold(self.g_series.c[1:self.dim + 1, None] * a[:, :, None], 2)
+        d = taylor.fold(-m[:, :, :, None] * a, 2)
+        return Series(taylor.get_context(self.dim, FRAME_ORDER), np.concatenate(
+            [(a + 0.0)[None], d]), (self.dim, self.dim))
 
     @cached_property
     def christoffel_series(self) -> Series:
-        """Gamma^k_ij as a (k, i, j) Series of order 1."""
-        # [k, i, j] = d_k g_ij, exact to order 1
-        dg = self.g_series.gradient().truncate(FRAME_ORDER)
-        # [i, j, l] = d_i g_lj + d_j g_li - d_l g_ij
-        s = dg.transpose(0, 2, 1) + dg.transpose(2, 0, 1) - dg.transpose(1, 2, 0)
-        terms = self.g_inv_series[:, None, None, :] * s[None]
-        return 0.5 * terms.sum(axis=-1)
+        """Gamma^k_ij as a (k, i, j) Series of order 1: 1/2 g^kl S_ijl with
+        S_ijl = d_i g_lj + d_j g_li - d_l g_ij, each product as the order-1
+        product rule gives it."""
+        # [., k, i, j] = d_k g_ij, exact to order 1
+        dg = self.g_series.gradient().c[:self.dim + 1]
+        # [., i, j, l]
+        s = dg.transpose(0, 1, 3, 2, 4) + dg.transpose(0, 3, 1, 2, 4) - dg.transpose(0, 2, 3, 1, 4)
+        gi = self.g_inv_series.c[:, :, None, None]
+        terms = gi[0] * s[:, None] + 0.0
+        terms[1:] += gi[1:] * s[0]
+        return Series(self.g_inv_series.ctx, 0.5 * taylor.fold(terms, 4), (self.dim,) * 3)
 
     @cached_property
     def christoffel(self) -> np.ndarray:
@@ -373,14 +380,19 @@ def _geometry_from_immersion(im: Immersion, x, check_membership, kept: taylor.Ke
     psi = kept.run(lambda xs: im.series(xs, JET_ORDER, check_membership=False), x)
     if psi is None:
         return None
+    phi = None
     if check_membership and im.target_cone is not None:
+        p = taylor.batch_first(psi.val)
         try:
-            require_on_cone(im.target_cone, taylor.batch_first(psi.val))
+            phi = cone_time(im.target_cone, p[:, 0])
+            require_on_cone(im.target_cone, p, phi)
         except BatchRejected as err:
             positions = kept.drop(err)
             if not len(positions):
                 return None
             psi = psi.columns(positions)
+            # where phi itself refused columns, the others' values as it gave them
+            phi = cone_time(im.target_cone, p[positions, 0]) if phi is None else phi[positions]
     x = x[kept.index]
     # [i, a] = d_i psi^a, exact to order 2
     dpsi = psi.gradient().truncate(METRIC_ORDER)
@@ -389,7 +401,8 @@ def _geometry_from_immersion(im: Immersion, x, check_membership, kept: taylor.Ke
     f = im.model.warping(psi[0].truncate(METRIC_ORDER)) if im.model.warped else None
     f2 = None if f is None else f * f
     g = _mirrored(spacetime.ambient_inner(im.model, f2, dpsi[:, None, :], dpsi[None, :, :]))
-    return ChartGeometry(x, g, position=psi, dpsi=dpsi, f=f, f2=f2, immersion=im)
+    return ChartGeometry(x, g, position=psi, dpsi=dpsi, f=f, f2=f2, immersion=im,
+                         cone_time=phi)
 
 
 def _geometry_from_metric(chart: MetricChart, x) -> ChartGeometry:

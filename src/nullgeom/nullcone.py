@@ -35,6 +35,7 @@ __all__ = [
     "EmbeddingRangeError",
     "NullconeSpec",
     "eval_F",
+    "cone_time",
     "null_gradient",
     "require_on_cone",
 ]
@@ -197,7 +198,14 @@ def _reject_radial(exc):
                          "fiber base point: radial direction undefined")
 
 
-def null_gradient(spec: NullconeSpec, x: Series, f: Series = None) -> Series:
+def cone_time(spec: NullconeSpec, t):
+    """The conformal time of a GRW cone at the (B,) array of times t, which
+    F, its vertex check and the null gradient read; None on the other cones."""
+    m = spec.model
+    return m.warping.conformal_time(t, m.t0) if spec.variant == "grw_cone" else None
+
+
+def null_gradient(spec: NullconeSpec, x: Series, f: Series = None, phi=None) -> Series:
     """Half the ambient gradient of F at the points of a batch, one vector
     Series of the ambient components, from x, their position vector Series
     (of order at most 1 on a GRW cone): one vector times at most one scalar
@@ -207,8 +215,9 @@ def null_gradient(spec: NullconeSpec, x: Series, f: Series = None) -> Series:
     conformal time, entered as its tangent line phi(t0) + (t - t0) / f(t0)
     at each point's time t0, and r Dr the fiber distance times its unit
     radial field (`fiber_radial`), on a Euclidean fiber the fiber part of x:
-    one reciprocal and no sqrt.  `f` is the warping profile at x's time when
-    the caller already holds it (the chart geometry does).
+    one reciprocal and no sqrt.  `f` is the warping profile and `phi` the
+    conformal time (`cone_time`) at x's time when the caller already holds
+    them (the chart geometry does).
     """
     m = spec.model
     if x.shape != (m.coord_count,):
@@ -225,7 +234,7 @@ def null_gradient(spec: NullconeSpec, x: Series, f: Series = None) -> Series:
         v.c[0, -1] += 1.0
         return 0.5 * v
     t = x[0]
-    phi = m.warping.conformal_time(t.val, m.t0)
+    phi = cone_time(spec, t.val) if phi is None else phi
     taylor.reject(
         phi < VERTEX_EPS,
         lambda at: PointRejected(RejectionReason.VERTEX_EXCLUSION,
@@ -247,19 +256,19 @@ def null_gradient(spec: NullconeSpec, x: Series, f: Series = None) -> Series:
     return (1.0 / (f * f)) * v
 
 
-def require_on_cone(spec: NullconeSpec, p):
+def require_on_cone(spec: NullconeSpec, p, phi=None):
     """Reject the points of a batch p (B, ambient) that are not admissible
     points of the cone, with |F| and any quadric residual within
     `MEMBERSHIP_TOL`: one `BatchRejected` gives each failing column the
     `PointRejected` of the first check it fails; a domain error of F comes
-    first."""
+    first.  `phi` is the GRW cone's conformal time (`cone_time`) at the
+    points when the caller holds it."""
     m = spec.model
     off, vertex = RejectionReason.OFF_CONE, RejectionReason.VERTEX_EXCLUSION
     p = np.asarray(p, dtype=float)
     q = list(p.T)  # the components, (B,) arrays
     t = q[0]
-    # the GRW cone's conformal time, which F and the vertex check both read
-    phi = m.warping.conformal_time(t, m.t0) if spec.variant == "grw_cone" else None
+    phi = cone_time(spec, t) if phi is None else phi
     F = np.abs(eval_F(spec, q, phi))
     checks = [(F > MEMBERSHIP_TOL, lambda at: PointRejected(off, f"|F| = {at(F):.3e}"))]
     if spec.variant == "desitter_alpha":

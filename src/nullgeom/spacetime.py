@@ -306,9 +306,11 @@ def ambient_inner(model: AmbientModel, f2, v, w):
     v and w are float arrays (components last, after the batch axis) or
     Series whose last component axis is the ambient one; their other axes
     broadcast, so one product covers every pair of vectors, and the sum
-    over the components runs left to right, on Series as one signed fold.
-    An array f2 holds one scale per point, batch first, and scales every
-    pair of vectors at its point.
+    over the components runs left to right: on Series as one signed fold,
+    on arrays as one `np.vecdot` of the products with the signature (of
+    the fiber block on the warped kinds), equal to that fold but for the
+    sign of an exact zero.  An array f2 holds one scale per point, batch
+    first, and scales every pair of vectors at its point.
     Vectors are expected tangent to the spacetime (quadric-normal parts of
     curved fibers acquire no metric meaning here).
     """
@@ -319,34 +321,29 @@ def ambient_inner(model: AmbientModel, f2, v, w):
         if not model.warped:
             return p.sum(signs=model.signature)
         return -p[..., 0] + f2 * p[..., 1:].sum(signs=model.signature[1:])
+    p = np.ascontiguousarray(p)  # vecdot adds a strided axis in another order
     if not model.warped:
-        acc = -p[..., 0]
-        for a in range(1, model.coord_count):
-            acc = acc + p[..., a]
-        return acc
-    acc = None
-    for a, s in enumerate(model.signature[1:], start=1):
-        term = p[..., a] if s > 0 else -p[..., a]
-        acc = term if acc is None else acc + term
-    if np.ndim(f2) < acc.ndim:  # one scale per point, batch first
-        f2 = np.reshape(f2, np.shape(f2) + (1,) * (acc.ndim - np.ndim(f2)))
-    return -p[..., 0] + f2 * acc
+        return np.vecdot(p, model.signature)
+    acc = np.vecdot(p[..., 1:], model.signature[1:])
+    f2 = np.asarray(f2)  # one scale per point, batch first
+    return -p[..., 0] + f2.reshape(f2.shape + (1,) * (acc.ndim - f2.ndim)) * acc
 
 
-def warped_connection_term(model: AmbientModel, df, a, b) -> np.ndarray:
+def warped_connection_term(model: AmbientModel, df, a, b):
     """Ambient Christoffel correction Gamma(a, b) of float component arrays
     (components last, after the batch axis; their other axes broadcast),
     where df = (f, f') at the points' times (`WarpingFunction.derivatives(t,
     1)`).
 
-    Zero for the flat kinds, which pass df = None.  For the cosmological
+    The float 0.0 for the flat kinds, which pass df = None: added to an
+    array, it gives what an array of zeros gives.  For the cosmological
     kinds this is the warped part of the connection; the curved-fiber
     quadric contributes only terms along the quadric normal, which are
     metrically orthogonal to every spacetime-tangent field and therefore
     omitted (tangential projections never see them).
     """
     if not model.warped:
-        return np.zeros(np.broadcast_shapes(a.shape, b.shape))
+        return 0.0
     f, fp = df
     flat = (model.signature[1:] * a[..., 1:] * b[..., 1:]).sum(axis=-1)
     per_point = (len(f),) + (1,) * (flat.ndim - 1)  # one per batch column

@@ -368,6 +368,16 @@ def _product(ctx: JetContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape((ctx.n_terms,) + shape)
 
 
+def fold(terms: np.ndarray, axis: int) -> np.ndarray:
+    """The sum of `terms` over `axis`, left to right from its first entry
+    (numpy's sum may add in another order, and makes an all -0.0 sum +0.0)."""
+    lead = (slice(None),) * axis
+    acc = terms[lead + (0,)].copy()
+    for k in range(1, terms.shape[axis]):
+        acc += terms[lead + (k,)]
+    return acc
+
+
 class Series:
     """A truncated Taylor expansion in the chart variables over a batch of
     B chart points: one scalar quantity, or a vector or matrix of them along
@@ -469,22 +479,19 @@ class Series:
         return self._with(self.c.transpose(order))
 
     def sum(self, axis: int = -1, start=None, signs=None) -> "Series":
-        """The sum over one component axis, left to right.  A float `start`
-        is added to the first entry first, as Python's `sum` adds its start
-        0 (which makes a -0.0 value +0.0).  With `signs`, one +1 or -1 per
-        entry of the axis, an entry of sign -1 is subtracted (the first one
-        negated), as `acc - c` and `-c` give it."""
+        """The sum over one component axis, left to right (`fold`).  A
+        float `start` is added to its value last, which for a start of 0.0
+        gives what Python's `sum` gives adding it first (a -0.0 value turned
+        +0.0).  With `signs`, one +1 or -1 per entry of the axis, an entry of
+        sign -1 is subtracted (the first one negated), as `acc - c` and `-c`
+        give it: negation is exact, so acc + -c is acc - c."""
         axis %= len(self.shape)
-        lead = (slice(None),) * (1 + axis)
-        first = self.c[lead + (0,)]
-        acc = -first if signs is not None and signs[0] < 0 else first.copy()
+        c = self.c
+        if signs is not None:
+            c = c * np.array(signs).reshape((-1,) + (1,) * (c.ndim - 2 - axis))
+        acc = fold(c, 1 + axis)
         if start is not None:
             acc[0] = acc[0] + start
-        for k in range(1, self.shape[axis]):
-            if signs is not None and signs[k] < 0:
-                acc -= self.c[lead + (k,)]
-            else:
-                acc += self.c[lead + (k,)]
         return self._with(acc)
 
     def columns(self, index) -> "Series":

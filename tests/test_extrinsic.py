@@ -189,11 +189,34 @@ def series_frame_residual(pt):
     return worst
 
 
-@pytest.mark.parametrize("name", ["grw-exp", "mink-h2", "ds-alpha05-plus"])
-def test_frame_residual_matches_series_path_bitwise(name, monkeypatch):
+# immersions of dimension 3 of the Minkowski, GRW and de Sitter families
+THREE_DIMENSIONAL = {
+    "mink-n3": lambda: psi_f_minkowski(3, perturbed_f),
+    "grw-n3": lambda: grw_graph(exp_model(3), wavy_height),
+    "ds-n3": lambda: psi_f_desitter(3, 0.5, lambda qs: 2.0 + 0.1 * tm.sin(qs[0]),
+                                    component="plus"),
+}
+POOL_SCENES = [entry["config"]["name"] for entry in json.loads(POINTWISE.read_text())["scenes"]]
+
+
+def immersion_points(name):
+    """(immersion, chart points) of a pool scene of the pointwise workload,
+    its stored pool, or of a `THREE_DIMENSIONAL` immersion, 16 points drawn
+    from its box."""
+    if name in THREE_DIMENSIONAL:
+        rng = np.random.default_rng(17)
+        return THREE_DIMENSIONAL[name](), sample_box(rng, sphere_box(3), 16)
     with POINTWISE.open() as fh:
         entry = next(e for e in json.load(fh)["scenes"] if e["config"]["name"] == name)
-    scene = cli.parse_scene(entry["config"])
+    return cli.parse_scene(entry["config"]).im, entry["pool"]
+
+
+@pytest.mark.parametrize("name", POOL_SCENES + list(THREE_DIMENSIONAL))
+def test_frame_residual_matches_series_path_bitwise(name, monkeypatch):
+    # the value-only residual, whose pairings fold the ambient components in
+    # one vecdot, is the residual of the Series pairings bit for bit on every
+    # model kind, at n = 2 and n = 3
+    im, points = immersion_points(name)
     products = []
     real_mul = tm.Series.__mul__
 
@@ -202,9 +225,9 @@ def test_frame_residual_matches_series_path_bitwise(name, monkeypatch):
         return real_mul(self, other)
 
     checked = 0
-    for x in entry["pool"]:
+    for x in points:
         try:
-            pt = point_alone(scene.im, np.asarray(x))
+            pt = point_alone(im, np.asarray(x))
             want = float(np.ravel(series_frame_residual(pt))[0])
         except (nc.PointRejected, ext.FrameDegeneracyError, imm.MetricSignatureError,
                 tm.DomainError):
@@ -269,6 +292,76 @@ def test_component_algebra_matches_entry_algebra_bitwise(data):
         assert_entries_equal(pt.xi_series, xi)
         assert_values_equal(pt.nu, nu)
         assert_values_equal(pt.eta, eta)
+
+
+@pytest.mark.parametrize("name", list(THREE_DIMENSIONAL))
+def test_connection_and_pairings_make_no_series_product(name, monkeypatch):
+    # at n = 3 the inverse metric and the Christoffel symbols, contractions
+    # of coefficient arrays over the jet slots, are the entry algebra's
+    # Series bit for bit, signs of zeros included; neither they, the
+    # curvature, nor the Weingarten maps, II and the expansions make a
+    # Series product
+    im, points = immersion_points(name)
+    geo, kept = imm.geometry_columns(im, np.array(points))
+    assert len(kept.index) >= 12
+    g, _ = entry_pullback(im, components(geo.position), geo.f2)
+    g_inv = entry_g_inv(g, geo.g0.transpose(1, 2, 0), geo.g_inv0.transpose(1, 2, 0))
+    gamma = entry_christoffel(g, g_inv)
+    products = []
+    real_product = tm._product
+
+    def counting(*args):
+        products.append(args)
+        return real_product(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(tm, "_product", counting)
+        assert_entries_equal(geo.g_inv_series, g_inv)
+        assert_entries_equal(geo.christoffel_series, gamma)
+        assert np.isfinite(geo.scal).all()
+    assert products == []
+    pt = ExtrinsicPoint(geo)
+    with monkeypatch.context() as m:
+        m.setattr(tm, "_product", counting)
+        a_xi = ext.weingarten_map(geo, pt.xi_series, pt.f2, pt.df)
+        ii = ext.second_fundamental_form(geo, pt.xi, pt.eta, pt.f2, pt.df)
+        _, _, h, h_sq = ext.expansions(geo, a_xi, pt.shape_maps["eta"], ii, pt.f2)
+    assert products == []
+    assert np.array_equal(a_xi, pt.shape_maps["xi"]) and np.array_equal(ii, pt.ii)
+    assert np.array_equal(h, pt.mean_curvature_vector) and np.array_equal(h_sq, pt.h_sq)
+    # II is symmetric in (i, j) bit for bit
+    assert ii.tobytes() == ii.swapaxes(1, 2).tobytes()
+
+
+def test_null_frame_reads_the_conformal_time_of_membership(monkeypatch):
+    # on a polynomial warping the conformal time is a quadrature: a report
+    # integrates it once for the chart map and once for cone membership,
+    # whose values the null gradient reads, selected with the columns that
+    # membership keeps; xi is bit for bit the one that integrates it again
+    model = st.AmbientModel("grw_euclidean", 2,
+                            warping=st.WarpingFunction("polynomial", params=(1.0, 0.0, 1.0)))
+    im = grw_graph(model, lambda cs: cs[1])  # the past branch where x1 <= 0
+    xs = np.array([[1.0, 0.5], [1.2, -0.4], [0.9, 0.7], [1.4, 1.1]])
+    real_quadrature, calls = st.quadrature, []
+
+    def counted(fn, lo, hi):
+        calls.append(len(lo))
+        return real_quadrature(fn, lo, hi)
+
+    monkeypatch.setattr(st, "quadrature", counted)
+    geo, kept = imm.geometry_columns(im, xs)
+    assert list(kept.errors) == [1] and "past branch" in str(kept.errors[1])
+    assert calls == [4, 4]  # the chart map's and membership's
+    pt = ExtrinsicPoint(geo)
+    assert calls == [4, 4]
+    phi = nc.cone_time(im.target_cone, geo.psi0[:, 0])
+    assert geo.cone_time.tobytes() == phi.tobytes()
+    x = geo.position.truncate(imm.FRAME_ORDER)
+    again = nc.null_gradient(im.target_cone, x, geo.f.truncate(imm.FRAME_ORDER))
+    assert pt.xi_series.c.tobytes() == again.c.tobytes()
+    calls.clear()
+    ext.point_report(im, xs[0])
+    assert calls == [1, 1]
 
 
 def coefficients(nested) -> np.ndarray:

@@ -89,7 +89,8 @@ def test_digest_drift_exit_status(tmp_path, capsys):
 def test_call_counts_per_stage(capsys):
     # the counts of one point_report per stage, and of each conformal
     # operation, are the same on every run, every pipeline stage makes
-    # calls, and a scene's total is their sum; the chart maps compose
+    # calls, the connection among them, and a scene's total is their sum;
+    # the connection composes no primitive, the chart maps compose
     # primitives in the geometry, and the null frame composes one (1/f^2)
     # on the GRW cones and none elsewhere
     tool = _tool("call_counts")
@@ -118,6 +119,7 @@ def test_call_counts_per_stage(capsys):
             assert abs(float(stages[-1][column]) - total) < 0.5
         primitives = {row[0]: float(row[3]) for row in stages}
         assert primitives["geometry"] > 0.0
+        assert primitives["connection"] == 0.0, name  # contractions, no composition
         assert primitives["null_frame"] == (1.0 if name.startswith("grw") else 0.0), name
         # then the conformal operations of a scene with a split map: its
         # map and the two checks, the cylinder map having no factorization

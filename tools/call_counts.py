@@ -33,6 +33,9 @@ A call counts toward the innermost stage running when it is made:
 
 - `geometry`: `immersion.chart_geometry` and every `ChartGeometry` method,
   the lazily cached quantities included, whichever stage reads them first;
+- `connection`: the `ChartGeometry` quantities of the Levi-Civita
+  connection (`CONNECTION`: the inverse metric and Christoffel Series, the
+  Christoffel values, the curvature tensor and the scalar curvature);
 - `height`, `null_frame`, `weingarten_map`, `second_fundamental_form`,
   `expansions`: the `extrinsic` stage functions;
 - `report`: `ExtrinsicPoint.report`, the rows and their finiteness check;
@@ -63,7 +66,8 @@ from nullgeom import cli, conformal, extrinsic, immersion, taylor  # noqa: E402
 POOLS = ROOT / "perfbench" / "reference" / "pointwise.json"
 EXTRINSIC_STAGES = ("height", "null_frame", "weingarten_map", "second_fundamental_form",
                     "expansions")
-STAGES = ("geometry", *EXTRINSIC_STAGES, "report", "other")
+CONNECTION = ("g_inv_series", "christoffel_series", "christoffel", "riemann", "scal")
+STAGES = ("geometry", "connection", *EXTRINSIC_STAGES, "report", "other")
 KINDS = ("python", "c", "primitive")
 # the samples of the pointwise workload's checks
 FACTORIZATION_SAMPLES = 6
@@ -79,6 +83,8 @@ def _stage_codes() -> dict:
         if callable(member) and hasattr(member, "__code__"):
             members.append(member)
     codes = {fn.__code__: "geometry" for fn in members}
+    for name in CONNECTION:
+        codes[vars(immersion.ChartGeometry)[name].func.__code__] = "connection"
     for name in EXTRINSIC_STAGES:
         codes[getattr(extrinsic, name).__code__] = name
     codes[extrinsic.ExtrinsicPoint.report.__code__] = "report"
