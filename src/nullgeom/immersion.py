@@ -22,7 +22,7 @@ or conformally rescaled ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -130,14 +130,14 @@ class MetricChart:
     dim: int
 
 
-def _mirrored(g: Series) -> Series:
-    """The (n, n) Series g with each entry below the diagonal replaced by
-    its mirror above it, which is the entry computed with (i, j) in order."""
-    c = g.c.copy()
-    for i in range(g.shape[0]):
-        for j in range(i):
-            c[:, i, j] = c[:, j, i]
-    return Series(g.ctx, c, g.shape)
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    """(i, j, entry) of the n(n+1)/2 index pairs i <= j in row order:
+    entry[i, j] and entry[j, i] are the position of the pair (i, j)."""
+    i, j = np.triu_indices(n)
+    entry = np.zeros((n, n), dtype=np.intp)
+    entry[i, j] = entry[j, i] = np.arange(len(i))
+    return i, j, entry
 
 
 class ChartGeometry:
@@ -382,17 +382,20 @@ def _geometry_from_immersion(im: Immersion, x, check_membership, kept: taylor.Ke
         return None
     phi = None
     if check_membership and im.target_cone is not None:
-        p = taylor.batch_first(psi.val)
+        cone = im.target_cone
+        # the conformal time (again on the others where it refuses columns), then membership
+        timed = kept.run(lambda s: (s, cone_time(cone, s.val[0])), psi, Series.columns)
+        if timed is None:
+            return None
+        psi, phi = timed
         try:
-            phi = cone_time(im.target_cone, p[:, 0])
-            require_on_cone(im.target_cone, p, phi)
+            require_on_cone(cone, taylor.batch_first(psi.val), phi)
         except BatchRejected as err:
             positions = kept.drop(err)
             if not len(positions):
                 return None
             psi = psi.columns(positions)
-            # where phi itself refused columns, the others' values as it gave them
-            phi = cone_time(im.target_cone, p[positions, 0]) if phi is None else phi[positions]
+            phi = None if phi is None else phi[positions]
     x = x[kept.index]
     # [i, a] = d_i psi^a, exact to order 2
     dpsi = psi.gradient().truncate(METRIC_ORDER)
@@ -400,7 +403,9 @@ def _geometry_from_immersion(im: Immersion, x, check_membership, kept: taylor.Ke
     # fiber scale f^2
     f = im.model.warping(psi[0].truncate(METRIC_ORDER)) if im.model.warped else None
     f2 = None if f is None else f * f
-    g = _mirrored(spacetime.ambient_inner(im.model, f2, dpsi[:, None, :], dpsi[None, :, :]))
+    # the pairs i <= j, each entry [j, i] read from [i, j]
+    i, j, entry = _pairs(im.dim)
+    g = spacetime.ambient_inner(im.model, f2, dpsi[i], dpsi[j])[entry]
     return ChartGeometry(x, g, position=psi, dpsi=dpsi, f=f, f2=f2, immersion=im,
                          cone_time=phi)
 

@@ -25,11 +25,15 @@ component axis run left to right.  The product of order-k prefixes is the
 order-k prefix of the product, entry for entry in table order, so
 `Series.truncate` cuts a Series to a lower order as a prefix view; Series
 of two contexts never combine (a `TypeError`: mixed orders are a
-programming error, not a rejected point).  Derivative tables of the
-primitives are numpy expressions on the (B,) values, the expression of a
-plain float too, so that the two agree bit for bit; a float overflow
-there, a domain error (the sine of an infinity), or a division by a power
-that underflowed to zero is a domain error of the primitive.  The engine
+programming error, not a rejected point).  A primitive of a Series is
+Horner's scheme in x - x0, one convolution per order, but of a chart
+coordinate x_i its Taylor coefficients are placed in the slots of the
+powers of x_i, with no product (Griewank and Walther, Evaluating
+Derivatives, ch. 13).  Derivative tables of the primitives are numpy
+expressions on the (B,) values, the expression of a plain float too, so
+that the two agree bit for bit; a float overflow there, a domain error
+(the sine of an infinity), or a division by a power that underflowed to
+zero is a domain error of the primitive.  The engine
 computes under `float_edges`, numpy's error state that lets inf and NaN
 through without a warning, entered by the outermost public call; every
 such value ends as a typed rejection.
@@ -270,13 +274,13 @@ class JetContext:
     `first[i]` is the slot of d/dx_i; `second[i, j]` is the slot of
     d^2/dx_i dx_j, whose Taylor coefficient times `second_fac[i, j]` (2 on
     the diagonal, 1 off it) is the derivative.  Both are None below the
-    order they need.
+    order they need.  `powers[i, k]` is the slot of x_i^k, k = 0..order.
     """
 
     __slots__ = (
         "n", "order", "alphas", "index", "n_terms",
         "mul_ti", "mul_tj", "mul_tk", "deriv_src", "deriv_fac",
-        "first", "second", "second_fac", "_slots",
+        "first", "second", "second_fac", "powers", "_slots",
     )
 
     def __init__(self, n: int, order: int):
@@ -322,6 +326,8 @@ class JetContext:
         self.deriv_fac = fac
         self._slots = {}
         units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        self.powers = np.array([[self.index[tuple(k * u for u in e)] for k in range(order + 1)]
+                                for e in units])
         self.first = np.array([self.index[e] for e in units]) if order >= 1 else None
         self.second = self.second_fac = None
         if order >= 2:
@@ -387,18 +393,20 @@ class Series:
     Components index and broadcast like numpy arrays, the batch axis riding
     along last.  Scalars combined with a Series may be floats, (B,) arrays
     of per-column values, or arrays of values over its trailing component
-    and batch axes.
+    and batch axes.  `coordinate` is i on the chart coordinate x_i that
+    `variable` makes, and None on every other Series.
     """
 
-    __slots__ = ("ctx", "c", "shape")
+    __slots__ = ("ctx", "c", "shape", "coordinate")
     # ndarray (op) Series must reach the reflected Series methods below,
     # not build an object array
     __array_ufunc__ = None
 
-    def __init__(self, ctx: JetContext, coeffs: np.ndarray, shape: tuple = ()):
+    def __init__(self, ctx: JetContext, coeffs: np.ndarray, shape: tuple = (), coordinate=None):
         self.ctx = ctx
         self.c = coeffs
         self.shape = shape
+        self.coordinate = coordinate
 
     @classmethod
     def constant(cls, ctx: JetContext, value, batch: int) -> "Series":
@@ -413,7 +421,7 @@ class Series:
         c[0] = values
         if ctx.order >= 1:
             c[ctx.first[i]] = 1.0
-        return cls(ctx, c)
+        return cls(ctx, c, coordinate=i)
 
     @classmethod
     def stack(cls, items, ctx: JetContext, batch: int) -> "Series":
@@ -636,9 +644,17 @@ _FACTORIALS = np.array([[math.factorial(k)] for k in range(MAX_ORDER + 1)], dtyp
 def _compose(x: Series, table: np.ndarray) -> Series:
     """Series of g(x) given the derivative table [g(x0), g'(x0), ...] at
     x0 = x.val (order + 1 rows or more of B values): Horner's scheme in
-    x - x0, each step a `_product`, in blocks of `_BLOCK_TERMS` terms."""
+    x - x0, each step a `_product`, in blocks of `_BLOCK_TERMS` terms.  Of
+    a chart coordinate x_i (`Series.variable`) above order 0 with a finite
+    table, x - x0 is one-hot with entry 1.0, so each slot sums +0.0, one
+    exact copy and signed zeros: g^(k)(x0)/k! + 0.0 is placed in the slot
+    of x_i^k and +0.0 elsewhere, with no product."""
     ctx = x.ctx
     coeffs = table[:ctx.order + 1] / _FACTORIALS[:ctx.order + 1]
+    if x.coordinate is not None and ctx.order:
+        c = np.zeros((ctx.n_terms, x.batch))
+        c[ctx.powers[x.coordinate]] = coeffs + 0.0
+        return Series(ctx, c)
     step = _BLOCK_TERMS // len(ctx.mul_ti)
     if x.batch > step:
         return Series(ctx, np.concatenate([
@@ -669,7 +685,10 @@ def compose_univariate(x: Series, deriv_values) -> Series:
     if len(deriv_values) < x.ctx.order + 1:
         raise ValueError("derivative table shorter than context order")
     _scalar_val(x)
-    return _compose(x, np.array([np.full(x.batch, d) for d in deriv_values]))
+    table = np.array([np.full(x.batch, d) for d in deriv_values])
+    if x.coordinate is not None and not np.isfinite(table[:x.ctx.order + 1]).all():
+        x = Series(x.ctx, x.c)  # Horner's scheme, whose products spread inf * 0 as NaN
+    return _compose(x, table)
 
 
 def _checked(name: str, v: np.ndarray, values: list, ok=True) -> np.ndarray:

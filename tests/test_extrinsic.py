@@ -296,15 +296,17 @@ def test_component_algebra_matches_entry_algebra_bitwise(data):
 
 @pytest.mark.parametrize("name", list(THREE_DIMENSIONAL))
 def test_connection_and_pairings_make_no_series_product(name, monkeypatch):
-    # at n = 3 the inverse metric and the Christoffel symbols, contractions
-    # of coefficient arrays over the jet slots, are the entry algebra's
-    # Series bit for bit, signs of zeros included; neither they, the
+    # at n = 3 the induced metric, whose pairs i <= j are paired once, and
+    # the inverse metric and the Christoffel symbols, contractions of
+    # coefficient arrays over the jet slots, are the entry algebra's Series
+    # bit for bit, signs of zeros included; neither the last two, the
     # curvature, nor the Weingarten maps, II and the expansions make a
     # Series product
     im, points = immersion_points(name)
     geo, kept = imm.geometry_columns(im, np.array(points))
     assert len(kept.index) >= 12
     g, _ = entry_pullback(im, components(geo.position), geo.f2)
+    assert_entries_equal(geo.g_series, g)
     g_inv = entry_g_inv(g, geo.g0.transpose(1, 2, 0), geo.g_inv0.transpose(1, 2, 0))
     gamma = entry_christoffel(g, g_inv)
     products = []

@@ -110,6 +110,23 @@ def test_metric_membership_enforced():
     assert err.value.reason is nc.RejectionReason.OFF_CONE
 
 
+def test_membership_refusal_does_not_depend_on_the_batch():
+    # where the conformal time refuses a column (a time outside the warping
+    # domain), membership still checks the others: a point off the cone
+    # reads its own refusal alone, before that column and after it
+    model = st.AmbientModel("grw_euclidean", 2,
+                            warping=st.WarpingFunction("exp", domain=(-5.0, 2.0)))
+    im = imm.Immersion(SmoothMap(lambda cs: [cs[0], 3.0, cs[1], 0.0], 2, 4), model,
+                       nc.NullconeSpec(model, "grw_cone"))
+    off, outside = [1.0, 0.5], [2.5, 0.5]
+    for xs in ([off], [outside, off], [off, outside]):
+        _, kept = tm.float_edges(imm.geometry_columns)(im, np.array(xs))
+        errors = [str(kept.errors[b]) for b in range(len(xs))]
+        assert errors[xs.index(off)] == "off_cone: |F| = 8.850e+00"
+        if outside in xs:
+            assert errors[xs.index(outside)] == "time 2.5 outside warping domain (-5.0, 2.0)"
+
+
 def test_signature_error_for_non_spacelike_chart():
     model = st.AmbientModel("minkowski", 2)
     bad = imm.Immersion(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullgeom import spacetime
 from nullgeom import taylor as tm
 from _composites import (
     REL_TOL,
@@ -327,21 +328,80 @@ def horner_alone(x, table):
     return result
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=300)
 @given(st.data(), st.integers(1, 3), st.integers(0, tm.MAX_ORDER), st.integers(1, 4))
 def test_compose_matches_horner_products_bitwise(data, n, order, batch):
-    # signed zeros, infinities and NaNs among the coefficients and the
-    # (unchecked) table: every entry is the product loop's, bit for bit
+    # signed zeros, infinities, NaNs and subnormals among the coefficients,
+    # the values of a chart coordinate on any axis and the table, finite or
+    # not, on batches below and past the blocking step: every entry is the
+    # product loop's, bit for bit, where a coordinate's finite table is
+    # placed with no product and compose_univariate, which checks no table,
+    # composes a coordinate with a non-finite one by Horner's scheme
     ctx = tm.get_context(n, order)
     entries = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
                         st.floats(-1e300, 1e300))
-    c = np.array(data.draw(st.lists(entries, min_size=ctx.n_terms * batch,
-                                    max_size=ctx.n_terms * batch))).reshape(ctx.n_terms, batch)
-    table = np.array(data.draw(st.lists(entries, min_size=4 * batch, max_size=4 * batch)))
-    x, table = tm.Series(ctx, c), table.reshape(4, batch)
+    finite = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e300, 1e300))
+
+    def drawn(count, values=entries):
+        return np.array(data.draw(st.lists(values, min_size=count, max_size=count)))
+
+    coordinate = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    table = drawn(4 * batch, data.draw(st.sampled_from([entries, finite])))
+    if coordinate is None:
+        x = tm.Series(ctx, drawn(ctx.n_terms * batch).reshape(ctx.n_terms, batch))
+    else:
+        x = tm.Series.variable(ctx, coordinate, drawn(batch))
+    table = table.reshape(4, batch)
+    past = data.draw(st.booleans())
+    if past:  # past the blocking step, the columns repeated
+        columns = np.resize(np.arange(batch), tm._BLOCK_TERMS // len(ctx.mul_ti) + batch)
+        x = tm.Series(ctx, x.c[:, columns], coordinate=x.coordinate)
+        table = table[:, columns]
+
+    def same(got, want):
+        if not past:
+            return got.tobytes() == want.tobytes()
+        # on long rows numpy's vector loops give a NaN either sign, by the
+        # memory alignment of their operands: NaNs at the same places
+        nan = np.isnan(want)
+        return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
     with np.errstate(all="ignore"):
-        got, want = tm._compose(x, table).c, horner_alone(x, table)
+        want = horner_alone(x, table)
+        assert same(tm.compose_univariate(x, list(table)).c, want)
+        if coordinate is None or np.isfinite(table[:order + 1]).all():
+            assert same(tm._compose(x, table).c, want)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("batch", [1, 400])
+def test_sphere_chart_composes_its_angles_with_no_convolution(k, batch, monkeypatch):
+    # the cosines and sines of the angles of the sphere chart, primitives of
+    # chart coordinates, make no np.bincount; their products make some
+    chart = spacetime.sphere_chart(k)
+    rng = np.random.default_rng(k)
+    points = rng.uniform(0.1, 3.0, size=(batch, k))
+    want = tm.eval_series(chart, points, 3).c
+    real_compose, real_bincount = tm._compose, np.bincount
+    composing, counted = [0], []
+
+    def compose(x, table):
+        composing[0] += 1
+        try:
+            return real_compose(x, table)
+        finally:
+            composing[0] -= 1
+
+    def bincount(*args):
+        counted.append(composing[0] > 0)
+        return real_bincount(*args)
+
+    monkeypatch.setattr(tm, "_compose", compose)
+    monkeypatch.setattr(np, "bincount", bincount)
+    got = tm.eval_series(chart, points, 3).c
+    monkeypatch.undo()
     assert got.tobytes() == want.tobytes()
+    assert counted and not any(counted)
 
 
 def test_float_overflow_is_a_primitive_domain_error():

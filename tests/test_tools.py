@@ -90,9 +90,9 @@ def test_call_counts_per_stage(capsys):
     # the counts of one point_report per stage, and of each conformal
     # operation, are the same on every run, every pipeline stage makes
     # calls, the connection among them, and a scene's total is their sum;
-    # the connection composes no primitive, the chart maps compose
-    # primitives in the geometry, and the null frame composes one (1/f^2)
-    # on the GRW cones and none elsewhere
+    # the connection composes no primitive, the chart maps compose theirs
+    # in their own stage, the geometry composes one (the warping profile)
+    # and the null frame one (1/f^2) on the GRW cones and none elsewhere
     tool = _tool("call_counts")
     with tool.POOLS.open() as fh:
         entry = json.load(fh)["scenes"][0]
@@ -118,7 +118,8 @@ def test_call_counts_per_stage(capsys):
             total = sum(float(row[column]) for row in stages[:-1])
             assert abs(float(stages[-1][column]) - total) < 0.5
         primitives = {row[0]: float(row[3]) for row in stages}
-        assert primitives["geometry"] > 0.0
+        assert primitives["chart_map"] > 0.0
+        assert primitives["geometry"] == (1.0 if name.startswith("grw") else 0.0), name
         assert primitives["connection"] == 0.0, name  # contractions, no composition
         assert primitives["null_frame"] == (1.0 if name.startswith("grw") else 0.0), name
         # then the conformal operations of a scene with a split map: its

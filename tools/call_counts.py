@@ -31,8 +31,11 @@ the sample counts are those of the workload's checks.
 
 A call counts toward the innermost stage running when it is made:
 
+- `chart_map`: `taylor.eval_series`, the Taylor jets of the chart map psi,
+  its primitives of the chart coordinates among them;
 - `geometry`: `immersion.chart_geometry` and every `ChartGeometry` method,
-  the lazily cached quantities included, whichever stage reads them first;
+  the lazily cached quantities included, whichever stage reads them first,
+  apart from the chart map;
 - `connection`: the `ChartGeometry` quantities of the Levi-Civita
   connection (`CONNECTION`: the inverse metric and Christoffel Series, the
   Christoffel values, the curvature tensor and the scalar curvature);
@@ -67,7 +70,7 @@ POOLS = ROOT / "perfbench" / "reference" / "pointwise.json"
 EXTRINSIC_STAGES = ("height", "null_frame", "weingarten_map", "second_fundamental_form",
                     "expansions")
 CONNECTION = ("g_inv_series", "christoffel_series", "christoffel", "riemann", "scal")
-STAGES = ("geometry", "connection", *EXTRINSIC_STAGES, "report", "other")
+STAGES = ("chart_map", "geometry", "connection", *EXTRINSIC_STAGES, "report", "other")
 KINDS = ("python", "c", "primitive")
 # the samples of the pointwise workload's checks
 FACTORIZATION_SAMPLES = 6
@@ -83,6 +86,7 @@ def _stage_codes() -> dict:
         if callable(member) and hasattr(member, "__code__"):
             members.append(member)
     codes = {fn.__code__: "geometry" for fn in members}
+    codes[taylor.eval_series.__code__] = "chart_map"
     for name in CONNECTION:
         codes[vars(immersion.ChartGeometry)[name].func.__code__] = "connection"
     for name in EXTRINSIC_STAGES:
