@@ -58,12 +58,12 @@ output.
 
 Reports are plain JSON (or CSV rows).  A float is spelled with 17
 significant digits (`format(v, ".17g")`), and a non-finite one as `NaN`,
-`Infinity` or `-Infinity`, which `json.loads` reads back.  The grid pass
-keeps its fields as columns and builds each row from them in one step, and
-each row is emitted by one `%` of a template built once per report: in JSON
-one per key signature of a list of records, in CSV one for the report.  A
-row holding a non-finite float, or of another shape, is spelled value by
-value.
+`Infinity` or `-Infinity`, which `json.loads` reads back.  A report's rows
+stay the grid pass's columns (`Rows`), which read as the list of row dicts;
+in JSON they are one `%` of the row template repeated once per row, every
+field of which is finite, and everything else is spelled value by value.
+In CSV each row is one `%` of the report's template, and a row holding a
+non-finite float, or of another shape, is spelled cell by cell.
 
 Exit codes: 0 every requested suite passed, 1 a suite exceeded its
 tolerance, 2 configuration error (an expression that does not compile and
@@ -79,6 +79,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -535,10 +536,48 @@ def _trapped_mismatch(pt: ExtrinsicPoint, rep, tolerances):
     return np.where(ok, 0.0, 1.0)
 
 
+# the keys of a report row, in their order
+ROW_KEYS = ("point",) + ROW_FIELDS + ("trapped_class",)
+
+
+class Rows(Sequence):
+    """The rows of a grid pass, kept as its columns: one list per entry of
+    `ROW_KEYS`.  A row, read by index or by iteration, is the dict of its
+    values in key order, a slice is the list of those dicts, and `==`
+    compares as that list; `emit_json` formats the columns directly."""
+
+    def __init__(self, columns=None):
+        self.columns = columns if columns is not None else {key: [] for key in ROW_KEYS}
+
+    def __len__(self):
+        return len(self.columns["point"])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return {key: column[i] for key, column in self.columns.items()}
+
+    def __iter__(self):
+        keys = tuple(self.columns)
+        return (dict(zip(keys, values)) for values in zip(*self.columns.values()))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (Rows, list)) else NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
+
+    def extend(self, rows: "Rows"):
+        """Append the rows of another batch, column by column."""
+        for key, column in self.columns.items():
+            column.extend(rows.columns[key])
+
+
 def _evaluate(scene: Scene, geo: ChartGeometry) -> tuple:
     """(rows, diag, geo) of the immersion's chart geometry geo of a batch:
-    a row per point, and one list per diagnostic over the batch; raises
-    `BatchRejected` for the points the extrinsic stages refuse."""
+    the batch's `Rows`, one list per diagnostic over the batch, and the
+    geometry of the kept columns; raises `BatchRejected` for the points
+    the extrinsic stages refuse."""
     pt = ExtrinsicPoint(geo)
     x = geo.x
     rep = pt.report(scene.tolerances["trapped_eps"])
@@ -554,12 +593,10 @@ def _evaluate(scene: Scene, geo: ChartGeometry) -> tuple:
     if "conformal" in scene.checks:
         pullback = conformal.pullback_columns(scene.cspec, pt.geo)
         diag.update(zip(("deviation", "spd", "on_model"), pullback))
-    # one tolist per field, then one dict per point in the field order
     columns = {"point": x.tolist()}
     columns.update((key, getattr(rep, key).tolist()) for key in ROW_FIELDS)
     columns["trapped_class"] = rep.trapped_class.tolist()
-    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-    return rows, {name: v.tolist() for name, v in diag.items()}, pt.geo
+    return Rows(columns), {name: v.tolist() for name, v in diag.items()}, pt.geo
 
 
 def _rejection(point, err) -> dict:
@@ -581,12 +618,13 @@ def _rejection(point, err) -> dict:
 
 @dataclass
 class Grid:
-    """The grid pass of a scene: its rows and rejections in grid order, its
-    diagnostics as one list per name over the rows, and the chart geometry
-    of each evaluated batch with the index of its first row, since a
-    batch's columns are consecutive rows."""
+    """The grid pass of a scene: its rows (one `Rows`, extended by each
+    batch's columns) and rejections in grid order, its diagnostics as one
+    list per name over the rows, and the chart geometry of each evaluated
+    batch with the index of its first row, since a batch's columns are
+    consecutive rows."""
 
-    rows: list
+    rows: Rows
     diag: dict
     rejections: list
     batches: list
@@ -611,7 +649,7 @@ def _evaluate_grid(scene: Scene) -> Grid:
     others where they refuse some (`taylor.Kept.run`).  A chunk's rows and
     its rejections, each in grid order, extend the grid's."""
     points = np.array(list(itertools.product(*scene.axes)), dtype=float)
-    grid = Grid([], {}, [], [])
+    grid = Grid(Rows(), {}, [], [])
     for start in range(0, len(points), GRID_CHUNK):
         chunk = points[start:start + GRID_CHUNK]
         geo, kept = immersion.geometry_columns(scene.im, chunk)
@@ -668,10 +706,11 @@ def _suite_expansions(scene, grid):
         numeric = 0.0
         mismatches = 0
         for key, want in scene.expect.items():
+            column = rows.columns[key]
             if key == "trapped_class":
-                mismatches = sum(1 for r in rows if r["trapped_class"] != want)
+                mismatches = len(column) - column.count(want)
             else:
-                numeric = max(numeric, max(abs(r[key] - want) for r in rows))
+                numeric = max(numeric, max(abs(v - want) for v in column))
         residuals["expect"] = numeric
         residuals["expect_class_mismatches"] = float(mismatches)
         passed = passed and numeric < scene.tolerances["expect"] and mismatches == 0
@@ -766,8 +805,8 @@ def run(config, tol_overrides=None, seed=None, checks=None) -> dict:
     """Run a scene configuration and return the full report dictionary.
 
     The report carries the normalized configuration echo, one row per
-    evaluated grid point (grid order), the rejected points with reasons,
-    the per-suite verdicts, and the process exit status.
+    evaluated grid point (grid order, as `Rows`), the rejected points with
+    reasons, the per-suite verdicts, and the process exit status.
     """
     scene = parse_scene(config, tol_overrides=tol_overrides, seed=seed, checks=checks)
     grid = _evaluate_grid(scene)
@@ -812,13 +851,15 @@ def _emit_string(text: str, strings: dict) -> str:
 
 
 def _emit_json_value(obj, indent, out, strings):
-    # exact floats and strings skip the isinstance chain; bool, numpy
+    # exact floats, strings and rows skip the isinstance chain; bool, numpy
     # scalars and subclasses go through it in its order
     kind = type(obj)
     if kind is float:
         out.append(_format_float(obj))
     elif kind is str:
         out.append(_emit_string(obj, strings))
+    elif kind is Rows:
+        _emit_rows(obj, indent, out, strings)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -849,94 +890,37 @@ def _emit_json_value(obj, indent, out, strings):
 
 
 def _emit_list(items, indent, out, strings):
-    """A JSON array.  A record (see `_record_plan`) costs one `%` of its
-    signature's template; anything else, and a record with a non-finite
-    float, goes value by value."""
+    """A JSON array, value by value."""
     if not items:
         out.append("[]")
         return
     inner, last = "  " * (indent + 1), len(items) - 1
     out.append("[\n")
-    signature = plan = None
     for i, value in enumerate(items):
-        text = None
-        if type(value) is dict:
-            values = list(value.values())
-            seen = (tuple(value), tuple(map(type, values)))
-            if seen != signature:
-                signature, plan = seen, _record_plan(seen, values, indent + 1, strings)
-            if plan is not None:
-                text = _fill_record(plan, values, strings)
         out.append(inner)
-        if text is None:
-            _emit_json_value(value, indent + 1, out, strings)
-        else:
-            out.append(text)
+        _emit_json_value(value, indent + 1, out, strings)
         out.append(",\n" if i < last else "\n")
     out.append("  " * indent + "]")
 
 
-def _record_plan(signature, values, indent, strings):
-    """How to emit a record at `indent` whose keys and value types are
-    `signature`, and whose list values have the lengths of `values`; None
-    where it is no record.  A record is a non-empty dict of string keys whose
-    values are floats, strings and lists of floats.  The plan is (the list
-    slots last first, each with its element types; the positions of the
-    strings among the flattened values; a getter of the floats; the `%`
-    template), built once per report and kept in the `strings` memo."""
-    keys, types = signature
-    lengths = tuple(len(v) for v in values if type(v) is list)
-    memo = (indent, keys, types, lengths)
-    if memo in strings:
-        return strings[memo]
-    plan = None
-    if keys and all(type(k) is str for k in keys) and set(types) <= {float, str, list}:
-        inner, lists, strs, floats, parts = "  " * (indent + 1), [], [], [], []
-        for j, (key, kind, value) in enumerate(zip(keys, types, values)):
-            flat = len(floats) + len(strs)
-            if kind is list:
-                lists.insert(0, (j, (float,) * len(value)))
-                floats.extend(range(flat, flat + len(value)))
-                body = ",\n".join([f"{inner}  %.17g"] * len(value))
-                spec = f"[\n{body}\n{inner}]" if value else "[]"
-            elif kind is str:
-                strs.append(flat)
-                spec = "%s"
-            else:
-                floats.append(flat)
-                spec = "%.17g"
-            key = _emit_string(key, strings).replace("%", "%%")
-            parts.append(f"{inner}{key}: {spec}")
-        body = ",\n".join(parts)
-        template = f"{{\n{body}\n{'  ' * indent}}}"
-        plan = (tuple(lists), tuple(strs), _getter(floats), template)
-    strings[memo] = plan
-    return plan
-
-
-def _getter(positions):
-    """The tuple of the items of a list at `positions`."""
-    if len(positions) == 1:
-        (k,) = positions
-        return lambda values: (values[k],)
-    return itemgetter(*positions) if positions else (lambda values: ())
-
-
-def _fill_record(plan, values, strings):
-    """The JSON of a record's `values` by its plan, or None where a list
-    does not hold floats of the planned length, or a float is not finite
-    (JSON spells those as words).  A finite row whose sum overflows takes
-    the value-by-value path too; it only costs time."""
-    lists, strs, floats, template = plan
-    for j, element_types in lists:
-        if tuple(map(type, values[j])) != element_types:
-            return None
-        values[j:j + 1] = values[j]
-    if not math.isfinite(sum(floats(values))):
-        return None
-    for k in strs:
-        values[k] = _emit_string(values[k], strings)
-    return template % tuple(values)
+def _emit_rows(rows: Rows, indent, out, strings):
+    """The JSON array of a grid pass's rows, as `_emit_list` spells their
+    dicts: one `%` of the row template repeated once per row.  Every value
+    but the class is a finite float: the grid's bounds are finite, and
+    `ExtrinsicPoint.report` refuses a point with a non-finite field."""
+    if not rows:
+        out.append("[]")
+        return
+    columns = rows.columns
+    outer, inner = "  " * (indent + 1), "  " * (indent + 2)
+    point = ",\n".join([f"{inner}  %.17g"] * len(columns["point"][0]))
+    fields = [f'{inner}"point": [\n{point}\n{inner}]']
+    fields += [f"{inner}{_emit_string(key, strings)}: %.17g" for key in ROW_FIELDS]
+    fields.append(f'{inner}"trapped_class": %s')
+    template = ",\n".join([f"{outer}{{\n" + ",\n".join(fields) + f"\n{outer}}}"] * len(rows))
+    classes = [_emit_string(k, strings) for k in columns["trapped_class"]]
+    cells = zip(*zip(*columns["point"]), *(columns[key] for key in ROW_FIELDS), classes)
+    out.append(f"[\n{template % tuple(itertools.chain.from_iterable(cells))}\n{'  ' * indent}]")
 
 
 def emit_json(report: dict) -> str:

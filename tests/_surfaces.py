@@ -312,6 +312,8 @@ def _emit_value_reference(obj, indent, out):
             _emit_value_reference(value, indent + 1, out)
             out.append(",\n" if i < last else "\n")
         out.append("  " * indent + "]")
+    elif isinstance(obj, cli.Rows):  # the plain list of its rows
+        _emit_value_reference(list(obj), indent, out)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):

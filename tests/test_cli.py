@@ -1594,10 +1594,14 @@ def test_config_output_block_honored(tmp_path, capsys):
 
 
 def test_emit_json_matches_reference_emitter_bytes():
-    # every built-in scene report, and values of each kind the emitter meets
-    for config in builtin_scenes().values():
+    # every built-in scene report, the dense-grid reports (whose polar rows
+    # are rejections), and values of each kind the emitter meets
+    rejected = 0
+    for config in [*builtin_scenes().values(), *dense_grid_configs().values()]:
         report = cli.run(config, seed=3)
         assert cli.emit_json(report) == emit_json_reference(report)
+        rejected += len(report["rejections"])
+    assert rejected == 60
     odd = {
         "floats": [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310, 0.1, 1e300],
         "numpy": [np.float64(-0.0), np.float32(0.1), np.float64(np.inf), np.int64(-3),
@@ -1608,6 +1612,58 @@ def test_emit_json_matches_reference_emitter_bytes():
     }
     assert cli.emit_json(odd) == emit_json_reference(odd)
     assert cli.emit_json({}) == emit_json_reference({}) == "{}\n"
+
+
+def test_report_rows_read_as_a_list_of_dicts():
+    # a report's rows are the grid pass's columns behind a read-only
+    # sequence: they index, slice, iterate, compare and emit as the list of
+    # row dicts that each point's own report spells
+    doc = slice_doc()
+    scene = parse_scene(doc)
+    report = run(doc)
+    rows = report["rows"]
+    want = []
+    for x in itertools.product(*scene.axes):
+        rep = extrinsic.point_report(scene.im, x)
+        row = {"point": [float(v) for v in x]}
+        row.update((key, getattr(rep, key)) for key in extrinsic.ROW_FIELDS)
+        row["trapped_class"] = rep.trapped_class
+        want.append(row)
+    assert type(rows) is cli.Rows and len(rows) == len(want) == 16
+    assert rows == want and want == rows and rows != want[:-1] and list(rows) == want
+    assert type(rows[0]) is dict and rows[0] == want[0] and rows[-1] == want[-1]
+    assert rows[:3] == want[:3] and type(rows[:3]) is list
+    assert [row for row in rows] == want
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+    assert json.loads(emit_json(report)) == report
+    assert emit_csv(report) == emit_csv_reference(report)
+    empty = run(OFF_CONE_DOC)
+    assert empty["rows"] == [] and [] == empty["rows"] and len(empty["rows"]) == 0
+    assert not empty["rows"] and list(empty["rows"]) == []
+    assert '"rows": [],' in emit_json(empty) and json.loads(emit_json(empty)) == empty
+    assert emit_csv(empty) == emit_csv_reference(empty)
+
+
+@pytest.mark.parametrize("f", ["1", "1 + 0.5*x0**2 - 0.4*x1**2"])
+def test_failing_expect_pins_reduce_over_the_rows(f):
+    # a theta_xi pin that no row meets and a class that some or all rows
+    # miss: the expect residual is the largest |value - pin| over the
+    # numeric pins and rows, and the mismatches count the rows of another
+    # class, as reduced over the row dicts
+    doc = small(builtin_scenes()["mink-h2"])
+    doc["immersion"]["f"] = f
+    doc["expect"].update(theta_xi=2.0, trapped_class="untrapped")
+    report = run(doc)
+    rows, pins = list(report["rows"]), report["config"]["expect"]
+    numeric = max(abs(row[key] - want) for key, want in pins.items()
+                  if key != "trapped_class" for row in rows)
+    mismatches = sum(row["trapped_class"] != "untrapped" for row in rows)
+    suite = report["suites"]["expansions"]
+    assert suite["residuals"]["expect"] == numeric >= 1.0
+    assert suite["residuals"]["expect_class_mismatches"] == float(mismatches) > 0.0
+    assert suite["passed"] is False and report["exit_status"] == EXIT_SUITE_FAILURE
+    assert (mismatches, len(rows)) == ((16, 16) if f == "1" else (8, 16))
 
 
 def _row(point, fill=0.25, klass="untrapped"):
