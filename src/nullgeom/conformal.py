@@ -304,15 +304,21 @@ def _map_jacobian(spec, im, psi) -> np.ndarray:
     """d(split map) rows per model component, columns per chart axis, the
     batch axis first.
 
-    The primitive's differential is dg = dw/u exactly, so no quadrature
-    enters the jacobian.
+    The quotient rule on the order-1 value-gradient arrays of psi and of
+    its denominator (their first n + 1 slots): psi / denom is
+    psi * (1 / denom), by `taylor.reciprocal_rule` and
+    `taylor.product_rule`, whose slot k is the partial along x_k.  The
+    primitive's differential is dg = dw/u exactly, so no quadrature enters
+    the jacobian.
     """
     denom = _denominator(spec, im, psi)
     _reject_floored(denom.val, lambda at: f"split-map denominator {at(denom.val):.3e}")
     _, keep = _split_layout(spec, im)
-    # a partial is its first-order coefficient; psi / denom is psi * (1 / denom)
-    first = denom.ctx.first
-    jac = taylor.batch_first((psi[keep] * (1.0 / denom)).c[first].swapaxes(0, 1))
+    first = psi.ctx.first
+    slots = len(first) + 1
+    quotient = taylor.product_rule(psi.c[:slots, keep],
+                                   taylor.reciprocal_rule(denom.c[:slots])[:, None])
+    jac = taylor.batch_first(quotient[1:].swapaxes(0, 1))
     if spec.primitive:
         dg = taylor.batch_first(psi.c[first, -1]) / denom.val[:, None]
         jac = np.concatenate([jac, dg[..., None, :]], axis=-2)

@@ -5,10 +5,13 @@ order, each taking the `ChartGeometry` and the arrays or Series of
 the stages before it:
 
 1. `height`: the cone height u = psi^0, its gradient and its Hessian;
-2. `null_frame`: xi and the normal part N of the time axis as vector
-   Series of the ambient components at order 1 (`FRAME_ORDER`), whose
-   first derivatives, all the Weingarten maps read, are exact; as values
-   only, nu = N / s with s = sqrt(-<N, N>), and eta = a xi + (b/s) N with
+2. `null_frame`: xi and the normal part N of the time axis at order 1
+   (`FRAME_ORDER`), whose first derivatives, all the Weingarten maps read,
+   are exact: order-1 value-gradient arrays (1 + n, ambient, B), the value
+   and the n first partials, built from those of psi, d psi, f and the
+   inverse metric by `taylor.product_rule` and `taylor.fold` with no Series
+   product, and handed on wrapped as vector Series; as values only,
+   nu = N / s with s = sqrt(-<N, N>), and eta = a xi + (b/s) N with
    c = <xi, nu>, a = -1/(2c^2) and b = -1/c;
 3. `weingarten_map` of xi and N.  A shape operator is linear over
    functions in its normal field, so A_eta = a A_xi + (b/s) A_N;
@@ -41,6 +44,7 @@ Two implementation notes that keep the ambient bookkeeping small:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,30 +157,35 @@ def _table_refusals(v, r, w) -> tuple:
 
 
 def null_frame(geo: ChartGeometry):
-    """xi, the time axis and its normal part N as vector Series of order 1
-    (the position psi, d psi, f and the inverse metric enter cut to it),
+    """xi, the time axis and its normal part N as vector Series of order 1,
     nu = N / s and eta as values, batch first, and eta's coefficients a and
     b/s on xi and N; xi is the cone's null gradient, future-normalized.
-    Each of xi and the axis is one vector Series times at most one scalar
-    Series (`nullcone.null_gradient`, `spacetime.time_axis`), so the stage
-    makes as many Python calls in every dimension.  Raises
-    `FrameDegeneracyError` where N is not timelike, or else unless
-    c = <xi, nu> < 0, i.e. unless xi and nu share a time orientation."""
+    The three Series wrap order-1 value-gradient arrays (1 + n, ambient, B),
+    built from those of the position psi, d psi, f and the inverse metric
+    (`geo.position.c[:n + 1]` and so on) by `taylor.product_rule` and
+    `taylor.fold`, with no Series product (`nullcone.null_gradient`,
+    `spacetime.time_axis`).  Raises `FrameDegeneracyError` where N is not
+    timelike, or else unless c = <xi, nu> < 0, i.e. unless xi and nu share
+    a time orientation."""
     model, cone = geo.immersion.model, geo.immersion.target_cone
     x = geo.position.truncate(FRAME_ORDER)
-    dpsi = geo.dpsi.truncate(FRAME_ORDER)
+    dpsi = geo.dpsi.c[:x.ctx.n_terms]
     f = None if geo.f is None else geo.f.truncate(FRAME_ORDER)
     f2 = None if geo.f2 is None else geo.f2.val  # only <., .> reads it, by value
-    axis = spacetime.time_axis(model, x)
+    axis = spacetime.time_axis(model, x).c
     if model.kind == "desitter":
-        proj = spacetime.ambient_inner(model, None, axis, dpsi)  # de Sitter is not warped
+        # [., j] = <axis, d_j psi>, de Sitter being unwarped: the signed sum
+        # over the components, left to right
+        proj = taylor.fold(taylor.product_rule(axis[:, None], dpsi) * model.signature[:, None], 2)
     else:
         # the constant axis (1, 0, ..., 0), so <axis, d_j psi> = -d_j psi^0; 0 - c
         # gives what the ambient product gives, signs of zeros included
-        proj = Series(dpsi.ctx, 0.0 - dpsi[:, 0].c, (geo.dim,))
-    coeff = (geo.g_inv_series * proj).sum(axis=-1, start=0.0)
-    normal = axis - (coeff[:, None] * dpsi).sum(axis=0)
-    xi = nullcone.null_gradient(cone, x, f, geo.cone_time)
+        proj = 0.0 - dpsi[:, :, 0]
+    # [., i] = g^ij <axis, d_j psi>; N = axis - [., i] d_i psi.  No product
+    # is -0.0, so the Series sum's start 0.0 would change no bit
+    coeff = taylor.fold(taylor.product_rule(geo.g_inv_series.c, proj[:, None]), 2)
+    normal = axis - taylor.fold(taylor.product_rule(coeff[:, :, None], dpsi), 1)
+    xi = nullcone.null_gradient(cone, x, f, geo.cone_time).c
     if cone.variant == "desitter_alpha":
         # future-normalize on the R > 0 component of a de Sitter section;
         # scaling by -1 or 1 is negation or a copy, bit for bit
@@ -185,11 +194,11 @@ def null_frame(geo: ChartGeometry):
     # and a composition (sqrt, reciprocal) its value, to +0.0; the pairings
     # differ from the Series ones at most in the sign of a zero, which the
     # checks below refuse
-    nn = spacetime.ambient_inner(model, f2, normal.val.T, normal.val.T)
+    nn = spacetime.ambient_inner(model, f2, normal[0].T, normal[0].T)
     r = np.sqrt(-nn)
     inv_s = 0.0 + 1.0 / (0.0 + r)
-    nu = inv_s * normal.val + 0.0
-    c = spacetime.ambient_inner(model, f2, xi.val.T, nu.T)
+    nu = inv_s * normal[0] + 0.0
+    c = spacetime.ambient_inner(model, f2, xi[0].T, nu.T)
     w = c * 2.0 * c + 0.0
     # each column refused as the compositions refused it; the reciprocals
     # of s and of c refuse none that these checks pass
@@ -206,8 +215,10 @@ def null_frame(geo: ChartGeometry):
     ])
     a = (0.0 + 1.0 / w) * -1.0
     b = (0.0 + 1.0 / c) * -1.0
-    eta = (a * xi.val + 0.0) + (b * nu + 0.0)
-    return xi, axis, normal, taylor.batch_first(nu), taylor.batch_first(eta), a, b * inv_s
+    eta = (a * xi[0] + 0.0) + (b * nu + 0.0)
+    return (Series(x.ctx, xi, x.shape), Series(x.ctx, axis, x.shape),
+            Series(x.ctx, normal, x.shape), taylor.batch_first(nu), taylor.batch_first(eta),
+            a, b * inv_s)
 
 
 def _directional(geo: ChartGeometry, field: Series, df) -> np.ndarray:
@@ -308,23 +319,23 @@ class ExtrinsicPoint:
 
         Checks <xi,xi> = <eta,eta> = 0, <xi,eta> = -1, <nu,nu> = -1,
         orthogonality of all three fields to the tangents, and the shared
-        time orientation; a wrong orientation counts as residual 1.
+        time orientation; a wrong orientation counts as residual 1.  Every
+        pairing is one `spacetime.ambient_inner` of stacked vectors, and the
+        deviations are taken in that order by `taylor.column_max`.
         """
-
-        def inner(a, b):
-            return spacetime.ambient_inner(self.model, self.f2, a, b)
-
-        xi, eta, nu = self.xi, self.eta, self.nu
-        worst = abs(inner(xi, xi))
-        worst = taylor.column_max(worst, abs(inner(eta, eta)))
-        worst = taylor.column_max(worst, abs(inner(xi, eta) + 1.0))
-        worst = taylor.column_max(worst, abs(inner(nu, nu) + 1.0))
-        for field in (xi, eta, nu):
-            for i in range(self.n):
-                tangent = self.geo.tangents[..., i, :]
-                worst = taylor.column_max(worst, abs(inner(field, tangent)))
-        t = taylor.batch_first(self.time_axis_series.val)
-        flipped = (inner(xi, nu) >= 0.0) | (inner(eta, nu) >= 0.0) | (inner(nu, t) >= 0.0)
+        n, t = self.n, taylor.batch_first(self.time_axis_series.val)
+        # [., k] = xi, eta, nu, the time axis, d_0 psi, ..., d_{n-1} psi
+        vectors = np.concatenate((np.stack((self.xi, self.eta, self.nu, t), axis=1),
+                                  self.geo.tangents), axis=1)
+        tangents = list(range(4, 4 + n))
+        left = [0, 1, 0, 2] + [0] * n + [1] * n + [2] * n + [0, 1, 2]
+        right = [0, 1, 1, 2] + tangents * 3 + [2, 2, 3]
+        pairs = spacetime.ambient_inner(self.model, self.f2, vectors[:, left], vectors[:, right])
+        identities = len(left) - 3  # then the orientations <xi, nu>, <eta, nu>, <nu, t>
+        shifts = np.zeros(identities)
+        shifts[2:4] = 1.0  # <xi, eta> + 1 and <nu, nu> + 1
+        worst = functools.reduce(taylor.column_max, abs(pairs[:, :identities] + shifts).T)
+        flipped = (pairs[:, identities:] >= 0.0).any(axis=1)
         return np.where(flipped, taylor.column_max(worst, 1.0), worst)
 
     # -- Weingarten maps --------------------------------------------------
@@ -372,15 +383,17 @@ class ExtrinsicPoint:
         if which.startswith("minkowski"):
             a_xi, p = np.broadcast_to(eye, self.hess_u_mixed.shape), self.u
         else:
-            a_xi, p = self._product_xi_chart(), self.u - (model.t0 or 0.0)
+            a_xi, p = self._product_xi_chart, self.u - (model.t0 or 0.0)
         if which.endswith("_xi"):
             return a_xi
         return ((-((1.0 + self.grad_u_sq) / (2.0 * p * p)))[:, None, None] * a_xi
                 + self.hess_u_mixed / p[:, None, None])
 
+    @functools.cached_property
     def _product_xi_chart(self) -> np.ndarray:
         """A_xi X = -<X, grad u> grad u + (nabla^M_{Xhat}(r Dr))^tangent,
-        for all the coordinate fields X = d_j psi at once."""
+        for all the coordinate fields X = d_j psi at once; computed once,
+        for the `product_xi` and the `product_eta` closed forms."""
         model, tangents = self.model, self.geo.tangents
         r, dr = spacetime.fiber_radial(model, self.geo.psi0.T[1:])
         dr = np.stack(dr, axis=-1)[:, None, :]

@@ -244,15 +244,13 @@ class ChartGeometry:
     @cached_property
     def christoffel_series(self) -> Series:
         """Gamma^k_ij as a (k, i, j) Series of order 1: 1/2 g^kl S_ijl with
-        S_ijl = d_i g_lj + d_j g_li - d_l g_ij, each product as the order-1
-        product rule gives it."""
+        S_ijl = d_i g_lj + d_j g_li - d_l g_ij, each product of the order-1
+        value-gradient arrays by `taylor.product_rule`."""
         # [., k, i, j] = d_k g_ij, exact to order 1
         dg = self.g_series.gradient().c[:self.dim + 1]
         # [., i, j, l]
         s = dg.transpose(0, 1, 3, 2, 4) + dg.transpose(0, 3, 1, 2, 4) - dg.transpose(0, 2, 3, 1, 4)
-        gi = self.g_inv_series.c[:, :, None, None]
-        terms = gi[0] * s[:, None] + 0.0
-        terms[1:] += gi[1:] * s[0]
+        terms = taylor.product_rule(self.g_inv_series.c[:, :, None, None], s[:, None])
         return Series(self.g_inv_series.ctx, 0.5 * taylor.fold(terms, 4), (self.dim,) * 3)
 
     @cached_property
@@ -293,11 +291,12 @@ class ChartGeometry:
         """Columns are g-orthonormal tangent frame vectors in chart components.
 
         b = L^-T for the Cholesky factor L of the metric (Gram-Schmidt on the
-        coordinate basis), so its inverse is L^T, with no solve.
+        coordinate basis), so its inverse is L^T, with no solve; kept
+        C-contiguous, which a matmul reads faster and to the same bits.
         """
         inverse, singular = _lapack(_umath_linalg.inv, self.cholesky)
         taylor.reject(singular, self._defect("has a singular Cholesky factor"))
-        return np.swapaxes(inverse, -1, -2)
+        return np.ascontiguousarray(np.swapaxes(inverse, -1, -2))
 
     # -- scalar fields on the chart --------------------------------------
 

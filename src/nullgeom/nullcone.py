@@ -208,52 +208,56 @@ def cone_time(spec: NullconeSpec, t):
 def null_gradient(spec: NullconeSpec, x: Series, f: Series = None, phi=None) -> Series:
     """Half the ambient gradient of F at the points of a batch, one vector
     Series of the ambient components, from x, their position vector Series
-    (of order at most 1 on a GRW cone): one vector times at most one scalar
-    Series.  It is x on the light cone, x with its line component zero on
-    the cylinder, 1/2 (-(x_last - beta x_1) x + beta e_1 + e_last) on a de
-    Sitter section and f^-2 (phi f, r Dr) on a GRW cone, with phi the
-    conformal time, entered as its tangent line phi(t0) + (t - t0) / f(t0)
-    at each point's time t0, and r Dr the fiber distance times its unit
-    radial field (`fiber_radial`), on a Euclidean fiber the fiber part of x:
-    one reciprocal and no sqrt.  `f` is the warping profile and `phi` the
-    conformal time (`cone_time`) at x's time when the caller already holds
-    them (the chart geometry does).
+    of order at most 1, built on its coefficients, the order-1
+    value-gradient array (1 + n, ambient, B), by `taylor.product_rule` and
+    `taylor.compose_rule`.  It is x on the light cone, x with its line
+    component zero on the cylinder, 1/2 (-(x_last - beta x_1) x + beta e_1
+    + e_last) on a de Sitter section and f^-2 (phi f, r Dr) on a GRW cone,
+    with phi the conformal time, entered as its tangent line
+    phi(t0) + (t - t0) / f(t0) at each point's time t0, and r Dr the fiber
+    distance times its unit radial field (`fiber_radial`, Series on a
+    curved fiber), on a Euclidean fiber the fiber part of x: one
+    reciprocal (`taylor.reciprocal_rule`) and no sqrt.  `f` is the warping
+    profile and `phi` the conformal time (`cone_time`) at x's time when the
+    caller already holds them (the chart geometry does).
     """
     m = spec.model
     if x.shape != (m.coord_count,):
         raise ValueError("point dimension does not match the model")
+    if x.ctx.order > 1:
+        raise TypeError(f"the null gradient of a series of order {x.ctx.order}, not 0 or 1")
     if spec.variant == "minkowski_cone":
         return x
+    c = x.c
     if spec.variant == "cylinder":
-        c = x.c.copy()
-        c[:, -1] = x.c[:, 0] * 0.0
-        return Series(x.ctx, c, x.shape)
+        v = c.copy()
+        v[:, -1] = c[:, 0] * 0.0
+        return Series(x.ctx, v, x.shape)
     if spec.variant == "desitter_alpha":
-        v = -(x[-1] - spec.beta * x[0]) * x
-        v.c[0, 0] += spec.beta
-        v.c[0, -1] += 1.0
-        return 0.5 * v
-    t = x[0]
-    phi = cone_time(spec, t.val) if phi is None else phi
+        v = taylor.product_rule(-(c[:, -1:] - c[:, :1] * spec.beta), c)
+        v[0, 0] += spec.beta
+        v[0, -1] += 1.0
+        return Series(x.ctx, v * 0.5, x.shape)
+    t = c[:, 0]
+    phi = cone_time(spec, t[0]) if phi is None else phi
     taylor.reject(
         phi < VERTEX_EPS,
         lambda at: PointRejected(RejectionReason.VERTEX_EXCLUSION,
                                  f"conformal time {at(phi):.3e} below {VERTEX_EPS:.0e}"),
     )
-    if f is None:
-        f = m.warping(t)
-    phi_f = taylor.compose_univariate(t, [phi, 1.0 / f.val]) * f
+    f = (m.warping(x[0]) if f is None else f).c
+    phi_f = taylor.product_rule(taylor.compose_rule(t, (phi, 1.0 / f[0])), f)
     if m.fiber_kind == "euclidean":
-        c = x.c.copy()
-        c[:, 0] = phi_f.c
-        v = Series(x.ctx, c, x.shape)
+        v = c.copy()
+        v[:, 0] = phi_f
     else:
         try:
             r, dr = fiber_radial(m, [x[k] for k in range(1, m.coord_count)])
         except BatchRejected as err:
             raise BatchRejected({b: _reject_radial(e) for b, e in err.errors.items()}) from None
-        v = Series.stack([phi_f] + [r * d for d in dr], x.ctx, x.batch)
-    return (1.0 / (f * f)) * v
+        v = Series.stack([Series(x.ctx, phi_f)] + [r * d for d in dr], x.ctx, x.batch).c
+    inverse = taylor.reciprocal_rule(taylor.product_rule(f, f))
+    return Series(x.ctx, taylor.product_rule(inverse[:, None], v), x.shape)
 
 
 def require_on_cone(spec: NullconeSpec, p, phi=None):

@@ -367,14 +367,20 @@ def time_axis(model: AmbientModel, x: Series) -> Series:
     in (b/s) A_N, the frame residual reads only the sign of <nu, axis>, and
     the `time_orthogonal` closed form, which would see the factor, does not
     apply on de Sitter.
+
+    x is of order at most 1, and the axis is built on its coefficients,
+    the order-1 value-gradient array (1 + n, ambient, B), by
+    `taylor.product_rule`.
     """
+    if x.ctx.order > 1:
+        raise TypeError(f"the time axis of a series of order {x.ctx.order}, not 0 or 1")
     if model.kind != "desitter":
         c = np.zeros(x.c.shape)
         c[0, 0] = 1.0
-        return Series(x.ctx, c, x.shape)
-    axis = x[0] * x
-    axis.c[0, 0] += 1.0
-    return axis
+    else:
+        c = taylor.product_rule(x.c[:, :1], x.c)
+        c[0, 0] += 1.0
+    return Series(x.ctx, c, x.shape)
 
 
 def fiber_constraint(model: AmbientModel, x):

@@ -29,7 +29,11 @@ programming error, not a rejected point).  A primitive of a Series is
 Horner's scheme in x - x0, one convolution per order, but of a chart
 coordinate x_i its Taylor coefficients are placed in the slots of the
 powers of x_i, with no product (Griewank and Walther, Evaluating
-Derivatives, ch. 13).  Derivative tables of the primitives are numpy
+Derivatives, ch. 13).  At order 1 a coefficient array is a value and its
+gradient, and `product_rule`, `compose_rule` and `reciprocal_rule` give
+on such arrays what the convolution and Horner's scheme give, bit for
+bit, with no table: the connection, the null frame and the split map's
+jacobian use them.  Derivative tables of the primitives are numpy
 expressions on the (B,) values, the expression of a plain float too, so
 that the two agree bit for bit; a float overflow there, a domain error
 (the sine of an infinity), or a division by a power that underflowed to
@@ -382,6 +386,37 @@ def fold(terms: np.ndarray, axis: int) -> np.ndarray:
     for k in range(1, terms.shape[axis]):
         acc += terms[lead + (k,)]
     return acc
+
+
+def product_rule(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two coefficient arrays of order at most 1, (1+n, ...)
+    whose trailing axes broadcast: value a0 b0 + 0.0 and slot k
+    (a0 b_k + 0.0) + a_k b0, which is what `_product`'s bincount sums at
+    that order, bit for bit, signed zeros and infinities included, and NaN
+    where it is NaN (numpy's add loops give the sum of two NaNs either
+    one's sign, by the length and alignment of their operands)."""
+    out = a[:1] * b + 0.0
+    out[1:] += a[1:] * b[:1]
+    return out
+
+
+def compose_rule(a: np.ndarray, table) -> np.ndarray:
+    """g(a) of a coefficient array a (1+n, ..., B) of order at most 1, from
+    the rows g(a0) and g'(a0) of a derivative table at its values: the one
+    step of `_compose`'s Horner scheme, value (g' 0.0 + 0.0) + g and slot k
+    g' a_k + 0.0, bit for bit as `product_rule` is; of order 0, g itself."""
+    out = table[1] * a + 0.0
+    out[0] = table[0] if len(a) == 1 else (table[1] * 0.0 + 0.0) + table[0]
+    return out
+
+
+@float_edges
+def reciprocal_rule(a: np.ndarray) -> np.ndarray:
+    """1 / a of a scalar coefficient array a (1+n, B) of order at most 1,
+    as the reciprocal primitive composes a Series: refused where its
+    derivative table is not finite (`_checked`), then `compose_rule`."""
+    v = a[0]
+    return compose_rule(a, _checked("reciprocal", v, _reciprocal_table(v)))
 
 
 class Series:

@@ -59,6 +59,7 @@ __all__ = [
     "stacked_local_inverse",
     "local_inverse_alone",
     "factorization_alone",
+    "series_map_jacobian",
     "entry_inner",
     "entry_pullback",
     "entry_g_inv",
@@ -513,6 +514,20 @@ def local_inverse_alone(spec, im, target, seed, tol=1e-12, max_iter=60,
     )
 
 
+def series_map_jacobian(spec, im, psi):
+    """The split map's jacobian by the Series quotient
+    (psi[keep] * (1.0 / denom)).c[first], each partial a first-order
+    coefficient, batch first: the oracle of `conformal._map_jacobian`."""
+    denom = cf._denominator(spec, im, psi)
+    _, keep = cf._split_layout(spec, im)
+    first = psi.ctx.first
+    jac = tm.batch_first((psi[keep] * (1.0 / denom)).c[first].swapaxes(0, 1))
+    if spec.primitive:
+        dg = tm.batch_first(psi.c[first, -1]) / denom.val[:, None]
+        jac = np.concatenate([jac, dg[..., None, :]], axis=-2)
+    return jac
+
+
 def factorization_alone(im, spec, samples):
     """The factorization round trip one sample at a time, each through
     `local_inverse_alone`: the oracle of `conformal.factorization_check`."""
@@ -652,9 +667,9 @@ def entry_time_axis(model, psi):
 
 
 def entry_null_frame(im, psi, f, f2, ginv, dpsi, order=imm.FRAME_ORDER):
-    """xi, nu and eta as component lists of Series of `order`, from the
-    entry lists of the inverse metric (of `order`) and of d_i psi, with psi,
-    f, f2 and d_i psi cut to `order`."""
+    """xi, nu, eta, the time axis and its normal part N as component lists
+    of Series of `order`, from the entry lists of the inverse metric (of
+    `order`) and of d_i psi, with psi, f, f2 and d_i psi cut to `order`."""
     model, cone, n = im.model, im.target_cone, im.dim
 
     def cut(s):
@@ -684,7 +699,7 @@ def entry_null_frame(im, psi, f, f2, ginv, dpsi, order=imm.FRAME_ORDER):
     c = entry_inner(model, f2, xi, nu)
     a, b = -1.0 / (2.0 * c * c), -1.0 / c
     eta = [a * x + b * v for x, v in zip(xi, nu)]
-    return xi, nu, eta
+    return xi, nu, eta, axis, normal
 
 
 def order3_stages(geo):
@@ -698,7 +713,7 @@ def order3_stages(geo):
     f2 = None if f is None else f * f
     g, dpsi = entry_pullback(im, psi, f2, order)
     g_inv = entry_g_inv(g, geo.g0.transpose(1, 2, 0), geo.g_inv0.transpose(1, 2, 0), order)
-    xi, nu, eta = entry_null_frame(im, psi, f, f2, g_inv, dpsi, order)
+    xi, nu, eta, _, _ = entry_null_frame(im, psi, f, f2, g_inv, dpsi, order)
     return {
         "f": f, "f2": f2, "dpsi": dpsi, "g": g, "g_inv": g_inv,
         "christoffel": entry_christoffel(g, g_inv, order), "xi": xi, "nu": nu, "eta": eta,

@@ -41,6 +41,7 @@ from _surfaces import (
     sample_box,
     scaled_metric_chart,
     series_alone,
+    series_map_jacobian,
     slice_immersion,
     sphere_box,
     suite_samples,
@@ -1025,6 +1026,31 @@ def test_pullback_jacobian_reads_first_derivatives_only():
         first = psi.truncate(immersion.FRAME_ORDER)
         want = cf._map_jacobian(scene.cspec, scene.im, psi)
         assert np.array_equal(cf._map_jacobian(scene.cspec, scene.im, first), want), scene.name
+
+
+def test_map_jacobian_matches_series_quotient_bitwise(monkeypatch):
+    # the quotient rule on the order-1 value-gradient arrays of psi and its
+    # denominator is the Series quotient psi[keep] * (1 / denom), bit for
+    # bit, on every split-map variant, of a psi of order 1 and of order 3,
+    # and makes no Series product
+    variants, products = set(), []
+    real_product = tm._product
+
+    def counting(*args):
+        products.append(args)
+        return real_product(*args)
+
+    for _, spec, im, _, samples in factor_cases():
+        for order in (1, 3):
+            psi = im.series(np.array(samples), order)
+            want = series_map_jacobian(spec, im, psi)
+            with monkeypatch.context() as m:
+                m.setattr(tm, "_product", counting)
+                got = cf._map_jacobian(spec, im, psi)
+            assert got.tobytes() == want.tobytes()
+        variants.add(spec.variant)
+    assert variants == set(cf.MAP_VARIANTS)
+    assert products == []
 
 
 @pytest.mark.parametrize(

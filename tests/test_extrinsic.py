@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -148,8 +149,9 @@ POINTWISE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "p
 
 
 def entry_frame(pt):
-    """xi, nu and eta of an `ExtrinsicPoint`'s batch as component lists of
-    Series, by the entry-by-entry Series algebra (`entry_null_frame`)."""
+    """xi, nu, eta, the time axis and N of an `ExtrinsicPoint`'s batch as
+    component lists of Series, by the entry-by-entry Series algebra
+    (`entry_null_frame`)."""
     geo, psi = pt.geo, components(pt.geo.position)
     g, dpsi = entry_pullback(pt.im, psi, geo.f2)
     g_inv = entry_g_inv(g, geo.g0.transpose(1, 2, 0), geo.g_inv0.transpose(1, 2, 0))
@@ -173,7 +175,7 @@ def series_frame_residual(pt):
     def inner(a, b):
         return st.ambient_inner(pt.model, f2, a, b).val
 
-    _, nu, eta = entry_frame(pt)
+    _, nu, eta, _, _ = entry_frame(pt)
     xi = pt.xi_series
     nu, eta = (tm.Series.stack(field, xi.ctx, xi.batch) for field in (nu, eta))
     worst = abs(inner(xi, xi))
@@ -196,26 +198,35 @@ THREE_DIMENSIONAL = {
     "ds-n3": lambda: psi_f_desitter(3, 0.5, lambda qs: 2.0 + 0.1 * tm.sin(qs[0]),
                                     component="plus"),
 }
+# GRW cones of product models with a curved fiber
+CURVED_FIBERS = {
+    "product-sphere": lambda: grw_graph(product_model("sphere"), wavy_height),
+    "product-hyperbolic": lambda: grw_graph(product_model("hyperbolic"), wavy_height),
+}
 POOL_SCENES = [entry["config"]["name"] for entry in json.loads(POINTWISE.read_text())["scenes"]]
 
 
 def immersion_points(name):
     """(immersion, chart points) of a pool scene of the pointwise workload,
-    its stored pool, or of a `THREE_DIMENSIONAL` immersion, 16 points drawn
-    from its box."""
+    its stored pool, or of a `THREE_DIMENSIONAL` or `CURVED_FIBERS`
+    immersion, 16 points drawn from its box."""
     if name in THREE_DIMENSIONAL:
         rng = np.random.default_rng(17)
         return THREE_DIMENSIONAL[name](), sample_box(rng, sphere_box(3), 16)
+    if name in CURVED_FIBERS:
+        rng = np.random.default_rng(17)
+        return CURVED_FIBERS[name](), sample_box(rng, sphere_box(2), 16)
     with POINTWISE.open() as fh:
         entry = next(e for e in json.load(fh)["scenes"] if e["config"]["name"] == name)
     return cli.parse_scene(entry["config"]).im, entry["pool"]
 
 
-@pytest.mark.parametrize("name", POOL_SCENES + list(THREE_DIMENSIONAL))
+@pytest.mark.parametrize("name", POOL_SCENES + list(THREE_DIMENSIONAL) + list(CURVED_FIBERS))
 def test_frame_residual_matches_series_path_bitwise(name, monkeypatch):
-    # the value-only residual, whose pairings fold the ambient components in
-    # one vecdot, is the residual of the Series pairings bit for bit on every
-    # model kind, at n = 2 and n = 3
+    # the value-only residual, whose pairings are one ambient product of
+    # stacked vectors that folds the ambient components in one vecdot, is
+    # the residual of the Series pairings bit for bit on every model kind,
+    # at n = 2 and n = 3
     im, points = immersion_points(name)
     products = []
     real_mul = tm.Series.__mul__
@@ -241,6 +252,94 @@ def test_frame_residual_matches_series_path_bitwise(name, monkeypatch):
         checked += 1
     assert checked >= 10
     assert products == []
+
+
+def pairwise_frame_residual(pt):
+    """The frame residual with one ambient product per pairing, taken in
+    the order of `ExtrinsicPoint.frame_residual`: the reference of its
+    stacked pairings."""
+
+    def inner(a, b):
+        return st.ambient_inner(pt.model, pt.f2, a, b)
+
+    xi, eta, nu = pt.xi, pt.eta, pt.nu
+    worst = abs(inner(xi, xi))
+    for deviation in (abs(inner(eta, eta)), abs(inner(xi, eta) + 1.0), abs(inner(nu, nu) + 1.0)):
+        worst = tm.column_max(worst, deviation)
+    for field in (xi, eta, nu):
+        for i in range(pt.n):
+            worst = tm.column_max(worst, abs(inner(field, pt.geo.tangents[..., i, :])))
+    t = tm.batch_first(pt.time_axis_series.val)
+    flipped = (inner(xi, nu) >= 0.0) | (inner(eta, nu) >= 0.0) | (inner(nu, t) >= 0.0)
+    return np.where(flipped, tm.column_max(worst, 1.0), worst)
+
+
+@pytest.mark.parametrize("name", ["mink-h2", "grw-exp", "ds-alpha05-plus"])
+def test_frame_residual_pairs_once_and_keeps_the_nan_order(name, monkeypatch):
+    # one ambient product pairs every vector of a batch; with a NaN in one
+    # component of xi, eta, nu or a tangent at one point, the residual is
+    # the pairwise one bit for bit: a NaN deviation first stays, a later one
+    # is passed over, as taylor.column_max takes them in order
+    im, points = immersion_points(name)
+    geo, _ = imm.geometry_columns(im, np.array(points))
+    pt = tm.Kept(len(geo.x)).run(ExtrinsicPoint, geo, imm.ChartGeometry.columns)
+    real, calls = st.ambient_inner, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(st, "ambient_inner", counted)
+        got = pt.frame_residual()
+    assert len(calls) == 1
+    assert got.tobytes() == pairwise_frame_residual(pt).tobytes()
+    clean = (pt.xi, pt.eta, pt.nu, geo.tangents)
+    for k in range(4):
+        for component in (0, -1):
+            vectors = [v.copy() for v in clean]
+            vectors[k][(1,) + (0,) * (vectors[k].ndim - 2) + (component,)] = math.nan
+            pt.xi, pt.eta, pt.nu, pt.geo.tangents = vectors
+            got = pt.frame_residual()
+            assert got.tobytes() == pairwise_frame_residual(pt).tobytes(), (k, component)
+    pt.xi, pt.eta, pt.nu, pt.geo.tangents = clean
+
+
+@pytest.mark.parametrize("name", POOL_SCENES + list(THREE_DIMENSIONAL) + list(CURVED_FIBERS))
+def test_frame_matches_entry_algebra_bitwise(name, monkeypatch):
+    # the null frame built on order-1 value-gradient arrays, batched: xi,
+    # the time axis and N are the entry algebra's Series bit for bit and
+    # nu and eta its values, on every pool scene, at n = 3 and on curved
+    # fibers, and the stage makes no Series product
+    im, points = immersion_points(name)
+    geo, _ = imm.geometry_columns(im, np.array(points))
+    kept = tm.Kept(len(geo.x))
+    pt = kept.run(ExtrinsicPoint, geo, imm.ChartGeometry.columns)
+    assert len(kept.index) >= 10
+    xi, nu, eta, axis, normal = entry_frame(pt)
+    assert_frame_equal(pt, xi, nu, eta, axis, normal)
+    products = []
+    real_product = tm._product
+
+    def counting(*args):
+        products.append(args)
+        return real_product(*args)
+
+    monkeypatch.setattr(tm, "_product", counting)
+    again = ext.null_frame(pt.geo)
+    assert again[0].c.tobytes() == pt.xi_series.c.tobytes()
+    # a curved fiber's radial field r Dr stays Series arithmetic
+    assert (products == []) == (im.model.kind != "product" or im.model.fiber == "euclidean")
+
+
+def assert_frame_equal(pt, xi, nu, eta, axis, normal):
+    """The frame of an `ExtrinsicPoint` is the entry algebra's: its vector
+    Series entry by entry, nu and eta by value."""
+    assert_entries_equal(pt.xi_series, xi)
+    assert_entries_equal(pt.time_axis_series, axis)
+    assert_entries_equal(pt.time_orthogonal_series, normal)
+    assert_values_equal(pt.nu, nu)
+    assert_values_equal(pt.eta, eta)
 
 
 def assert_entries_equal(series, nested, index=()):
@@ -284,14 +383,12 @@ def test_component_algebra_matches_entry_algebra_bitwise(data):
         geo, psi = pt.geo, components(pt.geo.position)
         g, dpsi = entry_pullback(pt.im, psi, geo.f2)
         g_inv = entry_g_inv(g, geo.g0.transpose(1, 2, 0), geo.g_inv0.transpose(1, 2, 0))
-        xi, nu, eta = entry_null_frame(pt.im, psi, geo.f, geo.f2, g_inv, dpsi)
+        xi, nu, eta, axis, normal = entry_null_frame(pt.im, psi, geo.f, geo.f2, g_inv, dpsi)
         assert_entries_equal(geo.dpsi, dpsi)
         assert_entries_equal(geo.g_series, g)
         assert_entries_equal(geo.g_inv_series, g_inv)
         assert_entries_equal(geo.christoffel_series, entry_christoffel(g, g_inv))
-        assert_entries_equal(pt.xi_series, xi)
-        assert_values_equal(pt.nu, nu)
-        assert_values_equal(pt.eta, eta)
+        assert_frame_equal(pt, xi, nu, eta, axis, normal)
 
 
 @pytest.mark.parametrize("name", list(THREE_DIMENSIONAL))

@@ -251,6 +251,19 @@ def test_grad_F_orthogonal_to_cone_tangents():
             assert abs(val) < 1e-9
 
 
+def test_frame_fields_refuse_a_series_above_order_one():
+    # the null gradient and the time axis are built by the order-1 rules on
+    # coefficient arrays, which would drop the second-order slots
+    ctx = tm.get_context(2, 2)
+    for spec in ALL_SPECS:
+        k = spec.model.coord_count
+        x = tm.Series(ctx, np.ones((ctx.n_terms, k, 1)), (k,))
+        with pytest.raises(TypeError, match="order 2"):
+            nc.null_gradient(spec, x)
+        with pytest.raises(TypeError, match="order 2"):
+            st.time_axis(spec.model, x)
+
+
 def test_grad_F_series_matches_float_path():
     # at the frame's order, the one a GRW cone's linear conformal time reaches
     for spec in ALL_SPECS:

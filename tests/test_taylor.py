@@ -373,6 +373,67 @@ def test_compose_matches_horner_products_bitwise(data, n, order, batch):
             assert same(tm._compose(x, table).c, want)
 
 
+ORDER1_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
+                           st.floats(-1e300, 1e300))
+
+
+def drawn_coefficients(data, ctx, shape, batch, values=ORDER1_ENTRIES) -> np.ndarray:
+    """A coefficient array (n_terms, *shape, batch) of drawn entries."""
+    size = ctx.n_terms * math.prod(shape) * batch
+    entries = data.draw(st.lists(values, min_size=size, max_size=size))
+    return np.array(entries, dtype=np.float64).reshape((ctx.n_terms, *shape, batch))
+
+
+def same_bits(got, want) -> bool:
+    """Every entry of got is want's bit for bit, but a NaN, which is a NaN
+    in the same place: where both addends of a sum are NaNs, numpy's add
+    loops return either one, by the length and alignment of their operands,
+    so a NaN's sign is not the bincount's."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.integers(1, 3), st.integers(1, 8))
+def test_product_rule_matches_product_bitwise(data, n, batch):
+    # order-1 coefficient arrays with signed zeros, infinities, NaNs and
+    # subnormals, on component shapes that broadcast (each axis of either
+    # side of its length or of length 1): the product rule is the bincount
+    # product, bit for bit, and NaN where it is NaN
+    ctx = tm.get_context(n, 1)
+    lengths = data.draw(st.lists(st.integers(1, 3), max_size=2))
+    shapes = [tuple(data.draw(st.sampled_from([1, k])) for k in lengths) for _ in range(2)]
+    a, b = (drawn_coefficients(data, ctx, shape, batch) for shape in shapes)
+    with np.errstate(all="ignore"):
+        assert same_bits(tm.product_rule(a, b), tm._product(ctx, a, b))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data(), st.integers(1, 3), st.integers(0, 1), st.integers(1, 8))
+def test_compose_and_reciprocal_rules_match_the_series_bitwise(data, n, order, batch):
+    # the one-step composition of an order-0 or order-1 scalar array, and
+    # its checked reciprocal, are Horner's scheme of `_compose` and the
+    # reciprocal primitive of its Series, bit for bit, signed zeros and
+    # non-finite entries included, and NaN where it is NaN; a refused column
+    # carries the same error
+    ctx = tm.get_context(n, order)
+    a = drawn_coefficients(data, ctx, (), batch)
+    table = drawn_coefficients(data, tm.get_context(1, 1), (), batch)
+    x = tm.Series(ctx, a)
+    with np.errstate(all="ignore"):
+        assert same_bits(tm.compose_rule(a, table), tm._compose(x, table).c)
+        try:
+            want = (1.0 / x).c
+        except tm.BatchRejected as err:
+            with pytest.raises(tm.BatchRejected) as got:
+                tm.reciprocal_rule(a)
+            assert {b: str(e) for b, e in got.value.errors.items()} == {
+                b: str(e) for b, e in err.errors.items()}
+        else:
+            assert same_bits(tm.reciprocal_rule(a), want)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("batch", [1, 400])
 def test_sphere_chart_composes_its_angles_with_no_convolution(k, batch, monkeypatch):

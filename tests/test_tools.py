@@ -88,11 +88,12 @@ def test_digest_drift_exit_status(tmp_path, capsys):
 
 def test_call_counts_per_stage(capsys):
     # the counts of one point_report per stage, and of each conformal
-    # operation, are the same on every run, every pipeline stage makes
-    # calls, the connection among them, and a scene's total is their sum;
-    # the connection composes no primitive, the chart maps compose theirs
-    # in their own stage, the geometry composes one (the warping profile)
-    # and the null frame one (1/f^2) on the GRW cones and none elsewhere
+    # operation and each suite run, are the same on every run, every
+    # pipeline stage makes calls, the connection among them, and a scene's
+    # total is their sum; the connection composes no primitive, the chart
+    # maps compose theirs in their own stage, the geometry composes one (the
+    # warping profile) and the null frame one (the reciprocal of f^2, on its
+    # order-1 array) on the GRW cones and none elsewhere
     tool = _tool("call_counts")
     with tool.POOLS.open() as fh:
         entry = json.load(fh)["scenes"][0]
@@ -101,7 +102,9 @@ def test_call_counts_per_stage(capsys):
     points = pool[:2]
     counts = tool.stage_counts(scene, points)
     assert counts == tool.stage_counts(scene, points)
-    assert tool.operation_counts(scene, points, pool) == tool.operation_counts(scene, points, pool)
+    operations = tool.operation_counts(scene, points, pool, entry["config"])
+    assert operations == tool.operation_counts(scene, points, pool, entry["config"])
+    assert list(operations)[-1] == "suite"
     assert list(counts) == list(tool.STAGES)
     assert all(python > 0 for python, _, _ in counts.values())
     assert tool.main(["--points", "1"]) == 0
@@ -123,15 +126,18 @@ def test_call_counts_per_stage(capsys):
         assert primitives["connection"] == 0.0, name  # contractions, no composition
         assert primitives["null_frame"] == (1.0 if name.startswith("grw") else 0.0), name
         # then the conformal operations of a scene with a split map: its
-        # map and the two checks, the cylinder map having no factorization
+        # map and the two checks, the cylinder map having no factorization;
+        # last the suite run of every scene, whose chart maps compose
         operations = [row[0] for row in block[len(stages):]]
         if name.startswith("grw"):
-            assert operations == [], name
+            assert operations == ["suite"], name
         elif name.startswith("cyl"):
-            assert operations == ["conformal_map", "conformal_curvature_check"], name
+            assert operations == ["conformal_map", "conformal_curvature_check", "suite"], name
         else:
             assert operations == ["conformal_map", "factorization_check",
-                                  "conformal_curvature_check"], name
+                                  "conformal_curvature_check", "suite"], name
         assert all(float(row[1]) > 0.0 and float(row[3]) > 0.0 for row in block[len(stages):])
+        suite = block[-1]
+        assert float(suite[1]) > float(stages[-1][1]), name  # a grid pass, not one report
 
 

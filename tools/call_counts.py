@@ -1,5 +1,6 @@
 """Count the calls one `extrinsic.point_report` makes, per pipeline stage,
-and the calls of each conformal operation of the `pointwise` workload.
+the calls of each conformal operation of the `pointwise` workload, and
+those of each built-in scene's suite run.
 
     python3 tools/call_counts.py              # every point of each pool
     python3 tools/call_counts.py --points 4   # the first 4 points of each
@@ -11,21 +12,26 @@ scene it runs `point_report` at the pool's points under `sys.setprofile`
 and prints, per stage, the mean number per report of Python calls (`call`
 events), of C calls (`c_call` events: builtins and numpy functions, not
 operators or ufuncs) and of primitives (calls of `taylor._checked`: each
-composition of a Series with a primitive such as sqrt or the reciprocal,
-and each primitive of an array), then their totals:
+composition with a primitive such as sqrt or the reciprocal, of a Series
+or of an order-1 array (`taylor.reciprocal_rule`), and each primitive of
+an array), then their totals:
 
     SCENE STAGE PYTHON C PRIMITIVE
 
-A pool scene with a split map then gets one line per conformal operation,
-with the mean of the same three counts per call:
+Each scene then gets one line per operation, with the mean of the same
+three counts per call:
 
     SCENE OPERATION PYTHON C PRIMITIVE
 
-- `conformal_map` at each of the pool's points;
-- `factorization_check` of the pool's first 6 points, on the split maps
-  that have the graph-embedding factorization (not the cylinder maps);
-- `conformal_curvature_check` of the pool's first 5 points, with the
-  conformal scale (`conformal.factor_field`) as the factor;
+- on a pool scene with a split map, `conformal_map` at each of the pool's
+  points;
+- on one with the graph-embedding factorization too (not the cylinder
+  maps), `factorization_check` of the pool's first 6 points;
+- on a pool scene with a split map, `conformal_curvature_check` of the
+  pool's first 5 points, with the conformal scale
+  (`conformal.factor_field`) as the factor;
+- on every scene, `suite`: `cli.run` of its configuration at seed 0, then
+  `cli.emit_json` of the report, as the `suite-all` workload runs a scene;
 
 the sample counts are those of the workload's checks.
 
@@ -75,6 +81,8 @@ KINDS = ("python", "c", "primitive")
 # the samples of the pointwise workload's checks
 FACTORIZATION_SAMPLES = 6
 CURVATURE_SAMPLES = 5
+# the seed of the `suite` operation's run
+SUITE_SEED = 0
 
 
 def _stage_codes() -> dict:
@@ -143,21 +151,27 @@ def stage_counts(scene, points) -> dict:
     return {stage: tuple(tally[stage, kind] / len(points) for kind in KINDS) for stage in STAGES}
 
 
-def operation_counts(scene, points, pool) -> dict:
+def _suite(config):
+    cli.emit_json(cli.run(config, seed=SUITE_SEED))
+
+
+def operation_counts(scene, points, pool, config) -> dict:
     """{operation: (python calls, C calls, primitives)} per call of the
-    conformal operations of a scene with a split map: `conformal_map` at
-    the points, and the checks of the first samples of the pool."""
+    operations of a scene: with a split map, `conformal_map` at the points
+    and the conformal checks of the first samples of the pool, then
+    `suite`, the grid pass of its configuration and the report's JSON."""
     spec, im = scene.cspec, scene.im
-    calls = {
-        "conformal_map": [partial(_call, conformal.conformal_map, spec, im, x) for x in points],
-        "factorization_check": [partial(_call, conformal.factorization_check, im, spec,
-                                        pool[:FACTORIZATION_SAMPLES])],
-        "conformal_curvature_check": [partial(_call, conformal.conformal_curvature_check, im,
-                                              conformal.factor_field(spec, im),
-                                              pool[:CURVATURE_SAMPLES])],
-    }
-    if spec.primitive:  # a cylinder map has no graph-embedding factorization
-        del calls["factorization_check"]
+    calls = {}
+    if spec is not None:
+        calls["conformal_map"] = [partial(_call, conformal.conformal_map, spec, im, x)
+                                  for x in points]
+        if not spec.primitive:  # a cylinder map has no graph-embedding factorization
+            calls["factorization_check"] = [partial(_call, conformal.factorization_check, im,
+                                                    spec, pool[:FACTORIZATION_SAMPLES])]
+        calls["conformal_curvature_check"] = [partial(
+            _call, conformal.conformal_curvature_check, im, conformal.factor_field(spec, im),
+            pool[:CURVATURE_SAMPLES])]
+    calls["suite"] = [partial(_suite, config)]
     counts = {}
     for name, ops in calls.items():
         tally = _tally(ops, {})
@@ -173,8 +187,7 @@ def lines(limit=None):
         pool = np.array(entry["pool"], dtype=float)
         counts = stage_counts(scene, pool[:limit])
         rows = [*counts.items(), ("total", map(sum, zip(*counts.values())))]
-        if scene.cspec is not None:
-            rows += operation_counts(scene, pool[:limit], pool).items()
+        rows += operation_counts(scene, pool[:limit], pool, entry["config"]).items()
         for stage, values in rows:
             yield f"{scene.name} {stage} " + " ".join(f"{v:.1f}" for v in values)
 
