@@ -933,32 +933,21 @@ def emit_json(report: dict) -> str:
 
 def emit_csv(report: dict) -> str:
     """Rows only, fixed column order; floats carry 17 significant digits.
-    The rows are spelled from their columns (a `Rows`, or a list of row
-    dicts taken apart into columns) with one `%` of the row template
-    repeated once per row, as `emit_json` spells them.  Where some float is
-    not finite, or a point has another dimension, each row is spelled on
-    its own: a row of finite floats by the template, any other cell by
-    cell."""
+    Each row is one `%` of the report's template; a row with a non-finite
+    float, or of another shape, is formatted cell by cell."""
     dim = len(report["config"]["grid"])
     header = [f"x{i}" for i in range(dim)] + list(ROW_FIELDS) + ["trapped_class"]
     template = ",".join(["%.17g"] * (dim + len(ROW_FIELDS)) + ["%s"])
-    rows = report["rows"]
-    columns = rows.columns if isinstance(rows, Rows) else {
-        key: [row[key] for row in rows] for key in ROW_KEYS}
-    points, classes = columns["point"], columns["trapped_class"]
-    fields = [columns[key] for key in ROW_FIELDS]
+    fields = itemgetter(*ROW_FIELDS)
     lines = [",".join(header)]
-    if set(map(len, points)) == {dim} and math.isfinite(sum(map(sum, (*zip(*points), *fields)))):
-        cells = zip(*zip(*points), *fields, classes)
-        lines.append("\n".join([template] * len(points))
-                     % tuple(itertools.chain.from_iterable(cells)))
-    else:
-        for point, *values, klass in zip(points, *fields, classes):
-            floats = (*point, *values)
-            if len(floats) == dim + len(ROW_FIELDS) and math.isfinite(sum(floats)):
-                lines.append(template % (*floats, klass))
-            else:
-                lines.append(",".join([_format_float(v) for v in floats] + [klass]))
+    for row in report["rows"]:
+        floats = (*row["point"], *fields(row))
+        klass = row["trapped_class"]
+        if len(floats) == dim + len(ROW_FIELDS) and type(klass) is str \
+                and math.isfinite(sum(floats)):
+            lines.append(template % (*floats, klass))
+        else:
+            lines.append(",".join([_format_float(v) for v in floats] + [klass]))
     return "\n".join(lines) + "\n"
 
 

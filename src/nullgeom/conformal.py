@@ -305,7 +305,7 @@ def _map_jacobian(spec, im, psi) -> np.ndarray:
     batch axis first.
 
     The quotient rule on the order-1 value-gradient arrays of psi and of
-    its denominator (their first n + 1 slots): psi / denom is
+    its denominator (`Series.value_gradient`): psi / denom is
     psi * (1 / denom), by `taylor.reciprocal_rule` and
     `taylor.product_rule`, whose slot k is the partial along x_k.  The
     primitive's differential is dg = dw/u exactly, so no quadrature enters
@@ -314,13 +314,12 @@ def _map_jacobian(spec, im, psi) -> np.ndarray:
     denom = _denominator(spec, im, psi)
     _reject_floored(denom.val, lambda at: f"split-map denominator {at(denom.val):.3e}")
     _, keep = _split_layout(spec, im)
-    first = psi.ctx.first
-    slots = len(first) + 1
-    quotient = taylor.product_rule(psi.c[:slots, keep],
-                                   taylor.reciprocal_rule(denom.c[:slots])[:, None])
+    psi1 = psi.value_gradient
+    quotient = taylor.product_rule(psi1[:, keep],
+                                   taylor.reciprocal_rule(denom.value_gradient)[:, None])
     jac = taylor.batch_first(quotient[1:].swapaxes(0, 1))
     if spec.primitive:
-        dg = taylor.batch_first(psi.c[first, -1]) / denom.val[:, None]
+        dg = taylor.batch_first(psi1[1:, -1]) / denom.val[:, None]
         jac = np.concatenate([jac, dg[..., None, :]], axis=-2)
     return jac
 

@@ -162,17 +162,17 @@ def null_frame(geo: ChartGeometry):
     b/s on xi and N; xi is the cone's null gradient, future-normalized.
     The three Series wrap order-1 value-gradient arrays (1 + n, ambient, B),
     built from those of the position psi, d psi, f and the inverse metric
-    (`geo.position.c[:n + 1]` and so on) by `taylor.product_rule` and
+    (`Series.value_gradient`) by `taylor.product_rule` and
     `taylor.fold`, with no Series product (`nullcone.null_gradient`,
     `spacetime.time_axis`).  Raises `FrameDegeneracyError` where N is not
     timelike, or else unless c = <xi, nu> < 0, i.e. unless xi and nu share
     a time orientation."""
     model, cone = geo.immersion.model, geo.immersion.target_cone
     x = geo.position.truncate(FRAME_ORDER)
-    dpsi = geo.dpsi.c[:x.ctx.n_terms]
+    dpsi = geo.dpsi.value_gradient
     f = None if geo.f is None else geo.f.truncate(FRAME_ORDER)
     f2 = None if geo.f2 is None else geo.f2.val  # only <., .> reads it, by value
-    axis = spacetime.time_axis(model, x).c
+    axis = spacetime.time_axis(model, x).value_gradient
     if model.kind == "desitter":
         # [., j] = <axis, d_j psi>, de Sitter being unwarped: the signed sum
         # over the components, left to right
@@ -183,9 +183,9 @@ def null_frame(geo: ChartGeometry):
         proj = 0.0 - dpsi[:, :, 0]
     # [., i] = g^ij <axis, d_j psi>; N = axis - [., i] d_i psi.  No product
     # is -0.0, so the Series sum's start 0.0 would change no bit
-    coeff = taylor.fold(taylor.product_rule(geo.g_inv_series.c, proj[:, None]), 2)
+    coeff = taylor.fold(taylor.product_rule(geo.g_inv_series.value_gradient, proj[:, None]), 2)
     normal = axis - taylor.fold(taylor.product_rule(coeff[:, :, None], dpsi), 1)
-    xi = nullcone.null_gradient(cone, x, f, geo.cone_time).c
+    xi = nullcone.null_gradient(cone, x, f, geo.cone_time).value_gradient
     if cone.variant == "desitter_alpha":
         # future-normalize on the R > 0 component of a de Sitter section;
         # scaling by -1 or 1 is negation or a copy, bit for bit

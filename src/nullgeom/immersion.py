@@ -236,7 +236,7 @@ class ChartGeometry:
         its terms."""
         a = self.g_inv0.transpose(1, 2, 0)
         # [m, i, l] = (g^-1 d_m g)_il, then the product with g^-1 of its negation
-        m = taylor.fold(self.g_series.c[1:self.dim + 1, None] * a[:, :, None], 2)
+        m = taylor.fold(self.g_series.value_gradient[1:, None] * a[:, :, None], 2)
         d = taylor.fold(-m[:, :, :, None] * a, 2)
         return Series(taylor.get_context(self.dim, FRAME_ORDER), np.concatenate(
             [(a + 0.0)[None], d]), (self.dim, self.dim))
@@ -247,10 +247,10 @@ class ChartGeometry:
         S_ijl = d_i g_lj + d_j g_li - d_l g_ij, each product of the order-1
         value-gradient arrays by `taylor.product_rule`."""
         # [., k, i, j] = d_k g_ij, exact to order 1
-        dg = self.g_series.gradient().c[:self.dim + 1]
+        dg = self.g_series.gradient().value_gradient
         # [., i, j, l]
         s = dg.transpose(0, 1, 3, 2, 4) + dg.transpose(0, 3, 1, 2, 4) - dg.transpose(0, 2, 3, 1, 4)
-        terms = taylor.product_rule(self.g_inv_series.c[:, :, None, None], s[:, None])
+        terms = taylor.product_rule(self.g_inv_series.value_gradient[:, :, None, None], s[:, None])
         return Series(self.g_inv_series.ctx, 0.5 * taylor.fold(terms, 4), (self.dim,) * 3)
 
     @cached_property

@@ -224,15 +224,15 @@ def null_gradient(spec: NullconeSpec, x: Series, f: Series = None, phi=None) -> 
     m = spec.model
     if x.shape != (m.coord_count,):
         raise ValueError("point dimension does not match the model")
-    if x.ctx.order > 1:
-        raise TypeError(f"the null gradient of a series of order {x.ctx.order}, not 0 or 1")
     if spec.variant == "minkowski_cone":
         return x
-    c = x.c
     if spec.variant == "cylinder":
-        v = c.copy()
-        v[:, -1] = c[:, 0] * 0.0
-        return Series(x.ctx, v, x.shape)
+        c = x.c.copy()
+        c[:, -1] = x.c[:, 0] * 0.0
+        return Series(x.ctx, c, x.shape)
+    if x.ctx.order > 1:  # the order-1 rules below would drop its higher slots
+        raise TypeError(f"the null gradient of a series of order {x.ctx.order}, not 0 or 1")
+    c = x.value_gradient
     if spec.variant == "desitter_alpha":
         v = taylor.product_rule(-(c[:, -1:] - c[:, :1] * spec.beta), c)
         v[0, 0] += spec.beta
@@ -245,7 +245,7 @@ def null_gradient(spec: NullconeSpec, x: Series, f: Series = None, phi=None) -> 
         lambda at: PointRejected(RejectionReason.VERTEX_EXCLUSION,
                                  f"conformal time {at(phi):.3e} below {VERTEX_EPS:.0e}"),
     )
-    f = (m.warping(x[0]) if f is None else f).c
+    f = (m.warping(x[0]) if f is None else f).value_gradient
     phi_f = taylor.product_rule(taylor.compose_rule(t, (phi, 1.0 / f[0])), f)
     if m.fiber_kind == "euclidean":
         v = c.copy()

@@ -368,19 +368,20 @@ def time_axis(model: AmbientModel, x: Series) -> Series:
     the `time_orthogonal` closed form, which would see the factor, does not
     apply on de Sitter.
 
-    x is of order at most 1, and the axis is built on its coefficients,
-    the order-1 value-gradient array (1 + n, ambient, B), by
+    On de Sitter, x is of order at most 1, and the axis is built on its
+    order-1 value-gradient array (1 + n, ambient, B) by
     `taylor.product_rule`.
     """
-    if x.ctx.order > 1:
-        raise TypeError(f"the time axis of a series of order {x.ctx.order}, not 0 or 1")
     if model.kind != "desitter":
         c = np.zeros(x.c.shape)
         c[0, 0] = 1.0
-    else:
-        c = taylor.product_rule(x.c[:, :1], x.c)
-        c[0, 0] += 1.0
-    return Series(x.ctx, c, x.shape)
+        return Series(x.ctx, c, x.shape)
+    if x.ctx.order > 1:  # the order-1 rule would drop its higher slots
+        raise TypeError(f"the time axis of a series of order {x.ctx.order}, not 0 or 1")
+    c = x.value_gradient
+    axis = taylor.product_rule(c[:, :1], c)
+    axis[0, 0] += 1.0
+    return Series(x.ctx, axis, x.shape)
 
 
 def fiber_constraint(model: AmbientModel, x):

@@ -30,7 +30,8 @@ Horner's scheme in x - x0, one convolution per order, but of a chart
 coordinate x_i its Taylor coefficients are placed in the slots of the
 powers of x_i, with no product (Griewank and Walther, Evaluating
 Derivatives, ch. 13).  At order 1 a coefficient array is a value and its
-gradient, and `product_rule`, `compose_rule` and `reciprocal_rule` give
+gradient (`Series.value_gradient`, the prefix of any Series), and
+`product_rule`, `compose_rule` and `reciprocal_rule` give
 on such arrays what the convolution and Horner's scheme give, bit for
 bit, with no table: the connection, the null frame and the split map's
 jacobian use them.  Derivative tables of the primitives are numpy
@@ -389,10 +390,10 @@ def fold(terms: np.ndarray, axis: int) -> np.ndarray:
 
 
 def product_rule(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product of two coefficient arrays of order at most 1, (1+n, ...)
-    whose trailing axes broadcast: value a0 b0 + 0.0 and slot k
-    (a0 b_k + 0.0) + a_k b0, which is what `_product`'s bincount sums at
-    that order, bit for bit, signed zeros and infinities included, and NaN
+    """The product of two order-1 value-gradient arrays (1+n, ...)
+    (`Series.value_gradient`) whose trailing axes broadcast: value
+    a0 b0 + 0.0 and slot k (a0 b_k + 0.0) + a_k b0, which is what
+    `_product`'s bincount sums at that order, bit for bit, signed zeros and infinities included, and NaN
     where it is NaN (numpy's add loops give the sum of two NaNs either
     one's sign, by the length and alignment of their operands)."""
     out = a[:1] * b + 0.0
@@ -499,6 +500,15 @@ class Series:
     def val(self) -> np.ndarray:
         """The array of component values, the batch axis last."""
         return self.c[0]
+
+    @property
+    def value_gradient(self) -> np.ndarray:
+        """The order-1 value-gradient array (1 + n, *shape, B), a view:
+        slot 0 the value and slots 1..n the first partials, in the order of
+        the chart variables, which graded order stores first; of a Series
+        of order 0, the value alone.  `product_rule`, `compose_rule` and
+        `reciprocal_rule` act on it."""
+        return self.c[:1 + self.ctx.n]
 
     def slots(self, index) -> np.ndarray:
         """Coefficients at the slot array `index`, the batch axis first."""

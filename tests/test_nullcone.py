@@ -251,17 +251,27 @@ def test_grad_F_orthogonal_to_cone_tangents():
             assert abs(val) < 1e-9
 
 
-def test_frame_fields_refuse_a_series_above_order_one():
-    # the null gradient and the time axis are built by the order-1 rules on
-    # coefficient arrays, which would drop the second-order slots
+def test_frame_fields_refuse_order_two_only_where_an_order_one_rule_builds_them():
+    # the de Sitter and GRW null gradients and the de Sitter time axis are
+    # built by the order-1 rules on value-gradient arrays, which would drop
+    # the second-order slots; the light cone, the cylinder and the constant
+    # axis are exact at any order
     ctx = tm.get_context(2, 2)
     for spec in ALL_SPECS:
         k = spec.model.coord_count
-        x = tm.Series(ctx, np.ones((ctx.n_terms, k, 1)), (k,))
-        with pytest.raises(TypeError, match="order 2"):
-            nc.null_gradient(spec, x)
-        with pytest.raises(TypeError, match="order 2"):
-            st.time_axis(spec.model, x)
+        x = tm.Series(ctx, np.arange(ctx.n_terms * k, dtype=float).reshape(-1, k, 1), (k,))
+        if spec.variant in ("minkowski_cone", "cylinder"):
+            grad = nc.null_gradient(spec, x)
+            assert grad.ctx is ctx and np.array_equal(grad.c[:, :-1], x.c[:, :-1])
+        else:
+            with pytest.raises(TypeError, match="order 2"):
+                nc.null_gradient(spec, x)
+        if spec.model.kind == "desitter":
+            with pytest.raises(TypeError, match="order 2"):
+                st.time_axis(spec.model, x)
+        else:
+            axis = st.time_axis(spec.model, x)
+            assert axis.ctx is ctx and axis.c[0, 0, 0] == 1.0 and np.count_nonzero(axis.c) == 1
 
 
 def test_grad_F_series_matches_float_path():

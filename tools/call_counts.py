@@ -81,8 +81,6 @@ KINDS = ("python", "c", "primitive")
 # the samples of the pointwise workload's checks
 FACTORIZATION_SAMPLES = 6
 CURVATURE_SAMPLES = 5
-# the seed of the `suite` operation's run
-SUITE_SEED = 0
 
 
 def _stage_codes() -> dict:
@@ -152,7 +150,7 @@ def stage_counts(scene, points) -> dict:
 
 
 def _suite(config):
-    cli.emit_json(cli.run(config, seed=SUITE_SEED))
+    cli.emit_json(cli.run(config, seed=0))
 
 
 def operation_counts(scene, points, pool, config) -> dict:
