@@ -11,7 +11,8 @@ numeric local inverse, and checks the curvature identities relating a
 metric to its conformal rescalings.
 
 Every routine reads psi as the one vector Series of `Immersion.series`
-and `ChartGeometry.position`.  The pullback identity reads an evaluated
+and `ChartGeometry.position`, the split map's jacobian as its order-1
+array (`Series.value_gradient`).  The pullback identity reads an evaluated
 chart geometry of a batch, and flags the columns whose image leaves the
 model space instead of raising for them; it is the one check of the
 conformal factor.  Each sample check
@@ -42,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import taylor
-from .immersion import FRAME_ORDER, ChartGeometry, Immersion, chart_geometry
+from .immersion import ChartGeometry, Immersion, chart_geometry
 from .nullcone import EmbeddingRangeError
 # the module's one binding of the quadrature entry point: every integral
 # here goes through this name, which perfbench's tracer wraps to count
@@ -196,11 +197,11 @@ def _legs(spec: ConformalMapSpec, im: Immersion, starts, axes, lo, hi, what) -> 
     def integrand(j, s):
         points, rows = starts[j], np.arange(len(j))
         points[rows, axes[j]] = s
-        psi = im.series(points, 1, check_membership=False)
-        denom = _denominator(spec, im, psi.val)
+        psi = im.series(points, 1, check_membership=False).value_gradient
+        denom = _denominator(spec, im, psi[0])
         _reject_floored(denom, lambda at: (
             f"split-map denominator {at(denom):.3e} vanishes near {format_point(at(points))}"))
-        return psi.c[psi.ctx.first[axes[j]], -1, rows] / denom
+        return psi[1 + axes[j], -1, rows] / denom
 
     vals, errs = quad(integrand, lo, hi)
     taylor.reject(
@@ -302,24 +303,24 @@ def _map_values(spec, im, x, psi) -> np.ndarray:
 
 def _map_jacobian(spec, im, psi) -> np.ndarray:
     """d(split map) rows per model component, columns per chart axis, the
-    batch axis first.
+    batch axis first, of psi's order-1 value-gradient array (1 + n,
+    ambient, B).
 
-    The quotient rule on the order-1 value-gradient arrays of psi and of
-    its denominator (`Series.value_gradient`): psi / denom is
-    psi * (1 / denom), by `taylor.reciprocal_rule` and
-    `taylor.product_rule`, whose slot k is the partial along x_k.  The
-    primitive's differential is dg = dw/u exactly, so no quadrature enters
-    the jacobian.
+    The quotient rule: psi / denom is psi * (1 / denom), by
+    `taylor.reciprocal_rule` and `taylor.product_rule`, whose slot k is
+    the partial along x_k.  The primitive's differential is dg = dw/u
+    exactly, so no quadrature enters the jacobian.
     """
-    denom = _denominator(spec, im, psi)
-    _reject_floored(denom.val, lambda at: f"split-map denominator {at(denom.val):.3e}")
-    _, keep = _split_layout(spec, im)
-    psi1 = psi.value_gradient
-    quotient = taylor.product_rule(psi1[:, keep],
-                                   taylor.reciprocal_rule(denom.value_gradient)[:, None])
+    i, keep = _split_layout(spec, im)
+    denom = psi[:, i]
+    if spec.variant == "desitter_to_Sn":  # R = alpha x1 - beta, beta in the value alone
+        denom = im.target_cone.alpha * denom
+        denom[0] -= im.target_cone.beta
+    _reject_floored(denom[0], lambda at: f"split-map denominator {at(denom[0]):.3e}")
+    quotient = taylor.product_rule(psi[:, keep], taylor.reciprocal_rule(denom)[:, None])
     jac = taylor.batch_first(quotient[1:].swapaxes(0, 1))
     if spec.primitive:
-        dg = taylor.batch_first(psi1[1:, -1]) / denom.val[:, None]
+        dg = taylor.batch_first(psi[1:, -1]) / denom[0][:, None]
         jac = np.concatenate([jac, dg[..., None, :]], axis=-2)
     return jac
 
@@ -336,13 +337,13 @@ def pullback_columns(spec: ConformalMapSpec, geo: ChartGeometry):
     NaN and spd False; nothing is raised for it.
     """
     # the jacobian reads first derivatives only
-    im, psi, g0 = geo.immersion, geo.position.truncate(FRAME_ORDER), geo.g0
-    denom, _, on_model = _model_image(spec, im, psi)
+    im, psi, g0 = geo.immersion, geo.position.value_gradient, geo.g0
+    denom, _, on_model = _model_image(spec, im, geo.position)
     deviation = np.full(len(g0), np.nan)
     spd = np.zeros(len(g0), dtype=bool)
     if on_model.any():
         if not on_model.all():  # the jacobian divides: keep the columns on the model
-            psi = psi.columns(on_model)
+            psi = psi[..., on_model]
         jac = _map_jacobian(spec, im, psi)
         signs = np.ones(jac.shape[-2])
         if spec.hyperbolic:
@@ -389,7 +390,7 @@ _TRIAL_REFUSALS = (DomainError, EmbeddingRangeError, DegeneracyError)
 
 
 def _inverse_residuals(spec, im, points, targets):
-    """(order-1 psi coefficients (S, ambient, terms), residuals (S, m),
+    """(psi's value-gradient arrays (S, ambient, 1 + n), residuals (S, m),
     {sample: typed error}) of a stack of points (S, n) against targets
     (S, m), evaluated as one batch; a refused point has NaN rows."""
     coeffs = np.full((len(points), im.model.coord_count, points.shape[1] + 1), np.nan)
@@ -398,7 +399,7 @@ def _inverse_residuals(spec, im, points, targets):
     def residuals(ks):
         psi = im.series(points[ks], 1, check_membership=False)
         r[ks] = _map_values(spec, im, points[ks], psi) - targets[ks]
-        coeffs[ks] = psi.c.T
+        coeffs[ks] = psi.value_gradient.T
         return ks
 
     out = taylor.column_results(residuals, np.arange(len(points)))
@@ -430,10 +431,10 @@ def _steps(jac, r) -> np.ndarray:
 def _descend(spec, im, targets, xs, coeffs, r, errors, tol=_INVERSE_TOL,
              max_iter=_INVERSE_MAX_ITER):
     """The local inverses of the split map at the stacked targets (S, m),
-    from the seeds xs (S, n), changed in place, whose order-1 psi
-    coefficients, residuals and typed errors are as `_inverse_residuals`
-    gives them: (the recovered points, the psi coefficients of each at its
-    last accepted step).
+    from the seeds xs (S, n), changed in place, whose psi value-gradient
+    arrays, residuals and typed errors are as `_inverse_residuals` gives
+    them: (the recovered points, the psi arrays of each at its last
+    accepted step).
 
     Damped Gauss-Newton on the forward map, overdetermined by the model
     constraint: each step solves the normal equations (J^T J) s = J^T r.
@@ -442,8 +443,6 @@ def _descend(spec, im, targets, xs, coeffs, r, errors, tol=_INVERSE_TOL,
     batch; norms, damping and iteration limits are per sample, so every
     sample takes the steps it takes alone, and the stack raises the error
     of its first failing sample."""
-    ctx = taylor.get_context(xs.shape[1], 1)
-
     def unconverged():
         # a sample after a failed one cannot change what is raised
         first = min(errors, default=len(xs))
@@ -456,7 +455,7 @@ def _descend(spec, im, targets, xs, coeffs, r, errors, tol=_INVERSE_TOL,
         active = unconverged()
         if not len(active):
             break
-        jac = _map_jacobian(spec, im, Series(ctx, coeffs[active].T, coeffs.shape[1:2]))
+        jac = _map_jacobian(spec, im, coeffs[active].T)
         steps = _steps(jac, r[active])
         finite = np.isfinite(steps).all(axis=-1)
         fail(active[~finite], lambda k: f"no finite step at {format_point(xs[k])}")
@@ -508,9 +507,9 @@ def _round_trip(spec, im, x, psi_at) -> float:
     held = np.empty((len(x), im.model.coord_count, x.shape[1] + 1))
 
     def image(ks):
-        psi = psi_at(ks).truncate(FRAME_ORDER)
+        psi = psi_at(ks)
         targets[ks] = _map_values(spec, im, x[ks], psi)
-        held[ks] = psi.c.T
+        held[ks] = psi.value_gradient.T
 
     images = taylor.Kept(len(x))
     images.run(image, np.arange(len(x)))

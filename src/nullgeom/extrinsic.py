@@ -1,18 +1,18 @@
 """Null frames, shape operators, expansions and trapped-ness classification.
 
 A batch of chart points runs through plain stage functions, in this
-order, each taking the `ChartGeometry` and the arrays or Series of
-the stages before it:
+order, each taking the `ChartGeometry` and the arrays of the stages
+before it:
 
 1. `height`: the cone height u = psi^0, its gradient and its Hessian;
-2. `null_frame`: xi and the normal part N of the time axis at order 1
-   (`FRAME_ORDER`), whose first derivatives, all the Weingarten maps read,
-   are exact: order-1 value-gradient arrays (1 + n, ambient, B), the value
-   and the n first partials, built from those of psi, d psi, f and the
-   inverse metric by `taylor.product_rule` and `taylor.fold` with no Series
-   product, and handed on wrapped as vector Series; as values only,
-   nu = N / s with s = sqrt(-<N, N>), and eta = a xi + (b/s) N with
-   c = <xi, nu>, a = -1/(2c^2) and b = -1/c;
+2. `null_frame`: xi and the normal part N of the time axis at order 1,
+   whose first derivatives, all the Weingarten maps read, are exact:
+   order-1 value-gradient arrays (1 + n, ambient, B), the value and the n
+   first partials, built from those of psi, d psi, f and the inverse metric
+   (`Series.value_gradient`) by `taylor.product_rule`, the primitives'
+   order-1 rules and `taylor.fold` with no Series product, and handed on as
+   those arrays; as values only, nu = N / s with s = sqrt(-<N, N>), and
+   eta = a xi + (b/s) N with c = <xi, nu>, a = -1/(2c^2) and b = -1/c;
 3. `weingarten_map` of xi and N.  A shape operator is linear over
    functions in its normal field, so A_eta = a A_xi + (b/s) A_N;
 4. `second_fundamental_form` and `expansions`: theta_xi, theta_eta, the
@@ -20,9 +20,9 @@ the stages before it:
 
 `ExtrinsicPoint` runs them once over a batch and keeps the results;
 `point_report` is the one-point facade, a batch of one.  Every Series
-carries one column per point and every array a leading batch axis;
-vectors keep their ambient components last, as `spacetime.ambient_inner`
-reads them.
+and value-gradient array carries one column per point on its last axis,
+and every other array a leading batch axis; vectors keep their ambient
+components last, as `spacetime.ambient_inner` reads them.
 
 Conventions are the general-relativity ones throughout: the Gauss formula
 reads nabla^amb_X Y = nabla_X Y - II(X, Y) and the Weingarten map is
@@ -50,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nullcone, spacetime, taylor
-from .immersion import FRAME_ORDER, ChartGeometry, Immersion, chart_geometry
-from .taylor import Series, format_point
+from .immersion import ChartGeometry, Immersion, chart_geometry
+from .taylor import format_point
 
 MARGINAL_EPS = 1e-7
 
@@ -157,22 +157,20 @@ def _table_refusals(v, r, w) -> tuple:
 
 
 def null_frame(geo: ChartGeometry):
-    """xi, the time axis and its normal part N as vector Series of order 1,
-    nu = N / s and eta as values, batch first, and eta's coefficients a and
-    b/s on xi and N; xi is the cone's null gradient, future-normalized.
-    The three Series wrap order-1 value-gradient arrays (1 + n, ambient, B),
-    built from those of the position psi, d psi, f and the inverse metric
-    (`Series.value_gradient`) by `taylor.product_rule` and
+    """xi, the time axis and its normal part N as order-1 value-gradient
+    arrays (1 + n, ambient, B), nu = N / s and eta as values, batch first,
+    and eta's coefficients a and b/s on xi and N; xi is the cone's null
+    gradient, future-normalized.  The arrays are built from those of the
+    position psi, d psi, f and the inverse metric (`Series.value_gradient`)
+    by `taylor.product_rule`, the primitives' order-1 rules and
     `taylor.fold`, with no Series product (`nullcone.null_gradient`,
     `spacetime.time_axis`).  Raises `FrameDegeneracyError` where N is not
     timelike, or else unless c = <xi, nu> < 0, i.e. unless xi and nu share
     a time orientation."""
     model, cone = geo.immersion.model, geo.immersion.target_cone
-    x = geo.position.truncate(FRAME_ORDER)
     dpsi = geo.dpsi.value_gradient
-    f = None if geo.f is None else geo.f.truncate(FRAME_ORDER)
     f2 = None if geo.f2 is None else geo.f2.val  # only <., .> reads it, by value
-    axis = spacetime.time_axis(model, x).value_gradient
+    axis = spacetime.time_axis(model, geo.position)
     if model.kind == "desitter":
         # [., j] = <axis, d_j psi>, de Sitter being unwarped: the signed sum
         # over the components, left to right
@@ -181,11 +179,10 @@ def null_frame(geo: ChartGeometry):
         # the constant axis (1, 0, ..., 0), so <axis, d_j psi> = -d_j psi^0; 0 - c
         # gives what the ambient product gives, signs of zeros included
         proj = 0.0 - dpsi[:, :, 0]
-    # [., i] = g^ij <axis, d_j psi>; N = axis - [., i] d_i psi.  No product
-    # is -0.0, so the Series sum's start 0.0 would change no bit
+    # [., i] = g^ij <axis, d_j psi>; N = axis - [., i] d_i psi
     coeff = taylor.fold(taylor.product_rule(geo.g_inv_series.value_gradient, proj[:, None]), 2)
     normal = axis - taylor.fold(taylor.product_rule(coeff[:, :, None], dpsi), 1)
-    xi = nullcone.null_gradient(cone, x, f, geo.cone_time).value_gradient
+    xi = nullcone.null_gradient(cone, geo.position, geo.f, geo.cone_time)
     if cone.variant == "desitter_alpha":
         # future-normalize on the R > 0 component of a de Sitter section;
         # scaling by -1 or 1 is negation or a copy, bit for bit
@@ -216,22 +213,21 @@ def null_frame(geo: ChartGeometry):
     a = (0.0 + 1.0 / w) * -1.0
     b = (0.0 + 1.0 / c) * -1.0
     eta = (a * xi[0] + 0.0) + (b * nu + 0.0)
-    return (Series(x.ctx, xi, x.shape), Series(x.ctx, axis, x.shape),
-            Series(x.ctx, normal, x.shape), taylor.batch_first(nu), taylor.batch_first(eta),
-            a, b * inv_s)
+    return xi, axis, normal, taylor.batch_first(nu), taylor.batch_first(eta), a, b * inv_s
 
 
-def _directional(geo: ChartGeometry, field: Series, df) -> np.ndarray:
+def _directional(geo: ChartGeometry, field: np.ndarray, df) -> np.ndarray:
     """Components of nabla^amb_{d_j psi} N, modulo quadric normals, [..., j, :]."""
     model = geo.immersion.model
-    n0 = taylor.batch_first(field.val)
+    n0 = taylor.batch_first(field[0])
     # [j, a] = d_j N^a
-    d = taylor.batch_first(field.c[field.ctx.first])
+    d = taylor.batch_first(field[1:])
     return d + spacetime.warped_connection_term(model, df, geo.tangents, n0[:, None, :])
 
 
-def weingarten_map(geo: ChartGeometry, field: Series, f2, df) -> np.ndarray:
-    """Numeric Weingarten map (A^i_j, chart basis) of a normal field's Series.
+def weingarten_map(geo: ChartGeometry, field: np.ndarray, f2, df) -> np.ndarray:
+    """Numeric Weingarten map (A^i_j, chart basis) of a normal field's
+    order-1 value-gradient array (1 + n, ambient, B).
 
     f2 and df are the fiber scale and (f, f') at the float point (see
     `spacetime.ambient_inner` and `spacetime.warped_connection_term`).
@@ -280,7 +276,8 @@ class ExtrinsicPoint:
     `null_frame`, the xi and N `weingarten_map`s, from which the eta map
     follows, `second_fundamental_form` and `expansions`, and keeps every
     result as a plain attribute, an array with a leading batch axis; xi, the
-    time axis and N keep their Series as well.
+    time axis and N keep their order-1 value-gradient arrays (1 + n,
+    ambient, B) as well, `xi_jet`, `time_axis_jet` and `time_orthogonal_jet`.
     """
 
     def __init__(self, geo: ChartGeometry):
@@ -295,17 +292,17 @@ class ExtrinsicPoint:
         self.u, self.du, self.grad_u, self.grad_u_sq, hess = height(geo)
         self.laplacian_u = np.einsum("...ij,...ij->...", geo.g_inv0, hess)
         self.hess_u_mixed = geo.g_inv0 @ hess  # g^{ik} Hess_kj
-        (self.xi_series, self.time_axis_series, self.time_orthogonal_series, self.nu,
+        (self.xi_jet, self.time_axis_jet, self.time_orthogonal_jet, self.nu,
          self.eta, a, b_s) = null_frame(geo)
-        self.xi = taylor.batch_first(self.xi_series.val)
+        self.xi = taylor.batch_first(self.xi_jet[0])
         # the float point's warping factors, apart from the Series ones of
         # geo.f2, from one evaluation: (f, f') enter the connection, f^2
         # scales the metric
         self.df = model.warping.derivatives(geo.psi0[:, 0], 1) if model.warped else None
         self.f2 = None if self.df is None else self.df[0] * self.df[0]
         self.warping_ratio = np.zeros_like(self.u) if self.df is None else self.df[1] / self.df[0]
-        a_xi = weingarten_map(geo, self.xi_series, self.f2, self.df)
-        a_n = weingarten_map(geo, self.time_orthogonal_series, self.f2, self.df)
+        a_xi = weingarten_map(geo, self.xi_jet, self.f2, self.df)
+        a_n = weingarten_map(geo, self.time_orthogonal_jet, self.f2, self.df)
         # A_eta = a A_xi + (b/s) A_N, linear over functions in the normal
         self.shape_maps = {"xi": a_xi, "time_orthogonal": a_n,
                            "eta": a[:, None, None] * a_xi + b_s[:, None, None] * a_n}
@@ -323,7 +320,7 @@ class ExtrinsicPoint:
         pairing is one `spacetime.ambient_inner` of stacked vectors, and the
         deviations are taken in that order by `taylor.column_max`.
         """
-        n, t = self.n, taylor.batch_first(self.time_axis_series.val)
+        n, t = self.n, taylor.batch_first(self.time_axis_jet[0])
         # [., k] = xi, eta, nu, the time axis, d_0 psi, ..., d_{n-1} psi
         vectors = np.concatenate((np.stack((self.xi, self.eta, self.nu, t), axis=1),
                                   self.geo.tangents), axis=1)
@@ -395,9 +392,9 @@ class ExtrinsicPoint:
         for all the coordinate fields X = d_j psi at once; computed once,
         for the `product_xi` and the `product_eta` closed forms."""
         model, tangents = self.model, self.geo.tangents
-        r, dr = spacetime.fiber_radial(model, self.geo.psi0.T[1:])
-        dr = np.stack(dr, axis=-1)[:, None, :]
-        rc = spacetime.radial_tangential_factor(model, r)[:, None, None]
+        r, dr = spacetime.fiber_radial(model, self.geo.psi0.T[None, 1:])
+        dr = dr[0].T[:, None, :]
+        rc = spacetime.radial_tangential_factor(model, r[0])[:, None, None]
         xhat = tangents[..., 1:]  # [., j, :], the fiber part of Xhat = X - <X, grad u> dt
         radial = np.sum(model.signature[1:] * xhat * dr, axis=-1)[..., None]
         v = radial * dr + rc * (xhat - radial * dr)

@@ -21,6 +21,7 @@ or conformally rescaled ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
@@ -39,12 +40,15 @@ JET_ORDER = 3
 METRIC_ORDER = 2
 FRAME_ORDER = 1
 
-# induced metrics must be Riemannian; eigenvalues below this are a signature defect
+# induced metrics must be Riemannian; eigenvalues below this are a signature
+# defect, and a condition number above 1/sqrt(eps) leaves no digit (`_metric_checked`)
 _EIG_FLOOR = -1e-12
+COND_MAX = 1.0 / math.sqrt(np.finfo(np.float64).eps)
 
 
 class MetricSignatureError(ValueError):
-    """The induced metric failed the positive-definite eigenvalue test, or is singular."""
+    """The induced metric failed the positive-definite eigenvalue test, or
+    is singular or ill-conditioned."""
 
 
 @dataclass(frozen=True)
@@ -344,15 +348,20 @@ def _gathered(values, indices):
 
 def _metric_checked(geo: Optional[ChartGeometry], kept: taylor.Kept) -> Optional[ChartGeometry]:
     """The geometry of the columns of geo whose induced metric has
-    eigenvalues, the lowest above `_EIG_FLOOR`, an inverse and finite
-    entries, with `g_inv0` set, or None when no column passes (or geo is None); each
-    refused column's error goes to `kept`.  The checks read
-    the eigenvalues and the inverses computed once for every column, and
-    drop the refused columns from them by column selection."""
+    eigenvalues, the lowest above `_EIG_FLOOR`, an inverse, a condition
+    number (the ratio of its extreme eigenvalues) at most `COND_MAX` and
+    finite entries, with `g_inv0` set, or None when no column passes (or
+    geo is None); each refused column's error goes to `kept`.  The checks
+    read the eigenvalues and the inverses computed once for every column,
+    and drop the refused columns from them by column selection.  Rounding
+    leaves g's entries off by eps relative, so its inverse is off by
+    eps cond(g) / lambda_min, eps cond(g)^2 relative to its entries of size
+    1 / lambda_max: past 1/sqrt(eps) they keep no digit, nor do the
+    Christoffel symbols, the null frame and the Weingarten maps."""
     if geo is None:
         return None
     eigenvalues, no_eigenvalues = _lapack(_umath_linalg.eigvalsh_lo, geo.g0)
-    lowest = eigenvalues[..., 0]
+    lowest, highest = eigenvalues[..., 0], eigenvalues[..., -1]
     g_inv0, singular = _lapack(_umath_linalg.inv, geo.g0)
     try:
         taylor.reject_first([
@@ -362,6 +371,10 @@ def _metric_checked(geo: Optional[ChartGeometry], kept: taylor.Kept) -> Optional
                 f"(min eigenvalue {at(lowest):.3e})"
             )),
             (singular, geo._defect("is singular")),
+            (highest > COND_MAX * lowest, lambda at: MetricSignatureError(
+                f"induced metric at {format_point(at(geo.x))} is ill-conditioned (eigenvalues "
+                f"{at(lowest):.3e} to {at(highest):.3e}, a ratio above {COND_MAX:.1e})"
+            )),
             (~np.isfinite(geo.g0).all(axis=(-2, -1)), geo._defect("is not finite")),
         ])
     except BatchRejected as err:

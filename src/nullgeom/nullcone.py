@@ -205,39 +205,37 @@ def cone_time(spec: NullconeSpec, t):
     return m.warping.conformal_time(t, m.t0) if spec.variant == "grw_cone" else None
 
 
-def null_gradient(spec: NullconeSpec, x: Series, f: Series = None, phi=None) -> Series:
-    """Half the ambient gradient of F at the points of a batch, one vector
-    Series of the ambient components, from x, their position vector Series
-    of order at most 1, built on its coefficients, the order-1
-    value-gradient array (1 + n, ambient, B), by `taylor.product_rule` and
-    `taylor.compose_rule`.  It is x on the light cone, x with its line
-    component zero on the cylinder, 1/2 (-(x_last - beta x_1) x + beta e_1
-    + e_last) on a de Sitter section and f^-2 (phi f, r Dr) on a GRW cone,
-    with phi the conformal time, entered as its tangent line
+def null_gradient(spec: NullconeSpec, x: Series, f: Series = None, phi=None) -> np.ndarray:
+    """Half the ambient gradient of F at the points of a batch, as the
+    order-1 value-gradient array (1 + n, ambient, B) of its ambient
+    components, from x, their position vector Series, read through
+    `Series.value_gradient` whatever its order, by `taylor.product_rule`
+    and the primitives' order-1 rules.  It is x on the light cone, x with
+    its line component zero on the cylinder, 1/2 (-(x_last - beta x_1) x +
+    beta e_1 + e_last) on a de Sitter section and f^-2 (phi f, r Dr) on a
+    GRW cone, with phi the conformal time, entered as its tangent line
     phi(t0) + (t - t0) / f(t0) at each point's time t0, and r Dr the fiber
-    distance times its unit radial field (`fiber_radial`, Series on a
-    curved fiber), on a Euclidean fiber the fiber part of x: one
-    reciprocal (`taylor.reciprocal_rule`) and no sqrt.  `f` is the warping
-    profile and `phi` the conformal time (`cone_time`) at x's time when the
-    caller already holds them (the chart geometry does).
+    distance times its unit radial field (`fiber_radial`), on a Euclidean
+    fiber the fiber part of x, with one reciprocal
+    (`taylor.reciprocal_rule`) and no sqrt.  `f` is the warping profile and
+    `phi` the conformal time (`cone_time`) at x's time when the caller
+    already holds them (the chart geometry does).
     """
     m = spec.model
     if x.shape != (m.coord_count,):
         raise ValueError("point dimension does not match the model")
-    if spec.variant == "minkowski_cone":
-        return x
-    if spec.variant == "cylinder":
-        c = x.c.copy()
-        c[:, -1] = x.c[:, 0] * 0.0
-        return Series(x.ctx, c, x.shape)
-    if x.ctx.order > 1:  # the order-1 rules below would drop its higher slots
-        raise TypeError(f"the null gradient of a series of order {x.ctx.order}, not 0 or 1")
     c = x.value_gradient
+    if spec.variant == "minkowski_cone":
+        return c
+    if spec.variant == "cylinder":
+        v = c.copy()
+        v[:, -1] = c[:, 0] * 0.0
+        return v
     if spec.variant == "desitter_alpha":
         v = taylor.product_rule(-(c[:, -1:] - c[:, :1] * spec.beta), c)
         v[0, 0] += spec.beta
         v[0, -1] += 1.0
-        return Series(x.ctx, v * 0.5, x.shape)
+        return v * 0.5
     t = c[:, 0]
     phi = cone_time(spec, t[0]) if phi is None else phi
     taylor.reject(
@@ -252,12 +250,12 @@ def null_gradient(spec: NullconeSpec, x: Series, f: Series = None, phi=None) -> 
         v[:, 0] = phi_f
     else:
         try:
-            r, dr = fiber_radial(m, [x[k] for k in range(1, m.coord_count)])
+            r, dr = fiber_radial(m, c[:, 1:])
         except BatchRejected as err:
             raise BatchRejected({b: _reject_radial(e) for b, e in err.errors.items()}) from None
-        v = Series.stack([Series(x.ctx, phi_f)] + [r * d for d in dr], x.ctx, x.batch).c
+        v = np.concatenate((phi_f[:, None], taylor.product_rule(r[:, None], dr)), axis=1)
     inverse = taylor.reciprocal_rule(taylor.product_rule(f, f))
-    return Series(x.ctx, taylor.product_rule(inverse[:, None], v), x.shape)
+    return taylor.product_rule(inverse[:, None], v)
 
 
 def require_on_cone(spec: NullconeSpec, p, phi=None):

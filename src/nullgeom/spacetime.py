@@ -354,34 +354,30 @@ def warped_connection_term(model: AmbientModel, df, a, b):
     return out
 
 
-def time_axis(model: AmbientModel, x: Series) -> Series:
-    """The future timelike reference field at the points of a batch, a
-    vector Series of the ambient components, from x, their position vector.
+def time_axis(model: AmbientModel, x: Series) -> np.ndarray:
+    """The future timelike reference field at the points of a batch, as the
+    order-1 value-gradient array (1 + n, ambient, B) of its ambient
+    components, from x, their position vector Series, read through
+    `Series.value_gradient` whatever its order.
 
     The coordinate time axis (1, 0, ..., 0) for the flat and cosmological
     kinds.  On the de Sitter quadric, ch = sqrt(1 + x_1^2) times the
     pushforward of the warped-product unit time axis: the polynomial field
-    (1 + x_1^2, x_1 x_2, ..., x_1 x_last) = x_1 x + e_1, one product and no
-    sqrt.  A positive multiple is all the null frame needs: it reads the
-    axis through its normal part N, whose factor cancels in nu = N / s and
-    in (b/s) A_N, the frame residual reads only the sign of <nu, axis>, and
-    the `time_orthogonal` closed form, which would see the factor, does not
-    apply on de Sitter.
-
-    On de Sitter, x is of order at most 1, and the axis is built on its
-    order-1 value-gradient array (1 + n, ambient, B) by
-    `taylor.product_rule`.
+    (1 + x_1^2, x_1 x_2, ..., x_1 x_last) = x_1 x + e_1, one
+    `taylor.product_rule` and no sqrt.  A positive multiple is all the null
+    frame needs: it reads the axis through its normal part N, whose factor
+    cancels in nu = N / s and in (b/s) A_N, the frame residual reads only
+    the sign of <nu, axis>, and the `time_orthogonal` closed form, which
+    would see the factor, does not apply on de Sitter.
     """
-    if model.kind != "desitter":
-        c = np.zeros(x.c.shape)
-        c[0, 0] = 1.0
-        return Series(x.ctx, c, x.shape)
-    if x.ctx.order > 1:  # the order-1 rule would drop its higher slots
-        raise TypeError(f"the time axis of a series of order {x.ctx.order}, not 0 or 1")
     c = x.value_gradient
+    if model.kind != "desitter":
+        axis = np.zeros(c.shape)
+        axis[0, 0] = 1.0
+        return axis
     axis = taylor.product_rule(c[:, :1], c)
     axis[0, 0] += 1.0
-    return Series(x.ctx, axis, x.shape)
+    return axis
 
 
 def fiber_constraint(model: AmbientModel, x):
@@ -416,24 +412,24 @@ def fiber_radius_sq(model: AmbientModel, x):
 def fiber_radial(model: AmbientModel, x):
     """(r, Dr): distance from the fiber base point and the unit radial field.
 
-    Components follow the fiber embedding coordinates.  Raises the usual
-    primitive domain errors at the base point, the antipode, and beyond.
+    x is the value-gradient array (1 + n, k, B) of a batch's fiber
+    embedding coordinates, or their values alone (1, k, B); r (1 + n, B)
+    and Dr (1 + n, k, B) are of the same order, by the primitives' order-1
+    rules and `taylor.product_rule`.  Raises the primitives' domain errors
+    at the base point, the antipode, and beyond.
     """
     kind = model.fiber_kind
     if kind == "euclidean":
-        r = taylor.sqrt(taylor.norm_sq(x))
-        rinv = 1.0 / r
-        return r, [rinv * a for a in x]
-    c = x[0]
-    if kind == "sphere":
-        r = taylor.arccos(c)
-        s = taylor.sqrt(1.0 - c * c)
-        ratio = c / s
-        return r, [-s] + [ratio * a for a in x[1:]]
-    r = taylor.arccosh(c)
-    s = taylor.sqrt(c * c - 1.0)
-    ratio = c / s
-    return r, [s] + [ratio * a for a in x[1:]]
+        r = taylor.sqrt.rule(taylor.fold(taylor.product_rule(x, x), 1))
+        return r, taylor.product_rule(taylor.reciprocal_rule(r)[:, None], x)
+    c, sign = x[:, 0], -1.0 if kind == "sphere" else 1.0
+    r = (taylor.arccos if kind == "sphere" else taylor.arccosh).rule(c)
+    s2 = sign * taylor.product_rule(c, c)
+    s2[0] -= sign  # 1 - c^2 on the sphere, c^2 - 1 on the hyperboloid
+    s = taylor.sqrt.rule(s2)
+    ratio = taylor.product_rule(c, taylor.reciprocal_rule(s))
+    rest = taylor.product_rule(ratio[:, None], x[:, 1:])
+    return r, np.concatenate(((sign * s)[:, None], rest), axis=1)
 
 
 def radial_tangential_factor(model: AmbientModel, r):

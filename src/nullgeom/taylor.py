@@ -31,14 +31,15 @@ coordinate x_i its Taylor coefficients are placed in the slots of the
 powers of x_i, with no product (Griewank and Walther, Evaluating
 Derivatives, ch. 13).  At order 1 a coefficient array is a value and its
 gradient (`Series.value_gradient`, the prefix of any Series), and
-`product_rule`, `compose_rule` and `reciprocal_rule` give
-on such arrays what the convolution and Horner's scheme give, bit for
-bit, with no table: the connection, the null frame and the split map's
-jacobian use them.  Derivative tables of the primitives are numpy
-expressions on the (B,) values, the expression of a plain float too, so
-that the two agree bit for bit; a float overflow there, a domain error
-(the sine of an infinity), or a division by a power that underflowed to
-zero is a domain error of the primitive.  The engine
+`product_rule`, `compose_rule` and each primitive's order-1 `rule`
+(`reciprocal_rule` the reciprocal's) give on such arrays what the
+convolution and Horner's scheme give, bit for bit, with no table: the
+connection, the null frame and the split map's jacobian use them, and
+hand their results on as such arrays.  Derivative tables of the
+primitives are numpy expressions on the (B,) values, the expression of a
+plain float too, so that the two agree bit for bit; a float overflow
+there, a domain error (the sine of an infinity), or a division by a power
+that underflowed to zero is a domain error of the primitive.  The engine
 computes under `float_edges`, numpy's error state that lets inf and NaN
 through without a warning, entered by the outermost public call; every
 such value ends as a typed rejection.
@@ -411,15 +412,6 @@ def compose_rule(a: np.ndarray, table) -> np.ndarray:
     return out
 
 
-@float_edges
-def reciprocal_rule(a: np.ndarray) -> np.ndarray:
-    """1 / a of a scalar coefficient array a (1+n, B) of order at most 1,
-    as the reciprocal primitive composes a Series: refused where its
-    derivative table is not finite (`_checked`), then `compose_rule`."""
-    v = a[0]
-    return compose_rule(a, _checked("reciprocal", v, _reciprocal_table(v)))
-
-
 class Series:
     """A truncated Taylor expansion in the chart variables over a batch of
     B chart points: one scalar quantity, or a vector or matrix of them along
@@ -507,7 +499,7 @@ class Series:
         slot 0 the value and slots 1..n the first partials, in the order of
         the chart variables, which graded order stores first; of a Series
         of order 0, the value alone.  `product_rule`, `compose_rule` and
-        `reciprocal_rule` act on it."""
+        the primitives' order-1 `rule`s act on it."""
         return self.c[:1 + self.ctx.n]
 
     def slots(self, index) -> np.ndarray:
@@ -525,27 +517,16 @@ class Series:
             key = key + (slice(None),)
         return self._with(self.c[(slice(None),) + key])
 
-    def transpose(self, *axes) -> "Series":
-        """The component axes permuted as numpy's `transpose` does."""
-        k = len(self.shape)
-        order = (0,) + tuple(1 + a for a in axes) + tuple(range(1 + k, self.c.ndim))
-        return self._with(self.c.transpose(order))
-
-    def sum(self, axis: int = -1, start=None, signs=None) -> "Series":
-        """The sum over one component axis, left to right (`fold`).  A
-        float `start` is added to its value last, which for a start of 0.0
-        gives what Python's `sum` gives adding it first (a -0.0 value turned
-        +0.0).  With `signs`, one +1 or -1 per entry of the axis, an entry of
-        sign -1 is subtracted (the first one negated), as `acc - c` and `-c`
-        give it: negation is exact, so acc + -c is acc - c."""
+    def sum(self, axis: int = -1, signs=None) -> "Series":
+        """The sum over one component axis, left to right (`fold`).  With
+        `signs`, one +1 or -1 per entry of the axis, an entry of sign -1 is
+        subtracted (the first one negated), as `acc - c` and `-c` give it:
+        negation is exact, so acc + -c is acc - c."""
         axis %= len(self.shape)
         c = self.c
         if signs is not None:
             c = c * np.array(signs).reshape((-1,) + (1,) * (c.ndim - 2 - axis))
-        acc = fold(c, 1 + axis)
-        if start is not None:
-            acc[0] = acc[0] + start
-        return self._with(acc)
+        return self._with(fold(c, 1 + axis))
 
     def columns(self, index) -> "Series":
         """The Series of the columns `index` of the batch."""
@@ -767,7 +748,15 @@ def _unary(name: str, ufunc, table_fn, domain_ok=lambda v: True):
     """The primitive `name`: the composition with `table_fn`'s derivative
     table of a Series, not finite outside `domain_ok`, and the numpy `ufunc`
     of a (B,) array or of a plain float (a constant subexpression of a map
-    or a profile, such as sqrt(3)/2)."""
+    or a profile, such as sqrt(3)/2).  Its `rule` is the composition of a
+    scalar value-gradient array (1+n, B) of order at most 1: refused where
+    the table is not finite (`_checked`), as the Series is, then
+    `compose_rule`, bit for bit the Series' coefficients."""
+
+    @float_edges
+    def rule(a):
+        v = a[0]
+        return compose_rule(a, _checked(name, v, table_fn(v)))
 
     @float_edges
     def fn(x):
@@ -784,6 +773,7 @@ def _unary(name: str, ufunc, table_fn, domain_ok=lambda v: True):
 
     fn.__name__ = name
     fn.__qualname__ = name
+    fn.rule = rule
     return fn
 
 
@@ -900,6 +890,7 @@ arccosh = _unary("arccosh", np.arccosh, _arccosh_table, lambda v: v > 1.0)
 arctanh = _unary("arctanh", np.arctanh, _arctanh_table, lambda v: abs(v) < 1.0)
 sqrt = _unary("sqrt", np.sqrt, _sqrt_table, lambda v: v > 0.0)
 _reciprocal = _unary("reciprocal", np.reciprocal, _reciprocal_table, lambda v: v != 0.0)
+reciprocal_rule = _reciprocal.rule
 
 
 def dot(u: Sequence, v: Sequence):

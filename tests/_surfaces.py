@@ -64,6 +64,7 @@ __all__ = [
     "entry_pullback",
     "entry_g_inv",
     "entry_christoffel",
+    "entry_fiber_radial",
     "entry_null_gradient",
     "entry_time_axis",
     "entry_null_frame",
@@ -261,9 +262,9 @@ def normal_connection_residual(pt):
     ratio = pt.warping_ratio[0]
     f2 = None if pt.f2 is None else pt.f2[0]
     xi0, eta0 = pt.xi[0], pt.eta[0]
-    n0 = tm.batch_first(pt.time_orthogonal_series.val)[0]
+    n0 = tm.batch_first(pt.time_orthogonal_jet[0])[0]
     worst = 0.0
-    for j, dn in enumerate(ext._directional(pt.geo, pt.time_orthogonal_series, pt.df)):
+    for j, dn in enumerate(ext._directional(pt.geo, pt.time_orthogonal_jet, pt.df)):
         a = -st.ambient_inner(model, f2, dn[0], eta0)
         b = -st.ambient_inner(model, f2, dn[0], xi0)
         lhs = a * xi0 + b * eta0
@@ -487,7 +488,7 @@ def local_inverse_alone(spec, im, target, seed, tol=1e-12, max_iter=60,
     for _ in range(max_iter):
         if np.max(np.abs(r)) < tol:
             return x
-        (jac,) = cf._map_jacobian(spec, im, psi)
+        (jac,) = cf._map_jacobian(spec, im, psi.value_gradient)
         step = step_alone(jac, r)
         if not np.isfinite(step).all():
             raise cf.InverseError(f"no finite step at {tm.format_point(x)}")
@@ -630,6 +631,28 @@ def entry_christoffel(g, ginv, order=imm.FRAME_ORDER):
     return gamma
 
 
+def entry_fiber_radial(model, x):
+    """(r, Dr), the distance from the fiber base point and the unit radial
+    field as a component list, of the component list x of the fiber
+    embedding coordinates (scalar Series), one composition or product per
+    component: the oracle of `spacetime.fiber_radial`."""
+    kind = model.fiber_kind
+    if kind == "euclidean":
+        r = tm.sqrt(tm.norm_sq(x))
+        rinv = 1.0 / r
+        return r, [rinv * a for a in x]
+    c = x[0]
+    if kind == "sphere":
+        r = tm.arccos(c)
+        s = tm.sqrt(1.0 - c * c)
+        ratio = c / s
+        return r, [-s] + [ratio * a for a in x[1:]]
+    r = tm.arccosh(c)
+    s = tm.sqrt(c * c - 1.0)
+    ratio = c / s
+    return r, [s] + [ratio * a for a in x[1:]]
+
+
 def entry_null_gradient(cone, psi, f):
     """Half the gradient of F as a component list of Series, one product
     per component: psi on the light cone, psi with its line component zero
@@ -651,7 +674,7 @@ def entry_null_gradient(cone, psi, f):
     if model.fiber_kind == "euclidean":
         radial = psi[1:]
     else:
-        r, dr = st.fiber_radial(model, psi[1:])
+        r, dr = entry_fiber_radial(model, psi[1:])
         radial = [r * d for d in dr]
     inv = 1.0 / (f * f)
     return [inv * (phi * f)] + [inv * x for x in radial]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from nullgeom import cli, conformal, extrinsic, immersion, spacetime, taylor
+from nullgeom import cli, conformal, extrinsic, immersion, nullcone, spacetime, taylor
 from nullgeom.cli import (
     ConfigError,
     DEFAULT_TOLERANCES,
@@ -952,17 +952,19 @@ def refused_chunks() -> dict:
     """Scenes, each with one chunk of points that the pipeline refuses at
     several stages, evaluable points among them, and the error types of
     the refusals.  On mink-h2: a primitive partway through the chart map,
-    and, at coordinates of 1e10, cone membership, the metric's eigenvalue
-    floor and both null-frame checks, which rounding fails there.  On the
-    dense ds-alpha0 grid, its f plus 0.01 sqrt(x1 + 2.4): the domain box,
-    that primitive, and the sphere chart's pole, whose metric is singular."""
+    and, at coordinates of 1e10, cone membership and the metric's
+    eigenvalue floor and condition bound, which rounding fails there; both
+    null-frame checks on the corner points that `frame_refusing` sets
+    apart, as no well-conditioned metric fails them.  On the dense
+    ds-alpha0 grid, its f plus 0.01 sqrt(x1 + 2.4): the domain box, that
+    primitive, and the sphere chart's pole, whose metric is singular."""
     corners = list(itertools.product(np.linspace(-1.5, 1.5, 4), repeat=2))
     h2 = corners[:8] + [
         (1e155, 0.3),  # x0**2 overflows: sqrt refuses the column
         (-1e10, -1e10),  # off the cone
         (-1e10, 0.0),  # not positive definite
-        (-8e9, -1e10),  # the time axis's normal part is not timelike
-        (-6e9, -5e9),  # <xi, nu> = 0
+        (-8e9, -1e10),  # ill-conditioned
+        (-6e9, -5e9),  # ill-conditioned
     ] + corners[8:]
     doc = copy.deepcopy(dense_grid_configs()["ds-alpha0"])
     doc["immersion"]["f"] += " + 0.01*sqrt(x1 + 2.4)"
@@ -978,6 +980,28 @@ def refused_chunks() -> dict:
     }
 
 
+def frame_refusing(monkeypatch):
+    """Make the null frame of mink-h2 refuse points by its own two checks:
+    where the time psi^0 exceeds 2.3 (the four corners of [-1.5, 1.5]^2)
+    the null gradient past-pointing, so that <xi, nu> > 0, and where it lies
+    in (1.8, 1.9) (the eight points with |y|^2 = 2.5) the time axis the
+    spacelike e_1, whose normal part is not timelike at six of them."""
+    real_gradient, real_axis = nullcone.null_gradient, spacetime.time_axis
+
+    def gradient(spec, x, *args):
+        return real_gradient(spec, x, *args) * np.where(x.val[0] > 2.3, -1.0, 1.0)
+
+    def axis(model, x):
+        out = real_axis(model, x)
+        band = (1.8 < x.val[0]) & (x.val[0] < 1.9)
+        out[..., band] = 0.0
+        out[0, 1, band] = 1.0
+        return out
+
+    monkeypatch.setattr(nullcone, "null_gradient", gradient)
+    monkeypatch.setattr(spacetime, "time_axis", axis)
+
+
 @pytest.mark.parametrize("name", sorted(refused_chunks()))
 def test_refusals_at_every_stage_match_points_alone(monkeypatch, name):
     # one chunk refused at several stages gives each point the row, diag
@@ -988,6 +1012,8 @@ def test_refusals_at_every_stage_match_points_alone(monkeypatch, name):
     doc, points, kinds = refused_chunks()[name]
     scene = parse_scene(doc)
     points = np.array(points)
+    if name == "mink-h2":
+        frame_refusing(monkeypatch)
     batches = []
     real = cli._evaluate
 
@@ -995,9 +1021,10 @@ def test_refusals_at_every_stage_match_points_alone(monkeypatch, name):
         batches.append(len(geo.x))
         return real(scene, geo)
 
-    monkeypatch.setattr(cli, "_evaluate", counted)
-    jets = order3_columns(monkeypatch)
-    results = chunk_outcomes(scene, points)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_evaluate", counted)
+        jets = order3_columns(m)
+        results = chunk_outcomes(scene, points)
     refused = [type(r).__name__ for r in results if isinstance(r, Exception)]
     assert set(refused) == kinds
     # the map runs again after the domain box and after the primitive, on
@@ -1009,8 +1036,7 @@ def test_refusals_at_every_stage_match_points_alone(monkeypatch, name):
     frame_refused = refused.count("FrameDegeneracyError")
     kept = len(points) - len(refused)
     assert batches == ([kept + frame_refused, kept] if frame_refused else [kept])
-    assert name != "mink-h2" or batches == [18, 16]
-    monkeypatch.undo()
+    assert name != "mink-h2" or batches == [16, 6]
     for x, got in zip(points, results):
         kind, payload, diag = evaluate_alone(scene, x)
         if kind == "row":

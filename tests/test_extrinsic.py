@@ -118,7 +118,7 @@ def test_frame_identities_across_scenes():
             assert abs(frame_inner(pt, eta, eta)) < 1e-10
             assert abs(frame_inner(pt, xi, eta) + 1.0) < 1e-10
             assert abs(frame_inner(pt, nu, nu) + 1.0) < 1e-10
-            t_axis = tm.batch_first(pt.time_axis_series.val)
+            t_axis = tm.batch_first(pt.time_axis_jet[0])
             assert frame_inner(pt, xi, t_axis) < 0.0
             assert frame_inner(pt, eta, t_axis) < 0.0
             assert frame_inner(pt, nu, t_axis) < 0.0
@@ -176,7 +176,7 @@ def series_frame_residual(pt):
         return st.ambient_inner(pt.model, f2, a, b).val
 
     _, nu, eta, _, _ = entry_frame(pt)
-    xi = pt.xi_series
+    xi, t = (tm.Series(dpsi.ctx, jet, jet.shape[1:-1]) for jet in (pt.xi_jet, pt.time_axis_jet))
     nu, eta = (tm.Series.stack(field, xi.ctx, xi.batch) for field in (nu, eta))
     worst = abs(inner(xi, xi))
     worst = max(worst, abs(inner(eta, eta)))
@@ -185,7 +185,6 @@ def series_frame_residual(pt):
     for field in (xi, eta, nu):
         for j in range(pt.n):
             worst = max(worst, abs(inner(field, dpsi[j])))
-    t = pt.time_axis_series
     if inner(xi, nu) >= 0.0 or inner(eta, nu) >= 0.0 or inner(nu, t) >= 0.0:
         worst = max(worst, 1.0)
     return worst
@@ -269,7 +268,7 @@ def pairwise_frame_residual(pt):
     for field in (xi, eta, nu):
         for i in range(pt.n):
             worst = tm.column_max(worst, abs(inner(field, pt.geo.tangents[..., i, :])))
-    t = tm.batch_first(pt.time_axis_series.val)
+    t = tm.batch_first(pt.time_axis_jet[0])
     flipped = (inner(xi, nu) >= 0.0) | (inner(eta, nu) >= 0.0) | (inner(nu, t) >= 0.0)
     return np.where(flipped, tm.column_max(worst, 1.0), worst)
 
@@ -310,7 +309,8 @@ def test_frame_matches_entry_algebra_bitwise(name, monkeypatch):
     # the null frame built on order-1 value-gradient arrays, batched: xi,
     # the time axis and N are the entry algebra's Series bit for bit and
     # nu and eta its values, on every pool scene, at n = 3 and on curved
-    # fibers, and the stage makes no Series product
+    # fibers, and the stage makes no Series product, a curved fiber's
+    # radial field r Dr included
     im, points = immersion_points(name)
     geo, _ = imm.geometry_columns(im, np.array(points))
     kept = tm.Kept(len(geo.x))
@@ -327,26 +327,27 @@ def test_frame_matches_entry_algebra_bitwise(name, monkeypatch):
 
     monkeypatch.setattr(tm, "_product", counting)
     again = ext.null_frame(pt.geo)
-    assert again[0].c.tobytes() == pt.xi_series.c.tobytes()
-    # a curved fiber's radial field r Dr stays Series arithmetic
-    assert (products == []) == (im.model.kind != "product" or im.model.fiber == "euclidean")
+    assert again[0].tobytes() == pt.xi_jet.tobytes()
+    assert products == []
 
 
 def assert_frame_equal(pt, xi, nu, eta, axis, normal):
-    """The frame of an `ExtrinsicPoint` is the entry algebra's: its vector
-    Series entry by entry, nu and eta by value."""
-    assert_entries_equal(pt.xi_series, xi)
-    assert_entries_equal(pt.time_axis_series, axis)
-    assert_entries_equal(pt.time_orthogonal_series, normal)
+    """The frame of an `ExtrinsicPoint` is the entry algebra's: its
+    value-gradient arrays entry by entry, nu and eta by value."""
+    assert_entries_equal(pt.xi_jet, xi)
+    assert_entries_equal(pt.time_axis_jet, axis)
+    assert_entries_equal(pt.time_orthogonal_jet, normal)
     assert_values_equal(pt.nu, nu)
     assert_values_equal(pt.eta, eta)
 
 
 def assert_entries_equal(series, nested, index=()):
-    """Each entry of a component Series has the bytes of the Series at the
-    same place in nested lists."""
+    """Each entry of a component Series, or of a value-gradient array
+    (1 + n, *components, B), has the bytes of the Series at the same place
+    in nested lists."""
     if isinstance(nested, tm.Series):
-        assert series[index].c.tobytes() == nested.c.tobytes(), index
+        got = series[index].c if isinstance(series, tm.Series) else series[(slice(None), *index)]
+        assert got.tobytes() == nested.c.tobytes(), index
         return
     for k, item in enumerate(nested):
         assert_entries_equal(series, item, index + (k,))
@@ -422,7 +423,7 @@ def test_connection_and_pairings_make_no_series_product(name, monkeypatch):
     pt = ExtrinsicPoint(geo)
     with monkeypatch.context() as m:
         m.setattr(tm, "_product", counting)
-        a_xi = ext.weingarten_map(geo, pt.xi_series, pt.f2, pt.df)
+        a_xi = ext.weingarten_map(geo, pt.xi_jet, pt.f2, pt.df)
         ii = ext.second_fundamental_form(geo, pt.xi, pt.eta, pt.f2, pt.df)
         _, _, h, h_sq = ext.expansions(geo, a_xi, pt.shape_maps["eta"], ii, pt.f2)
     assert products == []
@@ -455,9 +456,8 @@ def test_null_frame_reads_the_conformal_time_of_membership(monkeypatch):
     assert calls == [4, 4]
     phi = nc.cone_time(im.target_cone, geo.psi0[:, 0])
     assert geo.cone_time.tobytes() == phi.tobytes()
-    x = geo.position.truncate(imm.FRAME_ORDER)
-    again = nc.null_gradient(im.target_cone, x, geo.f.truncate(imm.FRAME_ORDER))
-    assert pt.xi_series.c.tobytes() == again.c.tobytes()
+    again = nc.null_gradient(im.target_cone, geo.position, geo.f)
+    assert pt.xi_jet.tobytes() == again.tobytes()
     calls.clear()
     ext.point_report(im, xs[0])
     assert calls == [1, 1]
@@ -474,25 +474,23 @@ def coefficients(nested) -> np.ndarray:
 @settings(deadline=None, max_examples=60)
 @given(hs.data())
 def test_stage_series_are_prefixes_of_the_order3_algebra(data):
-    # each stage's Series, cut to the order it reads, holds the leading
+    # each stage's coefficients, cut to the order it reads, are the leading
     # coefficients of the same stage run with every Series at order 3: equal
     # as numbers, and bit for bit wherever nonzero (the dropped Neumann
     # terms of the inverse metric flip at most the signs of exact zeros);
-    # nu and eta, values only, as Series of order 0
+    # xi its value-gradient array, nu and eta, values only, of order 0
     for pt in drawn_points(data):
         geo = pt.geo
         want = order3_stages(geo)
-        ctx0 = tm.get_context(pt.n, 0)
         stages = {
-            "dpsi": geo.dpsi, "g": geo.g_series, "g_inv": geo.g_inv_series,
-            "christoffel": geo.christoffel_series, "xi": pt.xi_series,
-            "nu": tm.Series(ctx0, pt.nu.T[None]), "eta": tm.Series(ctx0, pt.eta.T[None]),
+            "dpsi": geo.dpsi.c, "g": geo.g_series.c, "g_inv": geo.g_inv_series.c,
+            "christoffel": geo.christoffel_series.c, "xi": pt.xi_jet,
+            "nu": pt.nu.T[None], "eta": pt.eta.T[None],
         }
         if geo.f is not None:
-            stages.update(f=geo.f, f2=geo.f2)
-        for name, series in stages.items():
-            got = series.c
-            prefix = coefficients(want[name])[: series.ctx.n_terms]
+            stages.update(f=geo.f.c, f2=geo.f2.c)
+        for name, got in stages.items():
+            prefix = coefficients(want[name])[: len(got)]
             assert got.shape == prefix.shape, name
             assert np.array_equal(got, prefix), name
             nonzero = got != 0.0
@@ -517,18 +515,23 @@ def test_each_stage_runs_at_its_order():
             assert geo.f.ctx.order == geo.f2.ctx.order == 2
             warped += 1
         assert geo.g_inv_series.ctx.order == geo.christoffel_series.ctx.order == 1
-        frame = (pt.xi_series, pt.time_axis_series, pt.time_orthogonal_series)
-        assert {s.ctx.order for s in frame} == {1}
+        # order-1 value-gradient arrays: the value and n first partials
+        frame = (pt.xi_jet, pt.time_axis_jet, pt.time_orthogonal_jet)
+        assert {len(jet) for jet in frame} == {1 + pt.n}
         assert pt.nu.shape == pt.eta.shape == pt.xi.shape
     assert warped
 
 
 def test_mixed_stage_orders_fail_loudly(monkeypatch):
-    # a frame stage fed Series of two orders is a programming error: it
-    # raises TypeError through the grid pass, never a rejected point
-    monkeypatch.setattr(ext, "FRAME_ORDER", 2)
+    # a stage fed Series of two orders is a programming error: it raises
+    # TypeError through the grid pass, never a rejected point.  The null
+    # frame reads the order-1 prefix of Series of any order; the conformal
+    # curvature identities rescale the order-2 metric by the conformal
+    # scale, here handed over at order 1
+    real = cf._scale
+    monkeypatch.setattr(cf, "_scale", lambda *args: real(*args).truncate(imm.FRAME_ORDER))
     with pytest.raises(TypeError, match="order"):
-        cli.run(builtin_scenes()["grw-exp"])
+        cli.run(builtin_scenes()["mink-h2"])
 
 
 def test_minkowski_xi_is_position_and_slice_pairing():
@@ -650,7 +653,7 @@ def test_chart_map_jets_cost_the_same_in_every_dimension():
         row = []
         for im, variant in builds(n):
             geo = imm.chart_geometry(im, x)
-            jacobian = (cf.ConformalMapSpec(variant), im, geo.position.truncate(imm.FRAME_ORDER))
+            jacobian = (cf.ConformalMapSpec(variant), im, geo.position.value_gradient)
             for fn, args in ((second_partials, (geo,)), (cf._map_jacobian, jacobian)):
                 fn(*args)
                 row.append(len(entered(fn, *args)))
@@ -670,7 +673,7 @@ def test_product_euclidean_fiber_takes_the_vector_path(monkeypatch):
     x = np.array(sample_box(np.random.default_rng(9), sphere_box(2), 6))
     monkeypatch.setattr(nc, "fiber_radial", refused)
     pt = ExtrinsicPoint(imm.chart_geometry(im, x))
-    got, want = pt.xi_series.c, coefficients(entry_frame(pt)[0])
+    got, want = pt.xi_jet, coefficients(entry_frame(pt)[0])
     assert got.shape == want.shape == (3, 4, len(x))
     scale = np.abs(want).max(axis=(0, 1))
     assert np.all(np.abs(got - want).max(axis=(0, 1)) <= 1e-14 * scale)
@@ -895,12 +898,13 @@ def test_eta_map_is_linear_in_the_normal_field(name):
         lambda xs: ExtrinsicPoint(imm.chart_geometry(scene.im, xs)), np.array(points)
     )
     assert len(kept.index) >= 0.9 * len(points)
-    xi, normal = pt.xi_series, pt.time_orthogonal_series
-    a, b = np.random.default_rng(3).uniform(-2.0, 2.0, size=(2, xi.batch))
+    xi, normal = pt.xi_jet, pt.time_orthogonal_jet
+    batch = xi.shape[-1]
+    a, b = np.random.default_rng(3).uniform(-2.0, 2.0, size=(2, batch))
     combined = a[:, None, None] * pt.shape_maps["xi"] + b[:, None, None] * pt.shape_maps[
         "time_orthogonal"]
-    for got, field in ((pt.shape_maps["eta"], tm.Series.stack(entry_frame(pt)[2], xi.ctx, xi.batch)),
-                       (combined, xi * a + normal * b)):
+    eta = tm.Series.stack(entry_frame(pt)[2], tm.get_context(pt.n, 1), batch).c
+    for got, field in ((pt.shape_maps["eta"], eta), (combined, xi * a + normal * b)):
         want = ext.weingarten_map(pt.geo, field, pt.f2, pt.df)
         scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
         assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-14 * scale)

@@ -127,6 +127,56 @@ def test_membership_refusal_does_not_depend_on_the_batch():
             assert errors[xs.index(outside)] == "time 2.5 outside warping domain (-5.0, 2.0)"
 
 
+def pole_grid(fiber) -> dict:
+    """A GRW graph of height 0.8 + 0.1 cos(x0) sin(x1) on a product model
+    with a curved fiber and unit warping, on a 12x12 grid whose x0 runs over
+    [0, 3.14159]: its first and last rows lie on the poles of the sphere
+    chart of directions, where the induced metric is singular but for
+    rounding."""
+    return {
+        "name": f"grw-{fiber}-poles",
+        "spacetime": {"kind": "product", "n": 2, "fiber": fiber,
+                      "warping": {"kind": "constant", "params": [1.0]}},
+        "nullcone": {"variant": "grw_cone"},
+        "immersion": {"family": "grw_graph", "height": "0.8 + 0.1*cos(x0)*sin(x1)"},
+        "grid": [{"min": 0.0, "max": 3.14159, "count": 12},
+                 {"min": -3.0, "max": 3.0, "count": 12}],
+        "checks": ["frame", "shape", "expansions"],
+    }
+
+
+@pytest.mark.parametrize("fiber", ["sphere", "hyperbolic"])
+def test_pole_rows_are_refused_as_ill_conditioned(fiber):
+    # on the polar rows the metric's condition number reaches about 1e19,
+    # and there the frame, shape and expansion identities failed by 1e15 and
+    # more; above the bound 1/sqrt(eps) the metric is a chart singularity,
+    # so all 24 polar points are refused and every suite passes on the
+    # others (every other row's condition number is below 13)
+    report = cli.run(pole_grid(fiber))
+    rejections = report["rejections"]
+    assert len(rejections) == 24
+    assert {r["reason"] for r in rejections} == {"chart_singularity"}
+    assert {r["point"][0] for r in rejections} == {0.0, 3.14159}
+    for name in ("frame", "shape", "expansions"):
+        assert report["suites"][name]["passed"], name
+    assert imm.COND_MAX == 1.0 / np.sqrt(np.finfo(float).eps)
+
+
+def test_condition_refusal_does_not_depend_on_the_batch():
+    # a polar point's metric is refused as ill-conditioned with the same
+    # error alone, before or after an evaluable point, and next to a point
+    # outside the chart's domain box, whose refusal runs the chart map again
+    im = cli.parse_scene(pole_grid("sphere")).im
+    pole, inside, outside = [0.0, 1.2], [1.0, 1.2], [3.5, 1.2]
+    (alone,) = [str(e) for e in tm.float_edges(imm.geometry_columns)(im, np.array([pole]))[1]
+                .errors.values()]
+    assert alone.startswith("induced metric at (0.0, 1.2) is ill-conditioned (eigenvalues ")
+    for xs in ([inside, pole], [pole, inside], [outside, pole, inside], [inside, outside, pole]):
+        geo, kept = tm.float_edges(imm.geometry_columns)(im, np.array(xs))
+        assert str(kept.errors[xs.index(pole)]) == alone
+        assert kept.index.tolist() == [xs.index(inside)]
+
+
 def test_signature_error_for_non_spacelike_chart():
     model = st.AmbientModel("minkowski", 2)
     bad = imm.Immersion(
@@ -342,7 +392,7 @@ def test_tangency_on_target_cones():
     ]
     for im, x in cases:
         geo = geometry_alone(im, x)
-        grad = nc.null_gradient(im.target_cone, geo.position.truncate(imm.FRAME_ORDER)).val[:, 0]
+        grad = nc.null_gradient(im.target_cone, geo.position)[0, :, 0]
         for i in range(geo.dim):
             inner = inner_at(im.model, geo.psi0[0], grad, geo.tangents[0, i])
             assert abs(inner) < 1e-8
@@ -484,8 +534,9 @@ def test_singular_mask_matches_inv_and_solve_alone_on_planted_stacks(monkeypatch
     assert_lone_results(_umath_linalg.eigvalsh_lo, np.linalg.eigvalsh, a, np.arange(16) < 3)
     # the stack ran once, and only its NaN results were tried alone
     assert calls[:4] == [a.shape] + [(n, n)] * 3
-    # a metric chart whose metric has no Cholesky factor at one column: the
-    # frame refuses that column only, with the error it raises alone
+    # a metric chart whose metric has no Cholesky factor at one column, a
+    # metric the condition bound refuses first: the frame of its unchecked
+    # geometry refuses that column only, with the error it raises alone
     def metric(cs):
         g = np.eye(n).tolist()
         g[0][1] = g[1][0] = cs[0]
@@ -495,10 +546,13 @@ def test_singular_mask_matches_inv_and_solve_alone_on_planted_stacks(monkeypatch
     chart = imm.MetricChart(metric, n)
     x = np.zeros((4, n))
     x[:, 0] = (0.5, 1.0, -0.3, 0.2)
-    geo = imm.chart_geometry(chart, x)
+    with pytest.raises(tm.BatchRejected, match="1 columns") as err:
+        imm.chart_geometry(chart, x)
+    assert "is ill-conditioned" in str(err.value.errors[1])
+    geo = imm._geometry_from_metric(chart, x)
     with pytest.raises(tm.BatchRejected) as err:
         geo.onf
     assert list(err.value.errors) == [1]
     with pytest.raises(imm.MetricSignatureError, match="has no Cholesky factor$") as alone:
-        tm.per_sample(lambda xs: [imm.chart_geometry(chart, xs).onf], [x[1]])
+        tm.per_sample(lambda xs: [imm._geometry_from_metric(chart, xs).onf], [x[1]])
     assert str(err.value.errors[1]) == str(alone.value)

@@ -43,10 +43,11 @@ def F_at(spec, p):
 
 def at_point(field, p):
     """The components of a vector field of the position's Series, `field`,
-    at the ambient point p, a batch of one, from the constant Series of p;
-    a refused point raises its typed error."""
+    which gives its value-gradient array, at the ambient point p, a batch
+    of one, from the constant Series of p; a refused point raises its typed
+    error."""
     ctx = tm.get_context(1, 0)
-    (out,) = tm.per_sample(lambda ps: [field(tm.Series(ctx, ps.T[None], (len(p),))).val], [p])
+    (out,) = tm.per_sample(lambda ps: [field(tm.Series(ctx, ps.T[None], (len(p),)))[0]], [p])
     return np.ravel(out)
 
 
@@ -251,27 +252,23 @@ def test_grad_F_orthogonal_to_cone_tangents():
             assert abs(val) < 1e-9
 
 
-def test_frame_fields_refuse_order_two_only_where_an_order_one_rule_builds_them():
-    # the de Sitter and GRW null gradients and the de Sitter time axis are
-    # built by the order-1 rules on value-gradient arrays, which would drop
-    # the second-order slots; the light cone, the cylinder and the constant
-    # axis are exact at any order
-    ctx = tm.get_context(2, 2)
+def test_frame_fields_of_any_order_are_those_of_the_order_one_truncation():
+    # the null gradient and the time axis read the position's order-1
+    # value-gradient array whatever its order: of the order-3 position they
+    # are, bit for bit, those of its order-1 truncation, on all four cone
+    # variants and both curved fibers (f, on a GRW cone, the same Series)
+    rng = np.random.default_rng(12)
     for spec in ALL_SPECS:
+        psi, y0 = _patch(spec)
         k = spec.model.coord_count
-        x = tm.Series(ctx, np.arange(ctx.n_terms * k, dtype=float).reshape(-1, k, 1), (k,))
-        if spec.variant in ("minkowski_cone", "cylinder"):
-            grad = nc.null_gradient(spec, x)
-            assert grad.ctx is ctx and np.array_equal(grad.c[:, :-1], x.c[:, :-1])
-        else:
-            with pytest.raises(TypeError, match="order 2"):
-                nc.null_gradient(spec, x)
-        if spec.model.kind == "desitter":
-            with pytest.raises(TypeError, match="order 2"):
-                st.time_axis(spec.model, x)
-        else:
-            axis = st.time_axis(spec.model, x)
-            assert axis.ctx is ctx and axis.c[0, 0, 0] == 1.0 and np.count_nonzero(axis.c) == 1
+        ys = y0 + rng.uniform(-0.05, 0.05, size=(4, 2))
+        x = tm.eval_series(tm.SmoothMap(psi, 2, k), ys, 3)
+        cut = x.truncate(1)
+        f = spec.model.warping(cut[0]) if spec.variant == "grw_cone" else None
+        for field in (lambda s: nc.null_gradient(spec, s, f), lambda s: st.time_axis(spec.model, s)):
+            got, want = field(x), field(cut)
+            assert got.shape == want.shape == (3, k, len(ys))
+            assert got.tobytes() == want.tobytes(), spec
 
 
 def test_grad_F_series_matches_float_path():
@@ -280,7 +277,7 @@ def test_grad_F_series_matches_float_path():
         psi, y0 = _patch(spec)
         ctx = tm.get_context(2, 1)
         xs = [tm.Series.variable(ctx, i, np.array([y0[i]])) for i in range(2)]
-        got = nc.null_gradient(spec, tm.Series.stack(psi(xs), ctx, 1)).val[:, 0]
+        got = nc.null_gradient(spec, tm.Series.stack(psi(xs), ctx, 1))[0, :, 0]
         jet = jet_eval(psi, y0, 1)
         g = grad_at(spec, jet.value)
         assert np.allclose(got, g, atol=1e-12)

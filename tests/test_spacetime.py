@@ -8,7 +8,7 @@ from nullgeom import taylor as tm
 from nullgeom import spacetime as st
 
 from _jets import FdScheme, fd_derivative, jet_eval
-from _surfaces import desitter_embed, inner_at, profile_at
+from _surfaces import desitter_embed, entry_fiber_radial, inner_at, profile_at
 
 
 def mk_warping(kind, params=(), domain=(-math.inf, math.inf), expr=None):
@@ -389,7 +389,7 @@ def test_desitter_time_axis_pushforward():
         x = jet.value
         # cosh t times the unit axis, the polynomial field x_1 x + e_1
         ctx = tm.get_context(1, 0)
-        axis = st.time_axis(m, tm.Series(ctx, x[None, :, None], (len(x),))).val[:, 0]
+        axis = st.time_axis(m, tm.Series(ctx, x[None, :, None], (len(x),)))[0, :, 0]
         ch = math.cosh(t)
         assert np.allclose(axis, ch * tangent, atol=1e-12)
         assert inner_at(m, x, axis, axis) == pytest.approx(-ch * ch, abs=1e-12)
@@ -422,6 +422,13 @@ def test_warped_product_pullback_is_desitter_metric():
 # ---------------------------------------------------------------- fibers
 
 
+def values_radial(model, x):
+    """`spacetime.fiber_radial` of the values alone of one fiber point x:
+    r and Dr as a float and an array."""
+    r, dr = st.fiber_radial(model, x[None, :, None])
+    return r[0, 0], dr[0, :, 0]
+
+
 def test_fiber_radial_sphere_matches_polar_form():
     rng = np.random.default_rng(5)
     m = product_model("sphere")
@@ -430,7 +437,7 @@ def test_fiber_radial_sphere_matches_polar_form():
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
         x = np.concatenate(([math.cos(r)], math.sin(r) * d))
-        rr, dr = st.fiber_radial(m, x)
+        rr, dr = values_radial(m, x)
         assert rr == pytest.approx(r, rel=1e-13)
         assert np.allclose(dr, np.concatenate(([-math.sin(r)], math.cos(r) * d)), atol=1e-12)
         assert st.fiber_radius_sq(m, x) == pytest.approx(r * r, rel=1e-12)
@@ -444,7 +451,7 @@ def test_fiber_radial_hyperbolic_matches_polar_form():
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
         x = np.concatenate(([math.cosh(r)], math.sinh(r) * d))
-        rr, dr = st.fiber_radial(m, x)
+        rr, dr = values_radial(m, x)
         assert rr == pytest.approx(r, rel=1e-13)
         assert np.allclose(dr, np.concatenate(([math.sinh(r)], math.cosh(r) * d)), atol=1e-11)
         assert st.fiber_constraint(m, x) == pytest.approx(0.0, abs=1e-12)
@@ -453,10 +460,58 @@ def test_fiber_radial_hyperbolic_matches_polar_form():
 def test_fiber_radial_euclidean():
     m = grw_exp(2)
     x = np.array([3.0, 0.0, 4.0])
-    r, dr = st.fiber_radial(m, x)
+    r, dr = values_radial(m, x)
     assert r == pytest.approx(5.0, abs=0.0)
     assert np.allclose(dr, x / 5.0, atol=0.0)
     assert st.radial_tangential_factor(m, 1.7) == 1.0
+
+
+def fiber_points(kind, ys):
+    """The fiber embedding coordinates of the chart points ys (B, 3) as one
+    map, with no domain: a sphere's spherical angles, whose first angle 0
+    is the base point and pi the antipode; a hyperboloid's graph chart,
+    whose origin is the base point; a Euclidean fiber's coordinates."""
+
+    def sphere(th):
+        s0, s1 = tm.sin(th[0]), tm.sin(th[1])
+        return [tm.cos(th[0]), s0 * tm.cos(th[1]), s0 * s1 * tm.cos(th[2]),
+                s0 * s1 * tm.sin(th[2])]
+
+    fn = {"sphere": sphere, "hyperbolic": st.hyperbolic_chart(3).fn, "euclidean": list}[kind]
+    return tm.SmoothMap(fn, 3, 3 if kind == "euclidean" else 4)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("fiber", ["sphere", "hyperbolic", "euclidean"])
+def test_fiber_radial_arrays_match_the_component_oracle_bitwise(fiber, order):
+    # fiber_radial of a value-gradient array (order 1), or of values alone
+    # (order 0), is bit for bit the component-list Series algebra of the
+    # same order (`entry_fiber_radial`); a batch holding the base point or
+    # the antipode raises the errors the Series raise
+    m = grw_exp() if fiber == "euclidean" else product_model(fiber)
+    rng = np.random.default_rng(order)
+    ys = rng.uniform(-1.2, 1.2, size=(12, 3))
+    if fiber == "sphere":
+        ys[:, :2] = rng.uniform(0.2, math.pi - 0.2, size=(12, 2))
+    singular = {"sphere": [[0.0, 1.0, 0.5], [math.pi, 1.0, 0.5]],
+                "hyperbolic": [[0.0, 0.0, 0.0]], "euclidean": [[0.0, 0.0, 0.0]]}[fiber]
+    for points in (ys, np.concatenate([ys[:5], singular, ys[5:]])):
+        x = tm.eval_series(fiber_points(fiber, points), points, order)
+        with np.errstate(all="ignore"):
+            try:
+                r, dr = entry_fiber_radial(m, [x[k] for k in range(x.shape[0])])
+            except tm.BatchRejected as err:
+                with pytest.raises(tm.BatchRejected) as got:
+                    st.fiber_radial(m, x.value_gradient)
+                assert {b: str(e) for b, e in got.value.errors.items()} == {
+                    b: str(e) for b, e in err.errors.items()}
+                assert len(points) > len(ys)
+                continue
+            got_r, got_dr = st.fiber_radial(m, x.value_gradient)
+        assert got_r.shape == (1 + 3 * order, len(points))
+        assert got_r.tobytes() == r.c.tobytes()
+        assert got_dr.tobytes() == tm.Series.stack(dr, x.ctx, x.batch).c.tobytes()
+        assert len(points) == len(ys)
 
 
 def test_radial_hessian_factor_against_jets():
@@ -467,19 +522,16 @@ def test_radial_hessian_factor_against_jets():
         ("hyperbolic", st.hyperbolic_chart(3), [0.4, -0.3, 0.8]),
     ):
         m = product_model(fiber)
-        ctx = tm.get_context(3, 1)
-        ys = [tm.Series.variable(ctx, i, np.array([params[i]])) for i in range(3)]
-        xs = chart.fn(ys)
-        r, dr = st.fiber_radial(m, xs)
-        field = [r * c for c in dr]
+        x = tm.eval_series(chart, np.array([params]), 1).value_gradient
+        r, dr = st.fiber_radial(m, x)
+        field = tm.product_rule(r[:, None], dr)
         signs = m.signature[1:]
-        x0 = np.array([c.val[0] for c in xs])
-        dr0 = np.array([c.val[0] for c in dr])
-        factor = st.radial_tangential_factor(m, r.val)[0]
+        x0, dr0 = x[0, :, 0], dr[0, :, 0]
+        factor = st.radial_tangential_factor(m, r[0])[0]
         quad_sign = 1.0 if fiber == "sphere" else -1.0
         for j in range(3):
-            V = np.array([c.gradient()[j].val[0] for c in xs])
-            flat_d = np.array([c.gradient()[j].val[0] for c in field])
+            # slot 1 + j of a value-gradient array is the partial along y_j
+            V, flat_d = x[1 + j, :, 0], field[1 + j, :, 0]
             # remove the quadric-normal component (normal is the position)
             coef = float(np.sum(signs * flat_d * x0)) / quad_sign
             tangential = flat_d - coef * x0

@@ -212,15 +212,12 @@ def test_component_product_matches_entry_products_bitwise(data, n, order, batch)
     for i, j, k in itertools.product(range(2), range(4), range(3)):
         alone = tm.Series(ctx, a.c[:, i, 0, k].copy()) * tm.Series(ctx, b.c[:, j, k].copy())
         assert prod[i, j, k].c.tobytes() == alone.c.tobytes()
-    # a sum over a component axis is the entries' sum left to right, and
-    # with start 0.0 it is Python's sum, a -0.0 value turned +0.0 included
-    for start in (None, 0.0):
-        total = prod.sum(axis=1, start=start)
-        assert total.shape == (2, 3)
-        for i, k in itertools.product(range(2), range(3)):
-            entries = [prod[i, j, k] for j in range(4)]
-            want = sum(entries) if start is not None else functools.reduce(operator.add, entries)
-            assert total[i, k].c.tobytes() == want.c.tobytes()
+    # a sum over a component axis is the entries' sum left to right
+    total = prod.sum(axis=1)
+    assert total.shape == (2, 3)
+    for i, k in itertools.product(range(2), range(3)):
+        want = functools.reduce(operator.add, [prod[i, j, k] for j in range(4)])
+        assert total[i, k].c.tobytes() == want.c.tobytes()
     # with signs, an entry of sign -1 is subtracted, and a first one negated
     signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4))
     total = prod.sum(axis=1, signs=signs)
@@ -409,29 +406,35 @@ def test_product_rule_matches_product_bitwise(data, n, batch):
         assert same_bits(tm.product_rule(a, b), tm._product(ctx, a, b))
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.data(), st.integers(1, 3), st.integers(0, 1), st.integers(1, 8))
-def test_compose_and_reciprocal_rules_match_the_series_bitwise(data, n, order, batch):
+# every primitive made by `taylor._unary`, each with its order-1 rule
+UNARY_PRIMITIVES = [*tm._EXPR_FUNCS.values(), tm._reciprocal]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.integers(1, 3), st.integers(0, 1), st.integers(1, 8),
+       st.sampled_from(UNARY_PRIMITIVES))
+def test_compose_and_reciprocal_rules_match_the_series_bitwise(data, n, order, batch, primitive):
     # the one-step composition of an order-0 or order-1 scalar array, and
-    # its checked reciprocal, are Horner's scheme of `_compose` and the
-    # reciprocal primitive of its Series, bit for bit, signed zeros and
-    # non-finite entries included, and NaN where it is NaN; a refused column
-    # carries the same error
+    # each primitive's checked rule (`reciprocal_rule` the reciprocal's),
+    # are Horner's scheme of `_compose` and the primitive of its Series, bit
+    # for bit, signed zeros and non-finite entries included, and NaN where
+    # it is NaN; a refused column carries the same error
     ctx = tm.get_context(n, order)
     a = drawn_coefficients(data, ctx, (), batch)
     table = drawn_coefficients(data, tm.get_context(1, 1), (), batch)
     x = tm.Series(ctx, a)
+    assert tm.reciprocal_rule is tm._reciprocal.rule
     with np.errstate(all="ignore"):
         assert same_bits(tm.compose_rule(a, table), tm._compose(x, table).c)
         try:
-            want = (1.0 / x).c
+            want = primitive(x).c
         except tm.BatchRejected as err:
             with pytest.raises(tm.BatchRejected) as got:
-                tm.reciprocal_rule(a)
+                primitive.rule(a)
             assert {b: str(e) for b, e in got.value.errors.items()} == {
                 b: str(e) for b, e in err.errors.items()}
         else:
-            assert same_bits(tm.reciprocal_rule(a), want)
+            assert same_bits(primitive.rule(a), want)
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -13,8 +13,9 @@ and prints, per stage, the mean number per report of Python calls (`call`
 events), of C calls (`c_call` events: builtins and numpy functions, not
 operators or ufuncs) and of primitives (calls of `taylor._checked`: each
 composition with a primitive such as sqrt or the reciprocal, of a Series
-or of an order-1 array (`taylor.reciprocal_rule`), and each primitive of
-an array), then their totals:
+or of an order-1 value-gradient array (the primitive's `rule`, such as
+`taylor.reciprocal_rule`), and each primitive of an array of values), then
+their totals:
 
     SCENE STAGE PYTHON C PRIMITIVE
 

@@ -7,14 +7,14 @@ the benchmark's stored inputs from `perfbench/reference/` without changing
 them.  It prints, one per line:
 
 - `scene NAME seed S SHA256`: the sha256 of `cli.emit_json` of every
-  built-in scene, every dense-grid configuration and the two refusal
-  grids below, at run seeds 0-7;
+  built-in scene, every dense-grid configuration, the two refusal grids
+  and the four curved-fiber grids below, at run seeds 0-7;
 - `csv NAME seed S SHA256`: the sha256 of `cli.emit_csv` of the same
   report, after its `scene` line;
 - `point NAME I FIELDS CLASS`: `extrinsic.point_report` at every point of
-  the stored pools and at every grid point of each dense-grid
-  configuration, each row field as `float.hex`, or the typed error
-  (`rejected TYPE: MESSAGE`) of a point that is refused;
+  the stored pools and at every grid point of each dense-grid and
+  curved-fiber configuration, each row field as `float.hex`, or the typed
+  error (`rejected TYPE: MESSAGE`) of a point that is refused;
 - `curvature NAME I SAMPLES`: `conformal.conformal_curvature_check` of each
   run of 6 consecutive pool points of a scene with a split map, each
   residual as `float.hex`;
@@ -41,7 +41,11 @@ refused point in one chunk: `mink-bowl-off-cone` (f = 0.6 + 0.5 x0 on
 `grw-cosh-overflow` (the dense grw-cosh grid, its height plus
 1e-300 exp(100 x1 + 461), which overflows inside the map on the 20 points
 with x1 = 2.5, next to the polar points x0 = 0, which the metric's
-singular-inverse test, a primitive or the null frame refuse).
+singular-inverse test, a primitive or the null frame refuse).  The
+curved-fiber grids reach the branch of the null gradient and of the
+`product_xi` closed form that no built-in scene reaches: `grw_graph` on a
+`product` model with a sphere or a hyperbolic fiber, warped by the
+constant 1 or by cosh, on the 12x12 grid x0 in [0.3, 2.8], x1 in [-3, 3].
 
 Output is deterministic, so running it on two trees and diffing the output
 shows whether their reports are byte-identical.
@@ -93,9 +97,27 @@ def refusal_configs() -> list:
     return [bowl, cosh]
 
 
+def curved_fiber_configs() -> list:
+    """The four curved-fiber grids of the module docstring."""
+    warpings = {"unit": {"kind": "constant", "params": [1.0]}, "cosh": {"kind": "cosh"}}
+    return [
+        {
+            "name": f"grw-{fiber}-{name}",
+            "spacetime": {"kind": "product", "n": 2, "fiber": fiber, "warping": warping},
+            "nullcone": {"variant": "grw_cone"},
+            "immersion": {"family": "grw_graph", "height": "0.8 + 0.1*cos(x0)*sin(x1)"},
+            "grid": [{"min": 0.3, "max": 2.8, "count": 12},
+                     {"min": -3.0, "max": 3.0, "count": 12}],
+            "checks": ["all"],
+        }
+        for fiber in ("sphere", "hyperbolic")
+        for name, warping in warpings.items()
+    ]
+
+
 def scene_lines():
     configs = list(builtin_scenes().values()) + [s["config"] for s in _stored("dense-grid")]
-    configs += refusal_configs()
+    configs += refusal_configs() + curved_fiber_configs()
     for config in configs:
         for seed in SEEDS:
             report = cli.run(config, seed=seed)
@@ -162,13 +184,17 @@ def mixed_samples(points, seed) -> list:
     return list(points[rng.permutation(np.concatenate([polar, others]))])
 
 
+def _grid_report_lines(scene, points):
+    for i, x in enumerate(points):
+        yield f"point {scene.name}-grid {i} {_outcome(_report, scene, np.array(x))}"
+
+
 def grid_point_lines():
     for entry in _stored("dense-grid"):
         scene = cli.parse_scene(entry["config"])
         name = f"{scene.name}-grid"
         points = list(itertools.product(*scene.axes))
-        for i, x in enumerate(points):
-            yield f"point {name} {i} {_outcome(_report, scene, np.array(x))}"
+        yield from _grid_report_lines(scene, points)
         if scene.cspec is None:
             continue
         for i, x in enumerate(points):
@@ -180,8 +206,14 @@ def grid_point_lines():
             yield f"factorization {name}-mixed-{seed} {_outcome(_factorization, scene, samples)}"
 
 
+def curved_fiber_lines():
+    for config in curved_fiber_configs():
+        scene = cli.parse_scene(config)
+        yield from _grid_report_lines(scene, list(itertools.product(*scene.axes)))
+
+
 def main() -> int:
-    for lines in (scene_lines(), pointwise_lines(), grid_point_lines()):
+    for lines in (scene_lines(), pointwise_lines(), grid_point_lines(), curved_fiber_lines()):
         for line in lines:
             print(line)
     return 0
