@@ -47,8 +47,8 @@ COND_MAX = 1.0 / math.sqrt(np.finfo(np.float64).eps)
 
 
 class MetricSignatureError(ValueError):
-    """The induced metric failed the positive-definite eigenvalue test, or
-    is singular or ill-conditioned."""
+    """The induced metric is not finite, not positive definite, singular or
+    ill-conditioned."""
 
 
 @dataclass(frozen=True)
@@ -95,31 +95,6 @@ class Immersion:
         if check_membership and self.target_cone is not None:
             require_on_cone(self.target_cone, taylor.batch_first(psi.val))
         return psi
-
-
-def _recorded(gufunc, a):
-    """(result, whether it flagged an error) of the gufunc behind a
-    numpy.linalg call over the matrices a, recording the error that
-    numpy.linalg raises for them as a whole instead of raising it."""
-    flagged = []
-    with np.errstate(call=lambda *_: flagged.append(True), invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        out = gufunc(a, signature="d->d")
-    return out, bool(flagged)
-
-
-def _lapack(gufunc, a):
-    """(result, refused) of the gufunc behind a numpy.linalg call over a
-    stack of matrices a (B, n, n): each matrix's result as the call computes
-    it, and the (B,) mask of the matrices that the call refuses alone, whose
-    results are NaN.  The stack runs once; a matrix is tried alone only where
-    the stack was flagged and left its result NaN."""
-    out, flagged = _recorded(gufunc, a)
-    refused = np.zeros(len(a), dtype=bool)
-    if flagged:
-        for b in np.flatnonzero(np.isnan(out.reshape(len(a), -1)).any(axis=1)).tolist():
-            refused[b] = _recorded(gufunc, a[b])[1]
-    return out, refused
 
 
 @dataclass(frozen=True)
@@ -286,9 +261,7 @@ class ChartGeometry:
     @cached_property
     def cholesky(self) -> np.ndarray:
         """The lower Cholesky factor L of the metric, g = L L^T."""
-        factor, refused = _lapack(_umath_linalg.cholesky_lo, self.g0)
-        taylor.reject(refused, self._defect("has no Cholesky factor"))
-        return factor
+        return _umath_linalg.cholesky_lo(self.g0)
 
     @cached_property
     def onf(self) -> np.ndarray:
@@ -298,9 +271,7 @@ class ChartGeometry:
         coordinate basis), so its inverse is L^T, with no solve; kept
         C-contiguous, which a matmul reads faster and to the same bits.
         """
-        inverse, singular = _lapack(_umath_linalg.inv, self.cholesky)
-        taylor.reject(singular, self._defect("has a singular Cholesky factor"))
-        return np.ascontiguousarray(np.swapaxes(inverse, -1, -2))
+        return np.ascontiguousarray(np.swapaxes(_umath_linalg.inv(self.cholesky), -1, -2))
 
     # -- scalar fields on the chart --------------------------------------
 
@@ -347,42 +318,45 @@ def _gathered(values, indices):
 
 
 def _metric_checked(geo: Optional[ChartGeometry], kept: taylor.Kept) -> Optional[ChartGeometry]:
-    """The geometry of the columns of geo whose induced metric has
-    eigenvalues, the lowest above `_EIG_FLOOR`, an inverse, a condition
-    number (the ratio of its extreme eigenvalues) at most `COND_MAX` and
-    finite entries, with `g_inv0` set, or None when no column passes (or
-    geo is None); each refused column's error goes to `kept`.  The checks
-    read the eigenvalues and the inverses computed once for every column,
-    and drop the refused columns from them by column selection.  Rounding
+    """The geometry of the columns of geo whose induced metric is finite
+    and has a lowest eigenvalue above 0 and a condition number (the ratio
+    of its extreme eigenvalues) at most `COND_MAX`, with `g_inv0` set, or
+    None when no column passes (or geo is None); each refused column's error
+    goes to `kept`.  One gufunc call computes every column's eigenvalues,
+    the refused columns are dropped by column selection, and one more
+    inverts the others.  A non-finite metric is refused first, since its
+    eigenvalues are garbage; then a lowest eigenvalue at most `_EIG_FLOOR`
+    (not positive definite) or at most 0 (singular); the condition bound is
+    stated as what must hold, so that a NaN eigenvalue fails it.  Rounding
     leaves g's entries off by eps relative, so its inverse is off by
     eps cond(g) / lambda_min, eps cond(g)^2 relative to its entries of size
     1 / lambda_max: past 1/sqrt(eps) they keep no digit, nor do the
-    Christoffel symbols, the null frame and the Weingarten maps."""
+    Christoffel symbols, the null frame and the Weingarten maps.  Below the
+    bound the Cholesky factor behind `ChartGeometry.onf` runs to completion
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 10)."""
     if geo is None:
         return None
-    eigenvalues, no_eigenvalues = _lapack(_umath_linalg.eigvalsh_lo, geo.g0)
+    eigenvalues = _umath_linalg.eigvalsh_lo(geo.g0)
     lowest, highest = eigenvalues[..., 0], eigenvalues[..., -1]
-    g_inv0, singular = _lapack(_umath_linalg.inv, geo.g0)
     try:
         taylor.reject_first([
-            (no_eigenvalues, geo._defect("has no eigenvalues")),
+            (~np.isfinite(geo.g0).all(axis=(-2, -1)), geo._defect("is not finite")),
             (lowest <= _EIG_FLOOR, lambda at: MetricSignatureError(
                 f"induced metric at {format_point(at(geo.x))} is not positive definite "
                 f"(min eigenvalue {at(lowest):.3e})"
             )),
-            (singular, geo._defect("is singular")),
-            (highest > COND_MAX * lowest, lambda at: MetricSignatureError(
+            (lowest <= 0.0, geo._defect("is singular")),
+            (~(highest <= COND_MAX * lowest), lambda at: MetricSignatureError(
                 f"induced metric at {format_point(at(geo.x))} is ill-conditioned (eigenvalues "
                 f"{at(lowest):.3e} to {at(highest):.3e}, a ratio above {COND_MAX:.1e})"
             )),
-            (~np.isfinite(geo.g0).all(axis=(-2, -1)), geo._defect("is not finite")),
         ])
     except BatchRejected as err:
         positions = kept.drop(err)
         if not len(positions):
             return None
-        geo, g_inv0 = geo.columns(positions), g_inv0[positions]
-    geo.g_inv0 = g_inv0
+        geo = geo.columns(positions)
+    geo.g_inv0 = _umath_linalg.inv(geo.g0)
     return geo
 
 
@@ -446,11 +420,11 @@ def geometry_columns(obj, x, check_membership=True) -> tuple:
     holds their indices and the typed error of each refused column.
 
     A check of values already evaluated, cone membership after psi and the
-    metric's eigenvalue, eigenvalue floor and singular-inverse tests, drops
-    its refused columns from them by column selection (`Kept.drop`).  A
-    stage refused partway, the chart map (its domain box, or a primitive
-    inside it) or a metric chart's metric, runs again on the other columns
-    (`Kept.run`); nothing else does."""
+    metric's finiteness and eigenvalue tests (one gufunc call on the
+    stack), drops its refused columns from them by column selection
+    (`Kept.drop`).  A stage refused partway, the chart map (its domain box,
+    or a primitive inside it) or a metric chart's metric, runs again on the
+    other columns (`Kept.run`); nothing else does."""
     x = np.asarray(x, dtype=np.float64)
     if not isinstance(obj, (Immersion, MetricChart)):
         raise TypeError(f"expected Immersion or MetricChart, got {type(obj).__name__}")

@@ -436,7 +436,7 @@ def radial_tangential_factor(model: AmbientModel, r):
     """r * c(r) with Hess r = c(r)(g - dr (x) dr) on the fiber space form."""
     kind = model.fiber_kind
     if kind == "euclidean":
-        return Series.constant(r.ctx, 1.0, r.batch) if isinstance(r, Series) else np.ones_like(r)
+        return np.ones_like(r)
     if kind == "sphere":
         return r * taylor.cos(r) / taylor.sin(r)
     return r / taylor.tanh(r)

@@ -608,9 +608,6 @@ class Series:
     def __neg__(self):
         return Series(self.ctx, -self.c, self.shape)
 
-    def __pos__(self):
-        return self
-
     def __pow__(self, p):
         if isinstance(p, Series):
             raise TypeError("series-valued exponents are not supported")

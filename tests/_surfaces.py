@@ -53,7 +53,6 @@ __all__ = [
     "evaluate_alone",
     "row_diags",
     "suite_samples",
-    "refused_alone",
     "pullback_alone",
     "gauss_newton_step_alone",
     "stacked_local_inverse",
@@ -386,18 +385,6 @@ def suite_samples(scene, seed):
     count = min(cli._APPENDIX_SAMPLES, len(points))
     picks = np.random.default_rng(seed).choice(len(points), size=count, replace=False)
     return on_model, on_model[:cli._FACTORIZATION_SAMPLES], [points[i] for i in picks]
-
-
-def refused_alone(op, a, *args) -> np.ndarray:
-    """The (B,) mask of the matrices of a stack that the numpy.linalg `op`
-    refuses one at a time: the oracle of `immersion._lapack`."""
-    bad = np.zeros(len(a), dtype=bool)
-    for b in range(len(a)):
-        try:
-            op(a[b], *(arg[b] for arg in args))
-        except np.linalg.LinAlgError:
-            bad[b] = True
-    return bad
 
 
 def pullback_alone(spec, geo, expected_factor=None):

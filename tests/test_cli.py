@@ -2,6 +2,7 @@
 report emission, determinism, exit codes."""
 
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from numpy.linalg import _umath_linalg
 
 from nullgeom import cli, conformal, extrinsic, immersion, nullcone, spacetime, taylor
 from nullgeom.cli import (
@@ -288,6 +290,60 @@ def test_inapplicable_suite_rejected():
     doc["checks"] = ["shape"]
     with pytest.raises(ConfigError, match="not applicable"):
         parse_scene(doc)
+
+
+REMOVED = object()
+
+
+def changed_doc(base, path, value):
+    """A copy of the configuration `base` with the entry at the key path
+    set to value, or removed where value is `REMOVED`."""
+    doc = copy.deepcopy(base)
+    *keys, last = path
+    entry = doc
+    for key in keys:
+        entry = entry[key]
+    if value is REMOVED:
+        del entry[last]
+    else:
+        entry[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("base, path, value, message", [
+    ("mink-slice", ("spacetime",), 5, "spacetime must be an object"),
+    ("mink-slice", ("spacetime", "kind"), 3, "spacetime.kind must be a string"),
+    ("mink-slice", ("spacetime", "n"), 2.0, "spacetime.n must be an integer"),
+    ("mink-slice", ("nullcone", "variant"), 3, "nullcone.variant must be a string"),
+    ("grw-exp", ("immersion", "height"), [1.0],
+     "immersion.height must be a number or expression string"),
+    ("mink-slice", ("immersion",), {}, "immersion needs either a family or a chart"),
+    ("off-cone", ("immersion", "chart"), "x0", "immersion.chart must be a list of expression strings"),
+    ("off-cone", ("immersion", "domain"), 5, "immersion.domain needs 2 [lo, hi] pairs"),
+    ("mink-slice", ("grid",), [{"min": 0.0, "max": 1.0, "count": 3}],
+     "grid needs one axis object per chart coordinate (2)"),
+    ("mink-slice", ("grid", 1, "count"), 2.5, "grid[1].count must be an integer"),
+    ("mink-slice", ("checks",), "frame", "checks must be a list of suite names"),
+    ("mink-slice", ("grid",), REMOVED, "config needs the key 'grid'"),
+    ("mink-slice", ("name",), 3, "name must be a string"),
+    ("mink-slice", ("output",), {"format": "xml"}, "output.format must be json or csv"),
+])
+def test_each_config_refusal_has_its_message(base, path, value, message):
+    doc = OFF_CONE_DOC if base == "off-cone" else small(builtin_scenes()[base])
+    with pytest.raises(ConfigError) as err:
+        parse_scene(changed_doc(doc, path, value))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("frame", "--tol needs NAME=VALUE, got 'frame'"),
+    ("frame=tight", "--tol frame: 'tight' is not a number"),
+])
+def test_malformed_tol_flags_are_config_errors(flag, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(slice_doc()))
+    assert cli.main(["check", "--config", str(path), "--tol", flag]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_family_cone_mismatch_rejected():
@@ -655,6 +711,25 @@ def test_untyped_value_error_escapes_run(monkeypatch):
     monkeypatch.setattr(cli.ExtrinsicPoint, "report", broken)
     with pytest.raises(ValueError, match="not a domain error"):
         run(slice_doc(), checks=["frame"])
+
+
+def test_chart_map_programming_error_is_no_rejected_point():
+    # a chart map's plain ValueError reaches the grid pass as every
+    # column's error; only typed errors become rejections, so the grid pass
+    # and point_report raise it again
+    scene = parse_scene(slice_doc())
+
+    def broken(xs):
+        raise ValueError("a chart map bug")
+
+    im = immersion.Immersion(dataclasses.replace(scene.im.map, fn=broken), scene.model,
+                             scene.im.target_cone)
+    with pytest.raises(ValueError, match="^a chart map bug$") as err:
+        cli._evaluate_grid(dataclasses.replace(scene, im=im))
+    assert type(err.value) is ValueError
+    with pytest.raises(ValueError, match="^a chart map bug$") as err:
+        extrinsic.point_report(im, np.array([1.0, 1.0]))
+    assert type(err.value) is ValueError
 
 
 def test_singular_metric_and_warping_domain_are_chart_singularities():
@@ -1153,8 +1228,9 @@ def test_no_grid_point_is_evaluated_twice(monkeypatch):
     # the mink-slice grid regridded 20 x 20 with its polar axis from 0: the
     # chart geometry of the 400 points is evaluated once, order-3 psi
     # included, and drops the 20 points of the polar row, each with its own
-    # typed error, at the metric's singular-inverse test; the extrinsic
-    # stages then run once on the 380 others.  No point is evaluated alone
+    # typed error, at the metric's singular test (its lowest eigenvalue is
+    # 0); the extrinsic stages then run once on the 380 others.  No point is
+    # evaluated alone
     doc = builtin_scenes()["mink-slice"]
     doc["grid"] = [dict(doc["grid"][0], min=0.0, count=20), dict(doc["grid"][1], count=20)]
     geometries, batches = [], []
@@ -1179,18 +1255,24 @@ def test_no_grid_point_is_evaluated_twice(monkeypatch):
 
 
 def test_dense_grids_evaluate_each_point_once(monkeypatch):
-    # each dense configuration's grid pass computes order-3 psi, the
-    # metric's eigenvalues and its inverse once per point: one stack of 400
-    # columns each, where evaluating the 380 kept points again took 780
+    # each dense configuration's grid pass computes order-3 psi and the
+    # metric's eigenvalues once per point, one stack of 400 columns each,
+    # where evaluating the 380 kept points again took 780, and inverts the
+    # metric once, on the 380 points its eigenvalues keep
     jets = order3_columns(monkeypatch)
     stacks = {"eigvalsh_lo": [], "inv": [], "cholesky_lo": []}
-    real = immersion._lapack
 
-    def lapack(gufunc, a):
-        stacks[gufunc.__name__].append(len(a))
-        return real(gufunc, a)
+    def counted(gufunc, sizes):
+        # the calls of the chart geometry, not those of numpy.linalg's wrappers
+        def call(a, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == immersion.__name__:
+                sizes.append(len(a))
+            return gufunc(a, **kwargs)
 
-    monkeypatch.setattr(immersion, "_lapack", lapack)
+        return call
+
+    for name, sizes in stacks.items():
+        monkeypatch.setattr(_umath_linalg, name, counted(getattr(_umath_linalg, name), sizes))
     for name, doc in sorted(dense_grid_configs().items()):
         jets.clear()
         for sizes in stacks.values():
@@ -1201,8 +1283,8 @@ def test_dense_grids_evaluate_each_point_once(monkeypatch):
         assert jets == [400], name
         # the metric's stacks come first; the shape suite's Cholesky factors
         # are computed and inverted on the kept points
-        assert stacks["eigvalsh_lo"] == [400] and stacks["inv"][0] == 400, name
-        assert set(stacks["inv"][1:]) <= {380} and set(stacks["cholesky_lo"]) <= {380}, name
+        assert stacks["eigvalsh_lo"] == [400] and stacks["inv"][0] == 380, name
+        assert set(stacks["inv"]) <= {380} and set(stacks["cholesky_lo"]) <= {380}, name
 
 
 def _outcome(fn, *args):

@@ -1,8 +1,5 @@
 """Induced metrics, intrinsic operators and curvature of immersed charts."""
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
@@ -27,7 +24,6 @@ from _surfaces import (
     psi_f_desitter,
     psi_f_minkowski,
     pullback_metric_chart,
-    refused_alone,
     sample_box,
     slice_immersion,
     sphere_box,
@@ -150,8 +146,9 @@ def test_pole_rows_are_refused_as_ill_conditioned(fiber):
     # on the polar rows the metric's condition number reaches about 1e19,
     # and there the frame, shape and expansion identities failed by 1e15 and
     # more; above the bound 1/sqrt(eps) the metric is a chart singularity,
-    # so all 24 polar points are refused and every suite passes on the
-    # others (every other row's condition number is below 13)
+    # so all 24 polar points are refused, as singular where the lowest
+    # eigenvalue is at most 0, and every suite passes on the others (every
+    # other row's condition number is below 13)
     report = cli.run(pole_grid(fiber))
     rejections = report["rejections"]
     assert len(rejections) == 24
@@ -163,18 +160,23 @@ def test_pole_rows_are_refused_as_ill_conditioned(fiber):
 
 
 def test_condition_refusal_does_not_depend_on_the_batch():
-    # a polar point's metric is refused as ill-conditioned with the same
-    # error alone, before or after an evaluable point, and next to a point
-    # outside the chart's domain box, whose refusal runs the chart map again
+    # a polar point's metric is refused as singular (its lowest eigenvalue
+    # is at most 0), a point next to the other pole as ill-conditioned, each
+    # with the same error alone, before or after an evaluable point, and
+    # next to a point outside the chart's domain box, whose refusal runs the
+    # chart map again
     im = cli.parse_scene(pole_grid("sphere")).im
-    pole, inside, outside = [0.0, 1.2], [1.0, 1.2], [3.5, 1.2]
-    (alone,) = [str(e) for e in tm.float_edges(imm.geometry_columns)(im, np.array([pole]))[1]
-                .errors.values()]
-    assert alone.startswith("induced metric at (0.0, 1.2) is ill-conditioned (eigenvalues ")
-    for xs in ([inside, pole], [pole, inside], [outside, pole, inside], [inside, outside, pole]):
-        geo, kept = tm.float_edges(imm.geometry_columns)(im, np.array(xs))
-        assert str(kept.errors[xs.index(pole)]) == alone
-        assert kept.index.tolist() == [xs.index(inside)]
+    inside, outside = [1.0, 1.2], [3.5, 1.2]
+    for pole, what in (([0.0, 1.2], "is singular"),
+                       ([3.14159, 1.2], "is ill-conditioned (eigenvalues ")):
+        (alone,) = [str(e) for e in tm.float_edges(imm.geometry_columns)(im, np.array([pole]))[1]
+                    .errors.values()]
+        assert alone.startswith(f"induced metric at {tm.format_point(pole)} {what}")
+        for xs in ([inside, pole], [pole, inside], [outside, pole, inside],
+                   [inside, outside, pole]):
+            geo, kept = tm.float_edges(imm.geometry_columns)(im, np.array(xs))
+            assert str(kept.errors[xs.index(pole)]) == alone
+            assert kept.index.tolist() == [xs.index(inside)]
 
 
 def test_signature_error_for_non_spacelike_chart():
@@ -422,137 +424,75 @@ def test_hxr_surface_metric():
         assert np.allclose(g, np.diag([1.0, v * v]), atol=1e-12)
 
 
-DENSE_GRID = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "dense-grid.json"
-
-
-def test_singular_mask_matches_inversions_alone_on_dense_grids(monkeypatch):
-    # the metric stacks that inv refuses on the dense grids, whose polar row
-    # is singular: the batched mask flags the matrices inv refuses alone
-    stacks = []
-    real = imm._lapack
-
-    def recording(gufunc, a):
-        if gufunc is _umath_linalg.inv:
-            stacks.append(a.copy())
-        return real(gufunc, a)
-
-    monkeypatch.setattr(imm, "_lapack", recording)
-    with DENSE_GRID.open() as fh:
-        configs = [s["config"] for s in json.load(fh)["scenes"]]
-    for config in configs:
-        cli.run(config)
-    refusing = 0
-    for a in stacks:
-        _, mask = real(_umath_linalg.inv, a)
-        assert np.array_equal(mask, refused_alone(np.linalg.inv, a))
-        # a stack that inv fails as a whole has a matrix inv refuses alone
-        assert imm._recorded(_umath_linalg.inv, a)[1] == mask.any()
-        refusing += bool(mask.any())
-    assert refusing >= len(configs)
-
-
-def assert_lone_results(gufunc, op, a, expect=None):
-    """`immersion._lapack` of the stack a: its mask flags exactly the
-    matrices that the numpy.linalg op refuses alone (`expect`, if given,
-    too), and every other matrix's result is op's alone, bit for bit."""
-    out, mask = imm._lapack(gufunc, a)
-    assert np.array_equal(mask, refused_alone(op, a))
-    if expect is not None:
-        assert np.array_equal(mask, expect)
-    for b in np.flatnonzero(~mask).tolist():
-        assert out[b].tobytes() == op(a[b]).tobytes()
-    return mask
-
-
-def symmetric_stack(rng, n, count=16):
+def planted_stack(rng, n, count=16):
     """count random symmetric positive definite n x n matrices, and planted
-    in the first five: a NaN, an inf on and one off the diagonal, an
-    indefinite matrix, and [[1, 1], [1, 1 - 1e-13]] on the leading block,
-    whose lowest eigenvalue passes the floor but which has no Cholesky
-    factor."""
+    in the first six: a NaN, +inf on the diagonal and -inf off it, an
+    indefinite matrix, a singular one, and [[1, 1], [1, 1 - 1e-13]] on the
+    leading block, whose lowest eigenvalue, about -5e-14, passes the floor."""
     m = rng.standard_normal((count, n, n))
     a = m @ m.swapaxes(-1, -2) + n * np.eye(n)
     a[0, 0, 0] = np.nan
     a[1, -1, -1] = np.inf
-    a[2, 0, -1] = a[2, -1, 0] = np.inf
+    a[2, 0, -1] = a[2, -1, 0] = -np.inf
     a[3] = np.diag(np.arange(n) - 0.5)
-    a[4] = np.eye(n)
-    a[4, :2, :2] = [[1.0, 1.0], [1.0, 1.0 - 1e-13]]
+    a[4] = np.diag(np.arange(n, dtype=float))
+    a[5] = np.eye(n)
+    a[5, :2, :2] = [[1.0, 1.0], [1.0, 1.0 - 1e-13]]
     return a
 
 
-def failing_eigvalsh(real, calls):
-    """The gufunc behind eigvalsh as a LAPACK build on which it does not
-    converge for a matrix with a non-finite entry: NaN eigenvalues and the
-    invalid flag, which numpy.linalg raises as a LinAlgError.  Each call's
-    argument shape goes to calls."""
+def planted_chart(a):
+    """The metric chart whose metric at the chart point (k, 0, ...) is the
+    matrix a[k] of the stack a (B, n, n)."""
+    n = a.shape[-1]
 
-    def gufunc(a, **kwargs):
-        calls.append(a.shape)
-        out = real(a, **kwargs)
-        bad = ~np.isfinite(a).all(axis=(-2, -1))
-        if bad.any():
-            out[bad] = np.nan
-            np.sqrt(np.float64(-1.0))  # the invalid flag
-        return out
+    def metric(cs):
+        k = cs[0].val.astype(int)
+        return [[a[k, i, j] for j in range(n)] for i in range(n)]
 
-    return gufunc
+    return imm.MetricChart(metric, n)
+
+
+PLANTED_DEFECTS = {
+    0: "is not finite",
+    1: "is not finite",
+    2: "is not finite",
+    3: "is not positive definite (min eigenvalue -5.000e-01)",
+    4: "is singular",
+    5: "is singular",
+}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_singular_mask_matches_inv_and_solve_alone_on_planted_stacks(monkeypatch, n):
-    rng = np.random.default_rng(n)
-    eye = np.broadcast_to(np.eye(n), (64, n, n))
-    for _ in range(20):
-        a = rng.standard_normal((64, n, n))
-        planted = rng.choice(64, size=8, replace=False)
-        for k, b in enumerate(planted):
-            m = rng.integers(-3, 4, size=(n, n)).astype(float)
-            if k % 4 == 0:
-                m[rng.integers(n)] = 0.0  # a zero row
-            elif k % 4 == 1:
-                m[:, rng.integers(n)] = 0.0  # a zero column
-            elif k % 4 == 2:
-                m[-1] = 2.0 * m[0]  # two parallel rows
-            else:
-                m = np.outer(m[0], m[1])  # rank one
-            a[b] = m
-        mask = assert_lone_results(_umath_linalg.inv, np.linalg.inv, a)
-        assert np.array_equal(mask, refused_alone(np.linalg.solve, a, eye))
-        assert mask[planted].sum() >= 4  # the zero rows and columns at least
-    # the metric's Cholesky factor and eigenvalues: the planted stack's
-    # non-finite, indefinite and nearly singular matrices among others
-    a = symmetric_stack(rng, n)
-    mask = assert_lone_results(_umath_linalg.cholesky_lo, np.linalg.cholesky, a)
-    assert mask[3:5].all() and not mask[5:].any()
-    assert_lone_results(_umath_linalg.eigvalsh_lo, np.linalg.eigvalsh, a)
-    # LAPACK builds differ in the matrices whose eigenvalues do not converge:
-    # one that fails on every non-finite matrix
-    calls = []
-    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo",
-                        failing_eigvalsh(_umath_linalg.eigvalsh_lo, calls))
-    assert_lone_results(_umath_linalg.eigvalsh_lo, np.linalg.eigvalsh, a, np.arange(16) < 3)
-    # the stack ran once, and only its NaN results were tried alone
-    assert calls[:4] == [a.shape] + [(n, n)] * 3
-    # a metric chart whose metric has no Cholesky factor at one column, a
-    # metric the condition bound refuses first: the frame of its unchecked
-    # geometry refuses that column only, with the error it raises alone
-    def metric(cs):
-        g = np.eye(n).tolist()
-        g[0][1] = g[1][0] = cs[0]
-        g[1][1] = 1.0 - 1e-13
-        return g
+def test_metric_is_judged_by_finiteness_and_eigenvalues_on_planted_stacks(monkeypatch, n):
+    # each planted column gets the error of the first check it fails, a
+    # non-finite one before its eigenvalues are read; every other column's
+    # inverse is numpy.linalg's of its matrix alone, bit for bit
+    a = planted_stack(np.random.default_rng(n), n)
+    x = np.zeros((len(a), n))
+    x[:, 0] = np.arange(len(a))
+    checked = tm.float_edges(imm.geometry_columns)
 
-    chart = imm.MetricChart(metric, n)
-    x = np.zeros((4, n))
-    x[:, 0] = (0.5, 1.0, -0.3, 0.2)
-    with pytest.raises(tm.BatchRejected, match="1 columns") as err:
-        imm.chart_geometry(chart, x)
-    assert "is ill-conditioned" in str(err.value.errors[1])
-    geo = imm._geometry_from_metric(chart, x)
-    with pytest.raises(tm.BatchRejected) as err:
-        geo.onf
-    assert list(err.value.errors) == [1]
-    with pytest.raises(imm.MetricSignatureError, match="has no Cholesky factor$") as alone:
-        tm.per_sample(lambda xs: [imm._geometry_from_metric(chart, xs).onf], [x[1]])
-    assert str(err.value.errors[1]) == str(alone.value)
+    def assert_judged(defects):
+        geo, kept = checked(planted_chart(a), x)
+        assert {b: str(e) for b, e in kept.errors.items()} == {
+            b: f"induced metric at {tm.format_point(x[b])} {what}" for b, what in defects.items()
+        }
+        assert all(type(e) is imm.MetricSignatureError for e in kept.errors.values())
+        assert kept.index.tolist() == sorted(set(range(len(a))) - set(defects))
+        for g_inv, b in zip(geo.g_inv0, kept.index.tolist()):
+            assert g_inv.tobytes() == np.linalg.inv(a[b]).tobytes()
+
+    assert_judged(PLANTED_DEFECTS)
+    # a LAPACK build that gives a finite matrix NaN eigenvalues: the
+    # condition bound, stated as what must hold, refuses that column
+    real = _umath_linalg.eigvalsh_lo
+
+    def nan_at_seven(g, **kwargs):
+        out = real(g, **kwargs)
+        out[(g == a[7]).all(axis=(-2, -1))] = np.nan
+        return out
+
+    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", nan_at_seven)
+    assert_judged({**PLANTED_DEFECTS, 7: f"is ill-conditioned (eigenvalues nan to nan, "
+                                         f"a ratio above {imm.COND_MAX:.1e})"})

@@ -346,6 +346,50 @@ def test_membership_rejects_off_cone_and_wrong_branch():
         on_cone(HYP_CONE, q)
 
 
+def off_cone_detail(spec, p):
+    """The detail of the off-cone refusal of the ambient point p."""
+    with pytest.raises(nc.PointRejected) as err:
+        on_cone(spec, p)
+    assert err.value.reason is nc.RejectionReason.OFF_CONE
+    return err.value.detail
+
+
+def test_membership_checks_after_F_have_their_messages():
+    # each point is on F = 0 and passes every check before the one it fails
+    # on the plane x_last = x1 of DS0, off the unit hyperquadric
+    p = np.array([1.0, 0.5, 0.0, 0.0, 1.0])
+    assert F_at(DS0, p) == 0.0
+    assert off_cone_detail(DS0, p) == "off the unit hyperquadric by 7.500e-01"
+    # on the plane and the hyperquadric of DS_MINUS, at x1 = 2 past its
+    # split radius sqrt(3)
+    t = 2.0
+    last = DS_MINUS.alpha + DS_MINUS.beta * t
+    p = np.array([t, math.sqrt(1.0 + t * t - last * last), 0.0, 0.0, last])
+    assert t > DS_MINUS.split_radius and abs(F_at(DS_MINUS, p)) <= nc.MEMBERSHIP_TOL
+    assert off_cone_detail(DS_MINUS, p) == "beyond the component split radius"
+    # on SPH_CONE's F, which reads the fiber distance from the first fiber
+    # coordinate alone, with the fiber point off the unit sphere
+    p = np.array([0.5, math.cos(0.5), 2.0 * math.sin(0.5), 0.0, 0.0])
+    assert abs(F_at(SPH_CONE, p)) <= nc.MEMBERSHIP_TOL
+    resid = abs(np.sum(p[1:] ** 2) - 1.0)
+    assert off_cone_detail(SPH_CONE, p) == f"off the fiber quadric by {resid:.3e}"
+
+
+@pytest.mark.parametrize("fiber", ["sphere", "hyperbolic"])
+def test_fiber_base_point_near_the_vertex_is_a_vertex_exclusion(fiber):
+    # the fiber distance is 0 at the base point, outside the open domain of
+    # arccos and arccosh: F reads it without either primitive, so a point
+    # this near the cone's vertex is a vertex exclusion, not a chart
+    # singularity of the primitive
+    model = st.AmbientModel(kind="product", n=2, warping=mk_warping("constant", (1.0,)),
+                            t0=0.0, fiber=fiber)
+    spec = nc.NullconeSpec(model=model, variant="grw_cone")
+    with pytest.raises(nc.PointRejected) as err:
+        on_cone(spec, np.array([1e-9, 1.0, 0.0, 0.0, 0.0]))
+    assert err.value.reason is nc.RejectionReason.VERTEX_EXCLUSION
+    assert err.value.detail == f"conformal time below {nc.VERTEX_EPS:.0e}"
+
+
 # ---------------------------------------------------------------- de Sitter graphs
 
 

@@ -733,6 +733,39 @@ def test_expression_parser_rejects_non_vocabulary(bad):
         tm.parse_expression(bad, ["x", "y"])
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("z + x0", "unknown name 'z' in expression"),
+    ("np.sin(x0)", "only plain calls to known primitives are allowed"),
+    ("sin(x=x0)", "only plain calls to known primitives are allowed"),
+    ("sin(x0, x1)", "sin takes exactly one argument"),
+])
+def test_expression_parser_refusals_have_their_messages(bad, message):
+    with pytest.raises(ValueError) as err:
+        tm.parse_expression(bad, ["x0", "x1"])
+    assert str(err.value) == message
+
+
+def test_unary_plus_and_division_by_a_float_are_their_plain_forms():
+    # a unary plus is its operand itself, and a Series divided by 2 has the
+    # bits of the Series times 0.5
+    ctx = tm.get_context(2, 3)
+    xs = [tm.Series.variable(ctx, i, np.array([0.3, -0.7])) for i in range(2)]
+    for expr, plain in (("+x0", "x0"), ("x0/2", "x0*0.5")):
+        got, want = (tm.parse_expression(e, ["x0", "x1"])(xs) for e in (expr, plain))
+        assert got.c.tobytes() == want.c.tobytes()
+
+
+def test_power_of_a_negative_base_refuses_every_point():
+    f = tm.parse_expression("(-2)**x0", ["x0"])
+    points = np.array([[0.0], [0.5], [2.0]])
+    with pytest.raises(tm.BatchRejected) as err:
+        tm.eval_series(tm.SmoothMap(lambda xs: [f(xs)], 1), points, 3)
+    assert list(err.value.errors) == [0, 1, 2]
+    for b, e in err.value.errors.items():
+        assert type(e) is tm.PrimitiveDomainError and (e.primitive, e.value) == ("pow", -2.0)
+        assert e.point == tuple(points[b])
+
+
 def test_expression_constants():
     f = tm.parse_expression("sin(pi/2) + e", ["x"])
     assert f([0.0]) == pytest.approx(1.0 + math.e, abs=1e-15)

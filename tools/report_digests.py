@@ -41,7 +41,7 @@ refused point in one chunk: `mink-bowl-off-cone` (f = 0.6 + 0.5 x0 on
 `grw-cosh-overflow` (the dense grw-cosh grid, its height plus
 1e-300 exp(100 x1 + 461), which overflows inside the map on the 20 points
 with x1 = 2.5, next to the polar points x0 = 0, which the metric's
-singular-inverse test, a primitive or the null frame refuse).  The
+eigenvalue tests refuse as singular or ill-conditioned).  The
 curved-fiber grids reach the branch of the null gradient and of the
 `product_xi` closed form that no built-in scene reaches: `grw_graph` on a
 `product` model with a sphere or a hyperbolic fiber, warped by the
