@@ -194,9 +194,8 @@ def test_signature_error_for_non_spacelike_chart():
 
 
 def test_non_finite_metric_is_refused():
-    # a metric entry of inf or NaN passes the eigenvalue, floor and inverse
-    # tests; the last check refuses it, so a column those tests refuse
-    # keeps its message
+    # a metric with an entry of inf or NaN is refused first, since its
+    # eigenvalues are garbage; a finite metric keeps its eigenvalue message
     metric = imm.MetricChart(
         lambda cs: [[cs[0], 0.0], [0.0, 1.0 + cs[1] * 1e200 * 1e200]], 2
     )
